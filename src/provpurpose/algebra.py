@@ -76,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
     ConfigurationError,
@@ -104,8 +104,7 @@ def op_difference(s1: Iterable[str], s2: Iterable[str]) -> PurposeSet:
 
 def op_subtraction(s1: Iterable[str], s2: Iterable[str]) -> PurposeSet:
     """Remove from s1 whatever both operands share. Asymmetric."""
-    a = frozenset(s1)
-    return a - (a & frozenset(s2))
+    return frozenset(s1) - frozenset(s2)
 
 
 class PrecedenceKind(str, Enum):
@@ -116,9 +115,17 @@ class PrecedenceKind(str, Enum):
 
 
 def _precedence_winner(
-    kind: PrecedenceKind, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph
+    kind: PrecedenceKind, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
 ) -> int:
-    """-1 when s1 wins, 1 when s2 wins, 0 on a tie. Operands non-empty."""
+    """-1 when s1 wins, 1 when s2 wins, 0 on a tie.
+
+    An empty operand loses without a rank comparison, so two empty operands
+    tie; only two non-empty operands need `pg`.
+    """
+    if not s1 or not s2:
+        return bool(s2) - bool(s1)
+    if pg is None:
+        raise ConfigurationError("precedence operators need a purpose graph")
     if kind in (PrecedenceKind.HIGH_MAX, PrecedenceKind.LOW_MAX):
         k1 = min(pg.rank_of(p) for p in s1)
         k2 = min(pg.rank_of(p) for p in s2)
@@ -128,9 +135,7 @@ def _precedence_winner(
     if k1 == k2:
         return 0
     higher_wins = kind in (PrecedenceKind.HIGH_MAX, PrecedenceKind.HIGH_MIN)
-    if (k1 < k2) == higher_wins:
-        return -1
-    return 1
+    return -1 if (k1 < k2) == higher_wins else 1
 
 
 def op_precedence(
@@ -140,12 +145,7 @@ def op_precedence(
     a, b = frozenset(s1), frozenset(s2)
     if not a or not b:
         raise EmptyPurposeSetError("precedence operators need non-empty operands")
-    winner = _precedence_winner(kind, a, b, pg)
-    if winner < 0:
-        return a
-    if winner > 0:
-        return b
-    return a | b
+    return precedence_total(kind, a, b, pg)
 
 
 def precedence_total(
@@ -153,11 +153,8 @@ def precedence_total(
 ) -> PurposeSet:
     """Totalized selection used inside evaluators: an empty operand loses."""
     a, b = frozenset(s1), frozenset(s2)
-    if not a:
-        return b
-    if not b:
-        return a
-    return op_precedence(kind, a, b, pg)
+    winner = _precedence_winner(kind, a, b, pg)
+    return a if winner < 0 else b if winner > 0 else a | b
 
 
 # -- hierarchical purpose sets --------------------------------------------------
@@ -306,12 +303,7 @@ _PRECEDENCE_OF_OP = {
     BasicOp.LOW_MIN: PrecedenceKind.LOW_MIN,
 }
 
-_WORD_OPS = {
-    "upmax": BasicOp.HIGH_MAX,
-    "downmax": BasicOp.LOW_MAX,
-    "upmin": BasicOp.HIGH_MIN,
-    "downmin": BasicOp.LOW_MIN,
-}
+_WORD_OPS = {op.value for op in _PRECEDENCE_OF_OP}
 
 # Unicode spellings, normalized during scanning. The triangle/harpoon forms
 # used between prohibited sets bind here, in one place: right/plain triangles
@@ -350,6 +342,11 @@ class BinaryOp:
 
 FidaExpr = Union[SetRef, FunctionCall, BinaryOp]
 
+T = TypeVar("T")
+
+#: Parentheses and function calls nest at most this deep in expression text.
+MAX_NESTING = 200
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -370,17 +367,13 @@ def _tokenize(text: str) -> list[_Token]:
         alias = next((a for a in _UNICODE_ALIASES if text.startswith(a[0], i)), None)
         if alias is not None:
             seq, replacement = alias
-            kind = "op"
-            tokens.append(_Token(kind, replacement, i))
+            tokens.append(_Token("op", replacement, i))
             i += len(seq)
             continue
-        if text.startswith("^-", i):
-            tokens.append(_Token("op", "^-", i))
-            i += 2
-            continue
-        if ch in "+-&":
-            tokens.append(_Token("op", ch, i))
-            i += 1
+        if ch in "+-&" or text.startswith("^-", i):
+            op = "^-" if ch == "^" else ch
+            tokens.append(_Token("op", op, i))
+            i += len(op)
             continue
         if ch in "(),":
             tokens.append(_Token(ch, ch, i))
@@ -391,10 +384,7 @@ def _tokenize(text: str) -> list[_Token]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            if word in _WORD_OPS:
-                tokens.append(_Token("op", word, i))
-            else:
-                tokens.append(_Token("name", word, i))
+            tokens.append(_Token("op" if word in _WORD_OPS else "name", word, i))
             i = j
             continue
         raise FidaSyntaxError(f"unexpected character {ch!r}", i)
@@ -406,6 +396,7 @@ class _Parser:
         self.tokens = tokens
         self.text = text
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -456,25 +447,28 @@ class _Parser:
 
     def factor(self) -> FidaExpr:
         tok = self.take()
-        if tok.kind == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
         if tok.kind == "name":
             nxt = self.peek()
-            if nxt is not None and nxt.kind == "(":
-                self.take()
-                args = [self.expr()]
-                while True:
-                    sep = self.take()
-                    if sep.kind == ")":
-                        break
-                    if sep.kind != ",":
-                        raise FidaSyntaxError(f"expected ',' or ')', found {sep.value!r}", sep.pos)
-                    args.append(self.expr())
-                return FunctionCall(tok.value, tuple(args))
-            return SetRef(tok.value)
-        raise FidaSyntaxError(f"unexpected {tok.value!r}", tok.pos)
+            if nxt is None or nxt.kind != "(":
+                return SetRef(tok.value)
+        elif tok.kind != "(":
+            raise FidaSyntaxError(f"unexpected {tok.value!r}", tok.pos)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FidaSyntaxError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
+        if tok.kind == "(":
+            node = self.expr()
+            self.expect(")")
+        else:
+            self.take()
+            args = [self.expr()]
+            while (sep := self.take()).kind == ",":
+                args.append(self.expr())
+            if sep.kind != ")":
+                raise FidaSyntaxError(f"expected ',' or ')', found {sep.value!r}", sep.pos)
+            node = FunctionCall(tok.value, tuple(args))
+        self.depth -= 1
+        return node
 
 
 def parse_fida(text: str) -> FidaExpr:
@@ -485,45 +479,108 @@ def parse_fida(text: str) -> FidaExpr:
     return _Parser(tokens, text).parse()
 
 
+def fold(
+    expr: FidaExpr,
+    ref: Callable[[str], T],
+    call: Callable[[str, list[T]], T],
+    infix: Callable[[BasicOp, T, T], T],
+) -> T:
+    """Fold an expression bottom-up on an explicit stack, so no tree is too deep.
+
+    `ref` maps a set name to a value, `call` a function name and its argument
+    values, `infix` an operator and its operand values. Operands are folded
+    left to right before the node that takes them, as in a recursive walk.
+    """
+    order: list[FidaExpr] = []
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is FunctionCall:
+            todo.extend(node.args)
+        elif kind is BinaryOp:
+            todo.append(node.left)
+            todo.append(node.right)
+    # `order` lists every node before its operands, right ones first; reversed,
+    # it is the post-order a recursive walk would evaluate in.
+    values: list[T] = []
+    for node in reversed(order):
+        kind = type(node)
+        if kind is SetRef:
+            values.append(ref(node.name))
+        elif kind is BinaryOp:
+            right = values.pop()
+            values[-1] = infix(node.op, values[-1], right)
+        else:
+            start = len(values) - len(node.args)
+            args = values[start:]
+            del values[start:]
+            values.append(call(node.name, args))
+    return values[0]
+
+
 def print_fida(expr: FidaExpr) -> str:
     """Canonical ASCII rendering; reparsing it yields an equal tree."""
+    # Each value is (text, is_infix); an infix operation is parenthesized
+    # where it is itself the operand of one.
+    def operand(part: tuple[str, bool]) -> str:
+        return f"({part[0]})" if part[1] else part[0]
 
-    def fmt(node: FidaExpr, top: bool) -> str:
-        if isinstance(node, SetRef):
-            return node.name
-        if isinstance(node, FunctionCall):
-            return f"{node.name}({', '.join(fmt(a, True) for a in node.args)})"
-        body = f"{fmt(node.left, False)} {node.op.value} {fmt(node.right, False)}"
-        return body if top else f"({body})"
-
-    return fmt(expr, True)
+    text, _ = fold(
+        expr,
+        lambda name: (name, False),
+        lambda name, args: (f"{name}({', '.join(text for text, _ in args)})", False),
+        lambda op, l, r: (f"{operand(l)} {op.value} {operand(r)}", True),
+    )
+    return text
 
 
 def expression_names(expr: FidaExpr) -> frozenset[str]:
     """All set names an expression references."""
-    if isinstance(expr, SetRef):
-        return frozenset({expr.name})
-    if isinstance(expr, FunctionCall):
-        out: frozenset[str] = frozenset()
-        for a in expr.args:
-            out |= expression_names(a)
-        return out
-    return expression_names(expr.left) | expression_names(expr.right)
+    return fold(
+        expr,
+        lambda name: frozenset({name}),
+        lambda _, args: frozenset().union(*args),
+        lambda _, l, r: l | r,
+    )
 
 
 def expression_functions(expr: FidaExpr) -> frozenset[str]:
     """All function names an expression applies."""
-    if isinstance(expr, SetRef):
-        return frozenset()
-    if isinstance(expr, FunctionCall):
-        out = frozenset({expr.name})
-        for a in expr.args:
-            out |= expression_functions(a)
-        return out
-    return expression_functions(expr.left) | expression_functions(expr.right)
+    return fold(
+        expr,
+        lambda _: frozenset(),
+        lambda name, args: frozenset({name}).union(*args),
+        lambda _, l, r: l | r,
+    )
 
 
 # -- evaluation -----------------------------------------------------------------
+
+def _binding(env: Mapping[str, T], what: str) -> Callable[[str], T]:
+    """A fold's `ref` that looks names up in `env`: "no {what} 'X'" when unbound."""
+
+    def ref(name: str) -> T:
+        try:
+            return env[name]
+        except KeyError:
+            raise UnboundNameError(f"no {what} {name!r}") from None
+
+    return ref
+
+
+def apply_basic(
+    op: BasicOp, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
+) -> PurposeSet:
+    """One basic operator over plain sets: plain and party expressions, F1-F8."""
+    kind = _PRECEDENCE_OF_OP.get(op)
+    if kind is None:
+        return _SET_OPS[op.value](s1, s2)
+    if pg is None:
+        raise ConfigurationError("precedence operators need a purpose graph")
+    return precedence_total(kind, s1, s2, pg)
+
 
 def _componentwise(
     op: Callable[[PurposeSet, PurposeSet], PurposeSet],
@@ -536,27 +593,15 @@ def _componentwise(
     )
 
 
-def _pick_hierarchical(
-    kind: PrecedenceKind,
-    l: HierarchicalPurposeSet,
-    r: HierarchicalPurposeSet,
-    pg: PurposeGraph | None,
-) -> HierarchicalPurposeSet:
-    a, b = l.allowed(), r.allowed()
-    if not a and not b:
-        return _componentwise(op_union, l, r)
-    if not a:
-        return r
-    if not b:
-        return l
-    if pg is None:
-        raise ConfigurationError("precedence operators need a purpose graph")
-    winner = _precedence_winner(kind, a, b, pg)
-    if winner < 0:
-        return l
-    if winner > 0:
-        return r
-    return _componentwise(op_union, l, r)
+def _merge_call(name: str, args: list[HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
+    if name == "f_nary":
+        return apply_nary(args)
+    fn = _FUNCTION_BY_TOKEN.get(name)
+    if fn is None:
+        raise UnboundNameError(f"unknown merge function {name!r}")
+    if len(args) != 2:
+        raise FidaSyntaxError(f"{name} takes exactly two operands")
+    return apply_internal(fn, args[0], args[1])
 
 
 def eval_fida(
@@ -573,27 +618,15 @@ def eval_fida(
     """
     if isinstance(expr, str):
         expr = parse_fida(expr)
-    if isinstance(expr, SetRef):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundNameError(f"no set bound to {expr.name!r}") from None
-    if isinstance(expr, FunctionCall):
-        args = [eval_fida(a, env, pg) for a in expr.args]
-        if expr.name == "f_nary":
-            return apply_nary(args)
-        fn = _FUNCTION_BY_TOKEN.get(expr.name)
-        if fn is None:
-            raise UnboundNameError(f"unknown merge function {expr.name!r}")
-        if len(args) != 2:
-            raise FidaSyntaxError(f"{expr.name} takes exactly two operands")
-        return apply_internal(fn, args[0], args[1])
-    l = eval_fida(expr.left, env, pg)
-    r = eval_fida(expr.right, env, pg)
-    if expr.op in _PRECEDENCE_OF_OP:
-        graph = pg or l.graph or r.graph
-        return _pick_hierarchical(_PRECEDENCE_OF_OP[expr.op], l, r, graph)
-    return _componentwise(_SET_OPS[expr.op.value], l, r)
+
+    def infix(op: BasicOp, l: HierarchicalPurposeSet, r: HierarchicalPurposeSet):
+        kind = _PRECEDENCE_OF_OP.get(op)
+        if kind is None:
+            return _componentwise(_SET_OPS[op.value], l, r)
+        winner = _precedence_winner(kind, l.allowed(), r.allowed(), pg or l.graph or r.graph)
+        return l if winner < 0 else r if winner > 0 else _componentwise(op_union, l, r)
+
+    return fold(expr, _binding(env, "set bound to"), _merge_call, infix)
 
 
 def eval_fida_plain(
@@ -604,19 +637,9 @@ def eval_fida_plain(
     """Evaluate an expression of basic operators over plain purpose sets."""
     if isinstance(expr, str):
         expr = parse_fida(expr)
-    if isinstance(expr, SetRef):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundNameError(f"no set bound to {expr.name!r}") from None
-    if isinstance(expr, FunctionCall):
-        raise ConfigurationError(
-            f"{expr.name} needs hierarchical or party operands, not plain sets"
-        )
-    l = eval_fida_plain(expr.left, env, pg)
-    r = eval_fida_plain(expr.right, env, pg)
-    if expr.op in _PRECEDENCE_OF_OP:
-        if pg is None:
-            raise ConfigurationError("precedence operators need a purpose graph")
-        return precedence_total(_PRECEDENCE_OF_OP[expr.op], l, r, pg)
-    return _SET_OPS[expr.op.value](l, r)
+
+    def call(name: str, args: list[PurposeSet]) -> PurposeSet:
+        raise ConfigurationError(f"{name} needs hierarchical or party operands, not plain sets")
+
+    ref = _binding(env, "set bound to")
+    return fold(expr, ref, call, lambda op, a, b: apply_basic(op, a, b, pg))

@@ -6,8 +6,8 @@ Four subcommands:
   loadable graph are reported as data (exit 0), unreadable or malformed
   files exit 2.
 * ``evaluate``: run the full decision pipeline over a provenance graph,
-  one or more policy files (each file is one party), a request, and a
-  purpose graph. An empty decision is still a success.
+  one or more policy files (files naming the same party form one party), a
+  request, and a purpose graph. An empty decision is still a success.
 * ``merge``: evaluate a merge expression over named plain sets
   (``--set S1=a,b``) or over party result files (``--party r.json``).
 * ``bench``: generate the synthetic workload and print timing means.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -48,20 +49,19 @@ def _emit(payload: Any, out: str | None) -> None:
         print(text)
 
 
-def _party_from_file(path: str, internal_override: str | None, index: int) -> PartyConfig:
+def _party_from_file(path: str, internal_override: str | None) -> PartyConfig:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: policy file must hold a JSON object")
     stem = Path(path).stem
+    party = doc.get("party", stem)
     if isinstance(doc.get("policies"), list):
-        party = doc.get("party", stem)
         policies = tuple(
             policy_from_dict(p, default_id=f"{party}_{i}")
             for i, p in enumerate(doc["policies"])
         )
         internal = doc.get("internal_expr")
     else:
-        party = doc.get("party", stem)
         policies = (policy_from_dict(doc, default_id=stem),)
         internal = None
     if not isinstance(party, str) or not party:
@@ -71,6 +71,19 @@ def _party_from_file(path: str, internal_override: str | None, index: int) -> Pa
     if internal is not None and not isinstance(internal, str):
         raise InputFormatError(f"{path}: internal_expr must be a string")
     return PartyConfig(party=party, policies=policies, internal_expr=internal)
+
+
+def _parties_from_files(paths: Sequence[str], internal_override: str | None) -> list[PartyConfig]:
+    """One party per name, in order of first appearance; same-named files pool their policies."""
+    parties: dict[str, PartyConfig] = {}
+    for path in paths:
+        cfg = _party_from_file(path, internal_override)
+        first = parties.setdefault(cfg.party, cfg)
+        if first is not cfg:
+            if cfg.internal_expr != first.internal_expr:
+                raise InputFormatError(f"{path}: conflicting internal_expr for party {cfg.party!r}")
+            parties[cfg.party] = replace(first, policies=first.policies + cfg.policies)
+    return list(parties.values())
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -89,7 +102,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.policy:
         entries = []
         for path in args.policy:
-            _party_from_file(path, None, 0)
+            _party_from_file(path, None)
             entries.append({"path": path, "ok": True})
         payload["policies"] = entries
     if args.purposes:
@@ -104,10 +117,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pg = load_purpose_graph(args.purposes)
     request, attached = load_request(args.request)
     role_order = load_role_order(args.roles) if args.roles else None
-    parties = [
-        _party_from_file(path, args.internal_expr, i)
-        for i, path in enumerate(args.policy)
-    ]
+    parties = _parties_from_files(args.policy, args.internal_expr)
     record = DataRecord(
         provenance=graph,
         category=request.category,

@@ -21,7 +21,7 @@ failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .algebra import (
     FidaExpr,
@@ -45,7 +45,6 @@ class DataRecord:
 
     provenance: ProvenanceGraph
     category: str | None = None
-    content: Any = None
     attached_purposes: PurposeSet | None = None
 
 
@@ -95,6 +94,9 @@ def decide(
     """Run the full pipeline and return the decision with per-party traces."""
     if not parties:
         raise ConfigurationError("at least one party is required")
+    names = [cfg.party for cfg in parties]
+    if len(set(names)) != len(names):
+        raise ConfigurationError(f"party names must be distinct, got {names}")
     traces: list[PartyTrace] = []
     results: list[PartyResult] = []
     for cfg in parties:

@@ -40,18 +40,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
-from .algebra import (
-    BinaryOp,
-    FidaExpr,
-    FunctionCall,
-    PrecedenceKind,
-    SetRef,
-    _PRECEDENCE_OF_OP,
-    _SET_OPS,
-    op_subtraction,
-    parse_fida,
-    precedence_total,
-)
+from .algebra import BasicOp, _binding, apply_basic, fold, op_subtraction, parse_fida
+
+# F5-F8 rank through apply_basic; this name stays bound for decidebench's tracer.
+from .algebra import precedence_total  # noqa: F401
 from .errors import (
     ConfigurationError,
     EmptyPurposeSetError,
@@ -87,26 +79,18 @@ class ExternalFunction(Enum):
 
 
 # (allowed-side op, prohibited-side op); see the module table.
-_PARTY_RULES: dict[ExternalFunction, tuple[str, str]] = {
-    ExternalFunction.F1: ("+", "&"),
-    ExternalFunction.F2: ("+", "-"),
-    ExternalFunction.F3: ("&", "&"),
-    ExternalFunction.F4: ("&", "-"),
-    ExternalFunction.F5: ("^-", "downmin"),
-    ExternalFunction.F6: ("^-", "upmax"),
-    ExternalFunction.F7: ("upmax", "^-"),
-    ExternalFunction.F8: ("downmin", "&"),
+_PARTY_RULES: dict[ExternalFunction, tuple[BasicOp, BasicOp]] = {
+    ExternalFunction.F1: (BasicOp.UNION, BasicOp.INTERSECT),
+    ExternalFunction.F2: (BasicOp.UNION, BasicOp.SUBTRACT),
+    ExternalFunction.F3: (BasicOp.INTERSECT, BasicOp.INTERSECT),
+    ExternalFunction.F4: (BasicOp.INTERSECT, BasicOp.SUBTRACT),
+    ExternalFunction.F5: (BasicOp.SYM_DIFF, BasicOp.LOW_MIN),
+    ExternalFunction.F6: (BasicOp.SYM_DIFF, BasicOp.HIGH_MAX),
+    ExternalFunction.F7: (BasicOp.HIGH_MAX, BasicOp.SYM_DIFF),
+    ExternalFunction.F8: (BasicOp.LOW_MIN, BasicOp.INTERSECT),
 }
 
 _EXTERNAL_BY_TOKEN = {fn.value: fn for fn in ExternalFunction}
-
-
-def _combine(op: str, a: PurposeSet, b: PurposeSet, pg: PurposeGraph | None) -> PurposeSet:
-    if op in ("+", "&", "^-", "-"):
-        return _SET_OPS[op](a, b)
-    if pg is None:
-        raise ConfigurationError("F5 through F8 need a purpose graph to rank operands")
-    return precedence_total(PrecedenceKind(op), a, b, pg)
 
 
 def apply_external(
@@ -117,39 +101,9 @@ def apply_external(
 ) -> PurposeSet:
     """Combine two party results into one decision set."""
     ap_op, pp_op = _PARTY_RULES[fn]
-    allowed = _combine(ap_op, sm.ap, sn.ap, pg)
-    prohibited = _combine(pp_op, sm.pp, sn.pp, pg)
+    allowed = apply_basic(ap_op, sm.ap, sn.ap, pg)
+    prohibited = apply_basic(pp_op, sm.pp, sn.pp, pg)
     return op_subtraction(allowed, prohibited)
-
-
-def _eval_party_expr(
-    expr: FidaExpr,
-    env: Mapping[str, PartyResult],
-    pg: PurposeGraph | None,
-) -> PartyResult:
-    if isinstance(expr, SetRef):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundNameError(f"no party named {expr.name!r}") from None
-    if isinstance(expr, FunctionCall):
-        fn = _EXTERNAL_BY_TOKEN.get(expr.name)
-        if fn is None:
-            raise UnboundNameError(f"unknown cross-party function {expr.name!r}")
-        if len(expr.args) != 2:
-            raise FidaSyntaxError(f"{expr.name} takes exactly two operands")
-        sm = _eval_party_expr(expr.args[0], env, pg)
-        sn = _eval_party_expr(expr.args[1], env, pg)
-        return PartyResult("", apply_external(fn, sm, sn, pg), frozenset())
-    l = _eval_party_expr(expr.left, env, pg).intended()
-    r = _eval_party_expr(expr.right, env, pg).intended()
-    if expr.op in _PRECEDENCE_OF_OP:
-        if pg is None:
-            raise ConfigurationError("precedence operators need a purpose graph")
-        out = precedence_total(_PRECEDENCE_OF_OP[expr.op], l, r, pg)
-    else:
-        out = _SET_OPS[expr.op.value](l, r)
-    return PartyResult("", out, frozenset())
 
 
 def merge_parties(
@@ -168,15 +122,25 @@ def merge_parties(
     fn = _EXTERNAL_BY_TOKEN.get(text)
     if fn is not None:
         acc = results[0]
-        if len(results) == 1:
-            return acc.intended()
         for nxt in results[1:]:
             acc = PartyResult("", apply_external(fn, acc, nxt, pg), frozenset())
-        return acc.ap
+        return acc.intended()
     env = {r.party: r for r in results}
     if len(env) != len(results):
         raise ConfigurationError("party names must be distinct to merge by expression")
-    return _eval_party_expr(parse_fida(text), env, pg).intended()
+
+    def call(name: str, args: list[PartyResult]) -> PartyResult:
+        fn = _EXTERNAL_BY_TOKEN.get(name)
+        if fn is None:
+            raise UnboundNameError(f"unknown cross-party function {name!r}")
+        if len(args) != 2:
+            raise FidaSyntaxError(f"{name} takes exactly two operands")
+        return PartyResult("", apply_external(fn, args[0], args[1], pg), frozenset())
+
+    def infix(op: BasicOp, l: PartyResult, r: PartyResult) -> PartyResult:
+        return PartyResult("", apply_basic(op, l.intended(), r.intended(), pg), frozenset())
+
+    return fold(parse_fida(text), _binding(env, "party named"), call, infix).intended()
 
 
 def party_result_from_dict(doc: Mapping[str, Any], default_party: str = "party") -> PartyResult:

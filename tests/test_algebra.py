@@ -35,6 +35,8 @@ from provpurpose import (
     print_fida,
     split_result,
 )
+from provpurpose.algebra import MAX_NESTING
+from provpurpose.external import PartyResult, merge_parties
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES, ALGEBRA_UNIVERSE
 from oracles import (
     brute_force_ranks,
@@ -437,3 +439,54 @@ def test_plain_infix_laws(a, b, c):
     assert eval_fida_plain("A ^- B", env) == eval_fida_plain("B ^- A", env)
     assert eval_fida_plain("A + B + C", env) == eval_fida_plain("A + (B + C)", env)
     assert eval_fida_plain("A - B", env) == a - b
+
+
+# -- depth ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("f_nary(", ", A)")])
+def test_parser_nesting_limit(opening, closing):
+    within = opening * MAX_NESTING + "A" + closing * MAX_NESTING
+    assert expression_names(parse_fida(within)) == {"A"}
+    beyond = opening * 400 + "A" + closing * 400
+    with pytest.raises(FidaSyntaxError) as err:
+        parse_fida(beyond)
+    assert err.value.position == len(opening) * MAX_NESTING
+
+
+def test_plain_eval_over_a_chain_of_1500_terms():
+    env = {f"S{i}": frozenset({f"p{i % 7}"}) for i in range(1500)}
+    text = " + ".join(env)
+    expr = parse_fida(text)
+    assert eval_fida_plain(expr, env) == {f"p{i}" for i in range(7)}
+    assert print_fida(expr) == "(" * 1498 + "S0 + S1" + "".join(f") + S{i}" for i in range(2, 1500))
+    assert expression_names(expr) == set(env)
+
+
+def test_deep_call_tree_folds_and_prints(algebra_dag):
+    expr = SetRef("S")
+    for _ in range(2000):
+        expr = FunctionCall("f_oplus", (expr, SetRef("S")))
+    env = {"S": split_result(algebra_dag, {"high1", "low1"}, {"low2"})}
+    assert eval_fida(expr, env) == apply_internal(InternalFunction.OPLUS, env["S"], env["S"])
+    assert print_fida(expr).count("f_oplus(") == 2000
+    assert expression_functions(expr) == {"f_oplus"}
+
+
+_infix_st = st.recursive(
+    st.sampled_from(["A", "B", "C", "D"]).map(SetRef),
+    lambda children: st.tuples(_op_st, children, children).map(lambda t: BinaryOp(*t)),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_infix_st, st.lists(st.frozensets(st.sampled_from(ALGEBRA_UNIVERSE)), min_size=4, max_size=4))
+def test_three_evaluators_agree_without_prohibitions(algebra_dag, expr, sets):
+    env = dict(zip("ABCD", sets))
+    split = {name: split_result(algebra_dag, s, ()) for name, s in env.items()}
+    parties = [PartyResult(name, s, frozenset()) for name, s in env.items()]
+    hierarchical = eval_fida(expr, split, algebra_dag).allowed()
+    plain = eval_fida_plain(expr, env, algebra_dag)
+    party = merge_parties(parties, print_fida(expr), algebra_dag)
+    assert hierarchical == plain == party

@@ -66,6 +66,48 @@ def test_evaluate_external_flag(capsys):
     assert got["decided"] == ["education"]
 
 
+def _as_source(tmp_path):
+    """The case study's repository policy, filed under the source party."""
+    doc = json.loads((CASE_STUDY / "repository_policy.json").read_text())
+    doc["party"] = "source"
+    path = tmp_path / "repository_as_source.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_evaluate_groups_files_of_one_party(capsys, tmp_path):
+    argv = _case_study_eval_args()
+    argv[argv.index(str(CASE_STUDY / "repository_policy.json"))] = str(_as_source(tmp_path))
+    for external in ("F3", "F3(source, source)"):
+        code, out, err = _run(capsys, *argv, "--external", external)
+        assert code == 0 and err == ""
+        (party,) = json.loads(out)["parties"]
+        assert party["party"] == "source"
+        assert party["internal"] == "f_dotplus(source_policy, repository_policy)"
+
+
+def test_evaluate_conflicting_internal_exprs_of_one_party_exit_2(capsys, tmp_path):
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({
+        "party": "source",
+        "internal_expr": "source_policy",
+        "policies": [json.loads((CASE_STUDY / "source_policy.json").read_text())],
+    }))
+    argv = _case_study_eval_args()
+    argv[argv.index(str(CASE_STUDY / "source_policy.json"))] = str(source)
+    argv[argv.index(str(CASE_STUDY / "repository_policy.json"))] = str(_as_source(tmp_path))
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_evaluate_too_deep_internal_expr_exits_2(capsys):
+    deep = "(" * 400 + "source_policy" + ")" * 400
+    code, out, err = _run(capsys, *_case_study_eval_args(), "--internal-expr", deep)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_evaluate_malformed_file_exits_2(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{ not json")
@@ -169,6 +211,13 @@ def test_merge_ranked_operator_needs_purposes(capsys):
 def test_merge_unbound_name_exits_2(capsys):
     code, out, err = _run(capsys, "merge", "--expr", "A + B", "--set", "A=x")
     assert code == 2 and err.startswith("error:")
+
+
+def test_merge_too_deep_expr_exits_2(capsys):
+    deep = "(" * 400 + "A" + ")" * 400
+    code, out, err = _run(capsys, "merge", "--expr", deep, "--set", "A=x")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_merge_without_expr_exits_2(capsys):

@@ -180,6 +180,24 @@ def test_no_parties_rejected(tiny_graph, small_pg):
         decide(DataRecord(tiny_graph), Request("s"), [], "F3", small_pg)
 
 
+def test_duplicate_party_names_rejected(tiny_graph, small_pg):
+    cfg = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),))
+    with pytest.raises(ConfigurationError):
+        decide(DataRecord(tiny_graph), Request("s"), [cfg, cfg], "F3", small_pg)
+
+
+def test_thousand_policy_default_fold(tiny_graph, small_pg):
+    policies = tuple(
+        _null_policy(f"p{i}", ap={"mid"} if i % 2 else {"leafp"}) for i in range(1000)
+    )
+    outcome = decide(
+        DataRecord(tiny_graph), Request("s"), [PartyConfig("owner", policies)], "F3", small_pg
+    )
+    assert outcome.decided == {"mid", "leafp"}
+    internal = outcome_to_dict(outcome)["parties"][0]["internal"]
+    assert internal.startswith("f_dotplus(" * 999 + "p0, p1)")
+
+
 def test_party_without_policies_rejected(tiny_graph, small_pg):
     with pytest.raises(StageError):
         decide(DataRecord(tiny_graph), Request("s"), [PartyConfig("x", ())], "F3", small_pg)

@@ -142,6 +142,13 @@ def test_expression_mode_unknown_party_and_function():
         merge_parties([a], "F3(a)")
 
 
+def test_expression_over_an_infix_chain_of_1200_parties():
+    parties = [_pr("p0", ap={"x"}, pp={"x"})]
+    parties += [_pr(f"p{i}", ap={f"a{i % 5}"}) for i in range(1, 1200)]
+    text = " + ".join(p.party for p in parties)
+    assert merge_parties(parties, text) == {f"a{i}" for i in range(5)}
+
+
 def test_nested_function_calls(algebra_dag):
     a = _pr("a", ap={"high1"}, pp={"low1"})
     b = _pr("b", ap={"high1", "low2"}, pp=set())
