@@ -73,6 +73,7 @@ selections compare operands by their combined allowed parts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -308,18 +309,18 @@ _WORD_OPS = {op.value for op in _PRECEDENCE_OF_OP}
 # Unicode spellings, normalized during scanning. The triangle/harpoon forms
 # used between prohibited sets bind here, in one place: right/plain triangles
 # to upmax, left/down triangles to downmin.
-_UNICODE_ALIASES: list[tuple[str, str]] = [
-    ("↑△", "upmax"),   # up arrow + triangle
-    ("↓△", "downmax"),
-    ("↑▽", "upmin"),
-    ("↓▽", "downmin"),
-    ("▷", "upmax"),         # right-pointing triangle
-    ("△", "upmax"),
-    ("◁", "downmin"),       # left-pointing triangle
-    ("▽", "downmin"),
-    ("⊟", "^-"),            # squared minus
-    ("−", "-"),             # minus sign
-]
+_UNICODE_ALIASES: dict[str, str] = {
+    "↑△": "upmax",   # up arrow + triangle
+    "↓△": "downmax",
+    "↑▽": "upmin",
+    "↓▽": "downmin",
+    "▷": "upmax",         # right-pointing triangle
+    "△": "upmax",
+    "◁": "downmin",       # left-pointing triangle
+    "▽": "downmin",
+    "⊟": "^-",            # squared minus
+    "−": "-",             # minus sign
+}
 
 
 @dataclass(frozen=True)
@@ -342,6 +343,14 @@ class BinaryOp:
 
 FidaExpr = Union[SetRef, FunctionCall, BinaryOp]
 
+
+def left_fold_expr(function: str, names: Sequence[str]) -> FidaExpr:
+    """`function` folded left to right over set names; one name stands alone."""
+    expr: FidaExpr = SetRef(names[0])
+    for name in names[1:]:
+        expr = FunctionCall(function, (expr, SetRef(name)))
+    return expr
+
 T = TypeVar("T")
 
 #: Parentheses and function calls nest at most this deep in expression text.
@@ -355,39 +364,29 @@ class _Token:
     pos: int
 
 
+# Every alias and operator spelling, then punctuation, then names; anything else
+# is one unexpected character. Names continue with \w (isalnum() or "_"), but
+# only isalpha() or "_" may start one, which _tokenize checks.
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)"
+    r"|(?P<op>" + "|".join(map(re.escape, _UNICODE_ALIASES)) + r"|\^-|[-+&])"
+    r"|(?P<punct>[(),])|(?P<name>\w+)|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        alias = next((a for a in _UNICODE_ALIASES if text.startswith(a[0], i)), None)
-        if alias is not None:
-            seq, replacement = alias
-            tokens.append(_Token("op", replacement, i))
-            i += len(seq)
-            continue
-        if ch in "+-&" or text.startswith("^-", i):
-            op = "^-" if ch == "^" else ch
-            tokens.append(_Token("op", op, i))
-            i += len(op)
-            continue
-        if ch in "(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(_Token("op" if word in _WORD_OPS else "name", word, i))
-            i = j
-            continue
-        raise FidaSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "op":
+            tokens.append(_Token("op", _UNICODE_ALIASES.get(value, value), pos))
+        elif kind == "punct":
+            tokens.append(_Token(value, value, pos))
+        elif kind == "name" and (value[0].isalpha() or value[0] == "_"):
+            tokens.append(_Token("op" if value in _WORD_OPS else "name", value, pos))
+        elif kind != "space":
+            raise FidaSyntaxError(f"unexpected character {value[0]!r}", pos)
     return tokens
 
 

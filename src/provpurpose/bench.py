@@ -25,13 +25,7 @@ from typing import Any, Sequence
 from .algebra import InternalFunction, apply_internal, split_result
 from .external import ExternalFunction, PartyResult, apply_external
 from .purposes import PurposeGraph, PurposeSet
-from .synth import (
-    BenchConfig,
-    gen_synthetic,
-    generate_policy,
-    partition_by_mix,
-    random_purpose_graph,
-)
+from .synth import BenchConfig, generate_policy, partition_by_mix, random_purpose_graph
 
 _N_MERGE_PAIRS = 200
 
@@ -129,9 +123,8 @@ def bench_algebras(
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
-    """Generate the dataset once, then run both timing suites."""
+    """Run both timing suites; `config.n_rows` is only reported."""
     started = time.perf_counter()
-    gen_synthetic(config)  # exercises dataset generation end to end
     rng = random.Random(config.seed)
     generation_means = bench_policy_generation(config, rng)
     internal_mean, external_mean = bench_algebras(config, rng)

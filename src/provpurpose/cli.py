@@ -10,7 +10,7 @@ Four subcommands:
   request, and a purpose graph. An empty decision is still a success.
 * ``merge``: evaluate a merge expression over named plain sets
   (``--set S1=a,b``) or over party result files (``--party r.json``).
-* ``bench``: generate the synthetic workload and print timing means.
+* ``bench``: time synthetic policy generation and merges; print the means.
 
 Output is JSON on stdout (or ``--out``); errors print ``error: ...`` on
 stderr and exit 2.

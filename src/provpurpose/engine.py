@@ -21,17 +21,10 @@ failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
-from .algebra import (
-    FidaExpr,
-    FunctionCall,
-    SetRef,
-    eval_fida,
-    parse_fida,
-    print_fida,
-    split_result,
-)
+from .algebra import FidaExpr, eval_fida, left_fold_expr, parse_fida, print_fida, split_result
 from .errors import ConfigurationError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties
 from .policy import Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
@@ -50,11 +43,26 @@ class DataRecord:
 
 @dataclass(frozen=True)
 class PartyConfig:
-    """One party's policies and optional merge expression over policy ids."""
+    """One party's policies and optional merge expression over policy ids.
+
+    `merge_expr` is `internal_expr` parsed, or else the default fold over the
+    policy ids, and `merge_text` is its canonical text. Both are derived once,
+    on first use; a faulty expression is not kept and raises on every use.
+    """
 
     party: str
     policies: tuple[Policy, ...]
     internal_expr: str | None = None
+
+    @cached_property
+    def merge_expr(self) -> FidaExpr:
+        if self.internal_expr:
+            return parse_fida(self.internal_expr)
+        return default_internal_expr([p.id for p in self.policies])
+
+    @cached_property
+    def merge_text(self) -> str:
+        return print_fida(self.merge_expr)
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,7 @@ def default_internal_expr(policy_ids: Sequence[str]) -> FidaExpr:
     """Identity for one policy, left f_dotplus fold for several."""
     if not policy_ids:
         raise ConfigurationError("a party needs at least one policy")
-    expr: FidaExpr = SetRef(policy_ids[0])
-    for pid in policy_ids[1:]:
-        expr = FunctionCall("f_dotplus", (expr, SetRef(pid)))
-    return expr
+    return left_fold_expr("f_dotplus", policy_ids)
 
 
 def decide(
@@ -124,12 +129,11 @@ def decide(
             raise StageError("policy-evaluation", exc) from exc
         try:
             env = {pid: split_result(pg, d.ap, d.pp) for pid, d in pairs}
-            expr = parse_fida(cfg.internal_expr) if cfg.internal_expr else default_internal_expr(ids)
-            merged = eval_fida(expr, env, pg)
+            merged = eval_fida(cfg.merge_expr, env, pg)
             result = PartyResult(cfg.party, merged.allowed(), merged.prohibited())
         except ProvPurposeError as exc:
             raise StageError("internal-merge", exc) from exc
-        traces.append(PartyTrace(cfg.party, print_fida(expr), tuple(pairs), result))
+        traces.append(PartyTrace(cfg.party, cfg.merge_text, tuple(pairs), result))
         results.append(result)
     try:
         decided = merge_parties(results, external_expr, pg)

@@ -24,7 +24,8 @@ purpose graph. Inside these merges an empty operand simply loses the
 comparison, so parties that prohibit nothing never block a decision.
 
 `merge_parties` accepts either a bare function name, which folds all parties
-left to right in their listed order, or a full expression naming parties::
+left to right in their listed order, or a full expression naming parties
+(party names must be distinct in both cases)::
 
     F4(hospital, registry) + F3(hospital, lab)
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
-from .algebra import BasicOp, _binding, apply_basic, fold, op_subtraction, parse_fida
+from .algebra import BasicOp, _binding, apply_basic, fold, left_fold_expr, op_subtraction, parse_fida
 
 # F5-F8 rank through apply_basic; this name stays bound for decidebench's tracer.
 from .algebra import precedence_total  # noqa: F401
@@ -114,20 +115,16 @@ def merge_parties(
     """Merge party results into the final decision set.
 
     A bare function name ("F3") folds all parties left to right. Anything
-    else is parsed as an expression whose set names refer to parties.
+    else is parsed as an expression whose set names refer to parties. Either
+    way the party names must be distinct.
     """
     if not results:
         raise EmptyPurposeSetError("no party results to merge")
-    text = expr_text.strip()
-    fn = _EXTERNAL_BY_TOKEN.get(text)
-    if fn is not None:
-        acc = results[0]
-        for nxt in results[1:]:
-            acc = PartyResult("", apply_external(fn, acc, nxt, pg), frozenset())
-        return acc.intended()
     env = {r.party: r for r in results}
     if len(env) != len(results):
-        raise ConfigurationError("party names must be distinct to merge by expression")
+        raise ConfigurationError("party names must be distinct to merge")
+    text = expr_text.strip()
+    expr = left_fold_expr(text, list(env)) if text in _EXTERNAL_BY_TOKEN else parse_fida(text)
 
     def call(name: str, args: list[PartyResult]) -> PartyResult:
         fn = _EXTERNAL_BY_TOKEN.get(name)
@@ -140,7 +137,7 @@ def merge_parties(
     def infix(op: BasicOp, l: PartyResult, r: PartyResult) -> PartyResult:
         return PartyResult("", apply_basic(op, l.intended(), r.intended(), pg), frozenset())
 
-    return fold(parse_fida(text), _binding(env, "party named"), call, infix).intended()
+    return fold(expr, _binding(env, "party named"), call, infix).intended()
 
 
 def party_result_from_dict(doc: Mapping[str, Any], default_party: str = "party") -> PartyResult:

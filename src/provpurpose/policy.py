@@ -201,11 +201,11 @@ def evaluate_policy(
     guards; otherwise both sets come back empty and the trace fields say why.
     """
     if purpose_graph is not None:
-        for p in policy.ap | policy.pp:
-            if p not in purpose_graph:
-                raise ConfigurationError(
-                    f"policy {policy.id!r} uses purpose {p!r} not in the purpose graph"
-                )
+        unknown = (policy.ap | policy.pp) - purpose_graph.purposes
+        if unknown:
+            raise ConfigurationError(
+                f"policy {policy.id!r} uses purpose {min(unknown)!r} not in the purpose graph"
+            )
     guards_ok = guards_pass(policy, request, data_category, role_order)
     tree_value = eval_access_tree(policy.tree, graph, request.query_attrs)
     applicable = guards_ok and tree_value is MatchValue.FULL

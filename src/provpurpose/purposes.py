@@ -75,13 +75,19 @@ class PurposeGraph:
             self._rank[p] = 0 if not parents else 1 + max(self._rank[q] for q in parents)
         if hierarchy_line is not None and hierarchy_line < 0:
             raise InputFormatError("hierarchy_line must be non-negative")
-        self.hierarchy_line = hierarchy_line
+        self._line = hierarchy_line
+        # The high part of every static split (unused without a line).
+        self._high = frozenset(p for p, rank in self._rank.items() if rank <= (hierarchy_line or 0))
 
     # -- basics --------------------------------------------------------------
 
     @property
     def purposes(self) -> PurposeSet:
         return self._purposes
+
+    @property
+    def hierarchy_line(self) -> int | None:
+        return self._line
 
     def __contains__(self, p: str) -> bool:
         return p in self._purposes
@@ -92,10 +98,10 @@ class PurposeGraph:
         return p
 
     def check_members(self, s: Iterable[str]) -> PurposeSet:
-        """Validate that every member is a known purpose; returns the set."""
+        """Return the members as a set; raise on the smallest unknown one."""
         members = frozenset(s)
-        for p in members:
-            self._check(p)
+        if not members <= self._purposes:
+            self._check(min(members - self._purposes))
         return members
 
     def rank_of(self, p: str) -> int:
@@ -181,11 +187,10 @@ class PurposeGraph:
 
         Members with rank <= hierarchy_line form the high-hierarchy part.
         """
-        if self.hierarchy_line is None:
+        if self._line is None:
             raise MissingHierarchyLineError("purpose graph has no hierarchy line")
         members = self.check_members(s)
-        line = self.hierarchy_line
-        high = frozenset(p for p in members if self._rank[p] <= line)
+        high = members & self._high
         return high, members - high
 
     def split_central(

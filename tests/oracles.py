@@ -9,8 +9,11 @@ beyond plain data types.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from datetime import datetime
 from itertools import permutations
+
+from provpurpose.errors import FidaSyntaxError
 
 
 # -- plain set operators as membership predicates --------------------------------
@@ -352,3 +355,64 @@ def oracle_fold_tree(shape, leaf_values):
         else:
             result = v if v > result else result
     return result
+
+
+# -- character-loop expression scanner ---------------------------------------------
+# The package's scanner before it became one compiled pattern, kept verbatim with
+# the tables it read, as the reference for the differential test.
+
+_Token = namedtuple("_Token", "kind value pos")
+
+_WORD_OPS = {"upmax", "downmax", "upmin", "downmin"}
+
+_UNICODE_ALIASES: list[tuple[str, str]] = [
+    ("↑△", "upmax"),   # up arrow + triangle
+    ("↓△", "downmax"),
+    ("↑▽", "upmin"),
+    ("↓▽", "downmin"),
+    ("▷", "upmax"),         # right-pointing triangle
+    ("△", "upmax"),
+    ("◁", "downmin"),       # left-pointing triangle
+    ("▽", "downmin"),
+    ("⊟", "^-"),            # squared minus
+    ("−", "-"),             # minus sign
+]
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        alias = next((a for a in _UNICODE_ALIASES if text.startswith(a[0], i)), None)
+        if alias is not None:
+            seq, replacement = alias
+            tokens.append(_Token("op", replacement, i))
+            i += len(seq)
+            continue
+        if ch in "+-&" or text.startswith("^-", i):
+            op = "^-" if ch == "^" else ch
+            tokens.append(_Token("op", op, i))
+            i += len(op)
+            continue
+        if ch in "(),":
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(_Token("op" if word in _WORD_OPS else "name", word, i))
+            i = j
+            continue
+        raise FidaSyntaxError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+oracle_tokenize = _tokenize

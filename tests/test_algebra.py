@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from provpurpose import (
     BasicOp,
@@ -35,7 +35,7 @@ from provpurpose import (
     print_fida,
     split_result,
 )
-from provpurpose.algebra import MAX_NESTING
+from provpurpose.algebra import _UNICODE_ALIASES, MAX_NESTING, _tokenize
 from provpurpose.external import PartyResult, merge_parties
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES, ALGEBRA_UNIVERSE
 from oracles import (
@@ -44,6 +44,7 @@ from oracles import (
     o_precedence_total,
     oracle_internal,
     oracle_nary,
+    oracle_tokenize,
 )
 
 A = frozenset({"high1", "low1"})
@@ -490,3 +491,30 @@ def test_three_evaluators_agree_without_prohibitions(algebra_dag, expr, sets):
     plain = eval_fida_plain(expr, env, algebra_dag)
     party = merge_parties(parties, print_fida(expr), algebra_dag)
     assert hierarchical == plain == party
+
+
+# Every alias and operator spelling (and the arrows that only start one), a bare
+# "^", ASCII and Unicode whitespace, letters, digits and characters no token
+# accepts. "½" is alphanumeric but not a letter: it may continue a name, never
+# start one.
+_SCANNER_PIECES = sorted(
+    set(_UNICODE_ALIASES)
+    | {"↑", "↓", "+", "-", "&", "^-", "^", "upmax", "downmax", "upmin", "downmin"}
+    | {" ", "\t", "\x1c", "\u3000", "a", "Z", "é", "Ж", "x1", "7", "٣", "½", "_", "(", ")", ",", "$"}
+)
+
+
+def _scan(tokenize, text):
+    try:
+        return [(t.kind, t.value, t.pos) for t in tokenize(text)]
+    except FidaSyntaxError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_SCANNER_PIECES), max_size=12).map("".join))
+@example("½x")
+@example("x½ ^ y")
+@example("↑△↓▽▷◁△▽⊟−↑")
+def test_scanner_matches_the_character_loop(text):
+    assert _scan(_tokenize, text) == _scan(oracle_tokenize, text)

@@ -257,6 +257,20 @@ def test_merge_party_files(capsys, tmp_path):
     assert json.loads(out)["result"] == ["education", "research"]
 
 
+def test_merge_same_named_party_files_exits_2(capsys, tmp_path):
+    for name in ("m.json", "n.json"):
+        (tmp_path / name).write_text(json.dumps({"party": "same", "ap": ["education"]}))
+    code, out, err = _run(
+        capsys,
+        "merge",
+        "--party", str(tmp_path / "m.json"),
+        "--party", str(tmp_path / "n.json"),
+        "--external", "F3",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_merge_party_without_expression_exits_2(capsys, tmp_path):
     (tmp_path / "m.json").write_text(json.dumps({"party": "m", "ap": ["x"]}))
     code, out, err = _run(capsys, "merge", "--party", str(tmp_path / "m.json"))

@@ -19,6 +19,7 @@ from provpurpose import (
     VertexType,
     decide,
     default_internal_expr,
+    engine,
     load_policy,
     load_request,
     load_role_order,
@@ -119,6 +120,36 @@ def test_decide_honors_internal_expr_override(tiny_graph, small_pg):
     # componentwise subtraction: the deny policy's allowed side is empty, so
     # the grant survives; prohibitions subtract to nothing as well
     assert outcome.decided == {"mid"}
+
+
+def test_party_parses_its_expression_once(tiny_graph, small_pg, monkeypatch):
+    calls = []
+    parse = engine.parse_fida
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(engine, "parse_fida", counting_parse)
+    cfg = PartyConfig(
+        "owner",
+        (_null_policy("grant", ap={"mid"}), _null_policy("deny", pp={"mid"})),
+        internal_expr="grant - deny",
+    )
+    record = DataRecord(tiny_graph)
+    first = outcome_to_dict(decide(record, Request("anyone"), [cfg], "F3", small_pg))
+    second = outcome_to_dict(decide(record, Request("anyone"), [cfg], "F3", small_pg))
+    assert first == second
+    assert first["parties"][0]["internal"] == "grant - deny"
+    assert calls == ["grant - deny"]
+
+
+def test_malformed_internal_expr_fails_on_every_call(tiny_graph, small_pg):
+    cfg = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),), internal_expr="p1 +")
+    for _ in range(2):
+        with pytest.raises(StageError) as err:
+            decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
+        assert err.value.stage == "internal-merge"
 
 
 def test_non_applicable_policy_contributes_nothing(tiny_graph, small_pg):

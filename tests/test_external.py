@@ -97,6 +97,12 @@ def test_bare_name_folds_left_to_right():
         ExternalFunction.F3, PartyResult("", step1, frozenset()), c
     )
     assert merge_parties([a, b, c], "F3") == folded
+    assert merge_parties([a, b, c], "F3(F3(a, b), c)") == folded
+
+
+def test_bare_name_rejects_duplicate_party_names():
+    with pytest.raises(ConfigurationError):
+        merge_parties([_pr("a", ap={"x"}), _pr("a", ap={"x", "y"})], "F3")
 
 
 def test_single_party_returns_intended():

@@ -175,6 +175,14 @@ def test_evaluate_policy_checks_purpose_membership(tiny_graph):
         evaluate_policy(policy, tiny_graph, Request("anyone"), purpose_graph=pg)
 
 
+def test_unknown_policy_purpose_error_names_the_smallest(tiny_graph):
+    pg = PurposeGraph(["a"], [])
+    ghosts = frozenset({"ghost3", "ghost2", "ghost1"})
+    policy = Policy("p", 1, _leaf("alice"), ap=ghosts | {"a"})
+    with pytest.raises(ConfigurationError, match="'ghost1'"):
+        evaluate_policy(policy, tiny_graph, Request("anyone"), purpose_graph=pg)
+
+
 # -- documents ---------------------------------------------------------------------------
 
 def test_policy_from_dict_infers_shape():

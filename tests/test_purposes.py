@@ -114,6 +114,9 @@ def test_static_split_cuts_at_line(hierarchy):
     high, low = hierarchy.split_static(s)
     assert high == {"Admin", "Record"}
     assert low == {"Analysis", "Service-Maintain", "Service-Offers"}
+    # the high part is derived once from the line, so the line cannot change
+    with pytest.raises(AttributeError):
+        hierarchy.hierarchy_line = 0
 
 
 def test_static_split_needs_a_line():
@@ -137,6 +140,11 @@ def test_unknown_purpose_raises(hierarchy):
         hierarchy.rank_of("Nonexistent")
     with pytest.raises(UnknownPurposeError):
         hierarchy.split_static({"Admin", "Nonexistent"})
+
+
+def test_unknown_members_error_names_the_smallest(hierarchy):
+    with pytest.raises(UnknownPurposeError, match="'g1'"):
+        hierarchy.check_members({"g3", "Admin", "g1", "g2"})
 
 
 def test_cycle_rejected():
