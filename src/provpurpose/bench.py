@@ -43,7 +43,6 @@ class BenchReport:
         return {
             "seed": self.config.seed,
             "n_purposes": self.config.n_purposes,
-            "n_rows": self.config.n_rows,
             "n_policies": self.config.n_policies,
             "repetitions": self.config.repetitions,
             "type_counts": list(self.type_counts),
@@ -123,7 +122,7 @@ def bench_algebras(
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
-    """Run both timing suites; `config.n_rows` is only reported."""
+    """Run both timing suites; `config.n_rows` plays no part in them."""
     started = time.perf_counter()
     rng = random.Random(config.seed)
     generation_means = bench_policy_generation(config, rng)

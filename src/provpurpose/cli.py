@@ -161,7 +161,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = BenchConfig(
         seed=args.seed,
         n_purposes=args.n_purposes,
-        n_rows=args.n_rows,
         n_policies=args.n_policies,
         repetitions=args.reps,
     )
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=42)
     p_bench.add_argument("--reps", type=int, default=10, help="repetitions per mean")
     p_bench.add_argument("--n-purposes", type=int, default=200)
-    p_bench.add_argument("--n-rows", type=int, default=100)
     p_bench.add_argument("--n-policies", type=int, default=400)
     p_bench.add_argument("--out", help="write JSON report to this file")
     p_bench.set_defaults(func=cmd_bench)

@@ -34,7 +34,8 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum, IntEnum
-from typing import Mapping, Union
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .errors import PatternSyntaxError, TypeMismatchError
 from .provenance import AttrValue, EdgeLabel, ProvEdge, ProvenanceGraph, VertexType
@@ -159,6 +160,14 @@ class PatternEdge:
     label: EdgeLabel | None = None
 
 
+class _Placement(NamedTuple):
+    """A later vertex of a search plan, with its edges to vertices placed before it."""
+
+    vertex: PatternVertex
+    anchor: PatternEdge  # draws the candidates
+    checks: tuple[PatternEdge, ...]
+
+
 @dataclass(frozen=True)
 class ProvenancePartition:
     """A connected pattern over vertices and labeled edges."""
@@ -191,6 +200,55 @@ class ProvenancePartition:
         if seen != known:
             raise PatternSyntaxError("partition must be connected")
 
+    @cached_property
+    def plan(self) -> tuple[PatternVertex | _Placement, ...]:
+        """The search order: the first vertex, then a placement per later one.
+
+        Derived once, on the first search. Connectivity comes first, as in
+        VF2: the most selective vertex (named, then the most constraints)
+        leads, and every later one is the most selective vertex joined by an
+        edge to one already placed. That edge, a labelled one if there is
+        one, is its anchor; its other edges to placed vertices are checked.
+        A self-loop pattern edge is never checked; match values have never
+        depended on one.
+        """
+        def selectivity(pv: PatternVertex) -> tuple[bool, int]:
+            return pv.name is not None, len(pv.constraints)
+
+        edges = [e for e in self.edges if e.src != e.dst]
+        first = max(self.vertices, key=selectivity)
+        placed = {first.ref}
+        plan: list[PatternVertex | _Placement] = [first]
+        while len(plan) < len(self.vertices):
+            frontier = {e.src for e in edges if e.dst in placed} | {e.dst for e in edges if e.src in placed}
+            frontier -= placed
+            pv = max((v for v in self.vertices if v.ref in frontier), key=selectivity)
+            links = [
+                e for e in edges
+                if (e.src == pv.ref and e.dst in placed) or (e.dst == pv.ref and e.src in placed)
+            ]
+            anchor = next((e for e in links if e.label is not None), links[0])
+            links.remove(anchor)
+            placed.add(pv.ref)
+            plan.append(_Placement(pv, anchor, tuple(links)))
+        return tuple(plan)
+
+
+def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
+    if not pv.constraints:
+        return True
+    attrs = graph.attributes_of(vid)
+    for c in pv.constraints:
+        if c.item not in attrs:
+            return False
+        try:
+            if not eval_predicate(c.pred, attrs[c.item], c.operand):
+                return False
+        except TypeMismatchError:
+            # a constraint that cannot even be compared is unsatisfied
+            return False
+    return True
+
 
 def _vertex_admissible(
     pv: PatternVertex,
@@ -204,18 +262,7 @@ def _vertex_admissible(
         return False
     if check_names and pv.name is not None and gv.name != pv.name:
         return False
-    if check_attrs and pv.constraints:
-        attrs = graph.attributes_of(vid)
-        for c in pv.constraints:
-            if c.item not in attrs:
-                return False
-            try:
-                if not eval_predicate(c.pred, attrs[c.item], c.operand):
-                    return False
-            except TypeMismatchError:
-                # a constraint that cannot even be compared is unsatisfied
-                return False
-    return True
+    return not check_attrs or _attrs_hold(pv, vid, graph)
 
 
 def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: EdgeLabel | None) -> bool:
@@ -225,56 +272,98 @@ def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: EdgeLabel | Non
     return False
 
 
+def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Placement) -> Iterator[str]:
+    """Graph vertices joined to the placed end of the anchor edge as the edge demands."""
+    pv, anchor, _ = placement
+    label = anchor.label
+    if anchor.dst == pv.ref:
+        return (e.dst for e in graph.out_edges(placed[anchor.src]) if label is None or e.label is label)
+    return (e.src for e in graph.in_edges(placed[anchor.dst]) if label is None or e.label is label)
+
+
 def _find_embedding(
     partition: ProvenancePartition,
     graph: ProvenanceGraph,
     check_names: bool,
     check_attrs: bool,
 ) -> bool:
-    order = partition.vertices
-    placed: dict[str, str] = {}
-    used: set[str] = set()
-    vids = list(graph.vertices)
+    """Whether some injective, edge-preserving placement of the pattern exists.
 
-    def backtrack(i: int) -> bool:
-        if i == len(order):
+    For partitions of two or more vertices. The first vertex's candidates
+    come from the graph's type/name index, so no other vertex is ever tried
+    for it.
+    """
+    plan = partition.plan
+    root = plan[0]
+    for start in graph.ids_of(root.vtype, root.name if check_names else None):
+        if check_attrs and not _attrs_hold(root, start, graph):
+            continue
+        if _extend(plan, graph, {root.ref: start}, check_names, check_attrs):
             return True
-        pv = order[i]
-        for vid in vids:
-            if vid in used:
-                continue
-            if not _vertex_admissible(pv, vid, graph, check_names, check_attrs):
-                continue
-            ok = True
-            for pe in partition.edges:
-                if pe.src == pv.ref and pe.dst in placed:
-                    if not _has_edge(graph, vid, placed[pe.dst], pe.label):
-                        ok = False
-                        break
-                elif pe.dst == pv.ref and pe.src in placed:
-                    if not _has_edge(graph, placed[pe.src], vid, pe.label):
-                        ok = False
-                        break
-            if not ok:
+    return False
+
+
+def _extend(
+    plan: tuple[PatternVertex | _Placement, ...],
+    graph: ProvenanceGraph,
+    placed: dict[str, str],
+    check_names: bool,
+    check_attrs: bool,
+) -> bool:
+    """Place the plan's later vertices after its first, backtracking on a stack.
+
+    `placed` maps pattern refs to graph vertices in plan order. Each vertex's
+    candidates come from the edges of its anchor, which is already placed.
+    """
+    pending = [_candidates(graph, placed, plan[1])]
+    while pending:
+        pv, _, checks = plan[len(placed)]
+        for vid in pending[-1]:
+            if vid in placed.values() or not _vertex_admissible(pv, vid, graph, check_names, check_attrs):
                 continue
             placed[pv.ref] = vid
-            used.add(vid)
-            if backtrack(i + 1):
-                return True
+            if not checks or all(_has_edge(graph, placed[e.src], placed[e.dst], e.label) for e in checks):
+                break
             del placed[pv.ref]
-            used.remove(vid)
-        return False
+        else:
+            pending.pop()
+            placed.popitem()
+            continue
+        if len(placed) == len(plan):
+            return True
+        pending.append(_candidates(graph, placed, plan[len(placed)]))
+    return False
 
-    return backtrack(0)
+
+def _match_vertex(pv: PatternVertex, graph: ProvenanceGraph) -> MatchValue:
+    """The best stratum of a one-vertex partition, in one pass over its name's vertices."""
+    named = graph.ids_of(pv.vtype, pv.name)
+    if any(_attrs_hold(pv, vid, graph) for vid in named):
+        return MatchValue.FULL
+    if named:
+        return MatchValue.NAMES
+    return MatchValue.TYPES if graph.ids_of(pv.vtype) else MatchValue.NONE
 
 
 def match_partition(partition: ProvenancePartition, graph: ProvenanceGraph) -> MatchValue:
-    """Best stratum at which the partition embeds into the graph."""
+    """Best stratum at which the partition embeds into the graph.
+
+    A stratum that checks nothing more than the one above it is not searched
+    again: without constraints FULL and NAMES are one search, and without
+    names NAMES and TYPES are.
+    """
+    if len(partition.vertices) == 1:
+        return _match_vertex(partition.vertices[0], graph)
     if _find_embedding(partition, graph, check_names=True, check_attrs=True):
         return MatchValue.FULL
-    if _find_embedding(partition, graph, check_names=True, check_attrs=False):
+    vertices = partition.vertices
+    if any(v.constraints for v in vertices) and _find_embedding(
+        partition, graph, check_names=True, check_attrs=False
+    ):
         return MatchValue.NAMES
-    if _find_embedding(partition, graph, check_names=False, check_attrs=False):
+    if any(v.name is not None for v in vertices) and _find_embedding(
+        partition, graph, check_names=False, check_attrs=False
+    ):
         return MatchValue.TYPES
     return MatchValue.NONE
 
@@ -343,56 +432,50 @@ def _edge_labelish(edge: ProvEdge, token: str) -> bool:
 def _step_at(
     step: PathStep,
     vid: str,
-    entry: ProvEdge | None,
+    label: EdgeLabel | None,
+    refined: str | None,
     graph: ProvenanceGraph,
-    first: bool,
 ) -> bool:
+    """Whether a step holds at a vertex entered by an edge with this label.
+
+    `label` is None only at the walk's first vertex, which may use any of its
+    outgoing edges instead.
+    """
+    token = step.edge_or_process
     if graph.vertex(vid).name == step.vertex_name:
         return True
-    if entry is not None and _edge_labelish(entry, step.edge_or_process):
-        return True
-    if first and entry is None:
-        return any(_edge_labelish(e, step.edge_or_process) for e in graph.out_edges(vid))
-    return False
+    if label is None:
+        return any(_edge_labelish(e, token) for e in graph.out_edges(vid))
+    return label.value == token or refined == token
 
 
 def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
-    """FULL when some directed walk realizes every step in order, else NONE."""
-    steps = pattern.steps
-    failed: set[tuple[str, int, ProvEdge | None]] = set()
-    visiting: set[tuple[str, int, ProvEdge | None]] = set()
+    """FULL when some directed walk realizes every step in order, else NONE.
 
-    def search(vid: str, entry: ProvEdge | None, i: int) -> bool:
-        key = (vid, i, entry)
-        if key in failed or key in visiting:
-            return False
-        visiting.add(key)
-        try:
+    The walk is searched depth-first on an explicit stack, so a lineage of
+    any depth decides. A state is (vertex, step, entry label, entry refined
+    label), which is all that a step reads of the edge it came in by; a state
+    seen once, from any start, cannot lead anywhere new a second time.
+    """
+    steps = pattern.steps
+    last = len(steps) - 1
+    seen: set[tuple[str, int, EdgeLabel | None, str | None]] = set()
+    for start in graph.vertices:
+        stack: list[tuple[str, int, EdgeLabel | None, str | None]] = [(start, 0, None, None)]
+        while stack:
+            state = stack.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            vid, i, label, refined = state
             step = steps[i]
             if step is None:
-                if search(vid, entry, i + 1):
-                    return True
-                for e in graph.out_edges(vid):
-                    if search(e.dst, e, i):
-                        return True
-                failed.add(key)
-                return False
-            if not _step_at(step, vid, entry, graph, first=(i == 0)):
-                failed.add(key)
-                return False
-            if i == len(steps) - 1:
-                return True
-            for e in graph.out_edges(vid):
-                if search(e.dst, e, i + 1):
-                    return True
-            failed.add(key)
-            return False
-        finally:
-            visiting.discard(key)
-
-    for vid in graph.vertices:
-        if search(vid, None, 0):
-            return MatchValue.FULL
+                stack.extend((e.dst, i, e.label, e.refined) for e in graph.out_edges(vid))
+                stack.append((vid, i + 1, label, refined))
+            elif _step_at(step, vid, label, refined, graph):
+                if i == last:
+                    return MatchValue.FULL
+                stack.extend((e.dst, i + 1, e.label, e.refined) for e in graph.out_edges(vid))
     return MatchValue.NONE
 
 
@@ -486,6 +569,10 @@ class VertexCondition:
     vtype: VertexType
     name: str
 
+    @cached_property
+    def partition(self) -> ProvenancePartition:
+        return _single(self.vtype, self.name)
+
 
 @dataclass(frozen=True)
 class AttrCondition:
@@ -496,6 +583,10 @@ class AttrCondition:
     item: str
     pred: Predicate
     operand: AttrValue
+
+    @cached_property
+    def partition(self) -> ProvenancePartition:
+        return _single(self.vtype, self.name, (AttrConstraint(self.item, self.pred, self.operand),))
 
 
 @dataclass(frozen=True)
@@ -538,16 +629,11 @@ def eval_atomic(
     """
     if isinstance(cond, NullCondition):
         return MatchValue.FULL
-    if isinstance(cond, VertexCondition):
-        return match_partition(_single(cond.vtype, cond.name), graph)
-    if isinstance(cond, AttrCondition):
-        constraint = AttrConstraint(cond.item, cond.pred, cond.operand)
-        return match_partition(_single(cond.vtype, cond.name, (constraint,)), graph)
+    if isinstance(cond, (VertexCondition, AttrCondition, TargetCondition)):
+        return match_partition(cond.partition, graph)
     if isinstance(cond, QueryCondition):
         if not query_attrs or cond.query_attr not in query_attrs:
             return MatchValue.NONE
         constraint = AttrConstraint(cond.query_attr, cond.pred, query_attrs[cond.query_attr])
         return match_partition(_single(cond.vtype, cond.name, (constraint,)), graph)
-    if isinstance(cond, TargetCondition):
-        return match_partition(cond.partition, graph)
     raise TypeError(f"not an atomic condition: {cond!r}")

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import InputFormatError, UnknownVertexError
 
@@ -99,6 +99,8 @@ class ProvenanceGraph:
         self._out: dict[str, list[ProvEdge]] = {}
         self._in: dict[str, list[ProvEdge]] = {}
         self._auto = 0
+        # vertex ids by type and by (type, name); built by ids_of on first use
+        self._index: dict[Any, list[str]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -141,11 +143,13 @@ class ProvenanceGraph:
             if vid not in self._vertices:
                 raise UnknownVertexError(f"edge endpoint {vid!r} is not a vertex")
         edge = ProvEdge(src, dst, label, refined)
+        self._index = None
         self._edges.append(edge)
         self._out.setdefault(src, []).append(edge)
         self._in.setdefault(dst, []).append(edge)
 
     def _insert(self, vertex: ProvVertex) -> None:
+        self._index = None
         self._vertices[vertex.id] = vertex
 
     def _fresh_id(self) -> str:
@@ -180,6 +184,21 @@ class ProvenanceGraph:
 
     def in_edges(self, vid: str) -> list[ProvEdge]:
         return self._in.get(vid, [])
+
+    def ids_of(self, vtype: VertexType, name: str | None = None) -> Sequence[str]:
+        """Ids of the vertices of a type, and of a name if one is given.
+
+        Ids come in insertion order. The index behind them is built on first
+        use and dropped by every mutation, so it never describes an older
+        graph; callers must not modify the returned sequence.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            for v in self._vertices.values():
+                index.setdefault(v.vtype, []).append(v.id)
+                index.setdefault((v.vtype, v.name), []).append(v.id)
+        return index.get(vtype if name is None else (vtype, name), ())
 
     def attributes_of(self, vid: str) -> AttributeSet:
         """The attribute payload visible from a vertex.

@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the package.
 
-Everything here is written from scratch in a deliberately different style:
+Most of what is here is written from scratch in a deliberately different style:
 membership predicates over explicit universes, brute-force longest paths,
 exhaustive permutation search for embeddings, and exhaustive walk
 enumeration for path patterns. Nothing imports the package's algorithms
-beyond plain data types.
+beyond plain data types and ``eval_predicate``. Two sections are different in
+kind: verbatim copies of earlier package code (the character-loop scanner and
+the backtracking matcher), kept as references for differential tests.
 """
 
 from __future__ import annotations
@@ -13,7 +15,16 @@ from collections import namedtuple
 from datetime import datetime
 from itertools import permutations
 
-from provpurpose.errors import FidaSyntaxError
+from provpurpose.errors import FidaSyntaxError, TypeMismatchError
+from provpurpose.matching import (
+    MatchValue,
+    PathPattern,
+    PathStep,
+    PatternVertex,
+    ProvenancePartition,
+    eval_predicate,
+)
+from provpurpose.provenance import EdgeLabel, ProvEdge, ProvenanceGraph
 
 
 # -- plain set operators as membership predicates --------------------------------
@@ -416,3 +427,161 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 oracle_tokenize = _tokenize
+
+
+# -- the backtracking matcher before the graph index ---------------------------------
+# The package's partition search and path walk before the search plan, the graph
+# index and the explicit-stack walk, kept verbatim (with the helpers they call) as
+# the reference for the differential test. They scan every graph vertex for every
+# pattern vertex and recurse once per walk step, so they suit graphs of up to a
+# few hundred vertices; predicates come from the package, which did not change them.
+
+def _vertex_admissible(
+    pv: PatternVertex,
+    vid: str,
+    graph: ProvenanceGraph,
+    check_names: bool,
+    check_attrs: bool,
+) -> bool:
+    gv = graph.vertex(vid)
+    if gv.vtype is not pv.vtype:
+        return False
+    if check_names and pv.name is not None and gv.name != pv.name:
+        return False
+    if check_attrs and pv.constraints:
+        attrs = graph.attributes_of(vid)
+        for c in pv.constraints:
+            if c.item not in attrs:
+                return False
+            try:
+                if not eval_predicate(c.pred, attrs[c.item], c.operand):
+                    return False
+            except TypeMismatchError:
+                # a constraint that cannot even be compared is unsatisfied
+                return False
+    return True
+
+
+def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: EdgeLabel | None) -> bool:
+    for e in graph.out_edges(src):
+        if e.dst == dst and (label is None or e.label is label):
+            return True
+    return False
+
+
+def _find_embedding(
+    partition: ProvenancePartition,
+    graph: ProvenanceGraph,
+    check_names: bool,
+    check_attrs: bool,
+) -> bool:
+    order = partition.vertices
+    placed: dict[str, str] = {}
+    used: set[str] = set()
+    vids = list(graph.vertices)
+
+    def backtrack(i: int) -> bool:
+        if i == len(order):
+            return True
+        pv = order[i]
+        for vid in vids:
+            if vid in used:
+                continue
+            if not _vertex_admissible(pv, vid, graph, check_names, check_attrs):
+                continue
+            ok = True
+            for pe in partition.edges:
+                if pe.src == pv.ref and pe.dst in placed:
+                    if not _has_edge(graph, vid, placed[pe.dst], pe.label):
+                        ok = False
+                        break
+                elif pe.dst == pv.ref and pe.src in placed:
+                    if not _has_edge(graph, placed[pe.src], vid, pe.label):
+                        ok = False
+                        break
+            if not ok:
+                continue
+            placed[pv.ref] = vid
+            used.add(vid)
+            if backtrack(i + 1):
+                return True
+            del placed[pv.ref]
+            used.remove(vid)
+        return False
+
+    return backtrack(0)
+
+
+def match_partition(partition: ProvenancePartition, graph: ProvenanceGraph) -> MatchValue:
+    """Best stratum at which the partition embeds into the graph."""
+    if _find_embedding(partition, graph, check_names=True, check_attrs=True):
+        return MatchValue.FULL
+    if _find_embedding(partition, graph, check_names=True, check_attrs=False):
+        return MatchValue.NAMES
+    if _find_embedding(partition, graph, check_names=False, check_attrs=False):
+        return MatchValue.TYPES
+    return MatchValue.NONE
+
+
+def _edge_labelish(edge: ProvEdge, token: str) -> bool:
+    return edge.label.value == token or edge.refined == token
+
+
+def _step_at(
+    step: PathStep,
+    vid: str,
+    entry: ProvEdge | None,
+    graph: ProvenanceGraph,
+    first: bool,
+) -> bool:
+    if graph.vertex(vid).name == step.vertex_name:
+        return True
+    if entry is not None and _edge_labelish(entry, step.edge_or_process):
+        return True
+    if first and entry is None:
+        return any(_edge_labelish(e, step.edge_or_process) for e in graph.out_edges(vid))
+    return False
+
+
+def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
+    """FULL when some directed walk realizes every step in order, else NONE."""
+    steps = pattern.steps
+    failed: set[tuple[str, int, ProvEdge | None]] = set()
+    visiting: set[tuple[str, int, ProvEdge | None]] = set()
+
+    def search(vid: str, entry: ProvEdge | None, i: int) -> bool:
+        key = (vid, i, entry)
+        if key in failed or key in visiting:
+            return False
+        visiting.add(key)
+        try:
+            step = steps[i]
+            if step is None:
+                if search(vid, entry, i + 1):
+                    return True
+                for e in graph.out_edges(vid):
+                    if search(e.dst, e, i):
+                        return True
+                failed.add(key)
+                return False
+            if not _step_at(step, vid, entry, graph, first=(i == 0)):
+                failed.add(key)
+                return False
+            if i == len(steps) - 1:
+                return True
+            for e in graph.out_edges(vid):
+                if search(e.dst, e, i + 1):
+                    return True
+            failed.add(key)
+            return False
+        finally:
+            visiting.discard(key)
+
+    for vid in graph.vertices:
+        if search(vid, None, 0):
+            return MatchValue.FULL
+    return MatchValue.NONE
+
+
+reference_match_partition = match_partition
+reference_match_path = match_path

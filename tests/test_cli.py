@@ -284,12 +284,12 @@ def test_bench_tiny_run_shape(capsys):
         "--seed", "1",
         "--reps", "2",
         "--n-purposes", "20",
-        "--n-rows", "8",
         "--n-policies", "8",
     )
     assert code == 0
     got = json.loads(out)
     assert got["seed"] == 1 and got["repetitions"] == 2
+    assert "n_rows" not in got
     assert set(got["generation_mean_seconds"]) == {"type1", "type2", "type3", "type4"}
     assert set(got["algebra_mean_seconds"]) == {"internal", "external"}
     assert got["type_counts"] == [2, 2, 2, 2]

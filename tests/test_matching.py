@@ -36,8 +36,19 @@ from provpurpose import (
     parse_path_pattern,
     parse_target,
 )
-from oracles import oracle_match_partition, oracle_match_path
-from randcases import random_partition, random_provenance_graph
+from oracles import (
+    oracle_match_partition,
+    oracle_match_path,
+    reference_match_partition,
+    reference_match_path,
+)
+from randcases import (
+    random_dag_partition,
+    random_lineage_dag,
+    random_partition,
+    random_path_pattern,
+    random_provenance_graph,
+)
 
 
 # -- value chain ----------------------------------------------------------------
@@ -325,3 +336,116 @@ def test_and_or_bounds(xs, ys):
     assert match_and(*xs, *ys) is match_and(match_and(*xs), match_and(*ys))
     assert match_or(*xs, *ys) is match_or(match_or(*xs), match_or(*ys))
     assert match_and(*xs) <= match_or(*xs)
+
+
+# -- the indexed search against the previous matcher ----------------------------------
+
+def test_partition_search_agrees_with_previous_matcher():
+    rng = random.Random(23)
+    strata = set()
+    for _ in range(100):
+        g = random_lineage_dag(rng, rng.randint(20, 80))
+        for _ in range(6):
+            pattern = random_dag_partition(rng, g)
+            got = match_partition(pattern, g)
+            assert got is reference_match_partition(pattern, g), pattern
+            strata.add(got)
+    assert strata == set(MatchValue)
+
+
+def test_path_walk_agrees_with_previous_matcher():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(100):
+        g = random_lineage_dag(rng, rng.randint(20, 80))
+        for _ in range(6):
+            pattern = random_path_pattern(rng)
+            got = match_path(pattern, g)
+            assert got is reference_match_path(pattern, g), pattern.text()
+            found += got is MatchValue.FULL
+    assert 0 < found < 600
+
+
+def _derivation_chain(n: int) -> ProvenanceGraph:
+    g = ProvenanceGraph()
+    for k in range(n):
+        g.add_vertex(VertexType.ARTIFACT, f"ds_{k}", vid=f"ds_{k}")
+        if k:
+            g.add_edge(f"ds_{k}", f"ds_{k - 1}", EdgeLabel.WAS_DERIVED_FROM)
+    return g
+
+
+def test_path_walk_descends_a_3000_vertex_chain():
+    g = _derivation_chain(3000)
+    # only names match these steps, so the walk must cross the whole chain
+    assert match_path(parse_path_pattern(f"used|ds_2999, {WILDCARD_TOKEN}, used|ds_0"), g) is MatchValue.FULL
+    assert match_path(parse_path_pattern(f"used|ds_2999, {WILDCARD_TOKEN}, used|ds_x"), g) is MatchValue.NONE
+    assert match_path(parse_path_pattern(f"used|ds_0, {WILDCARD_TOKEN}, used|ds_2999"), g) is MatchValue.NONE
+
+
+def test_match_sees_the_graph_grow_after_a_match():
+    g = ProvenanceGraph()
+    art = g.add_vertex(VertexType.ARTIFACT, "report")
+    vertex = VertexCondition(VertexType.PROCESS, "ingest")
+    attr = AttrCondition(VertexType.PROCESS, "ingest", "workers", Predicate.GEQ, 2)
+    generated = ProvenancePartition(
+        (PatternVertex("a", VertexType.ARTIFACT, "report"), PatternVertex("p", VertexType.PROCESS, "ingest")),
+        (PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY),),
+    )
+    assert eval_atomic(vertex, g) is MatchValue.NONE
+    assert match_partition(generated, g) is MatchValue.NONE
+
+    other = g.add_vertex(VertexType.PROCESS, "clean")
+    assert eval_atomic(vertex, g) is MatchValue.TYPES
+    proc = g.add_vertex(VertexType.PROCESS, "ingest", {"workers": 4})
+    assert eval_atomic(vertex, g) is MatchValue.FULL
+    assert eval_atomic(attr, g) is MatchValue.FULL
+    assert match_partition(generated, g) is MatchValue.NONE
+
+    g.add_edge(art, other, EdgeLabel.WAS_GENERATED_BY)
+    assert match_partition(generated, g) is MatchValue.TYPES
+    g.add_edge(art, proc, EdgeLabel.WAS_GENERATED_BY)
+    assert match_partition(generated, g) is MatchValue.FULL
+
+
+def test_single_vertex_conditions_derive_their_partition_once(tiny_graph, monkeypatch):
+    import provpurpose.matching as matching
+
+    seen = []
+    real = matching.match_partition
+    monkeypatch.setattr(matching, "match_partition", lambda p, g: seen.append(p) or real(p, g))
+    vertex = VertexCondition(VertexType.AGENT, "alice")
+    attr = AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.EQ, 4)
+    for _ in range(2):
+        assert eval_atomic(vertex, tiny_graph) is MatchValue.FULL
+        assert eval_atomic(attr, tiny_graph) is MatchValue.FULL
+    assert seen == [vertex.partition, attr.partition] * 2
+    assert seen[0] is seen[2] and seen[1] is seen[3]
+    # the derived partition is not part of the condition's value
+    assert vertex == VertexCondition(VertexType.AGENT, "alice")
+    assert "partition" not in repr(vertex)
+
+
+def test_plan_is_connected_and_starts_at_the_most_selective_vertex():
+    part = ProvenancePartition(
+        (
+            PatternVertex("x", VertexType.AGENT),
+            PatternVertex("y", VertexType.PROCESS),
+            PatternVertex("z", VertexType.ARTIFACT, "report"),
+            PatternVertex("w", VertexType.ARTIFACT, None, (AttrConstraint("k", Predicate.EQ, 1),)),
+        ),
+        (
+            PatternEdge("y", "x", EdgeLabel.WAS_CONTROLLED_BY),
+            PatternEdge("z", "y"),
+            PatternEdge("z", "y", EdgeLabel.WAS_GENERATED_BY),
+            PatternEdge("w", "x"),
+            PatternEdge("y", "y"),
+        ),
+    )
+    root, *later = part.plan
+    assert root.ref == "z"
+    assert [p.vertex.ref for p in later] == ["y", "x", "w"]
+    # the labelled edge of the parallel pair anchors y; the wildcard is checked
+    assert later[0].anchor == PatternEdge("z", "y", EdgeLabel.WAS_GENERATED_BY)
+    assert later[0].checks == (PatternEdge("z", "y"),)
+    assert part.plan is part.plan

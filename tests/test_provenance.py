@@ -31,6 +31,19 @@ def test_add_vertex_assigns_ids_and_types():
     assert g.vertex(b).name == "ingest"
 
 
+def test_ids_of_indexes_type_and_name_and_follows_mutation():
+    g = ProvenanceGraph()
+    a = g.add_vertex(VertexType.ARTIFACT, "report", vid="a")
+    assert list(g.ids_of(VertexType.ARTIFACT)) == ["a"]
+    assert list(g.ids_of(VertexType.PROCESS)) == []
+    b = g.add_vertex(VertexType.ARTIFACT, "draft", {"size": 1}, vid="b")
+    c = g.add_vertex(VertexType.ARTIFACT, "report", vid="c")
+    assert list(g.ids_of(VertexType.ARTIFACT)) == [a, b, c]
+    assert list(g.ids_of(VertexType.ARTIFACT, "report")) == [a, c]
+    assert list(g.ids_of(VertexType.ATTRIBUTE)) == ["b:att"]
+    assert list(g.ids_of(VertexType.ARTIFACT, "ghost")) == []
+
+
 def test_attrs_materialize_as_attribute_vertex():
     g = ProvenanceGraph()
     vid = g.add_vertex(VertexType.ARTIFACT, "report", attrs={"size": 4})
