@@ -25,17 +25,13 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
+from . import _docs
 from .bench import run_bench
 from .algebra import eval_fida_plain
 from .engine import DataRecord, PartyConfig, decide, outcome_to_dict
 from .errors import InputFormatError, ProvPurposeError
 from .external import merge_parties, party_result_from_dict
-from .policy import (
-    _load_json,
-    load_request,
-    load_role_order,
-    policy_from_dict,
-)
+from .policy import load_request, load_role_order, policy_from_dict
 from .provenance import load_graph
 from .purposes import load_purpose_graph
 from .synth import BenchConfig
@@ -50,22 +46,18 @@ def _emit(payload: Any, out: str | None) -> None:
 
 
 def _party_from_file(path: str, internal_override: str | None) -> PartyConfig:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InputFormatError(f"{path}: policy file must hold a JSON object")
+    doc = _docs.obj(_docs.load_json(path), f"{path}: policy file")
     stem = Path(path).stem
-    party = doc.get("party", stem)
-    if isinstance(doc.get("policies"), list):
+    party = _docs.party(doc, stem)
+    if "policies" in doc:
         policies = tuple(
             policy_from_dict(p, default_id=f"{party}_{i}")
-            for i, p in enumerate(doc["policies"])
+            for i, p in enumerate(_docs.array(doc["policies"], f'{path}: "policies"'))
         )
         internal = doc.get("internal_expr")
     else:
         policies = (policy_from_dict(doc, default_id=stem),)
         internal = None
-    if not isinstance(party, str) or not party:
-        raise InputFormatError(f"{path}: party name must be a non-empty string")
     if internal_override is not None:
         internal = internal_override
     if internal is not None and not isinstance(internal, str):
@@ -140,7 +132,7 @@ def _parse_set_binding(text: str) -> tuple[str, frozenset[str]]:
 def cmd_merge(args: argparse.Namespace) -> int:
     pg = load_purpose_graph(args.purposes) if args.purposes else None
     if args.party:
-        results = [party_result_from_dict(_load_json(p), Path(p).stem) for p in args.party]
+        results = [party_result_from_dict(_docs.load_json(p), Path(p).stem) for p in args.party]
         expr = args.expr or args.external
         if not expr:
             print("error: merging parties needs --expr or --external", file=sys.stderr)

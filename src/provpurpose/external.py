@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
+from . import _docs
 from .algebra import BasicOp, _binding, apply_basic, fold, left_fold_expr, op_subtraction, parse_fida
 
 # F5-F8 rank through apply_basic; this name stays bound for decidebench's tracer.
@@ -49,7 +50,6 @@ from .errors import (
     ConfigurationError,
     EmptyPurposeSetError,
     FidaSyntaxError,
-    InputFormatError,
     UnboundNameError,
 )
 from .purposes import PurposeGraph, PurposeSet
@@ -141,17 +141,12 @@ def merge_parties(
 
 
 def party_result_from_dict(doc: Mapping[str, Any], default_party: str = "party") -> PartyResult:
-    if not isinstance(doc, Mapping):
-        raise InputFormatError("party result must be a JSON object")
-    party = doc.get("party", default_party)
-    if not isinstance(party, str) or not party:
-        raise InputFormatError("party name must be a non-empty string")
-    def _purpose_list(key: str) -> PurposeSet:
-        raw = doc.get(key, [])
-        if not isinstance(raw, list) or not all(isinstance(p, str) for p in raw):
-            raise InputFormatError(f"{key!r} must be a list of purpose names")
-        return frozenset(raw)
-    return PartyResult(party, _purpose_list("ap"), _purpose_list("pp"))
+    doc = _docs.obj(doc, "party result")
+    return PartyResult(
+        _docs.party(doc, default_party),
+        _docs.names(doc.get("ap", []), '"ap"'),
+        _docs.names(doc.get("pp", []), '"pp"'),
+    )
 
 
 def party_result_to_dict(result: PartyResult) -> dict[str, Any]:

@@ -37,8 +37,9 @@ from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Union
 
+from ._dagutil import reachable_from
 from .errors import PatternSyntaxError, TypeMismatchError
-from .provenance import AttrValue, EdgeLabel, ProvEdge, ProvenanceGraph, VertexType
+from .provenance import AttrValue, EdgeLabel, ProvEdge, ProvenanceGraph, VertexType, vertex_type_from_json
 
 
 class MatchValue(IntEnum):
@@ -190,14 +191,7 @@ class ProvenancePartition:
         for e in self.edges:
             adjacency[e.src].add(e.dst)
             adjacency[e.dst].add(e.src)
-        seen = {refs[0]}
-        stack = [refs[0]]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != known:
+        if reachable_from(refs[0], adjacency) != known:
             raise PatternSyntaxError("partition must be connected")
 
     @cached_property
@@ -481,11 +475,6 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
 
 # -- targets ------------------------------------------------------------------
 
-_TARGET_TYPES = {
-    "agent": VertexType.AGENT,
-    "artifact": VertexType.ARTIFACT,
-    "process": VertexType.PROCESS,
-}
 _SEGMENT_TYPE_RE = re.compile(r"(agent|artifact|process)")
 _NAME_RE = re.compile(r'name\s*=\s*"([^"]*)"\Z')
 _CONSTRAINT_RE = re.compile(r"(\w+)\s*(!=|<=|>=|=|<|>|~)\s*(.+)\Z")
@@ -527,7 +516,7 @@ def parse_target(text: str) -> ProvenancePartition:
         m = _SEGMENT_TYPE_RE.match(s, pos)
         if not m:
             raise PatternSyntaxError("expected agent, artifact, or process", pos)
-        vtype = _TARGET_TYPES[m.group(1)]
+        vtype = vertex_type_from_json(m.group(1))
         pos = m.end()
         name: str | None = None
         constraints: list[AttrConstraint] = []

@@ -23,11 +23,12 @@ record tagged "assignment" satisfies a policy scoped to "assignments").
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Union
 
+from . import _docs
+from ._dagutil import reachable_from
 from .errors import ConfigurationError, InputFormatError
 from .matching import (
     AtomicCondition,
@@ -54,8 +55,8 @@ from .provenance import (
     AttrValue,
     EdgeLabel,
     ProvenanceGraph,
-    VertexType,
     attr_value_from_json,
+    vertex_type_from_json,
 )
 from .purposes import PurposeGraph, PurposeSet
 
@@ -148,20 +149,7 @@ RoleOrder = Mapping[str, frozenset[str]]
 
 def role_leq(junior: str, senior: str, order: RoleOrder | None = None) -> bool:
     """True when `junior` is covered by `senior` under the role order."""
-    if junior == senior:
-        return True
-    if not order:
-        return False
-    seen = {junior}
-    stack = [junior]
-    while stack:
-        for parent in order.get(stack.pop(), ()):  # type: ignore[call-overload]
-            if parent == senior:
-                return True
-            if parent not in seen:
-                seen.add(parent)
-                stack.append(parent)
-    return False
+    return senior in reachable_from(junior, order or {})
 
 
 def category_covered(data_category: str, policy_category: str) -> bool:
@@ -216,58 +204,39 @@ def evaluate_policy(
 
 # -- document loading -----------------------------------------------------------
 
-_VTYPE_BY_NAME = {t.value.lower(): t for t in VertexType}
+def _constraint(doc: Any) -> AttrConstraint:
+    item, op, value = _docs.entry(doc, 3, "attribute constraint")
+    pred = _docs.member(Predicate, op, "predicate")
+    return AttrConstraint(str(item), pred, attr_value_from_json(value))
 
 
-def _vertex_type(name: Any) -> VertexType:
-    try:
-        return _VTYPE_BY_NAME[str(name).lower()]
-    except KeyError:
-        raise InputFormatError(f"unknown vertex type {name!r}") from None
-
-
-def _predicate(token: Any) -> Predicate:
-    try:
-        return Predicate(str(token))
-    except ValueError:
-        raise InputFormatError(f"unknown predicate {token!r}") from None
-
-
-def _partition_from_dict(doc: Mapping[str, Any]) -> ProvenancePartition:
+def _partition_from_dict(doc: Any) -> ProvenancePartition:
+    doc = _docs.obj(doc, "partition")
     vertices = []
-    for entry in doc.get("vertices", []):
-        constraints = tuple(
-            AttrConstraint(str(item), _predicate(op), attr_value_from_json(value))
-            for item, op, value in entry.get("attrs", [])
-        )
-        name = entry.get("name")
+    for entry in _docs.array(doc.get("vertices", []), "partition vertices"):
+        try:
+            ref, vtype, name = str(entry["ref"]), entry["type"], entry.get("name")
+        except (KeyError, TypeError) as exc:
+            raise InputFormatError(f"partition vertex {entry!r} needs ref/type") from exc
         vertices.append(
             PatternVertex(
-                ref=str(entry["ref"]),
-                vtype=_vertex_type(entry["type"]),
+                ref=ref,
+                vtype=vertex_type_from_json(vtype),
                 name=None if name is None else str(name),
-                constraints=constraints,
+                constraints=tuple(map(_constraint, _docs.array(entry.get("attrs", []), '"attrs"'))),
             )
         )
     edges = []
-    for entry in doc.get("edges", []):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise InputFormatError(f"bad partition edge {entry!r}; expected [src, dst, label]")
-        src, dst, label = entry
-        if label == "*":
-            edge_label = None
-        else:
-            try:
-                edge_label = EdgeLabel(str(label))
-            except ValueError:
-                raise InputFormatError(f"unknown edge label {label!r}") from None
+    for entry in _docs.array(doc.get("edges", []), "partition edges"):
+        src, dst, label = _docs.entry(entry, 3, "partition edge")
+        edge_label = None if label == "*" else _docs.member(EdgeLabel, label, "edge label")
         edges.append(PatternEdge(str(src), str(dst), edge_label))
     return ProvenancePartition(tuple(vertices), tuple(edges))
 
 
 def condition_from_dict(doc: Mapping[str, Any]) -> LeafCondition:
     """Decode one leaf condition from its document form."""
-    if not isinstance(doc, Mapping) or len(doc) != 1:
+    if len(_docs.obj(doc, "condition")) != 1:
         raise InputFormatError(f"condition {doc!r} must have exactly one kind key")
     kind, value = next(iter(doc.items()))
     if kind == "path":
@@ -279,16 +248,16 @@ def condition_from_dict(doc: Mapping[str, Any]) -> LeafCondition:
     if kind == "null":
         return NullCondition()
     if kind == "vertex":
-        vtype, name = value
-        return VertexCondition(_vertex_type(vtype), str(name))
+        vtype, name = _docs.entry(value, 2, "vertex condition")
+        return VertexCondition(vertex_type_from_json(vtype), str(name))
     if kind == "attr":
-        vtype, name, item, op, operand = value
-        return AttrCondition(
-            _vertex_type(vtype), str(name), str(item), _predicate(op), attr_value_from_json(operand)
-        )
+        vtype, name, *constraint = _docs.entry(value, 5, "attr condition")
+        c = _constraint(constraint)
+        return AttrCondition(vertex_type_from_json(vtype), str(name), c.item, c.pred, c.operand)
     if kind == "query":
-        vtype, name, attr, op = value
-        return QueryCondition(_vertex_type(vtype), str(name), str(attr), _predicate(op))
+        vtype, name, attr, op = _docs.entry(value, 4, "query condition")
+        pred = _docs.member(Predicate, op, "predicate")
+        return QueryCondition(vertex_type_from_json(vtype), str(name), str(attr), pred)
     raise InputFormatError(f"unknown condition kind {kind!r}")
 
 
@@ -297,16 +266,12 @@ def _tree_from_dict(doc: Any, leaves: Mapping[str, LeafCondition]) -> AccessTree
         if doc not in leaves:
             raise InputFormatError(f"access tree references unknown partition {doc!r}")
         return TreeLeaf(leaves[doc])
-    if isinstance(doc, Mapping) and len(doc) == 1:
-        op_name, children = next(iter(doc.items()))
-        try:
-            op = TreeOp(str(op_name))
-        except ValueError:
-            raise InputFormatError(f"unknown tree operator {op_name!r}") from None
-        if not isinstance(children, list) or not children:
-            raise InputFormatError(f"{op_name} needs a non-empty child array")
-        return TreeBranch(op, tuple(_tree_from_dict(c, leaves) for c in children))
-    raise InputFormatError(f"bad access tree node {doc!r}")
+    if len(_docs.obj(doc, "access tree node")) != 1:
+        raise InputFormatError(f"access tree node {doc!r} must have exactly one operator")
+    op_name, children = next(iter(doc.items()))
+    op = _docs.member(TreeOp, op_name, "tree operator")
+    children = _docs.array(children, f"{op.value} children")
+    return TreeBranch(op, tuple(_tree_from_dict(c, leaves) for c in children))
 
 
 def _infer_type(subjects: Any, categories: Any, ap: PurposeSet, pp: PurposeSet) -> int:
@@ -326,11 +291,8 @@ def policy_from_dict(doc: Mapping[str, Any], default_id: str = "policy") -> Poli
     AP, PP, plus optional id and type. The tree defaults to the sole
     partition when there is exactly one and no access_tree field.
     """
-    if not isinstance(doc, Mapping):
-        raise InputFormatError("policy document must be an object")
-    raw_partitions = doc.get("provenance_partitions", {})
-    if not isinstance(raw_partitions, Mapping):
-        raise InputFormatError('"provenance_partitions" must map names to conditions')
+    doc = _docs.obj(doc, "policy document")
+    raw_partitions = _docs.obj(doc.get("provenance_partitions", {}), '"provenance_partitions"')
     leaves = {str(k): condition_from_dict(v) for k, v in raw_partitions.items()}
     tree_doc = doc.get("access_tree")
     if tree_doc is None:
@@ -339,27 +301,23 @@ def policy_from_dict(doc: Mapping[str, Any], default_id: str = "policy") -> Poli
         tree: AccessTree = TreeLeaf(next(iter(leaves.values())))
     else:
         tree = _tree_from_dict(tree_doc, leaves)
-    subjects = doc.get("subject")
-    categories = doc.get("category")
-    if subjects is not None and not isinstance(subjects, list):
-        raise InputFormatError('"subject" must be an array of role names')
-    if categories is not None and not isinstance(categories, list):
-        raise InputFormatError('"category" must be an array of category names')
-    ap = frozenset(str(p) for p in doc.get("AP", []))
-    pp = frozenset(str(p) for p in doc.get("PP", []))
+    subjects, categories = (
+        None if doc.get(key) is None else _docs.names(doc[key], f'"{key}"')
+        for key in ("subject", "category")
+    )
+    ap = _docs.names(doc.get("AP", []), '"AP"')
+    pp = _docs.names(doc.get("PP", []), '"PP"')
     ptype = doc.get("type")
     if ptype is None:
         ptype = _infer_type(subjects, categories, ap, pp)
-    if not isinstance(ptype, int):
-        raise InputFormatError('"type" must be an integer 1-4')
     return Policy(
         id=str(doc.get("id", default_id)),
-        ptype=ptype,
+        ptype=_docs.integer(ptype, '"type"'),
         tree=tree,
         ap=ap,
         pp=pp,
-        subjects=None if subjects is None else frozenset(str(s) for s in subjects),
-        categories=None if categories is None else frozenset(str(k) for k in categories),
+        subjects=subjects,
+        categories=categories,
     )
 
 
@@ -369,54 +327,35 @@ def request_from_dict(doc: Mapping[str, Any]) -> tuple[Request, PurposeSet | Non
     An optional "attached_purposes" array rides along for CLI use and is
     returned separately; it describes the data record, not the requester.
     """
-    if not isinstance(doc, Mapping) or "subject" not in doc:
+    if "subject" not in _docs.obj(doc, "request document"):
         raise InputFormatError('request document needs a "subject"')
     category = doc.get("category")
-    raw_attrs = doc.get("query_attrs") or {}
-    if not isinstance(raw_attrs, Mapping):
-        raise InputFormatError('"query_attrs" must be an object')
+    raw_attrs = doc.get("query_attrs")
+    raw_attrs = _docs.obj({} if raw_attrs is None else raw_attrs, '"query_attrs"')
     request = Request(
         subject=str(doc["subject"]),
         category=None if category is None else str(category),
         query_attrs={str(k): attr_value_from_json(v) for k, v in raw_attrs.items()},
     )
     attached = doc.get("attached_purposes")
-    if attached is None:
-        return request, None
-    if not isinstance(attached, list):
-        raise InputFormatError('"attached_purposes" must be an array')
-    return request, frozenset(str(p) for p in attached)
+    return request, None if attached is None else _docs.names(attached, '"attached_purposes"')
 
 
 def role_order_from_dict(doc: Mapping[str, Any]) -> RoleOrder:
     """Decode {junior: [senior, ...]} into a role order."""
-    if not isinstance(doc, Mapping):
-        raise InputFormatError("role order document must be an object")
-    order: dict[str, frozenset[str]] = {}
-    for junior, seniors in doc.items():
-        if not isinstance(seniors, list):
-            raise InputFormatError(f"role {junior!r} must map to an array of senior roles")
-        order[str(junior)] = frozenset(str(s) for s in seniors)
-    return order
-
-
-def _load_json(path: str) -> Any:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    return {
+        str(junior): _docs.names(seniors, f"senior roles of {junior!r}")
+        for junior, seniors in _docs.obj(doc, "role order document").items()
+    }
 
 
 def load_policy(path: str, default_id: str = "policy") -> Policy:
-    return policy_from_dict(_load_json(path), default_id)
+    return policy_from_dict(_docs.load_json(path), default_id)
 
 
 def load_request(path: str) -> tuple[Request, PurposeSet | None]:
-    return request_from_dict(_load_json(path))
+    return request_from_dict(_docs.load_json(path))
 
 
 def load_role_order(path: str) -> RoleOrder:
-    return role_order_from_dict(_load_json(path))
+    return role_order_from_dict(_docs.load_json(path))

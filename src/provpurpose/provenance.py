@@ -21,6 +21,7 @@ from datetime import datetime
 from enum import Enum
 from typing import Any, Iterator, Mapping, Sequence
 
+from . import _docs
 from .errors import InputFormatError, UnknownVertexError
 
 # Attribute values are a small scalar union. Timestamps are datetimes;
@@ -290,9 +291,18 @@ def attr_value_from_json(value: Any) -> AttrValue:
 def attrs_from_json(raw: Any) -> AttributeSet:
     if raw is None:
         return {}
-    if not isinstance(raw, dict):
-        raise InputFormatError("attrs must be an object")
-    return {str(k): attr_value_from_json(v) for k, v in raw.items()}
+    return {str(k): attr_value_from_json(v) for k, v in _docs.obj(raw, "attrs").items()}
+
+
+_VERTEX_TYPES = {t.value.lower(): t for t in VertexType}
+
+
+def vertex_type_from_json(value: Any) -> VertexType:
+    """Vertex type names are case-insensitive, in graphs and patterns alike."""
+    found = _VERTEX_TYPES.get(str(value).lower())
+    if found is None:
+        raise InputFormatError(f"unknown vertex type {value!r}")
+    return found
 
 
 def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
@@ -302,34 +312,24 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
     {src, dst, label, refinedLabel?}. Inline attrs on a main vertex are
     materialized as an Attribute vertex exactly like :meth:`add_vertex`.
     """
-    if not isinstance(doc, Mapping):
-        raise InputFormatError("graph document must be an object")
+    doc = _docs.obj(doc, "graph document")
     graph = ProvenanceGraph()
-    for entry in doc.get("vertices", []):
+    for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
-            vid = str(entry["id"])
-            type_name = str(entry["type"])
-            name = str(entry["name"])
+            vid, vtype, name = str(entry["id"]), entry["type"], str(entry["name"])
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"vertex entry {entry!r} needs id/type/name") from exc
+        attrs = attrs_from_json(entry.get("attrs"))
+        graph.add_vertex(vertex_type_from_json(vtype), name, attrs, vid=vid)
+    for entry in _docs.array(doc.get("edges", []), '"edges"'):
         try:
-            vtype = VertexType(type_name.capitalize() if type_name.islower() else type_name)
-        except ValueError:
-            raise InputFormatError(f"unknown vertex type {type_name!r}") from None
-        graph.add_vertex(vtype, name, attrs_from_json(entry.get("attrs")), vid=vid)
-    for entry in doc.get("edges", []):
-        try:
-            src, dst, label_name = str(entry["src"]), str(entry["dst"]), str(entry["label"])
+            src, dst, label = str(entry["src"]), str(entry["dst"]), entry["label"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"edge entry {entry!r} needs src/dst/label") from exc
-        try:
-            label = EdgeLabel(label_name)
-        except ValueError:
-            raise InputFormatError(f"unknown edge label {label_name!r}") from None
         refined = entry.get("refinedLabel")
         if refined is not None:
             refined = str(refined)
-        graph.add_edge(src, dst, label, refined)
+        graph.add_edge(src, dst, _docs.member(EdgeLabel, label, "edge label"), refined)
     return graph
 
 
@@ -357,14 +357,7 @@ def graph_to_dict(graph: ProvenanceGraph) -> dict[str, Any]:
 
 
 def load_graph(path: str) -> ProvenanceGraph:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return graph_from_dict(doc)
+    return graph_from_dict(_docs.load_json(path))
 
 
 def dump_graph(graph: ProvenanceGraph, path: str) -> None:

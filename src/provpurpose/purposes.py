@@ -26,10 +26,10 @@ members at that rank or deeper form the high part of each set.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping
 from typing import Any
 
+from . import _docs
 from ._dagutil import reachable_from, topological_order
 from .errors import (
     EmptyPurposeSetError,
@@ -224,22 +224,13 @@ def purpose_graph_from_dict(doc: Mapping[str, Any]) -> PurposeGraph:
 
     {"purposes": [...], "edges": [[parent, child], ...], "hierarchy_line": int?}
     """
-    if not isinstance(doc, Mapping):
-        raise InputFormatError("purpose graph document must be an object")
-    purposes = doc.get("purposes")
-    if not isinstance(purposes, list):
-        raise InputFormatError('purpose graph document needs a "purposes" array')
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise InputFormatError('"edges" must be an array of [parent, child] pairs')
-    edges: list[tuple[str, str]] = []
-    for entry in raw_edges:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InputFormatError(f"bad edge entry {entry!r}; expected [parent, child]")
-        edges.append((str(entry[0]), str(entry[1])))
+    doc = _docs.obj(doc, "purpose graph document")
+    purposes = _docs.names(doc.get("purposes"), '"purposes"')
+    raw_edges = _docs.array(doc.get("edges", []), '"edges"')
+    edges = [_docs.entry(e, 2, "purpose edge") for e in raw_edges]
     line = doc.get("hierarchy_line")
-    if line is not None and not isinstance(line, int):
-        raise InputFormatError("hierarchy_line must be an integer")
+    if line is not None:
+        line = _docs.integer(line, '"hierarchy_line"')
     return PurposeGraph(purposes, edges, line)
 
 
@@ -255,11 +246,4 @@ def purpose_graph_to_dict(pg: PurposeGraph) -> dict[str, Any]:
 
 
 def load_purpose_graph(path: str) -> PurposeGraph:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return purpose_graph_from_dict(doc)
+    return purpose_graph_from_dict(_docs.load_json(path))

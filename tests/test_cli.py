@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from provpurpose.cli import main
 from conftest import CASE_STUDY, FIXTURES
@@ -300,3 +302,73 @@ def test_output_is_stable_json(capsys):
     code, out, err = _run(capsys, *_case_study_eval_args())
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("option", ["--graph", "--purposes", "--request", "--policy", "--party"])
+def test_too_deeply_nested_file_exits_2(capsys, tmp_path, option):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    if option == "--party":
+        argv = ["merge", "--party", str(deep), "--external", "F3"]
+    else:
+        argv = _case_study_eval_args()
+        argv[argv.index(option) + 1] = str(deep)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "nests too deeply" in err
+
+
+# -- fuzz: one node of one case-study file replaced by a random JSON value ------
+
+_WORDS = (
+    "process", "PROCESS", "Agent", "artifact", "used", "wasGeneratedBy", "*", "=", "<=",
+    "AND", "OR", "Submit", "graded_submission", "education", "students", "assignments",
+)
+_KEYS = (
+    "vertices", "edges", "id", "type", "name", "ref", "attrs", "src", "dst", "label",
+    "path", "partition", "vertex", "attr", "query", "null", "target", "timestamp", "location",
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_WORDS) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_FUZZED_FILES = (
+    "graph.json", "source_policy.json", "repository_policy.json",
+    "request.json", "purposes.json", "roles.json",
+)
+
+
+def _nodes(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_input_file_decides_or_exits_2(capsys, tmp_path, data):
+    name = data.draw(st.sampled_from(_FUZZED_FILES))
+    doc = json.loads((CASE_STUDY / name).read_text())
+    path = data.draw(st.sampled_from(list(_nodes(doc))))
+    fuzzed = tmp_path / name
+    fuzzed.write_text(json.dumps(_replaced(doc, path, data.draw(_JSON))))
+    argv = [str(fuzzed) if arg == str(CASE_STUDY / name) else arg for arg in _case_study_eval_args()]
+    code, out, err = _run(capsys, *argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
