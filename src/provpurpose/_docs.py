@@ -1,9 +1,10 @@
 """Readers for input documents and the field shapes they share.
 
-Every loader reads its JSON file with :func:`load_json` and its fields with
-the readers below, so each rule lives in one place. A reader raises
-:class:`InputFormatError` naming the field; none coerces a value of the wrong
-shape.
+Every loader reads its file with :func:`load`, which parses the JSON with
+:func:`load_json` and decodes it, and its fields with the readers below, so
+each rule lives in one place. A reader raises :class:`InputFormatError` naming
+the field, and :func:`load` puts the file's path in front; none coerces a
+value of the wrong shape.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import cache
-from typing import Any, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .errors import InputFormatError
 
 E = TypeVar("E", bound=Enum)
+T = TypeVar("T")
 
 
 def load_json(path: str) -> Any:
@@ -31,6 +33,15 @@ def load_json(path: str) -> Any:
             raise InputFormatError(f"{path}: JSON nests too deeply") from None
         except ValueError as exc:  # not UTF-8, or an integer too long to read
             raise InputFormatError(f"{path}: {exc}") from exc
+
+
+def load(path: str, decode: Callable[[Any], T]) -> T:
+    """Decode the JSON file at `path`; every input error names the file once."""
+    doc = load_json(path)
+    try:
+        return decode(doc)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def obj(value: Any, what: str) -> Mapping[str, Any]:

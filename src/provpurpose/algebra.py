@@ -22,12 +22,14 @@ totalized variant is used instead where an empty operand simply loses.
 Hierarchical merges
 -------------------
 
-A :class:`HierarchicalPurposeSet` carries allowed and prohibited purposes
-split into high/low hierarchy parts (HA, HP, LA, LP). Thirteen named binary
-merge functions combine two of them; each follows the same shape on both
-levels: combine the allowed parts, combine the prohibited parts, and remove
-the latter from the former. The function table below (combine op, prohibit
-op, per level) is exhaustive:
+A :class:`HierarchicalPurposeSet` is a pair of allowed and prohibited sets.
+Thirteen binary merge functions combine two pairs by rules that differ above
+and below the purpose graph's hierarchy line: per level, combine the allowed
+sets, combine the prohibited sets, and remove the latter from the former.
+Each basic operator commutes with cutting at the line, ``(X op Y) ∩ H = (X ∩
+H) op (Y ∩ H)``, so a merge combines whole sets and cuts each side once, to
+``(high(X, Y) ∩ H) ∪ (low(X, Y) − H)`` with ``H`` the graph's high part; a
+side whose two rules agree needs no cut. The table is exhaustive:
 
 ============  =============  ==============  =============  ==============
 function      high combine   high prohibit   low combine    low prohibit
@@ -50,11 +52,8 @@ f_divtimes    ``^-``         ``-``           ``&``          ``&``
 Two quirks are deliberate and kept as designed: ``f_uplus`` duplicates
 ``f_odot`` exactly, and ``f_boxdot``'s high-side prohibit combines the left
 prohibited set with itself (so it is always empty). The merged prohibited
-parts propagate into the result so later merges keep honoring them.
-
-``apply_nary`` merges any number of operands in one step: high side = union
-of allowed minus union of prohibited; low side = symmetric-difference fold of
-allowed minus intersection fold of prohibited.
+set propagates into the result so later merges keep honoring it.
+``apply_nary`` merges any number of operands by the rule (+, +, ^-, &).
 
 Expressions
 -----------
@@ -67,8 +66,8 @@ Merge expressions combine named sets with infix operators and function calls::
 equal-precedence operators associate left. Unicode spellings of the operators
 (⊟ − ↑△ ↓△ ↑▽ ↓▽ ▷ △ ◁ ▽) are accepted and normalized: the triangle forms
 bind to upmax (▷, △) and downmin (◁, ▽). Infix operators between
-hierarchical operands act componentwise on (HA, HP, LA, LP); precedence
-selections compare operands by their combined allowed parts.
+hierarchical operands act on the allowed and on the prohibited sets;
+precedence selections compare the allowed sets.
 """
 
 from __future__ import annotations
@@ -77,6 +76,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from operator import and_, or_, sub, xor
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
@@ -84,6 +84,7 @@ from .errors import (
     EmptyPurposeSetError,
     FidaSyntaxError,
     InputFormatError,
+    MissingHierarchyLineError,
     UnboundNameError,
 )
 from .purposes import PurposeGraph, PurposeSet
@@ -162,24 +163,21 @@ def precedence_total(
 
 @dataclass(frozen=True)
 class HierarchicalPurposeSet:
-    """Allowed/prohibited purposes split into high/low hierarchy parts.
+    """Allowed and prohibited purposes, merged by rules that differ at a line.
 
-    `graph` remembers which purpose graph the split used; it never takes part
-    in equality and exists so merges can reject operands split under
-    different graphs.
+    `graph`, never part of equality, is the purpose graph whose hierarchy line
+    merges cut at; merges reject operands tagged with different graphs.
     """
 
-    ha: PurposeSet = frozenset()
-    hp: PurposeSet = frozenset()
-    la: PurposeSet = frozenset()
-    lp: PurposeSet = frozenset()
+    ap: PurposeSet = frozenset()
+    pp: PurposeSet = frozenset()
     graph: PurposeGraph | None = field(default=None, compare=False, repr=False)
 
     def allowed(self) -> PurposeSet:
-        return self.ha | self.la
+        return self.ap
 
     def prohibited(self) -> PurposeSet:
-        return self.hp | self.lp
+        return self.pp
 
     @classmethod
     def empty(cls) -> "HierarchicalPurposeSet":
@@ -187,10 +185,10 @@ class HierarchicalPurposeSet:
 
 
 def split_result(pg: PurposeGraph, ap: Iterable[str], pp: Iterable[str]) -> HierarchicalPurposeSet:
-    """Split allowed and prohibited sets at the graph's hierarchy line."""
-    ha, la = pg.split_static(ap)
-    hp, lp = pg.split_static(pp)
-    return HierarchicalPurposeSet(ha, hp, la, lp, graph=pg)
+    """Check both sets against `pg`, which needs a hierarchy line for merges to cut at."""
+    if pg.hierarchy_line is None:
+        raise MissingHierarchyLineError("purpose graph has no hierarchy line")
+    return HierarchicalPurposeSet(pg.check_members(ap), pg.check_members(pp), graph=pg)
 
 
 class InternalFunction(Enum):
@@ -211,7 +209,9 @@ class InternalFunction(Enum):
     DIVTIMES = "f_divtimes"
 
 
-_SET_OPS: dict[str, Callable[[PurposeSet, PurposeSet], PurposeSet]] = {
+_SetOp = Callable[[PurposeSet, PurposeSet], PurposeSet]
+
+_SET_OPS: dict[str, _SetOp] = {
     "+": op_union,
     "&": op_intersection,
     "^-": op_difference,
@@ -219,66 +219,68 @@ _SET_OPS: dict[str, Callable[[PurposeSet, PurposeSet], PurposeSet]] = {
 }
 
 # (high combine, high prohibit, low combine, low prohibit); see the module table.
-_MERGE_RULES: dict[InternalFunction, tuple[str, str, str, str]] = {
-    InternalFunction.OPLUS: ("&", "-", "+", "-"),
-    InternalFunction.OMINUS: ("&", "&", "+", "&"),
-    InternalFunction.OTIMES: ("&", "-", "+", "&"),
-    InternalFunction.OSLASH: ("&", "&", "+", "-"),
-    InternalFunction.ODOT: ("+", "-", "+", "&"),
-    InternalFunction.UPLUS: ("+", "-", "+", "&"),
-    InternalFunction.DOTPLUS: ("+", "&", "+", "&"),
-    InternalFunction.DCAP: ("+", "&", "&", "&"),
-    InternalFunction.DCUP: ("+", "&", "&", "-"),
-    InternalFunction.BOXTIMES: ("^-", "-", "^-", "&"),
-    InternalFunction.BOXDOT: ("^-", "-", "+", "&"),
-    InternalFunction.BOXPLUS: ("+", "-", "^-", "&"),
-    InternalFunction.DIVTIMES: ("^-", "-", "&", "&"),
+# f_boxdot's high prohibit, P1 - P1, is always empty: None keeps nothing above.
+_MERGE_RULES: dict[InternalFunction, tuple[_SetOp | None, ...]] = {
+    InternalFunction.OPLUS: (and_, sub, or_, sub),
+    InternalFunction.OMINUS: (and_, and_, or_, and_),
+    InternalFunction.OTIMES: (and_, sub, or_, and_),
+    InternalFunction.OSLASH: (and_, and_, or_, sub),
+    InternalFunction.ODOT: (or_, sub, or_, and_),
+    InternalFunction.UPLUS: (or_, sub, or_, and_),
+    InternalFunction.DOTPLUS: (or_, and_, or_, and_),
+    InternalFunction.DCAP: (or_, and_, and_, and_),
+    InternalFunction.DCUP: (or_, and_, and_, sub),
+    InternalFunction.BOXTIMES: (xor, sub, xor, and_),
+    InternalFunction.BOXDOT: (xor, None, or_, and_),
+    InternalFunction.BOXPLUS: (or_, sub, xor, and_),
+    InternalFunction.DIVTIMES: (xor, sub, and_, and_),
 }
 
 _FUNCTION_BY_TOKEN = {fn.value: fn for fn in InternalFunction}
 
 
-def _check_same_graph(si: HierarchicalPurposeSet, sj: HierarchicalPurposeSet) -> PurposeGraph | None:
-    if si.graph is not None and sj.graph is not None and si.graph is not sj.graph:
-        raise ConfigurationError("operands were split under different purpose graphs")
-    return si.graph or sj.graph
+def _shared_graph(sets: Iterable[HierarchicalPurposeSet]) -> PurposeGraph | None:
+    graph = None
+    for s in sets:
+        if s.graph is not None and s.graph is not graph:
+            if graph is not None:
+                raise ConfigurationError("operands are tagged with different purpose graphs")
+            graph = s.graph
+    return graph
+
+
+def _cut(high: PurposeSet, upper: _SetOp | None, lower: _SetOp, x: PurposeSet, y: PurposeSet) -> PurposeSet:
+    """`upper(x, y)` inside `high`, `lower(x, y)` outside; no graph, nothing is high."""
+    below = lower(x, y)
+    if upper is lower or not high:
+        return below
+    if upper is None:
+        return below - high
+    return (upper(x, y) & high) | (below - high)
 
 
 def apply_internal(
     fn: InternalFunction, si: HierarchicalPurposeSet, sj: HierarchicalPurposeSet
 ) -> HierarchicalPurposeSet:
     """Merge two hierarchical sets with one of the thirteen functions."""
-    graph = _check_same_graph(si, sj)
+    graph = _shared_graph((si, sj))
+    high = frozenset() if graph is None else graph.high
     high_combine, high_prohibit, low_combine, low_prohibit = _MERGE_RULES[fn]
-    # f_boxdot's high prohibit combines the left prohibited part with itself.
-    hp_right = si.hp if fn is InternalFunction.BOXDOT else sj.hp
-    hp = _SET_OPS[high_prohibit](si.hp, hp_right)
-    lp = _SET_OPS[low_prohibit](si.lp, sj.lp)
-    ha = op_subtraction(_SET_OPS[high_combine](si.ha, sj.ha), hp)
-    la = op_subtraction(_SET_OPS[low_combine](si.la, sj.la), lp)
-    return HierarchicalPurposeSet(ha, hp, la, lp, graph=graph)
+    pp = _cut(high, high_prohibit, low_prohibit, si.pp, sj.pp)
+    ap = _cut(high, high_combine, low_combine, si.ap, sj.ap) - pp
+    return HierarchicalPurposeSet(ap, pp, graph=graph)
 
 
 def apply_nary(sets: Sequence[HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
-    """Merge any number of operands at once.
-
-    High side: union of allowed minus union of prohibited. Low side:
-    symmetric-difference fold of allowed minus intersection fold of
-    prohibited.
-    """
+    """Merge two or more operands by the rule (+, +, ^-, &): each side's cut is
+    folded over all operands, then the prohibited side leaves the allowed one."""
     if len(sets) < 2:
         raise InputFormatError("n-ary merge needs at least two operands")
-    graph = None
-    for s in sets:
-        if s.graph is not None:
-            if graph is not None and s.graph is not graph:
-                raise ConfigurationError("operands were split under different purpose graphs")
-            graph = s.graph
-    hp = reduce(op_union, (s.hp for s in sets))
-    lp = reduce(op_intersection, (s.lp for s in sets))
-    ha = op_subtraction(reduce(op_union, (s.ha for s in sets)), hp)
-    la = op_subtraction(reduce(op_difference, (s.la for s in sets)), lp)
-    return HierarchicalPurposeSet(ha, hp, la, lp, graph=graph)
+    graph = _shared_graph(sets)
+    high = frozenset() if graph is None else graph.high
+    pp = reduce(lambda x, y: _cut(high, or_, and_, x, y), [s.pp for s in sets])
+    ap = reduce(lambda x, y: _cut(high, or_, xor, x, y), [s.ap for s in sets]) - pp
+    return HierarchicalPurposeSet(ap, pp, graph=graph)
 
 
 # -- expression syntax ----------------------------------------------------------
@@ -581,15 +583,8 @@ def apply_basic(
     return precedence_total(kind, s1, s2, pg)
 
 
-def _componentwise(
-    op: Callable[[PurposeSet, PurposeSet], PurposeSet],
-    l: HierarchicalPurposeSet,
-    r: HierarchicalPurposeSet,
-) -> HierarchicalPurposeSet:
-    return HierarchicalPurposeSet(
-        op(l.ha, r.ha), op(l.hp, r.hp), op(l.la, r.la), op(l.lp, r.lp),
-        graph=_check_same_graph(l, r),
-    )
+def _componentwise(op: _SetOp, l: HierarchicalPurposeSet, r: HierarchicalPurposeSet) -> HierarchicalPurposeSet:
+    return HierarchicalPurposeSet(op(l.ap, r.ap), op(l.pp, r.pp), graph=_shared_graph((l, r)))
 
 
 def _merge_call(name: str, args: list[HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
@@ -610,10 +605,10 @@ def eval_fida(
 ) -> HierarchicalPurposeSet:
     """Evaluate an expression over hierarchical operands.
 
-    Infix operators act componentwise; precedence selections compare
-    operands by their combined allowed parts and need `pg` (or operands that
-    carry their split graph). Function calls dispatch to the thirteen binary
-    merges (exactly two arguments) or to ``f_nary``.
+    Infix operators act on the allowed and on the prohibited sets; precedence
+    selections compare the allowed sets and need `pg` (or a tagged operand).
+    Function calls dispatch to the thirteen binary merges (exactly two
+    arguments) or to ``f_nary``.
     """
     if isinstance(expr, str):
         expr = parse_fida(expr)
@@ -622,7 +617,7 @@ def eval_fida(
         kind = _PRECEDENCE_OF_OP.get(op)
         if kind is None:
             return _componentwise(_SET_OPS[op.value], l, r)
-        winner = _precedence_winner(kind, l.allowed(), r.allowed(), pg or l.graph or r.graph)
+        winner = _precedence_winner(kind, l.ap, r.ap, pg or l.graph or r.graph)
         return l if winner < 0 else r if winner > 0 else _componentwise(op_union, l, r)
 
     return fold(expr, _binding(env, "set bound to"), _merge_call, infix)

@@ -7,9 +7,8 @@ generate (wall-clock readings naturally vary):
   configured number of policies of every type and the per-policy mean is
   reported per type;
 * merge means: the same randomly drawn operand sets are fed to a
-  hierarchical merge (split at the hierarchy line, then f_dotplus) and to a
-  cross-party merge (F3); the internal path does strictly more work, and the
-  reported means show it.
+  hierarchical merge (each pair checked against the purpose graph, then
+  f_dotplus) and to a cross-party merge (F3).
 
 Absolute numbers depend on the machine; only shapes and orderings are
 meaningful.
@@ -92,9 +91,10 @@ def bench_algebras(
 ) -> tuple[float, float]:
     """(internal mean, external mean) seconds per merge over shared operands.
 
-    The internal timing covers the hierarchy split of both operands plus the
-    f_dotplus merge; the external timing covers one F3 application on the
-    same unsplit sets.
+    The internal timing covers `split_result` on both operands, which checks
+    their members against the purpose graph, plus the f_dotplus merge (one
+    rule on both sides of the hierarchy line, so no cut); the external timing
+    covers one F3 application on the same sets.
     """
     rng = rng or random.Random(config.seed)
     pg = random_purpose_graph(rng, config.n_purposes)

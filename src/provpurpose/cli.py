@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -46,23 +47,27 @@ def _emit(payload: Any, out: str | None) -> None:
 
 
 def _party_from_file(path: str, internal_override: str | None) -> PartyConfig:
-    doc = _docs.obj(_docs.load_json(path), f"{path}: policy file")
     stem = Path(path).stem
-    party = _docs.party(doc, stem)
-    if "policies" in doc:
-        policies = tuple(
-            policy_from_dict(p, default_id=f"{party}_{i}")
-            for i, p in enumerate(_docs.array(doc["policies"], f'{path}: "policies"'))
-        )
-        internal = doc.get("internal_expr")
-    else:
-        policies = (policy_from_dict(doc, default_id=stem),)
-        internal = None
-    if internal_override is not None:
-        internal = internal_override
-    if internal is not None and not isinstance(internal, str):
-        raise InputFormatError(f"{path}: internal_expr must be a string")
-    return PartyConfig(party=party, policies=policies, internal_expr=internal)
+
+    def decode(doc: Any) -> PartyConfig:
+        doc = _docs.obj(doc, "policy file")
+        party = _docs.party(doc, stem)
+        if "policies" in doc:
+            policies = tuple(
+                policy_from_dict(p, default_id=f"{party}_{i}")
+                for i, p in enumerate(_docs.array(doc["policies"], '"policies"'))
+            )
+            internal = doc.get("internal_expr")
+        else:
+            policies = (policy_from_dict(doc, default_id=stem),)
+            internal = None
+        if internal_override is not None:
+            internal = internal_override
+        if internal is not None and not isinstance(internal, str):
+            raise InputFormatError("internal_expr must be a string")
+        return PartyConfig(party=party, policies=policies, internal_expr=internal)
+
+    return _docs.load(path, decode)
 
 
 def _parties_from_files(paths: Sequence[str], internal_override: str | None) -> list[PartyConfig]:
@@ -132,7 +137,10 @@ def _parse_set_binding(text: str) -> tuple[str, frozenset[str]]:
 def cmd_merge(args: argparse.Namespace) -> int:
     pg = load_purpose_graph(args.purposes) if args.purposes else None
     if args.party:
-        results = [party_result_from_dict(_docs.load_json(p), Path(p).stem) for p in args.party]
+        results = [
+            _docs.load(p, partial(party_result_from_dict, default_party=Path(p).stem))
+            for p in args.party
+        ]
         expr = args.expr or args.external
         if not expr:
             print("error: merging parties needs --expr or --external", file=sys.stderr)

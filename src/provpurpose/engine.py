@@ -5,10 +5,10 @@ A decision runs in four stages:
 1. policy-evaluation: every policy of every party is checked against the
    record's provenance graph and the request; applicable policies contribute
    their allowed/prohibited purposes, the rest contribute empty sets.
-2. internal-merge: each party's per-policy sets are split at the purpose
-   graph's hierarchy line and merged with the party's expression. Without an
-   explicit expression a single policy stands as is and several policies are
-   folded left to right with f_dotplus.
+2. internal-merge: each party's per-policy sets are merged with the party's
+   expression, each merge cutting at the purpose graph's hierarchy line.
+   Without an explicit expression a single policy stands as is and several
+   policies are folded left to right with f_dotplus.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set.
 4. attached-purpose-intersection: when the record carries attached purposes,
@@ -130,7 +130,7 @@ def decide(
         try:
             env = {pid: split_result(pg, d.ap, d.pp) for pid, d in pairs}
             merged = eval_fida(cfg.merge_expr, env, pg)
-            result = PartyResult(cfg.party, merged.allowed(), merged.prohibited())
+            result = PartyResult(cfg.party, merged.ap, merged.pp)
         except ProvPurposeError as exc:
             raise StageError("internal-merge", exc) from exc
         traces.append(PartyTrace(cfg.party, cfg.merge_text, tuple(pairs), result))

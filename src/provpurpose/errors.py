@@ -35,24 +35,22 @@ class TypeMismatchError(ProvPurposeError):
     """A binary predicate compared values of incompatible types."""
 
 
-class PatternSyntaxError(ProvPurposeError):
+class _PositionedSyntaxError(ProvPurposeError):
+    """A text does not follow its grammar; `position` is where, when known."""
+
+    def __init__(self, message: str, position: int | None = None) -> None:
+        self.position = position
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
+
+
+class PatternSyntaxError(_PositionedSyntaxError):
     """A path pattern or target string does not follow the grammar."""
 
-    def __init__(self, message: str, position: int | None = None) -> None:
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
 
-
-class FidaSyntaxError(ProvPurposeError):
+class FidaSyntaxError(_PositionedSyntaxError):
     """A merge expression does not follow the expression grammar."""
-
-    def __init__(self, message: str, position: int | None = None) -> None:
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
 
 
 class UnboundNameError(ProvPurposeError):

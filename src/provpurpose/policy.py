@@ -29,6 +29,7 @@ from typing import Any, Mapping, Union
 
 from . import _docs
 from ._dagutil import reachable_from
+from .algebra import MAX_NESTING
 from .errors import ConfigurationError, InputFormatError
 from .matching import (
     AtomicCondition,
@@ -261,17 +262,20 @@ def condition_from_dict(doc: Mapping[str, Any]) -> LeafCondition:
     raise InputFormatError(f"unknown condition kind {kind!r}")
 
 
-def _tree_from_dict(doc: Any, leaves: Mapping[str, LeafCondition]) -> AccessTree:
+def _tree_from_dict(doc: Any, leaves: Mapping[str, LeafCondition], depth: int = 1) -> AccessTree:
+    """Decode a tree; its operator nodes nest at most `MAX_NESTING` levels deep."""
     if isinstance(doc, str):
         if doc not in leaves:
             raise InputFormatError(f"access tree references unknown partition {doc!r}")
         return TreeLeaf(leaves[doc])
+    if depth > MAX_NESTING:
+        raise InputFormatError(f"access tree nests deeper than {MAX_NESTING} levels")
     if len(_docs.obj(doc, "access tree node")) != 1:
         raise InputFormatError(f"access tree node {doc!r} must have exactly one operator")
     op_name, children = next(iter(doc.items()))
     op = _docs.member(TreeOp, op_name, "tree operator")
     children = _docs.array(children, f"{op.value} children")
-    return TreeBranch(op, tuple(_tree_from_dict(c, leaves) for c in children))
+    return TreeBranch(op, tuple(_tree_from_dict(c, leaves, depth + 1) for c in children))
 
 
 def _infer_type(subjects: Any, categories: Any, ap: PurposeSet, pp: PurposeSet) -> int:
@@ -350,12 +354,12 @@ def role_order_from_dict(doc: Mapping[str, Any]) -> RoleOrder:
 
 
 def load_policy(path: str, default_id: str = "policy") -> Policy:
-    return policy_from_dict(_docs.load_json(path), default_id)
+    return _docs.load(path, lambda doc: policy_from_dict(doc, default_id))
 
 
 def load_request(path: str) -> tuple[Request, PurposeSet | None]:
-    return request_from_dict(_docs.load_json(path))
+    return _docs.load(path, request_from_dict)
 
 
 def load_role_order(path: str) -> RoleOrder:
-    return role_order_from_dict(_docs.load_json(path))
+    return _docs.load(path, role_order_from_dict)

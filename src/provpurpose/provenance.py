@@ -357,7 +357,7 @@ def graph_to_dict(graph: ProvenanceGraph) -> dict[str, Any]:
 
 
 def load_graph(path: str) -> ProvenanceGraph:
-    return graph_from_dict(_docs.load_json(path))
+    return _docs.load(path, graph_from_dict)
 
 
 def dump_graph(graph: ProvenanceGraph, path: str) -> None:

@@ -76,8 +76,8 @@ class PurposeGraph:
         if hierarchy_line is not None and hierarchy_line < 0:
             raise InputFormatError("hierarchy_line must be non-negative")
         self._line = hierarchy_line
-        # The high part of every static split (unused without a line).
-        self._high = frozenset(p for p, rank in self._rank.items() if rank <= (hierarchy_line or 0))
+        line = -1 if hierarchy_line is None else hierarchy_line
+        self._high = frozenset(p for p, rank in self._rank.items() if rank <= line)
 
     # -- basics --------------------------------------------------------------
 
@@ -88,6 +88,11 @@ class PurposeGraph:
     @property
     def hierarchy_line(self) -> int | None:
         return self._line
+
+    @property
+    def high(self) -> PurposeSet:
+        """Purposes at or above the hierarchy line (rank <= line); none without one."""
+        return self._high
 
     def __contains__(self, p: str) -> bool:
         return p in self._purposes
@@ -246,4 +251,4 @@ def purpose_graph_to_dict(pg: PurposeGraph) -> dict[str, Any]:
 
 
 def load_purpose_graph(path: str) -> PurposeGraph:
-    return purpose_graph_from_dict(_docs.load_json(path))
+    return _docs.load(path, purpose_graph_from_dict)

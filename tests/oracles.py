@@ -4,18 +4,44 @@ Most of what is here is written from scratch in a deliberately different style:
 membership predicates over explicit universes, brute-force longest paths,
 exhaustive permutation search for embeddings, and exhaustive walk
 enumeration for path patterns. Nothing imports the package's algorithms
-beyond plain data types and ``eval_predicate``. Two sections are different in
-kind: verbatim copies of earlier package code (the character-loop scanner and
-the backtracking matcher), kept as references for differential tests.
+beyond plain data types and ``eval_predicate``. Three sections are different in
+kind: verbatim copies of earlier package code (the character-loop scanner, the
+backtracking matcher and the four-part hierarchical sets), kept as references
+for differential tests.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass, field
 from datetime import datetime
+from functools import reduce
 from itertools import permutations
+from typing import Callable, Iterable, Mapping, Sequence
 
-from provpurpose.errors import FidaSyntaxError, TypeMismatchError
+from provpurpose.algebra import (
+    _FUNCTION_BY_TOKEN,
+    _PRECEDENCE_OF_OP,
+    _SET_OPS,
+    BasicOp,
+    FidaExpr,
+    InternalFunction,
+    _binding,
+    _precedence_winner,
+    fold,
+    op_difference,
+    op_intersection,
+    op_subtraction,
+    op_union,
+    parse_fida,
+)
+from provpurpose.errors import (
+    ConfigurationError,
+    FidaSyntaxError,
+    InputFormatError,
+    TypeMismatchError,
+    UnboundNameError,
+)
 from provpurpose.matching import (
     MatchValue,
     PathPattern,
@@ -25,6 +51,7 @@ from provpurpose.matching import (
     eval_predicate,
 )
 from provpurpose.provenance import EdgeLabel, ProvEdge, ProvenanceGraph
+from provpurpose.purposes import PurposeGraph, PurposeSet
 
 
 # -- plain set operators as membership predicates --------------------------------
@@ -585,3 +612,151 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
 
 reference_match_partition = match_partition
 reference_match_path = match_path
+
+
+# -- hierarchical sets stored as four parts -------------------------------------------
+# The package's hierarchical purpose sets before merges cut whole (allowed,
+# prohibited) pairs at the hierarchy line: each set kept its high and low parts
+# apart and every merge worked part by part. Kept verbatim, with the rule table
+# and helpers they used, as the reference for the differential test; the basic
+# operators, the expression walker and the precedence comparison come from the
+# package, which did not change them.
+
+@dataclass(frozen=True)
+class ReferenceHierarchicalPurposeSet:
+    """Allowed/prohibited purposes split into high/low hierarchy parts.
+
+    `graph` remembers which purpose graph the split used; it never takes part
+    in equality and exists so merges can reject operands split under
+    different graphs.
+    """
+
+    ha: PurposeSet = frozenset()
+    hp: PurposeSet = frozenset()
+    la: PurposeSet = frozenset()
+    lp: PurposeSet = frozenset()
+    graph: PurposeGraph | None = field(default=None, compare=False, repr=False)
+
+    def allowed(self) -> PurposeSet:
+        return self.ha | self.la
+
+    def prohibited(self) -> PurposeSet:
+        return self.hp | self.lp
+
+    @classmethod
+    def empty(cls) -> "ReferenceHierarchicalPurposeSet":
+        return cls()
+
+
+def reference_split_result(pg: PurposeGraph, ap: Iterable[str], pp: Iterable[str]) -> ReferenceHierarchicalPurposeSet:
+    """Split allowed and prohibited sets at the graph's hierarchy line."""
+    ha, la = pg.split_static(ap)
+    hp, lp = pg.split_static(pp)
+    return ReferenceHierarchicalPurposeSet(ha, hp, la, lp, graph=pg)
+
+
+# (high combine, high prohibit, low combine, low prohibit); see the module table.
+_REFERENCE_MERGE_RULES: dict[InternalFunction, tuple[str, str, str, str]] = {
+    InternalFunction.OPLUS: ("&", "-", "+", "-"),
+    InternalFunction.OMINUS: ("&", "&", "+", "&"),
+    InternalFunction.OTIMES: ("&", "-", "+", "&"),
+    InternalFunction.OSLASH: ("&", "&", "+", "-"),
+    InternalFunction.ODOT: ("+", "-", "+", "&"),
+    InternalFunction.UPLUS: ("+", "-", "+", "&"),
+    InternalFunction.DOTPLUS: ("+", "&", "+", "&"),
+    InternalFunction.DCAP: ("+", "&", "&", "&"),
+    InternalFunction.DCUP: ("+", "&", "&", "-"),
+    InternalFunction.BOXTIMES: ("^-", "-", "^-", "&"),
+    InternalFunction.BOXDOT: ("^-", "-", "+", "&"),
+    InternalFunction.BOXPLUS: ("+", "-", "^-", "&"),
+    InternalFunction.DIVTIMES: ("^-", "-", "&", "&"),
+}
+
+def _check_same_graph(si: ReferenceHierarchicalPurposeSet, sj: ReferenceHierarchicalPurposeSet) -> PurposeGraph | None:
+    if si.graph is not None and sj.graph is not None and si.graph is not sj.graph:
+        raise ConfigurationError("operands were split under different purpose graphs")
+    return si.graph or sj.graph
+
+
+def reference_apply_internal(
+    fn: InternalFunction, si: ReferenceHierarchicalPurposeSet, sj: ReferenceHierarchicalPurposeSet
+) -> ReferenceHierarchicalPurposeSet:
+    """Merge two hierarchical sets with one of the thirteen functions."""
+    graph = _check_same_graph(si, sj)
+    high_combine, high_prohibit, low_combine, low_prohibit = _REFERENCE_MERGE_RULES[fn]
+    # f_boxdot's high prohibit combines the left prohibited part with itself.
+    hp_right = si.hp if fn is InternalFunction.BOXDOT else sj.hp
+    hp = _SET_OPS[high_prohibit](si.hp, hp_right)
+    lp = _SET_OPS[low_prohibit](si.lp, sj.lp)
+    ha = op_subtraction(_SET_OPS[high_combine](si.ha, sj.ha), hp)
+    la = op_subtraction(_SET_OPS[low_combine](si.la, sj.la), lp)
+    return ReferenceHierarchicalPurposeSet(ha, hp, la, lp, graph=graph)
+
+
+def reference_apply_nary(sets: Sequence[ReferenceHierarchicalPurposeSet]) -> ReferenceHierarchicalPurposeSet:
+    """Merge any number of operands at once.
+
+    High side: union of allowed minus union of prohibited. Low side:
+    symmetric-difference fold of allowed minus intersection fold of
+    prohibited.
+    """
+    if len(sets) < 2:
+        raise InputFormatError("n-ary merge needs at least two operands")
+    graph = None
+    for s in sets:
+        if s.graph is not None:
+            if graph is not None and s.graph is not graph:
+                raise ConfigurationError("operands were split under different purpose graphs")
+            graph = s.graph
+    hp = reduce(op_union, (s.hp for s in sets))
+    lp = reduce(op_intersection, (s.lp for s in sets))
+    ha = op_subtraction(reduce(op_union, (s.ha for s in sets)), hp)
+    la = op_subtraction(reduce(op_difference, (s.la for s in sets)), lp)
+    return ReferenceHierarchicalPurposeSet(ha, hp, la, lp, graph=graph)
+
+
+def _componentwise(
+    op: Callable[[PurposeSet, PurposeSet], PurposeSet],
+    l: ReferenceHierarchicalPurposeSet,
+    r: ReferenceHierarchicalPurposeSet,
+) -> ReferenceHierarchicalPurposeSet:
+    return ReferenceHierarchicalPurposeSet(
+        op(l.ha, r.ha), op(l.hp, r.hp), op(l.la, r.la), op(l.lp, r.lp),
+        graph=_check_same_graph(l, r),
+    )
+
+
+def _merge_call(name: str, args: list[ReferenceHierarchicalPurposeSet]) -> ReferenceHierarchicalPurposeSet:
+    if name == "f_nary":
+        return reference_apply_nary(args)
+    fn = _FUNCTION_BY_TOKEN.get(name)
+    if fn is None:
+        raise UnboundNameError(f"unknown merge function {name!r}")
+    if len(args) != 2:
+        raise FidaSyntaxError(f"{name} takes exactly two operands")
+    return reference_apply_internal(fn, args[0], args[1])
+
+
+def reference_eval_fida(
+    expr: FidaExpr | str,
+    env: Mapping[str, ReferenceHierarchicalPurposeSet],
+    pg: PurposeGraph | None = None,
+) -> ReferenceHierarchicalPurposeSet:
+    """Evaluate an expression over hierarchical operands.
+
+    Infix operators act componentwise; precedence selections compare
+    operands by their combined allowed parts and need `pg` (or operands that
+    carry their split graph). Function calls dispatch to the thirteen binary
+    merges (exactly two arguments) or to ``f_nary``.
+    """
+    if isinstance(expr, str):
+        expr = parse_fida(expr)
+
+    def infix(op: BasicOp, l: ReferenceHierarchicalPurposeSet, r: ReferenceHierarchicalPurposeSet):
+        kind = _PRECEDENCE_OF_OP.get(op)
+        if kind is None:
+            return _componentwise(_SET_OPS[op.value], l, r)
+        winner = _precedence_winner(kind, l.allowed(), r.allowed(), pg or l.graph or r.graph)
+        return l if winner < 0 else r if winner > 0 else _componentwise(op_union, l, r)
+
+    return fold(expr, _binding(env, "set bound to"), _merge_call, infix)

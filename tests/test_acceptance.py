@@ -20,7 +20,6 @@ from provpurpose import (
     EmptyPurposeSetError,
     ExternalFunction,
     FunctionCall,
-    HierarchicalPurposeSet,
     InternalFunction,
     MatchValue,
     NullCondition,
@@ -29,6 +28,7 @@ from provpurpose import (
     PrecedenceKind,
     Predicate,
     ProvenanceGraph,
+    PurposeGraph,
     SetRef,
     TreeBranch,
     TreeLeaf,
@@ -56,6 +56,7 @@ from provpurpose import (
     parse_fida,
     print_fida,
     run_bench,
+    split_result,
 )
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES, ALGEBRA_UNIVERSE, CASE_STUDY
 from oracles import (
@@ -137,23 +138,24 @@ def test_criterion_2_purpose_windows(hierarchy):
 # -- 3: two-stakeholder high/low merge ----------------------------------------------
 
 def test_criterion_3_high_low_merge():
-    s1 = HierarchicalPurposeSet(
-        ha=frozenset({"data analysis"}), la=frozenset({"research", "education"})
+    pg = PurposeGraph(
+        ["data analysis", "auditing", "research", "education", "marketing"],
+        [("data analysis", "research"), ("data analysis", "education"), ("auditing", "marketing")],
+        hierarchy_line=0,
     )
-    s2 = HierarchicalPurposeSet(
-        ha=frozenset({"auditing"}), la=frozenset({"education", "marketing"})
-    )
+    s1 = split_result(pg, {"data analysis", "research", "education"}, ())
+    s2 = split_result(pg, {"auditing", "education", "marketing"}, ())
     out = apply_internal(InternalFunction.DCAP, s1, s2)
+    high, low = pg.split_static(out.allowed())
     ok = (
-        out.ha == {"data analysis", "auditing"}
-        and out.la == {"education"}
-        and out.hp == frozenset()
-        and out.lp == frozenset()
+        high == {"data analysis", "auditing"}
+        and low == {"education"}
+        and pg.split_static(out.prohibited()) == (frozenset(), frozenset())
     )
     _report(
         3,
         ok,
-        f"high={sorted(out.ha)} low={sorted(out.la)} "
+        f"high={sorted(high)} low={sorted(low)} "
         "(want high=['auditing', 'data analysis'] low=['education'])",
     )
 
@@ -203,7 +205,7 @@ def test_criterion_4_algebra_oracle_equivalence(algebra_dag):
         for la in low_subsets
         for lp in low_subsets
     ]  # 256
-    operands = [HierarchicalPurposeSet(*state) for state in states]
+    operands = [split_result(algebra_dag, ha | la, hp | lp) for ha, hp, la, lp in states]
     n_internal_pairs = len(states) ** 2
     for fn in InternalFunction:
         bad = 0
@@ -212,7 +214,9 @@ def test_criterion_4_algebra_oracle_equivalence(algebra_dag):
             for j, sj in enumerate(operands):
                 got = apply_internal(fn, si, sj)
                 want = oracle_internal(fn.value, state_i, states[j], universe)
-                if (got.ha, got.hp, got.la, got.lp) != want:
+                ha, la = algebra_dag.split_static(got.allowed())
+                hp, lp = algebra_dag.split_static(got.prohibited())
+                if (ha, hp, la, lp) != want:
                     bad += 1
         if bad:
             mismatches.append(f"internal {fn.value}: {bad} of {n_internal_pairs} pairs")

@@ -17,6 +17,7 @@ from provpurpose import (
     InputFormatError,
     InternalFunction,
     PrecedenceKind,
+    PurposeGraph,
     SetRef,
     UnboundNameError,
     apply_internal,
@@ -45,6 +46,8 @@ from oracles import (
     oracle_internal,
     oracle_nary,
     oracle_tokenize,
+    reference_eval_fida,
+    reference_split_result,
 )
 
 A = frozenset({"high1", "low1"})
@@ -106,8 +109,9 @@ def test_precedence_matches_oracle_samples(algebra_dag):
 
 def test_split_result_tags_graph(algebra_dag):
     s = split_result(algebra_dag, {"high1", "low2"}, {"low1"})
-    assert s.ha == {"high1"} and s.la == {"low2"}
-    assert s.hp == frozenset() and s.lp == {"low1"}
+    ha, hp, la, lp = _parts(s)
+    assert ha == {"high1"} and la == {"low2"}
+    assert hp == frozenset() and lp == {"low1"}
     assert s.graph is algebra_dag
     assert s.allowed() == {"high1", "low2"}
     assert s.prohibited() == {"low1"}
@@ -134,26 +138,43 @@ def test_merge_rejects_mixed_graphs(algebra_dag, hierarchy):
         apply_nary([s1, s2])
 
 
+# a, b, x, y, h1 and h2 sit at the hierarchy line; p, q, l1 and l2 below it.
+_SMALL = PurposeGraph(
+    ["a", "b", "x", "y", "h1", "h2", "p", "q", "l1", "l2"],
+    [("a", "p"), ("a", "q"), ("h1", "l1"), ("h1", "l2")],
+    hierarchy_line=0,
+)
+
+
 def _h(ha=(), hp=(), la=(), lp=()):
-    return HierarchicalPurposeSet(frozenset(ha), frozenset(hp), frozenset(la), frozenset(lp))
+    return split_result(_SMALL, frozenset(ha) | frozenset(la), frozenset(hp) | frozenset(lp))
+
+
+def _parts(s):
+    """(ha, hp, la, lp): a set's allowed and prohibited sides cut at its graph's line."""
+    ha, la = s.graph.split_static(s.allowed())
+    hp, lp = s.graph.split_static(s.prohibited())
+    return ha, hp, la, lp
 
 
 def test_internal_merge_hand_example():
     si = _h(ha={"a"}, la={"p"}, lp={"q"})
     sj = _h(ha={"b"}, hp={"a"}, la={"p", "q"}, lp={"q"})
     out = apply_internal(InternalFunction.OPLUS, si, sj)
-    assert out.ha == frozenset()          # {a}&{b} = {} minus hp
-    assert out.hp == frozenset()          # {} - {a}
-    assert out.la == {"p", "q"}           # union minus lp
-    assert out.lp == frozenset()          # {q} - {q}
+    ha, hp, la, lp = _parts(out)
+    assert ha == frozenset()          # {a}&{b} = {} minus hp
+    assert hp == frozenset()          # {} - {a}
+    assert la == {"p", "q"}           # union minus lp
+    assert lp == frozenset()          # {q} - {q}
 
 
 def test_boxdot_always_clears_high_prohibited():
     si = _h(ha={"a"}, hp={"x"}, la={"p"})
     sj = _h(ha={"b"}, hp={"y"}, la={"p"})
     out = apply_internal(InternalFunction.BOXDOT, si, sj)
-    assert out.hp == frozenset()
-    assert out.ha == {"a", "b"}  # symmetric difference, nothing prohibited
+    ha, hp, _, _ = _parts(out)
+    assert hp == frozenset()
+    assert ha == {"a", "b"}  # symmetric difference, nothing prohibited
 
 
 def test_all_internal_functions_match_oracle_samples():
@@ -174,13 +195,8 @@ def test_all_internal_functions_match_oracle_samples():
         si, sj = sample(), sample()
         for fn in InternalFunction:
             got = apply_internal(fn, si, sj)
-            want = oracle_internal(
-                fn.value,
-                (si.ha, si.hp, si.la, si.lp),
-                (sj.ha, sj.hp, sj.la, sj.lp),
-                universe,
-            )
-            assert (got.ha, got.hp, got.la, got.lp) == want, fn.value
+            want = oracle_internal(fn.value, _parts(si), _parts(sj), universe)
+            assert _parts(got) == want, fn.value
 
 
 def test_nary_merge_matches_oracle_samples():
@@ -200,8 +216,8 @@ def test_nary_merge_matches_oracle_samples():
     for _ in range(80):
         sets = [sample() for _ in range(rng.randint(2, 5))]
         got = apply_nary(sets)
-        want = oracle_nary([(s.ha, s.hp, s.la, s.lp) for s in sets], universe)
-        assert (got.ha, got.hp, got.la, got.lp) == want
+        want = oracle_nary([_parts(s) for s in sets], universe)
+        assert _parts(got) == want
 
 
 def test_nary_needs_two_operands():
@@ -337,10 +353,11 @@ def test_eval_infix_is_componentwise(algebra_dag):
         "S2": split_result(algebra_dag, {"high2", "low1"}, {"low2"}),
     }
     out = eval_fida("S1 + S2", env)
-    assert out.ha == {"high1", "high2"} and out.la == {"low1"}
-    assert out.lp == {"low2"}
-    inter = eval_fida("S1 & S2", env)
-    assert inter.ha == frozenset() and inter.la == {"low1"}
+    ha, _, la, lp = _parts(out)
+    assert ha == {"high1", "high2"} and la == {"low1"}
+    assert lp == {"low2"}
+    ha, _, la, _ = _parts(eval_fida("S1 & S2", env))
+    assert ha == frozenset() and la == {"low1"}
 
 
 def test_eval_precedence_picks_whole_operand(algebra_dag):
@@ -363,7 +380,7 @@ def test_eval_precedence_uses_operand_graph_tags(algebra_dag):
 
 
 def test_eval_precedence_without_any_graph_raises():
-    env = {"P": _h(ha={"a"}), "Q": _h(ha={"b"})}
+    env = {"P": HierarchicalPurposeSet(frozenset({"a"})), "Q": HierarchicalPurposeSet(frozenset({"b"}))}
     with pytest.raises(ConfigurationError):
         eval_fida("P upmax Q", env)
 
@@ -374,7 +391,7 @@ def test_eval_precedence_empty_sides(algebra_dag):
     out = eval_fida("A upmin B", {"A": hollow, "B": full}, algebra_dag)
     assert out == full
     both = eval_fida("A upmin B", {"A": hollow, "B": hollow}, algebra_dag)
-    assert both.allowed() == frozenset() and both.hp == {"high1"}
+    assert both.allowed() == frozenset() and _parts(both)[1] == {"high1"}
 
 
 def test_eval_precedence_tie_unions_components(algebra_dag):
@@ -383,8 +400,9 @@ def test_eval_precedence_tie_unions_components(algebra_dag):
         "R": split_result(algebra_dag, {"side1"}, {"low2"}),
     }
     out = eval_fida("L downmax R", env, algebra_dag)
-    assert out.ha == {"high1", "side1"}
-    assert out.lp == {"low1", "low2"}
+    ha, _, _, lp = _parts(out)
+    assert ha == {"high1", "side1"}
+    assert lp == {"low1", "low2"}
 
 
 def test_eval_function_calls(algebra_dag):
@@ -491,6 +509,61 @@ def test_three_evaluators_agree_without_prohibitions(algebra_dag, expr, sets):
     plain = eval_fida_plain(expr, env, algebra_dag)
     party = merge_parties(parties, print_fida(expr), algebra_dag)
     assert hierarchical == plain == party
+
+
+@st.composite
+def _layered_graph(draw):
+    """A random layered purpose DAG: every purpose below layer 0 has a parent one layer up."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    layers = [[f"p{k}_{i}" for i in range(w)] for k, w in enumerate(widths)]
+    edges = []
+    for upper, lower in zip(layers, layers[1:]):
+        for child in lower:
+            parents = draw(st.lists(st.sampled_from(upper), min_size=1, max_size=2, unique=True))
+            edges += [(parent, child) for parent in parents]
+    line = draw(st.integers(0, len(layers)))  # up to one past the deepest rank
+    return PurposeGraph([p for layer in layers for p in layer], edges, hierarchy_line=line)
+
+
+_COMBINATORS = [fn.value for fn in InternalFunction] + ["f_nary"] + list(BasicOp)
+
+
+def _combine(how, args):
+    if isinstance(how, BasicOp):
+        return BinaryOp(how, args[0], args[1])
+    return FunctionCall(how, tuple(args))
+
+
+@st.composite
+def _mixed_expr(draw, names):
+    """An expression over at least three operands mixing every function and operator."""
+    leaf = st.sampled_from(names).map(SetRef)
+
+    def node(children):
+        return st.tuples(st.sampled_from(_COMBINATORS), st.lists(children, min_size=2, max_size=3)).map(
+            lambda t: _combine(t[0], t[1] if t[0] == "f_nary" else t[1][:2])
+        )
+
+    parts = draw(st.lists(st.recursive(leaf, node, max_leaves=6), min_size=3, max_size=3))
+    outer, inner = draw(st.lists(st.sampled_from(_COMBINATORS), min_size=2, max_size=2))
+    return _combine(outer, [parts[0], _combine(inner, parts[1:])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_merges_match_the_four_part_reference(data):
+    pg = data.draw(_layered_graph())
+    pool = sorted(pg.purposes)
+    subsets = st.frozensets(st.sampled_from(pool))
+    names = ["A", "B", "C", "D"]
+    sides = {n: (data.draw(subsets), data.draw(subsets)) for n in names}
+    expr = data.draw(_mixed_expr(names))
+    got = eval_fida(expr, {n: split_result(pg, ap, pp) for n, (ap, pp) in sides.items()}, pg)
+    ref_env = {n: reference_split_result(pg, ap, pp) for n, (ap, pp) in sides.items()}
+    want = reference_eval_fida(expr, ref_env, pg)
+    assert got.allowed() == want.allowed() and got.prohibited() == want.prohibited()
+    assert pg.split_static(got.allowed()) == (want.ha, want.la)
+    assert pg.split_static(got.prohibited()) == (want.hp, want.lp)
 
 
 # Every alias and operator spelling (and the arrows that only start one), a bare

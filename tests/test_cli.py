@@ -298,6 +298,42 @@ def test_bench_tiny_run_shape(capsys):
     assert all(v >= 0 for v in got["generation_mean_seconds"].values())
 
 
+def _case_study_doc(name, **changes):
+    doc = json.loads((CASE_STUDY / name).read_text())
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "option, doc, message",
+    [
+        ("--policy", _case_study_doc("repository_policy.json", AP="abc"), '"AP" must be an array'),
+        ("--graph", {"vertices": 3}, '"vertices" must be an array'),
+        ("--request", _case_study_doc("request.json", query_attrs=[]), '"query_attrs" must be an object'),
+    ],
+)
+def test_field_error_names_its_file_once(capsys, tmp_path, option, doc, message):
+    bad = tmp_path / "b.json"
+    bad.write_text(json.dumps(doc))
+    argv = _case_study_eval_args()
+    # the last --policy is the repository's, so a valid policy file comes first
+    at = max(i for i, arg in enumerate(argv) if arg == option)
+    argv[at + 1] = str(bad)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err == f"error: {bad}: {message}\n"
+
+
+def test_validate_and_merge_name_the_faulty_file(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"policies": [{"provenance_partitions": {"p": {"null": True}}, "AP": "abc"}]}))
+    code, out, err = _run(capsys, "validate", "--policy", str(bad))
+    assert (code, err) == (2, f'error: {bad}: "AP" must be an array\n')
+    bad.write_text(json.dumps({"ap": ["x"], "pp": "abc"}))
+    code, out, err = _run(capsys, "merge", "--party", str(bad), "--external", "F3")
+    assert (code, err) == (2, f'error: {bad}: "pp" must be an array\n')
+
+
 def test_output_is_stable_json(capsys):
     code, out, err = _run(capsys, *_case_study_eval_args())
     assert code == 0

@@ -6,6 +6,7 @@ from provpurpose import (
     ConfigurationError,
     DataRecord,
     FunctionCall,
+    MissingHierarchyLineError,
     NullCondition,
     PartyConfig,
     Policy,
@@ -197,6 +198,16 @@ def test_stage_labels():
     with pytest.raises(StageError) as err:
         decide(carrying, Request("s"), [ok], "F3", pg)
     assert err.value.stage == "attached-purpose-intersection"
+
+
+def test_graph_without_hierarchy_line_fails_internal_merge(tiny_graph):
+    # the default f_dotplus fold never cuts, so only the per-policy check catches it
+    pg = PurposeGraph(["root", "mid"], [("root", "mid")])
+    cfg = PartyConfig("owner", (_null_policy("p1", ap={"mid"}), _null_policy("p2", ap={"root"})))
+    with pytest.raises(StageError) as err:
+        decide(DataRecord(tiny_graph), Request("anyone"), [cfg], "F3", pg)
+    assert err.value.stage == "internal-merge"
+    assert isinstance(err.value.cause, MissingHierarchyLineError)
 
 
 def test_duplicate_policy_ids_rejected(tiny_graph, small_pg):

@@ -27,6 +27,7 @@ from provpurpose import (
     role_leq,
     role_order_from_dict,
 )
+from provpurpose.algebra import MAX_NESTING
 from conftest import load_case_study_json
 from oracles import oracle_fold_tree
 
@@ -290,3 +291,23 @@ def test_case_study_policy_files_load():
     repo = policy_from_dict(load_case_study_json("repository_policy.json"))
     assert repo.ptype == 3
     assert repo.categories is None
+
+
+def _nested_policy(levels: int) -> dict:
+    tree = "p"
+    for i in range(levels):
+        tree = {"AND" if i % 2 else "OR": [tree]}
+    partitions = {"p": {"vertex": ["Agent", "alice"]}}
+    return {"provenance_partitions": partitions, "access_tree": tree, "AP": ["x"]}
+
+
+def test_tree_at_the_nesting_limit_decodes_and_evaluates(tiny_graph):
+    pol = policy_from_dict(_nested_policy(MAX_NESTING))
+    decision = evaluate_policy(pol, tiny_graph, Request("anyone"))
+    assert decision.applicable and decision.ap == {"x"}
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 3000])
+def test_tree_beyond_the_nesting_limit_is_an_input_error(levels):
+    with pytest.raises(InputFormatError, match=f"deeper than {MAX_NESTING} levels"):
+        policy_from_dict(_nested_policy(levels))
