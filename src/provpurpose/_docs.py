@@ -3,8 +3,8 @@
 Every loader reads its file with :func:`load`, which parses the JSON with
 :func:`load_json` and decodes it, and its fields with the readers below, so
 each rule lives in one place. A reader raises :class:`InputFormatError` naming
-the field, and :func:`load` puts the file's path in front; none coerces a
-value of the wrong shape.
+the field, and :func:`load` puts the file's path in front of that and of any
+other error decoding raises; no reader coerces a value of the wrong shape.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cache
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
-from .errors import InputFormatError
+from .errors import InputFormatError, ProvPurposeError
 
 E = TypeVar("E", bound=Enum)
 T = TypeVar("T")
@@ -36,12 +36,16 @@ def load_json(path: str) -> Any:
 
 
 def load(path: str, decode: Callable[[Any], T]) -> T:
-    """Decode the JSON file at `path`; every input error names the file once."""
+    """Decode the JSON file at `path`; every error decoding raises names the file once.
+
+    The error keeps its class and fields; only its message gains the path.
+    """
     doc = load_json(path)
     try:
         return decode(doc)
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+    except ProvPurposeError as exc:
+        exc.args = (f"{path}: {exc.args[0]}", *exc.args[1:])
+        raise
 
 
 def obj(value: Any, what: str) -> Mapping[str, Any]:

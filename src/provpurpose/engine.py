@@ -5,10 +5,10 @@ A decision runs in four stages:
 1. policy-evaluation: every policy of every party is checked against the
    record's provenance graph and the request; applicable policies contribute
    their allowed/prohibited purposes, the rest contribute empty sets.
-2. internal-merge: each party's per-policy sets are merged with the party's
-   expression, each merge cutting at the purpose graph's hierarchy line.
-   Without an explicit expression a single policy stands as is and several
-   policies are folded left to right with f_dotplus.
+2. internal-merge: each party's per-policy sets, checked in stage 1, are
+   merged with the party's expression, each merge cutting at the purpose
+   graph's hierarchy line. Without an explicit expression a single policy
+   stands as is and several policies are folded left to right with f_dotplus.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set.
 4. attached-purpose-intersection: when the record carries attached purposes,
@@ -24,8 +24,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
-from .algebra import FidaExpr, eval_fida, left_fold_expr, parse_fida, print_fida, split_result
-from .errors import ConfigurationError, ProvPurposeError, StageError
+from .algebra import FidaExpr, HierarchicalPurposeSet, eval_fida, left_fold_expr, parse_fida, print_fida
+
+# evaluate_policy checks each policy's purposes; this name stays bound for decidebench's tracer.
+from .algebra import split_result  # noqa: F401
+from .errors import ConfigurationError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties
 from .policy import Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
 from .provenance import ProvenanceGraph
@@ -128,7 +131,9 @@ def decide(
         except ProvPurposeError as exc:
             raise StageError("policy-evaluation", exc) from exc
         try:
-            env = {pid: split_result(pg, d.ap, d.pp) for pid, d in pairs}
+            if pg.hierarchy_line is None:
+                raise MissingHierarchyLineError("purpose graph has no hierarchy line")
+            env = {pid: HierarchicalPurposeSet(d.ap, d.pp, graph=pg) for pid, d in pairs}
             merged = eval_fida(cfg.merge_expr, env, pg)
             result = PartyResult(cfg.party, merged.ap, merged.pp)
         except ProvPurposeError as exc:

@@ -283,16 +283,16 @@ def _find_embedding(
 ) -> bool:
     """Whether some injective, edge-preserving placement of the pattern exists.
 
-    For partitions of two or more vertices. The first vertex's candidates
-    come from the graph's type/name index, so no other vertex is ever tried
-    for it.
+    The first vertex's candidates come from the graph's type/name index, so
+    no other vertex is ever tried for it; a one-vertex pattern needs nothing
+    more.
     """
     plan = partition.plan
     root = plan[0]
     for start in graph.ids_of(root.vtype, root.name if check_names else None):
         if check_attrs and not _attrs_hold(root, start, graph):
             continue
-        if _extend(plan, graph, {root.ref: start}, check_names, check_attrs):
+        if len(plan) == 1 or _extend(plan, graph, {root.ref: start}, check_names, check_attrs):
             return True
     return False
 
@@ -329,16 +329,6 @@ def _extend(
     return False
 
 
-def _match_vertex(pv: PatternVertex, graph: ProvenanceGraph) -> MatchValue:
-    """The best stratum of a one-vertex partition, in one pass over its name's vertices."""
-    named = graph.ids_of(pv.vtype, pv.name)
-    if any(_attrs_hold(pv, vid, graph) for vid in named):
-        return MatchValue.FULL
-    if named:
-        return MatchValue.NAMES
-    return MatchValue.TYPES if graph.ids_of(pv.vtype) else MatchValue.NONE
-
-
 def match_partition(partition: ProvenancePartition, graph: ProvenanceGraph) -> MatchValue:
     """Best stratum at which the partition embeds into the graph.
 
@@ -346,8 +336,6 @@ def match_partition(partition: ProvenancePartition, graph: ProvenanceGraph) -> M
     again: without constraints FULL and NAMES are one search, and without
     names NAMES and TYPES are.
     """
-    if len(partition.vertices) == 1:
-        return _match_vertex(partition.vertices[0], graph)
     if _find_embedding(partition, graph, check_names=True, check_attrs=True):
         return MatchValue.FULL
     vertices = partition.vertices
@@ -486,7 +474,10 @@ def _parse_target_value(raw: str, pos: int) -> AttrValue:
     if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
         return raw[1:-1]
     if re.fullmatch(r"-?\d+", raw):
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            raise PatternSyntaxError(f"integer of {len(raw.lstrip('-'))} digits is too long", pos) from None
     if _DATE_RE.match(raw):
         try:
             return datetime.fromisoformat(raw)

@@ -76,12 +76,19 @@ class TreeLeaf:
 
 @dataclass(frozen=True)
 class TreeBranch:
+    """An operator over subtrees; branches nest at most `MAX_NESTING` levels deep."""
+
     op: TreeOp
     children: tuple["AccessTree", ...]
+    depth: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.children:
             raise InputFormatError("access tree branch needs at least one child")
+        depth = 1 + max((c.depth for c in self.children if isinstance(c, TreeBranch)), default=0)
+        if depth > MAX_NESTING:
+            raise InputFormatError(f"access tree nests deeper than {MAX_NESTING} levels")
+        object.__setattr__(self, "depth", depth)
 
 
 AccessTree = Union[TreeLeaf, TreeBranch]
@@ -190,11 +197,10 @@ def evaluate_policy(
     guards; otherwise both sets come back empty and the trace fields say why.
     """
     if purpose_graph is not None:
-        unknown = (policy.ap | policy.pp) - purpose_graph.purposes
-        if unknown:
-            raise ConfigurationError(
-                f"policy {policy.id!r} uses purpose {min(unknown)!r} not in the purpose graph"
-            )
+        known = purpose_graph.purposes
+        if not (policy.ap <= known and policy.pp <= known):
+            unknown = min((policy.ap | policy.pp) - known)
+            raise ConfigurationError(f"policy {policy.id!r} uses purpose {unknown!r} not in the purpose graph")
     guards_ok = guards_pass(policy, request, data_category, role_order)
     tree_value = eval_access_tree(policy.tree, graph, request.query_attrs)
     applicable = guards_ok and tree_value is MatchValue.FULL
@@ -263,7 +269,11 @@ def condition_from_dict(doc: Mapping[str, Any]) -> LeafCondition:
 
 
 def _tree_from_dict(doc: Any, leaves: Mapping[str, LeafCondition], depth: int = 1) -> AccessTree:
-    """Decode a tree; its operator nodes nest at most `MAX_NESTING` levels deep."""
+    """Decode a tree; its operator nodes nest at most `MAX_NESTING` levels deep.
+
+    The bound is checked on the way down, before any branch exists, so a
+    deeper document never drives the decoder's recursion past it.
+    """
     if isinstance(doc, str):
         if doc not in leaves:
             raise InputFormatError(f"access tree references unknown partition {doc!r}")

@@ -44,12 +44,14 @@ from provpurpose.errors import (
 )
 from provpurpose.matching import (
     MatchValue,
+    NullCondition,
     PathPattern,
     PathStep,
     PatternVertex,
     ProvenancePartition,
     eval_predicate,
 )
+from provpurpose.policy import TreeLeaf
 from provpurpose.provenance import EdgeLabel, ProvEdge, ProvenanceGraph
 from provpurpose.purposes import PurposeGraph, PurposeSet
 
@@ -760,3 +762,140 @@ def reference_eval_fida(
         return l if winner < 0 else r if winner > 0 else _componentwise(op_union, l, r)
 
     return fold(expr, _binding(env, "set bound to"), _merge_call, infix)
+
+
+# -- whole decisions from first principles ---------------------------------------------
+# Expressions are trees of tuples: ("ref", name), ("call", function, args) or
+# ("op", operator, left, right), with operators spelled as in expression text.
+
+_O_SET_OPS = {"+": o_union, "&": o_inter, "^-": o_symdiff, "-": o_minus}
+
+
+def _o_covers(junior, senior, role_order):
+    """Reflexive-transitive closure of junior -> seniors, grown to a fixpoint."""
+    reach = {junior}
+    while True:
+        grown = reach | {s for r in reach for s in role_order.get(r, ())}
+        if grown == reach:
+            return senior in reach
+        reach = grown
+
+
+def _o_guards(policy, subject, category, role_order):
+    if policy.subjects is not None and not any(
+        _o_covers(subject, s, role_order) for s in policy.subjects
+    ):
+        return False
+    if policy.categories is not None:
+        # a data category is covered by a policy category it equals or occurs in
+        if category is None or not any(category in k for k in policy.categories):
+            return False
+    return True
+
+
+def _o_full(tree, graph):
+    """Whether an access tree of null and vertex leaves is a FULL match."""
+    if isinstance(tree, TreeLeaf):
+        cond = tree.condition
+        if isinstance(cond, NullCondition):
+            return True
+        return any(
+            graph.vertex(vid).vtype is cond.vtype and graph.vertex(vid).name == cond.name
+            for vid in graph.vertices
+        )
+    values = [_o_full(child, graph) for child in tree.children]
+    return all(values) if tree.op.value == "AND" else any(values)
+
+
+def _o_winner(kind, a, b, ranks):
+    """-1, 1 or 0 as `a` wins, `b` wins or they tie; an empty operand loses."""
+    if not a or not b:
+        return (1 if b else 0) - (1 if a else 0)
+    if kind in ("upmax", "downmax"):
+        ka, kb = min(ranks[x] for x in a), min(ranks[x] for x in b)
+    else:
+        ka, kb = max(ranks[x] for x in a), max(ranks[x] for x in b)
+    if ka == kb:
+        return 0
+    a_wins = (ka < kb) if kind in ("upmax", "upmin") else (ka > kb)
+    return -1 if a_wins else 1
+
+
+def _o_internal_expr(tree, env, universe, ranks):
+    tag = tree[0]
+    if tag == "ref":
+        return env[tree[1]]
+    if tag == "call":
+        args = [_o_internal_expr(a, env, universe, ranks) for a in tree[2]]
+        if tree[1] == "f_nary":
+            return oracle_nary(args, universe)
+        return oracle_internal(tree[1], args[0], args[1], universe)
+    op = tree[1]
+    l = _o_internal_expr(tree[2], env, universe, ranks)
+    r = _o_internal_expr(tree[3], env, universe, ranks)
+    if op in _O_SET_OPS:
+        return tuple(_O_SET_OPS[op](universe, x, y) for x, y in zip(l, r))
+    winner = _o_winner(op, l[0] | l[2], r[0] | r[2], ranks)
+    if winner:
+        return l if winner < 0 else r
+    return tuple(o_union(universe, x, y) for x, y in zip(l, r))
+
+
+def _o_external_expr(tree, env, universe, ranks):
+    """A party value is an (allowed, prohibited) pair; a merged one prohibits nothing."""
+    tag = tree[0]
+    if tag == "ref":
+        return env[tree[1]]
+    if tag == "call":
+        (ap_m, pp_m), (ap_n, pp_n) = (_o_external_expr(a, env, universe, ranks) for a in tree[2])
+        return oracle_external(tree[1], ap_m, pp_m, ap_n, pp_n, universe, ranks), frozenset()
+    op = tree[1]
+    l, r = (o_minus(universe, *_o_external_expr(t, env, universe, ranks)) for t in tree[2:])
+    if op in _O_SET_OPS:
+        return _O_SET_OPS[op](universe, l, r), frozenset()
+    return o_precedence_total(op, l, r, ranks, universe), frozenset()
+
+
+def _o_left_fold(function, names):
+    tree = ("ref", names[0])
+    for name in names[1:]:
+        tree = ("call", function, (tree, ("ref", name)))
+    return tree
+
+
+def oracle_decide(
+    graph, category, subject, role_order, parties, external, purposes, edges, line, attached=None
+):
+    """The decided set and each party's (allowed, prohibited) pair.
+
+    `parties` lists (name, policies, expression); expression None folds the
+    policies left to right with f_dotplus. `external` is a bare F1-F8 name,
+    folded over the parties in order, or an expression tree over party
+    names. Each applicable policy's sets are cut at the hierarchy line into
+    four parts; the others contribute four empty parts.
+    """
+    universe = frozenset(purposes)
+    ranks = brute_force_ranks(purposes, edges)
+    high = frozenset(p for p in universe if ranks[p] <= line)
+    results = {}
+    for name, policies, expr in parties:
+        env = {}
+        for policy in policies:
+            if _o_guards(policy, subject, category, role_order or {}) and _o_full(policy.tree, graph):
+                ap, pp = policy.ap, policy.pp
+            else:
+                ap = pp = frozenset()
+            env[policy.id] = (
+                o_inter(universe, ap, high), o_inter(universe, pp, high),
+                o_minus(universe, ap, high), o_minus(universe, pp, high),
+            )
+        if expr is None:
+            expr = _o_left_fold("f_dotplus", [p.id for p in policies])
+        ha, hp, la, lp = _o_internal_expr(expr, env, universe, ranks)
+        results[name] = (o_union(universe, ha, la), o_union(universe, hp, lp))
+    if isinstance(external, str):
+        external = _o_left_fold(external, list(results))
+    decided = o_minus(universe, *_o_external_expr(external, results, universe, ranks))
+    if attached is not None:
+        decided = o_inter(universe, decided, attached)
+    return decided, [results[name] for name, _, _ in parties]

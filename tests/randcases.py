@@ -1,20 +1,29 @@
-"""Seeded random graphs and patterns for oracle comparisons."""
+"""Seeded random graphs, patterns and decision cases for oracle comparisons."""
 
 from __future__ import annotations
 
 import random
+from typing import NamedTuple, Sequence
 
 from provpurpose import (
     ALLOWED_EDGES,
     AttrConstraint,
+    BasicOp,
     EdgeLabel,
+    InternalFunction,
+    NullCondition,
     PathPattern,
     PathStep,
     PatternEdge,
     PatternVertex,
+    Policy,
     Predicate,
     ProvenanceGraph,
     ProvenancePartition,
+    TreeBranch,
+    TreeLeaf,
+    TreeOp,
+    VertexCondition,
     VertexType,
 )
 
@@ -198,3 +207,121 @@ def random_path_pattern(rng: random.Random) -> PathPattern:
             token = rng.choice(_PATH_TOKENS) if rng.random() < 0.5 else "nolabel"
             steps.append(PathStep(token, rng.choice(_DAG_NAMES + ("nope",))))
     return PathPattern(tuple(steps))
+
+
+# -- whole decision cases for the end-to-end oracle -----------------------------------
+
+_ROLES = ("viewer", "editor", "admin", "owner")
+_CATEGORIES = ("assignment", "assignments", "grades", "grade")
+_INTERNAL_FUNCTIONS = tuple(fn.value for fn in InternalFunction) + ("f_nary",)
+_EXTERNAL_FUNCTIONS = tuple(f"F{i}" for i in range(1, 9))
+_INFIX = tuple(op.value for op in BasicOp)
+
+
+class DecisionCase(NamedTuple):
+    """The inputs of one decision; expressions are trees, as `oracles.oracle_decide` reads them."""
+
+    graph: ProvenanceGraph
+    category: str | None
+    subject: str
+    role_order: dict[str, frozenset[str]] | None
+    parties: list[tuple[str, tuple[Policy, ...], tuple | None]]
+    external: str | tuple
+    purposes: list[str]
+    edges: list[tuple[str, str]]
+    line: int
+    attached: frozenset[str] | None
+
+
+def _subset(rng: random.Random, pool: Sequence[str], p: float = 0.45) -> frozenset[str]:
+    return frozenset(x for x in pool if rng.random() < p)
+
+
+def _random_tree(rng: random.Random, depth: int = 0):
+    if depth == 2 or rng.random() < 0.6:
+        if rng.random() < 0.6:
+            return TreeLeaf(NullCondition())
+        return TreeLeaf(VertexCondition(rng.choice(_MAIN_TYPES), rng.choice(_NAMES[:3])))
+    children = tuple(_random_tree(rng, depth + 1) for _ in range(rng.randint(1, 3)))
+    return TreeBranch(rng.choice(list(TreeOp)), children)
+
+
+def _random_policy(rng: random.Random, pid: str, pool: Sequence[str]) -> Policy:
+    ptype = rng.randint(1, 4)
+    ap = _subset(rng, pool) if ptype != 2 else frozenset()
+    pp = _subset(rng, pool) if ptype != 1 else frozenset()
+    subjects = categories = None
+    if ptype == 4:
+        roll = rng.random()
+        if roll < 0.7:
+            subjects = frozenset(rng.sample(_ROLES, rng.randint(1, 2)))
+        if roll > 0.4:
+            categories = frozenset(rng.sample(_CATEGORIES, rng.randint(1, 2)))
+    return Policy(pid, ptype, _random_tree(rng), ap=ap, pp=pp, subjects=subjects, categories=categories)
+
+
+def _random_expr_tree(rng: random.Random, names: Sequence[str], functions: Sequence[str], leaves: int):
+    """A tree of `leaves` name leaves joined by `functions` and the eight infix operators.
+
+    Trees are ("ref", name), ("call", function, args) or ("op", operator, left, right).
+    """
+    if leaves == 1:
+        return "ref", rng.choice(names)
+    how = rng.choice(tuple(functions) + _INFIX)
+    if how == "f_nary" and leaves >= 3:
+        cut1, cut2 = sorted(rng.sample(range(1, leaves), 2))
+        sizes = (cut1, cut2 - cut1, leaves - cut2)
+        return "call", how, tuple(_random_expr_tree(rng, names, functions, n) for n in sizes)
+    cut = rng.randint(1, leaves - 1)
+    left = _random_expr_tree(rng, names, functions, cut)
+    right = _random_expr_tree(rng, names, functions, leaves - cut)
+    return ("op", how, left, right) if how in _INFIX else ("call", how, (left, right))
+
+
+def random_decision_case(rng: random.Random) -> DecisionCase:
+    """1-4 parties of 1-6 policies of every type over a layered purpose DAG.
+
+    Policies carry guards and null or vertex leaves that may or may not hold;
+    each party merges by the default fold or by an expression, and the
+    parties merge by a bare F1-F8 name or by an expression. A party has one
+    policy more often than any other number, so its prohibitions reach the
+    cross-party merge unmerged.
+    """
+    layers = [[f"p{k}_{i}" for i in range(rng.randint(1, 3))] for k in range(rng.randint(2, 4))]
+    edges = [
+        (parent, child)
+        for upper, lower in zip(layers, layers[1:])
+        for child in lower
+        for parent in rng.sample(upper, rng.randint(1, min(2, len(upper))))
+    ]
+    purposes = [p for layer in layers for p in layer]
+    graph = ProvenanceGraph()
+    for _ in range(rng.randint(1, 6)):
+        graph.add_vertex(rng.choice(_MAIN_TYPES), rng.choice(_NAMES[:3]))
+    parties = []
+    for i in range(rng.randint(1, 4)):
+        ids = [f"q{j}" for j in range(rng.choice((1, 1, 2, 3, 4, 5, 6)))]
+        policies = tuple(_random_policy(rng, pid, purposes) for pid in ids)
+        expr = None
+        if rng.random() < 0.7:
+            expr = _random_expr_tree(rng, ids, _INTERNAL_FUNCTIONS, rng.randint(2, 6))
+        parties.append((f"P{i}", policies, expr))
+    names = [name for name, _, _ in parties]
+    external: str | tuple = rng.choice(_EXTERNAL_FUNCTIONS)
+    if rng.random() < 0.6:
+        external = _random_expr_tree(rng, names, _EXTERNAL_FUNCTIONS, rng.randint(2, 5))
+    role_order = None
+    if rng.random() < 0.7:
+        role_order = {r: frozenset(rng.sample(_ROLES, rng.randint(0, 1))) for r in rng.sample(_ROLES, 3)}
+    return DecisionCase(
+        graph=graph,
+        category=rng.choice((None,) + _CATEGORIES),
+        subject=rng.choice(_ROLES),
+        role_order=role_order,
+        parties=parties,
+        external=external,
+        purposes=purposes,
+        edges=edges,
+        line=rng.randint(0, len(layers)),
+        attached=_subset(rng, purposes, 0.6) if rng.random() < 0.4 else None,
+    )

@@ -310,6 +310,28 @@ def _case_study_doc(name, **changes):
         ("--policy", _case_study_doc("repository_policy.json", AP="abc"), '"AP" must be an array'),
         ("--graph", {"vertices": 3}, '"vertices" must be an array'),
         ("--request", _case_study_doc("request.json", query_attrs=[]), '"query_attrs" must be an object'),
+        (
+            "--graph",
+            _case_study_doc("graph.json", edges=[{"src": "submit", "dst": "ghost", "label": "used"}]),
+            "edge endpoint 'ghost' is not a vertex",
+        ),
+        (
+            "--policy",
+            _case_study_doc("repository_policy.json", provenance_partitions={"p": {"path": "((("}}),
+            "step '(((' is not LABEL|NAME (at position 0)",
+        ),
+        (
+            "--purposes",
+            _case_study_doc("purposes.json", edges=[["education", "zz"]]),
+            "edge endpoint 'zz' is not a listed purpose",
+        ),
+        (
+            "--policy",
+            _case_study_doc(
+                "repository_policy.json", provenance_partitions={"p": {"target": "/artifact[x=" + "9" * 5000 + "]"}}
+            ),
+            "integer of 5000 digits is too long (at position 9)",
+        ),
     ],
 )
 def test_field_error_names_its_file_once(capsys, tmp_path, option, doc, message):

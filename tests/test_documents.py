@@ -4,9 +4,11 @@ import pytest
 
 from provpurpose import (
     InputFormatError,
+    PatternSyntaxError,
     VertexType,
     graph_from_dict,
     load_graph,
+    load_policy,
     policy_from_dict,
     purpose_graph_from_dict,
     request_from_dict,
@@ -86,3 +88,12 @@ def test_unreadable_json_file_is_an_input_error(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(InputFormatError, match="graph.json"):
         load_graph(str(path))
+
+
+def test_a_decode_error_gains_the_path_and_keeps_its_class_and_position(tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_text('{"provenance_partitions": {"p": {"path": "((("}}}')
+    with pytest.raises(PatternSyntaxError) as err:
+        load_policy(str(path))
+    assert err.value.position == 0
+    assert str(err.value) == f"{path}: step '(((' is not LABEL|NAME (at position 0)"

@@ -1,6 +1,9 @@
 """The four-stage decision pipeline."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from provpurpose import (
     ConfigurationError,
@@ -28,6 +31,8 @@ from provpurpose import (
     print_fida,
 )
 from conftest import CASE_STUDY
+from oracles import oracle_decide
+from randcases import random_decision_case
 
 
 def _null_policy(pid, ap=(), pp=(), ptype=None):
@@ -322,3 +327,33 @@ def test_case_study_end_to_end():
     for trace in outcome.parties:
         for _, d in trace.decisions:
             assert d.applicable
+
+
+# -- whole decisions against the oracle ----------------------------------------------
+
+def _text(tree):
+    if tree[0] == "ref":
+        return tree[1]
+    if tree[0] == "call":
+        return f"{tree[1]}({', '.join(map(_text, tree[2]))})"
+    return f"({_text(tree[2])} {tree[1]} {_text(tree[3])})"
+
+
+# A case is built from one seed: drawing its dozens of policies and expression
+# trees through strategies makes each example many times slower than a seeded
+# generator does, and the rare cases that tell merges apart need many examples.
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_decide_matches_the_oracle(seed):
+    case = random_decision_case(random.Random(seed))
+    outcome = decide(
+        DataRecord(case.graph, category=case.category, attached_purposes=case.attached),
+        Request(case.subject),
+        [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties],
+        case.external if isinstance(case.external, str) else _text(case.external),
+        PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line),
+        case.role_order,
+    )
+    decided, results = oracle_decide(**case._asdict())
+    assert outcome.decided == decided
+    assert [(t.result.ap, t.result.pp) for t in outcome.parties] == results

@@ -311,3 +311,22 @@ def test_tree_at_the_nesting_limit_decodes_and_evaluates(tiny_graph):
 def test_tree_beyond_the_nesting_limit_is_an_input_error(levels):
     with pytest.raises(InputFormatError, match=f"deeper than {MAX_NESTING} levels"):
         policy_from_dict(_nested_policy(levels))
+
+
+def _chain(levels: int):
+    tree = TreeLeaf(NullCondition())
+    for i in range(levels):
+        tree = TreeBranch(TreeOp.AND if i % 2 else TreeOp.OR, (tree,))
+    return tree
+
+
+def test_built_tree_at_the_nesting_limit_evaluates(tiny_graph):
+    tree = _chain(MAX_NESTING)
+    assert tree.depth == MAX_NESTING
+    assert eval_access_tree(tree, tiny_graph) is MatchValue.FULL
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 3000])
+def test_built_tree_beyond_the_nesting_limit_is_an_input_error(levels):
+    with pytest.raises(InputFormatError, match=f"deeper than {MAX_NESTING} levels"):
+        _chain(levels)
