@@ -7,10 +7,11 @@ combinations are legal; :data:`ALLOWED_EDGES` is that closed set and
 :meth:`ProvenanceGraph.validate` enforces it together with acyclicity.
 
 Attributes are not stored inline on agent/artifact/process vertices. Instead,
-:meth:`ProvenanceGraph.add_vertex` materializes a separate Attribute vertex
-holding the payload and links it with a ``hasAttributes`` edge, so attribute
-data is itself part of the graph. :meth:`ProvenanceGraph.attributes_of`
-re-assembles the payload view for a main vertex.
+:meth:`ProvenanceGraph.add_vertex` and :func:`graph_from_dict` materialize a
+separate Attribute vertex holding the payload and link it with a
+``hasAttributes`` edge, so attribute data is itself part of the graph.
+:meth:`ProvenanceGraph.attributes_of` re-assembles the payload view for a main
+vertex, and :meth:`ProvenanceGraph.attribute_of` reads one item of it in place.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ ALLOWED_EDGES: frozenset[tuple[VertexType, VertexType, EdgeLabel]] = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ProvVertex:
     """One graph vertex. Ids are the identity; names may repeat."""
 
@@ -71,7 +72,7 @@ class ProvVertex:
     attrs: AttributeSet = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvEdge:
     """A labeled edge. `refined` is an optional free-form label refinement
 
@@ -119,39 +120,45 @@ class ProvenanceGraph:
         stored on a fresh Attribute vertex reached via a ``hasAttributes``
         edge; the main vertex itself keeps an empty payload.
         """
+        self._index = None
+        return self._place(vtype, name, attrs, vid)
+
+    def _place(
+        self, vtype: VertexType, name: str, attrs: Mapping[str, AttrValue] | None, vid: str | None
+    ) -> str:
+        """Insert a vertex, and the Attribute vertex and edge its `attrs` need."""
         if not name:
             raise InputFormatError("vertex name must be non-empty")
         if vid is None:
             vid = self._fresh_id()
-        if vid in self._vertices:
+        vertices = self._vertices
+        if vid in vertices:
             raise InputFormatError(f"duplicate vertex id {vid!r}")
         if vtype is VertexType.ATTRIBUTE:
-            vertex = ProvVertex(vid, vtype, name, dict(attrs or {}))
-            self._insert(vertex)
+            vertices[vid] = ProvVertex(vid, vtype, name, dict(attrs or {}))
             return vid
-        vertex = ProvVertex(vid, vtype, name, {})
-        self._insert(vertex)
+        vertices[vid] = ProvVertex(vid, vtype, name, {})
         if attrs:
             att_id = f"{vid}:att"
-            if att_id in self._vertices:
+            if att_id in vertices:
                 raise InputFormatError(f"duplicate vertex id {att_id!r}")
-            self._insert(ProvVertex(att_id, VertexType.ATTRIBUTE, f"{name} attributes", dict(attrs)))
-            self.add_edge(vid, att_id, EdgeLabel.HAS_ATTRIBUTES)
+            vertices[att_id] = ProvVertex(att_id, VertexType.ATTRIBUTE, f"{name} attributes", dict(attrs))
+            edge = ProvEdge(vid, att_id, EdgeLabel.HAS_ATTRIBUTES)
+            self._edges.append(edge)
+            # both vertices are new, so neither has an edge yet
+            self._out[vid] = [edge]
+            self._in[att_id] = [edge]
         return vid
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
         for vid in (src, dst):
             if vid not in self._vertices:
-                raise UnknownVertexError(f"edge endpoint {vid!r} is not a vertex")
+                raise _unknown_endpoint(vid)
         edge = ProvEdge(src, dst, label, refined)
         self._index = None
         self._edges.append(edge)
         self._out.setdefault(src, []).append(edge)
         self._in.setdefault(dst, []).append(edge)
-
-    def _insert(self, vertex: ProvVertex) -> None:
-        self._index = None
-        self._vertices[vertex.id] = vertex
 
     def _fresh_id(self) -> str:
         while True:
@@ -216,6 +223,21 @@ class ProvenanceGraph:
                 merged.update(self._vertices[edge.dst].attrs)
         return merged
 
+    def attribute_of(self, vid: str, item: str) -> AttrValue | None:
+        """``attributes_of(vid).get(item)``, read from the payloads in place.
+
+        As in :meth:`attributes_of`, the last ``hasAttributes`` payload that
+        holds the item wins.
+        """
+        vertex = self.vertex(vid)
+        if vertex.vtype is VertexType.ATTRIBUTE:
+            return vertex.attrs.get(item)
+        found = None
+        for edge in self._out.get(vid, ()):
+            if edge.label is EdgeLabel.HAS_ATTRIBUTES:
+                found = self._vertices[edge.dst].attrs.get(item, found)
+        return found
+
     def main_vertices(self) -> Iterator[ProvVertex]:
         """Vertices that are not attribute bundles."""
         for vertex in self._vertices.values():
@@ -225,13 +247,15 @@ class ProvenanceGraph:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidityReport:
-        """Check acyclicity, the closed edge-triple set, and attribute linkage.
+        """Check the closed edge-triple set, acyclicity, and attribute linkage.
 
-        Violations are data, not exceptions: callers get the full list.
+        Violations are data, not exceptions: callers get the full list. Every
+        check reads the stored vertices and adjacency lists; nothing is copied.
         """
         violations: list[str] = []
+        vertices = self._vertices
         for edge in self._edges:
-            triple = (self.tau(edge.src), self.tau(edge.dst), edge.label)
+            triple = (vertices[edge.src].vtype, vertices[edge.dst].vtype, edge.label)
             if triple not in ALLOWED_EDGES:
                 violations.append(
                     f"edge {edge.src!r} -> {edge.dst!r}: "
@@ -240,25 +264,38 @@ class ProvenanceGraph:
                 )
         if topological_order_of(self) is None:
             violations.append("graph contains a cycle")
-        for vertex in self._vertices.values():
+        for vertex in vertices.values():
             if vertex.vtype is VertexType.ATTRIBUTE:
-                incoming = [
-                    e for e in self.in_edges(vertex.id) if e.label is EdgeLabel.HAS_ATTRIBUTES
-                ]
-                if len(incoming) != 1:
+                incoming = sum(e.label is EdgeLabel.HAS_ATTRIBUTES for e in self.in_edges(vertex.id))
+                if incoming != 1:
                     violations.append(
-                        f"attribute vertex {vertex.id!r} has {len(incoming)} incoming "
+                        f"attribute vertex {vertex.id!r} has {incoming} incoming "
                         "hasAttributes edges (expected exactly 1)"
                     )
         return ValidityReport(ok=not violations, violations=violations)
 
 
-def topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
-    """Topological vertex order, or None if the graph has a cycle."""
-    from ._dagutil import topological_order
+def _unknown_endpoint(vid: str) -> UnknownVertexError:
+    return UnknownVertexError(f"edge endpoint {vid!r} is not a vertex")
 
-    successors = {vid: [e.dst for e in graph.out_edges(vid)] for vid in graph.vertices}
-    return topological_order(graph.vertices.keys(), successors)
+
+def topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
+    """Topological vertex order, or None if the graph has a cycle.
+
+    Kahn's algorithm on the stored adjacency lists, an in-degree being the
+    length of an in-edge list: sources in insertion order come first, and
+    every other vertex follows when its last in-edge is removed.
+    """
+    out, into = graph._out, graph._in
+    indegree = {vid: len(edges) for vid, edges in into.items()}
+    order = [vid for vid in graph._vertices if vid not in indegree]
+    for vid in order:  # the order is its own queue: the loop reaches what it appends
+        for edge in out.get(vid, ()):
+            left = indegree[edge.dst] - 1
+            indegree[edge.dst] = left
+            if left == 0:
+                order.append(edge.dst)
+    return order if len(order) == len(graph._vertices) else None
 
 
 # -- serialization ----------------------------------------------------------
@@ -311,16 +348,20 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
     Vertex entries are {id, type, name, attrs?}; edge entries are
     {src, dst, label, refinedLabel?}. Inline attrs on a main vertex are
     materialized as an Attribute vertex exactly like :meth:`add_vertex`.
+    One pass fills the graph's tables directly, in the order and with the
+    errors that :meth:`add_vertex` and :meth:`add_edge` give entry by entry.
     """
     doc = _docs.obj(doc, "graph document")
     graph = ProvenanceGraph()
+    place = graph._place
     for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
             vid, vtype, name = str(entry["id"]), entry["type"], str(entry["name"])
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"vertex entry {entry!r} needs id/type/name") from exc
         attrs = attrs_from_json(entry.get("attrs"))
-        graph.add_vertex(vertex_type_from_json(vtype), name, attrs, vid=vid)
+        place(vertex_type_from_json(vtype), name, attrs, vid)
+    vertices, edges, out, into = graph._vertices, graph._edges, graph._out, graph._in
     for entry in _docs.array(doc.get("edges", []), '"edges"'):
         try:
             src, dst, label = str(entry["src"]), str(entry["dst"]), entry["label"]
@@ -329,7 +370,15 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
         refined = entry.get("refinedLabel")
         if refined is not None:
             refined = str(refined)
-        graph.add_edge(src, dst, _docs.member(EdgeLabel, label, "edge label"), refined)
+        label = _docs.member(EdgeLabel, label, "edge label")
+        if src not in vertices:
+            raise _unknown_endpoint(src)
+        if dst not in vertices:
+            raise _unknown_endpoint(dst)
+        edge = ProvEdge(src, dst, label, refined)
+        edges.append(edge)
+        out.setdefault(src, []).append(edge)
+        into.setdefault(dst, []).append(edge)
     return graph
 
 

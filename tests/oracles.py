@@ -4,10 +4,10 @@ Most of what is here is written from scratch in a deliberately different style:
 membership predicates over explicit universes, brute-force longest paths,
 exhaustive permutation search for embeddings, and exhaustive walk
 enumeration for path patterns. Nothing imports the package's algorithms
-beyond plain data types and ``eval_predicate``. Three sections are different in
+beyond plain data types and ``eval_predicate``. Four sections are different in
 kind: verbatim copies of earlier package code (the character-loop scanner, the
-backtracking matcher and the four-part hierarchical sets), kept as references
-for differential tests.
+backtracking matcher, the four-part hierarchical sets and the edge-by-edge
+graph decoder), kept as references for differential tests.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from functools import reduce
 from itertools import permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from provpurpose import _docs
+from provpurpose._dagutil import topological_order
 from provpurpose.algebra import (
     _FUNCTION_BY_TOKEN,
     _PRECEDENCE_OF_OP,
@@ -41,6 +43,7 @@ from provpurpose.errors import (
     InputFormatError,
     TypeMismatchError,
     UnboundNameError,
+    UnknownVertexError,
 )
 from provpurpose.matching import (
     MatchValue,
@@ -52,7 +55,18 @@ from provpurpose.matching import (
     eval_predicate,
 )
 from provpurpose.policy import TreeLeaf
-from provpurpose.provenance import EdgeLabel, ProvEdge, ProvenanceGraph
+from provpurpose.provenance import (
+    ALLOWED_EDGES,
+    AttrValue,
+    EdgeLabel,
+    ProvEdge,
+    ProvenanceGraph,
+    ProvVertex,
+    ValidityReport,
+    VertexType,
+    attrs_from_json,
+    vertex_type_from_json,
+)
 from provpurpose.purposes import PurposeGraph, PurposeSet
 
 
@@ -899,3 +913,123 @@ def oracle_decide(
     if attached is not None:
         decided = o_inter(universe, decided, attached)
     return decided, [results[name] for name, _, _ in parties]
+
+
+# -- the edge-by-edge graph decoder ----------------------------------------------------
+# The package's graph construction, decoder and validation before the one-pass
+# decode: every document entry went through add_vertex or add_edge, and validate
+# built a successor dict for the shared Kahn's algorithm. Kept verbatim, as
+# methods of a subclass, as the reference for the differential test; the
+# accessors, the field readers and Kahn's algorithm come from the package,
+# which did not change them.
+
+class ReferenceProvenanceGraph(ProvenanceGraph):
+    def add_vertex(
+        self,
+        vtype: VertexType,
+        name: str,
+        attrs: Mapping[str, AttrValue] | None = None,
+        *,
+        vid: str | None = None,
+    ) -> str:
+        """Add a vertex and return its id.
+
+        For agent/artifact/process vertices a non-empty `attrs` mapping is
+        stored on a fresh Attribute vertex reached via a ``hasAttributes``
+        edge; the main vertex itself keeps an empty payload.
+        """
+        if not name:
+            raise InputFormatError("vertex name must be non-empty")
+        if vid is None:
+            vid = self._fresh_id()
+        if vid in self._vertices:
+            raise InputFormatError(f"duplicate vertex id {vid!r}")
+        if vtype is VertexType.ATTRIBUTE:
+            vertex = ProvVertex(vid, vtype, name, dict(attrs or {}))
+            self._insert(vertex)
+            return vid
+        vertex = ProvVertex(vid, vtype, name, {})
+        self._insert(vertex)
+        if attrs:
+            att_id = f"{vid}:att"
+            if att_id in self._vertices:
+                raise InputFormatError(f"duplicate vertex id {att_id!r}")
+            self._insert(ProvVertex(att_id, VertexType.ATTRIBUTE, f"{name} attributes", dict(attrs)))
+            self.add_edge(vid, att_id, EdgeLabel.HAS_ATTRIBUTES)
+        return vid
+
+    def add_edge(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
+        for vid in (src, dst):
+            if vid not in self._vertices:
+                raise UnknownVertexError(f"edge endpoint {vid!r} is not a vertex")
+        edge = ProvEdge(src, dst, label, refined)
+        self._index = None
+        self._edges.append(edge)
+        self._out.setdefault(src, []).append(edge)
+        self._in.setdefault(dst, []).append(edge)
+
+    def _insert(self, vertex: ProvVertex) -> None:
+        self._index = None
+        self._vertices[vertex.id] = vertex
+
+    def validate(self) -> ValidityReport:
+        """Check acyclicity, the closed edge-triple set, and attribute linkage.
+
+        Violations are data, not exceptions: callers get the full list.
+        """
+        violations: list[str] = []
+        for edge in self._edges:
+            triple = (self.tau(edge.src), self.tau(edge.dst), edge.label)
+            if triple not in ALLOWED_EDGES:
+                violations.append(
+                    f"edge {edge.src!r} -> {edge.dst!r}: "
+                    f"({triple[0].value}, {triple[1].value}, {triple[2].value}) "
+                    "is not an allowed relationship"
+                )
+        if reference_topological_order_of(self) is None:
+            violations.append("graph contains a cycle")
+        for vertex in self._vertices.values():
+            if vertex.vtype is VertexType.ATTRIBUTE:
+                incoming = [
+                    e for e in self.in_edges(vertex.id) if e.label is EdgeLabel.HAS_ATTRIBUTES
+                ]
+                if len(incoming) != 1:
+                    violations.append(
+                        f"attribute vertex {vertex.id!r} has {len(incoming)} incoming "
+                        "hasAttributes edges (expected exactly 1)"
+                    )
+        return ValidityReport(ok=not violations, violations=violations)
+
+
+def reference_topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
+    """Topological vertex order, or None if the graph has a cycle."""
+    successors = {vid: [e.dst for e in graph.out_edges(vid)] for vid in graph.vertices}
+    return topological_order(graph.vertices.keys(), successors)
+
+
+def reference_graph_from_dict(doc: Mapping[str, Any]) -> ReferenceProvenanceGraph:
+    """Build a graph from the document form: {"vertices": [...], "edges": [...]}.
+
+    Vertex entries are {id, type, name, attrs?}; edge entries are
+    {src, dst, label, refinedLabel?}. Inline attrs on a main vertex are
+    materialized as an Attribute vertex exactly like :meth:`add_vertex`.
+    """
+    doc = _docs.obj(doc, "graph document")
+    graph = ReferenceProvenanceGraph()
+    for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
+        try:
+            vid, vtype, name = str(entry["id"]), entry["type"], str(entry["name"])
+        except (KeyError, TypeError) as exc:
+            raise InputFormatError(f"vertex entry {entry!r} needs id/type/name") from exc
+        attrs = attrs_from_json(entry.get("attrs"))
+        graph.add_vertex(vertex_type_from_json(vtype), name, attrs, vid=vid)
+    for entry in _docs.array(doc.get("edges", []), '"edges"'):
+        try:
+            src, dst, label = str(entry["src"]), str(entry["dst"]), entry["label"]
+        except (KeyError, TypeError) as exc:
+            raise InputFormatError(f"edge entry {entry!r} needs src/dst/label") from exc
+        refined = entry.get("refinedLabel")
+        if refined is not None:
+            refined = str(refined)
+        graph.add_edge(src, dst, _docs.member(EdgeLabel, label, "edge label"), refined)
+    return graph

@@ -5,6 +5,7 @@ import pytest
 from provpurpose import (
     InputFormatError,
     PatternSyntaxError,
+    ProvPurposeError,
     VertexType,
     graph_from_dict,
     load_graph,
@@ -14,6 +15,7 @@ from provpurpose import (
     request_from_dict,
     role_order_from_dict,
 )
+from oracles import reference_graph_from_dict
 
 
 def _policy_with(condition):
@@ -55,6 +57,44 @@ def test_malformed_document_is_an_input_error(case):
     loader, doc = MALFORMED[case]
     with pytest.raises(InputFormatError):
         loader(doc)
+
+
+_X = {"id": "x", "type": "artifact", "name": "x"}
+_P = {"id": "p", "type": "process", "name": "p"}
+
+
+def _edge(src, dst, label="wasGeneratedBy"):
+    return {"src": src, "dst": dst, "label": label}
+
+
+MALFORMED_GRAPHS = {
+    "edge from a missing src": {"vertices": [_X, _P], "edges": [_edge("ghost", "p")]},
+    "edge to a missing dst": {"vertices": [_X, _P], "edges": [_edge("x", "p"), _edge("x", "ghost")]},
+    "edge between two missing vertices": {"vertices": [_X], "edges": [_edge("ghost1", "ghost2")]},
+    "duplicate id": {"vertices": [_X, _P, {**_P, "type": "agent"}]},
+    "duplicate x:att after an attributed x": {
+        "vertices": [{**_X, "attrs": {"size": 1}}, {"id": "x:att", "type": "attribute", "name": "more"}],
+    },
+    "attributed x after an x:att": {
+        "vertices": [{"id": "x:att", "type": "attribute", "name": "more"}, {**_X, "attrs": {"size": 1}}],
+    },
+    "empty name": {"vertices": [_P, {**_X, "name": ""}]},
+    "empty name on a duplicate id": {"vertices": [_X, {**_X, "name": ""}]},
+    "bad type and an empty name": {"vertices": [{**_X, "type": "thing", "name": ""}]},
+    "bad attrs and a bad type": {"vertices": [{**_X, "type": "thing", "attrs": {"ok": True}}]},
+    "bad label and a missing endpoint": {"vertices": [_X], "edges": [_edge("x", "ghost", "begat")]},
+    "edge without a label to a missing endpoint": {"vertices": [_X], "edges": [{"src": "x", "dst": "ghost"}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_raises_what_the_edge_by_edge_decoder_raised(case):
+    doc = MALFORMED_GRAPHS[case]
+    with pytest.raises(ProvPurposeError) as want:
+        reference_graph_from_dict(doc)
+    with pytest.raises(ProvPurposeError) as got:
+        graph_from_dict(doc)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 @pytest.mark.parametrize(

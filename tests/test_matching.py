@@ -137,6 +137,22 @@ def test_partition_missing_attr_is_not_full(tiny_graph):
     assert match_partition(p, tiny_graph) is MatchValue.NAMES
 
 
+@pytest.mark.parametrize("sizes", [(1, 5), (5, 1)])
+def test_partition_reads_the_last_payload_holding_an_item(sizes):
+    g = ProvenanceGraph()
+    art = g.add_vertex(VertexType.ARTIFACT, "report")
+    for i, size in enumerate(sizes):
+        g.add_vertex(VertexType.ATTRIBUTE, f"bundle {i}", {"size": size}, vid=f"b{i}")
+        g.add_edge(art, f"b{i}", EdgeLabel.HAS_ATTRIBUTES)
+    big = PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint("size", Predicate.GT, 3),))
+    expected = MatchValue.FULL if sizes[1] > 3 else MatchValue.NAMES
+    assert match_partition(ProvenancePartition((big,)), g) is expected
+    # an Attribute vertex is checked against its own payload
+    bundle = PatternVertex("b", VertexType.ATTRIBUTE, "bundle 0", (AttrConstraint("size", Predicate.GT, 3),))
+    expected = MatchValue.FULL if sizes[0] > 3 else MatchValue.NAMES
+    assert match_partition(ProvenancePartition((bundle,)), g) is expected
+
+
 def test_partition_type_mismatch_counts_as_unsatisfied(tiny_graph):
     # comparing the string attribute with an int cannot hold at the full stratum
     p = ProvenancePartition(

@@ -11,7 +11,10 @@ from provpurpose import (
     ALLOWED_EDGES,
     EdgeLabel,
     InputFormatError,
+    ProvEdge,
     ProvenanceGraph,
+    ProvPurposeError,
+    ProvVertex,
     UnknownVertexError,
     VertexType,
     graph_from_dict,
@@ -20,6 +23,7 @@ from provpurpose import (
     topological_order_of,
 )
 from provpurpose.provenance import attr_value_from_json, attr_value_to_json
+from oracles import reference_graph_from_dict, reference_topological_order_of
 
 
 def test_add_vertex_assigns_ids_and_types():
@@ -54,6 +58,27 @@ def test_attrs_materialize_as_attribute_vertex():
     assert g.attributes_of(att_id) == {"size": 4}
     links = [e for e in g.out_edges(vid) if e.label is EdgeLabel.HAS_ATTRIBUTES]
     assert len(links) == 1 and links[0].dst == att_id
+
+
+@pytest.mark.parametrize("sizes", [(1, 5), (5, 1)])
+def test_the_last_attribute_payload_holding_an_item_wins(sizes):
+    g = ProvenanceGraph()
+    vid = g.add_vertex(VertexType.ARTIFACT, "report", vid="r")
+    for i, size in enumerate(sizes):
+        g.add_vertex(VertexType.ATTRIBUTE, f"bundle {i}", {"size": size, f"only{i}": i}, vid=f"b{i}")
+        g.add_edge(vid, f"b{i}", EdgeLabel.HAS_ATTRIBUTES)
+    assert g.attributes_of(vid) == {"size": sizes[1], "only0": 0, "only1": 1}
+    for item in ("size", "only0", "only1", "ghost"):
+        assert g.attribute_of(vid, item) == g.attributes_of(vid).get(item)
+    # an Attribute vertex reads its own payload, not its siblings'
+    assert g.attribute_of("b0", "size") == sizes[0]
+    assert g.attribute_of("b0", "only1") is None
+
+
+def test_vertices_and_edges_carry_no_instance_dict(tiny_graph):
+    objects = [*tiny_graph.vertices.values(), *tiny_graph.edges]
+    assert {type(o) for o in objects} == {ProvVertex, ProvEdge}
+    assert not any(hasattr(o, "__dict__") for o in objects)
 
 
 def test_main_vertices_excludes_attribute_bundles(tiny_graph):
@@ -194,3 +219,76 @@ def test_legal_random_graphs_validate_and_round_trip(g):
     doc = graph_to_dict(g)
     again = graph_from_dict(json.loads(json.dumps(doc)))
     assert graph_to_dict(again) == doc
+
+
+_TYPE_SPELLINGS = ["Agent", "artifact", "PROCESS", "Attribute"]
+_ATTR_VALUES = st.one_of(st.integers(-2, 2), st.sampled_from(["x", "y"]))
+
+
+@st.composite
+def graph_documents(draw):
+    """Graph documents with attrs on any vertex, refined labels, illegal
+    triples, cycles and orphan Attribute vertices; most of them carry one
+    malformed entry: a missing endpoint, a bad label, a duplicate id or an
+    empty name."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    vertices = []
+    for i in range(n):
+        entry = {
+            "id": f"v{i}",
+            "type": draw(st.sampled_from(_TYPE_SPELLINGS)),
+            "name": draw(st.sampled_from("abc")),
+        }
+        if draw(st.booleans()):
+            entry["attrs"] = draw(st.dictionaries(st.sampled_from(["k", "size"]), _ATTR_VALUES, max_size=2))
+        vertices.append(entry)
+    ids = [v["id"] for v in vertices] + [f"{v['id']}:att" for v in vertices if v.get("attrs")]
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n if ids else 0))):
+        edge = {
+            "src": draw(st.sampled_from(ids)),
+            "dst": draw(st.sampled_from(ids)),
+            "label": draw(st.sampled_from([label.value for label in EdgeLabel])),
+        }
+        if draw(st.integers(0, 3)) == 0:
+            edge["refinedLabel"] = draw(st.sampled_from(["wasSubmittedBy", 7]))
+        edges.append(edge)
+    flaw = draw(st.sampled_from([None, None, None, "ghost", "label", "duplicate", "att", "name"]))
+    if flaw == "name" and vertices:
+        vertices[draw(st.integers(0, n - 1))]["name"] = ""
+    elif flaw in ("duplicate", "att") and vertices:
+        twin = draw(st.sampled_from(ids if flaw == "duplicate" else [f"v{i}:att" for i in range(n)]))
+        vertices.insert(draw(st.integers(0, n)), {"id": twin, "type": "Attribute", "name": "twin"})
+    elif flaw in ("ghost", "label") and edges:
+        edge = edges[draw(st.integers(0, len(edges) - 1))]
+        for end in draw(st.sampled_from([("src",), ("dst",), ("src", "dst")])):
+            edge[end] = f"ghost {end}"
+        if flaw == "label":
+            edge["label"] = "begat"
+    return {"vertices": vertices, "edges": edges}
+
+
+def _decode(decoder, doc):
+    """The graph a decoder builds, or the class and message of what it raised."""
+    try:
+        return decoder(doc), None
+    except ProvPurposeError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_documents())
+def test_one_pass_decode_matches_the_edge_by_edge_decoder(doc):
+    got, got_error = _decode(graph_from_dict, doc)
+    want, want_error = _decode(reference_graph_from_dict, doc)
+    assert got_error == want_error
+    if want is None:
+        return
+    assert list(got.vertices) == list(want.vertices)
+    assert list(got.vertices.values()) == list(want.vertices.values())
+    assert got.edges == want.edges
+    for vid in want.vertices:
+        assert got.out_edges(vid) == want.out_edges(vid)
+        assert got.in_edges(vid) == want.in_edges(vid)
+    assert got.validate().violations == want.validate().violations
+    assert topological_order_of(got) == reference_topological_order_of(want)
