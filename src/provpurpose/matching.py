@@ -229,12 +229,14 @@ class ProvenancePartition:
 
 
 def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
+    if not pv.constraints:
+        return True
+    attrs = graph.attributes_of(vid)
     for c in pv.constraints:
-        value = graph.attribute_of(vid, c.item)
-        if value is None:
+        if c.item not in attrs:
             return False
         try:
-            if not eval_predicate(c.pred, value, c.operand):
+            if not eval_predicate(c.pred, attrs[c.item], c.operand):
                 return False
         except TypeMismatchError:
             # a constraint that cannot even be compared is unsatisfied

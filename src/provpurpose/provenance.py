@@ -11,7 +11,7 @@ Attributes are not stored inline on agent/artifact/process vertices. Instead,
 separate Attribute vertex holding the payload and link it with a
 ``hasAttributes`` edge, so attribute data is itself part of the graph.
 :meth:`ProvenanceGraph.attributes_of` re-assembles the payload view for a main
-vertex, and :meth:`ProvenanceGraph.attribute_of` reads one item of it in place.
+vertex.
 """
 
 from __future__ import annotations
@@ -143,19 +143,20 @@ class ProvenanceGraph:
             if att_id in vertices:
                 raise InputFormatError(f"duplicate vertex id {att_id!r}")
             vertices[att_id] = ProvVertex(att_id, VertexType.ATTRIBUTE, f"{name} attributes", dict(attrs))
-            edge = ProvEdge(vid, att_id, EdgeLabel.HAS_ATTRIBUTES)
-            self._edges.append(edge)
-            # both vertices are new, so neither has an edge yet
-            self._out[vid] = [edge]
-            self._in[att_id] = [edge]
+            self._link(vid, att_id, EdgeLabel.HAS_ATTRIBUTES)
         return vid
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
-        for vid in (src, dst):
-            if vid not in self._vertices:
-                raise _unknown_endpoint(vid)
-        edge = ProvEdge(src, dst, label, refined)
         self._index = None
+        self._link(src, dst, label, refined)
+
+    def _link(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
+        """Append an edge between two existing vertices to the edge and adjacency lists."""
+        vertices = self._vertices
+        for vid in (src, dst):
+            if vid not in vertices:
+                raise UnknownVertexError(f"edge endpoint {vid!r} is not a vertex")
+        edge = ProvEdge(src, dst, label, refined)
         self._edges.append(edge)
         self._out.setdefault(src, []).append(edge)
         self._in.setdefault(dst, []).append(edge)
@@ -223,21 +224,6 @@ class ProvenanceGraph:
                 merged.update(self._vertices[edge.dst].attrs)
         return merged
 
-    def attribute_of(self, vid: str, item: str) -> AttrValue | None:
-        """``attributes_of(vid).get(item)``, read from the payloads in place.
-
-        As in :meth:`attributes_of`, the last ``hasAttributes`` payload that
-        holds the item wins.
-        """
-        vertex = self.vertex(vid)
-        if vertex.vtype is VertexType.ATTRIBUTE:
-            return vertex.attrs.get(item)
-        found = None
-        for edge in self._out.get(vid, ()):
-            if edge.label is EdgeLabel.HAS_ATTRIBUTES:
-                found = self._vertices[edge.dst].attrs.get(item, found)
-        return found
-
     def main_vertices(self) -> Iterator[ProvVertex]:
         """Vertices that are not attribute bundles."""
         for vertex in self._vertices.values():
@@ -249,8 +235,9 @@ class ProvenanceGraph:
     def validate(self) -> ValidityReport:
         """Check the closed edge-triple set, acyclicity, and attribute linkage.
 
-        Violations are data, not exceptions: callers get the full list. Every
-        check reads the stored vertices and adjacency lists; nothing is copied.
+        Violations are data, not exceptions: callers get the full list. Edge
+        triples read vertex types straight from the vertex dict, and the
+        ``hasAttributes`` in-edges are counted, not collected.
         """
         violations: list[str] = []
         vertices = self._vertices
@@ -275,27 +262,12 @@ class ProvenanceGraph:
         return ValidityReport(ok=not violations, violations=violations)
 
 
-def _unknown_endpoint(vid: str) -> UnknownVertexError:
-    return UnknownVertexError(f"edge endpoint {vid!r} is not a vertex")
-
-
 def topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
-    """Topological vertex order, or None if the graph has a cycle.
+    """Topological vertex order, or None if the graph has a cycle."""
+    from ._dagutil import topological_order
 
-    Kahn's algorithm on the stored adjacency lists, an in-degree being the
-    length of an in-edge list: sources in insertion order come first, and
-    every other vertex follows when its last in-edge is removed.
-    """
-    out, into = graph._out, graph._in
-    indegree = {vid: len(edges) for vid, edges in into.items()}
-    order = [vid for vid in graph._vertices if vid not in indegree]
-    for vid in order:  # the order is its own queue: the loop reaches what it appends
-        for edge in out.get(vid, ()):
-            left = indegree[edge.dst] - 1
-            indegree[edge.dst] = left
-            if left == 0:
-                order.append(edge.dst)
-    return order if len(order) == len(graph._vertices) else None
+    successors = {vid: [e.dst for e in graph.out_edges(vid)] for vid in graph.vertices}
+    return topological_order(graph.vertices.keys(), successors)
 
 
 # -- serialization ----------------------------------------------------------
@@ -348,12 +320,13 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
     Vertex entries are {id, type, name, attrs?}; edge entries are
     {src, dst, label, refinedLabel?}. Inline attrs on a main vertex are
     materialized as an Attribute vertex exactly like :meth:`add_vertex`.
-    One pass fills the graph's tables directly, in the order and with the
-    errors that :meth:`add_vertex` and :meth:`add_edge` give entry by entry.
+    One pass fills the graph's tables through the private helpers behind
+    :meth:`add_vertex` and :meth:`add_edge`, in the same order and with the
+    same errors, without dropping the name index once per entry.
     """
     doc = _docs.obj(doc, "graph document")
     graph = ProvenanceGraph()
-    place = graph._place
+    place, link = graph._place, graph._link
     for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
             vid, vtype, name = str(entry["id"]), entry["type"], str(entry["name"])
@@ -361,7 +334,6 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
             raise InputFormatError(f"vertex entry {entry!r} needs id/type/name") from exc
         attrs = attrs_from_json(entry.get("attrs"))
         place(vertex_type_from_json(vtype), name, attrs, vid)
-    vertices, edges, out, into = graph._vertices, graph._edges, graph._out, graph._in
     for entry in _docs.array(doc.get("edges", []), '"edges"'):
         try:
             src, dst, label = str(entry["src"]), str(entry["dst"]), entry["label"]
@@ -370,15 +342,7 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
         refined = entry.get("refinedLabel")
         if refined is not None:
             refined = str(refined)
-        label = _docs.member(EdgeLabel, label, "edge label")
-        if src not in vertices:
-            raise _unknown_endpoint(src)
-        if dst not in vertices:
-            raise _unknown_endpoint(dst)
-        edge = ProvEdge(src, dst, label, refined)
-        edges.append(edge)
-        out.setdefault(src, []).append(edge)
-        into.setdefault(dst, []).append(edge)
+        link(src, dst, _docs.member(EdgeLabel, label, "edge label"), refined)
     return graph
 
 

@@ -20,7 +20,6 @@ from itertools import permutations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from provpurpose import _docs
-from provpurpose._dagutil import topological_order
 from provpurpose.algebra import (
     _FUNCTION_BY_TOKEN,
     _PRECEDENCE_OF_OP,
@@ -65,6 +64,7 @@ from provpurpose.provenance import (
     ValidityReport,
     VertexType,
     attrs_from_json,
+    topological_order_of,
     vertex_type_from_json,
 )
 from provpurpose.purposes import PurposeGraph, PurposeSet
@@ -918,10 +918,10 @@ def oracle_decide(
 # -- the edge-by-edge graph decoder ----------------------------------------------------
 # The package's graph construction, decoder and validation before the one-pass
 # decode: every document entry went through add_vertex or add_edge, and validate
-# built a successor dict for the shared Kahn's algorithm. Kept verbatim, as
-# methods of a subclass, as the reference for the differential test; the
-# accessors, the field readers and Kahn's algorithm come from the package,
-# which did not change them.
+# read vertex types through tau() and collected the hasAttributes in-edges. Kept
+# verbatim, as methods of a subclass, as the reference for the differential
+# test; the accessors, the field readers and topological_order_of come from the
+# package, which did not change them.
 
 class ReferenceProvenanceGraph(ProvenanceGraph):
     def add_vertex(
@@ -986,7 +986,7 @@ class ReferenceProvenanceGraph(ProvenanceGraph):
                     f"({triple[0].value}, {triple[1].value}, {triple[2].value}) "
                     "is not an allowed relationship"
                 )
-        if reference_topological_order_of(self) is None:
+        if topological_order_of(self) is None:
             violations.append("graph contains a cycle")
         for vertex in self._vertices.values():
             if vertex.vtype is VertexType.ATTRIBUTE:
@@ -999,12 +999,6 @@ class ReferenceProvenanceGraph(ProvenanceGraph):
                         "hasAttributes edges (expected exactly 1)"
                     )
         return ValidityReport(ok=not violations, violations=violations)
-
-
-def reference_topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
-    """Topological vertex order, or None if the graph has a cycle."""
-    successors = {vid: [e.dst for e in graph.out_edges(vid)] for vid in graph.vertices}
-    return topological_order(graph.vertices.keys(), successors)
 
 
 def reference_graph_from_dict(doc: Mapping[str, Any]) -> ReferenceProvenanceGraph:
