@@ -17,7 +17,8 @@ Precedence selections return one operand whole. When the comparison ties the
 union of both operands is returned, which keeps every selection commutative
 and still gives ``s op s == s``. The public operator insists on non-empty
 operands; inside expression evaluation and the cross-party merge functions a
-totalized variant is used instead where an empty operand simply loses.
+totalized variant is used instead where an empty operand simply loses. Either
+way a precedence selection needs a purpose graph, whatever its operands.
 
 Hierarchical merges
 -------------------
@@ -67,7 +68,8 @@ equal-precedence operators associate left. Unicode spellings of the operators
 (⊟ − ↑△ ↓△ ↑▽ ↓▽ ▷ △ ◁ ▽) are accepted and normalized: the triangle forms
 bind to upmax (▷, △) and downmin (◁, ▽). Infix operators between
 hierarchical operands act on the allowed and on the prohibited sets;
-precedence selections compare the allowed sets.
+precedence selections compare the allowed sets. A plain purpose set is the
+pair that prohibits nothing, so one evaluator serves both.
 """
 
 from __future__ import annotations
@@ -121,13 +123,14 @@ def _precedence_winner(
 ) -> int:
     """-1 when s1 wins, 1 when s2 wins, 0 on a tie.
 
-    An empty operand loses without a rank comparison, so two empty operands
-    tie; only two non-empty operands need `pg`.
+    Every precedence selection comes here, so this is where the one graph rule
+    lives: `pg` is needed whatever the operands. An empty operand then loses
+    without a rank comparison, so two empty operands tie.
     """
-    if not s1 or not s2:
-        return bool(s2) - bool(s1)
     if pg is None:
         raise ConfigurationError("precedence operators need a purpose graph")
+    if not s1 or not s2:
+        return bool(s2) - bool(s1)
     if kind in (PrecedenceKind.HIGH_MAX, PrecedenceKind.LOW_MAX):
         k1 = min(pg.rank_of(p) for p in s1)
         k2 = min(pg.rank_of(p) for p in s2)
@@ -165,23 +168,15 @@ def precedence_total(
 class HierarchicalPurposeSet:
     """Allowed and prohibited purposes, merged by rules that differ at a line.
 
-    `graph`, never part of equality, is the purpose graph whose hierarchy line
-    merges cut at; merges reject operands tagged with different graphs.
+    The one value expressions evaluate over: a plain purpose set is the pair
+    that prohibits nothing. `graph`, never part of equality, is the purpose
+    graph that merges cut at and precedence selections rank by; every operator
+    rejects operands tagged with different graphs.
     """
 
     ap: PurposeSet = frozenset()
     pp: PurposeSet = frozenset()
     graph: PurposeGraph | None = field(default=None, compare=False, repr=False)
-
-    def allowed(self) -> PurposeSet:
-        return self.ap
-
-    def prohibited(self) -> PurposeSet:
-        return self.pp
-
-    @classmethod
-    def empty(cls) -> "HierarchicalPurposeSet":
-        return cls()
 
 
 def split_result(pg: PurposeGraph, ap: Iterable[str], pp: Iterable[str]) -> HierarchicalPurposeSet:
@@ -574,17 +569,11 @@ def _binding(env: Mapping[str, T], what: str) -> Callable[[str], T]:
 def apply_basic(
     op: BasicOp, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
 ) -> PurposeSet:
-    """One basic operator over plain sets: plain and party expressions, F1-F8."""
+    """One basic operator over plain sets: party expressions and F1-F8."""
     kind = _PRECEDENCE_OF_OP.get(op)
     if kind is None:
         return _SET_OPS[op.value](s1, s2)
-    if pg is None:
-        raise ConfigurationError("precedence operators need a purpose graph")
     return precedence_total(kind, s1, s2, pg)
-
-
-def _componentwise(op: _SetOp, l: HierarchicalPurposeSet, r: HierarchicalPurposeSet) -> HierarchicalPurposeSet:
-    return HierarchicalPurposeSet(op(l.ap, r.ap), op(l.pp, r.pp), graph=_shared_graph((l, r)))
 
 
 def _merge_call(name: str, args: list[HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
@@ -598,15 +587,14 @@ def _merge_call(name: str, args: list[HierarchicalPurposeSet]) -> HierarchicalPu
     return apply_internal(fn, args[0], args[1])
 
 
-def eval_fida(
-    expr: FidaExpr | str,
-    env: Mapping[str, HierarchicalPurposeSet],
-    pg: PurposeGraph | None = None,
-) -> HierarchicalPurposeSet:
+def eval_fida(expr: FidaExpr | str, env: Mapping[str, HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
     """Evaluate an expression over hierarchical operands.
 
     Infix operators act on the allowed and on the prohibited sets; precedence
-    selections compare the allowed sets and need `pg` (or a tagged operand).
+    selections compare the allowed sets and take the winner whole, or both
+    operands' union on a tie. Every operator and merge takes its purpose graph
+    from the operands' tags alone, so operands tagged with different graphs
+    are rejected and a precedence selection over untagged operands raises.
     Function calls dispatch to the thirteen binary merges (exactly two
     arguments) or to ``f_nary``.
     """
@@ -614,26 +602,34 @@ def eval_fida(
         expr = parse_fida(expr)
 
     def infix(op: BasicOp, l: HierarchicalPurposeSet, r: HierarchicalPurposeSet):
+        graph = _shared_graph((l, r))
         kind = _PRECEDENCE_OF_OP.get(op)
-        if kind is None:
-            return _componentwise(_SET_OPS[op.value], l, r)
-        winner = _precedence_winner(kind, l.ap, r.ap, pg or l.graph or r.graph)
-        return l if winner < 0 else r if winner > 0 else _componentwise(op_union, l, r)
+        if kind is not None:
+            # A selection is the winner's union with itself, or both sides' on a tie.
+            winner = _precedence_winner(kind, l.ap, r.ap, graph)
+            if winner:
+                l = r = l if winner < 0 else r
+            op = BasicOp.UNION
+        set_op = _SET_OPS[op.value]
+        return HierarchicalPurposeSet(set_op(l.ap, r.ap), set_op(l.pp, r.pp), graph=graph)
 
     return fold(expr, _binding(env, "set bound to"), _merge_call, infix)
 
 
 def eval_fida_plain(
     expr: FidaExpr | str,
-    env: Mapping[str, PurposeSet],
+    env: Mapping[str, Iterable[str]],
     pg: PurposeGraph | None = None,
 ) -> PurposeSet:
-    """Evaluate an expression of basic operators over plain purpose sets."""
+    """Evaluate basic operators over plain purpose sets, pairs that prohibit nothing.
+
+    Each set is tagged with `pg`, which only precedence selections need. Merge
+    functions need real pairs, so any function call is refused.
+    """
     if isinstance(expr, str):
         expr = parse_fida(expr)
-
-    def call(name: str, args: list[PurposeSet]) -> PurposeSet:
-        raise ConfigurationError(f"{name} needs hierarchical or party operands, not plain sets")
-
-    ref = _binding(env, "set bound to")
-    return fold(expr, ref, call, lambda op, a, b: apply_basic(op, a, b, pg))
+    functions = expression_functions(expr)
+    if functions:
+        raise ConfigurationError(f"{min(functions)} needs hierarchical or party operands, not plain sets")
+    pairs = {name: HierarchicalPurposeSet(frozenset(s), graph=pg) for name, s in env.items()}
+    return eval_fida(expr, pairs).ap

@@ -134,7 +134,7 @@ def decide(
             if pg.hierarchy_line is None:
                 raise MissingHierarchyLineError("purpose graph has no hierarchy line")
             env = {pid: HierarchicalPurposeSet(d.ap, d.pp, graph=pg) for pid, d in pairs}
-            merged = eval_fida(cfg.merge_expr, env, pg)
+            merged = eval_fida(cfg.merge_expr, env)
             result = PartyResult(cfg.party, merged.ap, merged.pp)
         except ProvPurposeError as exc:
             raise StageError("internal-merge", exc) from exc

@@ -3,11 +3,14 @@
 Most of what is here is written from scratch in a deliberately different style:
 membership predicates over explicit universes, brute-force longest paths,
 exhaustive permutation search for embeddings, and exhaustive walk
-enumeration for path patterns. Nothing imports the package's algorithms
-beyond plain data types and ``eval_predicate``. Four sections are different in
-kind: verbatim copies of earlier package code (the character-loop scanner, the
-backtracking matcher, the four-part hierarchical sets and the edge-by-edge
-graph decoder), kept as references for differential tests.
+enumeration for path patterns. Four sections are different in kind: verbatim
+copies of earlier package code (the character-loop scanner, the backtracking
+matcher, the four-part hierarchical sets and the edge-by-edge graph decoder),
+kept as references for differential tests. Beyond plain data types and
+``eval_predicate``, the copies take from the package only what they share with
+it unchanged: the expression parser, its walker ``fold`` and ``_binding``, the
+four plain set operators, the document field readers and
+``topological_order_of``.
 """
 
 from __future__ import annotations
@@ -22,13 +25,11 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from provpurpose import _docs
 from provpurpose.algebra import (
     _FUNCTION_BY_TOKEN,
-    _PRECEDENCE_OF_OP,
-    _SET_OPS,
     BasicOp,
     FidaExpr,
     InternalFunction,
+    PrecedenceKind,
     _binding,
-    _precedence_winner,
     fold,
     op_difference,
     op_intersection,
@@ -633,10 +634,51 @@ reference_match_path = match_path
 # -- hierarchical sets stored as four parts -------------------------------------------
 # The package's hierarchical purpose sets before merges cut whole (allowed,
 # prohibited) pairs at the hierarchy line: each set kept its high and low parts
-# apart and every merge worked part by part. Kept verbatim, with the rule table
-# and helpers they used, as the reference for the differential test; the basic
-# operators, the expression walker and the precedence comparison come from the
-# package, which did not change them.
+# apart and every merge worked part by part. Kept verbatim, with the rule table,
+# the operator tables, the precedence comparison and the helpers they used, as
+# the reference for the differential test; the plain set operators and the
+# expression parser and walker come from the package.
+
+_SetOp = Callable[[PurposeSet, PurposeSet], PurposeSet]
+
+_SET_OPS: dict[str, _SetOp] = {
+    "+": op_union,
+    "&": op_intersection,
+    "^-": op_difference,
+    "-": op_subtraction,
+}
+
+_PRECEDENCE_OF_OP = {
+    BasicOp.HIGH_MAX: PrecedenceKind.HIGH_MAX,
+    BasicOp.LOW_MAX: PrecedenceKind.LOW_MAX,
+    BasicOp.HIGH_MIN: PrecedenceKind.HIGH_MIN,
+    BasicOp.LOW_MIN: PrecedenceKind.LOW_MIN,
+}
+
+
+def _precedence_winner(
+    kind: PrecedenceKind, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
+) -> int:
+    """-1 when s1 wins, 1 when s2 wins, 0 on a tie.
+
+    An empty operand loses without a rank comparison, so two empty operands
+    tie; only two non-empty operands need `pg`.
+    """
+    if not s1 or not s2:
+        return bool(s2) - bool(s1)
+    if pg is None:
+        raise ConfigurationError("precedence operators need a purpose graph")
+    if kind in (PrecedenceKind.HIGH_MAX, PrecedenceKind.LOW_MAX):
+        k1 = min(pg.rank_of(p) for p in s1)
+        k2 = min(pg.rank_of(p) for p in s2)
+    else:
+        k1 = max(pg.rank_of(p) for p in s1)
+        k2 = max(pg.rank_of(p) for p in s2)
+    if k1 == k2:
+        return 0
+    higher_wins = kind in (PrecedenceKind.HIGH_MAX, PrecedenceKind.HIGH_MIN)
+    return -1 if (k1 < k2) == higher_wins else 1
+
 
 @dataclass(frozen=True)
 class ReferenceHierarchicalPurposeSet:

@@ -146,11 +146,11 @@ def test_criterion_3_high_low_merge():
     s1 = split_result(pg, {"data analysis", "research", "education"}, ())
     s2 = split_result(pg, {"auditing", "education", "marketing"}, ())
     out = apply_internal(InternalFunction.DCAP, s1, s2)
-    high, low = pg.split_static(out.allowed())
+    high, low = pg.split_static(out.ap)
     ok = (
         high == {"data analysis", "auditing"}
         and low == {"education"}
-        and pg.split_static(out.prohibited()) == (frozenset(), frozenset())
+        and pg.split_static(out.pp) == (frozenset(), frozenset())
     )
     _report(
         3,
@@ -214,8 +214,8 @@ def test_criterion_4_algebra_oracle_equivalence(algebra_dag):
             for j, sj in enumerate(operands):
                 got = apply_internal(fn, si, sj)
                 want = oracle_internal(fn.value, state_i, states[j], universe)
-                ha, la = algebra_dag.split_static(got.allowed())
-                hp, lp = algebra_dag.split_static(got.prohibited())
+                ha, la = algebra_dag.split_static(got.ap)
+                hp, lp = algebra_dag.split_static(got.pp)
                 if (ha, hp, la, lp) != want:
                     bad += 1
         if bad:

@@ -91,6 +91,10 @@ def test_precedence_total_lets_empty_lose(algebra_dag):
     assert precedence_total(PrecedenceKind.HIGH_MAX, set(), {"low1"}, algebra_dag) == {"low1"}
     assert precedence_total(PrecedenceKind.LOW_MIN, {"low1"}, set(), algebra_dag) == {"low1"}
     assert precedence_total(PrecedenceKind.HIGH_MIN, set(), set(), algebra_dag) == frozenset()
+    # Losing needs no rank comparison, but a selection without a graph still raises.
+    for a, b in ((set(), {"low1"}), ({"low1"}, set()), (set(), set())):
+        with pytest.raises(ConfigurationError):
+            precedence_total(PrecedenceKind.HIGH_MAX, a, b, None)
 
 
 def test_precedence_matches_oracle_samples(algebra_dag):
@@ -113,13 +117,13 @@ def test_split_result_tags_graph(algebra_dag):
     assert ha == {"high1"} and la == {"low2"}
     assert hp == frozenset() and lp == {"low1"}
     assert s.graph is algebra_dag
-    assert s.allowed() == {"high1", "low2"}
-    assert s.prohibited() == {"low1"}
+    assert s.ap == {"high1", "low2"}
+    assert s.pp == {"low1"}
 
 
 def test_empty_hierarchical_set():
-    e = HierarchicalPurposeSet.empty()
-    assert e.allowed() == frozenset() and e.prohibited() == frozenset()
+    e = HierarchicalPurposeSet()
+    assert e.ap == frozenset() and e.pp == frozenset()
     assert e.graph is None
 
 
@@ -136,6 +140,12 @@ def test_merge_rejects_mixed_graphs(algebra_dag, hierarchy):
         apply_internal(InternalFunction.DOTPLUS, s1, s2)
     with pytest.raises(ConfigurationError):
         apply_nary([s1, s2])
+    # A twin graph ranks every purpose alike, yet precedence picks neither tag.
+    twin = PurposeGraph(list(ALGEBRA_PURPOSES), list(ALGEBRA_EDGES), hierarchy_line=2)
+    env = {"A": s1, "B": split_result(twin, {"low2"}, set())}
+    for text in ("A upmax B", "B upmax A", "A downmin B", "B downmin A"):
+        with pytest.raises(ConfigurationError, match="different purpose graphs"):
+            eval_fida(text, env)
 
 
 # a, b, x, y, h1 and h2 sit at the hierarchy line; p, q, l1 and l2 below it.
@@ -152,8 +162,8 @@ def _h(ha=(), hp=(), la=(), lp=()):
 
 def _parts(s):
     """(ha, hp, la, lp): a set's allowed and prohibited sides cut at its graph's line."""
-    ha, la = s.graph.split_static(s.allowed())
-    hp, lp = s.graph.split_static(s.prohibited())
+    ha, la = s.graph.split_static(s.ap)
+    hp, lp = s.graph.split_static(s.pp)
     return ha, hp, la, lp
 
 
@@ -365,9 +375,9 @@ def test_eval_precedence_picks_whole_operand(algebra_dag):
         "HIGHER": split_result(algebra_dag, {"high1"}, {"low1"}),
         "LOWER": split_result(algebra_dag, {"low2"}, {"high2"}),
     }
-    out = eval_fida("HIGHER upmax LOWER", env, algebra_dag)
+    out = eval_fida("HIGHER upmax LOWER", env)
     assert out == env["HIGHER"]
-    out = eval_fida("HIGHER downmin LOWER", env, algebra_dag)
+    out = eval_fida("HIGHER downmin LOWER", env)
     assert out == env["LOWER"]
 
 
@@ -388,10 +398,10 @@ def test_eval_precedence_without_any_graph_raises():
 def test_eval_precedence_empty_sides(algebra_dag):
     full = split_result(algebra_dag, {"low1"}, set())
     hollow = split_result(algebra_dag, set(), {"high1"})
-    out = eval_fida("A upmin B", {"A": hollow, "B": full}, algebra_dag)
+    out = eval_fida("A upmin B", {"A": hollow, "B": full})
     assert out == full
-    both = eval_fida("A upmin B", {"A": hollow, "B": hollow}, algebra_dag)
-    assert both.allowed() == frozenset() and _parts(both)[1] == {"high1"}
+    both = eval_fida("A upmin B", {"A": hollow, "B": hollow})
+    assert both.ap == frozenset() and _parts(both)[1] == {"high1"}
 
 
 def test_eval_precedence_tie_unions_components(algebra_dag):
@@ -399,7 +409,7 @@ def test_eval_precedence_tie_unions_components(algebra_dag):
         "L": split_result(algebra_dag, {"high1"}, {"low1"}),
         "R": split_result(algebra_dag, {"side1"}, {"low2"}),
     }
-    out = eval_fida("L downmax R", env, algebra_dag)
+    out = eval_fida("L downmax R", env)
     ha, _, _, lp = _parts(out)
     assert ha == {"high1", "side1"}
     assert lp == {"low1", "low2"}
@@ -500,15 +510,38 @@ _infix_st = st.recursive(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_infix_st, st.lists(st.frozensets(st.sampled_from(ALGEBRA_UNIVERSE)), min_size=4, max_size=4))
-def test_three_evaluators_agree_without_prohibitions(algebra_dag, expr, sets):
+@given(
+    expr=_infix_st,
+    sets=st.lists(st.frozensets(st.sampled_from(ALGEBRA_UNIVERSE)), min_size=4, max_size=4),
+    graphed=st.booleans(),
+)
+@example(
+    expr=BinaryOp(BasicOp.HIGH_MAX, SetRef("A"), SetRef("B")),
+    sets=[frozenset(), frozenset({"low1"}), frozenset(), frozenset()],
+    graphed=False,
+)
+def test_three_evaluators_agree_without_prohibitions(algebra_dag, expr, sets, graphed):
+    """With a graph all three agree; without one, exactly the ranked expressions raise in all three."""
+    pg = algebra_dag if graphed else None
     env = dict(zip("ABCD", sets))
-    split = {name: split_result(algebra_dag, s, ()) for name, s in env.items()}
+    if graphed:
+        pairs = {name: split_result(pg, s, ()) for name, s in env.items()}
+    else:
+        pairs = {name: HierarchicalPurposeSet(s) for name, s in env.items()}
     parties = [PartyResult(name, s, frozenset()) for name, s in env.items()]
-    hierarchical = eval_fida(expr, split, algebra_dag).allowed()
-    plain = eval_fida_plain(expr, env, algebra_dag)
-    party = merge_parties(parties, print_fida(expr), algebra_dag)
-    assert hierarchical == plain == party
+    text = print_fida(expr)
+    evaluators = (
+        lambda: eval_fida(expr, pairs).ap,
+        lambda: eval_fida_plain(expr, env, pg),
+        lambda: merge_parties(parties, text, pg),
+    )
+    if not graphed and any(kind.value in text for kind in PrecedenceKind):
+        for evaluate in evaluators:
+            with pytest.raises(ConfigurationError, match="need a purpose graph"):
+                evaluate()
+    else:
+        hierarchical, plain, party = (evaluate() for evaluate in evaluators)
+        assert hierarchical == plain == party
 
 
 @st.composite
@@ -558,12 +591,12 @@ def test_pair_merges_match_the_four_part_reference(data):
     names = ["A", "B", "C", "D"]
     sides = {n: (data.draw(subsets), data.draw(subsets)) for n in names}
     expr = data.draw(_mixed_expr(names))
-    got = eval_fida(expr, {n: split_result(pg, ap, pp) for n, (ap, pp) in sides.items()}, pg)
+    got = eval_fida(expr, {n: split_result(pg, ap, pp) for n, (ap, pp) in sides.items()})
     ref_env = {n: reference_split_result(pg, ap, pp) for n, (ap, pp) in sides.items()}
     want = reference_eval_fida(expr, ref_env, pg)
-    assert got.allowed() == want.allowed() and got.prohibited() == want.prohibited()
-    assert pg.split_static(got.allowed()) == (want.ha, want.la)
-    assert pg.split_static(got.prohibited()) == (want.hp, want.lp)
+    assert got.ap == want.allowed() and got.pp == want.prohibited()
+    assert pg.split_static(got.ap) == (want.ha, want.la)
+    assert pg.split_static(got.pp) == (want.hp, want.lp)
 
 
 # Every alias and operator spelling (and the arrows that only start one), a bare

@@ -198,6 +198,11 @@ def test_merge_ranked_operator_needs_purposes(capsys):
         capsys, "merge", "--expr", "A upmax B", "--set", "A=x", "--set", "B=y"
     )
     assert code == 2 and err.startswith("error:")
+    # An empty operand would lose without a rank comparison; it still needs --purposes.
+    code, out, err = _run(
+        capsys, "merge", "--expr", "A upmax B", "--set", "A=", "--set", "B=y"
+    )
+    assert code == 2 and err.startswith("error:") and out == ""
     code, out, err = _run(
         capsys,
         "merge",

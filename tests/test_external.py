@@ -47,14 +47,16 @@ def test_f1_vs_f2_on_same_operands():
 def test_ranked_functions_need_graph():
     sm = _pr("m", ap={"high1"}, pp={"low1"})
     sn = _pr("n", ap={"high2"}, pp={"low2"})
+    empty = _pr("e")
     for fn in (
         ExternalFunction.F5,
         ExternalFunction.F6,
         ExternalFunction.F7,
         ExternalFunction.F8,
     ):
-        with pytest.raises(ConfigurationError):
-            apply_external(fn, sm, sn)
+        for pair in ((sm, sn), (sm, empty), (empty, sn)):
+            with pytest.raises(ConfigurationError):
+                apply_external(fn, *pair)
 
 
 def test_ranked_functions_on_dag(algebra_dag):

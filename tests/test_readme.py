@@ -1,7 +1,11 @@
-"""The README's quick start runs as printed."""
+"""The README's quick start and `merge` examples run as printed."""
 
+import json
 import re
+import shlex
 from pathlib import Path
+
+from provpurpose.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -11,6 +15,16 @@ def _quick_start() -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
+def _merge_set_examples() -> list[tuple[list[str], dict]]:
+    """The first block under "### merge": each command's arguments and the output it shows."""
+    section = README.read_text(encoding="utf-8").split("### merge", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1).replace("\\\n", " ")
+    return [
+        (shlex.split(command)[1:], json.loads(shown))
+        for command, shown in re.findall(r"^(provpurpose .*)\n# (\{.*\})$", block, re.MULTILINE)
+    ]
+
+
 def test_quick_start_runs_and_its_comments_hold():
     names: dict = {}
     exec(compile(_quick_start(), "README.md quick start", "exec"), names)
@@ -18,5 +32,14 @@ def test_quick_start_runs_and_its_comments_hold():
     assert pg.descendants("Admin") == {"Admin", "Record", "Analysis"}
     assert pg.rank_of("Analysis") == 3
     assert pg.partial_descendants("Admin", 2) == {"Admin", "Record"}
-    assert names["merged"].allowed() == {"Admin", "Marketing"}
+    assert names["merged"].ap == {"Admin", "Marketing"}
     assert names["decided"] == {"education"}
+
+
+def test_merge_set_examples_print_their_results(capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)
+    examples = _merge_set_examples()
+    assert [shown for _, shown in examples] == [{"result": ["w", "y"]}, {"result": ["Admin"]}]
+    for argv, shown in examples:
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == shown
