@@ -4,7 +4,9 @@ A decision runs in four stages:
 
 1. policy-evaluation: every policy of every party is checked against the
    record's provenance graph and the request; applicable policies contribute
-   their allowed/prohibited purposes, the rest contribute empty sets.
+   their allowed/prohibited purposes, the rest contribute empty sets. Each
+   distinct leaf condition object is evaluated once per decision, however
+   many policies and parties share it.
 2. internal-merge: each party's per-policy sets, checked in stage 1, are
    merged with the party's expression, each merge cutting at the purpose
    graph's hierarchy line. Without an explicit expression a single policy
@@ -30,7 +32,7 @@ from .algebra import FidaExpr, HierarchicalPurposeSet, eval_fida, left_fold_expr
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties
-from .policy import Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
+from .policy import LeafMemo, Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
 from .provenance import ProvenanceGraph
 from .purposes import PurposeGraph, PurposeSet
 
@@ -107,6 +109,7 @@ def decide(
         raise ConfigurationError(f"party names must be distinct, got {names}")
     traces: list[PartyTrace] = []
     results: list[PartyResult] = []
+    memo: LeafMemo = {}  # shared by every policy of every party, for this decision only
     for cfg in parties:
         try:
             if not cfg.policies:
@@ -124,6 +127,7 @@ def decide(
                         data_category=record.category,
                         role_order=role_order,
                         purpose_graph=pg,
+                        memo=memo,
                     ),
                 )
                 for pol in cfg.policies

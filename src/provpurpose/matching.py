@@ -90,37 +90,38 @@ class Predicate(str, Enum):
     CONTAINS = "~"
 
 
-def _kind(value: AttrValue) -> type | None:
+def _kind(value: AttrValue) -> str | None:
     if isinstance(value, bool):
         return None
     if isinstance(value, int):
-        return int
+        return "int"
     if isinstance(value, str):
-        return str
+        return "str"
     if isinstance(value, datetime):
-        return datetime
+        return "naive timestamp" if value.utcoffset() is None else "aware timestamp"
     return None
 
 
 def eval_predicate(pred: Predicate, left: AttrValue, right: AttrValue) -> bool:
     """Apply a binary predicate to two attribute values.
 
-    Values must be of the same kind (int, str, or timestamp); strings order
-    lexicographically and timestamps chronologically. Mixed kinds raise
-    :class:`TypeMismatchError`.
+    Values must be of the same kind (int, str, naive timestamp or aware
+    timestamp); strings order lexicographically and timestamps
+    chronologically. Mixed kinds, a naive against an aware timestamp
+    included, raise :class:`TypeMismatchError` under every predicate.
     """
     lk, rk = _kind(left), _kind(right)
-    if lk is None or rk is None or lk is not rk:
+    if lk is None or rk is None or lk != rk:
         raise TypeMismatchError(
-            f"cannot apply {pred.value!r} to {type(left).__name__} and {type(right).__name__}"
+            f"cannot apply {pred.value!r} to {lk or type(left).__name__} and {rk or type(right).__name__}"
         )
     if pred is Predicate.EQ:
         return left == right
     if pred is Predicate.NEQ:
         return left != right
     if pred is Predicate.CONTAINS:
-        if lk is not str:
-            raise TypeMismatchError(f"cannot apply {pred.value!r} to {lk.__name__} values")
+        if lk != "str":
+            raise TypeMismatchError(f"cannot apply {pred.value!r} to {lk} values")
         return str(right) in str(left)
     if pred is Predicate.LT:
         return left < right  # type: ignore[operator]

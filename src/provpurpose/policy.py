@@ -23,7 +23,8 @@ record tagged "assignment" satisfies a policy scoped to "assignments").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Mapping, Union
 
@@ -94,20 +95,37 @@ class TreeBranch:
 AccessTree = Union[TreeLeaf, TreeBranch]
 
 
+#: Leaf values found within one decision, keyed by the identity of the leaf's condition.
+LeafMemo = dict[int, MatchValue]
+
+
 def eval_access_tree(
     tree: AccessTree,
     graph: ProvenanceGraph,
     query_attrs: Mapping[str, AttrValue] | None = None,
+    memo: LeafMemo | None = None,
 ) -> MatchValue:
-    """Evaluate a tree bottom-up; AND is min, OR is max over the chain."""
+    """Evaluate a tree bottom-up; AND is min, OR is max over the chain.
+
+    Each leaf condition object is evaluated once per `memo`; a call without
+    one gets a fresh memo. A memo is only valid for one graph and one set of
+    query attributes, so it must not outlive the decision it was made for.
+    """
+    if memo is None:
+        memo = {}
     if isinstance(tree, TreeLeaf):
         cond = tree.condition
-        if isinstance(cond, ProvenancePartition):
-            return match_partition(cond, graph)
-        if isinstance(cond, PathPattern):
-            return match_path(cond, graph)
-        return eval_atomic(cond, graph, query_attrs)
-    values = [eval_access_tree(child, graph, query_attrs) for child in tree.children]
+        value = memo.get(id(cond))
+        if value is None:
+            if isinstance(cond, ProvenancePartition):
+                value = match_partition(cond, graph)
+            elif isinstance(cond, PathPattern):
+                value = match_path(cond, graph)
+            else:
+                value = eval_atomic(cond, graph, query_attrs)
+            memo[id(cond)] = value
+        return value
+    values = [eval_access_tree(child, graph, query_attrs, memo) for child in tree.children]
     return match_and(*values) if tree.op is TreeOp.AND else match_or(*values)
 
 
@@ -189,12 +207,15 @@ def evaluate_policy(
     data_category: str | None = None,
     role_order: RoleOrder | None = None,
     purpose_graph: PurposeGraph | None = None,
+    memo: LeafMemo | None = None,
 ) -> PolicyDecision:
     """Decide whether a policy applies and which purposes it releases.
 
     With a purpose graph supplied, the policy's purposes must all be members
     of it. Purposes are released only on a FULL tree match with passing
     guards; otherwise both sets come back empty and the trace fields say why.
+    `memo` is handed to :func:`eval_access_tree`; policies decided against
+    the same graph and request may share one.
     """
     if purpose_graph is not None:
         known = purpose_graph.purposes
@@ -202,7 +223,7 @@ def evaluate_policy(
             unknown = min((policy.ap | policy.pp) - known)
             raise ConfigurationError(f"policy {policy.id!r} uses purpose {unknown!r} not in the purpose graph")
     guards_ok = guards_pass(policy, request, data_category, role_order)
-    tree_value = eval_access_tree(policy.tree, graph, request.query_attrs)
+    tree_value = eval_access_tree(policy.tree, graph, request.query_attrs, memo)
     applicable = guards_ok and tree_value is MatchValue.FULL
     if applicable:
         return PolicyDecision(True, policy.ap, policy.pp, tree_value, guards_ok)
@@ -241,8 +262,23 @@ def _partition_from_dict(doc: Any) -> ProvenancePartition:
     return ProvenancePartition(tuple(vertices), tuple(edges))
 
 
+#: The one decoded object of each distinct leaf condition, held only while a policy holds it.
+_INTERNED: weakref.WeakValueDictionary[tuple[Any, ...], LeafCondition] = weakref.WeakValueDictionary()
+
+
 def condition_from_dict(doc: Mapping[str, Any]) -> LeafCondition:
-    """Decode one leaf condition from its document form."""
+    """Decode one leaf condition; equal conditions decode to one shared object.
+
+    Sharing is what lets a decision evaluate each distinct leaf once (see
+    :func:`eval_access_tree`). The table is keyed by the condition's type and
+    fields, not by the condition itself, so it keeps no condition alive.
+    """
+    cond = _decode_condition(doc)
+    key = (type(cond), *(getattr(cond, f.name) for f in fields(cond) if f.compare))
+    return _INTERNED.setdefault(key, cond)
+
+
+def _decode_condition(doc: Mapping[str, Any]) -> LeafCondition:
     if len(_docs.obj(doc, "condition")) != 1:
         raise InputFormatError(f"condition {doc!r} must have exactly one kind key")
     kind, value = next(iter(doc.items()))

@@ -255,13 +255,15 @@ def _o_predicate(op, left, right):
     def kind(v):
         if isinstance(v, bool):
             return None
-        for t in (int, str, datetime):
+        if isinstance(v, datetime):
+            return "naive" if v.utcoffset() is None else "aware"
+        for t in (int, str):
             if isinstance(v, t):
                 return t
         return None
 
     lk, rk = kind(left), kind(right)
-    if lk is None or rk is None or lk is not rk:
+    if lk is None or rk is None or lk != rk:
         return False
     if op == "=":
         return left == right

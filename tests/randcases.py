@@ -237,16 +237,44 @@ def _subset(rng: random.Random, pool: Sequence[str], p: float = 0.45) -> frozens
     return frozenset(x for x in pool if rng.random() < p)
 
 
-def _random_tree(rng: random.Random, depth: int = 0):
+def _random_tree(rng: random.Random, leaves: list, depth: int = 0):
+    """A tree of null or vertex leaves; about half reuse a condition object from `leaves`.
+
+    New conditions join `leaves`, so one case's policies and parties share
+    leaf objects as interned documents do.
+    """
     if depth == 2 or rng.random() < 0.6:
+        if leaves and rng.random() < 0.5:
+            return TreeLeaf(rng.choice(leaves))
         if rng.random() < 0.6:
-            return TreeLeaf(NullCondition())
-        return TreeLeaf(VertexCondition(rng.choice(_MAIN_TYPES), rng.choice(_NAMES[:3])))
-    children = tuple(_random_tree(rng, depth + 1) for _ in range(rng.randint(1, 3)))
+            cond = NullCondition()
+        else:
+            cond = VertexCondition(rng.choice(_MAIN_TYPES), rng.choice(_NAMES[:3]))
+        leaves.append(cond)
+        return TreeLeaf(cond)
+    children = tuple(_random_tree(rng, leaves, depth + 1) for _ in range(rng.randint(1, 3)))
     return TreeBranch(rng.choice(list(TreeOp)), children)
 
 
-def _random_policy(rng: random.Random, pid: str, pool: Sequence[str]) -> Policy:
+def shared_leaves(case: "DecisionCase") -> tuple[bool, bool]:
+    """Whether some leaf condition object occurs in two policies, and in two parties."""
+    owners: dict[int, set[tuple[str, str]]] = {}
+    for party, policies, _ in case.parties:
+        for pol in policies:
+            stack = [pol.tree]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, TreeLeaf):
+                    owners.setdefault(id(node.condition), set()).add((party, pol.id))
+                else:
+                    stack.extend(node.children)
+    return (
+        any(len(o) > 1 for o in owners.values()),
+        any(len({party for party, _ in o}) > 1 for o in owners.values()),
+    )
+
+
+def _random_policy(rng: random.Random, pid: str, pool: Sequence[str], leaves: list) -> Policy:
     ptype = rng.randint(1, 4)
     ap = _subset(rng, pool) if ptype != 2 else frozenset()
     pp = _subset(rng, pool) if ptype != 1 else frozenset()
@@ -257,7 +285,7 @@ def _random_policy(rng: random.Random, pid: str, pool: Sequence[str]) -> Policy:
             subjects = frozenset(rng.sample(_ROLES, rng.randint(1, 2)))
         if roll > 0.4:
             categories = frozenset(rng.sample(_CATEGORIES, rng.randint(1, 2)))
-    return Policy(pid, ptype, _random_tree(rng), ap=ap, pp=pp, subjects=subjects, categories=categories)
+    return Policy(pid, ptype, _random_tree(rng, leaves), ap=ap, pp=pp, subjects=subjects, categories=categories)
 
 
 def _random_expr_tree(rng: random.Random, names: Sequence[str], functions: Sequence[str], leaves: int):
@@ -281,11 +309,12 @@ def _random_expr_tree(rng: random.Random, names: Sequence[str], functions: Seque
 def random_decision_case(rng: random.Random) -> DecisionCase:
     """1-4 parties of 1-6 policies of every type over a layered purpose DAG.
 
-    Policies carry guards and null or vertex leaves that may or may not hold;
-    each party merges by the default fold or by an expression, and the
-    parties merge by a bare F1-F8 name or by an expression. A party has one
-    policy more often than any other number, so its prohibitions reach the
-    cross-party merge unmerged.
+    Policies carry guards and null or vertex leaves that may or may not hold,
+    and share some leaf objects within and across parties; each party merges
+    by the default fold or by an expression, and the parties merge by a bare
+    F1-F8 name or by an expression. A party has one policy more often than
+    any other number, so its prohibitions reach the cross-party merge
+    unmerged.
     """
     layers = [[f"p{k}_{i}" for i in range(rng.randint(1, 3))] for k in range(rng.randint(2, 4))]
     edges = [
@@ -299,9 +328,10 @@ def random_decision_case(rng: random.Random) -> DecisionCase:
     for _ in range(rng.randint(1, 6)):
         graph.add_vertex(rng.choice(_MAIN_TYPES), rng.choice(_NAMES[:3]))
     parties = []
+    leaves: list = []
     for i in range(rng.randint(1, 4)):
         ids = [f"q{j}" for j in range(rng.choice((1, 1, 2, 3, 4, 5, 6)))]
-        policies = tuple(_random_policy(rng, pid, purposes) for pid in ids)
+        policies = tuple(_random_policy(rng, pid, purposes, leaves) for pid in ids)
         expr = None
         if rng.random() < 0.7:
             expr = _random_expr_tree(rng, ids, _INTERNAL_FUNCTIONS, rng.randint(2, 6))

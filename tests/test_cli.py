@@ -57,6 +57,33 @@ def test_evaluate_empty_decision_still_succeeds(capsys, tmp_path):
     assert json.loads(out)["decided"] == []
 
 
+def test_evaluate_naive_against_aware_timestamp_is_unsatisfied(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": "r", "type": "Artifact", "name": "r",
+                      "attrs": {"at": {"timestamp": "2020-01-01T12:00:00"}}}],
+        "edges": [],
+    }))
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({
+        "party": "p", "id": "stamped",
+        "provenance_partitions": {
+            "c": {"attr": ["Artifact", "r", "at", "<", {"timestamp": "2021-01-01T00:00:00+00:00"}]},
+        },
+        "AP": ["education"],
+    }))
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps({"subject": "student"}))
+    code, out, err = _run(
+        capsys, "evaluate", "--graph", str(graph), "--policy", str(policy),
+        "--request", str(request), "--purposes", str(CASE_STUDY / "purposes.json"),
+    )
+    assert code == 0 and err == ""
+    [decision] = json.loads(out)["parties"][0]["policies"]
+    assert decision["applicable"] is False
+    assert decision["tree_value"] == "names-only"
+
+
 def test_evaluate_external_flag(capsys):
     argv = _case_study_eval_args() + ["--external", "F1"]
     code, out, err = _run(capsys, *argv)

@@ -8,13 +8,17 @@ from hypothesis import given, settings, strategies as st
 from provpurpose import (
     ConfigurationError,
     DataRecord,
+    EdgeLabel,
     FunctionCall,
+    MatchValue,
     MissingHierarchyLineError,
     NullCondition,
     PartyConfig,
     Policy,
+    Predicate,
     ProvenanceGraph,
     PurposeGraph,
+    QueryCondition,
     Request,
     SetRef,
     StageError,
@@ -28,11 +32,13 @@ from provpurpose import (
     load_request,
     load_role_order,
     outcome_to_dict,
+    policy,
+    policy_from_dict,
     print_fida,
 )
 from conftest import CASE_STUDY
 from oracles import oracle_decide
-from randcases import random_decision_case
+from randcases import random_decision_case, shared_leaves
 
 
 def _null_policy(pid, ap=(), pp=(), ptype=None):
@@ -329,6 +335,60 @@ def test_case_study_end_to_end():
             assert d.applicable
 
 
+# -- one leaf memo per decision ------------------------------------------------------
+
+def _tree_values(outcome):
+    return [d.tree_value for trace in outcome.parties for _, d in trace.decisions]
+
+
+def test_graph_change_between_decisions_is_seen(tiny_graph, small_pg):
+    doc = {
+        "provenance_partitions": {"c": {"partition": {
+            "vertices": [{"ref": "p", "type": "process", "name": "ingest"},
+                         {"ref": "a", "type": "agent", "name": "bob"}],
+            "edges": [["p", "a", "wasControlledBy"]],
+        }}},
+        "AP": ["mid"],
+    }
+    first, second = policy_from_dict(doc, "pa"), policy_from_dict(doc, "pb")
+    assert first.tree.condition is second.tree.condition
+    parties = [PartyConfig("A", (first,)), PartyConfig("B", (second,))]
+    record = DataRecord(tiny_graph)
+    before = decide(record, Request("anyone"), parties, "F3", small_pg)
+    assert before.decided == frozenset()
+    assert _tree_values(before) == [MatchValue.TYPES, MatchValue.TYPES]
+
+    bob = tiny_graph.add_vertex(VertexType.AGENT, "bob")
+    [ingest] = tiny_graph.ids_of(VertexType.PROCESS, "ingest")
+    tiny_graph.add_edge(ingest, bob, EdgeLabel.WAS_CONTROLLED_BY)
+    after = decide(record, Request("anyone"), parties, "F3", small_pg)
+    assert after.decided == {"mid"}
+    assert _tree_values(after) == [MatchValue.FULL, MatchValue.FULL]
+
+
+def test_shared_query_leaf_reads_each_request(tiny_graph, small_pg, monkeypatch):
+    calls = []
+    eval_atomic = policy.eval_atomic
+
+    def counting_eval_atomic(cond, graph, query_attrs=None):
+        calls.append(dict(query_attrs))
+        return eval_atomic(cond, graph, query_attrs)
+
+    monkeypatch.setattr(policy, "eval_atomic", counting_eval_atomic)
+    cond = QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)  # report has size 4
+    parties = [
+        PartyConfig(name, (Policy(f"{name}1", 1, TreeLeaf(cond), ap=frozenset({"mid"})),)) for name in "AB"
+    ]
+    record = DataRecord(tiny_graph)
+    small = decide(record, Request("anyone", query_attrs={"size": 2}), parties, "F3", small_pg)
+    large = decide(record, Request("anyone", query_attrs={"size": 8}), parties, "F3", small_pg)
+    assert _tree_values(small) == [MatchValue.NAMES, MatchValue.NAMES]
+    assert small.decided == frozenset()
+    assert _tree_values(large) == [MatchValue.FULL, MatchValue.FULL]
+    assert large.decided == {"mid"}
+    assert calls == [{"size": 2}, {"size": 8}]  # once per decision, for both parties
+
+
 # -- whole decisions against the oracle ----------------------------------------------
 
 def _text(tree):
@@ -342,18 +402,27 @@ def _text(tree):
 # A case is built from one seed: drawing its dozens of policies and expression
 # trees through strategies makes each example many times slower than a seeded
 # generator does, and the rare cases that tell merges apart need many examples.
-@settings(max_examples=500, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_decide_matches_the_oracle(seed):
-    case = random_decision_case(random.Random(seed))
-    outcome = decide(
-        DataRecord(case.graph, category=case.category, attached_purposes=case.attached),
-        Request(case.subject),
-        [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties],
-        case.external if isinstance(case.external, str) else _text(case.external),
-        PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line),
-        case.role_order,
-    )
-    decided, results = oracle_decide(**case._asdict())
-    assert outcome.decided == decided
-    assert [(t.result.ap, t.result.pp) for t in outcome.parties] == results
+# Cases share leaf objects, so `decide` answers many leaves from its memo; the
+# oracle evaluates every leaf afresh.
+def test_decide_matches_the_oracle():
+    shared = []
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        case = random_decision_case(random.Random(seed))
+        outcome = decide(
+            DataRecord(case.graph, category=case.category, attached_purposes=case.attached),
+            Request(case.subject),
+            [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties],
+            case.external if isinstance(case.external, str) else _text(case.external),
+            PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line),
+            case.role_order,
+        )
+        decided, results = oracle_decide(**case._asdict())
+        assert outcome.decided == decided
+        assert [(t.result.ap, t.result.pp) for t in outcome.parties] == results
+        shared.append(shared_leaves(case))
+
+    check()
+    assert any(policies for policies, _ in shared) and any(parties for _, parties in shared)

@@ -1,7 +1,7 @@
 """Four-valued matching: predicates, partitions, paths, targets."""
 
 import random
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +90,19 @@ def test_predicate_kind_mismatch_raises():
         eval_predicate(Predicate.CONTAINS, 3, 3)
     with pytest.raises(TypeMismatchError):
         eval_predicate(Predicate.EQ, True, 1)
+
+
+@pytest.mark.parametrize("pred", list(Predicate))
+def test_naive_and_aware_timestamps_are_different_kinds(pred, tiny_graph):
+    naive = datetime(2020, 1, 1, 12)
+    aware = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    for left, right in ((naive, aware), (aware, naive)):
+        with pytest.raises(TypeMismatchError, match="naive timestamp"):
+            eval_predicate(pred, left, right)
+    # a constraint that cannot be compared is unsatisfied, as int against str is
+    tiny_graph.add_vertex(VertexType.ARTIFACT, "stamped", {"at": naive})
+    cond = AttrCondition(VertexType.ARTIFACT, "stamped", "at", pred, aware)
+    assert eval_atomic(cond, tiny_graph) is MatchValue.NAMES
 
 
 # -- partitions -------------------------------------------------------------------

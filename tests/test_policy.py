@@ -1,16 +1,24 @@
 """Policies: access trees, guards, evaluation, document loading."""
 
+import copy
+import gc
+import json
 import random
+import weakref
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from provpurpose import (
+    AttrCondition,
     ConfigurationError,
     InputFormatError,
     MatchValue,
     NullCondition,
     PathPattern,
     Policy,
+    Predicate,
+    ProvenanceGraph,
     PurposeGraph,
     Request,
     TreeBranch,
@@ -19,9 +27,13 @@ from provpurpose import (
     VertexCondition,
     VertexType,
     category_covered,
+    condition_from_dict,
     eval_access_tree,
+    eval_atomic,
     evaluate_policy,
     guards_pass,
+    load_policy,
+    policy,
     policy_from_dict,
     request_from_dict,
     role_leq,
@@ -259,6 +271,111 @@ def test_condition_documents_cover_all_kinds(tiny_graph):
             assert match_partition(cond, tiny_graph) is MatchValue.FULL
         elif kind != "query":
             assert eval_atomic(cond, tiny_graph) is MatchValue.FULL
+
+
+# -- interning and the leaf memo ------------------------------------------------------
+
+_CONDITION_DOCS = {
+    "null": None,
+    "vertex": ["agent", "alice"],
+    "attr": ["artifact", "report", "size", "=", 4],
+    "query": ["artifact", "report", "size", "<="],
+    "target": '/artifact[name="report"]/process',
+    "path": "wasGeneratedBy|ingest, \\v*, wasControlledBy|alice",
+    "partition": {
+        "vertices": [
+            {"ref": "r", "type": "artifact", "name": "report", "attrs": [["size", ">", 1]]},
+            {"ref": "p", "type": "process"},
+        ],
+        "edges": [["r", "p", "wasGeneratedBy"]],
+    },
+}
+
+
+def _sole_condition(pol: Policy):
+    assert isinstance(pol.tree, TreeLeaf)
+    return pol.tree.condition
+
+
+@pytest.mark.parametrize("kind", list(_CONDITION_DOCS))
+def test_equal_conditions_decode_to_one_object(kind, tmp_path):
+    doc = {"provenance_partitions": {"c": {kind: _CONDITION_DOCS[kind]}}, "AP": ["education"]}
+    first = _sole_condition(policy_from_dict(doc))
+    assert _sole_condition(policy_from_dict(copy.deepcopy(doc))) is first
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(json.dumps(doc))
+    a, b = (load_policy(str(path)) for path in paths)
+    assert _sole_condition(a) is _sole_condition(b) is first
+
+
+def _partition_doc(ref="r", pred=">", label="wasGeneratedBy", operand=1):
+    return {"partition": {
+        "vertices": [
+            {"ref": ref, "type": "artifact", "name": "report", "attrs": [["size", pred, operand]]},
+            {"ref": "p", "type": "process"},
+        ],
+        "edges": [[ref, "p", label]],
+    }}
+
+
+@pytest.mark.parametrize(
+    "change", [{"ref": "s"}, {"pred": ">="}, {"label": "used"}, {"label": "*"}, {"operand": "1"}]
+)
+def test_conditions_that_differ_decode_to_different_objects(change):
+    base = condition_from_dict(_partition_doc())
+    assert condition_from_dict(_partition_doc(**change)) is not base
+
+
+def test_int_and_string_operands_decode_to_different_objects():
+    as_int, as_str = (condition_from_dict({"attr": ["artifact", "report", "size", "=", v]}) for v in (1, "1"))
+    assert as_int is not as_str
+    assert (as_int.operand, as_str.operand) == (1, "1")
+
+
+def test_equal_instants_in_different_offsets_intern_to_one_object():
+    utc, plus_one = (
+        condition_from_dict({"attr": ["artifact", "report", "at", "<", {"timestamp": stamp}]})
+        for stamp in ("2021-01-01T00:00:00+00:00", "2021-01-01T01:00:00+01:00")
+    )
+    assert utc is plus_one
+    built = AttrCondition(
+        VertexType.ARTIFACT, "report", "at", Predicate.LT,
+        datetime(2021, 1, 1, 1, tzinfo=timezone(timedelta(hours=1))),
+    )
+    values = []
+    for minutes in (-1, 0, 1):  # around 2021-01-01T00:00Z
+        graph = ProvenanceGraph()
+        at = datetime(2020, 12, 31, 19, tzinfo=timezone(timedelta(hours=-5))) + timedelta(minutes=minutes)
+        graph.add_vertex(VertexType.ARTIFACT, "report", {"at": at})
+        values.append((eval_atomic(utc, graph), eval_atomic(built, graph)))
+    assert values == [(MatchValue.FULL,) * 2, (MatchValue.NAMES,) * 2, (MatchValue.NAMES,) * 2]
+
+
+def test_interning_keeps_no_condition_alive():
+    ref = weakref.ref(condition_from_dict({"vertex": ["agent", "held by nothing else"]}))
+    gc.collect()
+    assert ref() is None
+
+
+def test_each_leaf_object_is_evaluated_once_per_call(tiny_graph, monkeypatch):
+    calls = []
+    match_partition = policy.match_partition
+
+    def counting_match_partition(partition, graph):
+        calls.append(partition)
+        return match_partition(partition, graph)
+
+    monkeypatch.setattr(policy, "match_partition", counting_match_partition)
+    leaf = TreeLeaf(condition_from_dict(_partition_doc()))
+    tree = TreeBranch(TreeOp.AND, (leaf, TreeBranch(TreeOp.OR, (leaf, TreeLeaf(leaf.condition)))))
+    assert eval_access_tree(tree, tiny_graph) is MatchValue.FULL
+    assert eval_access_tree(tree, tiny_graph) is MatchValue.FULL
+    assert calls == [leaf.condition] * 2  # once per call: a call without a memo gets its own
+    memo = {}
+    for _ in range(2):
+        evaluate_policy(Policy("p", 1, tree, ap=frozenset({"x"})), tiny_graph, Request("s"), memo=memo)
+    assert len(calls) == 3
 
 
 def test_request_from_dict_with_attached_purposes():
