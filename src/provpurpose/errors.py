@@ -35,6 +35,10 @@ class TypeMismatchError(ProvPurposeError):
     """A binary predicate compared values of incompatible types."""
 
 
+class SearchLimitError(ProvPurposeError):
+    """A partition search drew more candidates than its step budget allows."""
+
+
 class _PositionedSyntaxError(ProvPurposeError):
     """A text does not follow its grammar; `position` is where, when known."""
 

@@ -15,6 +15,8 @@ ever grants purposes downstream.
 An embedding here is an injective mapping of pattern vertices to graph
 vertices that preserves every pattern edge, matching edge labels exactly
 (wildcard pattern edges only require some edge in the right direction).
+A partition search that takes more than :data:`MAX_SEARCH_STEPS` steps
+raises :class:`SearchLimitError` instead of returning a value.
 
 Path patterns are a linear sublanguage: a comma-separated list of steps where
 ``\\v*`` is a wildcard absorbing any run of intermediate vertices and every
@@ -38,7 +40,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Union
 
 from ._dagutil import reachable_from
-from .errors import PatternSyntaxError, TypeMismatchError
+from .errors import PatternSyntaxError, SearchLimitError, TypeMismatchError
 from .provenance import AttrValue, EdgeLabel, ProvEdge, ProvenanceGraph, VertexType, vertex_type_from_json
 
 
@@ -163,10 +165,10 @@ class PatternEdge:
 
 
 class _Placement(NamedTuple):
-    """A later vertex of a search plan, with its edges to vertices placed before it."""
+    """A vertex of a search plan, with its edges to vertices placed before it."""
 
     vertex: PatternVertex
-    anchor: PatternEdge  # draws the candidates
+    anchor: PatternEdge | None  # draws the candidates; None for the first vertex
     checks: tuple[PatternEdge, ...]
 
 
@@ -196,8 +198,8 @@ class ProvenancePartition:
             raise PatternSyntaxError("partition must be connected")
 
     @cached_property
-    def plan(self) -> tuple[PatternVertex | _Placement, ...]:
-        """The search order: the first vertex, then a placement per later one.
+    def plan(self) -> tuple[_Placement, ...]:
+        """The search order: one placement per vertex, the first without an anchor.
 
         Derived once, on the first search. Connectivity comes first, as in
         VF2: the most selective vertex (named, then the most constraints)
@@ -213,7 +215,7 @@ class ProvenancePartition:
         edges = [e for e in self.edges if e.src != e.dst]
         first = max(self.vertices, key=selectivity)
         placed = {first.ref}
-        plan: list[PatternVertex | _Placement] = [first]
+        plan = [_Placement(first, None, ())]
         while len(plan) < len(self.vertices):
             frontier = {e.src for e in edges if e.dst in placed} | {e.dst for e in edges if e.src in placed}
             frontier -= placed
@@ -227,6 +229,25 @@ class ProvenancePartition:
             placed.add(pv.ref)
             plan.append(_Placement(pv, anchor, tuple(links)))
         return tuple(plan)
+
+    @cached_property
+    def levels(self) -> tuple[MatchValue, ...]:
+        """The levels worth searching, best first; one that checks nothing more
+        than the one above it (no constraints, or no names) is left out."""
+        levels = [MatchValue.FULL]
+        if any(v.constraints for v in self.vertices):
+            levels.append(MatchValue.NAMES)
+        if any(v.name is not None for v in self.vertices):
+            levels.append(MatchValue.TYPES)
+        return tuple(levels)
+
+
+#: Candidates one partition search may draw for pattern vertices after the
+#: first before it gives up with :class:`SearchLimitError`.
+MAX_SEARCH_STEPS = 100_000
+
+# Looking up an enum member costs a call on Python 3.11; the search reads these per vertex.
+_FULL, _TYPES = MatchValue.FULL, MatchValue.TYPES
 
 
 def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
@@ -245,21 +266,6 @@ def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
     return True
 
 
-def _vertex_admissible(
-    pv: PatternVertex,
-    vid: str,
-    graph: ProvenanceGraph,
-    check_names: bool,
-    check_attrs: bool,
-) -> bool:
-    gv = graph.vertex(vid)
-    if gv.vtype is not pv.vtype:
-        return False
-    if check_names and pv.name is not None and gv.name != pv.name:
-        return False
-    return not check_attrs or _attrs_hold(pv, vid, graph)
-
-
 def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: EdgeLabel | None) -> bool:
     for e in graph.out_edges(src):
         if e.dst == dst and (label is None or e.label is label):
@@ -267,87 +273,80 @@ def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: EdgeLabel | Non
     return False
 
 
-def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Placement) -> Iterator[str]:
-    """Graph vertices joined to the placed end of the anchor edge as the edge demands."""
+def _candidates(
+    graph: ProvenanceGraph, placed: dict[str, str], placement: _Placement, level: MatchValue
+) -> Iterator[str]:
+    """Graph vertices that may stand for a plan entry's vertex at a level.
+
+    The first vertex's come from the graph's type/name index. A later
+    vertex's are the ends of its placed anchor's edges, as the anchor
+    demands, of its type and, where the level checks names, of its name.
+    Constraints are checked last, lazily, and only at FULL.
+    """
     pv, anchor, _ = placement
-    label = anchor.label
-    if anchor.dst == pv.ref:
-        return (e.dst for e in graph.out_edges(placed[anchor.src]) if label is None or e.label is label)
-    return (e.src for e in graph.in_edges(placed[anchor.dst]) if label is None or e.label is label)
+    name = None if level is _TYPES else pv.name
+    if anchor is None:
+        found = graph.ids_of(pv.vtype, name)
+    else:
+        forward = anchor.dst == pv.ref
+        label, vertices, vtype = anchor.label, graph.vertices, pv.vtype
+        found = []
+        for e in graph.out_edges(placed[anchor.src]) if forward else graph.in_edges(placed[anchor.dst]):
+            vid = e.dst if forward else e.src
+            gv = vertices[vid]
+            if (label is None or e.label is label) and gv.vtype is vtype and (name is None or gv.name == name):
+                found.append(vid)
+    if pv.constraints and level is _FULL:
+        return (vid for vid in found if _attrs_hold(pv, vid, graph))
+    return iter(found)
 
 
-def _find_embedding(
-    partition: ProvenancePartition,
-    graph: ProvenanceGraph,
-    check_names: bool,
-    check_attrs: bool,
-) -> bool:
-    """Whether some injective, edge-preserving placement of the pattern exists.
+def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph, level: MatchValue) -> bool:
+    """Whether some injective, edge-preserving placement of the pattern exists at a level.
 
-    The first vertex's candidates come from the graph's type/name index, so
-    no other vertex is ever tried for it; a one-vertex pattern needs nothing
-    more.
+    One backtracking loop over a stack of candidate iterators, one per plan
+    entry up to the one being placed; `placed` maps pattern refs to graph
+    vertices in plan order. Each candidate drawn for a vertex after the first
+    is a step; past :data:`MAX_SEARCH_STEPS` steps the search raises
+    :class:`SearchLimitError`, since a guessed value would change decisions.
     """
     plan = partition.plan
-    root = plan[0]
-    for start in graph.ids_of(root.vtype, root.name if check_names else None):
-        if check_attrs and not _attrs_hold(root, start, graph):
-            continue
-        if len(plan) == 1 or _extend(plan, graph, {root.ref: start}, check_names, check_attrs):
-            return True
-    return False
-
-
-def _extend(
-    plan: tuple[PatternVertex | _Placement, ...],
-    graph: ProvenanceGraph,
-    placed: dict[str, str],
-    check_names: bool,
-    check_attrs: bool,
-) -> bool:
-    """Place the plan's later vertices after its first, backtracking on a stack.
-
-    `placed` maps pattern refs to graph vertices in plan order. Each vertex's
-    candidates come from the edges of its anchor, which is already placed.
-    """
-    pending = [_candidates(graph, placed, plan[1])]
+    placed: dict[str, str] = {}
+    pending = [_candidates(graph, placed, plan[0], level)]
+    steps = 0
     while pending:
         pv, _, checks = plan[len(placed)]
         for vid in pending[-1]:
-            if vid in placed.values() or not _vertex_admissible(pv, vid, graph, check_names, check_attrs):
-                continue
+            if placed:
+                steps += 1
+                if steps > MAX_SEARCH_STEPS:
+                    raise SearchLimitError(f"partition search gave up after {MAX_SEARCH_STEPS} steps")
+                if vid in placed.values():
+                    continue
             placed[pv.ref] = vid
             if not checks or all(_has_edge(graph, placed[e.src], placed[e.dst], e.label) for e in checks):
                 break
             del placed[pv.ref]
         else:
             pending.pop()
-            placed.popitem()
+            if placed:
+                placed.popitem()
             continue
         if len(placed) == len(plan):
             return True
-        pending.append(_candidates(graph, placed, plan[len(placed)]))
+        pending.append(_candidates(graph, placed, plan[len(placed)], level))
     return False
 
 
 def match_partition(partition: ProvenancePartition, graph: ProvenanceGraph) -> MatchValue:
-    """Best stratum at which the partition embeds into the graph.
+    """Best level at which the partition embeds into the graph.
 
-    A stratum that checks nothing more than the one above it is not searched
-    again: without constraints FULL and NAMES are one search, and without
-    names NAMES and TYPES are.
+    Only the partition's :attr:`~ProvenancePartition.levels` are searched,
+    best first, so a call runs at most three searches.
     """
-    if _find_embedding(partition, graph, check_names=True, check_attrs=True):
-        return MatchValue.FULL
-    vertices = partition.vertices
-    if any(v.constraints for v in vertices) and _find_embedding(
-        partition, graph, check_names=True, check_attrs=False
-    ):
-        return MatchValue.NAMES
-    if any(v.name is not None for v in vertices) and _find_embedding(
-        partition, graph, check_names=False, check_attrs=False
-    ):
-        return MatchValue.TYPES
+    for level in partition.levels:
+        if _find_embedding(partition, graph, level):
+            return level
     return MatchValue.NONE
 
 

@@ -118,15 +118,9 @@ class ProvenanceGraph:
 
         For agent/artifact/process vertices a non-empty `attrs` mapping is
         stored on a fresh Attribute vertex reached via a ``hasAttributes``
-        edge; the main vertex itself keeps an empty payload.
+        edge; the main vertex itself keeps an empty payload. Drops the
+        :meth:`ids_of` index.
         """
-        self._index = None
-        return self._place(vtype, name, attrs, vid)
-
-    def _place(
-        self, vtype: VertexType, name: str, attrs: Mapping[str, AttrValue] | None, vid: str | None
-    ) -> str:
-        """Insert a vertex, and the Attribute vertex and edge its `attrs` need."""
         if not name:
             raise InputFormatError("vertex name must be non-empty")
         if vid is None:
@@ -134,6 +128,7 @@ class ProvenanceGraph:
         vertices = self._vertices
         if vid in vertices:
             raise InputFormatError(f"duplicate vertex id {vid!r}")
+        self._index = None
         if vtype is VertexType.ATTRIBUTE:
             vertices[vid] = ProvVertex(vid, vtype, name, dict(attrs or {}))
             return vid
@@ -143,15 +138,11 @@ class ProvenanceGraph:
             if att_id in vertices:
                 raise InputFormatError(f"duplicate vertex id {att_id!r}")
             vertices[att_id] = ProvVertex(att_id, VertexType.ATTRIBUTE, f"{name} attributes", dict(attrs))
-            self._link(vid, att_id, EdgeLabel.HAS_ATTRIBUTES)
+            self.add_edge(vid, att_id, EdgeLabel.HAS_ATTRIBUTES)
         return vid
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
-        self._index = None
-        self._link(src, dst, label, refined)
-
-    def _link(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
-        """Append an edge between two existing vertices to the edge and adjacency lists."""
+        """Add an edge between two existing vertices; the :meth:`ids_of` index stays."""
         vertices = self._vertices
         for vid in (src, dst):
             if vid not in vertices:
@@ -198,8 +189,9 @@ class ProvenanceGraph:
         """Ids of the vertices of a type, and of a name if one is given.
 
         Ids come in insertion order. The index behind them is built on first
-        use and dropped by every mutation, so it never describes an older
-        graph; callers must not modify the returned sequence.
+        use and dropped by :meth:`add_vertex`; it holds vertices only, so an
+        added edge leaves it current. Callers must not modify the returned
+        sequence.
         """
         index = self._index
         if index is None:
@@ -320,20 +312,20 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
     Vertex entries are {id, type, name, attrs?}; edge entries are
     {src, dst, label, refinedLabel?}. Inline attrs on a main vertex are
     materialized as an Attribute vertex exactly like :meth:`add_vertex`.
-    One pass fills the graph's tables through the private helpers behind
-    :meth:`add_vertex` and :meth:`add_edge`, in the same order and with the
-    same errors, without dropping the name index once per entry.
+    One pass adds every vertex through :meth:`add_vertex` and then every
+    edge through :meth:`add_edge`, in document order, so a document fails
+    with the same errors as the same calls made by hand.
     """
     doc = _docs.obj(doc, "graph document")
     graph = ProvenanceGraph()
-    place, link = graph._place, graph._link
+    add_vertex, add_edge = graph.add_vertex, graph.add_edge
     for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
             vid, vtype, name = str(entry["id"]), entry["type"], str(entry["name"])
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"vertex entry {entry!r} needs id/type/name") from exc
         attrs = attrs_from_json(entry.get("attrs"))
-        place(vertex_type_from_json(vtype), name, attrs, vid)
+        add_vertex(vertex_type_from_json(vtype), name, attrs, vid=vid)
     for entry in _docs.array(doc.get("edges", []), '"edges"'):
         try:
             src, dst, label = str(entry["src"]), str(entry["dst"]), entry["label"]
@@ -342,7 +334,7 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
         refined = entry.get("refinedLabel")
         if refined is not None:
             refined = str(refined)
-        link(src, dst, _docs.member(EdgeLabel, label, "edge label"), refined)
+        add_edge(src, dst, _docs.member(EdgeLabel, label, "edge label"), refined)
     return graph
 
 

@@ -66,3 +66,21 @@ def tiny_graph() -> ProvenanceGraph:
 
 def load_case_study_json(name: str):
     return json.loads((CASE_STUDY / name).read_text(encoding="utf-8"))
+
+
+def complete_dag_doc(n: int) -> dict:
+    """n Artifacts with ``a_j wasDerivedFrom a_i`` for every j > i: valid and acyclic."""
+    return {
+        "vertices": [{"id": f"a{i}", "type": "Artifact", "name": f"a{i}"} for i in range(n)],
+        "edges": [
+            {"src": f"a{j}", "dst": f"a{i}", "label": "wasDerivedFrom"} for j in range(n) for i in range(j)
+        ],
+    }
+
+
+def cycle_partition_doc(k: int) -> dict:
+    """k unnamed, unconstrained Artifacts joined in a directed wasDerivedFrom cycle."""
+    return {
+        "vertices": [{"ref": f"p{i}", "type": "Artifact"} for i in range(k)],
+        "edges": [[f"p{i}", f"p{(i + 1) % k}", "wasDerivedFrom"] for i in range(k)],
+    }

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from provpurpose.cli import main
-from conftest import CASE_STUDY, FIXTURES
+from conftest import CASE_STUDY, FIXTURES, complete_dag_doc, cycle_partition_doc
 
 
 def _run(capsys, *argv):
@@ -135,6 +135,26 @@ def test_evaluate_too_deep_internal_expr_exits_2(capsys):
     code, out, err = _run(capsys, *_case_study_eval_args(), "--internal-expr", deep)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_evaluate_over_the_search_budget_exits_2(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(complete_dag_doc(32)))
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({
+        "party": "p", "id": "cycle",
+        "provenance_partitions": {"c": {"partition": cycle_partition_doc(8)}},
+        "AP": ["education"],
+    }))
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps({"subject": "student"}))
+    code, out, err = _run(
+        capsys, "evaluate", "--graph", str(graph), "--policy", str(policy),
+        "--request", str(request), "--purposes", str(CASE_STUDY / "purposes.json"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: policy-evaluation: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_evaluate_malformed_file_exits_2(capsys, tmp_path):

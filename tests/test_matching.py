@@ -22,13 +22,16 @@ from provpurpose import (
     ProvenanceGraph,
     ProvenancePartition,
     QueryCondition,
+    SearchLimitError,
     TargetCondition,
     TypeMismatchError,
     VertexCondition,
     VertexType,
     WILDCARD_TOKEN,
+    condition_from_dict,
     eval_atomic,
     eval_predicate,
+    graph_from_dict,
     match_and,
     match_or,
     match_partition,
@@ -36,6 +39,8 @@ from provpurpose import (
     parse_path_pattern,
     parse_target,
 )
+from provpurpose import matching
+from conftest import complete_dag_doc, cycle_partition_doc
 from oracles import (
     oracle_match_partition,
     oracle_match_path,
@@ -472,9 +477,49 @@ def test_plan_is_connected_and_starts_at_the_most_selective_vertex():
         ),
     )
     root, *later = part.plan
-    assert root.ref == "z"
+    assert root.vertex.ref == "z" and root.anchor is None
     assert [p.vertex.ref for p in later] == ["y", "x", "w"]
     # the labelled edge of the parallel pair anchors y; the wildcard is checked
     assert later[0].anchor == PatternEdge("z", "y", EdgeLabel.WAS_GENERATED_BY)
     assert later[0].checks == (PatternEdge("z", "y"),)
     assert part.plan is part.plan
+
+
+# -- the step budget ------------------------------------------------------------
+
+def test_one_vertex_pattern_is_never_refused_by_the_step_budget(monkeypatch):
+    monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 0)
+    g = ProvenanceGraph()
+    for i in range(10):
+        g.add_vertex(VertexType.ARTIFACT, "doc", {"n": i})
+
+    def doc_with(pred: Predicate) -> ProvenancePartition:
+        constraint = AttrConstraint("n", pred, 9)
+        return ProvenancePartition((PatternVertex("d", VertexType.ARTIFACT, "doc", (constraint,)),))
+
+    assert match_partition(doc_with(Predicate.EQ), g) is MatchValue.FULL
+    assert match_partition(doc_with(Predicate.GT), g) is MatchValue.NAMES
+
+
+def test_a_search_over_the_step_budget_raises(monkeypatch):
+    # five artifacts used by one process, none generated by it: each is a step that fails its check
+    g = ProvenanceGraph()
+    proc = g.add_vertex(VertexType.PROCESS, "run")
+    for i in range(5):
+        g.add_edge(proc, g.add_vertex(VertexType.ARTIFACT, f"in{i}"), EdgeLabel.USED)
+    part = ProvenancePartition(
+        (PatternVertex("p", VertexType.PROCESS), PatternVertex("a", VertexType.ARTIFACT)),
+        (PatternEdge("p", "a", EdgeLabel.USED), PatternEdge("a", "p")),
+    )
+    monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 5)
+    assert match_partition(part, g) is MatchValue.NONE
+    monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 4)
+    with pytest.raises(SearchLimitError, match="after 4 steps"):
+        match_partition(part, g)
+
+
+def test_a_cycle_pattern_over_a_complete_dag_raises_instead_of_running_on():
+    graph = graph_from_dict(complete_dag_doc(32))
+    cycle = condition_from_dict({"partition": cycle_partition_doc(8)})
+    with pytest.raises(SearchLimitError):
+        match_partition(cycle, graph)

@@ -48,6 +48,17 @@ def test_ids_of_indexes_type_and_name_and_follows_mutation():
     assert list(g.ids_of(VertexType.ARTIFACT, "ghost")) == []
 
 
+def test_only_add_vertex_drops_the_ids_of_index():
+    g = ProvenanceGraph()
+    a = g.add_vertex(VertexType.ARTIFACT, "report", vid="a")
+    p = g.add_vertex(VertexType.PROCESS, "make", vid="p")
+    artifacts = g.ids_of(VertexType.ARTIFACT)
+    g.add_edge(a, p, EdgeLabel.WAS_GENERATED_BY)
+    assert g.ids_of(VertexType.ARTIFACT) is artifacts
+    b = g.add_vertex(VertexType.ARTIFACT, "draft", vid="b")
+    assert list(g.ids_of(VertexType.ARTIFACT)) == [a, b]
+
+
 def test_attrs_materialize_as_attribute_vertex():
     g = ProvenanceGraph()
     vid = g.add_vertex(VertexType.ARTIFACT, "report", attrs={"size": 4})
