@@ -118,6 +118,45 @@ class PrecedenceKind(str, Enum):
     LOW_MIN = "downmin"
 
 
+# (extreme rank, higher wins): each operand is ranked by its best (min) or
+# worst (max) member, and the one that sits higher (smaller rank) or lower wins.
+_RANKING = {
+    PrecedenceKind.HIGH_MAX: (min, True),
+    PrecedenceKind.LOW_MAX: (min, False),
+    PrecedenceKind.HIGH_MIN: (max, True),
+    PrecedenceKind.LOW_MIN: (max, False),
+}
+
+
+class BasicOp(str, Enum):
+    UNION = "+"
+    SUBTRACT = "-"
+    SYM_DIFF = "^-"
+    INTERSECT = "&"
+    HIGH_MAX = "upmax"
+    LOW_MAX = "downmax"
+    HIGH_MIN = "upmin"
+    LOW_MIN = "downmin"
+
+
+_SetOp = Callable[[PurposeSet, PurposeSet], PurposeSet]
+
+# What each operator does: a set function, or the ranked selection of its own name.
+_MEANING: dict[BasicOp, _SetOp | PrecedenceKind] = {
+    BasicOp.UNION: or_,
+    BasicOp.SUBTRACT: sub,
+    BasicOp.SYM_DIFF: xor,
+    BasicOp.INTERSECT: and_,
+    **{BasicOp(kind.value): kind for kind in PrecedenceKind},
+}
+
+# How tightly each operator binds in expression text; equal strengths associate left.
+_BINDING: dict[BasicOp, int] = {
+    **dict.fromkeys((BasicOp.UNION, BasicOp.SUBTRACT, BasicOp.SYM_DIFF), 1),
+    **dict.fromkeys((BasicOp.INTERSECT, BasicOp.HIGH_MAX, BasicOp.LOW_MAX, BasicOp.HIGH_MIN, BasicOp.LOW_MIN), 2),
+}
+
+
 def _precedence_winner(
     kind: PrecedenceKind, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
 ) -> int:
@@ -125,21 +164,20 @@ def _precedence_winner(
 
     Every precedence selection comes here, so this is where the one graph rule
     lives: `pg` is needed whatever the operands. An empty operand then loses
-    without a rank comparison, so two empty operands tie.
+    without a rank comparison, so two empty operands tie. Otherwise an
+    unknown purpose raises, the smallest one of s1 and then of s2.
     """
     if pg is None:
         raise ConfigurationError("precedence operators need a purpose graph")
     if not s1 or not s2:
         return bool(s2) - bool(s1)
-    if kind in (PrecedenceKind.HIGH_MAX, PrecedenceKind.LOW_MAX):
-        k1 = min(pg.rank_of(p) for p in s1)
-        k2 = min(pg.rank_of(p) for p in s2)
-    else:
-        k1 = max(pg.rank_of(p) for p in s1)
-        k2 = max(pg.rank_of(p) for p in s2)
+    pg.check_members(s1)
+    pg.check_members(s2)
+    extreme, higher_wins = _RANKING[kind]
+    rank = pg._rank.__getitem__  # both operands are checked, so rank_of's own check is not needed
+    k1, k2 = extreme(map(rank, s1)), extreme(map(rank, s2))
     if k1 == k2:
         return 0
-    higher_wins = kind in (PrecedenceKind.HIGH_MAX, PrecedenceKind.HIGH_MIN)
     return -1 if (k1 < k2) == higher_wins else 1
 
 
@@ -160,6 +198,16 @@ def precedence_total(
     a, b = frozenset(s1), frozenset(s2)
     winner = _precedence_winner(kind, a, b, pg)
     return a if winner < 0 else b if winner > 0 else a | b
+
+
+def apply_basic(
+    op: BasicOp, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
+) -> PurposeSet:
+    """One basic operator over plain sets: party expressions and F1-F8."""
+    meaning = _MEANING[op]
+    if isinstance(meaning, PrecedenceKind):
+        return precedence_total(meaning, s1, s2, pg)
+    return meaning(s1, s2)
 
 
 # -- hierarchical purpose sets --------------------------------------------------
@@ -204,32 +252,30 @@ class InternalFunction(Enum):
     DIVTIMES = "f_divtimes"
 
 
-_SetOp = Callable[[PurposeSet, PurposeSet], PurposeSet]
+def _rule(*spellings: str | None) -> tuple[_SetOp | None, ...]:
+    """A merge rule's set functions, from the operator spellings of the module table."""
+    return tuple(None if op is None else _MEANING[BasicOp(op)] for op in spellings)
 
-_SET_OPS: dict[str, _SetOp] = {
-    "+": op_union,
-    "&": op_intersection,
-    "^-": op_difference,
-    "-": op_subtraction,
-}
 
 # (high combine, high prohibit, low combine, low prohibit); see the module table.
 # f_boxdot's high prohibit, P1 - P1, is always empty: None keeps nothing above.
 _MERGE_RULES: dict[InternalFunction, tuple[_SetOp | None, ...]] = {
-    InternalFunction.OPLUS: (and_, sub, or_, sub),
-    InternalFunction.OMINUS: (and_, and_, or_, and_),
-    InternalFunction.OTIMES: (and_, sub, or_, and_),
-    InternalFunction.OSLASH: (and_, and_, or_, sub),
-    InternalFunction.ODOT: (or_, sub, or_, and_),
-    InternalFunction.UPLUS: (or_, sub, or_, and_),
-    InternalFunction.DOTPLUS: (or_, and_, or_, and_),
-    InternalFunction.DCAP: (or_, and_, and_, and_),
-    InternalFunction.DCUP: (or_, and_, and_, sub),
-    InternalFunction.BOXTIMES: (xor, sub, xor, and_),
-    InternalFunction.BOXDOT: (xor, None, or_, and_),
-    InternalFunction.BOXPLUS: (or_, sub, xor, and_),
-    InternalFunction.DIVTIMES: (xor, sub, and_, and_),
+    InternalFunction.OPLUS: _rule("&", "-", "+", "-"),
+    InternalFunction.OMINUS: _rule("&", "&", "+", "&"),
+    InternalFunction.OTIMES: _rule("&", "-", "+", "&"),
+    InternalFunction.OSLASH: _rule("&", "&", "+", "-"),
+    InternalFunction.ODOT: _rule("+", "-", "+", "&"),
+    InternalFunction.UPLUS: _rule("+", "-", "+", "&"),
+    InternalFunction.DOTPLUS: _rule("+", "&", "+", "&"),
+    InternalFunction.DCAP: _rule("+", "&", "&", "&"),
+    InternalFunction.DCUP: _rule("+", "&", "&", "-"),
+    InternalFunction.BOXTIMES: _rule("^-", "-", "^-", "&"),
+    InternalFunction.BOXDOT: _rule("^-", None, "+", "&"),
+    InternalFunction.BOXPLUS: _rule("+", "-", "^-", "&"),
+    InternalFunction.DIVTIMES: _rule("^-", "-", "&", "&"),
 }
+
+_NARY_RULE = _rule("+", "+", "^-", "&")
 
 _FUNCTION_BY_TOKEN = {fn.value: fn for fn in InternalFunction}
 
@@ -273,35 +319,13 @@ def apply_nary(sets: Sequence[HierarchicalPurposeSet]) -> HierarchicalPurposeSet
         raise InputFormatError("n-ary merge needs at least two operands")
     graph = _shared_graph(sets)
     high = frozenset() if graph is None else graph.high
-    pp = reduce(lambda x, y: _cut(high, or_, and_, x, y), [s.pp for s in sets])
-    ap = reduce(lambda x, y: _cut(high, or_, xor, x, y), [s.ap for s in sets]) - pp
+    high_combine, high_prohibit, low_combine, low_prohibit = _NARY_RULE
+    pp = reduce(lambda x, y: _cut(high, high_prohibit, low_prohibit, x, y), [s.pp for s in sets])
+    ap = reduce(lambda x, y: _cut(high, high_combine, low_combine, x, y), [s.ap for s in sets]) - pp
     return HierarchicalPurposeSet(ap, pp, graph=graph)
 
 
 # -- expression syntax ----------------------------------------------------------
-
-class BasicOp(str, Enum):
-    UNION = "+"
-    SUBTRACT = "-"
-    SYM_DIFF = "^-"
-    INTERSECT = "&"
-    HIGH_MAX = "upmax"
-    LOW_MAX = "downmax"
-    HIGH_MIN = "upmin"
-    LOW_MIN = "downmin"
-
-
-_TIGHT_OPS = {BasicOp.INTERSECT, BasicOp.HIGH_MAX, BasicOp.LOW_MAX, BasicOp.HIGH_MIN, BasicOp.LOW_MIN}
-_LOOSE_OPS = {BasicOp.UNION, BasicOp.SUBTRACT, BasicOp.SYM_DIFF}
-
-_PRECEDENCE_OF_OP = {
-    BasicOp.HIGH_MAX: PrecedenceKind.HIGH_MAX,
-    BasicOp.LOW_MAX: PrecedenceKind.LOW_MAX,
-    BasicOp.HIGH_MIN: PrecedenceKind.HIGH_MIN,
-    BasicOp.LOW_MIN: PrecedenceKind.LOW_MIN,
-}
-
-_WORD_OPS = {op.value for op in _PRECEDENCE_OF_OP}
 
 # Unicode spellings, normalized during scanning. The triangle/harpoon forms
 # used between prohibited sets bind here, in one place: right/plain triangles
@@ -361,12 +385,12 @@ class _Token:
     pos: int
 
 
-# Every alias and operator spelling, then punctuation, then names; anything else
-# is one unexpected character. Names continue with \w (isalnum() or "_"), but
-# only isalpha() or "_" may start one, which _tokenize checks.
+# Every alias and symbol operator spelling, longest first, then punctuation, then
+# names, which include the word operators; anything else is one unexpected
+# character. Names continue with \w, but only isalpha() or "_" may start one.
+_SYMBOLS = [*_UNICODE_ALIASES, *(op.value for op in BasicOp if not op.value.isalpha())]
 _TOKEN_RE = re.compile(
-    r"(?P<space>\s+)"
-    r"|(?P<op>" + "|".join(map(re.escape, _UNICODE_ALIASES)) + r"|\^-|[-+&])"
+    r"(?P<space>\s+)|(?P<op>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + r")"
     r"|(?P<punct>[(),])|(?P<name>\w+)|(?P<bad>.)",
     re.DOTALL,
 )
@@ -381,7 +405,7 @@ def _tokenize(text: str) -> list[_Token]:
         elif kind == "punct":
             tokens.append(_Token(value, value, pos))
         elif kind == "name" and (value[0].isalpha() or value[0] == "_"):
-            tokens.append(_Token("op" if value in _WORD_OPS else "name", value, pos))
+            tokens.append(_Token("op" if value in _BINDING else "name", value, pos))
         elif kind != "space":
             raise FidaSyntaxError(f"unexpected character {value[0]!r}", pos)
     return tokens
@@ -404,12 +428,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.take()
-        if tok.kind != kind:
-            raise FidaSyntaxError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
-        return tok
-
     def parse(self) -> FidaExpr:
         expr = self.expr()
         tok = self.peek()
@@ -417,29 +435,15 @@ class _Parser:
             raise FidaSyntaxError(f"unexpected {tok.value!r}", tok.pos)
         return expr
 
-    def expr(self) -> FidaExpr:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op":
-                return node
-            op = BasicOp(tok.value)
-            if op not in _LOOSE_OPS:
-                return node
-            self.take()
-            node = BinaryOp(op, node, self.term())
-
-    def term(self) -> FidaExpr:
+    def expr(self, binding: int = 1) -> FidaExpr:
+        """Operands joined left to right by operators that bind at least
+        `binding`; each right operand takes only operators that bind tighter."""
         node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op":
-                return node
-            op = BasicOp(tok.value)
-            if op not in _TIGHT_OPS:
-                return node
+        while (tok := self.peek()) is not None and tok.kind == "op" and _BINDING[tok.value] >= binding:
             self.take()
-            node = BinaryOp(op, node, self.factor())
+            op = BasicOp(tok.value)
+            node = BinaryOp(op, node, self.expr(_BINDING[op] + 1))
+        return node
 
     def factor(self) -> FidaExpr:
         tok = self.take()
@@ -454,7 +458,8 @@ class _Parser:
             raise FidaSyntaxError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
         if tok.kind == "(":
             node = self.expr()
-            self.expect(")")
+            if (end := self.take()).kind != ")":
+                raise FidaSyntaxError(f"expected ')', found {end.value!r}", end.pos)
         else:
             self.take()
             args = [self.expr()]
@@ -566,16 +571,6 @@ def _binding(env: Mapping[str, T], what: str) -> Callable[[str], T]:
     return ref
 
 
-def apply_basic(
-    op: BasicOp, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
-) -> PurposeSet:
-    """One basic operator over plain sets: party expressions and F1-F8."""
-    kind = _PRECEDENCE_OF_OP.get(op)
-    if kind is None:
-        return _SET_OPS[op.value](s1, s2)
-    return precedence_total(kind, s1, s2, pg)
-
-
 def _merge_call(name: str, args: list[HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
     if name == "f_nary":
         return apply_nary(args)
@@ -603,15 +598,14 @@ def eval_fida(expr: FidaExpr | str, env: Mapping[str, HierarchicalPurposeSet]) -
 
     def infix(op: BasicOp, l: HierarchicalPurposeSet, r: HierarchicalPurposeSet):
         graph = _shared_graph((l, r))
-        kind = _PRECEDENCE_OF_OP.get(op)
-        if kind is not None:
+        meaning = _MEANING[op]
+        if isinstance(meaning, PrecedenceKind):
             # A selection is the winner's union with itself, or both sides' on a tie.
-            winner = _precedence_winner(kind, l.ap, r.ap, graph)
+            winner = _precedence_winner(meaning, l.ap, r.ap, graph)
             if winner:
                 l = r = l if winner < 0 else r
-            op = BasicOp.UNION
-        set_op = _SET_OPS[op.value]
-        return HierarchicalPurposeSet(set_op(l.ap, r.ap), set_op(l.pp, r.pp), graph=graph)
+            meaning = or_
+        return HierarchicalPurposeSet(meaning(l.ap, r.ap), meaning(l.pp, r.pp), graph=graph)
 
     return fold(expr, _binding(env, "set bound to"), _merge_call, infix)
 

@@ -61,7 +61,7 @@ class PartyConfig:
 
     @cached_property
     def merge_expr(self) -> FidaExpr:
-        if self.internal_expr:
+        if self.internal_expr is not None:
             return parse_fida(self.internal_expr)
         return default_internal_expr([p.id for p in self.policies])
 

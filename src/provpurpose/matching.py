@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Union
+from operator import contains, eq, ge, gt, le, lt, ne
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Union
 
 from ._dagutil import reachable_from
 from .errors import PatternSyntaxError, SearchLimitError, TypeMismatchError
@@ -92,6 +93,18 @@ class Predicate(str, Enum):
     CONTAINS = "~"
 
 
+# What each predicate means; `~` tests whether the right string occurs in the left.
+_COMPARE: dict[Predicate, Callable[[Any, Any], bool]] = {
+    Predicate.EQ: eq,
+    Predicate.NEQ: ne,
+    Predicate.LT: lt,
+    Predicate.LEQ: le,
+    Predicate.GT: gt,
+    Predicate.GEQ: ge,
+    Predicate.CONTAINS: contains,
+}
+
+
 def _kind(value: AttrValue) -> str | None:
     if isinstance(value, bool):
         return None
@@ -117,23 +130,9 @@ def eval_predicate(pred: Predicate, left: AttrValue, right: AttrValue) -> bool:
         raise TypeMismatchError(
             f"cannot apply {pred.value!r} to {lk or type(left).__name__} and {rk or type(right).__name__}"
         )
-    if pred is Predicate.EQ:
-        return left == right
-    if pred is Predicate.NEQ:
-        return left != right
-    if pred is Predicate.CONTAINS:
-        if lk != "str":
-            raise TypeMismatchError(f"cannot apply {pred.value!r} to {lk} values")
-        return str(right) in str(left)
-    if pred is Predicate.LT:
-        return left < right  # type: ignore[operator]
-    if pred is Predicate.LEQ:
-        return left <= right  # type: ignore[operator]
-    if pred is Predicate.GT:
-        return left > right  # type: ignore[operator]
-    if pred is Predicate.GEQ:
-        return left >= right  # type: ignore[operator]
-    raise TypeMismatchError(f"unknown predicate {pred!r}")
+    if pred is Predicate.CONTAINS and lk != "str":
+        raise TypeMismatchError(f"cannot apply {pred.value!r} to {lk} values")
+    return _COMPARE[pred](left, right)
 
 
 # -- partitions ---------------------------------------------------------------
@@ -234,12 +233,17 @@ class ProvenancePartition:
     def levels(self) -> tuple[MatchValue, ...]:
         """The levels worth searching, best first; one that checks nothing more
         than the one above it (no constraints, or no names) is left out."""
-        levels = [MatchValue.FULL]
-        if any(v.constraints for v in self.vertices):
-            levels.append(MatchValue.NAMES)
-        if any(v.name is not None for v in self.vertices):
-            levels.append(MatchValue.TYPES)
-        return tuple(levels)
+        has_constraints = any(v.constraints for v in self.vertices)
+        return _LEVELS[has_constraints, any(v.name is not None for v in self.vertices)]
+
+
+# ProvenancePartition.levels by (has constraints, has names), shared by every partition.
+_LEVELS = {
+    (False, False): (MatchValue.FULL,),
+    (True, False): (MatchValue.FULL, MatchValue.NAMES),
+    (False, True): (MatchValue.FULL, MatchValue.TYPES),
+    (True, True): (MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES),
+}
 
 
 #: Candidates one partition search may draw for pattern vertices after the
@@ -465,7 +469,8 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
 
 _SEGMENT_TYPE_RE = re.compile(r"(agent|artifact|process)")
 _NAME_RE = re.compile(r'name\s*=\s*"([^"]*)"\Z')
-_CONSTRAINT_RE = re.compile(r"(\w+)\s*(!=|<=|>=|=|<|>|~)\s*(.+)\Z")
+_PREDICATES = sorted((p.value for p in Predicate), key=len, reverse=True)
+_CONSTRAINT_RE = re.compile(r"(\w+)\s*(" + "|".join(map(re.escape, _PREDICATES)) + r")\s*(.+)\Z")
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}([T ].+)?\Z")
 
 

@@ -215,6 +215,7 @@ _ROLES = ("viewer", "editor", "admin", "owner")
 _CATEGORIES = ("assignment", "assignments", "grades", "grade")
 _INTERNAL_FUNCTIONS = tuple(fn.value for fn in InternalFunction) + ("f_nary",)
 _EXTERNAL_FUNCTIONS = tuple(f"F{i}" for i in range(1, 9))
+_RANKED_EXTERNAL_FUNCTIONS = ("F5", "F6", "F7", "F8")
 _INFIX = tuple(op.value for op in BasicOp)
 
 
@@ -231,6 +232,18 @@ class DecisionCase(NamedTuple):
     edges: list[tuple[str, str]]
     line: int
     attached: frozenset[str] | None
+
+
+def _purpose_layers(rng: random.Random) -> tuple[list[list[str]], list[tuple[str, str]], list[str]]:
+    """2-4 rank layers of 1-3 purposes; each purpose below the top one has one or two parents just above."""
+    layers = [[f"p{k}_{i}" for i in range(rng.randint(1, 3))] for k in range(rng.randint(2, 4))]
+    edges = [
+        (parent, child)
+        for upper, lower in zip(layers, layers[1:])
+        for child in lower
+        for parent in rng.sample(upper, rng.randint(1, min(2, len(upper))))
+    ]
+    return layers, edges, [p for layer in layers for p in layer]
 
 
 def _subset(rng: random.Random, pool: Sequence[str], p: float = 0.45) -> frozenset[str]:
@@ -316,14 +329,7 @@ def random_decision_case(rng: random.Random) -> DecisionCase:
     any other number, so its prohibitions reach the cross-party merge
     unmerged.
     """
-    layers = [[f"p{k}_{i}" for i in range(rng.randint(1, 3))] for k in range(rng.randint(2, 4))]
-    edges = [
-        (parent, child)
-        for upper, lower in zip(layers, layers[1:])
-        for child in lower
-        for parent in rng.sample(upper, rng.randint(1, min(2, len(upper))))
-    ]
-    purposes = [p for layer in layers for p in layer]
+    layers, edges, purposes = _purpose_layers(rng)
     graph = ProvenanceGraph()
     for _ in range(rng.randint(1, 6)):
         graph.add_vertex(rng.choice(_MAIN_TYPES), rng.choice(_NAMES[:3]))
@@ -354,4 +360,42 @@ def random_decision_case(rng: random.Random) -> DecisionCase:
         edges=edges,
         line=rng.randint(0, len(layers)),
         attached=_subset(rng, purposes, 0.6) if rng.random() < 0.4 else None,
+    )
+
+
+def random_prohibiting_case(rng: random.Random) -> DecisionCase:
+    """2-4 parties whose prohibitions all reach a cross-party merge that ranks them.
+
+    In `random_decision_case` few prohibitions survive: a policy must apply,
+    and the default fold intersects prohibited sets. Here every policy
+    applies (one shared null leaf, no guards) and prohibits at least one
+    purpose, a party of two policies joins them with `+`, which keeps both
+    prohibitions, and the parties merge by F5-F8, which rank one side: a
+    bare name most often, so every party's prohibitions are ranked.
+    """
+    layers, edges, purposes = _purpose_layers(rng)
+    leaf = TreeLeaf(NullCondition())
+    parties = []
+    for i in range(rng.randint(2, 4)):
+        policies = []
+        for j in range(rng.randint(1, 2)):
+            ap = _subset(rng, purposes)
+            pp = frozenset(rng.sample(purposes, rng.randint(1, 2)))
+            policies.append(Policy(f"q{j}", 3, leaf, ap=ap, pp=pp))
+        expr = ("op", "+", ("ref", "q0"), ("ref", "q1")) if len(policies) == 2 else None
+        parties.append((f"P{i}", tuple(policies), expr))
+    external: str | tuple = rng.choice(_RANKED_EXTERNAL_FUNCTIONS)
+    if rng.random() < 0.3:
+        external = _random_expr_tree(rng, [name for name, _, _ in parties], _RANKED_EXTERNAL_FUNCTIONS, 3)
+    return DecisionCase(
+        graph=ProvenanceGraph(),
+        category=None,
+        subject=rng.choice(_ROLES),
+        role_order=None,
+        parties=parties,
+        external=external,
+        purposes=purposes,
+        edges=edges,
+        line=rng.randint(0, len(layers)),
+        attached=None,
     )

@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, JSON output, golden decision."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +12,8 @@ from hypothesis import strategies as st
 
 from provpurpose.cli import main
 from conftest import CASE_STUDY, FIXTURES, complete_dag_doc, cycle_partition_doc
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def _run(capsys, *argv):
@@ -135,6 +141,22 @@ def test_evaluate_too_deep_internal_expr_exits_2(capsys):
     code, out, err = _run(capsys, *_case_study_eval_args(), "--internal-expr", deep)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_evaluate_empty_internal_expr_exits_2(capsys, tmp_path):
+    """An empty expression is parsed, from the flag or the file, not replaced by the default fold."""
+    code, out, err = _run(capsys, *_case_study_eval_args(), "--internal-expr", "")
+    assert (code, out, err) == (2, "", "error: internal-merge: empty expression (at position 0)\n")
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps({
+        "party": "source",
+        "internal_expr": "",
+        "policies": [json.loads((CASE_STUDY / "source_policy.json").read_text())],
+    }))
+    argv = _case_study_eval_args()
+    argv[argv.index(str(CASE_STUDY / "source_policy.json"))] = str(source)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: internal-merge: empty expression (at position 0)\n")
 
 
 def test_evaluate_over_the_search_budget_exits_2(capsys, tmp_path):
@@ -309,6 +331,27 @@ def test_merge_party_files(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["result"] == ["education", "research"]
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5"])
+def test_ranked_operators_name_the_smallest_unknown_purpose_under_any_hash_seed(tmp_path, seed):
+    """Set iteration order follows the hash seed; the purpose an error names must not."""
+    (tmp_path / "pg.json").write_text(json.dumps({"purposes": ["a", "b"], "edges": [["a", "b"]]}))
+    unknown = ["zz", "yy", "xx", "ww"]
+    (tmp_path / "m.json").write_text(json.dumps({"party": "m", "ap": unknown, "pp": unknown}))
+    (tmp_path / "n.json").write_text(json.dumps({"party": "n", "ap": ["a"], "pp": ["a"]}))
+    parties = ["--party", str(tmp_path / "m.json"), "--party", str(tmp_path / "n.json")]
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+    for args in (
+        ["--set", "S1=zz,yy,xx,ww", "--set", "S2=a", "--expr", "S1 upmax S2"],
+        [*parties, "--external", "F5"],  # ranks the prohibited sides
+        [*parties, "--external", "F8"],  # ranks the allowed sides
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "provpurpose", "merge", *args, "--purposes", str(tmp_path / "pg.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: unknown purpose 'ww'\n")
 
 
 def test_merge_same_named_party_files_exits_2(capsys, tmp_path):

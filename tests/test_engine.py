@@ -38,7 +38,7 @@ from provpurpose import (
 )
 from conftest import CASE_STUDY
 from oracles import oracle_decide
-from randcases import random_decision_case, shared_leaves
+from randcases import random_decision_case, random_prohibiting_case, shared_leaves
 
 
 def _null_policy(pid, ap=(), pp=(), ptype=None):
@@ -157,11 +157,13 @@ def test_party_parses_its_expression_once(tiny_graph, small_pg, monkeypatch):
 
 
 def test_malformed_internal_expr_fails_on_every_call(tiny_graph, small_pg):
-    cfg = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),), internal_expr="p1 +")
-    for _ in range(2):
-        with pytest.raises(StageError) as err:
-            decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
-        assert err.value.stage == "internal-merge"
+    # The empty text is parsed like any other, not taken for "no expression".
+    for text in ("p1 +", "", "  "):
+        cfg = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),), internal_expr=text)
+        for _ in range(2):
+            with pytest.raises(StageError) as err:
+                decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
+            assert err.value.stage == "internal-merge"
 
 
 def test_non_applicable_policy_contributes_nothing(tiny_graph, small_pg):
@@ -403,14 +405,16 @@ def _text(tree):
 # trees through strategies makes each example many times slower than a seeded
 # generator does, and the rare cases that tell merges apart need many examples.
 # Cases share leaf objects, so `decide` answers many leaves from its memo; the
-# oracle evaluates every leaf afresh.
+# oracle evaluates every leaf afresh. A third of the cases carry prohibitions
+# into F5-F8, which the general cases almost never do.
 def test_decide_matches_the_oracle():
     shared = []
 
     @settings(max_examples=500, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def check(seed):
-        case = random_decision_case(random.Random(seed))
+        rng = random.Random(seed)
+        case = (random_prohibiting_case if rng.random() < 1 / 3 else random_decision_case)(rng)
         outcome = decide(
             DataRecord(case.graph, category=case.category, attached_purposes=case.attached),
             Request(case.subject),

@@ -485,6 +485,23 @@ def test_plan_is_connected_and_starts_at_the_most_selective_vertex():
     assert part.plan is part.plan
 
 
+def test_levels_leave_out_a_level_that_checks_nothing_more_and_are_shared():
+    plain = PatternVertex("a", VertexType.AGENT)
+    constrained = PatternVertex("b", VertexType.AGENT, None, (AttrConstraint("k", Predicate.EQ, 1),))
+    named = PatternVertex("c", VertexType.AGENT, "alice")
+    full, names, types = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES
+    for vertices, levels in (
+        ((plain,), (full,)),
+        ((constrained,), (full, names)),
+        ((named,), (full, types)),
+        ((named, constrained), (full, names, types)),
+    ):
+        edges = (PatternEdge(vertices[0].ref, vertices[-1].ref),) if len(vertices) > 1 else ()
+        first, second = ProvenancePartition(vertices, edges), ProvenancePartition(vertices, edges)
+        # one tuple per shape, not one per partition
+        assert first.levels == levels and first.levels is second.levels
+
+
 # -- the step budget ------------------------------------------------------------
 
 def test_one_vertex_pattern_is_never_refused_by_the_step_budget(monkeypatch):
