@@ -69,7 +69,9 @@ equal-precedence operators associate left. Unicode spellings of the operators
 bind to upmax (▷, △) and downmin (◁, ▽). Infix operators between
 hierarchical operands act on the allowed and on the prohibited sets;
 precedence selections compare the allowed sets. A plain purpose set is the
-pair that prohibits nothing, so one evaluator serves both.
+pair that prohibits nothing, so one evaluator serves both. It compiles an
+expression once into a flat program over operand slots (``compile_fida``)
+and runs that over raw (allowed, prohibited) pairs.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
-from operator import and_, or_, sub, xor
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
+from functools import partial, reduce
+from operator import and_, attrgetter, or_, sub, xor
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
     ConfigurationError,
@@ -279,15 +281,18 @@ _NARY_RULE = _rule("+", "+", "^-", "&")
 
 _FUNCTION_BY_TOKEN = {fn.value: fn for fn in InternalFunction}
 
+# What evaluation works on: a set's allowed and prohibited sides and its graph tag.
+_Raw = tuple[PurposeSet, PurposeSet, Union[PurposeGraph, None]]
+_raw: Callable[[HierarchicalPurposeSet], _Raw] = attrgetter("ap", "pp", "graph")
 
-def _shared_graph(sets: Iterable[HierarchicalPurposeSet]) -> PurposeGraph | None:
-    graph = None
-    for s in sets:
-        if s.graph is not None and s.graph is not graph:
-            if graph is not None:
-                raise ConfigurationError("operands are tagged with different purpose graphs")
-            graph = s.graph
-    return graph
+
+def _pair_graph(g: PurposeGraph | None, h: PurposeGraph | None) -> PurposeGraph | None:
+    """The graph two operands share: at most one graph may tag them."""
+    if h is None or h is g:
+        return g
+    if g is None:
+        return h
+    raise ConfigurationError("operands are tagged with different purpose graphs")
 
 
 def _cut(high: PurposeSet, upper: _SetOp | None, lower: _SetOp, x: PurposeSet, y: PurposeSet) -> PurposeSet:
@@ -300,29 +305,51 @@ def _cut(high: PurposeSet, upper: _SetOp | None, lower: _SetOp, x: PurposeSet, y
     return (upper(x, y) & high) | (below - high)
 
 
+def _merge(rule: tuple[_SetOp | None, ...], x: _Raw, y: _Raw) -> _Raw:
+    """Merge two operands by one rule row: each side is cut at the shared
+    graph's high part, then the prohibited side leaves the allowed one."""
+    graph = _pair_graph(x[2], y[2])
+    high = frozenset() if graph is None else graph.high
+    high_combine, high_prohibit, low_combine, low_prohibit = rule
+    pp = _cut(high, high_prohibit, low_prohibit, x[1], y[1])
+    return _cut(high, high_combine, low_combine, x[0], y[0]) - pp, pp, graph
+
+
+def _merge_all(*values: _Raw) -> _Raw:
+    """Merge two or more operands by the n-ary rule: each side's cut is folded
+    over all operands, then the prohibited side leaves the allowed one."""
+    if len(values) < 2:
+        raise InputFormatError("n-ary merge needs at least two operands")
+    graph = reduce(_pair_graph, [v[2] for v in values])
+    high = frozenset() if graph is None else graph.high
+    high_combine, high_prohibit, low_combine, low_prohibit = _NARY_RULE
+    pp = reduce(lambda x, y: _cut(high, high_prohibit, low_prohibit, x, y), [v[1] for v in values])
+    ap = reduce(lambda x, y: _cut(high, high_combine, low_combine, x, y), [v[0] for v in values]) - pp
+    return ap, pp, graph
+
+
+def _infix(meaning: _SetOp | PrecedenceKind, l: _Raw, r: _Raw) -> _Raw:
+    """An infix operator acts on the allowed and on the prohibited sides; a
+    selection is the winner's union with itself, or both sides' on a tie."""
+    graph = _pair_graph(l[2], r[2])
+    if isinstance(meaning, PrecedenceKind):
+        winner = _precedence_winner(meaning, l[0], r[0], graph)
+        if winner:
+            l = r = l if winner < 0 else r
+        meaning = or_
+    return meaning(l[0], r[0]), meaning(l[1], r[1]), graph
+
+
 def apply_internal(
     fn: InternalFunction, si: HierarchicalPurposeSet, sj: HierarchicalPurposeSet
 ) -> HierarchicalPurposeSet:
     """Merge two hierarchical sets with one of the thirteen functions."""
-    graph = _shared_graph((si, sj))
-    high = frozenset() if graph is None else graph.high
-    high_combine, high_prohibit, low_combine, low_prohibit = _MERGE_RULES[fn]
-    pp = _cut(high, high_prohibit, low_prohibit, si.pp, sj.pp)
-    ap = _cut(high, high_combine, low_combine, si.ap, sj.ap) - pp
-    return HierarchicalPurposeSet(ap, pp, graph=graph)
+    return HierarchicalPurposeSet(*_merge(_MERGE_RULES[fn], _raw(si), _raw(sj)))
 
 
 def apply_nary(sets: Sequence[HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
-    """Merge two or more operands by the rule (+, +, ^-, &): each side's cut is
-    folded over all operands, then the prohibited side leaves the allowed one."""
-    if len(sets) < 2:
-        raise InputFormatError("n-ary merge needs at least two operands")
-    graph = _shared_graph(sets)
-    high = frozenset() if graph is None else graph.high
-    high_combine, high_prohibit, low_combine, low_prohibit = _NARY_RULE
-    pp = reduce(lambda x, y: _cut(high, high_prohibit, low_prohibit, x, y), [s.pp for s in sets])
-    ap = reduce(lambda x, y: _cut(high, high_combine, low_combine, x, y), [s.ap for s in sets]) - pp
-    return HierarchicalPurposeSet(ap, pp, graph=graph)
+    """Merge two or more operands by the rule (+, +, ^-, &)."""
+    return HierarchicalPurposeSet(*_merge_all(*map(_raw, sets)))
 
 
 # -- expression syntax ----------------------------------------------------------
@@ -571,18 +598,63 @@ def _binding(env: Mapping[str, T], what: str) -> Callable[[str], T]:
     return ref
 
 
-def _merge_call(name: str, args: list[HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
-    if name == "f_nary":
-        return apply_nary(args)
-    fn = _FUNCTION_BY_TOKEN.get(name)
-    if fn is None:
-        raise UnboundNameError(f"unknown merge function {name!r}")
-    if len(args) != 2:
-        raise FidaSyntaxError(f"{name} takes exactly two operands")
-    return apply_internal(fn, args[0], args[1])
+# A program step: a slot number pushes that operand, (n, action) replaces the top
+# n values with action(*values). Calls and infix operators share one step each.
+_Step = Union[int, tuple[int, Any]]
+_MERGE_STEPS: dict[InternalFunction, _Step] = {fn: (2, partial(_merge, rule)) for fn, rule in _MERGE_RULES.items()}
+_INFIX_STEPS: dict[BasicOp, _Step] = {op: (2, partial(_infix, meaning)) for op, meaning in _MEANING.items()}
 
 
-def eval_fida(expr: FidaExpr | str, env: Mapping[str, HierarchicalPurposeSet]) -> HierarchicalPurposeSet:
+def _fail(error: type[Exception], message: str, *_: _Raw) -> _Raw:
+    raise error(message)
+
+
+@dataclass(frozen=True)
+class MergeProgram:
+    """A merge expression compiled against operand slots by :func:`compile_fida`.
+
+    `names[i]` is the name of slot i. `code` holds one step per expression
+    node, in the post-order :func:`fold` walks.
+    """
+
+    names: tuple[str, ...]
+    code: tuple[_Step, ...]
+
+
+def compile_fida(expr: FidaExpr, names: Sequence[str]) -> MergeProgram:
+    """Compile an expression once against the operand names, in slot order.
+
+    A name becomes its slot and a call or operator the shared step of its
+    rule. A fault in the expression (an unbound name, an unknown function, a
+    wrong number of operands) becomes a step that raises when the evaluation
+    reaches it, so faults are raised in the order an evaluation meets them.
+    """
+    slots = {name: i for i, name in enumerate(names)}
+    code: list[_Step] = []
+
+    def ref(name: str) -> None:
+        slot = slots.get(name)
+        code.append((0, partial(_fail, UnboundNameError, f"no set bound to {name!r}")) if slot is None else slot)
+
+    def call(name: str, args: list[None]) -> None:
+        fn = _FUNCTION_BY_TOKEN.get(name)
+        if name == "f_nary":
+            code.append((len(args), _merge_all))
+        elif fn is None:
+            code.append((len(args), partial(_fail, UnboundNameError, f"unknown merge function {name!r}")))
+        elif len(args) != 2:
+            code.append((len(args), partial(_fail, FidaSyntaxError, f"{name} takes exactly two operands")))
+        else:
+            code.append(_MERGE_STEPS[fn])
+
+    fold(expr, ref, call, lambda op, l, r: code.append(_INFIX_STEPS[op]))
+    return MergeProgram(tuple(names), tuple(code))
+
+
+def eval_fida(
+    expr: FidaExpr | str | MergeProgram,
+    env: Mapping[str, HierarchicalPurposeSet] | Sequence[_Raw],
+) -> HierarchicalPurposeSet:
     """Evaluate an expression over hierarchical operands.
 
     Infix operators act on the allowed and on the prohibited sets; precedence
@@ -592,22 +664,31 @@ def eval_fida(expr: FidaExpr | str, env: Mapping[str, HierarchicalPurposeSet]) -
     are rejected and a precedence selection over untagged operands raises.
     Function calls dispatch to the thirteen binary merges (exactly two
     arguments) or to ``f_nary``.
+
+    An expression is compiled against `env`'s names, then run. A compiled
+    :class:`MergeProgram` takes its operands as ``(ap, pp, graph)`` triples
+    in slot order, and only the result becomes a hierarchical set.
     """
-    if isinstance(expr, str):
-        expr = parse_fida(expr)
-
-    def infix(op: BasicOp, l: HierarchicalPurposeSet, r: HierarchicalPurposeSet):
-        graph = _shared_graph((l, r))
-        meaning = _MEANING[op]
-        if isinstance(meaning, PrecedenceKind):
-            # A selection is the winner's union with itself, or both sides' on a tie.
-            winner = _precedence_winner(meaning, l.ap, r.ap, graph)
-            if winner:
-                l = r = l if winner < 0 else r
-            meaning = or_
-        return HierarchicalPurposeSet(meaning(l.ap, r.ap), meaning(l.pp, r.pp), graph=graph)
-
-    return fold(expr, _binding(env, "set bound to"), _merge_call, infix)
+    if isinstance(expr, MergeProgram):
+        program, operands = expr, env
+    else:
+        program = compile_fida(parse_fida(expr) if isinstance(expr, str) else expr, list(env))
+        operands = [_raw(s) for s in env.values()]
+    values: list[_Raw] = []
+    for step in program.code:
+        if type(step) is int:
+            values.append(operands[step])
+            continue
+        arity, action = step
+        if arity == 2:
+            right = values.pop()
+            values[-1] = action(values[-1], right)
+        else:
+            start = len(values) - arity
+            args = values[start:]
+            del values[start:]
+            values.append(action(*args))
+    return HierarchicalPurposeSet(*values[0])
 
 
 def eval_fida_plain(

@@ -8,9 +8,12 @@ A decision runs in four stages:
    distinct leaf condition object is evaluated once per decision, however
    many policies and parties share it.
 2. internal-merge: each party's per-policy sets, checked in stage 1, are
-   merged with the party's expression, each merge cutting at the purpose
+   merged by the party's expression, each merge cutting at the purpose
    graph's hierarchy line. Without an explicit expression a single policy
    stands as is and several policies are folded left to right with f_dotplus.
+   The expression is compiled once per party against its policy ids, and
+   each decision runs that program over the policies' raw (allowed,
+   prohibited) pairs in policy order.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set.
 4. attached-purpose-intersection: when the record carries attached purposes,
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
-from .algebra import FidaExpr, HierarchicalPurposeSet, eval_fida, left_fold_expr, parse_fida, print_fida
+from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_expr, parse_fida, print_fida
 
 # evaluate_policy checks each policy's purposes; this name stays bound for decidebench's tracer.
 from .algebra import split_result  # noqa: F401
@@ -51,8 +54,10 @@ class PartyConfig:
     """One party's policies and optional merge expression over policy ids.
 
     `merge_expr` is `internal_expr` parsed, or else the default fold over the
-    policy ids, and `merge_text` is its canonical text. Both are derived once,
-    on first use; a faulty expression is not kept and raises on every use.
+    policy ids; `merge_text` is its canonical text and `merge_program` its
+    compiled form, with one operand slot per policy in policy order. Each is
+    derived once, on first use; a faulty expression is not kept and raises on
+    every use.
     """
 
     party: str
@@ -68,6 +73,10 @@ class PartyConfig:
     @cached_property
     def merge_text(self) -> str:
         return print_fida(self.merge_expr)
+
+    @cached_property
+    def merge_program(self) -> MergeProgram:
+        return compile_fida(self.merge_expr, [p.id for p in self.policies])
 
 
 @dataclass(frozen=True)
@@ -137,8 +146,7 @@ def decide(
         try:
             if pg.hierarchy_line is None:
                 raise MissingHierarchyLineError("purpose graph has no hierarchy line")
-            env = {pid: HierarchicalPurposeSet(d.ap, d.pp, graph=pg) for pid, d in pairs}
-            merged = eval_fida(cfg.merge_expr, env)
+            merged = eval_fida(cfg.merge_program, [(d.ap, d.pp, pg) for _, d in pairs])
             result = PartyResult(cfg.party, merged.ap, merged.pp)
         except ProvPurposeError as exc:
             raise StageError("internal-merge", exc) from exc

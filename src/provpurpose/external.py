@@ -39,10 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from . import _docs
-from .algebra import BasicOp, _binding, apply_basic, fold, left_fold_expr, op_subtraction, parse_fida
+from .algebra import BasicOp, FidaExpr, _binding, apply_basic, fold, left_fold_expr, op_subtraction, parse_fida
 
 # F5-F8 rank through apply_basic; this name stays bound for decidebench's tracer.
 from .algebra import precedence_total  # noqa: F401
@@ -107,6 +108,12 @@ def apply_external(
     return op_subtraction(allowed, prohibited)
 
 
+@lru_cache(maxsize=64)
+def _party_expr(text: str, names: tuple[str, ...]) -> FidaExpr:
+    """The expression of a stripped text over the named parties; a faulty text is not kept."""
+    return left_fold_expr(text, names) if text in _EXTERNAL_BY_TOKEN else parse_fida(text)
+
+
 def merge_parties(
     results: Sequence[PartyResult],
     expr_text: str,
@@ -123,8 +130,7 @@ def merge_parties(
     env = {r.party: r for r in results}
     if len(env) != len(results):
         raise ConfigurationError("party names must be distinct to merge")
-    text = expr_text.strip()
-    expr = left_fold_expr(text, list(env)) if text in _EXTERNAL_BY_TOKEN else parse_fida(text)
+    expr = _party_expr(expr_text.strip(), tuple(env))
 
     def call(name: str, args: list[PartyResult]) -> PartyResult:
         fn = _EXTERNAL_BY_TOKEN.get(name)

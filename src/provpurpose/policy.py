@@ -26,6 +26,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 from typing import Any, Mapping, Union
 
 from . import _docs
@@ -97,6 +98,9 @@ AccessTree = Union[TreeLeaf, TreeBranch]
 
 #: Leaf values found within one decision, keyed by the identity of the leaf's condition.
 LeafMemo = dict[int, MatchValue]
+
+# Looking up an enum member costs a call on Python 3.11; evaluate_policy reads this per policy.
+_FULL = MatchValue.FULL
 
 
 def eval_access_tree(
@@ -224,7 +228,7 @@ def evaluate_policy(
             raise ConfigurationError(f"policy {policy.id!r} uses purpose {unknown!r} not in the purpose graph")
     guards_ok = guards_pass(policy, request, data_category, role_order)
     tree_value = eval_access_tree(policy.tree, graph, request.query_attrs, memo)
-    applicable = guards_ok and tree_value is MatchValue.FULL
+    applicable = guards_ok and tree_value is _FULL
     if applicable:
         return PolicyDecision(True, policy.ap, policy.pp, tree_value, guards_ok)
     return PolicyDecision(False, frozenset(), frozenset(), tree_value, guards_ok)
@@ -266,6 +270,12 @@ def _partition_from_dict(doc: Any) -> ProvenancePartition:
 _INTERNED: weakref.WeakValueDictionary[tuple[Any, ...], LeafCondition] = weakref.WeakValueDictionary()
 
 
+@cache
+def _compared_fields(kind: type) -> tuple[str, ...]:
+    """The names of the fields a condition type's equality compares, in order."""
+    return tuple(f.name for f in fields(kind) if f.compare)
+
+
 def condition_from_dict(doc: Mapping[str, Any]) -> LeafCondition:
     """Decode one leaf condition; equal conditions decode to one shared object.
 
@@ -274,7 +284,8 @@ def condition_from_dict(doc: Mapping[str, Any]) -> LeafCondition:
     fields, not by the condition itself, so it keeps no condition alive.
     """
     cond = _decode_condition(doc)
-    key = (type(cond), *(getattr(cond, f.name) for f in fields(cond) if f.compare))
+    kind = type(cond)
+    key = (kind, *map(cond.__getattribute__, _compared_fields(kind)))
     return _INTERNED.setdefault(key, cond)
 
 

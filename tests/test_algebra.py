@@ -22,6 +22,7 @@ from provpurpose import (
     UnboundNameError,
     apply_internal,
     apply_nary,
+    compile_fida,
     eval_fida,
     eval_fida_plain,
     expression_functions,
@@ -438,9 +439,53 @@ def test_eval_unbound_and_unknown_names(algebra_dag):
         eval_fida("f_oplus(S1, S1, S1)", env)
 
 
+def test_eval_graph_tags_belong_to_each_value(algebra_dag):
+    # C's tag does not reach the selection between the untagged A and B.
+    env = {
+        "A": HierarchicalPurposeSet(frozenset({"high1"})),
+        "B": HierarchicalPurposeSet(frozenset({"low1"})),
+        "C": split_result(algebra_dag, {"low2"}, set()),
+    }
+    with pytest.raises(ConfigurationError, match="^precedence operators need a purpose graph$"):
+        eval_fida("(A upmax B) + C", env)
+    assert eval_fida("A + C", env).ap == {"high1", "low2"}
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("f_dotplus(A, X) + GHOST", ConfigurationError, "different purpose graphs"),
+        ("(A + X) + GHOST", ConfigurationError, "different purpose graphs"),
+        ("GHOST + f_dotplus(A, X)", UnboundNameError, "no set bound to 'GHOST'"),
+        ("f_ghost(f_nary(A, X), GHOST)", ConfigurationError, "different purpose graphs"),
+        ("f_ghost(A, GHOST)", UnboundNameError, "no set bound to 'GHOST'"),
+        ("f_ghost(A, f_oplus(A, A, A))", FidaSyntaxError, "f_oplus takes exactly two operands"),
+        ("f_oplus(A, A, f_dotplus(A, X))", ConfigurationError, "different purpose graphs"),
+        ("f_nary(f_ghost(A, A)) upmax GHOST", UnboundNameError, "unknown merge function 'f_ghost'"),
+        ("f_nary(A) + GHOST", InputFormatError, "n-ary merge needs at least two operands"),
+        ("f_nary(A)", InputFormatError, "n-ary merge needs at least two operands"),
+    ],
+)
+def test_eval_raises_the_first_fault_in_operand_order(algebra_dag, hierarchy, text, error, message):
+    """Operands are evaluated left to right before the node that takes them,
+    so the first fault met in that order is the one raised."""
+    env = {"A": split_result(algebra_dag, {"high1"}, set()), "X": split_result(hierarchy, {"Admin"}, set())}
+    with pytest.raises(error, match=message):
+        eval_fida(text, env)
+
+
 def test_eval_accepts_prebuilt_ast(algebra_dag):
     env = {"ONLY": split_result(algebra_dag, {"low1"}, set())}
     assert eval_fida(SetRef("ONLY"), env) == env["ONLY"]
+
+
+def test_one_compiled_program_serves_many_operand_lists(algebra_dag):
+    text = "f_dcap(B, A) upmax (A - B)"
+    program = compile_fida(parse_fida(text), ["B", "A"])
+    for ap, pp in [({"high1", "low1"}, {"low2"}), ({"low2"}, {"high1"}), (set(), set())]:
+        env = {"A": split_result(algebra_dag, ap, pp), "B": split_result(algebra_dag, {"high2", "low1"}, {"low1"})}
+        got = eval_fida(program, [(env[n].ap, env[n].pp, env[n].graph) for n in program.names])
+        assert got == eval_fida(text, env) and got.graph is algebra_dag
 
 
 def test_plain_eval_over_sets(algebra_dag):

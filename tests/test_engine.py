@@ -156,6 +156,25 @@ def test_party_parses_its_expression_once(tiny_graph, small_pg, monkeypatch):
     assert calls == ["grant - deny"]
 
 
+def test_decisions_derive_every_expression_once(tiny_graph, small_pg, monkeypatch):
+    from provpurpose import algebra, external
+
+    calls = []
+    for module in (engine, external, algebra):
+        parse = module.parse_fida
+        monkeypatch.setattr(module, "parse_fida", lambda text, parse=parse: calls.append(text) or parse(text))
+    owner = PartyConfig("owner", (_null_policy("grant", ap={"mid"}), _null_policy("deny", pp={"mid"})), "grant - deny")
+    other = PartyConfig("other", (_null_policy("p1", ap={"mid", "leafp"}), _null_policy("p2", ap={"mid"})))
+    text = "F1(owner, other) & (other - owner)"
+    programs, outcomes = [], []
+    for _ in range(3):
+        outcomes.append(outcome_to_dict(decide(DataRecord(tiny_graph), Request("s"), [owner, other], text, small_pg)))
+        programs.append((owner.merge_program, other.merge_program))
+    assert outcomes[0] == outcomes[1] == outcomes[2] and outcomes[0]["decided"] == ["leafp"]
+    assert calls.count(text) <= 1 and calls.count("grant - deny") == 1
+    assert all(a is programs[0][0] and b is programs[0][1] for a, b in programs)
+
+
 def test_malformed_internal_expr_fails_on_every_call(tiny_graph, small_pg):
     # The empty text is parsed like any other, not taken for "no expression".
     for text in ("p1 +", "", "  "):
@@ -164,6 +183,21 @@ def test_malformed_internal_expr_fails_on_every_call(tiny_graph, small_pg):
             with pytest.raises(StageError) as err:
                 decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
             assert err.value.stage == "internal-merge"
+
+
+def test_expression_naming_a_non_policy_fails_internal_merge_on_every_call(tiny_graph, small_pg):
+    record = DataRecord(tiny_graph)
+    ghost = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),), internal_expr="p1 + nobody")
+    for _ in range(2):
+        with pytest.raises(StageError) as err:
+            decide(record, Request("s"), [ghost], "F3", small_pg)
+        assert err.value.stage == "internal-merge"
+        assert str(err.value.cause) == "no set bound to 'nobody'"
+    # The party's own policy errors come first.
+    unknown = PartyConfig("owner", (_null_policy("p1", ap={"ghost"}),), internal_expr="p1 + nobody")
+    with pytest.raises(StageError) as err:
+        decide(record, Request("s"), [unknown], "F3", small_pg)
+    assert err.value.stage == "policy-evaluation"
 
 
 def test_non_applicable_policy_contributes_nothing(tiny_graph, small_pg):
