@@ -4,7 +4,8 @@ Every loader reads its file with :func:`load`, which parses the JSON with
 :func:`load_json` and decodes it, and its fields with the readers below, so
 each rule lives in one place. A reader raises :class:`InputFormatError` naming
 the field, and :func:`load` puts the file's path in front of that and of any
-other error decoding raises; no reader coerces a value of the wrong shape.
+other error decoding raises. No reader coerces a value of the wrong shape, not
+even a scalar: :func:`text` refuses null, true/false, arrays and objects.
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ def entry(value: Any, size: int, what: str) -> Sequence[Any]:
     return value
 
 
+def text(value: Any, what: str) -> str:
+    """A scalar field: a string as it is, a number as its text ("id": 7 reads as "7")."""
+    if type(value) is str:
+        return value
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise InputFormatError(f"{what} must be a string or a number, got {value!r}")
+
+
 def names(value: Any, what: str) -> frozenset[str]:
     """An array of strings, as a set; a string is not read as its characters."""
     if not all(isinstance(n, str) for n in array(value, what)):
@@ -83,7 +93,7 @@ def integer(value: Any, what: str) -> int:
 
 def member(enum: type[E], value: Any, what: str) -> E:
     """The member of `enum` whose value is the text of `value`."""
-    found = _by_value(enum).get(str(value))
+    found = _by_value(enum).get(value) if isinstance(value, str) else None
     if found is None:
         raise InputFormatError(f"unknown {what} {value!r}")
     return found

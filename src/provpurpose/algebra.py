@@ -142,6 +142,7 @@ class BasicOp(str, Enum):
 
 
 _SetOp = Callable[[PurposeSet, PurposeSet], PurposeSet]
+_NOTHING: PurposeSet = frozenset()
 
 # What each operator does: a set function, or the ranked selection of its own name.
 _MEANING: dict[BasicOp, _SetOp | PrecedenceKind] = {
@@ -196,20 +197,16 @@ def op_precedence(
 def precedence_total(
     kind: PrecedenceKind, s1: Iterable[str], s2: Iterable[str], pg: PurposeGraph
 ) -> PurposeSet:
-    """Totalized selection used inside evaluators: an empty operand loses."""
-    a, b = frozenset(s1), frozenset(s2)
-    winner = _precedence_winner(kind, a, b, pg)
-    return a if winner < 0 else b if winner > 0 else a | b
+    """Totalized selection, the plain view of the pair selection: an empty operand loses."""
+    return _infix(kind, (frozenset(s1), _NOTHING, pg), (frozenset(s2), _NOTHING, pg))[0]
 
 
 def apply_basic(
     op: BasicOp, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
 ) -> PurposeSet:
-    """One basic operator over plain sets: party expressions and F1-F8."""
-    meaning = _MEANING[op]
-    if isinstance(meaning, PrecedenceKind):
-        return precedence_total(meaning, s1, s2, pg)
-    return meaning(s1, s2)
+    """One basic operator over plain sets, for party expressions and F1-F8:
+    the allowed side of the infix operator over pairs that prohibit nothing."""
+    return _infix(_MEANING[op], (s1, _NOTHING, pg), (s2, _NOTHING, pg))[0]
 
 
 # -- hierarchical purpose sets --------------------------------------------------
@@ -706,5 +703,4 @@ def eval_fida_plain(
     functions = expression_functions(expr)
     if functions:
         raise ConfigurationError(f"{min(functions)} needs hierarchical or party operands, not plain sets")
-    pairs = {name: HierarchicalPurposeSet(frozenset(s), graph=pg) for name, s in env.items()}
-    return eval_fida(expr, pairs).ap
+    return eval_fida(compile_fida(expr, list(env)), [(frozenset(s), _NOTHING, pg) for s in env.values()]).ap

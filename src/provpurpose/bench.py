@@ -23,7 +23,7 @@ from typing import Any, Sequence
 
 from .algebra import InternalFunction, apply_internal, split_result
 from .external import ExternalFunction, PartyResult, apply_external
-from .purposes import PurposeGraph, PurposeSet
+from .purposes import PurposeSet
 from .synth import BenchConfig, generate_policy, partition_by_mix, random_purpose_graph
 
 _N_MERGE_PAIRS = 200

@@ -12,8 +12,9 @@ Four subcommands:
   (``--set S1=a,b``) or over party result files (``--party r.json``).
 * ``bench``: time synthetic policy generation and merges; print the means.
 
-Output is JSON on stdout (or ``--out``); errors print ``error: ...`` on
-stderr and exit 2.
+Output is JSON on stdout (or ``--out``). A subcommand reports every fault,
+its own usage faults included, by raising; :func:`main` turns a package or
+OS error into one ``error: ...`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import _docs
 from .bench import run_bench
 from .algebra import eval_fida_plain
 from .engine import DataRecord, PartyConfig, decide, outcome_to_dict
-from .errors import InputFormatError, ProvPurposeError
+from .errors import ConfigurationError, InputFormatError, ProvPurposeError
 from .external import merge_parties, party_result_from_dict
 from .policy import load_request, load_role_order, policy_from_dict
 from .provenance import load_graph
@@ -85,8 +86,7 @@ def _parties_from_files(paths: Sequence[str], internal_override: str | None) -> 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if not (args.graph or args.policy or args.purposes):
-        print("error: validate needs --graph, --policy, or --purposes", file=sys.stderr)
-        return 2
+        raise ConfigurationError("validate needs --graph, --policy, or --purposes")
     payload: dict[str, Any] = {}
     if args.graph:
         graph = load_graph(args.graph)
@@ -143,14 +143,12 @@ def cmd_merge(args: argparse.Namespace) -> int:
         ]
         expr = args.expr or args.external
         if not expr:
-            print("error: merging parties needs --expr or --external", file=sys.stderr)
-            return 2
+            raise ConfigurationError("merging parties needs --expr or --external")
         decided = merge_parties(results, expr, pg)
         _emit({"result": sorted(decided)}, args.out)
         return 0
     if not args.expr:
-        print("error: merge needs --expr", file=sys.stderr)
-        return 2
+        raise ConfigurationError("merge needs --expr")
     env = dict(_parse_set_binding(s) for s in args.set or [])
     result = eval_fida_plain(args.expr, env, pg)
     _emit({"result": sorted(result)}, args.out)
@@ -235,10 +233,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ProvPurposeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ProvPurposeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,8 +99,8 @@ AccessTree = Union[TreeLeaf, TreeBranch]
 #: Leaf values found within one decision, keyed by the identity of the leaf's condition.
 LeafMemo = dict[int, MatchValue]
 
-# Looking up an enum member costs a call on Python 3.11; evaluate_policy reads this per policy.
-_FULL = MatchValue.FULL
+# Looking up an enum member costs a call on Python 3.11; these are read per policy and per branch.
+_FULL, _AND = MatchValue.FULL, TreeOp.AND
 
 
 def eval_access_tree(
@@ -130,7 +130,7 @@ def eval_access_tree(
             memo[id(cond)] = value
         return value
     values = [eval_access_tree(child, graph, query_attrs, memo) for child in tree.children]
-    return match_and(*values) if tree.op is TreeOp.AND else match_or(*values)
+    return match_and(*values) if tree.op is _AND else match_or(*values)
 
 
 # -- policies -------------------------------------------------------------------
@@ -239,7 +239,7 @@ def evaluate_policy(
 def _constraint(doc: Any) -> AttrConstraint:
     item, op, value = _docs.entry(doc, 3, "attribute constraint")
     pred = _docs.member(Predicate, op, "predicate")
-    return AttrConstraint(str(item), pred, attr_value_from_json(value))
+    return AttrConstraint(_docs.text(item, "attribute constraint item"), pred, attr_value_from_json(value))
 
 
 def _partition_from_dict(doc: Any) -> ProvenancePartition:
@@ -247,22 +247,22 @@ def _partition_from_dict(doc: Any) -> ProvenancePartition:
     vertices = []
     for entry in _docs.array(doc.get("vertices", []), "partition vertices"):
         try:
-            ref, vtype, name = str(entry["ref"]), entry["type"], entry.get("name")
+            ref, vtype, name = entry["ref"], entry["type"], entry.get("name")
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"partition vertex {entry!r} needs ref/type") from exc
         vertices.append(
             PatternVertex(
-                ref=ref,
+                ref=_docs.text(ref, 'partition vertex "ref"'),
                 vtype=vertex_type_from_json(vtype),
-                name=None if name is None else str(name),
+                name=None if name is None else _docs.text(name, 'partition vertex "name"'),
                 constraints=tuple(map(_constraint, _docs.array(entry.get("attrs", []), '"attrs"'))),
             )
         )
     edges = []
     for entry in _docs.array(doc.get("edges", []), "partition edges"):
-        src, dst, label = _docs.entry(entry, 3, "partition edge")
+        *ends, label = _docs.entry(entry, 3, "partition edge")
         edge_label = None if label == "*" else _docs.member(EdgeLabel, label, "edge label")
-        edges.append(PatternEdge(str(src), str(dst), edge_label))
+        edges.append(PatternEdge(*[_docs.text(end, "partition edge end") for end in ends], edge_label))
     return ProvenancePartition(tuple(vertices), tuple(edges))
 
 
@@ -294,24 +294,24 @@ def _decode_condition(doc: Mapping[str, Any]) -> LeafCondition:
         raise InputFormatError(f"condition {doc!r} must have exactly one kind key")
     kind, value = next(iter(doc.items()))
     if kind == "path":
-        return parse_path_pattern(str(value))
+        return parse_path_pattern(_docs.text(value, "path pattern"))
     if kind == "target":
-        return TargetCondition(str(value))
+        return TargetCondition(_docs.text(value, "target"))
     if kind == "partition":
         return _partition_from_dict(value)
     if kind == "null":
         return NullCondition()
     if kind == "vertex":
         vtype, name = _docs.entry(value, 2, "vertex condition")
-        return VertexCondition(vertex_type_from_json(vtype), str(name))
+        return VertexCondition(vertex_type_from_json(vtype), _docs.text(name, "vertex condition name"))
     if kind == "attr":
         vtype, name, *constraint = _docs.entry(value, 5, "attr condition")
-        c = _constraint(constraint)
-        return AttrCondition(vertex_type_from_json(vtype), str(name), c.item, c.pred, c.operand)
+        c, name = _constraint(constraint), _docs.text(name, "attr condition name")
+        return AttrCondition(vertex_type_from_json(vtype), name, c.item, c.pred, c.operand)
     if kind == "query":
         vtype, name, attr, op = _docs.entry(value, 4, "query condition")
-        pred = _docs.member(Predicate, op, "predicate")
-        return QueryCondition(vertex_type_from_json(vtype), str(name), str(attr), pred)
+        pred, name = _docs.member(Predicate, op, "predicate"), _docs.text(name, "query condition name")
+        return QueryCondition(vertex_type_from_json(vtype), name, _docs.text(attr, "query attribute"), pred)
     raise InputFormatError(f"unknown condition kind {kind!r}")
 
 
@@ -349,8 +349,8 @@ def policy_from_dict(doc: Mapping[str, Any], default_id: str = "policy") -> Poli
     """Decode a policy document.
 
     Expected fields: subject, category, provenance_partitions, access_tree,
-    AP, PP, plus optional id and type. The tree defaults to the sole
-    partition when there is exactly one and no access_tree field.
+    AP, PP, plus optional id (a string or number; null is absent) and type.
+    Without an access_tree, the policy's one partition is its tree.
     """
     doc = _docs.obj(doc, "policy document")
     raw_partitions = _docs.obj(doc.get("provenance_partitions", {}), '"provenance_partitions"')
@@ -368,11 +368,11 @@ def policy_from_dict(doc: Mapping[str, Any], default_id: str = "policy") -> Poli
     )
     ap = _docs.names(doc.get("AP", []), '"AP"')
     pp = _docs.names(doc.get("PP", []), '"PP"')
-    ptype = doc.get("type")
+    ptype, pid = doc.get("type"), doc.get("id")
     if ptype is None:
         ptype = _infer_type(subjects, categories, ap, pp)
     return Policy(
-        id=str(doc.get("id", default_id)),
+        id=default_id if pid is None else _docs.text(pid, 'policy "id"'),
         ptype=_docs.integer(ptype, '"type"'),
         tree=tree,
         ap=ap,
@@ -383,8 +383,9 @@ def policy_from_dict(doc: Mapping[str, Any], default_id: str = "policy") -> Poli
 
 
 def request_from_dict(doc: Mapping[str, Any]) -> tuple[Request, PurposeSet | None]:
-    """Decode a request document: {subject, category, query_attrs}.
+    """Decode a request document: {subject, category?, query_attrs?}.
 
+    Subject and category are strings or numbers; a null category is absent.
     An optional "attached_purposes" array rides along for CLI use and is
     returned separately; it describes the data record, not the requester.
     """
@@ -394,8 +395,8 @@ def request_from_dict(doc: Mapping[str, Any]) -> tuple[Request, PurposeSet | Non
     raw_attrs = doc.get("query_attrs")
     raw_attrs = _docs.obj({} if raw_attrs is None else raw_attrs, '"query_attrs"')
     request = Request(
-        subject=str(doc["subject"]),
-        category=None if category is None else str(category),
+        subject=_docs.text(doc["subject"], 'request "subject"'),
+        category=None if category is None else _docs.text(category, 'request "category"'),
         query_attrs={str(k): attr_value_from_json(v) for k, v in raw_attrs.items()},
     )
     attached = doc.get("attached_purposes")

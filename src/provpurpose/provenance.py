@@ -47,6 +47,9 @@ class EdgeLabel(str, Enum):
     HAS_ATTRIBUTES = "hasAttributes"
 
 
+# Looking up an enum member costs a call on Python 3.11; graphs read these per vertex.
+_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES
+
 #: The closed set of legal (source type, destination type, label) triples.
 ALLOWED_EDGES: frozenset[tuple[VertexType, VertexType, EdgeLabel]] = frozenset(
     {
@@ -129,7 +132,7 @@ class ProvenanceGraph:
         if vid in vertices:
             raise InputFormatError(f"duplicate vertex id {vid!r}")
         self._index = None
-        if vtype is VertexType.ATTRIBUTE:
+        if vtype is _ATTRIBUTE:
             vertices[vid] = ProvVertex(vid, vtype, name, dict(attrs or {}))
             return vid
         vertices[vid] = ProvVertex(vid, vtype, name, {})
@@ -137,8 +140,8 @@ class ProvenanceGraph:
             att_id = f"{vid}:att"
             if att_id in vertices:
                 raise InputFormatError(f"duplicate vertex id {att_id!r}")
-            vertices[att_id] = ProvVertex(att_id, VertexType.ATTRIBUTE, f"{name} attributes", dict(attrs))
-            self.add_edge(vid, att_id, EdgeLabel.HAS_ATTRIBUTES)
+            vertices[att_id] = ProvVertex(att_id, _ATTRIBUTE, f"{name} attributes", dict(attrs))
+            self.add_edge(vid, att_id, _HAS_ATTRIBUTES)
         return vid
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
@@ -208,18 +211,18 @@ class ProvenanceGraph:
         merged payloads of all Attribute vertices one ``hasAttributes`` hop away.
         """
         vertex = self.vertex(vid)
-        if vertex.vtype is VertexType.ATTRIBUTE:
+        if vertex.vtype is _ATTRIBUTE:
             return dict(vertex.attrs)
         merged: AttributeSet = {}
         for edge in self.out_edges(vid):
-            if edge.label is EdgeLabel.HAS_ATTRIBUTES:
+            if edge.label is _HAS_ATTRIBUTES:
                 merged.update(self._vertices[edge.dst].attrs)
         return merged
 
     def main_vertices(self) -> Iterator[ProvVertex]:
         """Vertices that are not attribute bundles."""
         for vertex in self._vertices.values():
-            if vertex.vtype is not VertexType.ATTRIBUTE:
+            if vertex.vtype is not _ATTRIBUTE:
                 yield vertex
 
     # -- validation --------------------------------------------------------
@@ -244,8 +247,8 @@ class ProvenanceGraph:
         if topological_order_of(self) is None:
             violations.append("graph contains a cycle")
         for vertex in vertices.values():
-            if vertex.vtype is VertexType.ATTRIBUTE:
-                incoming = sum(e.label is EdgeLabel.HAS_ATTRIBUTES for e in self.in_edges(vertex.id))
+            if vertex.vtype is _ATTRIBUTE:
+                incoming = sum(e.label is _HAS_ATTRIBUTES for e in self.in_edges(vertex.id))
                 if incoming != 1:
                     violations.append(
                         f"attribute vertex {vertex.id!r} has {incoming} incoming "
@@ -300,7 +303,7 @@ _VERTEX_TYPES = {t.value.lower(): t for t in VertexType}
 
 def vertex_type_from_json(value: Any) -> VertexType:
     """Vertex type names are case-insensitive, in graphs and patterns alike."""
-    found = _VERTEX_TYPES.get(str(value).lower())
+    found = _VERTEX_TYPES.get(value.lower()) if isinstance(value, str) else None
     if found is None:
         raise InputFormatError(f"unknown vertex type {value!r}")
     return found
@@ -309,32 +312,32 @@ def vertex_type_from_json(value: Any) -> VertexType:
 def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
     """Build a graph from the document form: {"vertices": [...], "edges": [...]}.
 
-    Vertex entries are {id, type, name, attrs?}; edge entries are
-    {src, dst, label, refinedLabel?}. Inline attrs on a main vertex are
-    materialized as an Attribute vertex exactly like :meth:`add_vertex`.
-    One pass adds every vertex through :meth:`add_vertex` and then every
-    edge through :meth:`add_edge`, in document order, so a document fails
-    with the same errors as the same calls made by hand.
+    Vertex entries are {id, type, name, attrs?}; edge entries are {src, dst,
+    label, refinedLabel?}, where a null refinedLabel is absent and ids, names,
+    ends and refined labels are :func:`_docs.text` scalars. Inline attrs on a
+    main vertex become an Attribute vertex, as in :meth:`add_vertex`. One pass
+    adds every vertex and then every edge through :meth:`add_vertex` and
+    :meth:`add_edge`, in document order, so it fails as those calls would.
     """
     doc = _docs.obj(doc, "graph document")
     graph = ProvenanceGraph()
-    add_vertex, add_edge = graph.add_vertex, graph.add_edge
+    add_vertex, add_edge, text = graph.add_vertex, graph.add_edge, _docs.text
     for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
-            vid, vtype, name = str(entry["id"]), entry["type"], str(entry["name"])
+            vid, vtype, name = entry["id"], entry["type"], entry["name"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"vertex entry {entry!r} needs id/type/name") from exc
         attrs = attrs_from_json(entry.get("attrs"))
-        add_vertex(vertex_type_from_json(vtype), name, attrs, vid=vid)
+        add_vertex(vertex_type_from_json(vtype), text(name, 'vertex "name"'), attrs, vid=text(vid, 'vertex "id"'))
     for entry in _docs.array(doc.get("edges", []), '"edges"'):
         try:
-            src, dst, label = str(entry["src"]), str(entry["dst"]), entry["label"]
+            src, dst, label = entry["src"], entry["dst"], entry["label"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"edge entry {entry!r} needs src/dst/label") from exc
         refined = entry.get("refinedLabel")
-        if refined is not None:
-            refined = str(refined)
-        add_edge(src, dst, _docs.member(EdgeLabel, label, "edge label"), refined)
+        refined = None if refined is None else text(refined, '"refinedLabel"')
+        label = _docs.member(EdgeLabel, label, "edge label")
+        add_edge(text(src, 'edge "src"'), text(dst, 'edge "dst"'), label, refined)
     return graph
 
 

@@ -232,7 +232,7 @@ def purpose_graph_from_dict(doc: Mapping[str, Any]) -> PurposeGraph:
     doc = _docs.obj(doc, "purpose graph document")
     purposes = _docs.names(doc.get("purposes"), '"purposes"')
     raw_edges = _docs.array(doc.get("edges", []), '"edges"')
-    edges = [_docs.entry(e, 2, "purpose edge") for e in raw_edges]
+    edges = [[_docs.text(end, "purpose edge end") for end in _docs.entry(e, 2, "purpose edge")] for e in raw_edges]
     line = doc.get("hierarchy_line")
     if line is not None:
         line = _docs.integer(line, '"hierarchy_line"')

@@ -37,10 +37,11 @@ from provpurpose import (
     print_fida,
     split_result,
 )
-from provpurpose.algebra import _UNICODE_ALIASES, MAX_NESTING, _tokenize
+from provpurpose.algebra import _UNICODE_ALIASES, MAX_NESTING, _tokenize, apply_basic
 from provpurpose.external import PartyResult, merge_parties
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES, ALGEBRA_UNIVERSE
 from oracles import (
+    _O_SET_OPS,
     brute_force_ranks,
     o_precedence,
     o_precedence_total,
@@ -96,6 +97,20 @@ def test_precedence_total_lets_empty_lose(algebra_dag):
     for a, b in ((set(), {"low1"}), ({"low1"}, set()), (set(), set())):
         with pytest.raises(ConfigurationError):
             precedence_total(PrecedenceKind.HIGH_MAX, a, b, None)
+
+
+def test_apply_basic_matches_the_oracle_on_every_operand_pair(algebra_dag):
+    ranks = brute_force_ranks(ALGEBRA_PURPOSES, ALGEBRA_EDGES)
+    universe = list(ALGEBRA_UNIVERSE)
+    subsets = [frozenset(c) for r in range(len(universe) + 1) for c in itertools.combinations(universe, r)]
+    for op, a, b, pg in itertools.product(BasicOp, subsets, subsets, (algebra_dag, None)):
+        if op.value in _O_SET_OPS:
+            assert apply_basic(op, a, b, pg) == _O_SET_OPS[op.value](universe, a, b)
+        elif pg is None:
+            with pytest.raises(ConfigurationError):
+                apply_basic(op, a, b, pg)
+        else:
+            assert apply_basic(op, a, b, pg) == o_precedence_total(op.value, a, b, ranks, universe)
 
 
 def test_precedence_matches_oracle_samples(algebra_dag):

@@ -240,6 +240,7 @@ def test_validate_ok_graph_and_policy(capsys):
 def test_validate_without_inputs_exits_2(capsys):
     code, out, err = _run(capsys, "validate")
     assert code == 2 and err.startswith("error:")
+    assert (out, err) == ("", "error: validate needs --graph, --policy, or --purposes\n")
 
 
 def test_validate_malformed_policy_exits_2(capsys, tmp_path):
@@ -299,6 +300,7 @@ def test_merge_too_deep_expr_exits_2(capsys):
 def test_merge_without_expr_exits_2(capsys):
     code, out, err = _run(capsys, "merge", "--set", "A=x")
     assert code == 2 and err.startswith("error:")
+    assert (out, err) == ("", "error: merge needs --expr\n")
 
 
 def test_merge_bad_set_binding_exits_2(capsys):
@@ -372,6 +374,7 @@ def test_merge_party_without_expression_exits_2(capsys, tmp_path):
     (tmp_path / "m.json").write_text(json.dumps({"party": "m", "ap": ["x"]}))
     code, out, err = _run(capsys, "merge", "--party", str(tmp_path / "m.json"))
     assert code == 2 and err.startswith("error:")
+    assert (out, err) == ("", "error: merging parties needs --expr or --external\n")
 
 
 def test_bench_tiny_run_shape(capsys):
@@ -396,6 +399,12 @@ def test_bench_tiny_run_shape(capsys):
 def _case_study_doc(name, **changes):
     doc = json.loads((CASE_STUDY / name).read_text())
     doc.update(changes)
+    return doc
+
+
+def _case_study_graph_with_unnamed_vertex():
+    doc = _case_study_doc("graph.json")
+    doc["vertices"][0]["name"] = None
     return doc
 
 
@@ -426,6 +435,11 @@ def _case_study_doc(name, **changes):
                 "repository_policy.json", provenance_partitions={"p": {"target": "/artifact[x=" + "9" * 5000 + "]"}}
             ),
             "integer of 5000 digits is too long (at position 9)",
+        ),
+        (
+            "--graph",
+            _case_study_graph_with_unnamed_vertex(),
+            'vertex "name" must be a string or a number, got None',
         ),
     ],
 )

@@ -26,6 +26,18 @@ def _partition_vertex(vertex):
     return _policy_with({"partition": {"vertices": [vertex]}})
 
 
+_X = {"id": "x", "type": "artifact", "name": "x"}
+_P = {"id": "p", "type": "process", "name": "p"}
+
+
+def _edge(src, dst, label="wasGeneratedBy"):
+    return {"src": src, "dst": dst, "label": label}
+
+
+def _ref(ref):
+    return {"ref": ref, "type": "process"}
+
+
 MALFORMED = {
     "vertex condition not an array": (policy_from_dict, _policy_with({"vertex": 5})),
     "vertex condition of three items": (
@@ -49,22 +61,92 @@ MALFORMED = {
     "policy type true": (policy_from_dict, {**_policy_with({"null": None}), "type": True}),
     "hierarchy_line true": (purpose_graph_from_dict, {"purposes": ["a"], "hierarchy_line": True}),
     "query_attrs an empty array": (request_from_dict, {"subject": "s", "query_attrs": []}),
+    # a scalar field that is not a string or a number, with the field the error names
+    "vertex id null": (graph_from_dict, {"vertices": [{**_X, "id": None}]}, 'vertex "id"'),
+    "vertex name null": (graph_from_dict, {"vertices": [{**_X, "name": None}]}, 'vertex "name"'),
+    "edge src null": (
+        graph_from_dict, {"vertices": [{**_X, "id": "None"}, _P], "edges": [_edge(None, "p")]}, 'edge "src"'
+    ),
+    "edge dst true": (
+        graph_from_dict, {"vertices": [_X, {**_P, "id": "True"}], "edges": [_edge("x", True)]}, 'edge "dst"'
+    ),
+    "refinedLabel true": (
+        graph_from_dict,
+        {"vertices": [_X, _P], "edges": [{**_edge("x", "p"), "refinedLabel": True}]},
+        '"refinedLabel"',
+    ),
+    "partition ref null": (policy_from_dict, _partition_vertex(_ref(None)), 'partition vertex "ref"'),
+    "partition name false": (
+        policy_from_dict, _partition_vertex({**_ref("v"), "name": False}), 'partition vertex "name"'
+    ),
+    "partition edge src null": (
+        policy_from_dict,
+        _policy_with({"partition": {"vertices": [_ref("None"), _ref("v")], "edges": [[None, "v", "*"]]}}),
+        "partition edge end",
+    ),
+    "partition edge dst false": (
+        policy_from_dict,
+        _policy_with({"partition": {"vertices": [_ref("v"), _ref("False")], "edges": [["v", False, "*"]]}}),
+        "partition edge end",
+    ),
+    "constraint item null": (
+        policy_from_dict,
+        _partition_vertex({**_ref("v"), "attrs": [[None, "=", 1]]}),
+        "attribute constraint item",
+    ),
+    "vertex condition name null": (
+        policy_from_dict, _policy_with({"vertex": ["agent", None]}), "vertex condition name"
+    ),
+    "attr condition name null": (
+        policy_from_dict, _policy_with({"attr": ["artifact", None, "size", "=", 1]}), "attr condition name"
+    ),
+    "attr condition item true": (
+        policy_from_dict, _policy_with({"attr": ["artifact", "r", True, "=", 1]}), "attribute constraint item"
+    ),
+    "query condition name an array": (
+        policy_from_dict, _policy_with({"query": ["artifact", ["r"], "size", "="]}), "query condition name"
+    ),
+    "query condition attribute null": (
+        policy_from_dict, _policy_with({"query": ["artifact", "r", None, "="]}), "query attribute"
+    ),
+    "path null": (policy_from_dict, _policy_with({"path": None}), "path pattern"),
+    "path an array": (policy_from_dict, _policy_with({"path": ["used|x"]}), "path pattern"),
+    "target null": (policy_from_dict, _policy_with({"target": None}), "target"),
+    "target an object": (policy_from_dict, _policy_with({"target": {"artifact": "x"}}), "target"),
+    "policy id true": (policy_from_dict, {**_policy_with({"null": None}), "id": True}, 'policy "id"'),
+    "request subject null": (request_from_dict, {"subject": None}, 'request "subject"'),
+    "request category false": (request_from_dict, {"subject": "s", "category": False}, 'request "category"'),
+    "purpose edge parent true": (
+        purpose_graph_from_dict, {"purposes": ["True", "a"], "edges": [[True, "a"]]}, "purpose edge end"
+    ),
+    "purpose edge child null": (
+        purpose_graph_from_dict, {"purposes": ["a", "None"], "edges": [["a", None]]}, "purpose edge end"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_document_is_an_input_error(case):
-    loader, doc = MALFORMED[case]
-    with pytest.raises(InputFormatError):
+    loader, doc, *field = MALFORMED[case]
+    with pytest.raises(InputFormatError) as err:
         loader(doc)
+    for what in field:
+        assert str(err.value).startswith(f"{what} must be a string or a number")
 
 
-_X = {"id": "x", "type": "artifact", "name": "x"}
-_P = {"id": "p", "type": "process", "name": "p"}
-
-
-def _edge(src, dst, label="wasGeneratedBy"):
-    return {"src": src, "dst": dst, "label": label}
+def test_null_in_an_optional_field_is_absent_and_a_number_keeps_its_text():
+    pol = policy_from_dict({**_partition_vertex({**_ref(1), "name": None}), "id": None}, default_id="p0")
+    assert pol.id == "p0"
+    assert (pol.tree.condition.vertices[0].ref, pol.tree.condition.vertices[0].name) == ("1", None)
+    assert policy_from_dict({**_policy_with({"null": None}), "id": 7}).id == "7"
+    request, _ = request_from_dict({"subject": 7, "category": None})
+    assert (request.subject, request.category) == ("7", None)
+    g = graph_from_dict(
+        {"vertices": [{**_X, "id": 1, "name": 2.5}, _P], "edges": [{**_edge(1, "p"), "refinedLabel": None}]}
+    )
+    assert (g.vertex("1").name, g.edges[0].refined) == ("2.5", None)
+    pg = purpose_graph_from_dict({"purposes": ["1", "a"], "edges": [[1, "a"]]})
+    assert pg.parents("a") == {"1"}
 
 
 MALFORMED_GRAPHS = {
