@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import cache
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from functools import cache, partial
+from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
 
 from .errors import InputFormatError, ProvPurposeError
 
@@ -22,10 +22,14 @@ T = TypeVar("T")
 
 
 def load_json(path: str) -> Any:
-    """Parse a JSON file; any file that is not readable JSON is an input error."""
+    """Parse a JSON file; any file that is not readable standard JSON is an input error.
+
+    Python's reader also takes ``NaN``, ``Infinity`` and ``-Infinity``, which
+    no JSON standard allows; these are refused, not read as numbers.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=partial(_refuse_constant, path))
         except json.JSONDecodeError as exc:
             raise InputFormatError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -34,6 +38,10 @@ def load_json(path: str) -> Any:
             raise InputFormatError(f"{path}: JSON nests too deeply") from None
         except ValueError as exc:  # not UTF-8, or an integer too long to read
             raise InputFormatError(f"{path}: {exc}") from exc
+
+
+def _refuse_constant(path: str, name: str) -> NoReturn:
+    raise InputFormatError(f"{path}: {name} is not a JSON number")
 
 
 def load(path: str, decode: Callable[[Any], T]) -> T:

@@ -12,9 +12,9 @@ Four subcommands:
   (``--set S1=a,b``) or over party result files (``--party r.json``).
 * ``bench``: time synthetic policy generation and merges; print the means.
 
-Output is JSON on stdout (or ``--out``). A subcommand reports every fault,
-its own usage faults included, by raising; :func:`main` turns a package or
-OS error into one ``error: ...`` line on stderr and exit 2.
+Output is JSON on stdout (or ``--out``). The parser and every subcommand
+report every fault, usage faults included, by raising; :func:`main` turns a
+package or OS error into one ``error: ...`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import _docs
 from .bench import run_bench
@@ -167,8 +167,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line by raising, so it ends in one ``error:`` line like every other fault."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="provpurpose",
         description="Purpose decisions over provenance graphs.",
     )
@@ -226,13 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # only --help exits, once it has printed the help
+        return int(exc.code or 0)
     except (ProvPurposeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

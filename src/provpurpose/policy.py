@@ -14,6 +14,12 @@ AND takes the worst leaf value, OR the best. A policy is applicable to a
 request exactly when its guards pass and the tree evaluates to a FULL match;
 the lower strata are diagnostic only and never release purposes.
 
+Each access tree is compiled once, on its first evaluation, into a flat
+post-order program that one loop runs; each leaf is matched at most once
+per decision. Decisions are shared, not built per evaluation: an applicable
+policy returns its own decision, made once, and every other outcome is one
+of seven module constants keyed by tree value and guard result.
+
 Subject guards compare the requester's role with the policy's subjects under
 an optional role order (junior -> seniors, reflexive and transitive); without
 one, only equal role names match. Category guards treat a data category as
@@ -26,8 +32,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache
-from typing import Any, Mapping, Union
+from functools import cache, cached_property
+from typing import Any, Callable, Mapping, Union
 
 from . import _docs
 from ._dagutil import reachable_from
@@ -92,14 +98,35 @@ class TreeBranch:
             raise InputFormatError(f"access tree nests deeper than {MAX_NESTING} levels")
         object.__setattr__(self, "depth", depth)
 
+    @cached_property
+    def program(self) -> tuple["TreeStep", ...]:
+        """The tree in post-order: leaf conditions, and (arity, match_and | match_or) steps.
+
+        Derived on first evaluation, so only for the trees evaluated whole:
+        a policy's root, never the branches nested in it.
+        """
+        steps: list[TreeStep] = []
+        todo: list[AccessTree] = [self]
+        while todo:  # node first, children right to left; reversed, that is post-order
+            node = todo.pop()
+            if isinstance(node, TreeLeaf):
+                steps.append(node.condition)
+            else:
+                steps.append((len(node.children), match_and if node.op is _AND else match_or))
+                todo.extend(node.children)
+        steps.reverse()
+        return tuple(steps)
+
 
 AccessTree = Union[TreeLeaf, TreeBranch]
+#: A step of a compiled tree: a leaf condition to look up, or a fold of the last `arity` values.
+TreeStep = Union[LeafCondition, tuple[int, Callable[..., MatchValue]]]
 
 
 #: Leaf values found within one decision, keyed by the identity of the leaf's condition.
 LeafMemo = dict[int, MatchValue]
 
-# Looking up an enum member costs a call on Python 3.11; these are read per policy and per branch.
+# Looking up an enum member costs a call on Python 3.11; _FULL is read per policy and decision.
 _FULL, _AND = MatchValue.FULL, TreeOp.AND
 
 
@@ -111,8 +138,10 @@ def eval_access_tree(
 ) -> MatchValue:
     """Evaluate a tree bottom-up; AND is min, OR is max over the chain.
 
-    Each leaf condition object is evaluated once per `memo`; a call without
-    one gets a fresh memo. A memo is only valid for one graph and one set of
+    A branch runs its compiled :attr:`TreeBranch.program` on a value stack,
+    so nesting costs no recursion. Each leaf condition object is evaluated
+    once per `memo`, in the tree's left-to-right order; a call without one
+    gets a fresh memo. A memo is only valid for one graph and one set of
     query attributes, so it must not outlive the decision it was made for.
     """
     if memo is None:
@@ -120,17 +149,36 @@ def eval_access_tree(
     if isinstance(tree, TreeLeaf):
         cond = tree.condition
         value = memo.get(id(cond))
-        if value is None:
-            if isinstance(cond, ProvenancePartition):
-                value = match_partition(cond, graph)
-            elif isinstance(cond, PathPattern):
-                value = match_path(cond, graph)
-            else:
-                value = eval_atomic(cond, graph, query_attrs)
-            memo[id(cond)] = value
-        return value
-    values = [eval_access_tree(child, graph, query_attrs, memo) for child in tree.children]
-    return match_and(*values) if tree.op is _AND else match_or(*values)
+        return _match_leaf(cond, graph, query_attrs, memo) if value is None else value
+    stack: list[MatchValue] = []
+    for step in tree.program:
+        if type(step) is tuple:
+            arity, fold = step
+            values = stack[-arity:]
+            del stack[-arity:]
+            stack.append(fold(*values))
+        else:
+            value = memo.get(id(step))
+            stack.append(_match_leaf(step, graph, query_attrs, memo) if value is None else value)
+    return stack[0]
+
+
+def _match_leaf(
+    cond: LeafCondition, graph: ProvenanceGraph, query_attrs: Mapping[str, AttrValue] | None, memo: LeafMemo
+) -> MatchValue:
+    """Match one leaf and record its value in `memo`.
+
+    The matchers are this module's globals, looked up on every call, so a
+    rebound matcher takes effect at once.
+    """
+    if isinstance(cond, ProvenancePartition):
+        value = match_partition(cond, graph)
+    elif isinstance(cond, PathPattern):
+        value = match_path(cond, graph)
+    else:
+        value = eval_atomic(cond, graph, query_attrs)
+    memo[id(cond)] = value
+    return value
 
 
 # -- policies -------------------------------------------------------------------
@@ -157,6 +205,11 @@ class Policy:
         if self.ptype == 4 and self.subjects is None and self.categories is None:
             raise InputFormatError(f"policy {self.id!r}: type 4 needs subjects or categories")
 
+    @cached_property
+    def applied(self) -> "PolicyDecision":
+        """The decision this policy yields wherever it applies: its AP and PP on a FULL match."""
+        return PolicyDecision(True, self.ap, self.pp, _FULL, True)
+
 
 @dataclass(frozen=True)
 class Request:
@@ -172,6 +225,16 @@ class PolicyDecision:
     pp: PurposeSet
     tree_value: MatchValue
     guards_ok: bool
+
+
+#: The decision of every policy that does not apply, one per (tree value, guards passed).
+#: (FULL, True) is absent: that policy applies and returns its own `Policy.applied`.
+_DECLINED: dict[tuple[MatchValue, bool], PolicyDecision] = {
+    (value, ok): PolicyDecision(False, frozenset(), frozenset(), value, ok)
+    for value in MatchValue
+    for ok in (False, True)
+    if not (ok and value is _FULL)
+}
 
 
 RoleOrder = Mapping[str, frozenset[str]]
@@ -192,9 +255,12 @@ def guards_pass(
     data_category: str | None,
     role_order: RoleOrder | None = None,
 ) -> bool:
-    """Subject and category guards; absent guards always pass."""
+    """Subject and category guards; absent guards always pass.
+
+    The role order is walked once from the requester, not once per subject.
+    """
     if policy.subjects is not None:
-        if not any(role_leq(request.subject, s, role_order) for s in policy.subjects):
+        if policy.subjects.isdisjoint(reachable_from(request.subject, role_order or {})):
             return False
     if policy.categories is not None:
         if data_category is None:
@@ -218,6 +284,9 @@ def evaluate_policy(
     With a purpose graph supplied, the policy's purposes must all be members
     of it. Purposes are released only on a FULL tree match with passing
     guards; otherwise both sets come back empty and the trace fields say why.
+    No decision is built here: an applicable policy returns its own
+    :attr:`Policy.applied`, made once per policy, and every other outcome is
+    one of seven shared decisions, one per (tree value, guards passed).
     `memo` is handed to :func:`eval_access_tree`; policies decided against
     the same graph and request may share one.
     """
@@ -228,10 +297,9 @@ def evaluate_policy(
             raise ConfigurationError(f"policy {policy.id!r} uses purpose {unknown!r} not in the purpose graph")
     guards_ok = guards_pass(policy, request, data_category, role_order)
     tree_value = eval_access_tree(policy.tree, graph, request.query_attrs, memo)
-    applicable = guards_ok and tree_value is _FULL
-    if applicable:
-        return PolicyDecision(True, policy.ap, policy.pp, tree_value, guards_ok)
-    return PolicyDecision(False, frozenset(), frozenset(), tree_value, guards_ok)
+    if guards_ok and tree_value is _FULL:
+        return policy.applied
+    return _DECLINED[tree_value, guards_ok]
 
 
 # -- document loading -----------------------------------------------------------

@@ -198,8 +198,26 @@ def test_evaluate_missing_file_exits_2(capsys, tmp_path):
 
 
 def test_usage_error_exits_2(capsys):
-    code, _, _ = _run(capsys, "evaluate", "--graph", "x.json")
-    assert code == 2
+    code, out, err = _run(capsys, "evaluate", "--graph", "x.json")
+    assert (code, out) == (2, "")
+    assert err == "error: provpurpose evaluate: the following arguments are required: --policy, --request, --purposes\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "provpurpose: the following arguments are required: command"),
+        (["bench", "--seed", "x"], "provpurpose bench: argument --seed: invalid int value: 'x'"),
+        (["validate", "--nope"], "provpurpose: unrecognized arguments: --nope"),
+    ],
+)
+def test_command_line_rejection_is_one_error_line(capsys, argv, message):
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_help_still_exits_0(capsys):
+    code, out, err = _run(capsys, "evaluate", "--help")
+    assert code == 0 and out.startswith("usage: provpurpose evaluate") and err == ""
 
 
 def test_validate_reports_violations_as_data(capsys, tmp_path):
@@ -402,9 +420,9 @@ def _case_study_doc(name, **changes):
     return doc
 
 
-def _case_study_graph_with_unnamed_vertex():
+def _case_study_graph_with_vertex_name(name):
     doc = _case_study_doc("graph.json")
-    doc["vertices"][0]["name"] = None
+    doc["vertices"][0]["name"] = name
     return doc
 
 
@@ -438,9 +456,10 @@ def _case_study_graph_with_unnamed_vertex():
         ),
         (
             "--graph",
-            _case_study_graph_with_unnamed_vertex(),
+            _case_study_graph_with_vertex_name(None),
             'vertex "name" must be a string or a number, got None',
         ),
+        ("--graph", _case_study_graph_with_vertex_name(float("nan")), "NaN is not a JSON number"),
     ],
 )
 def test_field_error_names_its_file_once(capsys, tmp_path, option, doc, message):

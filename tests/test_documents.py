@@ -219,3 +219,12 @@ def test_a_decode_error_gains_the_path_and_keeps_its_class_and_position(tmp_path
         load_policy(str(path))
     assert err.value.position == 0
     assert str(err.value) == f"{path}: step '(((' is not LABEL|NAME (at position 0)"
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_standard_json_numbers_are_refused(tmp_path, constant):
+    path = tmp_path / "graph.json"
+    path.write_text('{"vertices": [{"id": "a", "type": "Agent", "name": %s}], "edges": []}' % constant)
+    with pytest.raises(InputFormatError) as err:
+        load_graph(str(path))
+    assert str(err.value) == f"{path}: {constant} is not a JSON number"

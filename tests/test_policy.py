@@ -4,7 +4,9 @@ import copy
 import gc
 import json
 import random
+import sys
 import weakref
+from dataclasses import FrozenInstanceError, fields
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -39,7 +41,10 @@ from provpurpose import (
     role_leq,
     role_order_from_dict,
 )
+from provpurpose._dagutil import topological_order
 from provpurpose.algebra import MAX_NESTING
+from provpurpose.matching import match_and, match_or
+from provpurpose.policy import PolicyDecision
 from conftest import load_case_study_json
 from oracles import oracle_fold_tree
 
@@ -100,6 +105,87 @@ def test_tree_matches_naive_fold_on_random_trees(tiny_graph):
     for _ in range(60):
         tree, shape = build(3)
         assert eval_access_tree(tree, tiny_graph) == oracle_fold_tree(shape, leaf_values)
+
+
+def _random_tree(rng, n_leaves, depth):
+    """A random tree over leaf indices, and its shape for `oracle_fold_tree`."""
+    if depth == 0 or rng.random() < 0.3:
+        i = rng.randrange(n_leaves)
+        return i, ("leaf", i)
+    op = rng.choice((TreeOp.AND, TreeOp.OR))
+    pairs = [_random_tree(rng, n_leaves, depth - 1) for _ in range(rng.randint(1, 4))]
+    return (op, [t for t, _ in pairs]), (op.value, [s for _, s in pairs])
+
+
+def test_compiled_trees_sharing_leaves_and_one_memo_match_the_oracle(tiny_graph, monkeypatch):
+    conditions = [
+        VertexCondition(VertexType.AGENT, "alice"),
+        VertexCondition(VertexType.AGENT, "bob"),
+        AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.GT, 10),  # names-only
+        AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.LT, 10),
+        VertexCondition(VertexType.ATTRIBUTE, "x"),
+        NullCondition(),
+    ]
+    leaf_values = [eval_atomic(c, tiny_graph) for c in conditions]
+    assert len(set(leaf_values)) == 3
+    matched = []
+
+    def counting(cond, graph, query_attrs=None):
+        matched.append(cond)
+        return eval_atomic(cond, graph, query_attrs)
+
+    # leaves are matched through the module's global, looked up at call time
+    monkeypatch.setattr(policy, "eval_atomic", counting)
+
+    def build(spec):
+        if isinstance(spec, int):
+            return TreeLeaf(conditions[spec])
+        op, children = spec
+        return TreeBranch(op, tuple(build(c) for c in children))
+
+    rng = random.Random(29)
+    memo = {}
+    for _ in range(200):
+        spec, shape = _random_tree(rng, len(conditions), 4)
+        tree = build(spec)
+        assert eval_access_tree(tree, tiny_graph, memo=memo) == oracle_fold_tree(shape, leaf_values)
+        assert eval_access_tree(tree, tiny_graph) == oracle_fold_tree(shape, leaf_values)
+    assert sorted(map(id, matched[: len(conditions)])) == sorted(map(id, conditions))
+    assert len(memo) == len(conditions)
+
+
+def test_compiled_program_is_post_order_and_kept_out_of_equality(tiny_graph):
+    a, b, c = (VertexCondition(VertexType.AGENT, n) for n in ("a", "b", "c"))
+    inner = TreeBranch(TreeOp.OR, (TreeLeaf(b), TreeLeaf(c)))
+    tree = TreeBranch(TreeOp.AND, (TreeLeaf(a), inner))
+    twin = TreeBranch(TreeOp.AND, (TreeLeaf(a), TreeBranch(TreeOp.OR, (TreeLeaf(b), TreeLeaf(c)))))
+    eval_access_tree(tree, tiny_graph)
+    assert tree.program == (a, b, c, (2, match_or), (2, match_and))
+    assert "program" not in vars(inner)  # only the tree evaluated whole is compiled
+    assert tree == twin and hash(tree) == hash(twin) and repr(tree) == repr(twin)
+
+
+def test_wide_and_deep_trees_evaluate_without_recursion(tiny_graph):
+    full = TreeLeaf(VertexCondition(VertexType.AGENT, "alice"))
+    types = TreeLeaf(VertexCondition(VertexType.AGENT, "bob"))
+    wide = TreeBranch(TreeOp.OR, (types,) * 4_999 + (full,))
+    deep, expected = TreeBranch(TreeOp.AND, (full,)), MatchValue.FULL
+    for level in range(MAX_NESTING - 1):  # alternately AND types-only, OR full
+        if level % 2:
+            deep, expected = TreeBranch(TreeOp.OR, (deep, full)), MatchValue.FULL
+        else:
+            deep, expected = TreeBranch(TreeOp.AND, (deep, types)), MatchValue.TYPES
+    assert deep.depth == MAX_NESTING
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)  # far fewer frames than the tree has levels
+    try:
+        assert eval_access_tree(wide, tiny_graph) is MatchValue.FULL
+        assert eval_access_tree(deep, tiny_graph) is expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- policy shapes ------------------------------------------------------------------
@@ -194,6 +280,54 @@ def test_unknown_policy_purpose_error_names_the_smallest(tiny_graph):
     policy = Policy("p", 1, _leaf("alice"), ap=ghosts | {"a"})
     with pytest.raises(ConfigurationError, match="'ghost1'"):
         evaluate_policy(policy, tiny_graph, Request("anyone"), purpose_graph=pg)
+
+
+@pytest.mark.parametrize("guards_ok", [False, True])
+@pytest.mark.parametrize("value", list(MatchValue))
+def test_shared_decisions_equal_the_decisions_built_per_call(tiny_graph, value, guards_ok):
+    cond = VertexCondition(VertexType.AGENT, "alice")
+    pol = Policy("p", 4, TreeLeaf(cond), ap=frozenset({"x"}), pp=frozenset({"y"}), subjects=frozenset({"s"}))
+    request = Request("s" if guards_ok else "t")
+    decision = evaluate_policy(pol, tiny_graph, request, memo={id(cond): value})
+    # what evaluate_policy built for every policy of every decision before decisions were shared
+    if guards_ok and value is MatchValue.FULL:
+        built = PolicyDecision(True, pol.ap, pol.pp, value, guards_ok)
+    else:
+        built = PolicyDecision(False, frozenset(), frozenset(), value, guards_ok)
+    for f in fields(PolicyDecision):
+        got, want = getattr(decision, f.name), getattr(built, f.name)
+        assert type(got) is type(want) and got == want, f.name
+    assert evaluate_policy(pol, tiny_graph, request, memo={id(cond): value}) is decision
+
+
+def test_an_applicable_decision_carries_its_policys_own_sets(tiny_graph):
+    first = Policy("p", 3, _leaf("alice"), ap=frozenset({"x"}), pp=frozenset({"y"}))
+    second = Policy("q", 1, _leaf("alice"), ap=frozenset({"z"}))
+    d1, d2 = (evaluate_policy(p, tiny_graph, Request("anyone")) for p in (first, second))
+    assert d1.applicable and d1.ap is first.ap and d1.pp is first.pp
+    assert d2.applicable and d2.ap is second.ap and d2.pp is second.pp
+    with pytest.raises(FrozenInstanceError):
+        d1.ap = frozenset()  # type: ignore[misc]
+
+
+def test_subject_guard_equals_a_role_leq_per_subject_on_random_orders():
+    roles = [f"r{i}" for i in range(7)]
+    rng = random.Random(31)
+    cyclic = 0
+    for _ in range(300):
+        # any edge between distinct roles may appear, so orders may have cycles
+        order = {
+            junior: frozenset(rng.sample([r for r in roles if r != junior], rng.randint(0, 3)))
+            for junior in rng.sample(roles, rng.randint(0, len(roles)))
+        }
+        cyclic += topological_order(roles, order) is None
+        subjects = frozenset(rng.sample(roles, rng.randint(0, 3)))
+        pol = Policy("p", 4, TreeLeaf(NullCondition()), subjects=subjects)
+        for requester in roles:
+            for role_order in (order, None):
+                expected = any(role_leq(requester, s, role_order) for s in subjects)
+                assert guards_pass(pol, Request(requester), None, role_order) == expected
+    assert 0 < cyclic < 300
 
 
 # -- documents ---------------------------------------------------------------------------
