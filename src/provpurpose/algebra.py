@@ -71,7 +71,10 @@ hierarchical operands act on the allowed and on the prohibited sets;
 precedence selections compare the allowed sets. A plain purpose set is the
 pair that prohibits nothing, so one evaluator serves both. It compiles an
 expression once into a flat program over operand slots (``compile_fida``)
-and runs that over raw (allowed, prohibited) pairs.
+and runs that over raw (allowed, prohibited) pairs. A left-deep run of two
+or more merges by one function over slots, such as the default
+``f_dotplus`` fold over a party's policies, compiles to one step that folds
+the run in mutable accumulators, cutting once at the end.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
-from operator import and_, attrgetter, or_, sub, xor
+from operator import and_, attrgetter, iand, ior, isub, ixor, or_, sub, xor
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
@@ -310,6 +313,50 @@ def _merge(rule: tuple[_SetOp | None, ...], x: _Raw, y: _Raw) -> _Raw:
     high_combine, high_prohibit, low_combine, low_prohibit = rule
     pp = _cut(high, high_prohibit, low_prohibit, x[1], y[1])
     return _cut(high, high_combine, low_combine, x[0], y[0]) - pp, pp, graph
+
+
+# The in-place form of each set function, for the accumulators a run of merges folds into.
+_InPlaceOp = Callable[[set[str], PurposeSet], set[str]]
+_IN_PLACE: dict[_SetOp, _InPlaceOp] = {or_: ior, and_: iand, sub: isub, xor: ixor}
+
+
+def _merge_run(rule: tuple[_InPlaceOp | None, ...], first: _Raw, *rest: _Raw) -> _Raw:
+    """``f(f(f(first, r1), r2), ...)`` for one rule row, as that many
+    :func:`_merge` steps would give it, folded in mutable accumulators.
+
+    `rule` holds the row's in-place set functions. Each operand checks its
+    graph tag, then the prohibited sides combine, the allowed sides combine
+    and the prohibited side leaves the allowed one. Cutting commutes with
+    every operator, so a rule that cuts, once an operand brings a graph with
+    a high part, also folds a second accumulator pair by its high functions,
+    starting from the first pair (nothing was high before), and cuts once at
+    the end. f_boxdot's ``None`` keeps that pair's prohibited side empty.
+    """
+    high_combine, high_prohibit, low_combine, low_prohibit = rule
+    cuts = high_combine is not low_combine or high_prohibit is not low_prohibit
+    ap, pp, graph = set(first[0]), set(first[1]), None
+    sides = [(ap, pp, low_combine, low_prohibit)]
+
+    def tag(g: PurposeGraph) -> None:
+        nonlocal graph
+        graph = _pair_graph(graph, g)
+        if cuts and graph.high:
+            sides.append((set(ap), set(pp) if high_prohibit else set(), high_combine, high_prohibit))
+
+    if first[2] is not None:
+        tag(first[2])
+    for a, p, g in rest:
+        if g is not graph and g is not None:
+            tag(g)  # the first tagged operand, or a second graph, which raises
+        for side_ap, side_pp, combine, prohibit in sides:
+            if prohibit is not None:
+                prohibit(side_pp, p)
+            combine(side_ap, a)
+            side_ap -= side_pp
+    if len(sides) == 1:
+        return frozenset(ap), frozenset(pp), graph
+    (high_ap, high_pp, _, _), high = sides[1], graph.high
+    return frozenset((high_ap & high) | (ap - high)), frozenset((high_pp & high) | (pp - high)), graph
 
 
 def _merge_all(*values: _Raw) -> _Raw:
@@ -599,6 +646,9 @@ def _binding(env: Mapping[str, T], what: str) -> Callable[[str], T]:
 # n values with action(*values). Calls and infix operators share one step each.
 _Step = Union[int, tuple[int, Any]]
 _MERGE_STEPS: dict[InternalFunction, _Step] = {fn: (2, partial(_merge, rule)) for fn, rule in _MERGE_RULES.items()}
+_RUN_ACTIONS: dict[InternalFunction, Callable[..., _Raw]] = {
+    fn: partial(_merge_run, tuple(map(_IN_PLACE.get, rule))) for fn, rule in _MERGE_RULES.items()
+}
 _INFIX_STEPS: dict[BasicOp, _Step] = {op: (2, partial(_infix, meaning)) for op, meaning in _MEANING.items()}
 
 
@@ -611,7 +661,8 @@ class MergeProgram:
     """A merge expression compiled against operand slots by :func:`compile_fida`.
 
     `names[i]` is the name of slot i. `code` holds one step per expression
-    node, in the post-order :func:`fold` walks.
+    node, in the post-order :func:`fold` walks, except that one step stands
+    for a whole run of merges (see :func:`compile_fida`).
     """
 
     names: tuple[str, ...]
@@ -625,15 +676,25 @@ def compile_fida(expr: FidaExpr, names: Sequence[str]) -> MergeProgram:
     rule. A fault in the expression (an unbound name, an unknown function, a
     wrong number of operands) becomes a step that raises when the evaluation
     reaches it, so faults are raised in the order an evaluation meets them.
+
+    A left-deep run of one merge function, ``f(f(f(x, s1), s2), s3)``, two or
+    more merges long with a bound name as every right operand, becomes the
+    steps of `x`, the pushes of ``s1, s2, s3`` and one run step that folds
+    them as the binary steps would (:func:`_merge_run`). A single merge, and
+    any merge whose right operand is a fault or a subexpression, keeps its
+    binary step, so a run never swallows a fault.
     """
     slots = {name: i for i, name in enumerate(names)}
     code: list[_Step] = []
 
-    def ref(name: str) -> None:
+    # Each node's fold value: a bound name's slot, or the function of a merge
+    # whose right operand is a slot, which a merge around it may extend.
+    def ref(name: str) -> int | None:
         slot = slots.get(name)
         code.append((0, partial(_fail, UnboundNameError, f"no set bound to {name!r}")) if slot is None else slot)
+        return slot
 
-    def call(name: str, args: list[None]) -> None:
+    def call(name: str, args: list[Any]) -> InternalFunction | None:
         fn = _FUNCTION_BY_TOKEN.get(name)
         if name == "f_nary":
             code.append((len(args), _merge_all))
@@ -641,8 +702,16 @@ def compile_fida(expr: FidaExpr, names: Sequence[str]) -> MergeProgram:
             code.append((len(args), partial(_fail, UnboundNameError, f"unknown merge function {name!r}")))
         elif len(args) != 2:
             code.append((len(args), partial(_fail, FidaSyntaxError, f"{name} takes exactly two operands")))
+        elif type(args[1]) is not int:
+            code.append(_MERGE_STEPS[fn])
+        elif args[0] is fn:
+            # f(f(..., s), t): the left merge's step lies under t's push; it takes t too.
+            code[-2:] = [code[-1], (code[-2][0] + 1, _RUN_ACTIONS[fn])]
+            return fn
         else:
             code.append(_MERGE_STEPS[fn])
+            return fn
+        return None
 
     fold(expr, ref, call, lambda op, l, r: code.append(_INFIX_STEPS[op]))
     return MergeProgram(tuple(names), tuple(code))

@@ -135,23 +135,34 @@ def _parse_set_binding(text: str) -> tuple[str, frozenset[str]]:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
+    """Every input is used or rejected: each mode refuses the other's options."""
+    if args.party:
+        if args.set:
+            raise ConfigurationError("--set binds plain sets and cannot be combined with --party")
+        if args.expr is not None and args.external is not None:
+            raise ConfigurationError("merging parties takes --expr or --external, not both")
+        if not (args.expr or args.external):
+            raise ConfigurationError("merging parties needs --expr or --external")
+    elif args.external is not None:
+        raise ConfigurationError("--external needs --party")
+    elif not args.expr:
+        raise ConfigurationError("merge needs --expr")
     pg = load_purpose_graph(args.purposes) if args.purposes else None
     if args.party:
         results = [
             _docs.load(p, partial(party_result_from_dict, default_party=Path(p).stem))
             for p in args.party
         ]
-        expr = args.expr or args.external
-        if not expr:
-            raise ConfigurationError("merging parties needs --expr or --external")
-        decided = merge_parties(results, expr, pg)
-        _emit({"result": sorted(decided)}, args.out)
-        return 0
-    if not args.expr:
-        raise ConfigurationError("merge needs --expr")
-    env = dict(_parse_set_binding(s) for s in args.set or [])
-    result = eval_fida_plain(args.expr, env, pg)
-    _emit({"result": sorted(result)}, args.out)
+        decided = merge_parties(results, args.expr or args.external, pg)
+    else:
+        env: dict[str, frozenset[str]] = {}
+        for binding in args.set or []:
+            name, members = _parse_set_binding(binding)
+            if name in env:
+                raise InputFormatError(f"--set binds {name!r} twice")
+            env[name] = members
+        decided = eval_fida_plain(args.expr, env, pg)
+    _emit({"result": sorted(decided)}, args.out)
     return 0
 
 

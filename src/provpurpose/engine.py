@@ -13,7 +13,8 @@ A decision runs in four stages:
    stands as is and several policies are folded left to right with f_dotplus.
    The expression is compiled once per party against its policy ids, and
    each decision runs that program over the policies' raw (allowed,
-   prohibited) pairs in policy order.
+   prohibited) pairs in policy order. The default fold compiles to one step
+   that folds every policy's pair into mutable accumulators.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set.
 4. attached-purpose-intersection: when the record carries attached purposes,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import partial, reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,7 @@ from provpurpose import (
     apply_internal,
     apply_nary,
     compile_fida,
+    default_internal_expr,
     eval_fida,
     eval_fida_plain,
     expression_functions,
@@ -37,7 +39,17 @@ from provpurpose import (
     print_fida,
     split_result,
 )
-from provpurpose.algebra import _UNICODE_ALIASES, MAX_NESTING, _tokenize, apply_basic
+from provpurpose.algebra import (
+    _MERGE_RULES,
+    _MERGE_STEPS,
+    _RUN_ACTIONS,
+    _UNICODE_ALIASES,
+    MAX_NESTING,
+    _merge,
+    _tokenize,
+    apply_basic,
+    left_fold_expr,
+)
 from provpurpose.external import PartyResult, merge_parties
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES, ALGEBRA_UNIVERSE
 from oracles import (
@@ -501,6 +513,92 @@ def test_one_compiled_program_serves_many_operand_lists(algebra_dag):
         env = {"A": split_result(algebra_dag, ap, pp), "B": split_result(algebra_dag, {"high2", "low1"}, {"low1"})}
         got = eval_fida(program, [(env[n].ap, env[n].pp, env[n].graph) for n in program.names])
         assert got == eval_fida(text, env) and got.graph is algebra_dag
+
+
+# -- runs of one merge function ---------------------------------------------------
+
+def _step_by_step(fn, operands):
+    """The reference for a run: one `_merge` per operand after the first."""
+    return reduce(partial(_merge, _MERGE_RULES[fn]), operands)
+
+
+def _run_program(fn, n):
+    """`fn` folded left over n operand slots, compiled: n pushes, then one run step."""
+    names = [f"S{i}" for i in range(n)]
+    program = compile_fida(left_fold_expr(fn.value, names), names)
+    assert program.code == (*range(n), (n, _RUN_ACTIONS[fn]))
+    return program
+
+
+@pytest.mark.parametrize("purpose", ["high2", "low1"])
+@pytest.mark.parametrize("fn", list(InternalFunction))
+def test_run_step_matches_the_step_by_step_fold_exhaustively(algebra_dag, fn, purpose):
+    """Every merge is purpose by purpose, so one purpose above the line and one
+    below it cover every case: each operand holds the purpose in its allowed
+    side, its prohibited side, both or neither, and is tagged or not, in runs
+    of two and three merges."""
+    one = [frozenset(), frozenset({purpose})]
+    for n in (3, 4):
+        program = _run_program(fn, n)
+        for sides in itertools.product(itertools.product(one, one), repeat=n):
+            for tags in itertools.product((None, algebra_dag), repeat=n):
+                operands = [(ap, pp, g) for (ap, pp), g in zip(sides, tags)]
+                got = eval_fida(program, operands)
+                assert (got.ap, got.pp, got.graph) == _step_by_step(fn, operands), operands
+
+
+_purposes_st = st.frozensets(st.sampled_from(ALGEBRA_PURPOSES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fn=st.sampled_from(list(InternalFunction)),
+    operands=st.lists(st.tuples(_purposes_st, _purposes_st, st.booleans()), min_size=3, max_size=6),
+)
+def test_run_step_matches_the_step_by_step_fold_on_sampled_runs(algebra_dag, fn, operands):
+    """Runs of two to five merges over all eight purposes, each operand tagged or not."""
+    operands = [(ap, pp, algebra_dag if tagged else None) for ap, pp, tagged in operands]
+    got = eval_fida(_run_program(fn, len(operands)), operands)
+    assert (got.ap, got.pp, got.graph) == _step_by_step(fn, operands)
+
+
+@pytest.mark.parametrize("fn", list(InternalFunction))
+def test_run_step_raises_the_step_by_step_error_for_a_second_graph(algebra_dag, hierarchy, fn):
+    """Operand k carries a second graph; the first operand is tagged, or not."""
+    for n in range(3, 7):
+        program = _run_program(fn, n)
+        for k, lead in itertools.product(range(n), (algebra_dag, None)):
+            tags = [lead] + [algebra_dag] * (n - 1)
+            tags[k] = hierarchy
+            operands = [(frozenset({"high1"}), frozenset({"low1"}), g) for g in tags]
+            with pytest.raises(ConfigurationError) as want:
+                _step_by_step(fn, operands)
+            with pytest.raises(ConfigurationError) as got:
+                eval_fida(program, operands)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_default_fold_compiles_to_one_run_step():
+    ids = [f"p{i}" for i in range(100)]
+    program = compile_fida(default_internal_expr(ids), ids)
+    assert program.code == (*range(100), (100, _RUN_ACTIONS[InternalFunction.DOTPLUS]))
+
+
+def test_only_runs_over_slots_take_the_run_step(algebra_dag):
+    dotplus, oplus = _MERGE_STEPS[InternalFunction.DOTPLUS], _MERGE_STEPS[InternalFunction.OPLUS]
+    names = ["A", "B", "C", "D"]
+    assert compile_fida(parse_fida("f_oplus(A, B)"), names).code == (0, 1, oplus)
+    nested = compile_fida(parse_fida("f_dotplus(f_dotplus(A, B), f_oplus(C, D))"), names)
+    assert nested.code == (0, 1, dotplus, 2, 3, oplus, dotplus)
+    ghost = compile_fida(parse_fida("f_dotplus(f_dotplus(A, ghost), C)"), names)
+    assert [type(step) for step in ghost.code] == [int, tuple, tuple, int, tuple]
+    assert ghost.code[2] is dotplus and ghost.code[4] is dotplus
+    env = [(frozenset({"high1"}), frozenset(), algebra_dag)] * 4
+    with pytest.raises(UnboundNameError, match="^no set bound to 'ghost'$"):
+        eval_fida(ghost, env)
+    # A run may start from any left operand, here another function's merge.
+    mixed = compile_fida(parse_fida("f_oplus(f_oplus(f_oplus(f_dotplus(A, B), C), D), A)"), names)
+    assert mixed.code == (0, 1, dotplus, 2, 3, 0, (4, _RUN_ACTIONS[InternalFunction.OPLUS]))
 
 
 def test_plain_eval_over_sets(algebra_dag):

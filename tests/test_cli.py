@@ -326,6 +326,21 @@ def test_merge_bad_set_binding_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--expr", "A", "--set", "A=x", "--set", "A=y"], "--set binds 'A' twice"),
+        (["--party", "{m}", "--external", "F3", "--set", "A=x"], "--set binds plain sets and cannot be combined with --party"),
+        (["--expr", "A", "--set", "A=x", "--external", "F3"], "--external needs --party"),
+        (["--party", "{m}", "--expr", "F2(m, m)", "--external", "F3"], "merging parties takes --expr or --external, not both"),
+    ],
+)
+def test_merge_rejects_inputs_it_would_not_use(capsys, tmp_path, argv, message):
+    (tmp_path / "m.json").write_text(json.dumps({"party": "m", "ap": ["x"]}))
+    argv = [arg.format(m=tmp_path / "m.json") for arg in argv]
+    assert _run(capsys, "merge", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_merge_party_files(capsys, tmp_path):
     for name, doc in (
         ("m.json", {"party": "m", "ap": ["education", "research"], "pp": ["audit"]}),
