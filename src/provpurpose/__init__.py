@@ -147,127 +147,10 @@ from .bench import BenchReport, bench_algebras, bench_policy_generation, run_ben
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALLOWED_EDGES",
-    "AccessTree",
-    "AttrCondition",
-    "AttrConstraint",
-    "BasicOp",
-    "BenchConfig",
-    "BenchReport",
-    "BinaryOp",
-    "ConfigurationError",
-    "DataRecord",
-    "DecisionOutcome",
-    "EdgeLabel",
-    "EmptyPurposeSetError",
-    "ExternalFunction",
-    "FidaExpr",
-    "FidaSyntaxError",
-    "FunctionCall",
-    "HierarchicalPurposeSet",
-    "InputFormatError",
-    "InternalFunction",
-    "MatchValue",
-    "MergeProgram",
-    "MissingHierarchyLineError",
-    "NUMERIC_COLUMNS",
-    "NullCondition",
-    "PartyConfig",
-    "PartyResult",
-    "PartyTrace",
-    "PathPattern",
-    "PathStep",
-    "PatternEdge",
-    "PatternSyntaxError",
-    "PatternVertex",
-    "Policy",
-    "PolicyDecision",
-    "PrecedenceKind",
-    "Predicate",
-    "ProvEdge",
-    "ProvPurposeError",
-    "ProvVertex",
-    "ProvenanceGraph",
-    "ProvenancePartition",
-    "PurposeGraph",
-    "PurposeSet",
-    "QueryCondition",
-    "Request",
-    "STRING_COLUMNS",
-    "STRING_LENGTH",
-    "SearchLimitError",
-    "SetRef",
-    "StageError",
-    "SyntheticDataset",
-    "TargetCondition",
-    "TreeBranch",
-    "TreeLeaf",
-    "TreeOp",
-    "TypeMismatchError",
-    "UnboundNameError",
-    "UnknownPurposeError",
-    "UnknownVertexError",
-    "ValidityReport",
-    "VertexCondition",
-    "VertexType",
-    "WILDCARD_TOKEN",
-    "apply_external",
-    "apply_internal",
-    "apply_nary",
-    "bench_algebras",
-    "bench_policy_generation",
-    "category_covered",
-    "compile_fida",
-    "condition_from_dict",
-    "decide",
-    "default_internal_expr",
-    "dump_graph",
-    "eval_access_tree",
-    "eval_atomic",
-    "eval_fida",
-    "eval_fida_plain",
-    "eval_predicate",
-    "evaluate_policy",
-    "expression_functions",
-    "expression_names",
-    "gen_synthetic",
-    "generate_policy",
-    "graph_from_dict",
-    "graph_to_dict",
-    "guards_pass",
-    "load_graph",
-    "load_policy",
-    "load_purpose_graph",
-    "load_request",
-    "load_role_order",
-    "match_and",
-    "match_or",
-    "match_partition",
-    "match_path",
-    "merge_parties",
-    "op_difference",
-    "op_intersection",
-    "op_precedence",
-    "op_subtraction",
-    "op_union",
-    "outcome_to_dict",
-    "parse_fida",
-    "parse_path_pattern",
-    "parse_target",
-    "partition_by_mix",
-    "party_result_from_dict",
-    "party_result_to_dict",
-    "policy_from_dict",
-    "precedence_total",
-    "print_fida",
-    "purpose_graph_from_dict",
-    "purpose_graph_to_dict",
-    "random_purpose_graph",
-    "request_from_dict",
-    "role_leq",
-    "role_order_from_dict",
-    "run_bench",
-    "split_result",
-    "topological_order_of",
-]
+# The import block above is the public API: every public name it binds, but not the
+# submodules it binds along the way. This must stay after the last import.
+from types import ModuleType as _ModuleType
+
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

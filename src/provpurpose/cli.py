@@ -141,11 +141,11 @@ def cmd_merge(args: argparse.Namespace) -> int:
             raise ConfigurationError("--set binds plain sets and cannot be combined with --party")
         if args.expr is not None and args.external is not None:
             raise ConfigurationError("merging parties takes --expr or --external, not both")
-        if not (args.expr or args.external):
+        if args.expr is None and args.external is None:
             raise ConfigurationError("merging parties needs --expr or --external")
     elif args.external is not None:
         raise ConfigurationError("--external needs --party")
-    elif not args.expr:
+    elif args.expr is None:
         raise ConfigurationError("merge needs --expr")
     pg = load_purpose_graph(args.purposes) if args.purposes else None
     if args.party:
@@ -153,7 +153,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
             _docs.load(p, partial(party_result_from_dict, default_party=Path(p).stem))
             for p in args.party
         ]
-        decided = merge_parties(results, args.expr or args.external, pg)
+        decided = merge_parties(results, args.external if args.expr is None else args.expr, pg)
     else:
         env: dict[str, frozenset[str]] = {}
         for binding in args.set or []:

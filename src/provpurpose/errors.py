@@ -28,7 +28,7 @@ class EmptyPurposeSetError(ProvPurposeError):
 
 
 class MissingHierarchyLineError(ProvPurposeError):
-    """A static split was requested on a purpose graph with no hierarchy line."""
+    """An operation needs a purpose graph with a hierarchy line, and this one has none."""
 
 
 class TypeMismatchError(ProvPurposeError):

@@ -403,6 +403,22 @@ def test_merge_same_named_party_files_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--expr", "", "--set", "A=x"],
+        ["--party", "{m}", "--party", "{n}", "--expr", ""],
+        ["--party", "{m}", "--party", "{n}", "--external", ""],
+    ],
+)
+def test_merge_parses_an_empty_expression_it_was_given(capsys, tmp_path, argv):
+    """An empty --expr or --external is given, not missing: the parser rejects it."""
+    for name in ("m", "n"):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"party": name, "ap": ["x"]}))
+    argv = [arg.format(m=tmp_path / "m.json", n=tmp_path / "n.json") for arg in argv]
+    assert _run(capsys, "merge", *argv) == (2, "", "error: empty expression (at position 0)\n")
+
+
 def test_merge_party_without_expression_exits_2(capsys, tmp_path):
     (tmp_path / "m.json").write_text(json.dumps({"party": "m", "ap": ["x"]}))
     code, out, err = _run(capsys, "merge", "--party", str(tmp_path / "m.json"))

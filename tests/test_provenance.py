@@ -17,6 +17,7 @@ from provpurpose import (
     ProvVertex,
     UnknownVertexError,
     VertexType,
+    dump_graph,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -153,6 +154,17 @@ def test_graph_document_round_trip(tiny_graph):
     again = graph_from_dict(doc)
     assert graph_to_dict(again) == doc
     assert set(again.vertices) == set(tiny_graph.vertices)
+
+
+def test_dump_graph_round_trips_through_load_graph(tmp_path):
+    g = ProvenanceGraph()
+    proc = g.add_vertex(VertexType.PROCESS, "ingest", attrs={"timestamp": datetime(2009, 3, 1, 10, 30)})
+    art = g.add_vertex(VertexType.ARTIFACT, "report")
+    g.add_edge(art, proc, EdgeLabel.WAS_GENERATED_BY)
+    path = tmp_path / "graph.json"
+    dump_graph(g, str(path))
+    assert path.read_text(encoding="utf-8").endswith("}\n")
+    assert graph_to_dict(load_graph(str(path))) == graph_to_dict(g)
 
 
 def test_graph_from_dict_accepts_lowercase_types():

@@ -27,6 +27,11 @@ def test_ranks_on_hierarchy_fixture(hierarchy):
     assert hierarchy.rank_of("Audit") == 5
 
 
+def test_roots_are_the_rank_0_purposes(hierarchy):
+    assert hierarchy.roots() == {"General Purpose"}
+    assert hierarchy.roots() == {p for p in hierarchy.purposes if hierarchy.rank_of(p) == 0}
+
+
 def test_ranks_match_brute_force_on_fixture(hierarchy):
     edges = [(p, c) for p in hierarchy.purposes for c in hierarchy.children(p)]
     expected = brute_force_ranks(hierarchy.purposes, edges)
