@@ -37,6 +37,7 @@ from .provenance import (
     topological_order_of,
 )
 from .purposes import (
+    PurposeBits,
     PurposeGraph,
     PurposeSet,
     load_purpose_graph,

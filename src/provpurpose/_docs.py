@@ -11,6 +11,7 @@ even a scalar: :func:`text` refuses null, true/false, arrays and objects.
 from __future__ import annotations
 
 import json
+import math
 from enum import Enum
 from functools import cache, partial
 from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
@@ -25,11 +26,12 @@ def load_json(path: str) -> Any:
     """Parse a JSON file; any file that is not readable standard JSON is an input error.
 
     Python's reader also takes ``NaN``, ``Infinity`` and ``-Infinity``, which
-    no JSON standard allows; these are refused, not read as numbers.
+    no JSON standard allows, and reads a number too large for a float, such
+    as ``1e400``, as infinity; all of these are refused, not read as numbers.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=partial(_refuse_constant, path))
+            return json.load(fh, parse_constant=partial(_refuse_constant, path), parse_float=partial(_finite, path))
         except json.JSONDecodeError as exc:
             raise InputFormatError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -42,6 +44,12 @@ def load_json(path: str) -> Any:
 
 def _refuse_constant(path: str, name: str) -> NoReturn:
     raise InputFormatError(f"{path}: {name} is not a JSON number")
+
+
+def _finite(path: str, literal: str) -> float:
+    if math.isfinite(value := float(literal)):
+        return value
+    raise InputFormatError(f"{path}: {literal} is too large to read as a number")
 
 
 def load(path: str, decode: Callable[[Any], T]) -> T:

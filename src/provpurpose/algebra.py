@@ -71,10 +71,12 @@ hierarchical operands act on the allowed and on the prohibited sets;
 precedence selections compare the allowed sets. A plain purpose set is the
 pair that prohibits nothing, so one evaluator serves both. It compiles an
 expression once into a flat program over operand slots (``compile_fida``)
-and runs that over raw (allowed, prohibited) pairs. A left-deep run of two
-or more merges by one function over slots, such as the default
-``f_dotplus`` fold over a party's policies, compiles to one step that folds
-the run in mutable accumulators, cutting once at the end.
+and runs that over purpose bit masks (:class:`~provpurpose.purposes.PurposeBits`),
+decoding only the result. The merge steps use ``&``, ``|`` and ``^`` alone,
+so ``apply_internal`` and ``apply_nary`` run them over frozensets. A
+left-deep run of two or more merges by one function over slots, such as the
+default ``f_dotplus`` fold over a party's policies, compiles to one step
+that folds the run, cutting once at the end.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
-from operator import and_, attrgetter, iand, ior, isub, ixor, or_, sub, xor
+from operator import and_, attrgetter, or_, xor
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
@@ -94,7 +96,7 @@ from .errors import (
     MissingHierarchyLineError,
     UnboundNameError,
 )
-from .purposes import PurposeGraph, PurposeSet
+from .purposes import PurposeBits, PurposeGraph, PurposeSet
 
 # -- basic operators ----------------------------------------------------------
 
@@ -144,13 +146,20 @@ class BasicOp(str, Enum):
     LOW_MIN = "downmin"
 
 
-_SetOp = Callable[[PurposeSet, PurposeSet], PurposeSet]
+_SetOp = Callable[[Any, Any], Any]
 _NOTHING: PurposeSet = frozenset()
 
-# What each operator does: a set function, or the ranked selection of its own name.
+
+def _minus(x: Any, y: Any) -> Any:
+    """`x` without what it shares with `y`, for sets and for masks alike."""
+    return x ^ (x & y)
+
+
+# What each operator does: a function that frozensets and masks share, or the
+# ranked selection of its own name.
 _MEANING: dict[BasicOp, _SetOp | PrecedenceKind] = {
     BasicOp.UNION: or_,
-    BasicOp.SUBTRACT: sub,
+    BasicOp.SUBTRACT: _minus,
     BasicOp.SYM_DIFF: xor,
     BasicOp.INTERSECT: and_,
     **{BasicOp(kind.value): kind for kind in PrecedenceKind},
@@ -201,7 +210,7 @@ def precedence_total(
     kind: PrecedenceKind, s1: Iterable[str], s2: Iterable[str], pg: PurposeGraph
 ) -> PurposeSet:
     """Totalized selection, the plain view of the pair selection: an empty operand loses."""
-    return _infix(kind, (frozenset(s1), _NOTHING, pg), (frozenset(s2), _NOTHING, pg))[0]
+    return apply_basic(BasicOp(kind.value), frozenset(s1), frozenset(s2), pg)
 
 
 def apply_basic(
@@ -209,7 +218,11 @@ def apply_basic(
 ) -> PurposeSet:
     """One basic operator over plain sets, for party expressions and F1-F8:
     the allowed side of the infix operator over pairs that prohibit nothing."""
-    return _infix(_MEANING[op], (s1, _NOTHING, pg), (s2, _NOTHING, pg))[0]
+    meaning = _MEANING[op]
+    if not isinstance(meaning, PrecedenceKind):
+        return meaning(s1, s2)
+    winner = _precedence_winner(meaning, s1, s2, pg)
+    return s1 | s2 if not winner else s1 if winner < 0 else s2
 
 
 # -- hierarchical purpose sets --------------------------------------------------
@@ -281,13 +294,14 @@ _NARY_RULE = _rule("+", "+", "^-", "&")
 
 _FUNCTION_BY_TOKEN = {fn.value: fn for fn in InternalFunction}
 
-# What evaluation works on: a set's allowed and prohibited sides and its graph tag.
-_Raw = tuple[PurposeSet, PurposeSet, Union[PurposeGraph, None]]
+# What the merge steps work on: allowed and prohibited sides and a graph tag with
+# the `high` part merges cut at: masks and their PurposeBits, or sets and their graph.
+_Raw = tuple[Any, Any, Any]
 _raw: Callable[[HierarchicalPurposeSet], _Raw] = attrgetter("ap", "pp", "graph")
 
 
-def _pair_graph(g: PurposeGraph | None, h: PurposeGraph | None) -> PurposeGraph | None:
-    """The graph two operands share: at most one graph may tag them."""
+def _pair_graph(g: Any, h: Any) -> Any:
+    """The graph tag two operands share: at most one graph may tag them."""
     if h is None or h is g:
         return g
     if g is None:
@@ -295,93 +309,69 @@ def _pair_graph(g: PurposeGraph | None, h: PurposeGraph | None) -> PurposeGraph 
     raise ConfigurationError("operands are tagged with different purpose graphs")
 
 
-def _cut(high: PurposeSet, upper: _SetOp | None, lower: _SetOp, x: PurposeSet, y: PurposeSet) -> PurposeSet:
-    """`upper(x, y)` inside `high`, `lower(x, y)` outside; no graph, nothing is high."""
-    below = lower(x, y)
-    if upper is lower or not high:
-        return below
-    if upper is None:
-        return below - high
-    return (upper(x, y) & high) | (below - high)
+def _cut(high: Any, upper: Any, lower: Any) -> Any:
+    """`upper` inside `high` and `lower` outside it."""
+    return ((upper ^ lower) & high) ^ lower
 
 
-def _merge(rule: tuple[_SetOp | None, ...], x: _Raw, y: _Raw) -> _Raw:
-    """Merge two operands by one rule row: each side is cut at the shared
-    graph's high part, then the prohibited side leaves the allowed one."""
-    graph = _pair_graph(x[2], y[2])
-    high = frozenset() if graph is None else graph.high
-    high_combine, high_prohibit, low_combine, low_prohibit = rule
-    pp = _cut(high, high_prohibit, low_prohibit, x[1], y[1])
-    return _cut(high, high_combine, low_combine, x[0], y[0]) - pp, pp, graph
+def _merge(rule: tuple[_SetOp | None, ...], first: _Raw, *rest: _Raw) -> _Raw:
+    """``f(f(f(first, r1), r2), ...)`` for one rule row; one merge is ``f(first, r1)``.
 
-
-# The in-place form of each set function, for the accumulators a run of merges folds into.
-_InPlaceOp = Callable[[set[str], PurposeSet], set[str]]
-_IN_PLACE: dict[_SetOp, _InPlaceOp] = {or_: ior, and_: iand, sub: isub, xor: ixor}
-
-
-def _merge_run(rule: tuple[_InPlaceOp | None, ...], first: _Raw, *rest: _Raw) -> _Raw:
-    """``f(f(f(first, r1), r2), ...)`` for one rule row, as that many
-    :func:`_merge` steps would give it, folded in mutable accumulators.
-
-    `rule` holds the row's in-place set functions. Each operand checks its
-    graph tag, then the prohibited sides combine, the allowed sides combine
-    and the prohibited side leaves the allowed one. Cutting commutes with
-    every operator, so a rule that cuts, once an operand brings a graph with
-    a high part, also folds a second accumulator pair by its high functions,
-    starting from the first pair (nothing was high before), and cuts once at
-    the end. f_boxdot's ``None`` keeps that pair's prohibited side empty.
+    Each operand checks its tag, then the prohibited sides combine, the
+    allowed sides combine and the prohibited side leaves the allowed one.
+    Cutting commutes with every operator, so a rule that cuts, once an
+    operand brings a tag with a high part, also folds a second pair by its
+    high functions, starting from the first pair (nothing was high before),
+    and cuts once at the end. f_boxdot's ``None`` is its P1 - P1.
     """
     high_combine, high_prohibit, low_combine, low_prohibit = rule
     cuts = high_combine is not low_combine or high_prohibit is not low_prohibit
-    ap, pp, graph = set(first[0]), set(first[1]), None
-    sides = [(ap, pp, low_combine, low_prohibit)]
-
-    def tag(g: PurposeGraph) -> None:
-        nonlocal graph
-        graph = _pair_graph(graph, g)
-        if cuts and graph.high:
-            sides.append((set(ap), set(pp) if high_prohibit else set(), high_combine, high_prohibit))
-
-    if first[2] is not None:
-        tag(first[2])
+    ap, pp, tag = first
+    high = tag.high if cuts and tag is not None else 0
+    high_ap, high_pp = ap, pp
     for a, p, g in rest:
-        if g is not graph and g is not None:
-            tag(g)  # the first tagged operand, or a second graph, which raises
-        for side_ap, side_pp, combine, prohibit in sides:
-            if prohibit is not None:
-                prohibit(side_pp, p)
-            combine(side_ap, a)
-            side_ap -= side_pp
-    if len(sides) == 1:
-        return frozenset(ap), frozenset(pp), graph
-    (high_ap, high_pp, _, _), high = sides[1], graph.high
-    return frozenset((high_ap & high) | (ap - high)), frozenset((high_pp & high) | (pp - high)), graph
+        if g is not tag and g is not None:
+            tag = _pair_graph(tag, g)  # the first tagged operand, or a second graph, which raises
+            high = tag.high if cuts else 0
+            high_ap, high_pp = ap, pp
+        pp = low_prohibit(pp, p)
+        ap = low_combine(ap, a)
+        ap ^= ap & pp
+        if high:
+            high_pp = high_prohibit(high_pp, p) if high_prohibit else high_pp ^ high_pp
+            high_ap = high_combine(high_ap, a)
+            high_ap ^= high_ap & high_pp
+    if high:
+        return _cut(high, high_ap, ap), _cut(high, high_pp, pp), tag
+    return ap, pp, tag
 
 
 def _merge_all(*values: _Raw) -> _Raw:
-    """Merge two or more operands by the n-ary rule: each side's cut is folded
-    over all operands, then the prohibited side leaves the allowed one."""
+    """Merge two or more operands by the n-ary rule: each side folded above and
+    below the line and cut, then the prohibited side leaves the allowed one."""
     if len(values) < 2:
         raise InputFormatError("n-ary merge needs at least two operands")
-    graph = reduce(_pair_graph, [v[2] for v in values])
-    high = frozenset() if graph is None else graph.high
+    tag = reduce(_pair_graph, [v[2] for v in values])
     high_combine, high_prohibit, low_combine, low_prohibit = _NARY_RULE
-    pp = reduce(lambda x, y: _cut(high, high_prohibit, low_prohibit, x, y), [v[1] for v in values])
-    ap = reduce(lambda x, y: _cut(high, high_combine, low_combine, x, y), [v[0] for v in values]) - pp
-    return ap, pp, graph
+    aps, pps = [v[0] for v in values], [v[1] for v in values]
+    ap, pp = reduce(low_combine, aps), reduce(low_prohibit, pps)
+    if tag is not None and tag.high:
+        ap, pp = _cut(tag.high, reduce(high_combine, aps), ap), _cut(tag.high, reduce(high_prohibit, pps), pp)
+    return _minus(ap, pp), pp, tag
 
 
 def _infix(meaning: _SetOp | PrecedenceKind, l: _Raw, r: _Raw) -> _Raw:
-    """An infix operator acts on the allowed and on the prohibited sides; a
-    selection is the winner's union with itself, or both sides' on a tie."""
-    graph = _pair_graph(l[2], r[2])
+    """An infix operator acts on the allowed and on the prohibited masks; a
+    selection ranks the decoded allowed sides and is the winner's union with
+    itself, or both sides' on a tie."""
+    tag = _pair_graph(l[2], r[2])
     if isinstance(meaning, PrecedenceKind):
-        winner = _precedence_winner(meaning, l[0], r[0], graph)
+        s1, s2 = (_NOTHING, _NOTHING) if tag is None else (tag.decode(l[0]), tag.decode(r[0]))
+        winner = _precedence_winner(meaning, s1, s2, tag and tag.graph)
         if winner:
             l = r = l if winner < 0 else r
         meaning = or_
-    return meaning(l[0], r[0]), meaning(l[1], r[1]), graph
+    return meaning(l[0], r[0]), meaning(l[1], r[1]), tag
 
 
 def apply_internal(
@@ -647,7 +637,7 @@ def _binding(env: Mapping[str, T], what: str) -> Callable[[str], T]:
 _Step = Union[int, tuple[int, Any]]
 _MERGE_STEPS: dict[InternalFunction, _Step] = {fn: (2, partial(_merge, rule)) for fn, rule in _MERGE_RULES.items()}
 _RUN_ACTIONS: dict[InternalFunction, Callable[..., _Raw]] = {
-    fn: partial(_merge_run, tuple(map(_IN_PLACE.get, rule))) for fn, rule in _MERGE_RULES.items()
+    fn: partial(_merge, rule) for fn, rule in _MERGE_RULES.items()
 }
 _INFIX_STEPS: dict[BasicOp, _Step] = {op: (2, partial(_infix, meaning)) for op, meaning in _MEANING.items()}
 
@@ -679,10 +669,10 @@ def compile_fida(expr: FidaExpr, names: Sequence[str]) -> MergeProgram:
 
     A left-deep run of one merge function, ``f(f(f(x, s1), s2), s3)``, two or
     more merges long with a bound name as every right operand, becomes the
-    steps of `x`, the pushes of ``s1, s2, s3`` and one run step that folds
-    them as the binary steps would (:func:`_merge_run`). A single merge, and
-    any merge whose right operand is a fault or a subexpression, keeps its
-    binary step, so a run never swallows a fault.
+    steps of `x`, the pushes of ``s1, s2, s3`` and one run step, :func:`_merge`
+    over all four operands, which gives what the binary steps would. A
+    single merge, and any merge whose right operand is a fault or a
+    subexpression, keeps its binary step, so a run never swallows a fault.
     """
     slots = {name: i for i, name in enumerate(names)}
     code: list[_Step] = []
@@ -719,7 +709,8 @@ def compile_fida(expr: FidaExpr, names: Sequence[str]) -> MergeProgram:
 
 def eval_fida(
     expr: FidaExpr | str | MergeProgram,
-    env: Mapping[str, HierarchicalPurposeSet] | Sequence[_Raw],
+    env: Mapping[str, HierarchicalPurposeSet] | Sequence[_Raw] | Sequence[tuple[int, int]],
+    graph: PurposeGraph | None = None,
 ) -> HierarchicalPurposeSet:
     """Evaluate an expression over hierarchical operands.
 
@@ -732,14 +723,22 @@ def eval_fida(
     arguments) or to ``f_nary``.
 
     An expression is compiled against `env`'s names, then run. A compiled
-    :class:`MergeProgram` takes its operands as ``(ap, pp, graph)`` triples
-    in slot order, and only the result becomes a hierarchical set.
+    :class:`MergeProgram` takes its operands in slot order: ``(ap, pp, graph)``
+    triples of sets, or with `graph` given ``(ap, pp)`` masks under
+    ``graph.bits``. The program runs over masks; only its result is decoded.
     """
     if isinstance(expr, MergeProgram):
-        program, operands = expr, env
+        program = expr
     else:
         program = compile_fida(parse_fida(expr) if isinstance(expr, str) else expr, list(env))
-        operands = [_raw(s) for s in env.values()]
+        env = [_raw(s) for s in env.values()]
+    if graph is not None:
+        codec = graph.bits
+        operands = [(ap, pp, codec) for ap, pp in env]
+    else:
+        codec = PurposeBits(frozenset().union(*(side for ap, pp, _ in env for side in (ap, pp))))
+        tags = {g: PurposeBits(codec.names, g) for g in {t[2] for t in env} - {None}}
+        operands = [(codec.encode(ap), codec.encode(pp), tags.get(g)) for ap, pp, g in env]
     values: list[_Raw] = []
     for step in program.code:
         if type(step) is int:
@@ -754,7 +753,9 @@ def eval_fida(
             args = values[start:]
             del values[start:]
             values.append(action(*args))
-    return HierarchicalPurposeSet(*values[0])
+    ap, pp, tag = values[0]
+    codec = tag or codec
+    return HierarchicalPurposeSet(codec.decode(ap), codec.decode(pp), codec.graph)
 
 
 def eval_fida_plain(

@@ -2,19 +2,20 @@
 
 A decision runs in four stages:
 
-1. policy-evaluation: every policy of every party is checked against the
-   record's provenance graph and the request; applicable policies contribute
-   their allowed/prohibited purposes, the rest contribute empty sets. Each
-   distinct leaf condition object is evaluated once per decision, however
-   many policies and parties share it.
-2. internal-merge: each party's per-policy sets, checked in stage 1, are
-   merged by the party's expression, each merge cutting at the purpose
-   graph's hierarchy line. Without an explicit expression a single policy
-   stands as is and several policies are folded left to right with f_dotplus.
-   The expression is compiled once per party against its policy ids, and
-   each decision runs that program over the policies' raw (allowed,
-   prohibited) pairs in policy order. The default fold compiles to one step
-   that folds every policy's pair into mutable accumulators.
+1. policy-evaluation: once a party's plan has checked all its policies'
+   purposes, every policy is checked against the record's provenance graph
+   and the request; applicable policies contribute their allowed/prohibited
+   purposes, the rest contribute empty sets. Each distinct leaf condition
+   object is evaluated once per decision, however many policies and parties
+   share it.
+2. internal-merge: each party's per-policy sets are merged by the party's
+   expression, each merge cutting at the purpose graph's hierarchy line.
+   Without an explicit expression a single policy stands as is and several
+   policies are folded left to right with f_dotplus. The expression is
+   compiled once per party against its policy ids, and each decision runs
+   that program over the applicable policies' purpose bit masks, encoded
+   once in the plan; the default fold is one step. Only the party's result
+   is decoded back to sets.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set.
 4. attached-purpose-intersection: when the record carries attached purposes,
@@ -29,14 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
+from weakref import WeakKeyDictionary
 
 from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_expr, parse_fida, print_fida
 
-# evaluate_policy checks each policy's purposes; this name stays bound for decidebench's tracer.
+# decide calls no split_result, as party plans check purposes; the name stays bound for decidebench's tracer.
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties
-from .policy import LeafMemo, Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
+from .policy import LeafMemo, Policy, PolicyDecision, Request, RoleOrder, check_purposes, evaluate_policy
 from .provenance import ProvenanceGraph
 from .purposes import PurposeGraph, PurposeSet
 
@@ -56,9 +58,10 @@ class PartyConfig:
 
     `merge_expr` is `internal_expr` parsed, or else the default fold over the
     policy ids; `merge_text` is its canonical text and `merge_program` its
-    compiled form, with one operand slot per policy in policy order. Each is
-    derived once, on first use; a faulty expression is not kept and raises on
-    every use.
+    compiled form, with one operand slot per policy in policy order; the
+    plan `masks(pg)` checks every policy's purposes against `pg` and holds
+    their (allowed, prohibited) masks under ``pg.bits``. Each is derived
+    once, on first use; a fault is not kept and raises on every use.
     """
 
     party: str
@@ -78,6 +81,18 @@ class PartyConfig:
     @cached_property
     def merge_program(self) -> MergeProgram:
         return compile_fida(self.merge_expr, [p.id for p in self.policies])
+
+    @cached_property
+    def _plans(self) -> WeakKeyDictionary[PurposeGraph, tuple[tuple[int, int], ...]]:
+        return WeakKeyDictionary()  # a plan lives as long as its graph
+
+    def masks(self, pg: PurposeGraph) -> tuple[tuple[int, int], ...]:
+        plan = self._plans.get(pg)
+        if plan is None:
+            for pol in self.policies:
+                check_purposes(pol, pg)
+            plan = self._plans[pg] = tuple((pg.bits.encode(pol.ap), pg.bits.encode(pol.pp)) for pol in self.policies)
+        return plan
 
 
 @dataclass(frozen=True)
@@ -127,6 +142,7 @@ def decide(
             ids = [p.id for p in cfg.policies]
             if len(set(ids)) != len(ids):
                 raise ConfigurationError(f"party {cfg.party!r} has duplicate policy ids")
+            masks = cfg.masks(pg)
             pairs = [
                 (
                     pol.id,
@@ -136,7 +152,6 @@ def decide(
                         request,
                         data_category=record.category,
                         role_order=role_order,
-                        purpose_graph=pg,
                         memo=memo,
                     ),
                 )
@@ -147,7 +162,8 @@ def decide(
         try:
             if pg.hierarchy_line is None:
                 raise MissingHierarchyLineError("purpose graph has no hierarchy line")
-            merged = eval_fida(cfg.merge_program, [(d.ap, d.pp, pg) for _, d in pairs])
+            applied = [m if d.applicable else (0, 0) for m, (_, d) in zip(masks, pairs)]
+            merged = eval_fida(cfg.merge_program, applied, pg)
             result = PartyResult(cfg.party, merged.ap, merged.pp)
         except ProvPurposeError as exc:
             raise StageError("internal-merge", exc) from exc

@@ -270,6 +270,14 @@ def guards_pass(
     return True
 
 
+def check_purposes(policy: Policy, purpose_graph: PurposeGraph) -> None:
+    """Raise on the smallest of the policy's purposes that `purpose_graph` lacks."""
+    known = purpose_graph.purposes
+    if not (policy.ap <= known and policy.pp <= known):
+        unknown = min((policy.ap | policy.pp) - known)
+        raise ConfigurationError(f"policy {policy.id!r} uses purpose {unknown!r} not in the purpose graph")
+
+
 def evaluate_policy(
     policy: Policy,
     graph: ProvenanceGraph,
@@ -291,10 +299,7 @@ def evaluate_policy(
     the same graph and request may share one.
     """
     if purpose_graph is not None:
-        known = purpose_graph.purposes
-        if not (policy.ap <= known and policy.pp <= known):
-            unknown = min((policy.ap | policy.pp) - known)
-            raise ConfigurationError(f"policy {policy.id!r} uses purpose {unknown!r} not in the purpose graph")
+        check_purposes(policy, purpose_graph)
     guards_ok = guards_pass(policy, request, data_category, role_order)
     tree_value = eval_access_tree(policy.tree, graph, request.query_attrs, memo)
     if guards_ok and tree_value is _FULL:

@@ -26,7 +26,10 @@ members at that rank or deeper form the high part of each set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
+from functools import cached_property
+from itertools import compress
 from typing import Any
 
 from . import _docs
@@ -39,6 +42,32 @@ from .errors import (
 )
 
 PurposeSet = frozenset[str]
+
+# Maps a mask's binary digits to the 0/1 bytes that select its members.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+class PurposeBits:
+    """One bit per purpose name, so sets of those names become int masks.
+
+    Bit i stands for `names[i]`, the names in sorted order; they are all the
+    encoding keeps per name. `graph` is the purpose graph that masks under
+    this encoding are tagged with, or None, and `high` the mask of that
+    graph's high part.
+    """
+
+    def __init__(self, names: Iterable[str], graph: PurposeGraph | None = None) -> None:
+        self.names = tuple(sorted(names))
+        self.graph = graph
+        self.high = 0 if graph is None else self.encode(graph.high.intersection(self.names))
+
+    def encode(self, s: Iterable[str]) -> int:
+        """The mask of a set of encoded names."""
+        return sum(1 << bisect_left(self.names, p) for p in s)
+
+    def decode(self, mask: int) -> PurposeSet:
+        """The names whose bits are set in `mask`."""
+        return frozenset(compress(self.names, f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)))
 
 
 class PurposeGraph:
@@ -93,6 +122,11 @@ class PurposeGraph:
     def high(self) -> PurposeSet:
         """Purposes at or above the hierarchy line (rank <= line); none without one."""
         return self._high
+
+    @cached_property
+    def bits(self) -> PurposeBits:
+        """One bit per purpose and the high part's mask, derived on first use."""
+        return PurposeBits(self._purposes, self)
 
     def __contains__(self, p: str) -> bool:
         return p in self._purposes

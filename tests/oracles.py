@@ -3,9 +3,10 @@
 Most of what is here is written from scratch in a deliberately different style:
 membership predicates over explicit universes, brute-force longest paths,
 exhaustive permutation search for embeddings, and exhaustive walk
-enumeration for path patterns. Four sections are different in kind: verbatim
+enumeration for path patterns. Five sections are different in kind: verbatim
 copies of earlier package code (the character-loop scanner, the backtracking
-matcher, the four-part hierarchical sets and the edge-by-edge graph decoder),
+matcher, the four-part hierarchical sets, the frozenset merge evaluator and
+the edge-by-edge graph decoder),
 kept as references for differential tests. Beyond plain data types and
 ``eval_predicate``, the copies take from the package only what they share with
 it unchanged: the expression parser, its walker ``fold`` and ``_binding``, the
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from functools import reduce
 from itertools import permutations
+from operator import and_, or_, sub, xor
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from provpurpose import _docs
@@ -820,6 +822,123 @@ def reference_eval_fida(
         return l if winner < 0 else r if winner > 0 else _componentwise(op_union, l, r)
 
     return fold(expr, _binding(env, "set bound to"), _merge_call, infix)
+
+
+# -- merge expressions over frozensets ---------------------------------------------
+# The package's merge expression evaluator before compiled programs ran over
+# purpose bit masks: every value an (allowed, prohibited, graph) triple of
+# frozensets, each merge cutting whole sides at the shared graph's high part.
+# Copied with its names prefixed and its rank lookups made public, and
+# evaluated by walking the expression, as the reference for the mask
+# program's results and errors.
+
+_FsRaw = tuple[PurposeSet, PurposeSet, Any]
+
+
+def _fs_rule(*spellings: str | None) -> tuple[Callable[[PurposeSet, PurposeSet], PurposeSet] | None, ...]:
+    return tuple(None if op is None else _FS_OPS[op] for op in spellings)
+
+
+_FS_OPS = {"+": or_, "-": sub, "^-": xor, "&": and_}
+_FS_MERGE_RULES = {
+    InternalFunction.OPLUS: _fs_rule("&", "-", "+", "-"),
+    InternalFunction.OMINUS: _fs_rule("&", "&", "+", "&"),
+    InternalFunction.OTIMES: _fs_rule("&", "-", "+", "&"),
+    InternalFunction.OSLASH: _fs_rule("&", "&", "+", "-"),
+    InternalFunction.ODOT: _fs_rule("+", "-", "+", "&"),
+    InternalFunction.UPLUS: _fs_rule("+", "-", "+", "&"),
+    InternalFunction.DOTPLUS: _fs_rule("+", "&", "+", "&"),
+    InternalFunction.DCAP: _fs_rule("+", "&", "&", "&"),
+    InternalFunction.DCUP: _fs_rule("+", "&", "&", "-"),
+    InternalFunction.BOXTIMES: _fs_rule("^-", "-", "^-", "&"),
+    InternalFunction.BOXDOT: _fs_rule("^-", None, "+", "&"),
+    InternalFunction.BOXPLUS: _fs_rule("+", "-", "^-", "&"),
+    InternalFunction.DIVTIMES: _fs_rule("^-", "-", "&", "&"),
+}
+_FS_NARY_RULE = _fs_rule("+", "+", "^-", "&")
+_FS_RANKING = {
+    PrecedenceKind.HIGH_MAX: (min, True),
+    PrecedenceKind.LOW_MAX: (min, False),
+    PrecedenceKind.HIGH_MIN: (max, True),
+    PrecedenceKind.LOW_MIN: (max, False),
+}
+
+
+def _fs_precedence_winner(kind: PrecedenceKind, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None) -> int:
+    if pg is None:
+        raise ConfigurationError("precedence operators need a purpose graph")
+    if not s1 or not s2:
+        return bool(s2) - bool(s1)
+    pg.check_members(s1)
+    pg.check_members(s2)
+    extreme, higher_wins = _FS_RANKING[kind]
+    k1, k2 = extreme(map(pg.rank_of, s1)), extreme(map(pg.rank_of, s2))
+    if k1 == k2:
+        return 0
+    return -1 if (k1 < k2) == higher_wins else 1
+
+
+def _fs_pair_graph(g: PurposeGraph | None, h: PurposeGraph | None) -> PurposeGraph | None:
+    if h is None or h is g:
+        return g
+    if g is None:
+        return h
+    raise ConfigurationError("operands are tagged with different purpose graphs")
+
+
+def _fs_cut(high: PurposeSet, upper, lower, x: PurposeSet, y: PurposeSet) -> PurposeSet:
+    below = lower(x, y)
+    if upper is lower or not high:
+        return below
+    if upper is None:
+        return below - high
+    return (upper(x, y) & high) | (below - high)
+
+
+def _fs_merge(rule, x: _FsRaw, y: _FsRaw) -> _FsRaw:
+    graph = _fs_pair_graph(x[2], y[2])
+    high = frozenset() if graph is None else graph.high
+    high_combine, high_prohibit, low_combine, low_prohibit = rule
+    pp = _fs_cut(high, high_prohibit, low_prohibit, x[1], y[1])
+    return _fs_cut(high, high_combine, low_combine, x[0], y[0]) - pp, pp, graph
+
+
+def _fs_merge_all(*values: _FsRaw) -> _FsRaw:
+    if len(values) < 2:
+        raise InputFormatError("n-ary merge needs at least two operands")
+    graph = reduce(_fs_pair_graph, [v[2] for v in values])
+    high = frozenset() if graph is None else graph.high
+    high_combine, high_prohibit, low_combine, low_prohibit = _FS_NARY_RULE
+    pp = reduce(lambda x, y: _fs_cut(high, high_prohibit, low_prohibit, x, y), [v[1] for v in values])
+    ap = reduce(lambda x, y: _fs_cut(high, high_combine, low_combine, x, y), [v[0] for v in values]) - pp
+    return ap, pp, graph
+
+
+def _fs_infix(op: BasicOp, l: _FsRaw, r: _FsRaw) -> _FsRaw:
+    graph = _fs_pair_graph(l[2], r[2])
+    meaning = _FS_OPS.get(op.value)
+    if meaning is None:
+        winner = _fs_precedence_winner(PrecedenceKind(op.value), l[0], r[0], graph)
+        if winner:
+            l = r = l if winner < 0 else r
+        meaning = or_
+    return meaning(l[0], r[0]), meaning(l[1], r[1]), graph
+
+
+def _fs_call(name: str, args: list[_FsRaw]) -> _FsRaw:
+    if name == "f_nary":
+        return _fs_merge_all(*args)
+    fn = _FUNCTION_BY_TOKEN.get(name)
+    if fn is None:
+        raise UnboundNameError(f"unknown merge function {name!r}")
+    if len(args) != 2:
+        raise FidaSyntaxError(f"{name} takes exactly two operands")
+    return _fs_merge(_FS_MERGE_RULES[fn], args[0], args[1])
+
+
+def frozenset_eval_fida(expr: FidaExpr, env: Mapping[str, _FsRaw]) -> _FsRaw:
+    """Evaluate an expression over (allowed, prohibited, graph) triples of frozensets."""
+    return fold(expr, _binding(env, "set bound to"), _fs_call, _fs_infix)
 
 
 # -- whole decisions from first principles ---------------------------------------------

@@ -18,6 +18,7 @@ from provpurpose import (
     InputFormatError,
     InternalFunction,
     PrecedenceKind,
+    ProvPurposeError,
     PurposeGraph,
     SetRef,
     UnboundNameError,
@@ -54,6 +55,7 @@ from provpurpose.external import PartyResult, merge_parties
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES, ALGEBRA_UNIVERSE
 from oracles import (
     _O_SET_OPS,
+    frozenset_eval_fida,
     brute_force_ranks,
     o_precedence,
     o_precedence_total,
@@ -755,6 +757,93 @@ def test_pair_merges_match_the_four_part_reference(data):
     assert got.ap == want.allowed() and got.pp == want.prohibited()
     assert pg.split_static(got.ap) == (want.ha, want.la)
     assert pg.split_static(got.pp) == (want.hp, want.lp)
+
+
+# -- the mask program on masks wider than a machine word ------------------------------
+
+def _wide_graph(seed, width):
+    """Five layers of `width` purposes, each below layer 0 with one or two parents, cut at rank 2."""
+    rng = random.Random(seed)
+    layers = [[f"w{k}_{i}" for i in range(width)] for k in range(5)]
+    edges = [
+        (parent, child)
+        for upper, lower in zip(layers, layers[1:])
+        for child in lower
+        for parent in rng.sample(upper, rng.randint(1, 2))
+    ]
+    return PurposeGraph([p for layer in layers for p in layer], edges, hierarchy_line=2)
+
+
+_WIDE = _wide_graph(1, 20)  # 100 purposes: masks span two 64-bit words
+_OTHER = _wide_graph(2, 23)  # a second graph over the same names and 15 of its own
+_RUN_FUNCTIONS = [fn.value for fn in InternalFunction]
+
+
+def _random_expr(rng, names, leaves):
+    """A tree over every function and operator with `leaves` operands, which
+    may hold left-deep runs of one merge function. Now and then a name is
+    unbound, a function unknown or a call given one or three operands."""
+    if leaves == 1:
+        return SetRef("GHOST" if rng.random() < 0.03 else rng.choice(names))
+    if leaves >= 3 and rng.random() < 0.2:
+        steps = rng.randint(2, leaves - 1)
+        run = _random_expr(rng, names, leaves - steps)
+        for _ in range(steps):
+            run = FunctionCall(rng.choice(_RUN_FUNCTIONS), (run, _random_expr(rng, names, 1)))
+        return run
+    how = "f_ghost" if rng.random() < 0.03 else rng.choice(_COMBINATORS)
+    arity = min(2 if isinstance(how, BasicOp) or rng.random() < 0.9 else rng.choice([1, 3]), leaves)
+    cuts = [0, *sorted(rng.sample(range(1, leaves), arity - 1)), leaves]
+    args = [_random_expr(rng, names, high - low) for low, high in zip(cuts, cuts[1:])]
+    return _combine(how, args)
+
+
+def _result_or_error(evaluate):
+    try:
+        return evaluate()
+    except ProvPurposeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_mask_program_matches_the_frozenset_evaluator(data):
+    """Operands are tagged with a 100-purpose graph, with none, or with a
+    second graph; untagged ones may hold purposes only the second graph
+    knows. Results, and the class and message of the first error met, agree."""
+    names = ["A", "B", "C", "D", "E"]
+    env = {}
+    for name in names:
+        tag = data.draw(st.sampled_from([_WIDE, _WIDE, None, None, _OTHER]))
+        pool = sorted(_WIDE.purposes | _OTHER.purposes if tag is None else tag.purposes)
+        sides = st.frozensets(st.sampled_from(pool), max_size=40)
+        env[name] = HierarchicalPurposeSet(data.draw(sides), data.draw(sides), tag)
+    expr = _random_expr(random.Random(data.draw(st.integers(0, 2**32))), names, data.draw(st.integers(1, 10)))
+
+    def over_masks():
+        got = eval_fida(expr, env)
+        return got.ap, got.pp, got.graph
+
+    raw = {name: (s.ap, s.pp, s.graph) for name, s in env.items()}
+    assert _result_or_error(over_masks) == _result_or_error(lambda: frozenset_eval_fida(expr, raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_mask_program_over_a_graphs_own_masks_matches_the_four_part_reference(data):
+    """The form decide runs: operand masks under the graph's own encoding, every one tagged with it."""
+    names = ["A", "B", "C", "D"]
+    sides = st.frozensets(st.sampled_from(sorted(_WIDE.purposes)), max_size=40)
+    pairs = {name: (data.draw(sides), data.draw(sides)) for name in names}
+    runs = st.sampled_from(_RUN_FUNCTIONS).map(lambda f: left_fold_expr(f, names))
+    expr = data.draw(st.one_of(_mixed_expr(names), runs))
+    encode = _WIDE.bits.encode
+    got = eval_fida(compile_fida(expr, names), [(encode(ap), encode(pp)) for ap, pp in pairs.values()], _WIDE)
+    assert got.graph is _WIDE
+    assert got == eval_fida(expr, {name: split_result(_WIDE, ap, pp) for name, (ap, pp) in pairs.items()})
+    ref_env = {name: reference_split_result(_WIDE, *pair) for name, pair in pairs.items()}
+    want = reference_eval_fida(expr, ref_env, _WIDE)
+    assert got.ap == want.allowed() and got.pp == want.prohibited()
 
 
 # Every alias and operator spelling (and the arrows that only start one), a bare

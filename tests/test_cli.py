@@ -505,6 +505,16 @@ def test_field_error_names_its_file_once(capsys, tmp_path, option, doc, message)
     assert err == f"error: {bad}: {message}\n"
 
 
+def test_a_number_too_large_for_a_float_is_one_error_line(capsys, tmp_path):
+    bad = tmp_path / "request.json"
+    bad.write_text('{"subject": 1e400, "category": "assignment"}')
+    argv = _case_study_eval_args()
+    argv[argv.index("--request") + 1] = str(bad)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: 1e400 is too large to read as a number\n"
+
+
 def test_validate_and_merge_name_the_faulty_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"policies": [{"provenance_partitions": {"p": {"null": True}}, "AP": "abc"}]}))

@@ -10,6 +10,7 @@ from provpurpose import (
     graph_from_dict,
     load_graph,
     load_policy,
+    load_request,
     policy_from_dict,
     purpose_graph_from_dict,
     request_from_dict,
@@ -228,3 +229,32 @@ def test_non_standard_json_numbers_are_refused(tmp_path, constant):
     with pytest.raises(InputFormatError) as err:
         load_graph(str(path))
     assert str(err.value) == f"{path}: {constant} is not a JSON number"
+
+
+@pytest.mark.parametrize(
+    "load, text, literal",
+    [
+        (load_graph, '{"vertices": [{"id": "a", "type": "Agent", "name": 1e400}], "edges": []}', "1e400"),
+        (load_graph, '{"vertices": [{"id": 1e999, "type": "Agent", "name": "a"}], "edges": []}', "1e999"),
+        (load_request, '{"subject": 1e400, "category": -1e400}', "1e400"),
+        (
+            load_graph,
+            '{"vertices": [{"id": "a", "type": "Agent", "name": "a", "attrs": {"size": -1e999}}], "edges": []}',
+            "-1e999",
+        ),
+    ],
+)
+def test_numbers_too_large_for_a_float_are_refused(tmp_path, load, text, literal):
+    """Python's reader would take each of these as infinity, and text would read it as "inf"."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(InputFormatError) as err:
+        load(str(path))
+    assert str(err.value) == f"{path}: {literal} is too large to read as a number"
+
+
+def test_the_largest_floats_still_load(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text('{"vertices": [{"id": "a", "type": "Agent", "name": 1.7e308}], "edges": []}')
+    (vertex,) = load_graph(str(path)).vertices.values()
+    assert vertex.name == "1.7e+308"

@@ -1,6 +1,8 @@
 """The four-stage decision pipeline."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from provpurpose import (
     PurposeGraph,
     QueryCondition,
     Request,
+    SearchLimitError,
     SetRef,
     StageError,
     TreeLeaf,
@@ -245,6 +248,53 @@ def test_stage_labels():
     with pytest.raises(StageError) as err:
         decide(carrying, Request("s"), [ok], "F3", pg)
     assert err.value.stage == "attached-purpose-intersection"
+
+
+def test_an_unknown_purpose_in_a_later_policy_fails_before_any_policy_is_matched(tiny_graph, small_pg, monkeypatch):
+    """A party's plan checks every policy's purposes once, before its first
+    policy is evaluated, so an unknown purpose in its second policy surfaces
+    ahead of the first policy's matching error."""
+
+    def give_up(*_):
+        raise SearchLimitError("partition search gave up after 1 steps")
+
+    monkeypatch.setattr(policy, "eval_atomic", give_up)
+    cfg = PartyConfig("owner", (_null_policy("first", ap={"mid"}), _null_policy("second", ap={"mid", "ghost", "zz"})))
+    for _ in range(2):  # nothing of the faulty plan is kept, so every decision raises
+        with pytest.raises(StageError) as err:
+            decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
+        assert err.value.stage == "policy-evaluation"
+        assert type(err.value.cause) is ConfigurationError
+        assert str(err.value.cause) == "policy 'second' uses purpose 'ghost' not in the purpose graph"
+    known = PartyConfig("owner", (_null_policy("first", ap={"mid"}), _null_policy("second", ap={"root"})))
+    with pytest.raises(StageError) as err:
+        decide(DataRecord(tiny_graph), Request("s"), [known], "F3", small_pg)
+    assert err.value.stage == "policy-evaluation" and type(err.value.cause) is SearchLimitError
+
+
+def test_a_party_keeps_one_plan_per_purpose_graph_and_none_that_failed(tiny_graph, small_pg):
+    cfg = PartyConfig("owner", (_null_policy("grant", ap={"mid", "leafp"}), _null_policy("deny", pp={"leafp"})))
+    narrow = PurposeGraph(["root", "mid"], [("root", "mid")], hierarchy_line=0)
+    with pytest.raises(ConfigurationError, match="^policy 'grant' uses purpose 'leafp' not in the purpose graph$"):
+        cfg.masks(narrow)
+    with pytest.raises(ConfigurationError, match="leafp"):
+        cfg.masks(narrow)
+    plan = cfg.masks(small_pg)
+    assert cfg.masks(small_pg) is plan
+    bits = small_pg.bits
+    assert [(bits.decode(ap), bits.decode(pp)) for ap, pp in plan] == [({"mid", "leafp"}, set()), (set(), {"leafp"})]
+    # f_dotplus keeps only what both policies prohibit, which is nothing
+    assert decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg).decided == {"mid", "leafp"}
+
+
+def test_a_party_plan_does_not_keep_its_purpose_graph_alive():
+    cfg = PartyConfig("owner", (_null_policy("grant", ap={"mid"}),))
+    pg = PurposeGraph(["root", "mid"], [("root", "mid")], hierarchy_line=0)
+    assert pg.bits.decode(cfg.masks(pg)[0][0]) == {"mid"}
+    graph = weakref.ref(pg)
+    del pg
+    gc.collect()
+    assert graph() is None
 
 
 def test_graph_without_hierarchy_line_fails_internal_merge(tiny_graph):
