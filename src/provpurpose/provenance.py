@@ -17,9 +17,10 @@ vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping, Sequence
 
 from . import _docs
@@ -50,6 +51,10 @@ class EdgeLabel(str, Enum):
 # Looking up an enum member costs a call on Python 3.11; graphs read these per vertex.
 _ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES
 
+# The payload every agent/artifact/process vertex shares: empty and read-only,
+# since a main vertex's attributes live on its Attribute vertex.
+_NO_ATTRS: Mapping[str, AttrValue] = MappingProxyType({})
+
 #: The closed set of legal (source type, destination type, label) triples.
 ALLOWED_EDGES: frozenset[tuple[VertexType, VertexType, EdgeLabel]] = frozenset(
     {
@@ -67,12 +72,15 @@ ALLOWED_EDGES: frozenset[tuple[VertexType, VertexType, EdgeLabel]] = frozenset(
 
 @dataclass(slots=True)
 class ProvVertex:
-    """One graph vertex. Ids are the identity; names may repeat."""
+    """One graph vertex. Ids are the identity; names may repeat.
+
+    In a graph, main vertices share one read-only empty `attrs` mapping.
+    """
 
     id: str
     vtype: VertexType
     name: str
-    attrs: AttributeSet = field(default_factory=dict)
+    attrs: Mapping[str, AttrValue] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +95,12 @@ class ProvEdge:
     dst: str
     label: EdgeLabel
     refined: str | None = None
+
+
+# A frozen dataclass's __init__ sets each field through object.__setattr__.
+# add_edge, run once per edge, fills the same slots through their descriptors
+# in about half the time; the edge is as equal, hashable and frozen as any other.
+_set_src, _set_dst, _set_label, _set_refined = (getattr(ProvEdge, f.name).__set__ for f in fields(ProvEdge))
 
 
 @dataclass
@@ -121,8 +135,8 @@ class ProvenanceGraph:
 
         For agent/artifact/process vertices a non-empty `attrs` mapping is
         stored on a fresh Attribute vertex reached via a ``hasAttributes``
-        edge; the main vertex itself keeps an empty payload. Drops the
-        :meth:`ids_of` index.
+        edge; the main vertex itself gets the shared read-only empty
+        payload. Drops the :meth:`ids_of` index.
         """
         if not name:
             raise InputFormatError("vertex name must be non-empty")
@@ -135,7 +149,7 @@ class ProvenanceGraph:
         if vtype is _ATTRIBUTE:
             vertices[vid] = ProvVertex(vid, vtype, name, dict(attrs or {}))
             return vid
-        vertices[vid] = ProvVertex(vid, vtype, name, {})
+        vertices[vid] = ProvVertex(vid, vtype, name, _NO_ATTRS)
         if attrs:
             att_id = f"{vid}:att"
             if att_id in vertices:
@@ -147,13 +161,24 @@ class ProvenanceGraph:
     def add_edge(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
         """Add an edge between two existing vertices; the :meth:`ids_of` index stays."""
         vertices = self._vertices
-        for vid in (src, dst):
-            if vid not in vertices:
-                raise UnknownVertexError(f"edge endpoint {vid!r} is not a vertex")
-        edge = ProvEdge(src, dst, label, refined)
+        if src not in vertices:
+            raise UnknownVertexError(f"edge endpoint {src!r} is not a vertex")
+        if dst not in vertices:
+            raise UnknownVertexError(f"edge endpoint {dst!r} is not a vertex")
+        edge = object.__new__(ProvEdge)
+        _set_src(edge, src)
+        _set_dst(edge, dst)
+        _set_label(edge, label)
+        _set_refined(edge, refined)
         self._edges.append(edge)
-        self._out.setdefault(src, []).append(edge)
-        self._in.setdefault(dst, []).append(edge)
+        if (edges := self._out.get(src)) is None:
+            self._out[src] = [edge]
+        else:
+            edges.append(edge)
+        if (edges := self._in.get(dst)) is None:
+            self._in[dst] = [edge]
+        else:
+            edges.append(edge)
 
     def _fresh_id(self) -> str:
         while True:
@@ -231,8 +256,10 @@ class ProvenanceGraph:
         """Check the closed edge-triple set, acyclicity, and attribute linkage.
 
         Violations are data, not exceptions: callers get the full list. Edge
-        triples read vertex types straight from the vertex dict, and the
-        ``hasAttributes`` in-edges are counted, not collected.
+        triples read vertex types straight from the vertex dict, acyclicity
+        is :func:`topological_order_of`'s in-degree walk, and the
+        ``hasAttributes`` in-edges are counted, not collected. Payloads are
+        not read: main vertices share one read-only empty payload.
         """
         violations: list[str] = []
         vertices = self._vertices
@@ -258,11 +285,22 @@ class ProvenanceGraph:
 
 
 def topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
-    """Topological vertex order, or None if the graph has a cycle."""
-    from ._dagutil import topological_order
+    """Topological vertex order, or None if the graph has a cycle.
 
-    successors = {vid: [e.dst for e in graph.out_edges(vid)] for vid in graph.vertices}
-    return topological_order(graph.vertices.keys(), successors)
+    Kahn's algorithm with a FIFO queue: the sources in vertex order, then
+    each vertex once its last in-edge is walked, following out-edges in the
+    order they were added. In-degrees are the lengths of the in-edge lists.
+    """
+    out = graph._out
+    indegree = {vid: len(edges) for vid, edges in graph._in.items()}
+    order = [vid for vid in graph._vertices if vid not in indegree]
+    for vid in order:  # the queue: vertices are appended behind the one being walked
+        for edge in out.get(vid, ()):
+            left = indegree[edge.dst] - 1
+            indegree[edge.dst] = left
+            if not left:
+                order.append(edge.dst)
+    return order if len(order) == len(graph._vertices) else None
 
 
 # -- serialization ----------------------------------------------------------
@@ -298,7 +336,9 @@ def attrs_from_json(raw: Any) -> AttributeSet:
     return {str(k): attr_value_from_json(v) for k, v in _docs.obj(raw, "attrs").items()}
 
 
-_VERTEX_TYPES = {t.value.lower(): t for t in VertexType}
+# Keyed by lower case and, for graph_from_dict's exact lookup, the two other usual spellings.
+_VERTEX_TYPES = {s: t for t in VertexType for s in (t.value.lower(), t.value, t.value.upper())}
+_LABELS = {label.value: label for label in EdgeLabel}
 
 
 def vertex_type_from_json(value: Any) -> VertexType:
@@ -321,23 +361,27 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
     """
     doc = _docs.obj(doc, "graph document")
     graph = ProvenanceGraph()
-    add_vertex, add_edge, text = graph.add_vertex, graph.add_edge, _docs.text
+    add_vertex, add_edge, text, member = graph.add_vertex, graph.add_edge, _docs.text, _docs.member
     for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
             vid, vtype, name = entry["id"], entry["type"], entry["name"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"vertex entry {entry!r} needs id/type/name") from exc
         attrs = attrs_from_json(entry.get("attrs"))
-        add_vertex(vertex_type_from_json(vtype), text(name, 'vertex "name"'), attrs, vid=text(vid, 'vertex "id"'))
+        # A string is taken as it is, or looked up in a table; other values go to the checked readers.
+        vtype = (_VERTEX_TYPES.get(vtype) if type(vtype) is str else None) or vertex_type_from_json(vtype)
+        name = name if type(name) is str else text(name, 'vertex "name"')
+        add_vertex(vtype, name, attrs, vid=vid if type(vid) is str else text(vid, 'vertex "id"'))
     for entry in _docs.array(doc.get("edges", []), '"edges"'):
         try:
             src, dst, label = entry["src"], entry["dst"], entry["label"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"edge entry {entry!r} needs src/dst/label") from exc
         refined = entry.get("refinedLabel")
-        refined = None if refined is None else text(refined, '"refinedLabel"')
-        label = _docs.member(EdgeLabel, label, "edge label")
-        add_edge(text(src, 'edge "src"'), text(dst, 'edge "dst"'), label, refined)
+        refined = refined if refined is None or type(refined) is str else text(refined, '"refinedLabel"')
+        label = (_LABELS.get(label) if type(label) is str else None) or member(EdgeLabel, label, "edge label")
+        src = src if type(src) is str else text(src, 'edge "src"')
+        add_edge(src, dst if type(dst) is str else text(dst, 'edge "dst"'), label, refined)
     return graph
 
 

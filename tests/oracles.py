@@ -6,12 +6,12 @@ exhaustive permutation search for embeddings, and exhaustive walk
 enumeration for path patterns. Five sections are different in kind: verbatim
 copies of earlier package code (the character-loop scanner, the backtracking
 matcher, the four-part hierarchical sets, the frozenset merge evaluator and
-the edge-by-edge graph decoder),
+the edge-by-edge graph decoder with its successor-list topological order),
 kept as references for differential tests. Beyond plain data types and
 ``eval_predicate``, the copies take from the package only what they share with
 it unchanged: the expression parser, its walker ``fold`` and ``_binding``, the
 four plain set operators, the document field readers and
-``topological_order_of``.
+``_dagutil.topological_order``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from operator import and_, or_, sub, xor
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from provpurpose import _docs
+from provpurpose._dagutil import topological_order
 from provpurpose.algebra import (
     _FUNCTION_BY_TOKEN,
     BasicOp,
@@ -67,7 +68,6 @@ from provpurpose.provenance import (
     ValidityReport,
     VertexType,
     attrs_from_json,
-    topological_order_of,
     vertex_type_from_json,
 )
 from provpurpose.purposes import PurposeGraph, PurposeSet
@@ -1083,8 +1083,17 @@ def oracle_decide(
 # decode: every document entry went through add_vertex or add_edge, and validate
 # read vertex types through tau() and collected the hasAttributes in-edges. Kept
 # verbatim, as methods of a subclass, as the reference for the differential
-# test; the accessors, the field readers and topological_order_of come from the
-# package, which did not change them.
+# test, with the package's topological order from before the in-degree walk; the
+# accessors and the field readers come from the package, which did not change
+# them. One change to the copy: where it took str() of an id, name, end or
+# refined label, it reads the field with _docs.text, in the order the package's
+# decoder reads it, so that malformed scalars are compared too.
+
+def reference_topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
+    """Topological vertex order, or None if the graph has a cycle."""
+    successors = {vid: [e.dst for e in graph.out_edges(vid)] for vid in graph.vertices}
+    return topological_order(graph.vertices.keys(), successors)
+
 
 class ReferenceProvenanceGraph(ProvenanceGraph):
     def add_vertex(
@@ -1149,7 +1158,7 @@ class ReferenceProvenanceGraph(ProvenanceGraph):
                     f"({triple[0].value}, {triple[1].value}, {triple[2].value}) "
                     "is not an allowed relationship"
                 )
-        if topological_order_of(self) is None:
+        if reference_topological_order_of(self) is None:
             violations.append("graph contains a cycle")
         for vertex in self._vertices.values():
             if vertex.vtype is VertexType.ATTRIBUTE:
@@ -1175,18 +1184,22 @@ def reference_graph_from_dict(doc: Mapping[str, Any]) -> ReferenceProvenanceGrap
     graph = ReferenceProvenanceGraph()
     for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
-            vid, vtype, name = str(entry["id"]), entry["type"], str(entry["name"])
+            vid, vtype, name = entry["id"], entry["type"], entry["name"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"vertex entry {entry!r} needs id/type/name") from exc
         attrs = attrs_from_json(entry.get("attrs"))
-        graph.add_vertex(vertex_type_from_json(vtype), name, attrs, vid=vid)
+        vtype = vertex_type_from_json(vtype)
+        name = _docs.text(name, 'vertex "name"')
+        graph.add_vertex(vtype, name, attrs, vid=_docs.text(vid, 'vertex "id"'))
     for entry in _docs.array(doc.get("edges", []), '"edges"'):
         try:
-            src, dst, label = str(entry["src"]), str(entry["dst"]), entry["label"]
+            src, dst, label = entry["src"], entry["dst"], entry["label"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"edge entry {entry!r} needs src/dst/label") from exc
         refined = entry.get("refinedLabel")
         if refined is not None:
-            refined = str(refined)
-        graph.add_edge(src, dst, _docs.member(EdgeLabel, label, "edge label"), refined)
+            refined = _docs.text(refined, '"refinedLabel"')
+        label = _docs.member(EdgeLabel, label, "edge label")
+        src, dst = _docs.text(src, 'edge "src"'), _docs.text(dst, 'edge "dst"')
+        graph.add_edge(src, dst, label, refined)
     return graph

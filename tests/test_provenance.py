@@ -1,5 +1,6 @@
 """Provenance graph model: construction, validation, serialization."""
 
+import dataclasses
 import json
 from datetime import datetime
 
@@ -24,7 +25,7 @@ from provpurpose import (
     topological_order_of,
 )
 from provpurpose.provenance import attr_value_from_json, attr_value_to_json
-from oracles import reference_graph_from_dict
+from oracles import reference_graph_from_dict, reference_topological_order_of
 
 
 def test_add_vertex_assigns_ids_and_types():
@@ -72,10 +73,45 @@ def test_attrs_materialize_as_attribute_vertex():
     assert len(links) == 1 and links[0].dst == att_id
 
 
+@pytest.mark.parametrize("vtype", [VertexType.AGENT, VertexType.ARTIFACT, VertexType.PROCESS])
+def test_a_write_to_a_main_vertex_payload_raises(vtype):
+    """attributes_of reads only Attribute vertices, so such a write would be lost."""
+    g = ProvenanceGraph()
+    vid = g.add_vertex(vtype, "x", {"size": 1})
+    with pytest.raises(TypeError):
+        g.vertex(vid).attrs["k"] = 1
+    assert g.attributes_of(vid) == {"size": 1}
+    g.vertex(f"{vid}:att").attrs["k"] = 1
+    assert g.attributes_of(vid) == {"size": 1, "k": 1}
+
+
+def test_main_vertices_of_a_decoded_graph_share_one_payload(submission_graph):
+    doc = graph_to_dict(submission_graph)
+    g = graph_from_dict(doc)
+    payloads = {id(v.attrs) for v in g.main_vertices()}
+    assert len(payloads) == 1 and len(list(g.main_vertices())) > 1
+    attribute_payloads = [v.attrs for v in g.vertices.values() if v.vtype is VertexType.ATTRIBUTE]
+    assert attribute_payloads and all(type(a) is dict and id(a) not in payloads for a in attribute_payloads)
+    main = [entry for entry in graph_to_dict(g)["vertices"] if entry["type"] != "Attribute"]
+    assert main and all(entry["attrs"] == {} and type(entry["attrs"]) is dict for entry in main)
+    assert graph_to_dict(g) == doc
+
+
 def test_vertices_and_edges_carry_no_instance_dict(tiny_graph):
     objects = [*tiny_graph.vertices.values(), *tiny_graph.edges]
     assert {type(o) for o in objects} == {ProvVertex, ProvEdge}
     assert not any(hasattr(o, "__dict__") for o in objects)
+
+
+def test_add_edge_builds_the_frozen_edge_the_constructor_builds():
+    g = ProvenanceGraph()
+    a, p = g.add_vertex(VertexType.ARTIFACT, "a"), g.add_vertex(VertexType.PROCESS, "p")
+    g.add_edge(a, p, EdgeLabel.WAS_GENERATED_BY, "made")
+    (edge,) = g.edges
+    built = ProvEdge(a, p, EdgeLabel.WAS_GENERATED_BY, "made")
+    assert edge == built and hash(edge) == hash(built) and repr(edge) == repr(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edge.dst = a
 
 
 def test_main_vertices_excludes_attribute_bundles(tiny_graph):
@@ -124,6 +160,43 @@ def test_validate_flags_orphan_attribute_vertex():
     report = g.validate()
     assert not report.ok
     assert any("hasAttributes" in v for v in report.violations)
+
+
+def _derivation_chain(n: int) -> ProvenanceGraph:
+    """Artifacts a0..a(n-1), each derived from the one before it."""
+    g = ProvenanceGraph()
+    for i in range(n):
+        g.add_vertex(VertexType.ARTIFACT, f"a{i}", vid=f"a{i}")
+    for i in range(1, n):
+        g.add_edge(f"a{i}", f"a{i - 1}", EdgeLabel.WAS_DERIVED_FROM)
+    return g
+
+
+def test_a_long_derivation_chain_validates_in_order():
+    g = _derivation_chain(5000)
+    assert g.validate().violations == []
+    order = topological_order_of(g)
+    assert order == [f"a{i}" for i in range(4999, -1, -1)]
+    assert order == reference_topological_order_of(g)
+
+
+def test_a_long_chain_with_one_back_edge_reports_one_cycle():
+    g = _derivation_chain(5000)
+    g.add_edge("a0", "a4999", EdgeLabel.WAS_DERIVED_FROM)
+    assert g.validate().violations == ["graph contains a cycle"]
+    assert topological_order_of(g) is None
+
+
+def test_attribute_linkage_faults_are_reported_in_vertex_order():
+    g = ProvenanceGraph()
+    g.add_vertex(VertexType.AGENT, "alice", {"role": "x"}, vid="alice")
+    g.add_vertex(VertexType.ATTRIBUTE, "loose", {"k": 1}, vid="loose")
+    g.add_vertex(VertexType.PROCESS, "make", vid="make")
+    g.add_edge("make", "alice:att", EdgeLabel.HAS_ATTRIBUTES)
+    assert g.validate().violations == [
+        "attribute vertex 'alice:att' has 2 incoming hasAttributes edges (expected exactly 1)",
+        "attribute vertex 'loose' has 0 incoming hasAttributes edges (expected exactly 1)",
+    ]
 
 
 def test_allowed_edges_is_the_eight_triple_set():
@@ -229,16 +302,25 @@ def test_legal_random_graphs_validate_and_round_trip(g):
     assert graph_to_dict(again) == doc
 
 
-_TYPE_SPELLINGS = ["Agent", "artifact", "PROCESS", "Attribute"]
+_TYPE_SPELLINGS = ["Agent", "artifact", "PROCESS", "Attribute", "aRtIfAcT"]
 _ATTR_VALUES = st.one_of(st.integers(-2, 2), st.sampled_from(["x", "y"]))
+_FLAWS = [None, None, None, "ghost", "label", "duplicate", "att", "name",
+          "type", "scalar", "numeric", "attrs", "entry"]
+# Values of the wrong shape, one per JSON kind the field does not take.
+_BAD_TYPES = [7, None, True, ["Agent"], {"type": "Agent"}, "thing"]
+_BAD_SCALARS = [None, True, False, ["v0"], {"id": "v0"}]
+_BAD_ATTRS = [{"k": True}, {"k": None}, [["k", 1]], "k", 5]
+_BAD_ENTRIES = ["v0", 7, None, ["v0", "Agent", "a"]]
 
 
 @st.composite
 def graph_documents(draw):
     """Graph documents with attrs on any vertex, refined labels, illegal
     triples, cycles and orphan Attribute vertices; most of them carry one
-    malformed entry: a missing endpoint, a bad label, a duplicate id or an
-    empty name."""
+    malformed entry: a missing endpoint, a bad label, a duplicate id, an
+    empty name, a bad vertex type, a null/boolean/array name, id or refined
+    label, bad attrs, a non-object entry or a missing field. Some use numbers
+    for an id and the edge ends that name it, which decode as their text."""
     n = draw(st.integers(min_value=0, max_value=8))
     vertices = []
     for i in range(n):
@@ -261,9 +343,32 @@ def graph_documents(draw):
         if draw(st.integers(0, 3)) == 0:
             edge["refinedLabel"] = draw(st.sampled_from(["wasSubmittedBy", 7]))
         edges.append(edge)
-    flaw = draw(st.sampled_from([None, None, None, "ghost", "label", "duplicate", "att", "name"]))
-    if flaw == "name" and vertices:
-        vertices[draw(st.integers(0, n - 1))]["name"] = ""
+    flaw = draw(st.sampled_from(_FLAWS))
+    vertex = vertices[draw(st.integers(0, n - 1))] if vertices else None
+    if flaw == "name" and vertex:
+        vertex["name"] = ""
+    elif flaw == "type" and vertex:
+        vertex["type"] = draw(st.sampled_from(_BAD_TYPES))
+    elif flaw == "attrs" and vertex:
+        vertex["attrs"] = draw(st.sampled_from(_BAD_ATTRS))
+    elif flaw == "scalar" and vertex:
+        field = draw(st.sampled_from(["id", "name", "refinedLabel"] if edges else ["id", "name"]))
+        entry = edges[draw(st.integers(0, len(edges) - 1))] if field == "refinedLabel" else vertex
+        entry[field] = draw(st.sampled_from(_BAD_SCALARS))
+    elif flaw == "numeric" and vertex:
+        i = int(vertex["id"][1:])
+        vertex["id"] = i
+        for edge in edges:
+            for end in ("src", "dst"):
+                edge[end] = {f"v{i}": i, f"v{i}:att": f"{i}:att"}.get(edge[end], edge[end])
+    elif flaw == "entry" and vertices:
+        kind = draw(st.sampled_from(["vertices", "edges"] if edges else ["vertices"]))
+        entries = vertices if kind == "vertices" else edges
+        k = draw(st.integers(0, len(entries) - 1))
+        if draw(st.booleans()):
+            entries[k] = draw(st.sampled_from(_BAD_ENTRIES))
+        else:
+            del entries[k][draw(st.sampled_from(sorted(entries[k])))]
     elif flaw in ("duplicate", "att") and vertices:
         twin = draw(st.sampled_from(ids if flaw == "duplicate" else [f"v{i}:att" for i in range(n)]))
         vertices.insert(draw(st.integers(0, n)), {"id": twin, "type": "Attribute", "name": "twin"})
@@ -272,7 +377,7 @@ def graph_documents(draw):
         for end in draw(st.sampled_from([("src",), ("dst",), ("src", "dst")])):
             edge[end] = f"ghost {end}"
         if flaw == "label":
-            edge["label"] = "begat"
+            edge["label"] = draw(st.sampled_from(["begat", 7, None, ["used"]]))
     return {"vertices": vertices, "edges": edges}
 
 
@@ -299,4 +404,4 @@ def test_one_pass_decode_matches_the_edge_by_edge_decoder(doc):
         assert got.out_edges(vid) == want.out_edges(vid)
         assert got.in_edges(vid) == want.in_edges(vid)
     assert got.validate().violations == want.validate().violations
-    assert topological_order_of(got) == topological_order_of(want)
+    assert topological_order_of(got) == reference_topological_order_of(want)
