@@ -72,7 +72,9 @@ precedence selections compare the allowed sets. A plain purpose set is the
 pair that prohibits nothing, so one evaluator serves both. It compiles an
 expression once into a flat program over operand slots (``compile_fida``)
 and runs that over purpose bit masks (:class:`~provpurpose.purposes.PurposeBits`),
-decoding only the result. The merge steps use ``&``, ``|`` and ``^`` alone,
+decoding only the result. Under a graph's own encoding the bits run by
+rank, so a precedence selection ranks each mask by its lowest or highest
+set bit. The merge steps use ``&``, ``|`` and ``^`` alone,
 so ``apply_internal`` and ``apply_nary`` run them over frozensets. A
 left-deep run of two or more merges by one function over slots, such as the
 default ``f_dotplus`` fold over a party's policies, compiles to one step
@@ -190,10 +192,32 @@ def _precedence_winner(
     pg.check_members(s2)
     extreme, higher_wins = _RANKING[kind]
     rank = pg._rank.__getitem__  # both operands are checked, so rank_of's own check is not needed
-    k1, k2 = extreme(map(rank, s1)), extreme(map(rank, s2))
+    return _ranked(extreme(map(rank, s1)), extreme(map(rank, s2)), higher_wins)
+
+
+def _ranked(k1: int, k2: int, higher_wins: bool) -> int:
+    """-1 when rank k1 wins, 1 when k2 wins, 0 on a tie."""
     if k1 == k2:
         return 0
     return -1 if (k1 < k2) == higher_wins else 1
+
+
+def _mask_winner(kind: PrecedenceKind, m1: int, m2: int, tag: PurposeBits | None) -> int:
+    """:func:`_precedence_winner` of two masks under the encoding `tag`.
+
+    Under a graph's own encoding every bit is a member and the encoding
+    reads a mask's extreme ranks off its bits: no decode and no membership
+    check. Masks under any other encoding, which may hold names the graph
+    lacks, or under none are decoded and ranked as sets.
+    """
+    if tag is None or tag.layers is None:
+        s1, s2 = (_NOTHING, _NOTHING) if tag is None else (tag.decode(m1), tag.decode(m2))
+        return _precedence_winner(kind, s1, s2, tag and tag.graph)
+    if not m1 or not m2:
+        return bool(m2) - bool(m1)
+    extreme, higher_wins = _RANKING[kind]
+    rank = tag.least_rank if extreme is min else tag.greatest_rank
+    return _ranked(rank(m1), rank(m2), higher_wins)
 
 
 def op_precedence(
@@ -362,12 +386,11 @@ def _merge_all(*values: _Raw) -> _Raw:
 
 def _infix(meaning: _SetOp | PrecedenceKind, l: _Raw, r: _Raw) -> _Raw:
     """An infix operator acts on the allowed and on the prohibited masks; a
-    selection ranks the decoded allowed sides and is the winner's union with
-    itself, or both sides' on a tie."""
+    selection ranks the allowed masks and is the winner's union with itself,
+    or both sides' on a tie."""
     tag = _pair_graph(l[2], r[2])
     if isinstance(meaning, PrecedenceKind):
-        s1, s2 = (_NOTHING, _NOTHING) if tag is None else (tag.decode(l[0]), tag.decode(r[0]))
-        winner = _precedence_winner(meaning, s1, s2, tag and tag.graph)
+        winner = _mask_winner(meaning, l[0], r[0], tag)
         if winner:
             l = r = l if winner < 0 else r
         meaning = or_
@@ -620,18 +643,6 @@ def expression_functions(expr: FidaExpr) -> frozenset[str]:
 
 # -- evaluation -----------------------------------------------------------------
 
-def _binding(env: Mapping[str, T], what: str) -> Callable[[str], T]:
-    """A fold's `ref` that looks names up in `env`: "no {what} 'X'" when unbound."""
-
-    def ref(name: str) -> T:
-        try:
-            return env[name]
-        except KeyError:
-            raise UnboundNameError(f"no {what} {name!r}") from None
-
-    return ref
-
-
 # A program step: a slot number pushes that operand, (n, action) replaces the top
 # n values with action(*values). Calls and infix operators share one step each.
 _Step = Union[int, tuple[int, Any]]
@@ -707,11 +718,38 @@ def compile_fida(expr: FidaExpr, names: Sequence[str]) -> MergeProgram:
     return MergeProgram(tuple(names), tuple(code))
 
 
+def _encoded(env: Sequence[_Raw]) -> tuple[list[_Raw], PurposeBits]:
+    """`(ap, pp, graph)` triples of sets as mask triples, encoded over all
+    their members with one tag per graph, and that encoding untagged."""
+    codec = PurposeBits(frozenset().union(*(side for ap, pp, _ in env for side in (ap, pp))))
+    tags = {g: PurposeBits(codec.names, g) for g in {t[2] for t in env} - {None}}
+    return [(codec.encode(ap), codec.encode(pp), tags.get(g)) for ap, pp, g in env], codec
+
+
+def _run(code: Sequence[_Step], operands: Sequence[_Raw]) -> _Raw:
+    """Run a program's steps over operand triples in slot order."""
+    values: list[_Raw] = []
+    for step in code:
+        if type(step) is int:
+            values.append(operands[step])
+            continue
+        arity, action = step
+        if arity == 2:
+            right = values.pop()
+            values[-1] = action(values[-1], right)
+        else:
+            start = len(values) - arity
+            args = values[start:]
+            del values[start:]
+            values.append(action(*args))
+    return values[0]
+
+
 def eval_fida(
     expr: FidaExpr | str | MergeProgram,
     env: Mapping[str, HierarchicalPurposeSet] | Sequence[_Raw] | Sequence[tuple[int, int]],
     graph: PurposeGraph | None = None,
-) -> HierarchicalPurposeSet:
+) -> HierarchicalPurposeSet | tuple[int, int]:
     """Evaluate an expression over hierarchical operands.
 
     Infix operators act on the allowed and on the prohibited sets; precedence
@@ -725,7 +763,8 @@ def eval_fida(
     An expression is compiled against `env`'s names, then run. A compiled
     :class:`MergeProgram` takes its operands in slot order: ``(ap, pp, graph)``
     triples of sets, or with `graph` given ``(ap, pp)`` masks under
-    ``graph.bits``. The program runs over masks; only its result is decoded.
+    ``graph.bits``. The program runs over masks. Sets in give the result
+    decoded; masks in give the result's ``(ap, pp)`` masks.
     """
     if isinstance(expr, MergeProgram):
         program = expr
@@ -734,26 +773,10 @@ def eval_fida(
         env = [_raw(s) for s in env.values()]
     if graph is not None:
         codec = graph.bits
-        operands = [(ap, pp, codec) for ap, pp in env]
-    else:
-        codec = PurposeBits(frozenset().union(*(side for ap, pp, _ in env for side in (ap, pp))))
-        tags = {g: PurposeBits(codec.names, g) for g in {t[2] for t in env} - {None}}
-        operands = [(codec.encode(ap), codec.encode(pp), tags.get(g)) for ap, pp, g in env]
-    values: list[_Raw] = []
-    for step in program.code:
-        if type(step) is int:
-            values.append(operands[step])
-            continue
-        arity, action = step
-        if arity == 2:
-            right = values.pop()
-            values[-1] = action(values[-1], right)
-        else:
-            start = len(values) - arity
-            args = values[start:]
-            del values[start:]
-            values.append(action(*args))
-    ap, pp, tag = values[0]
+        ap, pp, _ = _run(program.code, [(ap, pp, codec) for ap, pp in env])
+        return ap, pp
+    operands, codec = _encoded(env)
+    ap, pp, tag = _run(program.code, operands)
     codec = tag or codec
     return HierarchicalPurposeSet(codec.decode(ap), codec.decode(pp), codec.graph)
 

@@ -14,10 +14,12 @@ A decision runs in four stages:
    policies are folded left to right with f_dotplus. The expression is
    compiled once per party against its policy ids, and each decision runs
    that program over the applicable policies' purpose bit masks, encoded
-   once in the plan; the default fold is one step. Only the party's result
-   is decoded back to sets.
+   once in the plan; the default fold is one step.
 3. external-merge: the per-party results are combined by the cross-party
-   expression into one decision set.
+   expression into one decision set. The expression's program, compiled
+   once per text and party names, runs over each party's result masks, and
+   only the decided mask is decoded; each party's trace holds its result
+   decoded.
 4. attached-purpose-intersection: when the record carries attached purposes,
    the decision is narrowed to them.
 
@@ -133,7 +135,7 @@ def decide(
     if len(set(names)) != len(names):
         raise ConfigurationError(f"party names must be distinct, got {names}")
     traces: list[PartyTrace] = []
-    results: list[PartyResult] = []
+    results: dict[str, tuple[int, int]] = {}  # each party's result masks under pg.bits
     memo: LeafMemo = {}  # shared by every policy of every party, for this decision only
     for cfg in parties:
         try:
@@ -163,12 +165,11 @@ def decide(
             if pg.hierarchy_line is None:
                 raise MissingHierarchyLineError("purpose graph has no hierarchy line")
             applied = [m if d.applicable else (0, 0) for m, (_, d) in zip(masks, pairs)]
-            merged = eval_fida(cfg.merge_program, applied, pg)
-            result = PartyResult(cfg.party, merged.ap, merged.pp)
+            ap, pp = results[cfg.party] = eval_fida(cfg.merge_program, applied, pg)
         except ProvPurposeError as exc:
             raise StageError("internal-merge", exc) from exc
+        result = PartyResult(cfg.party, pg.bits.decode(ap), pg.bits.decode(pp))
         traces.append(PartyTrace(cfg.party, cfg.merge_text, tuple(pairs), result))
-        results.append(result)
     try:
         decided = merge_parties(results, external_expr, pg)
     except ProvPurposeError as exc:

@@ -1,7 +1,7 @@
 """Cross-party merging of per-party evaluation results.
 
 Each party's policy evaluation ends in a :class:`PartyResult`: the purposes
-it would allow (`ap`) and the purposes it prohibits (`pp`), as plain sets.
+it would allow (`ap`) and the purposes it prohibits (`pp`).
 Eight named functions combine two parties into one decision set, always with
 the same shape: combine the allowed sides, combine the prohibited sides,
 subtract the second from the first.
@@ -33,19 +33,29 @@ A function application yields a decision set, which participates in any
 surrounding expression as a synthetic party that prohibits nothing. A party
 name appearing under an infix operator contributes its intended view,
 allowed minus prohibited.
+
+The expression compiles once per text and party names into a program of
+steps over ``(ap, pp)`` purpose bit masks, the form `decide` hands over:
+F1-F8 read both parties' pairs, and a party under an infix operator
+contributes ap minus pp. Under a purpose graph's own encoding a precedence
+selection ranks a mask by its lowest or highest set bit. Party results given
+as sets are encoded first, over all their members, and their precedence
+selections decode and check both masks, so an unknown purpose raises as it
+would over sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Mapping, Sequence
 
 from . import _docs
-from .algebra import BasicOp, FidaExpr, _binding, apply_basic, fold, left_fold_expr, op_subtraction, parse_fida
+from .algebra import _MEANING, BasicOp, MergeProgram, PrecedenceKind, _encoded, _fail, _infix, _minus, _Raw, _run
+from .algebra import _SetOp, _Step, apply_basic, fold, left_fold_expr, op_subtraction, parse_fida
 
-# F5-F8 rank through apply_basic; this name stays bound for decidebench's tracer.
+# F5-F8 rank in the compiled steps; this name stays bound for decidebench's tracer.
 from .algebra import precedence_total  # noqa: F401
 from .errors import (
     ConfigurationError,
@@ -94,6 +104,32 @@ _PARTY_RULES: dict[ExternalFunction, tuple[BasicOp, BasicOp]] = {
 
 _EXTERNAL_BY_TOKEN = {fn.value: fn for fn in ExternalFunction}
 
+_Meaning = _SetOp | PrecedenceKind
+
+
+def _side(meaning: _Meaning, x: int, y: int, tag: Any) -> int:
+    """A basic operator over two masks: the allowed side of the infix operator over pairs that prohibit nothing."""
+    return _infix(meaning, (x, 0, tag), (y, 0, tag))[0]
+
+
+def _party_merge(allowed: _Meaning, prohibited: _Meaning, l: _Raw, r: _Raw) -> _Raw:
+    """An F-function over two parties' pairs; its decision prohibits nothing."""
+    tag = l[2]
+    return _minus(_side(allowed, l[0], r[0], tag), _side(prohibited, l[1], r[1], tag)), 0, tag
+
+
+def _party_infix(meaning: _Meaning, l: _Raw, r: _Raw) -> _Raw:
+    """An infix operator over two parties' intended views, allowed minus prohibited."""
+    tag = l[2]
+    return _side(meaning, _minus(l[0], l[1]), _minus(r[0], r[1]), tag), 0, tag
+
+
+# A program step per function and per infix operator, as in algebra's compiled programs.
+_PARTY_STEPS: dict[ExternalFunction, _Step] = {
+    fn: (2, partial(_party_merge, _MEANING[ap_op], _MEANING[pp_op])) for fn, (ap_op, pp_op) in _PARTY_RULES.items()
+}
+_PARTY_INFIX: dict[BasicOp, _Step] = {op: (2, partial(_party_infix, meaning)) for op, meaning in _MEANING.items()}
+
 
 def apply_external(
     fn: ExternalFunction,
@@ -101,7 +137,7 @@ def apply_external(
     sn: PartyResult,
     pg: PurposeGraph | None = None,
 ) -> PurposeSet:
-    """Combine two party results into one decision set."""
+    """Combine two party results into one decision set, over the sets themselves."""
     ap_op, pp_op = _PARTY_RULES[fn]
     allowed = apply_basic(ap_op, sm.ap, sn.ap, pg)
     prohibited = apply_basic(pp_op, sm.pp, sn.pp, pg)
@@ -109,13 +145,36 @@ def apply_external(
 
 
 @lru_cache(maxsize=64)
-def _party_expr(text: str, names: tuple[str, ...]) -> FidaExpr:
-    """The expression of a stripped text over the named parties; a faulty text is not kept."""
-    return left_fold_expr(text, names) if text in _EXTERNAL_BY_TOKEN else parse_fida(text)
+def _party_program(text: str, names: tuple[str, ...]) -> MergeProgram:
+    """The program of a stripped text over the named parties, one slot each; a faulty text is not kept.
+
+    As in :func:`~provpurpose.algebra.compile_fida`, an unbound party, an
+    unknown function or a wrong number of operands becomes a step that
+    raises when a run reaches it.
+    """
+    expr = left_fold_expr(text, names) if text in _EXTERNAL_BY_TOKEN else parse_fida(text)
+    slots = {name: i for i, name in enumerate(names)}
+    code: list[_Step] = []
+
+    def ref(name: str) -> None:
+        slot = slots.get(name)
+        code.append((0, partial(_fail, UnboundNameError, f"no party named {name!r}")) if slot is None else slot)
+
+    def call(name: str, args: list[None]) -> None:
+        fn = _EXTERNAL_BY_TOKEN.get(name)
+        if fn is None:
+            code.append((len(args), partial(_fail, UnboundNameError, f"unknown cross-party function {name!r}")))
+        elif len(args) != 2:
+            code.append((len(args), partial(_fail, FidaSyntaxError, f"{name} takes exactly two operands")))
+        else:
+            code.append(_PARTY_STEPS[fn])
+
+    fold(expr, ref, call, lambda op, l, r: code.append(_PARTY_INFIX[op]))
+    return MergeProgram(names, tuple(code))
 
 
 def merge_parties(
-    results: Sequence[PartyResult],
+    results: Sequence[PartyResult] | Mapping[str, tuple[int, int]],
     expr_text: str,
     pg: PurposeGraph | None = None,
 ) -> PurposeSet:
@@ -123,27 +182,22 @@ def merge_parties(
 
     A bare function name ("F3") folds all parties left to right. Anything
     else is parsed as an expression whose set names refer to parties. Either
-    way the party names must be distinct.
+    way the party names must be distinct. `results` holds party results, or,
+    as `decide` passes them, each party's ``(ap, pp)`` masks under
+    ``pg.bits`` by party name.
     """
     if not results:
         raise EmptyPurposeSetError("no party results to merge")
-    env = {r.party: r for r in results}
-    if len(env) != len(results):
-        raise ConfigurationError("party names must be distinct to merge")
-    expr = _party_expr(expr_text.strip(), tuple(env))
-
-    def call(name: str, args: list[PartyResult]) -> PartyResult:
-        fn = _EXTERNAL_BY_TOKEN.get(name)
-        if fn is None:
-            raise UnboundNameError(f"unknown cross-party function {name!r}")
-        if len(args) != 2:
-            raise FidaSyntaxError(f"{name} takes exactly two operands")
-        return PartyResult("", apply_external(fn, args[0], args[1], pg), frozenset())
-
-    def infix(op: BasicOp, l: PartyResult, r: PartyResult) -> PartyResult:
-        return PartyResult("", apply_basic(op, l.intended(), r.intended(), pg), frozenset())
-
-    return fold(expr, _binding(env, "party named"), call, infix).intended()
+    if isinstance(results, Mapping):
+        names, codec = tuple(results), pg.bits
+        operands = [(ap, pp, codec) for ap, pp in results.values()]
+    else:
+        names = tuple(r.party for r in results)
+        if len(set(names)) != len(names):
+            raise ConfigurationError("party names must be distinct to merge")
+        operands, codec = _encoded([(r.ap, r.pp, pg) for r in results])
+    ap, pp, _ = _run(_party_program(expr_text.strip(), names).code, operands)
+    return codec.decode(_minus(ap, pp))
 
 
 def party_result_from_dict(doc: Mapping[str, Any], default_party: str = "party") -> PartyResult:

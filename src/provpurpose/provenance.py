@@ -136,8 +136,13 @@ class ProvenanceGraph:
         For agent/artifact/process vertices a non-empty `attrs` mapping is
         stored on a fresh Attribute vertex reached via a ``hasAttributes``
         edge; the main vertex itself gets the shared read-only empty
-        payload. Drops the :meth:`ids_of` index.
+        payload. The graph keeps a copy of `attrs`, never the caller's
+        mapping. Drops the :meth:`ids_of` index.
         """
+        return self._add_vertex(vtype, name, dict(attrs) if attrs else None, vid)
+
+    def _add_vertex(self, vtype: VertexType, name: str, payload: dict[str, AttrValue] | None, vid: str | None) -> str:
+        """:meth:`add_vertex` that keeps `payload`, a dict no caller holds, as the attributes."""
         if not name:
             raise InputFormatError("vertex name must be non-empty")
         if vid is None:
@@ -147,14 +152,14 @@ class ProvenanceGraph:
             raise InputFormatError(f"duplicate vertex id {vid!r}")
         self._index = None
         if vtype is _ATTRIBUTE:
-            vertices[vid] = ProvVertex(vid, vtype, name, dict(attrs or {}))
+            vertices[vid] = ProvVertex(vid, vtype, name, {} if payload is None else payload)
             return vid
         vertices[vid] = ProvVertex(vid, vtype, name, _NO_ATTRS)
-        if attrs:
+        if payload:
             att_id = f"{vid}:att"
             if att_id in vertices:
                 raise InputFormatError(f"duplicate vertex id {att_id!r}")
-            vertices[att_id] = ProvVertex(att_id, _ATTRIBUTE, f"{name} attributes", dict(attrs))
+            vertices[att_id] = ProvVertex(att_id, _ATTRIBUTE, f"{name} attributes", payload)
             self.add_edge(vid, att_id, _HAS_ATTRIBUTES)
         return vid
 
@@ -357,11 +362,12 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
     ends and refined labels are :func:`_docs.text` scalars. Inline attrs on a
     main vertex become an Attribute vertex, as in :meth:`add_vertex`. One pass
     adds every vertex and then every edge through :meth:`add_vertex` and
-    :meth:`add_edge`, in document order, so it fails as those calls would.
+    :meth:`add_edge`, in document order, so it fails as those calls would;
+    each inline attrs dict, built here, is kept without a copy.
     """
     doc = _docs.obj(doc, "graph document")
     graph = ProvenanceGraph()
-    add_vertex, add_edge, text, member = graph.add_vertex, graph.add_edge, _docs.text, _docs.member
+    add_vertex, add_edge, text, member = graph._add_vertex, graph.add_edge, _docs.text, _docs.member
     for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
             vid, vtype, name = entry["id"], entry["type"], entry["name"]
@@ -371,7 +377,7 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
         # A string is taken as it is, or looked up in a table; other values go to the checked readers.
         vtype = (_VERTEX_TYPES.get(vtype) if type(vtype) is str else None) or vertex_type_from_json(vtype)
         name = name if type(name) is str else text(name, 'vertex "name"')
-        add_vertex(vtype, name, attrs, vid=vid if type(vid) is str else text(vid, 'vertex "id"'))
+        add_vertex(vtype, name, attrs, vid if type(vid) is str else text(vid, 'vertex "id"'))
     for entry in _docs.array(doc.get("edges", []), '"edges"'):
         try:
             src, dst, label = entry["src"], entry["dst"], entry["label"]

@@ -26,7 +26,7 @@ members at that rank or deeper form the high part of each set.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping
 from functools import cached_property
 from itertools import compress
@@ -50,24 +50,48 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 class PurposeBits:
     """One bit per purpose name, so sets of those names become int masks.
 
-    Bit i stands for `names[i]`, the names in sorted order; they are all the
-    encoding keeps per name. `graph` is the purpose graph that masks under
-    this encoding are tagged with, or None, and `high` the mask of that
-    graph's high part.
+    Bit i stands for `names[i]`; the names are all the encoding keeps per
+    name. `graph` is the purpose graph that masks under this encoding are
+    tagged with, or None, and `high` the mask of that graph's high part.
+
+    With `ranks` given, as in a graph's own encoding ``graph.bits``, the
+    names run by (rank, name): bits ``layers[r]`` up to ``layers[r + 1]``
+    hold rank r, so the lowest and highest set bits of a mask are members
+    of its least and greatest rank. Otherwise they run in sorted order and
+    `layers` is None.
     """
 
-    def __init__(self, names: Iterable[str], graph: PurposeGraph | None = None) -> None:
-        self.names = tuple(sorted(names))
+    def __init__(
+        self, names: Iterable[str], graph: PurposeGraph | None = None, ranks: Mapping[str, int] | None = None
+    ) -> None:
+        self._ranks = ranks
+        if ranks is None:
+            self.names, self.layers = tuple(sorted(names)), None
+        else:
+            self.names = tuple(sorted(names, key=lambda p: (ranks[p], p)))
+            by_rank = [ranks[p] for p in self.names]
+            self.layers = tuple(bisect_left(by_rank, r) for r in range(by_rank[-1] + 2 if by_rank else 1))
         self.graph = graph
         self.high = 0 if graph is None else self.encode(graph.high.intersection(self.names))
 
     def encode(self, s: Iterable[str]) -> int:
         """The mask of a set of encoded names."""
-        return sum(1 << bisect_left(self.names, p) for p in s)
+        names, ranks, layers = self.names, self._ranks, self.layers
+        if ranks is None:
+            return sum(1 << bisect_left(names, p) for p in s)
+        return sum(1 << bisect_left(names, p, layers[ranks[p]], layers[ranks[p] + 1]) for p in s)
 
     def decode(self, mask: int) -> PurposeSet:
         """The names whose bits are set in `mask`."""
         return frozenset(compress(self.names, f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)))
+
+    def least_rank(self, mask: int) -> int:
+        """The least rank in a non-empty mask under an encoding with `layers`: its lowest set bit's."""
+        return bisect_right(self.layers, (mask & -mask).bit_length() - 1) - 1
+
+    def greatest_rank(self, mask: int) -> int:
+        """The greatest rank in a non-empty mask under an encoding with `layers`: its highest set bit's."""
+        return bisect_right(self.layers, mask.bit_length() - 1) - 1
 
 
 class PurposeGraph:
@@ -125,8 +149,8 @@ class PurposeGraph:
 
     @cached_property
     def bits(self) -> PurposeBits:
-        """One bit per purpose and the high part's mask, derived on first use."""
-        return PurposeBits(self._purposes, self)
+        """One bit per purpose, by (rank, name), and the high part's mask, derived on first use."""
+        return PurposeBits(self._purposes, self, self._rank)
 
     def __contains__(self, p: str) -> bool:
         return p in self._purposes

@@ -9,7 +9,7 @@ matcher, the four-part hierarchical sets, the frozenset merge evaluator and
 the edge-by-edge graph decoder with its successor-list topological order),
 kept as references for differential tests. Beyond plain data types and
 ``eval_predicate``, the copies take from the package only what they share with
-it unchanged: the expression parser, its walker ``fold`` and ``_binding``, the
+it unchanged: the expression parser, its walker ``fold``, the
 four plain set operators, the document field readers and
 ``_dagutil.topological_order``.
 """
@@ -32,7 +32,6 @@ from provpurpose.algebra import (
     FidaExpr,
     InternalFunction,
     PrecedenceKind,
-    _binding,
     fold,
     op_difference,
     op_intersection,
@@ -71,6 +70,20 @@ from provpurpose.provenance import (
     vertex_type_from_json,
 )
 from provpurpose.purposes import PurposeGraph, PurposeSet
+
+
+# The package's name lookup for `fold`, kept verbatim for the reference evaluators
+# below after the package's own evaluators stopped using it.
+def _binding(env: Mapping[str, Any], what: str) -> Callable[[str], Any]:
+    """A fold's `ref` that looks names up in `env`: "no {what} 'X'" when unbound."""
+
+    def ref(name: str) -> Any:
+        try:
+            return env[name]
+        except KeyError:
+            raise UnboundNameError(f"no {what} {name!r}") from None
+
+    return ref
 
 
 # -- plain set operators as membership predicates --------------------------------

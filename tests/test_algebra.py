@@ -19,9 +19,11 @@ from provpurpose import (
     InternalFunction,
     PrecedenceKind,
     ProvPurposeError,
+    PurposeBits,
     PurposeGraph,
     SetRef,
     UnboundNameError,
+    UnknownPurposeError,
     apply_internal,
     apply_nary,
     compile_fida,
@@ -46,7 +48,9 @@ from provpurpose.algebra import (
     _RUN_ACTIONS,
     _UNICODE_ALIASES,
     MAX_NESTING,
+    _mask_winner,
     _merge,
+    _precedence_winner,
     _tokenize,
     apply_basic,
     left_fold_expr,
@@ -837,13 +841,68 @@ def test_the_mask_program_over_a_graphs_own_masks_matches_the_four_part_referenc
     pairs = {name: (data.draw(sides), data.draw(sides)) for name in names}
     runs = st.sampled_from(_RUN_FUNCTIONS).map(lambda f: left_fold_expr(f, names))
     expr = data.draw(st.one_of(_mixed_expr(names), runs))
-    encode = _WIDE.bits.encode
-    got = eval_fida(compile_fida(expr, names), [(encode(ap), encode(pp)) for ap, pp in pairs.values()], _WIDE)
-    assert got.graph is _WIDE
+    bits = _WIDE.bits
+    ap, pp = eval_fida(compile_fida(expr, names), [(bits.encode(ap), bits.encode(pp)) for ap, pp in pairs.values()], _WIDE)
+    got = HierarchicalPurposeSet(bits.decode(ap), bits.decode(pp), _WIDE)
     assert got == eval_fida(expr, {name: split_result(_WIDE, ap, pp) for name, (ap, pp) in pairs.items()})
     ref_env = {name: reference_split_result(_WIDE, *pair) for name, pair in pairs.items()}
     want = reference_eval_fida(expr, ref_env, _WIDE)
     assert got.ap == want.allowed() and got.pp == want.prohibited()
+
+
+def _winners(codec, s1, s2):
+    """Each precedence kind's winner over masks under `codec`, or the error raised."""
+    m1, m2 = codec.encode(s1), codec.encode(s2)
+    return [_result_or_error(lambda: _mask_winner(kind, m1, m2, codec)) for kind in PrecedenceKind]
+
+
+def _set_winners(pg, s1, s2):
+    return [_result_or_error(lambda: _precedence_winner(kind, s1, s2, pg)) for kind in PrecedenceKind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_graphs_own_masks_rank_by_bit_position_as_their_sets_rank(data):
+    """Layers of one to three purposes make rank ties common; either operand may be empty."""
+    pg = data.draw(_layered_graph())
+    subsets = st.frozensets(st.sampled_from(sorted(pg.purposes)))
+    s1, s2 = data.draw(subsets), data.draw(subsets)
+    assert pg.bits.layers is not None
+    assert _winners(pg.bits, s1, s2) == _set_winners(pg, s1, s2)
+
+
+def test_a_graphs_own_masks_rank_as_sets_on_every_pair_of_subsets(algebra_dag):
+    pool = ("root", "side1", *ALGEBRA_UNIVERSE)
+    subsets = [frozenset(c) for n in range(len(pool) + 1) for c in itertools.combinations(pool, n)]
+    seen = set()
+    for s1, s2 in itertools.product(subsets, repeat=2):
+        want = _set_winners(algebra_dag, s1, s2)
+        assert _winners(algebra_dag.bits, s1, s2) == want
+        seen.update(want)
+    assert seen == {-1, 0, 1}
+
+
+@pytest.mark.parametrize(
+    "s1, s2, message",
+    [
+        ({"high1", "zeta", "omega"}, {"low1", "alpha"}, "unknown purpose 'omega'"),
+        ({"low1"}, {"high1", "zeta", "alpha"}, "unknown purpose 'alpha'"),
+    ],
+)
+def test_masks_under_another_encoding_are_decoded_and_checked(algebra_dag, s1, s2, message):
+    """The smallest unknown purpose of the first operand, then of the second."""
+    codec = PurposeBits(s1 | s2, algebra_dag)
+    assert codec.layers is None
+    got = _winners(codec, frozenset(s1), frozenset(s2))
+    assert got == _set_winners(algebra_dag, frozenset(s1), frozenset(s2))
+    assert got == [(UnknownPurposeError, message)] * len(PrecedenceKind)
+
+
+def test_masks_without_a_graph_cannot_rank_even_when_empty():
+    untagged = PurposeBits({"a", "b"})
+    need = [(ConfigurationError, "precedence operators need a purpose graph")] * len(PrecedenceKind)
+    assert _winners(untagged, {"a"}, {"b"}) == _winners(untagged, set(), set()) == need
+    assert [_result_or_error(lambda: _mask_winner(kind, 0, 0, None)) for kind in PrecedenceKind] == need
 
 
 # Every alias and operator spelling (and the arrows that only start one), a bare

@@ -3,14 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from provpurpose import (
+    BasicOp,
     ConfigurationError,
     EmptyPurposeSetError,
     ExternalFunction,
     FidaSyntaxError,
     InputFormatError,
     PartyResult,
+    PurposeGraph,
     UnboundNameError,
     apply_external,
     merge_parties,
@@ -18,7 +21,7 @@ from provpurpose import (
     party_result_to_dict,
 )
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES
-from oracles import brute_force_ranks, oracle_external
+from oracles import _o_external_expr, _o_left_fold, brute_force_ranks, o_minus, oracle_external
 
 
 def _pr(party, ap=(), pp=()):
@@ -174,6 +177,98 @@ def test_precedence_inside_party_expression(algebra_dag):
     assert merge_parties([a, b], "a upmax b", algebra_dag) == {"high1"}
     with pytest.raises(ConfigurationError):
         merge_parties([a, b], "a upmax b")
+
+
+_ERRORS_IN_ORDER = [
+    ("ghost", UnboundNameError, "no party named 'ghost'"),
+    ("F99(a, b)", UnboundNameError, "unknown cross-party function 'F99'"),
+    ("F99(ghost, b)", UnboundNameError, "no party named 'ghost'"),
+    ("F3(a)", FidaSyntaxError, "F3 takes exactly two operands"),
+    ("F3(a, b, ghost)", UnboundNameError, "no party named 'ghost'"),
+    ("F3(a) + ghost", FidaSyntaxError, "F3 takes exactly two operands"),
+    ("F1(a, b) upmax ghost", UnboundNameError, "no party named 'ghost'"),
+    ("F1(a, ghost) + F99(a, b)", UnboundNameError, "no party named 'ghost'"),
+    ("F99(a, b) + F3(a)", UnboundNameError, "unknown cross-party function 'F99'"),
+    ("F3(F3(a), F99(a, b))", FidaSyntaxError, "F3 takes exactly two operands"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _ERRORS_IN_ORDER)
+def test_the_first_fault_met_raises_over_masks_and_over_sets(algebra_dag, text, error, message):
+    """Operands are evaluated left to right before the function or operator that takes them."""
+    parties = [_pr("a", ap={"high1"}, pp={"low1"}), _pr("b", ap={"low2"})]
+    bits = algebra_dag.bits
+    masks = {p.party: (bits.encode(p.ap), bits.encode(p.pp)) for p in parties}
+    for results, pg in ((masks, algebra_dag), (parties, algebra_dag), (parties, None)):
+        with pytest.raises(error) as caught:
+            merge_parties(results, text, pg)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("fn", ["F5", "F6", "F7", "F8"])
+@pytest.mark.parametrize("text", ["{}", "{}(a, b)", "a + {}(a, b)"])
+def test_ranked_functions_without_a_graph_raise_even_over_empty_parties(fn, text):
+    with pytest.raises(ConfigurationError, match="^precedence operators need a purpose graph$"):
+        merge_parties([_pr("a"), _pr("b")], text.format(fn))
+
+
+def _layered(seed, width, depth):
+    """`depth` rank layers of `width` purposes; each below layer 0 has one or two parents just above."""
+    rng = random.Random(seed)
+    layers = [[f"w{k}_{i:02d}" for i in range(width)] for k in range(depth)]
+    edges = [
+        (parent, child)
+        for upper, lower in zip(layers, layers[1:])
+        for child in lower
+        for parent in rng.sample(upper, rng.randint(1, 2))
+    ]
+    return [p for layer in layers for p in layer], edges
+
+
+# 120 purposes: masks span two machine words, and 24 purposes share each rank.
+_WIDE_PURPOSES, _WIDE_EDGES = _layered(5, 24, 5)
+_WIDE = PurposeGraph(_WIDE_PURPOSES, _WIDE_EDGES, hierarchy_line=2)
+_WIDE_RANKS = brute_force_ranks(_WIDE_PURPOSES, _WIDE_EDGES)
+_PARTIES = ("a", "b", "c", "d")
+_FUNCTIONS = tuple(fn.value for fn in ExternalFunction)
+
+# Oracle trees: ("ref", party), ("call", function, (left, right)) or ("op", operator, left, right).
+_party_trees = st.recursive(
+    st.sampled_from(_PARTIES).map(lambda name: ("ref", name)),
+    lambda children: st.one_of(
+        st.tuples(st.just("call"), st.sampled_from(_FUNCTIONS), st.tuples(children, children)),
+        st.tuples(st.just("op"), st.sampled_from([op.value for op in BasicOp]), children, children),
+    ),
+    max_leaves=6,
+)
+
+
+def _text(tree):
+    if tree[0] == "ref":
+        return tree[1]
+    if tree[0] == "call":
+        return f"{tree[1]}({', '.join(map(_text, tree[2]))})"
+    return f"({_text(tree[2])} {tree[1]} {_text(tree[3])})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_compiled_merge_over_masks_and_over_sets_matches_the_oracle(data):
+    """Bare function names, nested calls and infix operators over parties, on a graph
+    whose ranks tie 24 ways; either side of a party may be empty."""
+    side = st.one_of(st.just(frozenset()), st.frozensets(st.sampled_from(_WIDE_PURPOSES), max_size=30))
+    env = {name: (data.draw(side), data.draw(side)) for name in _PARTIES}
+    tree = data.draw(st.one_of(_party_trees, st.sampled_from(_FUNCTIONS)))
+    if isinstance(tree, str):
+        text, tree = tree, _o_left_fold(tree, list(_PARTIES))
+    else:
+        text = _text(tree)
+    universe = frozenset(_WIDE_PURPOSES)
+    want = o_minus(universe, *_o_external_expr(tree, env, universe, _WIDE_RANKS))
+    bits = _WIDE.bits
+    masks = {name: (bits.encode(ap), bits.encode(pp)) for name, (ap, pp) in env.items()}
+    assert merge_parties(masks, text, _WIDE) == want
+    assert merge_parties([PartyResult(name, *pair) for name, pair in env.items()], text, _WIDE) == want
 
 
 # -- documents ----------------------------------------------------------------------

@@ -73,6 +73,18 @@ def test_attrs_materialize_as_attribute_vertex():
     assert len(links) == 1 and links[0].dst == att_id
 
 
+@pytest.mark.parametrize("vtype", [VertexType.ARTIFACT, VertexType.ATTRIBUTE])
+def test_a_vertex_payload_is_a_copy_of_the_callers_attrs(vtype):
+    """A later change to the caller's dict does not reach the graph."""
+    attrs = {"size": 4}
+    g = ProvenanceGraph()
+    vid = g.add_vertex(vtype, "report", attrs)
+    payload = g.vertex(vid if vtype is VertexType.ATTRIBUTE else f"{vid}:att").attrs
+    assert payload == attrs and payload is not attrs
+    attrs["size"] = 5
+    assert g.attributes_of(vid) == {"size": 4}
+
+
 @pytest.mark.parametrize("vtype", [VertexType.AGENT, VertexType.ARTIFACT, VertexType.PROCESS])
 def test_a_write_to_a_main_vertex_payload_raises(vtype):
     """attributes_of reads only Attribute vertices, so such a write would be lost."""

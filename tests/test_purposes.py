@@ -152,6 +152,20 @@ def test_unknown_members_error_names_the_smallest(hierarchy):
         hierarchy.check_members({"g3", "Admin", "g1", "g2"})
 
 
+def test_a_graphs_own_bits_run_by_rank_then_name(hierarchy):
+    bits = hierarchy.bits
+    assert list(bits.names) == sorted(hierarchy.purposes, key=lambda p: (hierarchy.rank_of(p), p))
+    assert bits.layers[0] == 0 and bits.layers[-1] == len(bits.names)
+    for i, p in enumerate(bits.names):
+        assert bits.encode([p]) == 1 << i
+        assert bits.least_rank(1 << i) == bits.greatest_rank(1 << i) == hierarchy.rank_of(p)
+    members = {"Audit", "Admin", "Study", "Education"}
+    mask = bits.encode(members)
+    assert bits.decode(mask) == members
+    assert (bits.least_rank(mask), bits.greatest_rank(mask)) == (1, 5)
+    assert bits.high == bits.encode(hierarchy.high)
+
+
 def test_cycle_rejected():
     with pytest.raises(InputFormatError):
         PurposeGraph(["a", "b"], [("a", "b"), ("b", "a")])

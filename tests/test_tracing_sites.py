@@ -25,7 +25,11 @@ def test_every_tracer_site_resolves_to_a_callable(monkeypatch):
 
 
 def test_a_traced_case_study_decision_reaches_every_policy_and_matching_site(monkeypatch):
-    """A compile step that stops calling a wrapped site would leave its span at 0 calls."""
+    """A compile step that stops calling a wrapped site would leave its span at 0 calls.
+
+    The merge stages count too: `decide` reaches `eval_fida` and
+    `merge_parties` through `engine`'s module attributes, which the tracer rebinds.
+    """
     monkeypatch.syspath_prepend(str(DECIDEBENCH))
     import tracing
 
@@ -55,5 +59,7 @@ def test_a_traced_case_study_decision_reaches_every_policy_and_matching_site(mon
         "policy.eval_access_tree",
         "matching.match_path",
         "matching.match_partition",
+        "algebra.eval_fida",
+        "external.merge_parties",
     ):
         assert calls[name] > 0, name
