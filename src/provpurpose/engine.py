@@ -2,19 +2,26 @@
 
 A decision runs in four stages:
 
-1. policy-evaluation: once a party's plan has checked all its policies'
-   purposes, every policy is checked against the record's provenance graph
-   and the request; applicable policies contribute their allowed/prohibited
-   purposes, the rest contribute empty sets. Each distinct leaf condition
-   object is evaluated once per decision, however many policies and parties
-   share it.
+1. policy-evaluation: once a party's plan has checked that the party has
+   policies, that their ids are distinct and that all their purposes are in
+   the purpose graph, every policy is checked against the record's
+   provenance graph and the request; applicable policies contribute their
+   allowed/prohibited purposes, the rest contribute empty sets. Each
+   distinct leaf condition object is evaluated once per decision, however
+   many policies and parties share it, and the requester's role order is
+   walked once per decision for every policy's subject guard.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several
    policies are folded left to right with f_dotplus. The expression is
-   compiled once per party against its policy ids, and each decision runs
-   that program over the applicable policies' purpose bit masks, encoded
-   once in the plan; the default fold is one step.
+   compiled once per party against its policy ids, and runs over the
+   applicable policies' purpose bit masks, encoded once in the plan; the
+   default fold is one step. Given the plan, the result depends only on
+   which policies apply, so the plan maps that applicability vector (bit i
+   set when policy i applies) to the result masks and their decoded
+   :class:`PartyResult`: a vector met before is answered from the map,
+   with no run and no decode. The map stops growing at a fixed number of
+   vectors, and a run that raises is never stored.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set. The expression's program, compiled
    once per text and party names, runs over each party's result masks, and
@@ -34,6 +41,7 @@ from functools import cached_property
 from typing import Any, Sequence
 from weakref import WeakKeyDictionary
 
+from ._dagutil import reachable_from
 from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_expr, parse_fida, print_fida
 
 # decide calls no split_result, as party plans check purposes; the name stays bound for decidebench's tracer.
@@ -54,16 +62,41 @@ class DataRecord:
     attached_purposes: PurposeSet | None = None
 
 
+#: Most applicability vectors one party plan keeps a merge result for; once
+#: that many are kept, later results are computed on every decision.
+_MERGES_KEPT = 128
+
+
+class _PartyPlan:
+    """One party's plan under one purpose graph.
+
+    `masks` holds every policy's (allowed, prohibited) masks under the
+    graph's bits, in policy order. `merged` maps an applicability vector,
+    whose bit i is set when policy i applies, to that vector's merge result:
+    the result masks and the decoded :class:`PartyResult`. Neither holds the
+    graph, so the plan never keeps it alive.
+    """
+
+    __slots__ = ("masks", "merged")
+
+    def __init__(self, masks: tuple[tuple[int, int], ...]) -> None:
+        self.masks = masks
+        self.merged: dict[int, tuple[int, int, PartyResult]] = {}
+
+
 @dataclass(frozen=True)
 class PartyConfig:
     """One party's policies and optional merge expression over policy ids.
 
     `merge_expr` is `internal_expr` parsed, or else the default fold over the
     policy ids; `merge_text` is its canonical text and `merge_program` its
-    compiled form, with one operand slot per policy in policy order; the
-    plan `masks(pg)` checks every policy's purposes against `pg` and holds
-    their (allowed, prohibited) masks under ``pg.bits``. Each is derived
-    once, on first use; a fault is not kept and raises on every use.
+    compiled form, with one operand slot per policy in policy order. Per
+    purpose graph a plan checks that the party has policies, that their ids
+    are distinct and that `pg` holds all their purposes, then keeps their
+    (allowed, prohibited) masks under ``pg.bits``, which `masks(pg)` returns,
+    and the merge result of each applicability vector met so far, up to a
+    fixed number of vectors. Each is derived once, on first use; a fault is
+    not kept and raises on every use.
     """
 
     party: str
@@ -85,16 +118,25 @@ class PartyConfig:
         return compile_fida(self.merge_expr, [p.id for p in self.policies])
 
     @cached_property
-    def _plans(self) -> WeakKeyDictionary[PurposeGraph, tuple[tuple[int, int], ...]]:
+    def _plans(self) -> WeakKeyDictionary[PurposeGraph, _PartyPlan]:
         return WeakKeyDictionary()  # a plan lives as long as its graph
 
-    def masks(self, pg: PurposeGraph) -> tuple[tuple[int, int], ...]:
+    def _plan(self, pg: PurposeGraph) -> _PartyPlan:
         plan = self._plans.get(pg)
         if plan is None:
+            if not self.policies:
+                raise ConfigurationError(f"party {self.party!r} has no policies")
+            ids = [p.id for p in self.policies]
+            if len(set(ids)) != len(ids):
+                raise ConfigurationError(f"party {self.party!r} has duplicate policy ids")
             for pol in self.policies:
                 check_purposes(pol, pg)
-            plan = self._plans[pg] = tuple((pg.bits.encode(pol.ap), pg.bits.encode(pol.pp)) for pol in self.policies)
+            bits = pg.bits
+            plan = self._plans[pg] = _PartyPlan(tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies))
         return plan
+
+    def masks(self, pg: PurposeGraph) -> tuple[tuple[int, int], ...]:
+        return self._plan(pg).masks
 
 
 @dataclass(frozen=True)
@@ -137,38 +179,41 @@ def decide(
     traces: list[PartyTrace] = []
     results: dict[str, tuple[int, int]] = {}  # each party's result masks under pg.bits
     memo: LeafMemo = {}  # shared by every policy of every party, for this decision only
+    reach = reachable_from(request.subject, role_order or {})
     for cfg in parties:
         try:
-            if not cfg.policies:
-                raise ConfigurationError(f"party {cfg.party!r} has no policies")
-            ids = [p.id for p in cfg.policies]
-            if len(set(ids)) != len(ids):
-                raise ConfigurationError(f"party {cfg.party!r} has duplicate policy ids")
-            masks = cfg.masks(pg)
-            pairs = [
-                (
-                    pol.id,
-                    evaluate_policy(
-                        pol,
-                        record.provenance,
-                        request,
-                        data_category=record.category,
-                        role_order=role_order,
-                        memo=memo,
-                    ),
+            plan = cfg._plan(pg)
+            pairs = []
+            applicable = 0  # bit i set when policy i applies
+            for i, pol in enumerate(cfg.policies):
+                d = evaluate_policy(
+                    pol,
+                    record.provenance,
+                    request,
+                    data_category=record.category,
+                    role_order=role_order,
+                    memo=memo,
+                    reach=reach,
                 )
-                for pol in cfg.policies
-            ]
+                if d.applicable:
+                    applicable |= 1 << i
+                pairs.append((pol.id, d))
         except ProvPurposeError as exc:
             raise StageError("policy-evaluation", exc) from exc
-        try:
-            if pg.hierarchy_line is None:
-                raise MissingHierarchyLineError("purpose graph has no hierarchy line")
-            applied = [m if d.applicable else (0, 0) for m, (_, d) in zip(masks, pairs)]
-            ap, pp = results[cfg.party] = eval_fida(cfg.merge_program, applied, pg)
-        except ProvPurposeError as exc:
-            raise StageError("internal-merge", exc) from exc
-        result = PartyResult(cfg.party, pg.bits.decode(ap), pg.bits.decode(pp))
+        merged = plan.merged.get(applicable)
+        if merged is None:
+            try:
+                if pg.hierarchy_line is None:
+                    raise MissingHierarchyLineError("purpose graph has no hierarchy line")
+                applied = [m if d.applicable else (0, 0) for m, (_, d) in zip(plan.masks, pairs)]
+                ap, pp = eval_fida(cfg.merge_program, applied, pg)
+            except ProvPurposeError as exc:
+                raise StageError("internal-merge", exc) from exc
+            merged = ap, pp, PartyResult(cfg.party, pg.bits.decode(ap), pg.bits.decode(pp))
+            if len(plan.merged) < _MERGES_KEPT:
+                plan.merged[applicable] = merged
+        ap, pp, result = merged
+        results[cfg.party] = ap, pp
         traces.append(PartyTrace(cfg.party, cfg.merge_text, tuple(pairs), result))
     try:
         decided = merge_parties(results, external_expr, pg)

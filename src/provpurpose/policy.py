@@ -33,7 +33,7 @@ import weakref
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, cached_property
-from typing import Any, Callable, Mapping, Union
+from typing import AbstractSet, Any, Callable, Mapping, Union
 
 from . import _docs
 from ._dagutil import reachable_from
@@ -254,13 +254,19 @@ def guards_pass(
     request: Request,
     data_category: str | None,
     role_order: RoleOrder | None = None,
+    reach: AbstractSet[str] | None = None,
 ) -> bool:
     """Subject and category guards; absent guards always pass.
 
     The role order is walked once from the requester, not once per subject.
+    `reach`, when given, is that walk's result: every role the requester's
+    role is covered by, itself included. A caller deciding many policies for
+    one request walks the order once and passes it to each.
     """
     if policy.subjects is not None:
-        if policy.subjects.isdisjoint(reachable_from(request.subject, role_order or {})):
+        if reach is None:
+            reach = reachable_from(request.subject, role_order or {})
+        if policy.subjects.isdisjoint(reach):
             return False
     if policy.categories is not None:
         if data_category is None:
@@ -286,6 +292,7 @@ def evaluate_policy(
     role_order: RoleOrder | None = None,
     purpose_graph: PurposeGraph | None = None,
     memo: LeafMemo | None = None,
+    reach: AbstractSet[str] | None = None,
 ) -> PolicyDecision:
     """Decide whether a policy applies and which purposes it releases.
 
@@ -296,11 +303,13 @@ def evaluate_policy(
     :attr:`Policy.applied`, made once per policy, and every other outcome is
     one of seven shared decisions, one per (tree value, guards passed).
     `memo` is handed to :func:`eval_access_tree`; policies decided against
-    the same graph and request may share one.
+    the same graph and request may share one. `reach` is handed to
+    :func:`guards_pass`; policies decided for the same request and role
+    order may share it.
     """
     if purpose_graph is not None:
         check_purposes(policy, purpose_graph)
-    guards_ok = guards_pass(policy, request, data_category, role_order)
+    guards_ok = guards_pass(policy, request, data_category, role_order, reach)
     tree_value = eval_access_tree(policy.tree, graph, request.query_attrs, memo)
     if guards_ok and tree_value is _FULL:
         return policy.applied

@@ -9,6 +9,7 @@ from provpurpose import (
     ALLOWED_EDGES,
     AttrConstraint,
     BasicOp,
+    DataRecord,
     EdgeLabel,
     InternalFunction,
     NullCondition,
@@ -20,6 +21,7 @@ from provpurpose import (
     Predicate,
     ProvenanceGraph,
     ProvenancePartition,
+    Request,
     TreeBranch,
     TreeLeaf,
     TreeOp,
@@ -319,6 +321,14 @@ def _random_expr_tree(rng: random.Random, names: Sequence[str], functions: Seque
     return ("op", how, left, right) if how in _INFIX else ("call", how, (left, right))
 
 
+def _random_main_vertices(rng: random.Random) -> ProvenanceGraph:
+    """1-6 unconnected main vertices named from the first three names, which vertex leaves name."""
+    graph = ProvenanceGraph()
+    for _ in range(rng.randint(1, 6)):
+        graph.add_vertex(rng.choice(_MAIN_TYPES), rng.choice(_NAMES[:3]))
+    return graph
+
+
 def random_decision_case(rng: random.Random) -> DecisionCase:
     """1-4 parties of 1-6 policies of every type over a layered purpose DAG.
 
@@ -330,9 +340,7 @@ def random_decision_case(rng: random.Random) -> DecisionCase:
     unmerged.
     """
     layers, edges, purposes = _purpose_layers(rng)
-    graph = ProvenanceGraph()
-    for _ in range(rng.randint(1, 6)):
-        graph.add_vertex(rng.choice(_MAIN_TYPES), rng.choice(_NAMES[:3]))
+    graph = _random_main_vertices(rng)
     parties = []
     leaves: list = []
     for i in range(rng.randint(1, 4)):
@@ -399,3 +407,18 @@ def random_prohibiting_case(rng: random.Random) -> DecisionCase:
         line=rng.randint(0, len(layers)),
         attached=None,
     )
+
+
+def repeated_requests(rng: random.Random, case: DecisionCase, n: int) -> list[tuple[DataRecord, Request]]:
+    """`n` requests against `case`'s parties, drawn from a few records and subjects.
+
+    The records pair the case's graph and two more of its kind with the
+    case's category and one other, and the subjects are the case's and one
+    other, so the same policies apply again and again, as when one set of
+    parties decides a stream of records.
+    """
+    graphs = [case.graph, _random_main_vertices(rng), _random_main_vertices(rng)]
+    categories = (case.category, rng.choice((None,) + _CATEGORIES))
+    records = [DataRecord(g, category=c, attached_purposes=case.attached) for g in graphs for c in categories]
+    subjects = (case.subject, rng.choice(_ROLES))
+    return [(rng.choice(records), Request(rng.choice(subjects))) for _ in range(n)]

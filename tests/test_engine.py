@@ -1,6 +1,7 @@
 """The four-stage decision pipeline."""
 
 import gc
+import json
 import random
 import weakref
 
@@ -11,6 +12,7 @@ from provpurpose import (
     ConfigurationError,
     DataRecord,
     EdgeLabel,
+    FidaSyntaxError,
     FunctionCall,
     MatchValue,
     MissingHierarchyLineError,
@@ -26,6 +28,7 @@ from provpurpose import (
     SetRef,
     StageError,
     TreeLeaf,
+    UnboundNameError,
     VertexCondition,
     VertexType,
     decide,
@@ -41,7 +44,7 @@ from provpurpose import (
 )
 from conftest import CASE_STUDY
 from oracles import oracle_decide
-from randcases import random_decision_case, random_prohibiting_case, shared_leaves
+from randcases import random_decision_case, random_prohibiting_case, repeated_requests, shared_leaves
 
 
 def _null_policy(pid, ap=(), pp=(), ptype=None):
@@ -188,16 +191,26 @@ def test_malformed_internal_expr_fails_on_every_call(tiny_graph, small_pg):
             assert err.value.stage == "internal-merge"
 
 
-def test_expression_naming_a_non_policy_fails_internal_merge_on_every_call(tiny_graph, small_pg):
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("p1 + nobody", UnboundNameError, "no set bound to 'nobody'"),
+        ("f_bogus(p1, p1)", UnboundNameError, "unknown merge function 'f_bogus'"),
+        ("f_dotplus(p1)", FidaSyntaxError, "f_dotplus takes exactly two operands"),
+    ],
+)
+def test_expression_that_raises_at_run_time_fails_internal_merge_on_every_call(tiny_graph, small_pg, text, error, message):
+    """The expression parses, and its program raises when it runs: no result is stored, so it runs again."""
     record = DataRecord(tiny_graph)
-    ghost = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),), internal_expr="p1 + nobody")
+    ghost = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),), internal_expr=text)
     for _ in range(2):
         with pytest.raises(StageError) as err:
             decide(record, Request("s"), [ghost], "F3", small_pg)
         assert err.value.stage == "internal-merge"
-        assert str(err.value.cause) == "no set bound to 'nobody'"
+        assert type(err.value.cause) is error and str(err.value.cause) == message
+    assert ghost._plans[small_pg].merged == {}
     # The party's own policy errors come first.
-    unknown = PartyConfig("owner", (_null_policy("p1", ap={"ghost"}),), internal_expr="p1 + nobody")
+    unknown = PartyConfig("owner", (_null_policy("p1", ap={"ghost"}),), internal_expr=text)
     with pytest.raises(StageError) as err:
         decide(record, Request("s"), [unknown], "F3", small_pg)
     assert err.value.stage == "policy-evaluation"
@@ -287,14 +300,126 @@ def test_a_party_keeps_one_plan_per_purpose_graph_and_none_that_failed(tiny_grap
     assert decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg).decided == {"mid", "leafp"}
 
 
-def test_a_party_plan_does_not_keep_its_purpose_graph_alive():
+def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     cfg = PartyConfig("owner", (_null_policy("grant", ap={"mid"}),))
     pg = PurposeGraph(["root", "mid"], [("root", "mid")], hierarchy_line=0)
     assert pg.bits.decode(cfg.masks(pg)[0][0]) == {"mid"}
+    # a stored merge result holds masks and decoded sets, nothing of the graph
+    assert decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", pg).decided == {"mid"}
+    assert list(cfg._plans[pg].merged) == [0b1]
     graph = weakref.ref(pg)
     del pg
     gc.collect()
     assert graph() is None
+    assert len(cfg._plans) == 0  # the plan and its stored results went with the graph
+
+
+@pytest.mark.parametrize(
+    "policies, message",
+    [
+        ((), "party 'owner' has no policies"),
+        # duplicate ids are found before the unknown purpose either of them names
+        ((_null_policy("dup", ap={"ghost"}), _null_policy("dup", ap={"mid"})), "party 'owner' has duplicate policy ids"),
+        ((_null_policy("p1", ap={"mid"}), _null_policy("p2", ap={"ghost"})), "policy 'p2' uses purpose 'ghost' not in the purpose graph"),
+    ],
+)
+def test_a_party_plan_checks_the_party_in_order_on_every_decision(tiny_graph, small_pg, monkeypatch, policies, message):
+    """A plan checks that its party has policies, then distinct ids, then purposes.
+
+    A faulty plan is not kept, so every decision raises again. Party names
+    are checked per call, before any plan; a party's plan is built after the
+    parties before it have evaluated their policies, so their faults come first.
+    """
+    cfg = PartyConfig("owner", policies)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            cfg.masks(small_pg)
+        with pytest.raises(StageError) as err:
+            decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
+        assert err.value.stage == "policy-evaluation"
+        assert type(err.value.cause) is ConfigurationError and str(err.value.cause) == message
+    with pytest.raises(ConfigurationError, match="^party names must be distinct"):
+        decide(DataRecord(tiny_graph), Request("s"), [cfg, cfg], "F3", small_pg)
+
+    def give_up(*_):
+        raise SearchLimitError("partition search gave up after 1 steps")
+
+    monkeypatch.setattr(policy, "eval_atomic", give_up)
+    earlier = PartyConfig("first", (_null_policy("p1", ap={"mid"}),))
+    with pytest.raises(StageError) as err:
+        decide(DataRecord(tiny_graph), Request("s"), [earlier, cfg], "F3", small_pg)
+    assert err.value.stage == "policy-evaluation" and type(err.value.cause) is SearchLimitError
+    assert len(cfg._plans) == 0
+
+
+def _subject_guarded(pid, subject, ap):
+    return Policy(pid, 4, TreeLeaf(NullCondition()), ap=frozenset(ap), subjects=frozenset({subject}))
+
+
+def test_a_decision_walks_the_role_order_once_for_all_its_policies(tiny_graph, small_pg, monkeypatch):
+    walks = []
+    for module in (engine, policy):
+        walk = module.reachable_from
+        monkeypatch.setattr(module, "reachable_from", lambda start, order, walk=walk: walks.append(start) or walk(start, order))
+    order = {"student": frozenset({"students"})}
+    parties = [
+        PartyConfig("a", (_subject_guarded("g0", "staff", {"mid"}), _subject_guarded("g1", "students", {"leafp"}))),
+        PartyConfig("b", (_subject_guarded("g2", "student", {"leafp"}), _subject_guarded("g3", "staff", {"mid"}))),
+    ]
+    outcome = decide(DataRecord(tiny_graph), Request("student"), parties, "F3", small_pg, order)
+    assert walks == ["student"]
+    assert [d.guards_ok for t in outcome.parties for _, d in t.decisions] == [False, True, True, False]
+    assert outcome.decided == {"leafp"}
+
+
+def _rendered_or_error(run):
+    """A decision's JSON text, or the stage, class and message of the error it raised."""
+    try:
+        return json.dumps(outcome_to_dict(run()))
+    except StageError as exc:
+        return exc.stage, type(exc.cause), str(exc.cause)
+
+
+def test_a_long_lived_party_config_decides_as_fresh_ones_do():
+    """Stored merge results answer a stream of requests as fresh plans would.
+
+    Each case's parties decide requests drawn from a few records and
+    subjects, so applicability vectors recur; every decision's rendering,
+    or the error it raised, must equal that of new `PartyConfig`s.
+    """
+    decided = stored = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        case = (random_prohibiting_case if seed % 3 == 0 else random_decision_case)(rng)
+        pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
+        external = case.external if isinstance(case.external, str) else _text(case.external)
+
+        def configs():
+            return [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties]
+
+        kept = configs()
+        for record, request in repeated_requests(rng, case, 12):
+            got = _rendered_or_error(lambda: decide(record, request, kept, external, pg, case.role_order))
+            assert got == _rendered_or_error(lambda: decide(record, request, configs(), external, pg, case.role_order))
+            if isinstance(got, str):
+                decided += len(kept)
+        stored += sum(len(cfg._plans[pg].merged) for cfg in kept if pg in cfg._plans)
+    assert 0 < stored < decided / 3  # most party results came from the stored ones
+
+
+def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, small_pg):
+    """Past the bound, results are computed on every decision and not stored."""
+    n = engine._MERGES_KEPT.bit_length()  # 2**n vectors, more than the bound
+    party = tuple(_subject_guarded(f"g{i}", f"r{i}", {"mid"} if i % 2 else {"leafp"}) for i in range(n))
+    # requester s{k} reaches role r{i} for every bit i of k
+    order = {f"s{k}": frozenset(f"r{i}" for i in range(n) if k >> i & 1) for k in range(2**n)}
+    kept = PartyConfig("owner", party)
+    for _ in range(2):
+        for k in range(2**n):
+            record, request = DataRecord(tiny_graph), Request(f"s{k}")
+            got = outcome_to_dict(decide(record, request, [kept], "F3", small_pg, order))
+            assert got == outcome_to_dict(decide(record, request, [PartyConfig("owner", party)], "F3", small_pg, order))
+    assert list(kept._plans[small_pg].merged) == list(range(engine._MERGES_KEPT))
 
 
 def test_graph_without_hierarchy_line_fails_internal_merge(tiny_graph):

@@ -41,7 +41,7 @@ from provpurpose import (
     role_leq,
     role_order_from_dict,
 )
-from provpurpose._dagutil import topological_order
+from provpurpose._dagutil import reachable_from, topological_order
 from provpurpose.algebra import MAX_NESTING
 from provpurpose.matching import match_and, match_or
 from provpurpose.policy import PolicyDecision
@@ -327,6 +327,9 @@ def test_subject_guard_equals_a_role_leq_per_subject_on_random_orders():
             for role_order in (order, None):
                 expected = any(role_leq(requester, s, role_order) for s in subjects)
                 assert guards_pass(pol, Request(requester), None, role_order) == expected
+                # the walk a caller made once, handed down as decide hands it to every policy
+                reach = reachable_from(requester, role_order or {})
+                assert guards_pass(pol, Request(requester), None, role_order, reach) == expected
     assert 0 < cyclic < 300
 
 
