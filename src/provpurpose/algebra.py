@@ -149,6 +149,7 @@ class BasicOp(str, Enum):
 
 
 _SetOp = Callable[[Any, Any], Any]
+_Meaning = Union[_SetOp, PrecedenceKind]
 _NOTHING: PurposeSet = frozenset()
 
 
@@ -159,7 +160,7 @@ def _minus(x: Any, y: Any) -> Any:
 
 # What each operator does: a function that frozensets and masks share, or the
 # ranked selection of its own name.
-_MEANING: dict[BasicOp, _SetOp | PrecedenceKind] = {
+_MEANING: dict[BasicOp, _Meaning] = {
     BasicOp.UNION: or_,
     BasicOp.SUBTRACT: _minus,
     BasicOp.SYM_DIFF: xor,
@@ -179,10 +180,11 @@ def _precedence_winner(
 ) -> int:
     """-1 when s1 wins, 1 when s2 wins, 0 on a tie.
 
-    Every precedence selection comes here, so this is where the one graph rule
-    lives: `pg` is needed whatever the operands. An empty operand then loses
-    without a rank comparison, so two empty operands tie. Otherwise an
-    unknown purpose raises, the smallest one of s1 and then of s2.
+    Every precedence selection over sets comes here, so this is where the
+    one graph rule lives: `pg` is needed whatever the operands. An empty
+    operand then loses without a rank comparison, so two empty operands tie.
+    Otherwise an unknown purpose raises, the smallest one of s1 and then of
+    s2, and the two sets rank as masks under the graph's own encoding.
     """
     if pg is None:
         raise ConfigurationError("precedence operators need a purpose graph")
@@ -190,34 +192,31 @@ def _precedence_winner(
         return bool(s2) - bool(s1)
     pg.check_members(s1)
     pg.check_members(s2)
-    extreme, higher_wins = _RANKING[kind]
-    rank = pg._rank.__getitem__  # both operands are checked, so rank_of's own check is not needed
-    return _ranked(extreme(map(rank, s1)), extreme(map(rank, s2)), higher_wins)
+    bits = pg.bits
+    return _mask_winner(kind, bits.encode(s1), bits.encode(s2), bits)
 
 
-def _ranked(k1: int, k2: int, higher_wins: bool) -> int:
-    """-1 when rank k1 wins, 1 when k2 wins, 0 on a tie."""
-    if k1 == k2:
-        return 0
-    return -1 if (k1 < k2) == higher_wins else 1
+def _mask_winner(kind: PrecedenceKind, m1: Any, m2: Any, tag: PurposeBits | PurposeGraph | None) -> int:
+    """:func:`_precedence_winner` of two operands tagged with `tag`.
 
-
-def _mask_winner(kind: PrecedenceKind, m1: int, m2: int, tag: PurposeBits | None) -> int:
-    """:func:`_precedence_winner` of two masks under the encoding `tag`.
-
-    Under a graph's own encoding every bit is a member and the encoding
-    reads a mask's extreme ranks off its bits: no decode and no membership
-    check. Masks under any other encoding, which may hold names the graph
-    lacks, or under none are decoded and ranked as sets.
+    Masks under a graph's own encoding, ``tag is tag.graph.bits``, have
+    every bit a member, and the encoding reads their extreme ranks off their
+    bits: no decode and no membership check. Masks under any other encoding,
+    which may hold names the graph lacks, are decoded and ranked as sets, as
+    are sets tagged with their graph and untagged operands.
     """
-    if tag is None or tag.layers is None:
-        s1, s2 = (_NOTHING, _NOTHING) if tag is None else (tag.decode(m1), tag.decode(m2))
-        return _precedence_winner(kind, s1, s2, tag and tag.graph)
+    if not isinstance(tag, PurposeBits):
+        return _precedence_winner(kind, m1, m2, tag)
+    if tag.graph is None or tag is not tag.graph.bits:
+        return _precedence_winner(kind, tag.decode(m1), tag.decode(m2), tag.graph)
     if not m1 or not m2:
         return bool(m2) - bool(m1)
     extreme, higher_wins = _RANKING[kind]
     rank = tag.least_rank if extreme is min else tag.greatest_rank
-    return _ranked(rank(m1), rank(m2), higher_wins)
+    k1, k2 = rank(m1), rank(m2)
+    if k1 == k2:
+        return 0
+    return -1 if (k1 < k2) == higher_wins else 1
 
 
 def op_precedence(
@@ -234,19 +233,7 @@ def precedence_total(
     kind: PrecedenceKind, s1: Iterable[str], s2: Iterable[str], pg: PurposeGraph
 ) -> PurposeSet:
     """Totalized selection, the plain view of the pair selection: an empty operand loses."""
-    return apply_basic(BasicOp(kind.value), frozenset(s1), frozenset(s2), pg)
-
-
-def apply_basic(
-    op: BasicOp, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
-) -> PurposeSet:
-    """One basic operator over plain sets, for party expressions and F1-F8:
-    the allowed side of the infix operator over pairs that prohibit nothing."""
-    meaning = _MEANING[op]
-    if not isinstance(meaning, PrecedenceKind):
-        return meaning(s1, s2)
-    winner = _precedence_winner(meaning, s1, s2, pg)
-    return s1 | s2 if not winner else s1 if winner < 0 else s2
+    return _plain(kind, frozenset(s1), frozenset(s2), pg)
 
 
 # -- hierarchical purpose sets --------------------------------------------------
@@ -316,8 +303,6 @@ _MERGE_RULES: dict[InternalFunction, tuple[_SetOp | None, ...]] = {
 
 _NARY_RULE = _rule("+", "+", "^-", "&")
 
-_FUNCTION_BY_TOKEN = {fn.value: fn for fn in InternalFunction}
-
 # What the merge steps work on: allowed and prohibited sides and a graph tag with
 # the `high` part merges cut at: masks and their PurposeBits, or sets and their graph.
 _Raw = tuple[Any, Any, Any]
@@ -384,7 +369,7 @@ def _merge_all(*values: _Raw) -> _Raw:
     return _minus(ap, pp), pp, tag
 
 
-def _infix(meaning: _SetOp | PrecedenceKind, l: _Raw, r: _Raw) -> _Raw:
+def _infix(meaning: _Meaning, l: _Raw, r: _Raw) -> _Raw:
     """An infix operator acts on the allowed and on the prohibited masks; a
     selection ranks the allowed masks and is the winner's union with itself,
     or both sides' on a tie."""
@@ -395,6 +380,11 @@ def _infix(meaning: _SetOp | PrecedenceKind, l: _Raw, r: _Raw) -> _Raw:
             l = r = l if winner < 0 else r
         meaning = or_
     return meaning(l[0], r[0]), meaning(l[1], r[1]), tag
+
+
+def _plain(meaning: _Meaning, x: Any, y: Any, tag: Any) -> Any:
+    """An operator over two sets or masks: the allowed side of the infix operator over pairs that prohibit nothing."""
+    return _infix(meaning, (x, 0, tag), (y, 0, tag))[0]
 
 
 def apply_internal(
@@ -645,10 +635,12 @@ def expression_functions(expr: FidaExpr) -> frozenset[str]:
 
 # A program step: a slot number pushes that operand, (n, action) replaces the top
 # n values with action(*values). Calls and infix operators share one step each.
-_Step = Union[int, tuple[int, Any]]
-_MERGE_STEPS: dict[InternalFunction, _Step] = {fn: (2, partial(_merge, rule)) for fn, rule in _MERGE_RULES.items()}
-_RUN_ACTIONS: dict[InternalFunction, Callable[..., _Raw]] = {
-    fn: partial(_merge, rule) for fn, rule in _MERGE_RULES.items()
+# A function's step is (2, action) for exactly two operands, where the action
+# also folds a left-deep run of them, or (None, action) for any number.
+_Step = Union[int, tuple[int | None, Any]]
+_MERGE_STEPS: dict[str, _Step] = {
+    **{fn.value: (2, partial(_merge, rule)) for fn, rule in _MERGE_RULES.items()},
+    "f_nary": (None, _merge_all),
 }
 _INFIX_STEPS: dict[BasicOp, _Step] = {op: (2, partial(_infix, meaning)) for op, meaning in _MEANING.items()}
 
@@ -659,7 +651,7 @@ def _fail(error: type[Exception], message: str, *_: _Raw) -> _Raw:
 
 @dataclass(frozen=True)
 class MergeProgram:
-    """A merge expression compiled against operand slots by :func:`compile_fida`.
+    """An expression compiled against operand slots by the compiler of :func:`compile_fida`.
 
     `names[i]` is the name of slot i. `code` holds one step per expression
     node, in the post-order :func:`fold` walks, except that one step stands
@@ -685,36 +677,43 @@ def compile_fida(expr: FidaExpr, names: Sequence[str]) -> MergeProgram:
     single merge, and any merge whose right operand is a fault or a
     subexpression, keeps its binary step, so a run never swallows a fault.
     """
+    return _compile(expr, names, _MERGE_STEPS, _INFIX_STEPS, ("set bound to", "merge function"))
+
+
+def _compile(
+    expr: FidaExpr, names: Sequence[str], calls: dict[str, _Step], infix: dict[BasicOp, _Step], nouns: tuple[str, str]
+) -> MergeProgram:
+    """:func:`compile_fida` over the steps of `calls` and `infix`; `nouns` name an operand and a function in faults."""
     slots = {name: i for i, name in enumerate(names)}
     code: list[_Step] = []
 
-    # Each node's fold value: a bound name's slot, or the function of a merge
-    # whose right operand is a slot, which a merge around it may extend.
+    # Each node's fold value: a bound name's slot, or the step of a binary
+    # function whose right operand is a slot, which a call around it may extend.
     def ref(name: str) -> int | None:
         slot = slots.get(name)
-        code.append((0, partial(_fail, UnboundNameError, f"no set bound to {name!r}")) if slot is None else slot)
+        code.append((0, partial(_fail, UnboundNameError, f"no {nouns[0]} {name!r}")) if slot is None else slot)
         return slot
 
-    def call(name: str, args: list[Any]) -> InternalFunction | None:
-        fn = _FUNCTION_BY_TOKEN.get(name)
-        if name == "f_nary":
-            code.append((len(args), _merge_all))
-        elif fn is None:
-            code.append((len(args), partial(_fail, UnboundNameError, f"unknown merge function {name!r}")))
-        elif len(args) != 2:
+    def call(name: str, args: list[Any]) -> _Step | None:
+        step = calls.get(name)
+        if step is None:
+            code.append((len(args), partial(_fail, UnboundNameError, f"unknown {nouns[1]} {name!r}")))
+        elif step[0] is None:
+            code.append((len(args), step[1]))
+        elif len(args) != step[0]:
             code.append((len(args), partial(_fail, FidaSyntaxError, f"{name} takes exactly two operands")))
         elif type(args[1]) is not int:
-            code.append(_MERGE_STEPS[fn])
-        elif args[0] is fn:
-            # f(f(..., s), t): the left merge's step lies under t's push; it takes t too.
-            code[-2:] = [code[-1], (code[-2][0] + 1, _RUN_ACTIONS[fn])]
-            return fn
+            code.append(step)
         else:
-            code.append(_MERGE_STEPS[fn])
-            return fn
+            if args[0] is step:
+                # f(f(..., s), t): the left merge's step lies under t's push; it takes t too.
+                code[-2:] = [code[-1], (code[-2][0] + 1, step[1])]
+            else:
+                code.append(step)
+            return step
         return None
 
-    fold(expr, ref, call, lambda op, l, r: code.append(_INFIX_STEPS[op]))
+    fold(expr, ref, call, lambda op, l, r: code.append(infix[op]))
     return MergeProgram(tuple(names), tuple(code))
 
 

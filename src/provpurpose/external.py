@@ -34,14 +34,14 @@ surrounding expression as a synthetic party that prohibits nothing. A party
 name appearing under an infix operator contributes its intended view,
 allowed minus prohibited.
 
-The expression compiles once per text and party names into a program of
-steps over ``(ap, pp)`` purpose bit masks, the form `decide` hands over:
-F1-F8 read both parties' pairs, and a party under an infix operator
-contributes ap minus pp. Under a purpose graph's own encoding a precedence
-selection ranks a mask by its lowest or highest set bit. Party results given
-as sets are encoded first, over all their members, and their precedence
-selections decode and check both masks, so an unknown purpose raises as it
-would over sets.
+The expression compiles once per text and party names, by algebra's
+compiler over this module's steps, into a program over ``(ap, pp)`` purpose
+bit masks, the form `decide` hands over. Under a purpose graph's own
+encoding a precedence selection ranks a mask by its lowest or highest set
+bit. Party results given as sets are encoded first, over all their members,
+and `apply_external` runs the same F1-F8 step over two parties' sets; both
+decode or check the operands of a precedence selection, so an unknown
+purpose raises as it would over sets.
 """
 
 from __future__ import annotations
@@ -52,17 +52,12 @@ from functools import lru_cache, partial
 from typing import Any, Mapping, Sequence
 
 from . import _docs
-from .algebra import _MEANING, BasicOp, MergeProgram, PrecedenceKind, _encoded, _fail, _infix, _minus, _Raw, _run
-from .algebra import _SetOp, _Step, apply_basic, fold, left_fold_expr, op_subtraction, parse_fida
+from .algebra import _MEANING, BasicOp, MergeProgram, _compile, _Meaning, _minus, _plain, _Raw, _Step
+from .algebra import eval_fida, left_fold_expr, op_subtraction, parse_fida
 
 # F5-F8 rank in the compiled steps; this name stays bound for decidebench's tracer.
 from .algebra import precedence_total  # noqa: F401
-from .errors import (
-    ConfigurationError,
-    EmptyPurposeSetError,
-    FidaSyntaxError,
-    UnboundNameError,
-)
+from .errors import ConfigurationError, EmptyPurposeSetError
 from .purposes import PurposeGraph, PurposeSet
 
 
@@ -102,31 +97,23 @@ _PARTY_RULES: dict[ExternalFunction, tuple[BasicOp, BasicOp]] = {
     ExternalFunction.F8: (BasicOp.LOW_MIN, BasicOp.INTERSECT),
 }
 
-_EXTERNAL_BY_TOKEN = {fn.value: fn for fn in ExternalFunction}
-
-_Meaning = _SetOp | PrecedenceKind
-
-
-def _side(meaning: _Meaning, x: int, y: int, tag: Any) -> int:
-    """A basic operator over two masks: the allowed side of the infix operator over pairs that prohibit nothing."""
-    return _infix(meaning, (x, 0, tag), (y, 0, tag))[0]
-
-
-def _party_merge(allowed: _Meaning, prohibited: _Meaning, l: _Raw, r: _Raw) -> _Raw:
-    """An F-function over two parties' pairs; its decision prohibits nothing."""
-    tag = l[2]
-    return _minus(_side(allowed, l[0], r[0], tag), _side(prohibited, l[1], r[1], tag)), 0, tag
+def _party_merge(allowed: _Meaning, prohibited: _Meaning, first: _Raw, *rest: _Raw) -> _Raw:
+    """``F(F(first, r1), r2)...`` for one F-function over sets or masks; each decision prohibits nothing."""
+    ap, pp, tag = first
+    for a, p, _ in rest:
+        ap, pp = _minus(_plain(allowed, ap, a, tag), _plain(prohibited, pp, p, tag)), pp ^ pp
+    return ap, pp, tag
 
 
 def _party_infix(meaning: _Meaning, l: _Raw, r: _Raw) -> _Raw:
     """An infix operator over two parties' intended views, allowed minus prohibited."""
     tag = l[2]
-    return _side(meaning, _minus(l[0], l[1]), _minus(r[0], r[1]), tag), 0, tag
+    return _plain(meaning, _minus(l[0], l[1]), _minus(r[0], r[1]), tag), 0, tag
 
 
 # A program step per function and per infix operator, as in algebra's compiled programs.
-_PARTY_STEPS: dict[ExternalFunction, _Step] = {
-    fn: (2, partial(_party_merge, _MEANING[ap_op], _MEANING[pp_op])) for fn, (ap_op, pp_op) in _PARTY_RULES.items()
+_PARTY_STEPS: dict[str, _Step] = {
+    fn.value: (2, partial(_party_merge, _MEANING[ap], _MEANING[pp])) for fn, (ap, pp) in _PARTY_RULES.items()
 }
 _PARTY_INFIX: dict[BasicOp, _Step] = {op: (2, partial(_party_infix, meaning)) for op, meaning in _MEANING.items()}
 
@@ -138,39 +125,17 @@ def apply_external(
     pg: PurposeGraph | None = None,
 ) -> PurposeSet:
     """Combine two party results into one decision set, over the sets themselves."""
-    ap_op, pp_op = _PARTY_RULES[fn]
-    allowed = apply_basic(ap_op, sm.ap, sn.ap, pg)
-    prohibited = apply_basic(pp_op, sm.pp, sn.pp, pg)
-    return op_subtraction(allowed, prohibited)
+    return _PARTY_STEPS[fn.value][1]((sm.ap, sm.pp, pg), (sn.ap, sn.pp, pg))[0]
 
 
 @lru_cache(maxsize=64)
 def _party_program(text: str, names: tuple[str, ...]) -> MergeProgram:
     """The program of a stripped text over the named parties, one slot each; a faulty text is not kept.
 
-    As in :func:`~provpurpose.algebra.compile_fida`, an unbound party, an
-    unknown function or a wrong number of operands becomes a step that
-    raises when a run reaches it.
+    It is compiled as :func:`~provpurpose.algebra.compile_fida` compiles, over the F1-F8 and party infix steps.
     """
-    expr = left_fold_expr(text, names) if text in _EXTERNAL_BY_TOKEN else parse_fida(text)
-    slots = {name: i for i, name in enumerate(names)}
-    code: list[_Step] = []
-
-    def ref(name: str) -> None:
-        slot = slots.get(name)
-        code.append((0, partial(_fail, UnboundNameError, f"no party named {name!r}")) if slot is None else slot)
-
-    def call(name: str, args: list[None]) -> None:
-        fn = _EXTERNAL_BY_TOKEN.get(name)
-        if fn is None:
-            code.append((len(args), partial(_fail, UnboundNameError, f"unknown cross-party function {name!r}")))
-        elif len(args) != 2:
-            code.append((len(args), partial(_fail, FidaSyntaxError, f"{name} takes exactly two operands")))
-        else:
-            code.append(_PARTY_STEPS[fn])
-
-    fold(expr, ref, call, lambda op, l, r: code.append(_PARTY_INFIX[op]))
-    return MergeProgram(names, tuple(code))
+    expr = left_fold_expr(text, names) if text in _PARTY_STEPS else parse_fida(text)
+    return _compile(expr, names, _PARTY_STEPS, _PARTY_INFIX, ("party named", "cross-party function"))
 
 
 def merge_parties(
@@ -189,15 +154,15 @@ def merge_parties(
     if not results:
         raise EmptyPurposeSetError("no party results to merge")
     if isinstance(results, Mapping):
-        names, codec = tuple(results), pg.bits
-        operands = [(ap, pp, codec) for ap, pp in results.values()]
-    else:
-        names = tuple(r.party for r in results)
-        if len(set(names)) != len(names):
-            raise ConfigurationError("party names must be distinct to merge")
-        operands, codec = _encoded([(r.ap, r.pp, pg) for r in results])
-    ap, pp, _ = _run(_party_program(expr_text.strip(), names).code, operands)
-    return codec.decode(_minus(ap, pp))
+        if pg is None:
+            raise ConfigurationError("party result masks need the purpose graph that encodes them")
+        ap, pp = eval_fida(_party_program(expr_text.strip(), tuple(results)), list(results.values()), pg)
+        return pg.bits.decode(_minus(ap, pp))
+    names = tuple(r.party for r in results)
+    if len(set(names)) != len(names):
+        raise ConfigurationError("party names must be distinct to merge")
+    merged = eval_fida(_party_program(expr_text.strip(), names), [(r.ap, r.pp, pg) for r in results])
+    return _minus(merged.ap, merged.pp)
 
 
 def party_result_from_dict(doc: Mapping[str, Any], default_party: str = "party") -> PartyResult:

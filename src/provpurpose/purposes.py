@@ -54,31 +54,27 @@ class PurposeBits:
     name. `graph` is the purpose graph that masks under this encoding are
     tagged with, or None, and `high` the mask of that graph's high part.
 
-    With `ranks` given, as in a graph's own encoding ``graph.bits``, the
-    names run by (rank, name): bits ``layers[r]`` up to ``layers[r + 1]``
+    The names run by (rank, name): bits ``layers[r]`` up to ``layers[r + 1]``
     hold rank r, so the lowest and highest set bits of a mask are members
-    of its least and greatest rank. Otherwise they run in sorted order and
-    `layers` is None.
+    of its least and greatest rank. A graph's own encoding ``graph.bits``
+    takes the graph's `ranks`; any other encoding ranks every name 0, so
+    its names run in sorted order as one layer.
     """
 
     def __init__(
         self, names: Iterable[str], graph: PurposeGraph | None = None, ranks: Mapping[str, int] | None = None
     ) -> None:
-        self._ranks = ranks
-        if ranks is None:
-            self.names, self.layers = tuple(sorted(names)), None
-        else:
-            self.names = tuple(sorted(names, key=lambda p: (ranks[p], p)))
-            by_rank = [ranks[p] for p in self.names]
-            self.layers = tuple(bisect_left(by_rank, r) for r in range(by_rank[-1] + 2 if by_rank else 1))
+        names = tuple(names)
+        self._ranks = ranks = dict.fromkeys(names, 0) if ranks is None else ranks
+        self.names = tuple(sorted(names, key=lambda p: (ranks[p], p)))
+        by_rank = [ranks[p] for p in self.names]
+        self.layers = tuple(bisect_left(by_rank, r) for r in range(by_rank[-1] + 2 if by_rank else 1))
         self.graph = graph
         self.high = 0 if graph is None else self.encode(graph.high.intersection(self.names))
 
     def encode(self, s: Iterable[str]) -> int:
         """The mask of a set of encoded names."""
         names, ranks, layers = self.names, self._ranks, self.layers
-        if ranks is None:
-            return sum(1 << bisect_left(names, p) for p in s)
         return sum(1 << bisect_left(names, p, layers[ranks[p]], layers[ranks[p] + 1]) for p in s)
 
     def decode(self, mask: int) -> PurposeSet:
@@ -86,11 +82,11 @@ class PurposeBits:
         return frozenset(compress(self.names, f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)))
 
     def least_rank(self, mask: int) -> int:
-        """The least rank in a non-empty mask under an encoding with `layers`: its lowest set bit's."""
+        """The least rank in a non-empty mask: its lowest set bit's."""
         return bisect_right(self.layers, (mask & -mask).bit_length() - 1) - 1
 
     def greatest_rank(self, mask: int) -> int:
-        """The greatest rank in a non-empty mask under an encoding with `layers`: its highest set bit's."""
+        """The greatest rank in a non-empty mask: its highest set bit's."""
         return bisect_right(self.layers, mask.bit_length() - 1) - 1
 
 

@@ -27,7 +27,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from provpurpose import _docs
 from provpurpose._dagutil import topological_order
 from provpurpose.algebra import (
-    _FUNCTION_BY_TOKEN,
     BasicOp,
     FidaExpr,
     InternalFunction,
@@ -799,6 +798,9 @@ def _componentwise(
         op(l.ha, r.ha), op(l.hp, r.hp), op(l.la, r.la), op(l.lp, r.lp),
         graph=_check_same_graph(l, r),
     )
+
+
+_FUNCTION_BY_TOKEN = {fn.value: fn for fn in InternalFunction}
 
 
 def _merge_call(name: str, args: list[ReferenceHierarchicalPurposeSet]) -> ReferenceHierarchicalPurposeSet:

@@ -45,20 +45,18 @@ from provpurpose import (
 from provpurpose.algebra import (
     _MERGE_RULES,
     _MERGE_STEPS,
-    _RUN_ACTIONS,
     _UNICODE_ALIASES,
     MAX_NESTING,
     _mask_winner,
     _merge,
-    _precedence_winner,
     _tokenize,
-    apply_basic,
     left_fold_expr,
 )
 from provpurpose.external import PartyResult, merge_parties
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES, ALGEBRA_UNIVERSE
 from oracles import (
     _O_SET_OPS,
+    _fs_precedence_winner,
     frozenset_eval_fida,
     brute_force_ranks,
     o_precedence,
@@ -117,18 +115,24 @@ def test_precedence_total_lets_empty_lose(algebra_dag):
             precedence_total(PrecedenceKind.HIGH_MAX, a, b, None)
 
 
-def test_apply_basic_matches_the_oracle_on_every_operand_pair(algebra_dag):
+def test_plain_operators_match_the_oracle_on_every_operand_pair(algebra_dag):
+    """Every operator through `eval_fida_plain`, and each selection through `precedence_total` too."""
     ranks = brute_force_ranks(ALGEBRA_PURPOSES, ALGEBRA_EDGES)
     universe = list(ALGEBRA_UNIVERSE)
     subsets = [frozenset(c) for r in range(len(universe) + 1) for c in itertools.combinations(universe, r)]
+    exprs = {op: parse_fida(f"A {op.value} B") for op in BasicOp}
     for op, a, b, pg in itertools.product(BasicOp, subsets, subsets, (algebra_dag, None)):
+        routes = [lambda: eval_fida_plain(exprs[op], {"A": a, "B": b}, pg)]
         if op.value in _O_SET_OPS:
-            assert apply_basic(op, a, b, pg) == _O_SET_OPS[op.value](universe, a, b)
-        elif pg is None:
-            with pytest.raises(ConfigurationError):
-                apply_basic(op, a, b, pg)
-        else:
-            assert apply_basic(op, a, b, pg) == o_precedence_total(op.value, a, b, ranks, universe)
+            assert routes[0]() == _O_SET_OPS[op.value](universe, a, b)
+            continue
+        routes.append(lambda: precedence_total(PrecedenceKind(op.value), a, b, pg))
+        for evaluate in routes:
+            if pg is None:
+                with pytest.raises(ConfigurationError):
+                    evaluate()
+            else:
+                assert evaluate() == o_precedence_total(op.value, a, b, ranks, universe)
 
 
 def test_precedence_matches_oracle_samples(algebra_dag):
@@ -532,7 +536,7 @@ def _run_program(fn, n):
     """`fn` folded left over n operand slots, compiled: n pushes, then one run step."""
     names = [f"S{i}" for i in range(n)]
     program = compile_fida(left_fold_expr(fn.value, names), names)
-    assert program.code == (*range(n), (n, _RUN_ACTIONS[fn]))
+    assert program.code == (*range(n), (n, _MERGE_STEPS[fn.value][1]))
     return program
 
 
@@ -587,24 +591,24 @@ def test_run_step_raises_the_step_by_step_error_for_a_second_graph(algebra_dag, 
 def test_default_fold_compiles_to_one_run_step():
     ids = [f"p{i}" for i in range(100)]
     program = compile_fida(default_internal_expr(ids), ids)
-    assert program.code == (*range(100), (100, _RUN_ACTIONS[InternalFunction.DOTPLUS]))
+    assert program.code == (*range(100), (100, _MERGE_STEPS["f_dotplus"][1]))
 
 
 def test_only_runs_over_slots_take_the_run_step(algebra_dag):
-    dotplus, oplus = _MERGE_STEPS[InternalFunction.DOTPLUS], _MERGE_STEPS[InternalFunction.OPLUS]
+    dotplus, oplus = _MERGE_STEPS["f_dotplus"], _MERGE_STEPS["f_oplus"]
     names = ["A", "B", "C", "D"]
     assert compile_fida(parse_fida("f_oplus(A, B)"), names).code == (0, 1, oplus)
     nested = compile_fida(parse_fida("f_dotplus(f_dotplus(A, B), f_oplus(C, D))"), names)
     assert nested.code == (0, 1, dotplus, 2, 3, oplus, dotplus)
     ghost = compile_fida(parse_fida("f_dotplus(f_dotplus(A, ghost), C)"), names)
     assert [type(step) for step in ghost.code] == [int, tuple, tuple, int, tuple]
-    assert ghost.code[2] is dotplus and ghost.code[4] is dotplus
+    assert ghost.code[2] == dotplus and ghost.code[4] == dotplus
     env = [(frozenset({"high1"}), frozenset(), algebra_dag)] * 4
     with pytest.raises(UnboundNameError, match="^no set bound to 'ghost'$"):
         eval_fida(ghost, env)
     # A run may start from any left operand, here another function's merge.
     mixed = compile_fida(parse_fida("f_oplus(f_oplus(f_oplus(f_dotplus(A, B), C), D), A)"), names)
-    assert mixed.code == (0, 1, dotplus, 2, 3, 0, (4, _RUN_ACTIONS[InternalFunction.OPLUS]))
+    assert mixed.code == (0, 1, dotplus, 2, 3, 0, (4, oplus[1]))
 
 
 def test_plain_eval_over_sets(algebra_dag):
@@ -857,7 +861,7 @@ def _winners(codec, s1, s2):
 
 
 def _set_winners(pg, s1, s2):
-    return [_result_or_error(lambda: _precedence_winner(kind, s1, s2, pg)) for kind in PrecedenceKind]
+    return [_result_or_error(lambda: _fs_precedence_winner(kind, s1, s2, pg)) for kind in PrecedenceKind]
 
 
 @settings(max_examples=300, deadline=None)
@@ -867,7 +871,6 @@ def test_a_graphs_own_masks_rank_by_bit_position_as_their_sets_rank(data):
     pg = data.draw(_layered_graph())
     subsets = st.frozensets(st.sampled_from(sorted(pg.purposes)))
     s1, s2 = data.draw(subsets), data.draw(subsets)
-    assert pg.bits.layers is not None
     assert _winners(pg.bits, s1, s2) == _set_winners(pg, s1, s2)
 
 
@@ -892,7 +895,7 @@ def test_a_graphs_own_masks_rank_as_sets_on_every_pair_of_subsets(algebra_dag):
 def test_masks_under_another_encoding_are_decoded_and_checked(algebra_dag, s1, s2, message):
     """The smallest unknown purpose of the first operand, then of the second."""
     codec = PurposeBits(s1 | s2, algebra_dag)
-    assert codec.layers is None
+    assert codec.graph is algebra_dag and codec is not algebra_dag.bits
     got = _winners(codec, frozenset(s1), frozenset(s2))
     assert got == _set_winners(algebra_dag, frozenset(s1), frozenset(s2))
     assert got == [(UnknownPurposeError, message)] * len(PrecedenceKind)

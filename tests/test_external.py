@@ -13,8 +13,10 @@ from provpurpose import (
     FidaSyntaxError,
     InputFormatError,
     PartyResult,
+    ProvPurposeError,
     PurposeGraph,
     UnboundNameError,
+    UnknownPurposeError,
     apply_external,
     merge_parties,
     party_result_from_dict,
@@ -26,6 +28,13 @@ from oracles import _o_external_expr, _o_left_fold, brute_force_ranks, o_minus, 
 
 def _pr(party, ap=(), pp=()):
     return PartyResult(party, frozenset(ap), frozenset(pp))
+
+
+def _result_or_error(evaluate):
+    try:
+        return evaluate()
+    except ProvPurposeError as exc:
+        return type(exc), str(exc)
 
 
 def test_intended_view_subtracts_prohibitions():
@@ -62,23 +71,67 @@ def test_ranked_functions_need_graph():
                 apply_external(fn, *pair)
 
 
-def test_ranked_functions_on_dag(algebra_dag):
-    sm = _pr("m", ap={"high1"}, pp={"low1"})
-    sn = _pr("n", ap={"low2"}, pp={"high2"})
-    # F7: allowed side keeps the higher operand whole; neither prohibition
-    # overlaps it, so it survives the final subtraction.
-    assert apply_external(ExternalFunction.F7, sm, sn, algebra_dag) == {"high1"}
-    # F8: allowed side keeps the deeper operand; prohibited intersection is
-    # empty, so the deep set passes through.
-    assert apply_external(ExternalFunction.F8, sm, sn, algebra_dag) == {"low2"}
-    # F6: symmetric difference of allowances; the higher prohibition operand
-    # ({high2}) wins but overlaps nothing.
-    assert apply_external(ExternalFunction.F6, sm, sn, algebra_dag) == {"high1", "low2"}
+def _unknown(name):
+    return UnknownPurposeError, f"unknown purpose {name!r}"
 
 
-def test_external_functions_match_oracle_samples(algebra_dag):
+_M, _N = ({"high1"}, {"low1"}), ({"low2"}, {"high2"})
+
+
+@pytest.mark.parametrize(
+    "fn, m, n, want",
+    [
+        # F7: allowed side keeps the higher operand whole; neither prohibition
+        # overlaps it, so it survives the final subtraction.
+        ("F7", _M, _N, {"high1"}),
+        # F8: allowed side keeps the deeper operand; prohibited intersection is
+        # empty, so the deep set passes through.
+        ("F8", _M, _N, {"low2"}),
+        # F6: symmetric difference of allowances; the higher prohibition operand
+        # ({high2}) wins but overlaps nothing.
+        ("F6", _M, _N, {"high1", "low2"}),
+        # Purposes the graph lacks raise in the ranked side alone, the allowed
+        # side of F7 and F8 and the prohibited side of F5 and F6, once both its
+        # operands are non-empty: the smallest unknown member of the left
+        # operand, else of the right.
+        ("F7", ({"high1", "zeta", "omega"}, {"beta"}), ({"low1", "alpha"}, {"gamma"}), _unknown("omega")),
+        ("F7", ({"high1"}, {"beta"}), ({"low1", "zeta", "alpha"}, set()), _unknown("alpha")),
+        ("F8", ({"low1", "zeta"}, {"alpha"}), ({"high1", "beta"}, {"alpha"}), _unknown("zeta")),
+        ("F5", ({"alpha"}, {"low1", "omega"}), ({"beta"}, {"high1", "gamma"}), _unknown("omega")),
+        ("F6", ({"alpha"}, {"low1"}), ({"high1"}, {"zeta", "beta"}), _unknown("beta")),
+        # An empty operand loses without a membership check.
+        ("F7", (set(), {"alpha"}), ({"zeta"}, set()), {"zeta"}),
+        ("F5", ({"alpha"}, {"omega"}), ({"high1"}, set()), {"alpha", "high1"}),
+    ],
+)
+def test_ranked_functions_on_dag(algebra_dag, fn, m, n, want):
+    sm, sn = _pr("m", *m), _pr("n", *n)
+    got = _result_or_error(lambda: apply_external(ExternalFunction(fn), sm, sn, algebra_dag))
+    assert got == (want if isinstance(want, tuple) else frozenset(want))
+    assert _result_or_error(lambda: merge_parties([sm, sn], fn, algebra_dag)) == got
+
+
+# The side of each ranked function that compares ranks; F1-F4 rank none.
+_RANKED_SIDE = {"F5": "pp", "F6": "pp", "F7": "ap", "F8": "ap"}
+
+
+def _ranked_side_fault(fn, sm, sn):
+    """The error an F-function raises over purposes the graph lacks, or None."""
+    side = _RANKED_SIDE.get(fn.value)
+    operands = (getattr(sm, side), getattr(sn, side)) if side else ()
+    if not all(operands):
+        return None
+    unknown = [min(s - set(ALGEBRA_PURPOSES)) for s in operands if s - set(ALGEBRA_PURPOSES)]
+    return _unknown(unknown[0]) if unknown else None
+
+
+@pytest.mark.parametrize("strangers", [(), ("alpha", "omega")], ids=["graph purposes", "with purposes the graph lacks"])
+def test_external_functions_match_oracle_samples(algebra_dag, strangers):
+    """`apply_external` and `merge_parties` over the two parties agree with the
+    oracle, and with each other on the error raised; "alpha" sorts before every
+    graph purpose and "omega" among them."""
     ranks = brute_force_ranks(ALGEBRA_PURPOSES, ALGEBRA_EDGES)
-    universe = sorted(ALGEBRA_PURPOSES)
+    universe = sorted(ALGEBRA_PURPOSES) + list(strangers)
     rng = random.Random(21)
     for _ in range(150):
         ap_m = frozenset(p for p in universe if rng.random() < 0.4)
@@ -87,8 +140,10 @@ def test_external_functions_match_oracle_samples(algebra_dag):
         pp_n = frozenset(p for p in universe if rng.random() < 0.3)
         sm, sn = PartyResult("m", ap_m, pp_m), PartyResult("n", ap_n, pp_n)
         for fn in ExternalFunction:
-            want = oracle_external(fn.value, ap_m, pp_m, ap_n, pp_n, universe, ranks)
-            assert apply_external(fn, sm, sn, algebra_dag) == want, fn.value
+            want = _ranked_side_fault(fn, sm, sn) or oracle_external(fn.value, ap_m, pp_m, ap_n, pp_n, universe, ranks)
+            got = _result_or_error(lambda: apply_external(fn, sm, sn, algebra_dag))
+            assert got == want, fn.value
+            assert _result_or_error(lambda: merge_parties([sm, sn], fn.value, algebra_dag)) == got, fn.value
 
 
 # -- merge_parties -----------------------------------------------------------------
@@ -119,6 +174,13 @@ def test_single_party_returns_intended():
 def test_no_parties_is_an_error():
     with pytest.raises(EmptyPurposeSetError):
         merge_parties([], "F3")
+
+
+def test_party_masks_need_the_purpose_graph_that_encodes_them():
+    with pytest.raises(EmptyPurposeSetError):
+        merge_parties({}, "F3")
+    with pytest.raises(ConfigurationError, match="^party result masks need the purpose graph that encodes them$"):
+        merge_parties({"a": (1, 0), "b": (1, 0)}, "F3")
 
 
 def test_expression_mode_binds_party_names():
