@@ -6,7 +6,16 @@ A decision runs in four stages:
    policies, that their ids are distinct and that all their purposes are in
    the purpose graph, every policy is checked against the record's
    provenance graph and the request; applicable policies contribute their
-   allowed/prohibited purposes, the rest contribute empty sets. Each
+   allowed/prohibited purposes, the rest contribute empty sets. A policy's
+   outcome depends only on its shape: its access tree, compared by value,
+   and its subject and category guards. The plan groups the party's
+   policies by shape, and each shape is evaluated once per decision, by its
+   first policy, in order of first appearance; so the first policy that
+   raises is the one that would raise if every policy were evaluated in
+   order. A policy of an applicable shape gets its own applied decision,
+   any other its shape's shared declined one. The plan also maps each
+   vector of shape outcomes met before to the party's per-policy
+   decisions, so a repeated vector skips the per-policy step. Each
    distinct leaf condition object is evaluated once per decision, however
    many policies and parties share it, and the requester's role order is
    walked once per decision for every policy's subject guard.
@@ -20,7 +29,7 @@ A decision runs in four stages:
    which policies apply, so the plan maps that applicability vector (bit i
    set when policy i applies) to the result masks and their decoded
    :class:`PartyResult`: a vector met before is answered from the map,
-   with no run and no decode. The map stops growing at a fixed number of
+   with no run and no decode. Both maps stop growing at a fixed number of
    vectors, and a run that raises is never stored.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set. The expression's program, compiled
@@ -62,8 +71,8 @@ class DataRecord:
     attached_purposes: PurposeSet | None = None
 
 
-#: Most applicability vectors one party plan keeps a merge result for; once
-#: that many are kept, later results are computed on every decision.
+#: Most vectors each map of one party plan keeps a result for; once that
+#: many are kept, later results are computed on every decision.
 _MERGES_KEPT = 128
 
 
@@ -71,16 +80,23 @@ class _PartyPlan:
     """One party's plan under one purpose graph.
 
     `masks` holds every policy's (allowed, prohibited) masks under the
-    graph's bits, in policy order. `merged` maps an applicability vector,
-    whose bit i is set when policy i applies, to that vector's merge result:
-    the result masks and the decoded :class:`PartyResult`. Neither holds the
-    graph, so the plan never keeps it alive.
+    graph's bits, in policy order. `shape_of` gives each policy's shape
+    index, and `reps` each shape's first policy, in order of first
+    appearance. `traced` maps a vector of the shapes' outcomes, each
+    representative's decision by identity, to the party's per-policy
+    decisions and its applicability vector, whose bit i is set when policy
+    i applies. `merged` maps an applicability vector to that vector's merge
+    result: the result masks and the decoded :class:`PartyResult`. None of
+    them holds the graph, so the plan never keeps it alive.
     """
 
-    __slots__ = ("masks", "merged")
+    __slots__ = ("masks", "reps", "shape_of", "traced", "merged")
 
-    def __init__(self, masks: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, masks: tuple[tuple[int, int], ...], reps: tuple[Policy, ...], shape_of: tuple[int, ...]) -> None:
         self.masks = masks
+        self.reps = reps
+        self.shape_of = shape_of
+        self.traced: dict[tuple[int, ...], tuple[tuple[tuple[str, PolicyDecision], ...], int]] = {}
         self.merged: dict[int, tuple[int, int, PartyResult]] = {}
 
 
@@ -94,9 +110,11 @@ class PartyConfig:
     purpose graph a plan checks that the party has policies, that their ids
     are distinct and that `pg` holds all their purposes, then keeps their
     (allowed, prohibited) masks under ``pg.bits``, which `masks(pg)` returns,
-    and the merge result of each applicability vector met so far, up to a
-    fixed number of vectors. Each is derived once, on first use; a fault is
-    not kept and raises on every use.
+    and groups the policies by shape: (tree, subjects, categories), with
+    trees compared by value. It keeps the per-policy decisions of each
+    vector of shape outcomes met so far, and the merge result of each
+    applicability vector, each up to a fixed number of vectors. Each is
+    derived once, on first use; a fault is not kept and raises on every use.
     """
 
     party: str
@@ -132,7 +150,16 @@ class PartyConfig:
             for pol in self.policies:
                 check_purposes(pol, pg)
             bits = pg.bits
-            plan = self._plans[pg] = _PartyPlan(tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies))
+            shapes: dict[tuple[Any, ...], int] = {}  # shape -> its index, in order of first appearance
+            reps: list[Policy] = []
+            shape_of = []
+            for pol in self.policies:
+                s = shapes.setdefault((pol.tree, pol.subjects, pol.categories), len(shapes))
+                if s == len(reps):
+                    reps.append(pol)
+                shape_of.append(s)
+            masks = tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies)
+            plan = self._plans[pg] = _PartyPlan(masks, tuple(reps), tuple(shape_of))
         return plan
 
     def masks(self, pg: PurposeGraph) -> tuple[tuple[int, int], ...]:
@@ -183,11 +210,9 @@ def decide(
     for cfg in parties:
         try:
             plan = cfg._plan(pg)
-            pairs = []
-            applicable = 0  # bit i set when policy i applies
-            for i, pol in enumerate(cfg.policies):
-                d = evaluate_policy(
-                    pol,
+            outcomes = [
+                evaluate_policy(
+                    rep,
                     record.provenance,
                     request,
                     data_category=record.category,
@@ -195,17 +220,33 @@ def decide(
                     memo=memo,
                     reach=reach,
                 )
-                if d.applicable:
-                    applicable |= 1 << i
-                pairs.append((pol.id, d))
+                for rep in plan.reps
+            ]
         except ProvPurposeError as exc:
             raise StageError("policy-evaluation", exc) from exc
+        # Each outcome is its representative's `applied` decision or a shared declined one, and the stored
+        # decisions hold it in the representative's own entry, so no stored key's id can name another object.
+        key = tuple(map(id, outcomes))
+        traced = plan.traced.get(key)
+        if traced is None:
+            pairs = []
+            applicable = 0  # bit i set when policy i applies
+            for i, (pol, s) in enumerate(zip(cfg.policies, plan.shape_of)):
+                d = outcomes[s]
+                if d.applicable:
+                    d = pol.applied
+                    applicable |= 1 << i
+                pairs.append((pol.id, d))
+            traced = tuple(pairs), applicable
+            if len(plan.traced) < _MERGES_KEPT:
+                plan.traced[key] = traced
+        decisions, applicable = traced
         merged = plan.merged.get(applicable)
         if merged is None:
             try:
                 if pg.hierarchy_line is None:
                     raise MissingHierarchyLineError("purpose graph has no hierarchy line")
-                applied = [m if d.applicable else (0, 0) for m, (_, d) in zip(plan.masks, pairs)]
+                applied = [m if d.applicable else (0, 0) for m, (_, d) in zip(plan.masks, decisions)]
                 ap, pp = eval_fida(cfg.merge_program, applied, pg)
             except ProvPurposeError as exc:
                 raise StageError("internal-merge", exc) from exc
@@ -214,7 +255,7 @@ def decide(
                 plan.merged[applicable] = merged
         ap, pp, result = merged
         results[cfg.party] = ap, pp
-        traces.append(PartyTrace(cfg.party, cfg.merge_text, tuple(pairs), result))
+        traces.append(PartyTrace(cfg.party, cfg.merge_text, decisions, result))
     try:
         decided = merge_parties(results, external_expr, pg)
     except ProvPurposeError as exc:

@@ -73,9 +73,12 @@ class PurposeBits:
         self.high = 0 if graph is None else self.encode(graph.high.intersection(self.names))
 
     def encode(self, s: Iterable[str]) -> int:
-        """The mask of a set of encoded names."""
+        """The mask of a set of encoded names; raise on the smallest name the encoding lacks."""
         names, ranks, layers = self.names, self._ranks, self.layers
-        return sum(1 << bisect_left(names, p, layers[ranks[p]], layers[ranks[p] + 1]) for p in s)
+        try:
+            return sum(1 << bisect_left(names, p, layers[ranks[p]], layers[ranks[p] + 1]) for p in s)
+        except KeyError:
+            raise UnknownPurposeError(f"unknown purpose {min(set(s).difference(ranks))!r}") from None
 
     def decode(self, mask: int) -> PurposeSet:
         """The names whose bits are set in `mask`."""

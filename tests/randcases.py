@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 from provpurpose import (
@@ -407,6 +408,45 @@ def random_prohibiting_case(rng: random.Random) -> DecisionCase:
         line=rng.randint(0, len(layers)),
         attached=None,
     )
+
+
+def _rebuilt(tree):
+    """A tree equal to `tree` that shares no node or leaf condition object with it."""
+    if isinstance(tree, TreeLeaf):
+        return TreeLeaf(replace(tree.condition))
+    return TreeBranch(tree.op, tuple(map(_rebuilt, tree.children)))
+
+
+def with_shared_shapes(rng: random.Random, case: DecisionCase) -> DecisionCase:
+    """`case` with 1-4 more policies per party that copy a policy's tree and guards.
+
+    Each copy has a new id and its own AP/PP. About half share the tree
+    object they copy; the others get a rebuilt tree, equal by value only. The
+    copies are shuffled in among the originals, so a copy may come before
+    the policy it copies. A party's expression still names only its original
+    policies.
+    """
+    parties = []
+    for name, policies, expr in case.parties:
+        mixed = list(policies)
+        for j in range(rng.randint(1, 4)):
+            src = rng.choice(policies)
+            guarded = src.subjects is not None or src.categories is not None
+            ptype = 4 if guarded else rng.randint(1, 3)
+            mixed.append(
+                Policy(
+                    f"c{j}",
+                    ptype,
+                    src.tree if rng.random() < 0.5 else _rebuilt(src.tree),
+                    ap=_subset(rng, case.purposes) if ptype != 2 else frozenset(),
+                    pp=_subset(rng, case.purposes) if ptype != 1 else frozenset(),
+                    subjects=src.subjects,
+                    categories=src.categories,
+                )
+            )
+        rng.shuffle(mixed)
+        parties.append((name, tuple(mixed), expr))
+    return case._replace(parties=parties)
 
 
 def repeated_requests(rng: random.Random, case: DecisionCase, n: int) -> list[tuple[DataRecord, Request]]:

@@ -27,13 +27,16 @@ from provpurpose import (
     SearchLimitError,
     SetRef,
     StageError,
+    TreeBranch,
     TreeLeaf,
+    TreeOp,
     UnboundNameError,
     VertexCondition,
     VertexType,
     decide,
     default_internal_expr,
     engine,
+    evaluate_policy,
     load_policy,
     load_request,
     load_role_order,
@@ -42,9 +45,16 @@ from provpurpose import (
     policy_from_dict,
     print_fida,
 )
+from provpurpose.algebra import MAX_NESTING
 from conftest import CASE_STUDY
 from oracles import oracle_decide
-from randcases import random_decision_case, random_prohibiting_case, repeated_requests, shared_leaves
+from randcases import (
+    random_decision_case,
+    random_prohibiting_case,
+    repeated_requests,
+    shared_leaves,
+    with_shared_shapes,
+)
 
 
 def _null_policy(pid, ap=(), pp=(), ptype=None):
@@ -306,12 +316,12 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     assert pg.bits.decode(cfg.masks(pg)[0][0]) == {"mid"}
     # a stored merge result holds masks and decoded sets, nothing of the graph
     assert decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", pg).decided == {"mid"}
-    assert list(cfg._plans[pg].merged) == [0b1]
+    assert list(cfg._plans[pg].merged) == [0b1] and len(cfg._plans[pg].traced) == 1
     graph = weakref.ref(pg)
     del pg
     gc.collect()
     assert graph() is None
-    assert len(cfg._plans) == 0  # the plan and its stored results went with the graph
+    assert len(cfg._plans) == 0  # the plan and both its maps went with the graph
 
 
 @pytest.mark.parametrize(
@@ -420,6 +430,132 @@ def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, sm
             got = outcome_to_dict(decide(record, request, [kept], "F3", small_pg, order))
             assert got == outcome_to_dict(decide(record, request, [PartyConfig("owner", party)], "F3", small_pg, order))
     assert list(kept._plans[small_pg].merged) == list(range(engine._MERGES_KEPT))
+
+
+def test_a_full_outcome_map_stores_no_more_decisions_and_decides_as_before(tiny_graph, small_pg):
+    """Past the bound, per-policy decisions are built on every decision and not stored.
+
+    No policy applies, so every request has the same applicability vector,
+    but each reaches its own set of subject guards: one merge result is
+    stored, and the outcome map fills up.
+    """
+    n = engine._MERGES_KEPT.bit_length()  # 2**n outcome vectors, more than the bound
+    absent = TreeLeaf(VertexCondition(VertexType.AGENT, "nobody"))
+    party = tuple(
+        Policy(f"g{i}{twin}", 4, absent, ap=frozenset({ap}), subjects=frozenset({f"r{i}"}))
+        for i in range(n)
+        for twin, ap in (("a", "mid"), ("b", "leafp"))
+    )
+    order = {f"s{k}": frozenset(f"r{i}" for i in range(n) if k >> i & 1) for k in range(2**n)}
+    kept = PartyConfig("owner", party)
+    for _ in range(2):
+        for k in range(2**n):
+            record, request = DataRecord(tiny_graph), Request(f"s{k}")
+            got = outcome_to_dict(decide(record, request, [kept], "F3", small_pg, order))
+            assert got == outcome_to_dict(decide(record, request, [PartyConfig("owner", party)], "F3", small_pg, order))
+    plan = kept._plans[small_pg]
+    assert plan.shape_of == tuple(i for i in range(n) for _ in "ab") and len(plan.reps) == n
+    assert len(plan.traced) == engine._MERGES_KEPT and list(plan.merged) == [0]
+    # the stored vectors are the first ones met: requesters s0 to s127
+    guards = [tuple(d.guards_ok for _, d in decisions[::2]) for decisions, _ in plan.traced.values()]
+    assert guards == [tuple(bool(k >> i & 1) for i in range(n)) for k in range(engine._MERGES_KEPT)]
+
+
+def test_the_first_policy_to_raise_fails_the_decision_and_nothing_is_stored(tiny_graph, small_pg, monkeypatch):
+    """Shapes run in order of first appearance, so the error is the one policy order gives.
+
+    p1 (shape A) is fine, p2 (shape B) and p3 (shape C) raise, and p4 has
+    shape B again, built anew. Evaluating every policy in order, p2 raises
+    first; so must the shapes.
+    """
+    atomic = policy.eval_atomic
+
+    def raise_by_name(cond, graph, query_attrs=None):
+        if isinstance(cond, VertexCondition):
+            raise SearchLimitError(cond.name)
+        return atomic(cond, graph, query_attrs)
+
+    evaluated = []
+    evaluate = engine.evaluate_policy
+
+    def recording_evaluate(pol, *args, **kwargs):
+        evaluated.append(pol.id)
+        return evaluate(pol, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "eval_atomic", raise_by_name)
+    monkeypatch.setattr(engine, "evaluate_policy", recording_evaluate)
+    shape = {name: TreeLeaf(VertexCondition(VertexType.AGENT, name)) for name in "BC"}
+    cfg = PartyConfig(
+        "owner",
+        (
+            _null_policy("p1", ap={"mid"}),
+            Policy("p2", 1, shape["B"], ap=frozenset({"mid"})),
+            Policy("p3", 1, shape["C"], ap=frozenset({"leafp"})),
+            Policy("p4", 2, TreeLeaf(VertexCondition(VertexType.AGENT, "B")), pp=frozenset({"mid"})),
+        ),
+    )
+    for _ in range(2):
+        with pytest.raises(StageError) as err:
+            decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
+        assert err.value.stage == "policy-evaluation"
+        assert type(err.value.cause) is SearchLimitError and str(err.value.cause) == "B"
+    assert evaluated == ["p1", "p2"] * 2
+    plan = cfg._plans[small_pg]
+    assert plan.shape_of == (0, 1, 2, 1) and [p.id for p in plan.reps] == ["p1", "p2", "p3"]
+    assert plan.traced == {} and plan.merged == {}
+
+
+def test_a_tree_nested_to_the_bound_is_grouped_by_value(tiny_graph, small_pg):
+    def deep():
+        tree = TreeLeaf(NullCondition())
+        for _ in range(MAX_NESTING):
+            tree = TreeBranch(TreeOp.AND, (tree,))
+        return tree
+
+    grant, deny = Policy("p1", 1, deep(), ap=frozenset({"mid"})), Policy("p2", 2, deep(), pp=frozenset({"leafp"}))
+    cfg = PartyConfig("owner", (grant, deny))
+    outcome = decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
+    assert cfg._plans[small_pg].shape_of == (0, 0)
+    assert [d for _, d in outcome.parties[0].decisions] == [p.applied for p in cfg.policies]
+    assert outcome.decided == {"mid"}
+
+
+def test_policies_of_one_shape_get_the_decisions_they_would_get_alone():
+    """Copies of policies' trees and guards, with other AP/PP, decide as if each policy ran alone.
+
+    Every trace entry is the very decision `evaluate_policy` gives that
+    policy with a fresh memo, and a long-lived configuration renders each
+    request of a stream as fresh ones do.
+    """
+    members = by_value = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        case = with_shared_shapes(rng, (random_prohibiting_case if seed % 3 == 0 else random_decision_case)(rng))
+        pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
+        external = case.external if isinstance(case.external, str) else _text(case.external)
+
+        def configs():
+            return [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties]
+
+        kept = configs()
+        for record, request in repeated_requests(rng, case, 12):
+            got = _rendered_or_error(lambda: decide(record, request, kept, external, pg, case.role_order))
+            assert got == _rendered_or_error(lambda: decide(record, request, configs(), external, pg, case.role_order))
+            if isinstance(got, str):
+                for trace, cfg in zip(decide(record, request, kept, external, pg, case.role_order).parties, kept):
+                    alone = [
+                        evaluate_policy(pol, record.provenance, request, record.category, case.role_order, memo={})
+                        for pol in cfg.policies
+                    ]
+                    assert [pid for pid, _ in trace.decisions] == [pol.id for pol in cfg.policies]
+                    assert all(d is e for (_, d), e in zip(trace.decisions, alone))
+        for cfg in kept:
+            if pg in cfg._plans:
+                plan = cfg._plans[pg]
+                reps = [plan.reps[s] for s in plan.shape_of]
+                members += sum(rep is not pol for rep, pol in zip(reps, cfg.policies))
+                by_value += sum(rep.tree is not pol.tree for rep, pol in zip(reps, cfg.policies))
+    assert 0 < by_value < members  # shapes shared a tree object, and some only a tree's value
 
 
 def test_graph_without_hierarchy_line_fails_internal_merge(tiny_graph):

@@ -8,6 +8,7 @@ from provpurpose import (
     EmptyPurposeSetError,
     InputFormatError,
     MissingHierarchyLineError,
+    PurposeBits,
     PurposeGraph,
     UnknownPurposeError,
     purpose_graph_from_dict,
@@ -164,6 +165,12 @@ def test_a_graphs_own_bits_run_by_rank_then_name(hierarchy):
     assert bits.decode(mask) == members
     assert (bits.least_rank(mask), bits.greatest_rank(mask)) == (1, 5)
     assert bits.high == bits.encode(hierarchy.high)
+
+
+def test_an_encoding_rejects_a_name_it_lacks_naming_the_smallest(hierarchy):
+    for bits, names in ((PurposeBits({"a", "b"}), {"d", "c", "a"}), (hierarchy.bits, {"zz", "c", "Admin"})):
+        with pytest.raises(UnknownPurposeError, match="^unknown purpose 'c'$"):
+            bits.encode(names)
 
 
 def test_cycle_rejected():
