@@ -71,14 +71,15 @@ hierarchical operands act on the allowed and on the prohibited sets;
 precedence selections compare the allowed sets. A plain purpose set is the
 pair that prohibits nothing, so one evaluator serves both. It compiles an
 expression once into a flat program over operand slots (``compile_fida``)
-and runs that over purpose bit masks (:class:`~provpurpose.purposes.PurposeBits`),
-decoding only the result. Under a graph's own encoding the bits run by
-rank, so a precedence selection ranks each mask by its lowest or highest
-set bit. The merge steps use ``&``, ``|`` and ``^`` alone,
-so ``apply_internal`` and ``apply_nary`` run them over frozensets. A
-left-deep run of two or more merges by one function over slots, such as the
-default ``f_dotplus`` fold over a party's policies, compiles to one step
-that folds the run, cutting once at the end.
+and runs that over frozensets, or over masks under a graph's own encoding
+(:attr:`~provpurpose.purposes.PurposeGraph.bits`). The merge steps use
+``&``, ``|`` and ``^`` alone, so they run on either, as ``apply_internal``
+and ``apply_nary`` run them over frozensets. A precedence selection encodes
+sets under the graph's own encoding, whose bits run by rank, and ranks each
+mask by its lowest or highest set bit. A left-deep run of two or more
+merges by one function over slots, such as the default ``f_dotplus`` fold
+over a party's policies, compiles to one step that folds the run, cutting
+once at the end.
 """
 
 from __future__ import annotations
@@ -175,45 +176,27 @@ _BINDING: dict[BasicOp, int] = {
 }
 
 
-def _precedence_winner(
-    kind: PrecedenceKind, s1: PurposeSet, s2: PurposeSet, pg: PurposeGraph | None
-) -> int:
-    """-1 when s1 wins, 1 when s2 wins, 0 on a tie.
+def _winner(kind: PrecedenceKind, x: Any, y: Any, tag: PurposeBits | PurposeGraph | None) -> int:
+    """-1 when x wins, 1 when y wins, 0 on a tie.
 
-    Every precedence selection over sets comes here, so this is where the
-    one graph rule lives: `pg` is needed whatever the operands. An empty
-    operand then loses without a rank comparison, so two empty operands tie.
-    Otherwise an unknown purpose raises, the smallest one of s1 and then of
-    s2, and the two sets rank as masks under the graph's own encoding.
+    Every precedence selection comes here, so this is where the one graph
+    rule lives: a tag is needed whatever the operands. An empty operand then
+    loses without a rank comparison, so two empty operands tie. Sets tagged
+    with their graph raise on an unknown purpose, the smallest one of x and
+    then of y, and are encoded under the graph's own ``tag.bits``. There
+    every bit is a member and the bits run by rank, so the two masks rank
+    by their lowest or highest set bit.
     """
-    if pg is None:
+    if tag is None:
         raise ConfigurationError("precedence operators need a purpose graph")
-    if not s1 or not s2:
-        return bool(s2) - bool(s1)
-    pg.check_members(s1)
-    pg.check_members(s2)
-    bits = pg.bits
-    return _mask_winner(kind, bits.encode(s1), bits.encode(s2), bits)
-
-
-def _mask_winner(kind: PrecedenceKind, m1: Any, m2: Any, tag: PurposeBits | PurposeGraph | None) -> int:
-    """:func:`_precedence_winner` of two operands tagged with `tag`.
-
-    Masks under a graph's own encoding, ``tag is tag.graph.bits``, have
-    every bit a member, and the encoding reads their extreme ranks off their
-    bits: no decode and no membership check. Masks under any other encoding,
-    which may hold names the graph lacks, are decoded and ranked as sets, as
-    are sets tagged with their graph and untagged operands.
-    """
-    if not isinstance(tag, PurposeBits):
-        return _precedence_winner(kind, m1, m2, tag)
-    if tag.graph is None or tag is not tag.graph.bits:
-        return _precedence_winner(kind, tag.decode(m1), tag.decode(m2), tag.graph)
-    if not m1 or not m2:
-        return bool(m2) - bool(m1)
+    if not x or not y:
+        return bool(y) - bool(x)
+    if isinstance(tag, PurposeGraph):
+        tag = tag.bits
+        x, y = tag.encode(x), tag.encode(y)
     extreme, higher_wins = _RANKING[kind]
     rank = tag.least_rank if extreme is min else tag.greatest_rank
-    k1, k2 = rank(m1), rank(m2)
+    k1, k2 = rank(x), rank(y)
     if k1 == k2:
         return 0
     return -1 if (k1 < k2) == higher_wins else 1
@@ -370,12 +353,12 @@ def _merge_all(*values: _Raw) -> _Raw:
 
 
 def _infix(meaning: _Meaning, l: _Raw, r: _Raw) -> _Raw:
-    """An infix operator acts on the allowed and on the prohibited masks; a
-    selection ranks the allowed masks and is the winner's union with itself,
+    """An infix operator acts on the allowed and on the prohibited sides; a
+    selection ranks the allowed sides and is the winner's union with itself,
     or both sides' on a tie."""
     tag = _pair_graph(l[2], r[2])
     if isinstance(meaning, PrecedenceKind):
-        winner = _mask_winner(meaning, l[0], r[0], tag)
+        winner = _winner(meaning, l[0], r[0], tag)
         if winner:
             l = r = l if winner < 0 else r
         meaning = or_
@@ -717,14 +700,6 @@ def _compile(
     return MergeProgram(tuple(names), tuple(code))
 
 
-def _encoded(env: Sequence[_Raw]) -> tuple[list[_Raw], PurposeBits]:
-    """`(ap, pp, graph)` triples of sets as mask triples, encoded over all
-    their members with one tag per graph, and that encoding untagged."""
-    codec = PurposeBits(frozenset().union(*(side for ap, pp, _ in env for side in (ap, pp))))
-    tags = {g: PurposeBits(codec.names, g) for g in {t[2] for t in env} - {None}}
-    return [(codec.encode(ap), codec.encode(pp), tags.get(g)) for ap, pp, g in env], codec
-
-
 def _run(code: Sequence[_Step], operands: Sequence[_Raw]) -> _Raw:
     """Run a program's steps over operand triples in slot order."""
     values: list[_Raw] = []
@@ -762,8 +737,9 @@ def eval_fida(
     An expression is compiled against `env`'s names, then run. A compiled
     :class:`MergeProgram` takes its operands in slot order: ``(ap, pp, graph)``
     triples of sets, or with `graph` given ``(ap, pp)`` masks under
-    ``graph.bits``. The program runs over masks. Sets in give the result
-    decoded; masks in give the result's ``(ap, pp)`` masks.
+    ``graph.bits``. The program runs over the operands as they come: sets,
+    taken as frozensets, give the result's frozensets, masks the result's
+    ``(ap, pp)`` masks.
     """
     if isinstance(expr, MergeProgram):
         program = expr
@@ -774,10 +750,7 @@ def eval_fida(
         codec = graph.bits
         ap, pp, _ = _run(program.code, [(ap, pp, codec) for ap, pp in env])
         return ap, pp
-    operands, codec = _encoded(env)
-    ap, pp, tag = _run(program.code, operands)
-    codec = tag or codec
-    return HierarchicalPurposeSet(codec.decode(ap), codec.decode(pp), codec.graph)
+    return HierarchicalPurposeSet(*_run(program.code, [(frozenset(ap), frozenset(pp), g) for ap, pp, g in env]))
 
 
 def eval_fida_plain(

@@ -35,13 +35,12 @@ name appearing under an infix operator contributes its intended view,
 allowed minus prohibited.
 
 The expression compiles once per text and party names, by algebra's
-compiler over this module's steps, into a program over ``(ap, pp)`` purpose
-bit masks, the form `decide` hands over. Under a purpose graph's own
-encoding a precedence selection ranks a mask by its lowest or highest set
-bit. Party results given as sets are encoded first, over all their members,
-and `apply_external` runs the same F1-F8 step over two parties' sets; both
-decode or check the operands of a precedence selection, so an unknown
-purpose raises as it would over sets.
+compiler over this module's steps, into a program that runs over the
+parties' sets, or over their ``(ap, pp)`` masks under a purpose graph's own
+encoding, the form `decide` hands over. `apply_external` runs the same
+F1-F8 step over two parties' sets. A precedence selection checks sets
+against the graph, so an unknown purpose raises, and ranks them as masks
+under its encoding, by their lowest or highest set bit.
 """
 
 from __future__ import annotations
@@ -106,9 +105,9 @@ def _party_merge(allowed: _Meaning, prohibited: _Meaning, first: _Raw, *rest: _R
 
 
 def _party_infix(meaning: _Meaning, l: _Raw, r: _Raw) -> _Raw:
-    """An infix operator over two parties' intended views, allowed minus prohibited."""
+    """An infix operator over two parties' intended views, allowed minus prohibited; the result prohibits nothing."""
     tag = l[2]
-    return _plain(meaning, _minus(l[0], l[1]), _minus(r[0], r[1]), tag), 0, tag
+    return _plain(meaning, _minus(l[0], l[1]), _minus(r[0], r[1]), tag), l[1] ^ l[1], tag
 
 
 # A program step per function and per infix operator, as in algebra's compiled programs.

@@ -56,9 +56,10 @@ class PurposeBits:
 
     The names run by (rank, name): bits ``layers[r]`` up to ``layers[r + 1]``
     hold rank r, so the lowest and highest set bits of a mask are members
-    of its least and greatest rank. A graph's own encoding ``graph.bits``
-    takes the graph's `ranks`; any other encoding ranks every name 0, so
-    its names run in sorted order as one layer.
+    of its least and greatest rank. A graph's own encoding ``graph.bits``,
+    the only one the package builds, takes the graph's `ranks`; one built
+    without ranks ranks every name 0, so its names run in sorted order as
+    one layer.
     """
 
     def __init__(
@@ -81,7 +82,9 @@ class PurposeBits:
             raise UnknownPurposeError(f"unknown purpose {min(set(s).difference(ranks))!r}") from None
 
     def decode(self, mask: int) -> PurposeSet:
-        """The names whose bits are set in `mask`."""
+        """The names whose bits are set in `mask`; raise on a negative mask or a bit no name holds."""
+        if mask < 0 or mask >> len(self.names):
+            raise UnknownPurposeError(f"mask {mask} is not a set of the {len(self.names)} encoded purposes")
         return frozenset(compress(self.names, f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)))
 
     def least_rank(self, mask: int) -> int:

@@ -14,13 +14,16 @@ from provpurpose import (
     EdgeLabel,
     FidaSyntaxError,
     FunctionCall,
+    HierarchicalPurposeSet,
     MatchValue,
     MissingHierarchyLineError,
     NullCondition,
     PartyConfig,
+    PartyResult,
     Policy,
     Predicate,
     ProvenanceGraph,
+    PurposeBits,
     PurposeGraph,
     QueryCondition,
     Request,
@@ -36,14 +39,18 @@ from provpurpose import (
     decide,
     default_internal_expr,
     engine,
+    eval_fida,
+    eval_fida_plain,
     evaluate_policy,
     load_policy,
     load_request,
     load_role_order,
+    merge_parties,
     outcome_to_dict,
     policy,
     policy_from_dict,
     print_fida,
+    split_result,
 )
 from provpurpose.algebra import MAX_NESTING
 from conftest import CASE_STUDY
@@ -656,7 +663,8 @@ def test_outcome_to_dict_shape(tiny_graph, small_pg):
     }
 
 
-def test_case_study_end_to_end():
+def _case_study():
+    """The case study's record, request, parties, purpose graph and role order."""
     from provpurpose import load_graph, load_purpose_graph
 
     graph = load_graph(str(CASE_STUDY / "graph.json"))
@@ -668,18 +676,41 @@ def test_case_study_end_to_end():
         str(CASE_STUDY / "repository_policy.json"), default_id="repository_policy"
     )
     record = DataRecord(graph, category="assignment", attached_purposes=attached)
-    outcome = decide(
-        record,
-        request,
-        [PartyConfig("source", (source,)), PartyConfig("repository", (repo,))],
-        "F3",
-        pg,
-        role_order=role_order,
-    )
+    return record, request, [PartyConfig("source", (source,)), PartyConfig("repository", (repo,))], pg, role_order
+
+
+def test_case_study_end_to_end():
+    record, request, parties, pg, role_order = _case_study()
+    outcome = decide(record, request, parties, "F3", pg, role_order=role_order)
     assert outcome.decided == {"education"}
     for trace in outcome.parties:
         for _, d in trace.decisions:
             assert d.applicable
+
+
+def test_no_encoding_is_built_besides_a_graphs_own(monkeypatch):
+    """Set operands run as sets and decide's masks use the graph's own bits."""
+    record, request, parties, case_pg, role_order = _case_study()
+    pg = PurposeGraph(["root", "high1", "low1", "low2"], [("root", "high1"), ("high1", "low1"), ("low1", "low2")], 1)
+    pg.bits, case_pg.bits  # each graph's own encoding, built before counting starts
+    built = []
+    init = PurposeBits.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PurposeBits, "__init__", counted)
+
+    env = {"S1": split_result(pg, {"root", "low1"}, {"low2"}), "S2": split_result(pg, {"high1", "low2"}, set())}
+    assert eval_fida("f_dotplus(S1, S2) upmax S2", env) == HierarchicalPurposeSet({"root", "high1", "low1", "low2"}, set())
+    assert eval_fida_plain("A downmin B", {"A": {"root", "low1"}, "B": {"high1"}}, pg) == {"root", "low1"}
+    results = [PartyResult("m", frozenset({"root", "low1"}), frozenset({"low2"})), PartyResult("n", frozenset({"high1"}))]
+    masks = {r.party: (pg.bits.encode(r.ap), pg.bits.encode(r.pp)) for r in results}
+    for text in ("F5", "F5(m + n, n)", "F5(m, n) upmax n"):
+        assert merge_parties(results, text, pg) == merge_parties(masks, text, pg)
+    assert decide(record, request, parties, "F3", case_pg, role_order=role_order).decided == {"education"}
+    assert built == []
 
 
 # -- one leaf memo per decision ------------------------------------------------------

@@ -173,6 +173,22 @@ def test_an_encoding_rejects_a_name_it_lacks_naming_the_smallest(hierarchy):
             bits.encode(names)
 
 
+_CHAIN = PurposeGraph(["a", "b", "c"], [("a", "b"), ("b", "c")], 1)
+
+
+@pytest.mark.parametrize("mask", [-1, -2, 0b1111, 1 << 7])
+def test_decoding_rejects_a_negative_mask_or_a_bit_past_the_names(mask):
+    with pytest.raises(UnknownPurposeError, match=f"^mask {mask} is not a set of the 3 encoded purposes$"):
+        _CHAIN.bits.decode(mask)
+
+
+def test_every_mask_within_the_names_decodes_to_its_members():
+    bits = _CHAIN.bits
+    assert bits.names == ("a", "b", "c")
+    for mask in range(1 << 3):
+        assert bits.decode(mask) == {p for i, p in enumerate(bits.names) if mask >> i & 1}
+
+
 def test_cycle_rejected():
     with pytest.raises(InputFormatError):
         PurposeGraph(["a", "b"], [("a", "b"), ("b", "a")])
