@@ -76,10 +76,8 @@ and runs that over frozensets, or over masks under a graph's own encoding
 ``&``, ``|`` and ``^`` alone, so they run on either, as ``apply_internal``
 and ``apply_nary`` run them over frozensets. A precedence selection encodes
 sets under the graph's own encoding, whose bits run by rank, and ranks each
-mask by its lowest or highest set bit. A left-deep run of two or more
-merges by one function over slots, such as the default ``f_dotplus`` fold
-over a party's policies, compiles to one step that folds the run, cutting
-once at the end.
+mask by its lowest or highest set bit. Every expression node compiles to
+one step, so each merge folds exactly its own two operands.
 """
 
 from __future__ import annotations
@@ -226,14 +224,19 @@ class HierarchicalPurposeSet:
     """Allowed and prohibited purposes, merged by rules that differ at a line.
 
     The one value expressions evaluate over: a plain purpose set is the pair
-    that prohibits nothing. `graph`, never part of equality, is the purpose
-    graph that merges cut at and precedence selections rank by; every operator
-    rejects operands tagged with different graphs.
+    that prohibits nothing. Both sides are kept as frozensets, whatever
+    iterables they are given as. `graph`, never part of equality, is the
+    purpose graph that merges cut at and precedence selections rank by;
+    every operator rejects operands tagged with different graphs.
     """
 
     ap: PurposeSet = frozenset()
     pp: PurposeSet = frozenset()
     graph: PurposeGraph | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ap", frozenset(self.ap))
+        object.__setattr__(self, "pp", frozenset(self.pp))
 
 
 def split_result(pg: PurposeGraph, ap: Iterable[str], pp: Iterable[str]) -> HierarchicalPurposeSet:
@@ -306,36 +309,23 @@ def _cut(high: Any, upper: Any, lower: Any) -> Any:
     return ((upper ^ lower) & high) ^ lower
 
 
-def _merge(rule: tuple[_SetOp | None, ...], first: _Raw, *rest: _Raw) -> _Raw:
-    """``f(f(f(first, r1), r2), ...)`` for one rule row; one merge is ``f(first, r1)``.
+def _merge(rule: tuple[_SetOp | None, ...], x: _Raw, y: _Raw) -> _Raw:
+    """``f(x, y)`` for one rule row.
 
-    Each operand checks its tag, then the prohibited sides combine, the
+    The operands' tags must agree; then the prohibited sides combine, the
     allowed sides combine and the prohibited side leaves the allowed one.
-    Cutting commutes with every operator, so a rule that cuts, once an
-    operand brings a tag with a high part, also folds a second pair by its
-    high functions, starting from the first pair (nothing was high before),
-    and cuts once at the end. f_boxdot's ``None`` is its P1 - P1.
+    Cutting commutes with every operator, so a rule whose high and low
+    functions differ combines both whole and cuts each side once at the
+    tag's high part. f_boxdot's ``None`` is its P1 - P1.
     """
     high_combine, high_prohibit, low_combine, low_prohibit = rule
-    cuts = high_combine is not low_combine or high_prohibit is not low_prohibit
-    ap, pp, tag = first
-    high = tag.high if cuts and tag is not None else 0
-    high_ap, high_pp = ap, pp
-    for a, p, g in rest:
-        if g is not tag and g is not None:
-            tag = _pair_graph(tag, g)  # the first tagged operand, or a second graph, which raises
-            high = tag.high if cuts else 0
-            high_ap, high_pp = ap, pp
-        pp = low_prohibit(pp, p)
-        ap = low_combine(ap, a)
-        ap ^= ap & pp
-        if high:
-            high_pp = high_prohibit(high_pp, p) if high_prohibit else high_pp ^ high_pp
-            high_ap = high_combine(high_ap, a)
-            high_ap ^= high_ap & high_pp
-    if high:
-        return _cut(high, high_ap, ap), _cut(high, high_pp, pp), tag
-    return ap, pp, tag
+    tag = _pair_graph(x[2], y[2])
+    ap, pp = low_combine(x[0], y[0]), low_prohibit(x[1], y[1])
+    high = 0 if tag is None else tag.high
+    if high and (high_combine is not low_combine or high_prohibit is not low_prohibit):
+        ap = _cut(high, high_combine(x[0], y[0]), ap)
+        pp = _cut(high, high_prohibit(x[1], y[1]) if high_prohibit else x[1] ^ x[1], pp)
+    return _minus(ap, pp), pp, tag
 
 
 def _merge_all(*values: _Raw) -> _Raw:
@@ -537,6 +527,45 @@ def parse_fida(text: str) -> FidaExpr:
     return _Parser(tokens, text).parse()
 
 
+def _post_order(root: Any, expand: Callable[[Any], tuple[Any, Iterable[Any]]]) -> list[Any]:
+    """The items `expand` makes of the nodes of a tree, each node's after its children's, left to right.
+
+    `expand` maps a node to its item and its children. The walk keeps its
+    own stack, so no tree is too deep: each node's item is taken before its
+    children, which are popped right to left; reversed, that is the
+    post-order a recursive walk visits.
+    """
+    items: list[Any] = []
+    todo = [root]
+    while todo:
+        item, children = expand(todo.pop())
+        items.append(item)
+        todo.extend(children)
+    items.reverse()
+    return items
+
+
+def _run(code: Sequence[Any], load: Callable[[Any], T]) -> T:
+    """Run post-order steps on a value stack: a step ``(n, action)`` replaces
+    the top n values with ``action(*values)``, and any other step pushes
+    ``load(step)``."""
+    values: list[T] = []
+    for step in code:
+        if type(step) is not tuple:
+            values.append(load(step))
+            continue
+        arity, action = step
+        if arity == 2:
+            right = values.pop()
+            values[-1] = action(values[-1], right)
+        else:
+            start = len(values) - arity
+            args = values[start:]
+            del values[start:]
+            values.append(action(*args))
+    return values[0]
+
+
 def fold(
     expr: FidaExpr,
     ref: Callable[[str], T],
@@ -549,33 +578,15 @@ def fold(
     values, `infix` an operator and its operand values. Operands are folded
     left to right before the node that takes them, as in a recursive walk.
     """
-    order: list[FidaExpr] = []
-    todo = [expr]
-    while todo:
-        node = todo.pop()
-        order.append(node)
-        kind = type(node)
-        if kind is FunctionCall:
-            todo.extend(node.args)
-        elif kind is BinaryOp:
-            todo.append(node.left)
-            todo.append(node.right)
-    # `order` lists every node before its operands, right ones first; reversed,
-    # it is the post-order a recursive walk would evaluate in.
-    values: list[T] = []
-    for node in reversed(order):
+    def expand(node: FidaExpr) -> tuple[Any, tuple[FidaExpr, ...]]:
         kind = type(node)
         if kind is SetRef:
-            values.append(ref(node.name))
-        elif kind is BinaryOp:
-            right = values.pop()
-            values[-1] = infix(node.op, values[-1], right)
-        else:
-            start = len(values) - len(node.args)
-            args = values[start:]
-            del values[start:]
-            values.append(call(node.name, args))
-    return values[0]
+            return node.name, ()
+        if kind is BinaryOp:
+            return (2, partial(infix, node.op)), (node.left, node.right)
+        return (len(node.args), lambda *args: call(node.name, list(args))), node.args
+
+    return _run(_post_order(expr, expand), ref)
 
 
 def print_fida(expr: FidaExpr) -> str:
@@ -618,8 +629,8 @@ def expression_functions(expr: FidaExpr) -> frozenset[str]:
 
 # A program step: a slot number pushes that operand, (n, action) replaces the top
 # n values with action(*values). Calls and infix operators share one step each.
-# A function's step is (2, action) for exactly two operands, where the action
-# also folds a left-deep run of them, or (None, action) for any number.
+# A function's step is (2, action) for exactly two operands, or (None, action)
+# for any number.
 _Step = Union[int, tuple[int | None, Any]]
 _MERGE_STEPS: dict[str, _Step] = {
     **{fn.value: (2, partial(_merge, rule)) for fn, rule in _MERGE_RULES.items()},
@@ -637,8 +648,7 @@ class MergeProgram:
     """An expression compiled against operand slots by the compiler of :func:`compile_fida`.
 
     `names[i]` is the name of slot i. `code` holds one step per expression
-    node, in the post-order :func:`fold` walks, except that one step stands
-    for a whole run of merges (see :func:`compile_fida`).
+    node, in the post-order :func:`fold` walks.
     """
 
     names: tuple[str, ...]
@@ -652,13 +662,6 @@ def compile_fida(expr: FidaExpr, names: Sequence[str]) -> MergeProgram:
     rule. A fault in the expression (an unbound name, an unknown function, a
     wrong number of operands) becomes a step that raises when the evaluation
     reaches it, so faults are raised in the order an evaluation meets them.
-
-    A left-deep run of one merge function, ``f(f(f(x, s1), s2), s3)``, two or
-    more merges long with a bound name as every right operand, becomes the
-    steps of `x`, the pushes of ``s1, s2, s3`` and one run step, :func:`_merge`
-    over all four operands, which gives what the binary steps would. A
-    single merge, and any merge whose right operand is a fault or a
-    subexpression, keeps its binary step, so a run never swallows a fault.
     """
     return _compile(expr, names, _MERGE_STEPS, _INFIX_STEPS, ("set bound to", "merge function"))
 
@@ -668,55 +671,24 @@ def _compile(
 ) -> MergeProgram:
     """:func:`compile_fida` over the steps of `calls` and `infix`; `nouns` name an operand and a function in faults."""
     slots = {name: i for i, name in enumerate(names)}
-    code: list[_Step] = []
 
-    # Each node's fold value: a bound name's slot, or the step of a binary
-    # function whose right operand is a slot, which a call around it may extend.
-    def ref(name: str) -> int | None:
-        slot = slots.get(name)
-        code.append((0, partial(_fail, UnboundNameError, f"no {nouns[0]} {name!r}")) if slot is None else slot)
-        return slot
-
-    def call(name: str, args: list[Any]) -> _Step | None:
-        step = calls.get(name)
+    def expand(node: FidaExpr) -> tuple[_Step, tuple[FidaExpr, ...]]:
+        kind = type(node)
+        if kind is SetRef:
+            slot = slots.get(node.name)
+            return (0, partial(_fail, UnboundNameError, f"no {nouns[0]} {node.name!r}")) if slot is None else slot, ()
+        if kind is BinaryOp:
+            return infix[node.op], (node.left, node.right)
+        step, arity = calls.get(node.name), len(node.args)
         if step is None:
-            code.append((len(args), partial(_fail, UnboundNameError, f"unknown {nouns[1]} {name!r}")))
+            step = (arity, partial(_fail, UnboundNameError, f"unknown {nouns[1]} {node.name!r}"))
         elif step[0] is None:
-            code.append((len(args), step[1]))
-        elif len(args) != step[0]:
-            code.append((len(args), partial(_fail, FidaSyntaxError, f"{name} takes exactly two operands")))
-        elif type(args[1]) is not int:
-            code.append(step)
-        else:
-            if args[0] is step:
-                # f(f(..., s), t): the left merge's step lies under t's push; it takes t too.
-                code[-2:] = [code[-1], (code[-2][0] + 1, step[1])]
-            else:
-                code.append(step)
-            return step
-        return None
+            step = (arity, step[1])
+        elif step[0] != arity:
+            step = (arity, partial(_fail, FidaSyntaxError, f"{node.name} takes exactly two operands"))
+        return step, node.args
 
-    fold(expr, ref, call, lambda op, l, r: code.append(infix[op]))
-    return MergeProgram(tuple(names), tuple(code))
-
-
-def _run(code: Sequence[_Step], operands: Sequence[_Raw]) -> _Raw:
-    """Run a program's steps over operand triples in slot order."""
-    values: list[_Raw] = []
-    for step in code:
-        if type(step) is int:
-            values.append(operands[step])
-            continue
-        arity, action = step
-        if arity == 2:
-            right = values.pop()
-            values[-1] = action(values[-1], right)
-        else:
-            start = len(values) - arity
-            args = values[start:]
-            del values[start:]
-            values.append(action(*args))
-    return values[0]
+    return MergeProgram(tuple(names), tuple(_post_order(expr, expand)))
 
 
 def eval_fida(
@@ -748,9 +720,10 @@ def eval_fida(
         env = [_raw(s) for s in env.values()]
     if graph is not None:
         codec = graph.bits
-        ap, pp, _ = _run(program.code, [(ap, pp, codec) for ap, pp in env])
+        ap, pp, _ = _run(program.code, [(ap, pp, codec) for ap, pp in env].__getitem__)
         return ap, pp
-    return HierarchicalPurposeSet(*_run(program.code, [(frozenset(ap), frozenset(pp), g) for ap, pp, g in env]))
+    operands = [(frozenset(ap), frozenset(pp), g) for ap, pp, g in env]
+    return HierarchicalPurposeSet(*_run(program.code, operands.__getitem__))
 
 
 def eval_fida_plain(

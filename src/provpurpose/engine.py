@@ -25,11 +25,11 @@ A decision runs in four stages:
    policies are folded left to right with f_dotplus. The expression is
    compiled once per party against its policy ids, and runs over the
    applicable policies' purpose bit masks, encoded once in the plan; the
-   default fold is one step. Given the plan, the result depends only on
-   which policies apply, so the plan maps that applicability vector (bit i
-   set when policy i applies) to the result masks and their decoded
-   :class:`PartyResult`: a vector met before is answered from the map,
-   with no run and no decode. Both maps stop growing at a fixed number of
+   default fold is one merge step per policy after the first. Given the
+   plan, the result depends only on which policies apply, so the plan maps
+   that applicability vector (bit i set when policy i applies) to the
+   result masks and their decoded :class:`PartyResult`: a vector met
+   before is answered from the map, with no run and no decode. Both maps stop growing at a fixed number of
    vectors, and a run that raises is never stored.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set. The expression's program, compiled

@@ -35,9 +35,10 @@ name appearing under an infix operator contributes its intended view,
 allowed minus prohibited.
 
 The expression compiles once per text and party names, by algebra's
-compiler over this module's steps, into a program that runs over the
-parties' sets, or over their ``(ap, pp)`` masks under a purpose graph's own
-encoding, the form `decide` hands over. `apply_external` runs the same
+compiler over this module's steps, one step per node, into a program that
+runs over the parties' sets, or over their ``(ap, pp)`` masks under a
+purpose graph's own encoding, the form `decide` hands over. A bare function
+name over n parties is n - 1 binary steps. `apply_external` runs the same
 F1-F8 step over two parties' sets. A precedence selection checks sets
 against the graph, so an unknown purpose raises, and ranks them as masks
 under its encoding, by their lowest or highest set bit.
@@ -62,11 +63,15 @@ from .purposes import PurposeGraph, PurposeSet
 
 @dataclass(frozen=True)
 class PartyResult:
-    """One party's allowed and prohibited purposes after policy evaluation."""
+    """One party's allowed and prohibited purposes after policy evaluation, kept as frozensets."""
 
     party: str
     ap: PurposeSet = frozenset()
     pp: PurposeSet = frozenset()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ap", frozenset(self.ap))
+        object.__setattr__(self, "pp", frozenset(self.pp))
 
     def intended(self) -> PurposeSet:
         """The view a party contributes on its own: allowed minus prohibited."""
@@ -96,12 +101,10 @@ _PARTY_RULES: dict[ExternalFunction, tuple[BasicOp, BasicOp]] = {
     ExternalFunction.F8: (BasicOp.LOW_MIN, BasicOp.INTERSECT),
 }
 
-def _party_merge(allowed: _Meaning, prohibited: _Meaning, first: _Raw, *rest: _Raw) -> _Raw:
-    """``F(F(first, r1), r2)...`` for one F-function over sets or masks; each decision prohibits nothing."""
-    ap, pp, tag = first
-    for a, p, _ in rest:
-        ap, pp = _minus(_plain(allowed, ap, a, tag), _plain(prohibited, pp, p, tag)), pp ^ pp
-    return ap, pp, tag
+def _party_merge(allowed: _Meaning, prohibited: _Meaning, l: _Raw, r: _Raw) -> _Raw:
+    """``F(l, r)`` for one F-function over sets or masks; the decision prohibits nothing."""
+    tag = l[2]
+    return _minus(_plain(allowed, l[0], r[0], tag), _plain(prohibited, l[1], r[1], tag)), l[1] ^ l[1], tag
 
 
 def _party_infix(meaning: _Meaning, l: _Raw, r: _Raw) -> _Raw:

@@ -37,7 +37,7 @@ from typing import AbstractSet, Any, Callable, Mapping, Union
 
 from . import _docs
 from ._dagutil import reachable_from
-from .algebra import MAX_NESTING
+from .algebra import MAX_NESTING, _post_order
 from .errors import ConfigurationError, InputFormatError
 from .matching import (
     AtomicCondition,
@@ -105,17 +105,7 @@ class TreeBranch:
         Derived on first evaluation, so only for the trees evaluated whole:
         a policy's root, never the branches nested in it.
         """
-        steps: list[TreeStep] = []
-        todo: list[AccessTree] = [self]
-        while todo:  # node first, children right to left; reversed, that is post-order
-            node = todo.pop()
-            if isinstance(node, TreeLeaf):
-                steps.append(node.condition)
-            else:
-                steps.append((len(node.children), match_and if node.op is _AND else match_or))
-                todo.extend(node.children)
-        steps.reverse()
-        return tuple(steps)
+        return tuple(_post_order(self, _tree_step))
 
 
 AccessTree = Union[TreeLeaf, TreeBranch]
@@ -128,6 +118,13 @@ LeafMemo = dict[int, MatchValue]
 
 # Looking up an enum member costs a call on Python 3.11; _FULL is read per policy and decision.
 _FULL, _AND = MatchValue.FULL, TreeOp.AND
+
+
+def _tree_step(node: AccessTree) -> tuple[TreeStep, tuple[AccessTree, ...]]:
+    """A node's step in its tree's program, and its children."""
+    if isinstance(node, TreeLeaf):
+        return node.condition, ()
+    return (len(node.children), match_and if node.op is _AND else match_or), node.children
 
 
 def eval_access_tree(

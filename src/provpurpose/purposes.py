@@ -48,30 +48,24 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class PurposeBits:
-    """One bit per purpose name, so sets of those names become int masks.
+    """One bit per purpose of a graph, so sets of its purposes become int masks.
 
     Bit i stands for `names[i]`; the names are all the encoding keeps per
     name. `graph` is the purpose graph that masks under this encoding are
-    tagged with, or None, and `high` the mask of that graph's high part.
+    tagged with, and `high` the mask of its high part.
 
     The names run by (rank, name): bits ``layers[r]`` up to ``layers[r + 1]``
     hold rank r, so the lowest and highest set bits of a mask are members
-    of its least and greatest rank. A graph's own encoding ``graph.bits``,
-    the only one the package builds, takes the graph's `ranks`; one built
-    without ranks ranks every name 0, so its names run in sorted order as
-    one layer.
+    of its least and greatest rank.
     """
 
-    def __init__(
-        self, names: Iterable[str], graph: PurposeGraph | None = None, ranks: Mapping[str, int] | None = None
-    ) -> None:
-        names = tuple(names)
-        self._ranks = ranks = dict.fromkeys(names, 0) if ranks is None else ranks
-        self.names = tuple(sorted(names, key=lambda p: (ranks[p], p)))
+    def __init__(self, graph: PurposeGraph) -> None:
+        self._ranks = ranks = graph._rank
+        self.names = tuple(sorted(graph.purposes, key=lambda p: (ranks[p], p)))
         by_rank = [ranks[p] for p in self.names]
-        self.layers = tuple(bisect_left(by_rank, r) for r in range(by_rank[-1] + 2 if by_rank else 1))
+        self.layers = tuple(bisect_left(by_rank, r) for r in range(by_rank[-1] + 2))
         self.graph = graph
-        self.high = 0 if graph is None else self.encode(graph.high.intersection(self.names))
+        self.high = self.encode(graph.high)
 
     def encode(self, s: Iterable[str]) -> int:
         """The mask of a set of encoded names; raise on the smallest name the encoding lacks."""
@@ -152,7 +146,7 @@ class PurposeGraph:
     @cached_property
     def bits(self) -> PurposeBits:
         """One bit per purpose, by (rank, name), and the high part's mask, derived on first use."""
-        return PurposeBits(self._purposes, self, self._rank)
+        return PurposeBits(self)
 
     def __contains__(self, p: str) -> bool:
         return p in self._purposes

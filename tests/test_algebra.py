@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from functools import partial, reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +11,7 @@ from provpurpose import (
     BinaryOp,
     ConfigurationError,
     EmptyPurposeSetError,
+    ExternalFunction,
     FidaSyntaxError,
     FunctionCall,
     HierarchicalPurposeSet,
@@ -23,6 +23,7 @@ from provpurpose import (
     SetRef,
     UnboundNameError,
     UnknownPurposeError,
+    apply_external,
     apply_internal,
     apply_nary,
     compile_fida,
@@ -42,16 +43,15 @@ from provpurpose import (
     split_result,
 )
 from provpurpose.algebra import (
-    _MERGE_RULES,
     _MERGE_STEPS,
     _UNICODE_ALIASES,
     MAX_NESTING,
-    _merge,
     _tokenize,
     _winner,
+    fold,
     left_fold_expr,
 )
-from provpurpose.external import PartyResult, merge_parties
+from provpurpose.external import PartyResult, _party_program, merge_parties
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES, ALGEBRA_UNIVERSE
 from oracles import (
     _O_SET_OPS,
@@ -524,6 +524,28 @@ def test_eval_gives_frozensets_whatever_iterables_the_operands_hold(algebra_dag,
     hash(got)
 
 
+@pytest.mark.parametrize("kind", [list, set, frozenset])
+def test_every_entry_point_gives_frozensets_whatever_iterables_the_sides_are(algebra_dag, kind):
+    """Each dataclass freezes its sides once, so the one-step entry points give
+    what the compiled programs give over the same operands."""
+    x = HierarchicalPurposeSet(kind(["low1", "high1"]), kind(["low2"]), algebra_dag)
+    y = HierarchicalPurposeSet(kind(["high2", "low2"]), kind(["high1"]), algebra_dag)
+    m = PartyResult("m", kind(["high1", "low1"]), kind(["low1"]))
+    n = PartyResult("n", kind(["low1", "low2"]), kind(["high2"]))
+    env = {"X": x, "Y": y}
+    results = [(apply_internal(fn, x, y), eval_fida(f"{fn.value}(X, Y)", env)) for fn in InternalFunction]
+    results.append((apply_nary([x, y, x]), eval_fida("f_nary(X, Y, X)", env)))
+    for got, want in results:
+        assert type(got.ap) is frozenset and type(got.pp) is frozenset
+        assert got == want and hash(got) == hash(want)
+    views = [(apply_external(fn, m, n, algebra_dag), merge_parties([m, n], fn.value, algebra_dag))
+             for fn in ExternalFunction]
+    views += [(m.intended(), merge_parties([m], "m")), (n.intended(), merge_parties([n], "n"))]
+    for got, want in views:
+        assert type(got) is frozenset and got == want
+        hash(got)
+
+
 def test_one_compiled_program_serves_many_operand_lists(algebra_dag):
     text = "f_dcap(B, A) upmax (A - B)"
     program = compile_fida(parse_fida(text), ["B", "A"])
@@ -533,36 +555,50 @@ def test_one_compiled_program_serves_many_operand_lists(algebra_dag):
         assert got == eval_fida(text, env) and got.graph is algebra_dag
 
 
-# -- runs of one merge function ---------------------------------------------------
+# -- left folds of one merge function ------------------------------------------------
 
-def _step_by_step(fn, operands):
-    """The reference for a run: one `_merge` per operand after the first."""
-    return reduce(partial(_merge, _MERGE_RULES[fn]), operands)
+def _left_fold_code(function, n):
+    """The code of `function` folded left over n slots: two pushes, then one
+    binary step per merge, each after the push of its right operand."""
+    step = _MERGE_STEPS[function]
+    return (0, 1, step, *itertools.chain.from_iterable((i, step) for i in range(2, n)))
 
 
-def _run_program(fn, n):
-    """`fn` folded left over n operand slots, compiled: n pushes, then one run step."""
+def _left_fold(fn, n):
+    """`fn` folded left over n operand slots, and its program."""
     names = [f"S{i}" for i in range(n)]
-    program = compile_fida(left_fold_expr(fn.value, names), names)
-    assert program.code == (*range(n), (n, _MERGE_STEPS[fn.value][1]))
-    return program
+    expr = left_fold_expr(fn.value, names)
+    program = compile_fida(expr, names)
+    assert program.code == _left_fold_code(fn.value, n)
+    return expr, program
+
+
+def _compiled_and_oracle(expr, program, operands):
+    """The compiled program's result and the frozenset evaluator's, each a triple or the error raised."""
+
+    def compiled():
+        got = eval_fida(program, operands)
+        return got.ap, got.pp, got.graph
+
+    env = dict(zip(program.names, operands))
+    return _result_or_error(compiled), _result_or_error(lambda: frozenset_eval_fida(expr, env))
 
 
 @pytest.mark.parametrize("purpose", ["high2", "low1"])
 @pytest.mark.parametrize("fn", list(InternalFunction))
-def test_run_step_matches_the_step_by_step_fold_exhaustively(algebra_dag, fn, purpose):
+def test_a_compiled_left_fold_matches_the_frozenset_evaluator_exhaustively(algebra_dag, fn, purpose):
     """Every merge is purpose by purpose, so one purpose above the line and one
     below it cover every case: each operand holds the purpose in its allowed
-    side, its prohibited side, both or neither, and is tagged or not, in runs
+    side, its prohibited side, both or neither, and is tagged or not, in folds
     of two and three merges."""
     one = [frozenset(), frozenset({purpose})]
     for n in (3, 4):
-        program = _run_program(fn, n)
+        expr, program = _left_fold(fn, n)
         for sides in itertools.product(itertools.product(one, one), repeat=n):
             for tags in itertools.product((None, algebra_dag), repeat=n):
                 operands = [(ap, pp, g) for (ap, pp), g in zip(sides, tags)]
-                got = eval_fida(program, operands)
-                assert (got.ap, got.pp, got.graph) == _step_by_step(fn, operands), operands
+                got, want = _compiled_and_oracle(expr, program, operands)
+                assert got == want, operands
 
 
 _purposes_st = st.frozensets(st.sampled_from(ALGEBRA_PURPOSES))
@@ -573,36 +609,32 @@ _purposes_st = st.frozensets(st.sampled_from(ALGEBRA_PURPOSES))
     fn=st.sampled_from(list(InternalFunction)),
     operands=st.lists(st.tuples(_purposes_st, _purposes_st, st.booleans()), min_size=3, max_size=6),
 )
-def test_run_step_matches_the_step_by_step_fold_on_sampled_runs(algebra_dag, fn, operands):
-    """Runs of two to five merges over all eight purposes, each operand tagged or not."""
+def test_a_compiled_left_fold_matches_the_frozenset_evaluator_on_sampled_folds(algebra_dag, fn, operands):
+    """Folds of two to five merges over all eight purposes, each operand tagged or not."""
     operands = [(ap, pp, algebra_dag if tagged else None) for ap, pp, tagged in operands]
-    got = eval_fida(_run_program(fn, len(operands)), operands)
-    assert (got.ap, got.pp, got.graph) == _step_by_step(fn, operands)
+    got, want = _compiled_and_oracle(*_left_fold(fn, len(operands)), operands)
+    assert got == want
 
 
 @pytest.mark.parametrize("fn", list(InternalFunction))
-def test_run_step_raises_the_step_by_step_error_for_a_second_graph(algebra_dag, hierarchy, fn):
+def test_a_compiled_left_fold_raises_the_frozenset_evaluators_error_for_a_second_graph(algebra_dag, hierarchy, fn):
     """Operand k carries a second graph; the first operand is tagged, or not."""
     for n in range(3, 7):
-        program = _run_program(fn, n)
+        expr, program = _left_fold(fn, n)
         for k, lead in itertools.product(range(n), (algebra_dag, None)):
             tags = [lead] + [algebra_dag] * (n - 1)
             tags[k] = hierarchy
             operands = [(frozenset({"high1"}), frozenset({"low1"}), g) for g in tags]
-            with pytest.raises(ConfigurationError) as want:
-                _step_by_step(fn, operands)
-            with pytest.raises(ConfigurationError) as got:
-                eval_fida(program, operands)
-            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+            got, want = _compiled_and_oracle(expr, program, operands)
+            assert got == want == (ConfigurationError, "operands are tagged with different purpose graphs")
 
 
-def test_default_fold_compiles_to_one_run_step():
+def test_default_fold_compiles_to_one_step_per_merge():
     ids = [f"p{i}" for i in range(100)]
-    program = compile_fida(default_internal_expr(ids), ids)
-    assert program.code == (*range(100), (100, _MERGE_STEPS["f_dotplus"][1]))
+    assert compile_fida(default_internal_expr(ids), ids).code == _left_fold_code("f_dotplus", 100)
 
 
-def test_only_runs_over_slots_take_the_run_step(algebra_dag):
+def test_every_call_compiles_to_its_own_step_after_its_operands(algebra_dag):
     dotplus, oplus = _MERGE_STEPS["f_dotplus"], _MERGE_STEPS["f_oplus"]
     names = ["A", "B", "C", "D"]
     assert compile_fida(parse_fida("f_oplus(A, B)"), names).code == (0, 1, oplus)
@@ -614,9 +646,8 @@ def test_only_runs_over_slots_take_the_run_step(algebra_dag):
     env = [(frozenset({"high1"}), frozenset(), algebra_dag)] * 4
     with pytest.raises(UnboundNameError, match="^no set bound to 'ghost'$"):
         eval_fida(ghost, env)
-    # A run may start from any left operand, here another function's merge.
     mixed = compile_fida(parse_fida("f_oplus(f_oplus(f_oplus(f_dotplus(A, B), C), D), A)"), names)
-    assert mixed.code == (0, 1, dotplus, 2, 3, 0, (4, oplus[1]))
+    assert mixed.code == (0, 1, dotplus, 2, oplus, 3, oplus, 0, oplus)
 
 
 def test_plain_eval_over_sets(algebra_dag):
@@ -773,6 +804,22 @@ def test_pair_merges_match_the_four_part_reference(data):
     assert got.ap == want.allowed() and got.pp == want.prohibited()
     assert pg.split_static(got.ap) == (want.ha, want.la)
     assert pg.split_static(got.pp) == (want.hp, want.lp)
+
+
+_FOLD_FUNCTIONS = [fn.value for fn in InternalFunction] + [fn.value for fn in ExternalFunction]
+_NAMES = ["A", "B", "C", "D"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=st.one_of(_mixed_expr(_NAMES), st.sampled_from(_FOLD_FUNCTIONS).map(lambda f: left_fold_expr(f, _NAMES))))
+@example(expr=left_fold_expr("f_dotplus", _NAMES))
+@example(expr=left_fold_expr("F3", _NAMES))
+def test_every_compiled_program_has_one_step_per_node(expr):
+    """Merge programs and party programs alike, left folds of one function
+    included; a function the compiler does not know is one fault step."""
+    nodes = fold(expr, lambda _: 1, lambda _, args: 1 + sum(args), lambda _, l, r: 1 + l + r)
+    assert len(compile_fida(expr, _NAMES).code) == nodes
+    assert len(_party_program(print_fida(expr), tuple(_NAMES)).code) == nodes
 
 
 # -- the mask program on masks wider than a machine word ------------------------------

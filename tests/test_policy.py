@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError, fields
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from provpurpose import (
     AttrCondition,
@@ -163,6 +164,33 @@ def test_compiled_program_is_post_order_and_kept_out_of_equality(tiny_graph):
     assert tree.program == (a, b, c, (2, match_or), (2, match_and))
     assert "program" not in vars(inner)  # only the tree evaluated whole is compiled
     assert tree == twin and hash(tree) == hash(twin) and repr(tree) == repr(twin)
+
+
+def _node_count(tree):
+    return 1 if isinstance(tree, TreeLeaf) else 1 + sum(map(_node_count, tree.children))
+
+
+def _recursive_program(tree):
+    if isinstance(tree, TreeLeaf):
+        return (tree.condition,)
+    fold = match_and if tree.op is TreeOp.AND else match_or
+    return (*(step for child in tree.children for step in _recursive_program(child)), (len(tree.children), fold))
+
+
+_trees = st.recursive(
+    st.sampled_from(["a", "b", "c"]).map(lambda n: TreeLeaf(VertexCondition(VertexType.AGENT, n))),
+    lambda children: st.builds(
+        TreeBranch, st.sampled_from(list(TreeOp)), st.lists(children, min_size=1, max_size=4).map(tuple)
+    ),
+    max_leaves=24,
+).filter(lambda tree: isinstance(tree, TreeBranch))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_a_compiled_tree_has_one_step_per_node_in_recursive_post_order(tree):
+    assert len(tree.program) == _node_count(tree)
+    assert tree.program == _recursive_program(tree)
 
 
 def test_wide_and_deep_trees_evaluate_without_recursion(tiny_graph):

@@ -168,7 +168,8 @@ def test_a_graphs_own_bits_run_by_rank_then_name(hierarchy):
 
 
 def test_an_encoding_rejects_a_name_it_lacks_naming_the_smallest(hierarchy):
-    for bits, names in ((PurposeBits({"a", "b"}), {"d", "c", "a"}), (hierarchy.bits, {"zz", "c", "Admin"})):
+    pair = PurposeBits(PurposeGraph(["a", "b"], [("a", "b")]))
+    for bits, names in ((pair, {"d", "c", "a"}), (hierarchy.bits, {"zz", "c", "Admin"})):
         with pytest.raises(UnknownPurposeError, match="^unknown purpose 'c'$"):
             bits.encode(names)
 
