@@ -8,17 +8,16 @@ A decision runs in four stages:
    provenance graph and the request; applicable policies contribute their
    allowed/prohibited purposes, the rest contribute empty sets. A policy's
    outcome depends only on its shape: its access tree, compared by value,
-   and its subject and category guards. The plan groups the party's
-   policies by shape, and each shape is evaluated once per decision, by its
-   first policy, in order of first appearance; so the first policy that
-   raises is the one that would raise if every policy were evaluated in
-   order. A policy of an applicable shape gets its own applied decision,
-   any other its shape's shared declined one. The plan also maps each
-   vector of shape outcomes met before to the party's per-policy
-   decisions, so a repeated vector skips the per-policy step. Each
-   distinct leaf condition object is evaluated once per decision, however
-   many policies and parties share it, and the requester's role order is
-   walked once per decision for every policy's subject guard.
+   and its subject and category guards. Each shape of a party is evaluated
+   once per decision, by its first policy, in order of first appearance; so
+   the first policy that raises is the one that would raise if every policy
+   were evaluated in order. The applicability vector (bit i set when policy
+   i applies) is the OR of the policy masks of the shapes that apply, and
+   the trace derives the per-policy decisions from the shape outcomes when
+   first read. Each distinct leaf condition object is evaluated once per
+   decision, however many policies and parties share it, and the
+   requester's role order is walked once per decision for every policy's
+   subject guard.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several
@@ -26,11 +25,11 @@ A decision runs in four stages:
    compiled once per party against its policy ids, and runs over the
    applicable policies' purpose bit masks, encoded once in the plan; the
    default fold is one merge step per policy after the first. Given the
-   plan, the result depends only on which policies apply, so the plan maps
-   that applicability vector (bit i set when policy i applies) to the
-   result masks and their decoded :class:`PartyResult`: a vector met
-   before is answered from the map, with no run and no decode. Both maps stop growing at a fixed number of
-   vectors, and a run that raises is never stored.
+   plan, the result depends only on the applicability vector, so the plan
+   maps that vector to the result masks and their decoded
+   :class:`PartyResult`: a vector met before is answered from the map,
+   with no per-policy step, no run and no decode. The map stops growing at
+   a fixed number of vectors, and a run that raises is never stored.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set. The expression's program, compiled
    once per text and party names, runs over each party's result masks, and
@@ -45,9 +44,9 @@ failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from ._dagutil import reachable_from
@@ -71,33 +70,23 @@ class DataRecord:
     attached_purposes: PurposeSet | None = None
 
 
-#: Most vectors each map of one party plan keeps a result for; once that
-#: many are kept, later results are computed on every decision.
+#: Most applicability vectors one party plan keeps a merge result for; once
+#: that many are kept, later results are computed on every decision.
 _MERGES_KEPT = 128
 
 
-class _PartyPlan:
+class _PartyPlan(NamedTuple):
     """One party's plan under one purpose graph.
 
     `masks` holds every policy's (allowed, prohibited) masks under the
-    graph's bits, in policy order. `shape_of` gives each policy's shape
-    index, and `reps` each shape's first policy, in order of first
-    appearance. `traced` maps a vector of the shapes' outcomes, each
-    representative's decision by identity, to the party's per-policy
-    decisions and its applicability vector, whose bit i is set when policy
-    i applies. `merged` maps an applicability vector to that vector's merge
-    result: the result masks and the decoded :class:`PartyResult`. None of
-    them holds the graph, so the plan never keeps it alive.
+    graph's bits, in policy order. `merged` maps an applicability vector,
+    whose bit i is set when policy i applies, to that vector's merge result:
+    the result masks and the decoded :class:`PartyResult`. Neither holds
+    the graph, so the plan never keeps it alive.
     """
 
-    __slots__ = ("masks", "reps", "shape_of", "traced", "merged")
-
-    def __init__(self, masks: tuple[tuple[int, int], ...], reps: tuple[Policy, ...], shape_of: tuple[int, ...]) -> None:
-        self.masks = masks
-        self.reps = reps
-        self.shape_of = shape_of
-        self.traced: dict[tuple[int, ...], tuple[tuple[tuple[str, PolicyDecision], ...], int]] = {}
-        self.merged: dict[int, tuple[int, int, PartyResult]] = {}
+    masks: tuple[tuple[int, int], ...]
+    merged: dict[int, tuple[int, int, PartyResult]]
 
 
 @dataclass(frozen=True)
@@ -106,15 +95,16 @@ class PartyConfig:
 
     `merge_expr` is `internal_expr` parsed, or else the default fold over the
     policy ids; `merge_text` is its canonical text and `merge_program` its
-    compiled form, with one operand slot per policy in policy order. Per
-    purpose graph a plan checks that the party has policies, that their ids
-    are distinct and that `pg` holds all their purposes, then keeps their
-    (allowed, prohibited) masks under ``pg.bits``, which `masks(pg)` returns,
-    and groups the policies by shape: (tree, subjects, categories), with
-    trees compared by value. It keeps the per-policy decisions of each
-    vector of shape outcomes met so far, and the merge result of each
-    applicability vector, each up to a fixed number of vectors. Each is
-    derived once, on first use; a fault is not kept and raises on every use.
+    compiled form, with one operand slot per policy in policy order.
+    `_shapes` groups the policies by (tree, subjects, categories), trees
+    compared by value: each shape's first policy, in order of first
+    appearance, each policy's shape index, and each shape's mask of its
+    policies. Per purpose graph a plan checks that the party has policies,
+    that their ids are distinct and that `pg` holds all their purposes,
+    then keeps their (allowed, prohibited) masks under ``pg.bits``, which
+    `masks(pg)` returns, and the merge result of each applicability vector,
+    up to a fixed number of vectors. Each is derived once, on first use; a
+    fault is not kept and raises on every use.
     """
 
     party: str
@@ -136,6 +126,16 @@ class PartyConfig:
         return compile_fida(self.merge_expr, [p.id for p in self.policies])
 
     @cached_property
+    def _shapes(self) -> tuple[tuple[Policy, ...], tuple[int, ...], tuple[int, ...]]:
+        index: dict[tuple[Any, ...], int] = {}  # shape -> its index, in order of first appearance
+        shape_of = tuple(index.setdefault((p.tree, p.subjects, p.categories), len(index)) for p in self.policies)
+        members = [0] * len(index)
+        for i, s in enumerate(shape_of):
+            members[s] |= 1 << i
+        # a shape's lowest bit is its first policy
+        return tuple(self.policies[(m & -m).bit_length() - 1] for m in members), shape_of, tuple(members)
+
+    @cached_property
     def _plans(self) -> WeakKeyDictionary[PurposeGraph, _PartyPlan]:
         return WeakKeyDictionary()  # a plan lives as long as its graph
 
@@ -150,17 +150,13 @@ class PartyConfig:
             for pol in self.policies:
                 check_purposes(pol, pg)
             bits = pg.bits
-            shapes: dict[tuple[Any, ...], int] = {}  # shape -> its index, in order of first appearance
-            reps: list[Policy] = []
-            shape_of = []
-            for pol in self.policies:
-                s = shapes.setdefault((pol.tree, pol.subjects, pol.categories), len(shapes))
-                if s == len(reps):
-                    reps.append(pol)
-                shape_of.append(s)
             masks = tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies)
-            plan = self._plans[pg] = _PartyPlan(masks, tuple(reps), tuple(shape_of))
+            plan = self._plans[pg] = _PartyPlan(masks, {})
         return plan
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # a trace holds its config, so outcomes pickle; weakly keyed plans cannot, and are derived again
+        return PartyConfig, (self.party, self.policies, self.internal_expr)
 
     def masks(self, pg: PurposeGraph) -> tuple[tuple[int, int], ...]:
         return self._plan(pg).masks
@@ -168,10 +164,27 @@ class PartyConfig:
 
 @dataclass(frozen=True)
 class PartyTrace:
+    """One party's share of a decision.
+
+    `outcomes` holds the decision of each of `config`'s shapes, in shape
+    order. `decisions`, built from them on first read and touching no graph,
+    pairs each policy id with the policy's :attr:`Policy.applied` where its
+    shape applies, else with its shape's shared declined decision.
+    """
+
     party: str
     internal_expr: str
-    decisions: tuple[tuple[str, PolicyDecision], ...]
     result: PartyResult
+    config: PartyConfig = field(repr=False)
+    outcomes: tuple[PolicyDecision, ...]
+
+    @cached_property
+    def decisions(self) -> tuple[tuple[str, PolicyDecision], ...]:
+        outcomes = self.outcomes
+        return tuple([
+            (pol.id, pol.applied if outcomes[s].applicable else outcomes[s])
+            for pol, s in zip(self.config.policies, self.config._shapes[1])
+        ])
 
 
 @dataclass(frozen=True)
@@ -210,7 +223,8 @@ def decide(
     for cfg in parties:
         try:
             plan = cfg._plan(pg)
-            outcomes = [
+            reps, _, members = cfg._shapes
+            outcomes = tuple([
                 evaluate_policy(
                     rep,
                     record.provenance,
@@ -220,33 +234,17 @@ def decide(
                     memo=memo,
                     reach=reach,
                 )
-                for rep in plan.reps
-            ]
+                for rep in reps
+            ])
         except ProvPurposeError as exc:
             raise StageError("policy-evaluation", exc) from exc
-        # Each outcome is its representative's `applied` decision or a shared declined one, and the stored
-        # decisions hold it in the representative's own entry, so no stored key's id can name another object.
-        key = tuple(map(id, outcomes))
-        traced = plan.traced.get(key)
-        if traced is None:
-            pairs = []
-            applicable = 0  # bit i set when policy i applies
-            for i, (pol, s) in enumerate(zip(cfg.policies, plan.shape_of)):
-                d = outcomes[s]
-                if d.applicable:
-                    d = pol.applied
-                    applicable |= 1 << i
-                pairs.append((pol.id, d))
-            traced = tuple(pairs), applicable
-            if len(plan.traced) < _MERGES_KEPT:
-                plan.traced[key] = traced
-        decisions, applicable = traced
+        applicable = sum([m for d, m in zip(outcomes, members) if d.applicable])  # disjoint masks: the sum is their OR
         merged = plan.merged.get(applicable)
         if merged is None:
             try:
                 if pg.hierarchy_line is None:
                     raise MissingHierarchyLineError("purpose graph has no hierarchy line")
-                applied = [m if d.applicable else (0, 0) for m, (_, d) in zip(plan.masks, decisions)]
+                applied = [m if applicable >> i & 1 else (0, 0) for i, m in enumerate(plan.masks)]
                 ap, pp = eval_fida(cfg.merge_program, applied, pg)
             except ProvPurposeError as exc:
                 raise StageError("internal-merge", exc) from exc
@@ -255,7 +253,7 @@ def decide(
                 plan.merged[applicable] = merged
         ap, pp, result = merged
         results[cfg.party] = ap, pp
-        traces.append(PartyTrace(cfg.party, cfg.merge_text, decisions, result))
+        traces.append(PartyTrace(cfg.party, cfg.merge_text, result, cfg, outcomes))
     try:
         decided = merge_parties(results, external_expr, pg)
     except ProvPurposeError as exc:

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import pickle
 import random
 import weakref
 
@@ -321,14 +322,17 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     cfg = PartyConfig("owner", (_null_policy("grant", ap={"mid"}),))
     pg = PurposeGraph(["root", "mid"], [("root", "mid")], hierarchy_line=0)
     assert pg.bits.decode(cfg.masks(pg)[0][0]) == {"mid"}
-    # a stored merge result holds masks and decoded sets, nothing of the graph
-    assert decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", pg).decided == {"mid"}
-    assert list(cfg._plans[pg].merged) == [0b1] and len(cfg._plans[pg].traced) == 1
+    # a stored merge result holds masks and decoded sets, and a trace its config and shape outcomes:
+    # nothing of the graph
+    outcome = decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", pg)
+    assert outcome.decided == {"mid"}
+    assert list(cfg._plans[pg].merged) == [0b1]
     graph = weakref.ref(pg)
     del pg
     gc.collect()
     assert graph() is None
-    assert len(cfg._plans) == 0  # the plan and both its maps went with the graph
+    assert len(cfg._plans) == 0  # the plan and its map went with the graph
+    assert outcome.parties[0].decisions == (("grant", cfg.policies[0].applied),)
 
 
 @pytest.mark.parametrize(
@@ -439,12 +443,13 @@ def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, sm
     assert list(kept._plans[small_pg].merged) == list(range(engine._MERGES_KEPT))
 
 
-def test_a_full_outcome_map_stores_no_more_decisions_and_decides_as_before(tiny_graph, small_pg):
-    """Past the bound, per-policy decisions are built on every decision and not stored.
+def test_many_outcome_vectors_with_one_applicability_vector_store_one_result(tiny_graph, small_pg):
+    """Shape outcomes that differ but apply no policy share one stored merge result.
 
     No policy applies, so every request has the same applicability vector,
-    but each reaches its own set of subject guards: one merge result is
-    stored, and the outcome map fills up.
+    but each reaches its own set of subject guards: more outcome vectors
+    than the bound, one merge result stored, and every rendering as fresh
+    configs give it.
     """
     n = engine._MERGES_KEPT.bit_length()  # 2**n outcome vectors, more than the bound
     absent = TreeLeaf(VertexCondition(VertexType.AGENT, "nobody"))
@@ -460,12 +465,10 @@ def test_a_full_outcome_map_stores_no_more_decisions_and_decides_as_before(tiny_
             record, request = DataRecord(tiny_graph), Request(f"s{k}")
             got = outcome_to_dict(decide(record, request, [kept], "F3", small_pg, order))
             assert got == outcome_to_dict(decide(record, request, [PartyConfig("owner", party)], "F3", small_pg, order))
-    plan = kept._plans[small_pg]
-    assert plan.shape_of == tuple(i for i in range(n) for _ in "ab") and len(plan.reps) == n
-    assert len(plan.traced) == engine._MERGES_KEPT and list(plan.merged) == [0]
-    # the stored vectors are the first ones met: requesters s0 to s127
-    guards = [tuple(d.guards_ok for _, d in decisions[::2]) for decisions, _ in plan.traced.values()]
-    assert guards == [tuple(bool(k >> i & 1) for i in range(n)) for k in range(engine._MERGES_KEPT)]
+    reps, shape_of, members = kept._shapes
+    assert shape_of == tuple(i for i in range(n) for _ in "ab") and reps == party[::2]
+    assert members == tuple(0b11 << 2 * i for i in range(n))
+    assert list(kept._plans[small_pg].merged) == [0]
 
 
 def test_the_first_policy_to_raise_fails_the_decision_and_nothing_is_stored(tiny_graph, small_pg, monkeypatch):
@@ -507,9 +510,10 @@ def test_the_first_policy_to_raise_fails_the_decision_and_nothing_is_stored(tiny
         assert err.value.stage == "policy-evaluation"
         assert type(err.value.cause) is SearchLimitError and str(err.value.cause) == "B"
     assert evaluated == ["p1", "p2"] * 2
-    plan = cfg._plans[small_pg]
-    assert plan.shape_of == (0, 1, 2, 1) and [p.id for p in plan.reps] == ["p1", "p2", "p3"]
-    assert plan.traced == {} and plan.merged == {}
+    reps, shape_of, members = cfg._shapes
+    assert shape_of == (0, 1, 2, 1) and [p.id for p in reps] == ["p1", "p2", "p3"]
+    assert members == (0b0001, 0b1010, 0b0100)
+    assert cfg._plans[small_pg].merged == {}
 
 
 def test_a_tree_nested_to_the_bound_is_grouped_by_value(tiny_graph, small_pg):
@@ -522,9 +526,41 @@ def test_a_tree_nested_to_the_bound_is_grouped_by_value(tiny_graph, small_pg):
     grant, deny = Policy("p1", 1, deep(), ap=frozenset({"mid"})), Policy("p2", 2, deep(), pp=frozenset({"leafp"}))
     cfg = PartyConfig("owner", (grant, deny))
     outcome = decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
-    assert cfg._plans[small_pg].shape_of == (0, 0)
+    assert cfg._shapes == ((grant,), (0, 0), (0b11,))
     assert [d for _, d in outcome.parties[0].decisions] == [p.applied for p in cfg.policies]
     assert outcome.decided == {"mid"}
+
+
+def test_a_trace_builds_its_policy_decisions_when_first_read(tiny_graph, small_pg):
+    """`decide` leaves each party's per-policy tuple unbuilt; its first read builds it, once.
+
+    grant and deny share a shape, whose outcome is grant's own decision, yet
+    deny's entry is deny's; the guarded policy gets its shape's declined one.
+    """
+    grant, deny = _null_policy("grant", ap={"mid"}), _null_policy("deny", pp={"leafp"})
+    guarded = _subject_guarded("staff", "staff", {"leafp"})
+    parties = [PartyConfig("owner", (grant, guarded, deny)), PartyConfig("other", (guarded,))]
+    outcome = decide(DataRecord(tiny_graph), Request("s"), parties, "F3", small_pg)
+    assert all("decisions" not in vars(trace) for trace in outcome.parties)
+    trace = outcome.parties[0]
+    assert trace.config is parties[0] and "config" not in repr(trace)
+    assert trace.outcomes[0] is grant.applied and not trace.outcomes[1].guards_ok
+    decisions = trace.decisions
+    assert trace.decisions is decisions and "decisions" not in vars(outcome.parties[1])
+    assert [pid for pid, _ in decisions] == ["grant", "staff", "deny"]
+    # the very objects each policy gets alone: its own applied decision, or a shared declined one
+    alone = [evaluate_policy(pol, tiny_graph, Request("s"), memo={}) for pol in parties[0].policies]
+    assert all(d is e for (_, d), e in zip(decisions, alone))
+    assert alone[0] is grant.applied and alone[1] is trace.outcomes[1] and alone[2] is deny.applied
+
+
+def test_an_outcome_pickles_with_its_configs_fields_only(tiny_graph, small_pg):
+    """A trace holds its `PartyConfig`, whose plans are weakly keyed; pickling sends the fields, not the plans."""
+    cfg = PartyConfig("owner", (_null_policy("grant", ap={"mid"}), _subject_guarded("staff", "staff", {"leafp"})))
+    outcome = decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
+    back = pickle.loads(pickle.dumps(outcome))
+    assert back == outcome and outcome_to_dict(back) == outcome_to_dict(outcome)
+    assert back.parties[0].config == cfg and "_plans" not in vars(back.parties[0].config)
 
 
 def test_policies_of_one_shape_get_the_decisions_they_would_get_alone():
@@ -534,7 +570,7 @@ def test_policies_of_one_shape_get_the_decisions_they_would_get_alone():
     policy with a fresh memo, and a long-lived configuration renders each
     request of a stream as fresh ones do.
     """
-    members = by_value = 0
+    shared = by_value = 0
     for seed in range(150):
         rng = random.Random(seed)
         case = with_shared_shapes(rng, (random_prohibiting_case if seed % 3 == 0 else random_decision_case)(rng))
@@ -557,12 +593,10 @@ def test_policies_of_one_shape_get_the_decisions_they_would_get_alone():
                     assert [pid for pid, _ in trace.decisions] == [pol.id for pol in cfg.policies]
                     assert all(d is e for (_, d), e in zip(trace.decisions, alone))
         for cfg in kept:
-            if pg in cfg._plans:
-                plan = cfg._plans[pg]
-                reps = [plan.reps[s] for s in plan.shape_of]
-                members += sum(rep is not pol for rep, pol in zip(reps, cfg.policies))
-                by_value += sum(rep.tree is not pol.tree for rep, pol in zip(reps, cfg.policies))
-    assert 0 < by_value < members  # shapes shared a tree object, and some only a tree's value
+            reps, shape_of, _ = cfg._shapes
+            shared += sum(reps[s] is not pol for s, pol in zip(shape_of, cfg.policies))
+            by_value += sum(reps[s].tree is not pol.tree for s, pol in zip(shape_of, cfg.policies))
+    assert 0 < by_value < shared  # shapes shared a tree object, and some only a tree's value
 
 
 def test_graph_without_hierarchy_line_fails_internal_merge(tiny_graph):
