@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Union
 
 from ._dagutil import reachable_from
 from .errors import PatternSyntaxError, SearchLimitError, TypeMismatchError
-from .provenance import AttrValue, EdgeLabel, ProvEdge, ProvenanceGraph, VertexType, vertex_type_from_json
+from .provenance import AttrValue, EdgeLabel, ProvenanceGraph, VertexType, vertex_type_from_json
 
 
 class MatchValue(IntEnum):
@@ -255,8 +255,6 @@ _FULL, _TYPES = MatchValue.FULL, MatchValue.TYPES
 
 
 def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
-    if not pv.constraints:
-        return True
     attrs = graph.attributes_of(vid)
     for c in pv.constraints:
         if c.item not in attrs:
@@ -411,30 +409,6 @@ def parse_path_pattern(text: str) -> PathPattern:
     return PathPattern(tuple(steps))
 
 
-def _edge_labelish(edge: ProvEdge, token: str) -> bool:
-    return edge.label.value == token or edge.refined == token
-
-
-def _step_at(
-    step: PathStep,
-    vid: str,
-    label: EdgeLabel | None,
-    refined: str | None,
-    graph: ProvenanceGraph,
-) -> bool:
-    """Whether a step holds at a vertex entered by an edge with this label.
-
-    `label` is None only at the walk's first vertex, which may use any of its
-    outgoing edges instead.
-    """
-    token = step.edge_or_process
-    if graph.vertex(vid).name == step.vertex_name:
-        return True
-    if label is None:
-        return any(_edge_labelish(e, token) for e in graph.out_edges(vid))
-    return label.value == token or refined == token
-
-
 def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
     """FULL when some directed walk realizes every step in order, else NONE.
 
@@ -442,11 +416,17 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
     any depth decides. A state is (vertex, step, entry label, entry refined
     label), which is all that a step reads of the edge it came in by; a state
     seen once, from any start, cannot lead anywhere new a second time.
+
+    A step holds at a vertex named NAME, or else at one entered by an edge
+    whose label or refined label is LABEL; labels compare as text, since an
+    :class:`EdgeLabel` is a ``str``. The entry label is None only at the
+    walk's first vertex, which may use any of its outgoing edges instead.
     """
     steps = pattern.steps
     last = len(steps) - 1
+    vertices, out_edges = graph.vertices, graph.out_edges
     seen: set[tuple[str, int, EdgeLabel | None, str | None]] = set()
-    for start in graph.vertices:
+    for start in vertices:
         stack: list[tuple[str, int, EdgeLabel | None, str | None]] = [(start, 0, None, None)]
         while stack:
             state = stack.pop()
@@ -456,12 +436,20 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
             vid, i, label, refined = state
             step = steps[i]
             if step is None:
-                stack.extend((e.dst, i, e.label, e.refined) for e in graph.out_edges(vid))
+                stack.extend((e.dst, i, e.label, e.refined) for e in out_edges(vid))
                 stack.append((vid, i + 1, label, refined))
-            elif _step_at(step, vid, label, refined, graph):
-                if i == last:
-                    return MatchValue.FULL
-                stack.extend((e.dst, i + 1, e.label, e.refined) for e in graph.out_edges(vid))
+                continue
+            if vertices[vid].name != step.vertex_name:
+                token = step.edge_or_process
+                if label is None:
+                    holds = any(token in (e.label, e.refined) for e in out_edges(vid))
+                else:
+                    holds = token in (label, refined)
+                if not holds:
+                    continue
+            if i == last:
+                return MatchValue.FULL
+            stack.extend((e.dst, i + 1, e.label, e.refined) for e in out_edges(vid))
     return MatchValue.NONE
 
 

@@ -51,8 +51,7 @@ class PurposeBits:
     """One bit per purpose of a graph, so sets of its purposes become int masks.
 
     Bit i stands for `names[i]`; the names are all the encoding keeps per
-    name. `graph` is the purpose graph that masks under this encoding are
-    tagged with, and `high` the mask of its high part.
+    name. `high` is the mask of the graph's high part.
 
     The names run by (rank, name): bits ``layers[r]`` up to ``layers[r + 1]``
     hold rank r, so the lowest and highest set bits of a mask are members
@@ -64,7 +63,6 @@ class PurposeBits:
         self.names = tuple(sorted(graph.purposes, key=lambda p: (ranks[p], p)))
         by_rank = [ranks[p] for p in self.names]
         self.layers = tuple(bisect_left(by_rank, r) for r in range(by_rank[-1] + 2))
-        self.graph = graph
         self.high = self.encode(graph.high)
 
     def encode(self, s: Iterable[str]) -> int:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from provpurpose import (
     HierarchicalPurposeSet,
     InputFormatError,
     InternalFunction,
+    MissingHierarchyLineError,
     PrecedenceKind,
     ProvPurposeError,
     PurposeGraph,
@@ -156,6 +158,11 @@ def test_split_result_tags_graph(algebra_dag):
     assert s.graph is algebra_dag
     assert s.ap == {"high1", "low2"}
     assert s.pp == {"low1"}
+
+
+def test_split_result_needs_a_hierarchy_line():
+    with pytest.raises(MissingHierarchyLineError, match="^purpose graph has no hierarchy line$"):
+        split_result(PurposeGraph(["a"], []), {"a"}, set())
 
 
 def test_empty_hierarchical_set():
@@ -359,6 +366,18 @@ def test_syntax_errors_carry_positions(text, pos):
     with pytest.raises(FidaSyntaxError) as err:
         parse_fida(text)
     assert err.value.position == pos
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a b", "expected ')', found 'b' (at position 3)"),
+        ("f_oplus(a b)", "expected ',' or ')', found 'b' (at position 10)"),
+    ],
+)
+def test_a_missing_close_or_separator_names_what_was_expected(text, message):
+    with pytest.raises(FidaSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_fida(text)
 
 
 def test_trailing_comma_rejected():

@@ -491,6 +491,11 @@ def _case_study_graph_with_vertex_name(name):
             'vertex "name" must be a string or a number, got None',
         ),
         ("--graph", _case_study_graph_with_vertex_name(float("nan")), "NaN is not a JSON number"),
+        (
+            "--policy",
+            {"policies": [_case_study_doc("repository_policy.json")], "internal_expr": 5},
+            "internal_expr must be a string",
+        ),
     ],
 )
 def test_field_error_names_its_file_once(capsys, tmp_path, option, doc, message):

@@ -335,6 +335,21 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     assert outcome.parties[0].decisions == (("grant", cfg.policies[0].applied),)
 
 
+def test_a_dropped_purpose_graph_is_freed_without_the_cyclic_collector():
+    cfg = PartyConfig("owner", (_null_policy("grant", ap={"mid"}),))
+    pg = PurposeGraph(["root", "mid"], [("root", "mid")], hierarchy_line=0)
+    graph = weakref.ref(pg)
+    gc.disable()
+    try:
+        assert pg.bits.decode(cfg.masks(pg)[0][0]) == {"mid"}
+        del pg
+        # no reference cycle runs through the graph's encoding, so dropping the last reference frees it
+        assert graph() is None
+        assert len(cfg._plans) == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize(
     "policies, message",
     [

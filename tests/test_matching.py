@@ -1,6 +1,7 @@
 """Four-valued matching: predicates, partitions, paths, targets."""
 
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -95,6 +96,8 @@ def test_predicate_kind_mismatch_raises():
         eval_predicate(Predicate.CONTAINS, 3, 3)
     with pytest.raises(TypeMismatchError):
         eval_predicate(Predicate.EQ, True, 1)
+    with pytest.raises(TypeMismatchError, match="^cannot apply '=' to float and float$"):
+        eval_predicate(Predicate.EQ, 1.5, 1.5)
 
 
 @pytest.mark.parametrize("pred", list(Predicate))
@@ -245,16 +248,20 @@ def test_parse_path_pattern_round_trip():
 
 
 def test_path_pattern_rejects_bad_shapes():
-    with pytest.raises(PatternSyntaxError):
-        parse_path_pattern("")
-    with pytest.raises(PatternSyntaxError):
-        parse_path_pattern("noseparator")
-    with pytest.raises(PatternSyntaxError):
-        parse_path_pattern(f"{WILDCARD_TOKEN}, used|x")
-    with pytest.raises(PatternSyntaxError):
-        parse_path_pattern(f"used|x, {WILDCARD_TOKEN}")
-    with pytest.raises(PatternSyntaxError):
-        PathPattern((None,))
+    ends = "path pattern must not start or end with a wildcard"
+    for text, message in (
+        ("", "empty path pattern"),
+        ("noseparator", "step 'noseparator' is not LABEL|NAME (at position 0)"),
+        (f"{WILDCARD_TOKEN}, used|x", ends),
+        (f"used|x, {WILDCARD_TOKEN}", ends),
+        ("used|a, , used|b", "empty path step (at position 7)"),
+        ("used|a|b", "step 'used|a|b' is not LABEL|NAME (at position 0)"),
+    ):
+        with pytest.raises(PatternSyntaxError, match=f"^{re.escape(message)}$"):
+            parse_path_pattern(text)
+    for steps, message in (((None,), ends), ((), "path pattern needs at least one step")):
+        with pytest.raises(PatternSyntaxError, match=f"^{re.escape(message)}$"):
+            PathPattern(steps)
 
 
 def test_path_match_on_submission_graph(submission_graph):
@@ -294,7 +301,8 @@ def test_path_wildcard_can_absorb_nothing(submission_graph):
 
 def test_path_match_agrees_with_walk_oracle():
     rng = random.Random(17)
-    labels = ["used", "wasGeneratedBy", "wasControlledBy", "wasRefinedBy", "a", "b"]
+    # "Used" differs from a label's text only in case, so it must never match a used edge
+    labels = ["used", "Used", "wasGeneratedBy", "wasControlledBy", "wasRefinedBy", "a", "b"]
     checked = 0
     for _ in range(150):
         g = random_provenance_graph(rng)
@@ -331,8 +339,17 @@ def test_parse_target_value_kinds():
 
 
 def test_parse_target_errors():
-    for bad in ("", "agent", "/robot", '/agent[name="x"', "/agent[~~]"):
-        with pytest.raises(PatternSyntaxError):
+    for bad, message in (
+        ("", "empty target"),
+        ("agent", "target must start with '/' (at position 0)"),
+        ("/robot", "expected agent, artifact, or process (at position 1)"),
+        ('/agent[name="x"', "unclosed '[' (at position 6)"),
+        ("/agent[~~]", "bad constraint '~~' (at position 6)"),
+        ("/artifact[t = 2020-13-45]", "bad timestamp '2020-13-45' (at position 9)"),
+        ("/artifact[k = ?]", "bad value '?' (at position 9)"),
+        ("/agent/artifactx", "expected '/' before 'x' (at position 15)"),
+    ):
+        with pytest.raises(PatternSyntaxError, match=f"^{re.escape(message)}$"):
             parse_target(bad)
 
 

@@ -4,6 +4,7 @@ import copy
 import gc
 import json
 import random
+import re
 import sys
 import weakref
 from dataclasses import FrozenInstanceError, fields
@@ -373,6 +374,9 @@ def test_policy_from_dict_infers_shape():
     assert policy.ptype == 1
     assert isinstance(policy.tree, TreeLeaf)
     assert policy.ap == {"education"} and policy.pp == frozenset()
+    # without "type", prohibiting alone makes type 2, and granting and prohibiting type 3
+    for sides, ptype in (({"PP": ["marketing"]}, 2), ({"AP": ["education"], "PP": ["marketing"]}, 3)):
+        assert policy_from_dict({"provenance_partitions": {"only": {"null": None}}, **sides}).ptype == ptype
 
 
 def test_policy_from_dict_with_tree_and_guards():
@@ -409,6 +413,10 @@ def test_policy_from_dict_errors():
         )
     with pytest.raises(InputFormatError):
         policy_from_dict({"provenance_partitions": {"a": {"null": None}}, "subject": "solo"})
+    two_ops = {"AND": ["a"], "OR": ["a"]}
+    message = f"access tree node {two_ops!r} must have exactly one operator"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        policy_from_dict({"provenance_partitions": {"a": {"null": None}}, "access_tree": two_ops})
 
 
 def test_condition_documents_cover_all_kinds(tiny_graph):

@@ -139,6 +139,11 @@ def test_add_edge_rejects_unknown_endpoint():
         g.add_edge(vid, "ghost", EdgeLabel.USED)
 
 
+def test_looking_up_an_unknown_vertex_raises():
+    with pytest.raises(UnknownVertexError, match="^no vertex with id 'nope'$"):
+        ProvenanceGraph().vertex("nope")
+
+
 def test_validate_accepts_legal_graph(tiny_graph):
     report = tiny_graph.validate()
     assert report.ok and report.violations == []
@@ -232,6 +237,8 @@ def test_attr_value_rejects_bool_and_junk():
         attr_value_from_json([1, 2])
     with pytest.raises(InputFormatError):
         attr_value_from_json({"timestamp": "not a date"})
+    with pytest.raises(InputFormatError, match="^location value must be a string$"):
+        attr_value_from_json({"location": 5})
 
 
 def test_graph_document_round_trip(tiny_graph):

@@ -106,6 +106,10 @@ def test_updown_rejects_negative_bounds(hierarchy):
         hierarchy.updown("Record", -1, 2)
     with pytest.raises(InputFormatError):
         hierarchy.partial_ancestors("Analysis", 0)
+    with pytest.raises(InputFormatError, match="^beta must be non-negative$"):
+        hierarchy.updown("Record", beta=-1)
+    with pytest.raises(InputFormatError, match="^beta must be at least 1$"):
+        hierarchy.partial_descendants("Record", 0)
 
 
 def test_hierarchy_selection(hierarchy):
@@ -113,6 +117,8 @@ def test_hierarchy_selection(hierarchy):
     assert hierarchy.min_hierarchy({"Analysis", "Record", "Admin"}) == "Analysis"
     with pytest.raises(EmptyPurposeSetError):
         hierarchy.max_hierarchy(frozenset())
+    with pytest.raises(EmptyPurposeSetError, match="^min_hierarchy of an empty set$"):
+        hierarchy.min_hierarchy([])
 
 
 def test_static_split_cuts_at_line(hierarchy):
@@ -193,6 +199,25 @@ def test_every_mask_within_the_names_decodes_to_its_members():
 def test_cycle_rejected():
     with pytest.raises(InputFormatError):
         PurposeGraph(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+@pytest.mark.parametrize(
+    "purposes, line, message",
+    [
+        ([], None, "purpose graph needs at least one purpose"),
+        (["a"], -1, "hierarchy_line must be non-negative"),
+    ],
+)
+def test_a_purpose_graph_needs_a_purpose_and_a_line_of_at_least_0(purposes, line, message):
+    with pytest.raises(InputFormatError, match=f"^{message}$"):
+        PurposeGraph(purposes, [], hierarchy_line=line)
+
+
+def test_membership_is_by_name_and_a_repeated_edge_is_kept_once():
+    pg = PurposeGraph(["a", "b"], [("a", "b"), ("a", "b")])
+    assert "a" in pg and "z" not in pg
+    assert (pg._children, pg._parents) == ({"a": ["b"], "b": []}, {"a": [], "b": ["a"]})
+    assert purpose_graph_to_dict(pg) == {"purposes": ["a", "b"], "edges": [["a", "b"]]}
 
 
 def test_document_round_trip(hierarchy):
