@@ -15,7 +15,8 @@ A decision runs in four stages:
    i applies) is the OR of the policy masks of the shapes that apply, and
    the trace derives the per-policy decisions from the shape outcomes when
    first read. Each distinct leaf condition object is evaluated once per
-   decision, however many policies and parties share it, and the
+   decision, however many policies and parties share it, and so is each
+   coarser partition that gives a partition its lower levels. The
    requester's role order is walked once per decision for every policy's
    subject guard.
 2. internal-merge: each party's per-policy sets are merged by the party's

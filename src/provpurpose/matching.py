@@ -9,6 +9,11 @@ Match results form a chain, best to worst:
 * ``TYPES``: an embedding satisfies vertex types (and edges) only.
 * ``NONE``: not even the typed shape is present.
 
+A partition is searched once, for FULL. Its lower levels are the value of its
+:attr:`~ProvenancePartition.coarser` partition, the same pattern with its
+constraints or names dropped, which equal partitions share; a leaf memo holds
+that value for a whole decision, so partitions of one skeleton search it once.
+
 Conjunction is ``min`` and disjunction is ``max`` on that chain; only ``FULL``
 ever grants purposes downstream.
 
@@ -33,6 +38,7 @@ desugars to a path-shaped partition whose edges are wildcards.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum, IntEnum
@@ -139,9 +145,22 @@ def eval_predicate(pred: Predicate, left: AttrValue, right: AttrValue) -> bool:
 
 @dataclass(frozen=True)
 class AttrConstraint:
+    """An attribute test, ``item pred operand``, with `kind` and `test` derived once for the search.
+
+    `kind` is the kind of value the operand compares with, or None when none
+    can satisfy the test (an operand of no kind, or ``~`` on a non-string).
+    """
+
     item: str
     pred: Predicate
     operand: AttrValue
+    kind: str | None = field(init=False, compare=False, repr=False)
+    test: Callable[[Any, Any], bool] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        kind = _kind(self.operand)
+        object.__setattr__(self, "kind", None if self.pred == Predicate.CONTAINS and kind != "str" else kind)
+        object.__setattr__(self, "test", _COMPARE[self.pred])
 
 
 @dataclass(frozen=True)
@@ -230,40 +249,45 @@ class ProvenancePartition:
         return tuple(plan)
 
     @cached_property
-    def levels(self) -> tuple[MatchValue, ...]:
-        """The levels worth searching, best first; one that checks nothing more
-        than the one above it (no constraints, or no names) is left out."""
-        has_constraints = any(v.constraints for v in self.vertices)
-        return _LEVELS[has_constraints, any(v.name is not None for v in self.vertices)]
+    def coarser(self) -> tuple[ProvenancePartition, MatchValue] | None:
+        """The partition one level down, and the level its FULL value stands for.
+
+        With the attribute constraints dropped it stands for NAMES; a
+        partition without constraints drops its names instead, and that
+        stands for TYPES. One with neither has no coarser (None). Equal
+        coarser partitions are one object, held here as long as this
+        partition lives, so a leaf memo may key its value by identity.
+        """
+        if any(v.constraints for v in self.vertices):
+            vertices, level = tuple(PatternVertex(v.ref, v.vtype, v.name) for v in self.vertices), _NAMES
+        elif any(v.name is not None for v in self.vertices):
+            vertices, level = tuple(PatternVertex(v.ref, v.vtype) for v in self.vertices), _TYPES
+        else:
+            return None
+        return _COARSER.setdefault((vertices, self.edges), ProvenancePartition(vertices, self.edges)), level
 
 
-# ProvenancePartition.levels by (has constraints, has names), shared by every partition.
-_LEVELS = {
-    (False, False): (MatchValue.FULL,),
-    (True, False): (MatchValue.FULL, MatchValue.NAMES),
-    (False, True): (MatchValue.FULL, MatchValue.TYPES),
-    (True, True): (MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES),
-}
+#: The one object of each distinct coarser partition, held only while a finer partition holds it.
+_COARSER: weakref.WeakValueDictionary[tuple[Any, ...], ProvenancePartition] = weakref.WeakValueDictionary()
+
+#: Match values found within one decision, keyed by the identity of the condition or partition.
+LeafMemo = dict[int, MatchValue]
 
 
 #: Candidates one partition search may draw for pattern vertices after the
 #: first before it gives up with :class:`SearchLimitError`.
 MAX_SEARCH_STEPS = 100_000
 
-# Looking up an enum member costs a call on Python 3.11; the search reads these per vertex.
-_FULL, _TYPES = MatchValue.FULL, MatchValue.TYPES
+# Looking up an enum member costs a call on Python 3.11; matching reads these per call.
+_FULL, _NAMES, _TYPES, _NONE = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES, MatchValue.NONE
 
 
 def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
+    """Whether the vertex's attributes satisfy every constraint; a missing or incomparable value fails."""
     attrs = graph.attributes_of(vid)
     for c in pv.constraints:
-        if c.item not in attrs:
-            return False
-        try:
-            if not eval_predicate(c.pred, attrs[c.item], c.operand):
-                return False
-        except TypeMismatchError:
-            # a constraint that cannot even be compared is unsatisfied
+        value = attrs.get(c.item)
+        if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
             return False
     return True
 
@@ -275,18 +299,15 @@ def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: EdgeLabel | Non
     return False
 
 
-def _candidates(
-    graph: ProvenanceGraph, placed: dict[str, str], placement: _Placement, level: MatchValue
-) -> Iterator[str]:
-    """Graph vertices that may stand for a plan entry's vertex at a level.
+def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Placement) -> Iterator[str]:
+    """Graph vertices that may stand for a plan entry's vertex.
 
     The first vertex's come from the graph's type/name index. A later
     vertex's are the ends of its placed anchor's edges, as the anchor
-    demands, of its type and, where the level checks names, of its name.
-    Constraints are checked last, lazily, and only at FULL.
+    demands, of its type and name. Constraints are checked last, lazily.
     """
     pv, anchor, _ = placement
-    name = None if level is _TYPES else pv.name
+    name = pv.name
     if anchor is None:
         found = graph.ids_of(pv.vtype, name)
     else:
@@ -298,13 +319,13 @@ def _candidates(
             gv = vertices[vid]
             if (label is None or e.label is label) and gv.vtype is vtype and (name is None or gv.name == name):
                 found.append(vid)
-    if pv.constraints and level is _FULL:
+    if pv.constraints:
         return (vid for vid in found if _attrs_hold(pv, vid, graph))
     return iter(found)
 
 
-def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph, level: MatchValue) -> bool:
-    """Whether some injective, edge-preserving placement of the pattern exists at a level.
+def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph) -> bool:
+    """Whether some injective, edge-preserving placement of the whole pattern exists.
 
     One backtracking loop over a stack of candidate iterators, one per plan
     entry up to the one being placed; `placed` maps pattern refs to graph
@@ -314,7 +335,7 @@ def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph, leve
     """
     plan = partition.plan
     placed: dict[str, str] = {}
-    pending = [_candidates(graph, placed, plan[0], level)]
+    pending = [_candidates(graph, placed, plan[0])]
     steps = 0
     while pending:
         pv, _, checks = plan[len(placed)]
@@ -336,20 +357,37 @@ def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph, leve
             continue
         if len(placed) == len(plan):
             return True
-        pending.append(_candidates(graph, placed, plan[len(placed)], level))
+        pending.append(_candidates(graph, placed, plan[len(placed)]))
     return False
 
 
-def match_partition(partition: ProvenancePartition, graph: ProvenanceGraph) -> MatchValue:
+def match_partition(
+    partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo | None = None
+) -> MatchValue:
     """Best level at which the partition embeds into the graph.
 
-    Only the partition's :attr:`~ProvenancePartition.levels` are searched,
-    best first, so a call runs at most three searches.
+    The partition is searched once, for FULL. If that fails, its value is its
+    :attr:`~ProvenancePartition.coarser`'s, with FULL standing for the
+    coarser's level: taken from `memo` when the decision has already matched
+    that coarser partition, else matched and stored there. A call without a
+    memo gets a fresh one.
     """
-    for level in partition.levels:
-        if _find_embedding(partition, graph, level):
-            return level
-    return MatchValue.NONE
+    if _find_embedding(partition, graph):
+        return _FULL
+    coarser = partition.coarser
+    return _NONE if coarser is None else _lower(*coarser, graph, memo)
+
+
+def _lower(
+    coarser: ProvenancePartition, level: MatchValue, graph: ProvenanceGraph, memo: LeafMemo | None
+) -> MatchValue:
+    """The value of a pattern whose own search failed, from its coarser partition."""
+    if memo is None:
+        memo = {}
+    value = memo.get(id(coarser))
+    if value is None:
+        value = memo[id(coarser)] = match_partition(coarser, graph, memo)
+    return level if value is _FULL else value
 
 
 # -- path patterns ------------------------------------------------------------
@@ -571,6 +609,11 @@ class QueryCondition:
     query_attr: str
     pred: Predicate
 
+    @cached_property
+    def partition(self) -> ProvenancePartition:
+        """The vertex without the request's constraint: the coarser partition of every query."""
+        return _single(self.vtype, self.name)
+
 
 @dataclass(frozen=True)
 class TargetCondition:
@@ -594,19 +637,25 @@ def eval_atomic(
     cond: AtomicCondition,
     graph: ProvenanceGraph,
     query_attrs: Mapping[str, AttrValue] | None = None,
+    memo: LeafMemo | None = None,
 ) -> MatchValue:
     """Evaluate one atomic condition against a graph (and request attributes).
 
+    `memo` is handed to :func:`match_partition`. A query condition builds
+    its constrained partition per call, since it depends on the request; its
+    lower levels come from the condition's own :attr:`QueryCondition.partition`.
     A query condition whose named attribute is absent from the request
     evaluates to NONE rather than raising.
     """
     if isinstance(cond, NullCondition):
         return MatchValue.FULL
     if isinstance(cond, (VertexCondition, AttrCondition, TargetCondition)):
-        return match_partition(cond.partition, graph)
+        return match_partition(cond.partition, graph, memo)
     if isinstance(cond, QueryCondition):
         if not query_attrs or cond.query_attr not in query_attrs:
             return MatchValue.NONE
         constraint = AttrConstraint(cond.query_attr, cond.pred, query_attrs[cond.query_attr])
-        return match_partition(_single(cond.vtype, cond.name, (constraint,)), graph)
+        if _find_embedding(_single(cond.vtype, cond.name, (constraint,)), graph):
+            return _FULL
+        return _lower(cond.partition, _NAMES, graph, memo)
     raise TypeError(f"not an atomic condition: {cond!r}")

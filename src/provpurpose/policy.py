@@ -43,6 +43,7 @@ from .matching import (
     AtomicCondition,
     AttrCondition,
     AttrConstraint,
+    LeafMemo,
     MatchValue,
     NullCondition,
     PathPattern,
@@ -112,10 +113,6 @@ AccessTree = Union[TreeLeaf, TreeBranch]
 #: A step of a compiled tree: a leaf condition to look up, or a fold of the last `arity` values.
 TreeStep = Union[LeafCondition, tuple[int, Callable[..., MatchValue]]]
 
-
-#: Leaf values found within one decision, keyed by the identity of the leaf's condition.
-LeafMemo = dict[int, MatchValue]
-
 # Looking up an enum member costs a call on Python 3.11; _FULL is read per policy and decision.
 _FULL, _AND = MatchValue.FULL, TreeOp.AND
 
@@ -138,8 +135,9 @@ def eval_access_tree(
     A branch runs its compiled :attr:`TreeBranch.program` on a value stack,
     so nesting costs no recursion. Each leaf condition object is evaluated
     once per `memo`, in the tree's left-to-right order; a call without one
-    gets a fresh memo. A memo is only valid for one graph and one set of
-    query attributes, so it must not outlive the decision it was made for.
+    gets a fresh memo, which also holds the coarser partitions matched for
+    the leaves' lower levels. A memo is only valid for one graph and one set
+    of query attributes, so it must not outlive the decision it was made for.
     """
     if memo is None:
         memo = {}
@@ -169,11 +167,11 @@ def _match_leaf(
     rebound matcher takes effect at once.
     """
     if isinstance(cond, ProvenancePartition):
-        value = match_partition(cond, graph)
+        value = match_partition(cond, graph, memo)
     elif isinstance(cond, PathPattern):
         value = match_path(cond, graph)
     else:
-        value = eval_atomic(cond, graph, query_attrs)
+        value = eval_atomic(cond, graph, query_attrs, memo)
     memo[id(cond)] = value
     return value
 

@@ -47,12 +47,15 @@ from provpurpose.errors import (
     UnknownVertexError,
 )
 from provpurpose.matching import (
+    AttrCondition,
+    AttrConstraint,
     MatchValue,
     NullCondition,
     PathPattern,
     PathStep,
     PatternVertex,
     ProvenancePartition,
+    QueryCondition,
     eval_predicate,
 )
 from provpurpose.policy import TreeLeaf
@@ -985,17 +988,22 @@ def _o_guards(policy, subject, category, role_order):
     return True
 
 
-def _o_full(tree, graph):
-    """Whether an access tree of null and vertex leaves is a FULL match."""
+def _o_full(tree, graph, query_attrs=None):
+    """Whether an access tree of null, vertex, attribute and query leaves is a FULL match."""
     if isinstance(tree, TreeLeaf):
         cond = tree.condition
         if isinstance(cond, NullCondition):
             return True
-        return any(
-            graph.vertex(vid).vtype is cond.vtype and graph.vertex(vid).name == cond.name
-            for vid in graph.vertices
-        )
-    values = [_o_full(child, graph) for child in tree.children]
+        constraints = ()
+        if isinstance(cond, AttrCondition):
+            constraints = (AttrConstraint(cond.item, cond.pred, cond.operand),)
+        elif isinstance(cond, QueryCondition):
+            if not query_attrs or cond.query_attr not in query_attrs:
+                return False
+            constraints = (AttrConstraint(cond.query_attr, cond.pred, query_attrs[cond.query_attr]),)
+        pv = PatternVertex("v", cond.vtype, cond.name, constraints)
+        return any(_vertex_admissible(pv, vid, graph, True, True) for vid in graph.vertices)
+    values = [_o_full(child, graph, query_attrs) for child in tree.children]
     return all(values) if tree.op.value == "AND" else any(values)
 
 
@@ -1056,7 +1064,7 @@ def _o_left_fold(function, names):
 
 
 def oracle_decide(
-    graph, category, subject, role_order, parties, external, purposes, edges, line, attached=None
+    graph, category, subject, role_order, parties, external, purposes, edges, line, attached=None, query_attrs=None
 ):
     """The decided set and each party's (allowed, prohibited) pair.
 
@@ -1073,7 +1081,7 @@ def oracle_decide(
     for name, policies, expr in parties:
         env = {}
         for policy in policies:
-            if _o_guards(policy, subject, category, role_order or {}) and _o_full(policy.tree, graph):
+            if _o_guards(policy, subject, category, role_order or {}) and _o_full(policy.tree, graph, query_attrs):
                 ap, pp = policy.ap, policy.pp
             else:
                 ap = pp = frozenset()

@@ -199,6 +199,21 @@ def random_dag_partition(rng: random.Random, graph: ProvenanceGraph) -> Provenan
     return ProvenancePartition(tuple(vertices), tuple(edges))
 
 
+def same_skeleton(rng: random.Random, partition: ProvenancePartition) -> ProvenancePartition:
+    """`partition`'s vertex types and edges, with constraints drawn anew for each vertex.
+
+    Most variants keep every name and some drop them all, so variants of one
+    pattern often share its coarser partitions; the rest redraw names per vertex.
+    """
+    roll = rng.random()
+    vertices = []
+    for v in partition.vertices:
+        name = v.name if roll < 0.6 else None if roll < 0.85 else rng.choice((v.name, None) + _DAG_NAMES)
+        constraints = tuple(_random_constraint(rng) for _ in range(rng.choice((0, 1, 1, 2))))
+        vertices.append(PatternVertex(v.ref, v.vtype, name, constraints))
+    return ProvenancePartition(tuple(vertices), partition.edges)
+
+
 def random_path_pattern(rng: random.Random) -> PathPattern:
     """1-5 steps whose inner steps may be wildcards; half match by name only."""
     k = rng.randint(1, 5)

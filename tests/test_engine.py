@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from provpurpose import (
+    AttrCondition,
     ConfigurationError,
     DataRecord,
     EdgeLabel,
@@ -40,6 +41,7 @@ from provpurpose import (
     decide,
     default_internal_expr,
     engine,
+    eval_access_tree,
     eval_fida,
     eval_fida_plain,
     evaluate_policy,
@@ -495,10 +497,10 @@ def test_the_first_policy_to_raise_fails_the_decision_and_nothing_is_stored(tiny
     """
     atomic = policy.eval_atomic
 
-    def raise_by_name(cond, graph, query_attrs=None):
+    def raise_by_name(cond, graph, query_attrs=None, memo=None):
         if isinstance(cond, VertexCondition):
             raise SearchLimitError(cond.name)
-        return atomic(cond, graph, query_attrs)
+        return atomic(cond, graph, query_attrs, memo)
 
     evaluated = []
     evaluate = engine.evaluate_policy
@@ -797,9 +799,9 @@ def test_shared_query_leaf_reads_each_request(tiny_graph, small_pg, monkeypatch)
     calls = []
     eval_atomic = policy.eval_atomic
 
-    def counting_eval_atomic(cond, graph, query_attrs=None):
+    def counting_eval_atomic(cond, graph, query_attrs=None, memo=None):
         calls.append(dict(query_attrs))
-        return eval_atomic(cond, graph, query_attrs)
+        return eval_atomic(cond, graph, query_attrs, memo)
 
     monkeypatch.setattr(policy, "eval_atomic", counting_eval_atomic)
     cond = QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)  # report has size 4
@@ -815,6 +817,49 @@ def test_shared_query_leaf_reads_each_request(tiny_graph, small_pg, monkeypatch)
     assert large.decided == {"mid"}
     assert calls == [{"size": 2}, {"size": 8}]  # once per decision, for both parties
 
+
+
+def test_a_query_leaf_beside_other_leaves_matches_the_oracle(tiny_graph, small_pg):
+    """A query's lower levels come through the decision's memo, shared with the leaves beside it.
+
+    The vertex leaf and the attribute leaf's coarser partition equal the
+    query's own fallback partition by value; each request decides afresh.
+    """
+    query = QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)  # report has size 4
+    others = [
+        VertexCondition(VertexType.ARTIFACT, "report"),
+        AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.GT, 10),
+        VertexCondition(VertexType.AGENT, "bob"),
+        QueryCondition(VertexType.ARTIFACT, "memo", "size", Predicate.GEQ),
+    ]
+    trees = [TreeLeaf(query)] + [
+        TreeBranch(op, (TreeLeaf(query), TreeLeaf(leaf))) for leaf in others for op in TreeOp
+    ]
+    purposes, edges = ["root", "mid", "leafp"], [("root", "mid"), ("mid", "leafp")]
+    parties = [
+        ("A", tuple(Policy(f"a{i}", 1, t, ap=frozenset({purposes[i % 3]})) for i, t in enumerate(trees)), None),
+        ("B", tuple(
+            Policy(f"b{i}", 3, t, ap=frozenset({purposes[i % 2]}), pp=frozenset({"leafp"}))
+            for i, t in enumerate(reversed(trees))
+        ), None),
+    ]
+    configs = [PartyConfig(name, policies) for name, policies, _ in parties]
+    fallback = query.partition
+    decided_sets = set()
+    for size in (2, 4, 8, "big"):
+        attrs = {"size": size}
+        outcome = decide(DataRecord(tiny_graph), Request("anyone", query_attrs=attrs), configs, "F1", small_pg)
+        decided, results = oracle_decide(
+            tiny_graph, None, "anyone", None, parties, "F1", purposes, edges, 1, query_attrs=attrs
+        )
+        assert outcome.decided == decided
+        assert [(t.result.ap, t.result.pp) for t in outcome.parties] == results
+        # each tree's value is the one it gets alone, with a memo of its own
+        alone = [eval_access_tree(p.tree, tiny_graph, attrs) for _, policies, _ in parties for p in policies]
+        assert _tree_values(outcome) == alone
+        assert query.partition is fallback
+        decided_sets.add(decided)
+    assert len(decided_sets) > 1
 
 # -- whole decisions against the oracle ----------------------------------------------
 

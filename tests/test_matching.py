@@ -54,6 +54,7 @@ from randcases import (
     random_partition,
     random_path_pattern,
     random_provenance_graph,
+    same_skeleton,
 )
 
 
@@ -404,6 +405,38 @@ def test_partition_search_agrees_with_previous_matcher():
     assert strata == set(MatchValue)
 
 
+
+def test_partition_search_through_one_memo_agrees_with_previous_matcher():
+    """Each graph's patterns, in shuffled order, share one memo, as the leaves of a decision do.
+
+    Two of every three patterns redraw the third's constraints and often
+    keep its names, so many share a coarser partition that the memo answers.
+    """
+    rng = random.Random(31)
+    shared, strata = 0, set()
+    for _ in range(100):
+        g = random_lineage_dag(rng, rng.randint(20, 80))
+        patterns = []
+        for _ in range(2):
+            base = random_dag_partition(rng, g)
+            patterns += [base, same_skeleton(rng, base), same_skeleton(rng, base)]
+        rng.shuffle(patterns)
+        memo = {}
+        for pattern in patterns:
+            got = match_partition(pattern, g, memo)
+            assert got is reference_match_partition(pattern, g), pattern
+            strata.add(got)
+        # the memo holds only coarser partitions, one or two levels down, each with its own value
+        below = {}
+        for p in patterns:
+            while p.coarser is not None:
+                p = p.coarser[0]
+                below[id(p)] = p
+        assert all(value is reference_match_partition(below[key], g) for key, value in memo.items())
+        first = [p.coarser[0] for p in patterns if p.coarser is not None]
+        shared += len(first) - len(set(map(id, first)))
+    assert shared > 100 and strata == set(MatchValue)
+
 def test_path_walk_agrees_with_previous_matcher():
     rng = random.Random(29)
     found = 0
@@ -464,7 +497,7 @@ def test_single_vertex_conditions_derive_their_partition_once(tiny_graph, monkey
 
     seen = []
     real = matching.match_partition
-    monkeypatch.setattr(matching, "match_partition", lambda p, g: seen.append(p) or real(p, g))
+    monkeypatch.setattr(matching, "match_partition", lambda p, g, memo=None: seen.append(p) or real(p, g, memo))
     vertex = VertexCondition(VertexType.AGENT, "alice")
     attr = AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.EQ, 4)
     for _ in range(2):
@@ -502,21 +535,143 @@ def test_plan_is_connected_and_starts_at_the_most_selective_vertex():
     assert part.plan is part.plan
 
 
-def test_levels_leave_out_a_level_that_checks_nothing_more_and_are_shared():
+def test_coarser_drops_constraints_then_names_and_equal_coarsers_are_one_object():
     plain = PatternVertex("a", VertexType.AGENT)
     constrained = PatternVertex("b", VertexType.AGENT, None, (AttrConstraint("k", Predicate.EQ, 1),))
     named = PatternVertex("c", VertexType.AGENT, "alice")
-    full, names, types = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES
-    for vertices, levels in (
-        ((plain,), (full,)),
-        ((constrained,), (full, names)),
-        ((named,), (full, types)),
-        ((named, constrained), (full, names, types)),
+    both = PatternVertex("c", VertexType.AGENT, "alice", (AttrConstraint("k", Predicate.LT, 2),))
+    names, types = MatchValue.NAMES, MatchValue.TYPES
+    for vertices, coarser, level in (
+        ((plain,), None, None),
+        ((constrained,), (PatternVertex("b", VertexType.AGENT),), names),
+        ((named,), (PatternVertex("c", VertexType.AGENT),), types),
+        ((named, constrained), (named, PatternVertex("b", VertexType.AGENT)), names),
+        ((both, plain), (named, plain), names),
     ):
         edges = (PatternEdge(vertices[0].ref, vertices[-1].ref),) if len(vertices) > 1 else ()
         first, second = ProvenancePartition(vertices, edges), ProvenancePartition(vertices, edges)
-        # one tuple per shape, not one per partition
-        assert first.levels == levels and first.levels is second.levels
+        if coarser is None:
+            assert first.coarser is None
+            continue
+        assert first.coarser == (ProvenancePartition(coarser, edges), level)
+        # one object per distinct coarser partition, held by every finer one
+        assert first.coarser[0] is second.coarser[0] and first.coarser is first.coarser
+    named_twice = ProvenancePartition((named,))
+    assert named_twice.coarser[0].coarser is None
+
+
+def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkeypatch):
+    searched = []
+    find = matching._find_embedding
+    monkeypatch.setattr(matching, "_find_embedding", lambda p, g: searched.append(p) or find(p, g))
+
+    def generated(*constraints):
+        return ProvenancePartition(
+            (
+                PatternVertex("a", VertexType.ARTIFACT, "report", constraints),
+                PatternVertex("p", VertexType.PROCESS, "ingest"),
+            ),
+            (PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY),),
+        )
+
+    # the report has size 4 and format pdf, so each fails FULL and is NAMES
+    parts = [
+        generated(AttrConstraint("size", Predicate.GT, 10)),
+        generated(AttrConstraint("fmt", Predicate.EQ, "doc")),
+        generated(AttrConstraint("size", Predicate.LT, 4), AttrConstraint("fmt", Predicate.EQ, "pdf")),
+    ]
+    memo = {}
+    assert [match_partition(p, tiny_graph, memo) for p in parts] == [MatchValue.NAMES] * 3
+    coarser = parts[0].coarser[0]
+    assert all(p.coarser[0] is coarser for p in parts)
+    assert searched == [parts[0], coarser, parts[1], parts[2]]  # 3 + 1 searches, not 3 x 2
+    assert memo == {id(coarser): MatchValue.FULL}
+    # without a memo each call searches the coarser partition again
+    assert match_partition(parts[1], tiny_graph) is MatchValue.NAMES
+    assert searched[4:] == [parts[1], coarser]
+
+
+def test_query_condition_falls_back_through_the_partition_it_holds(tiny_graph):
+    cond = QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)  # report has size 4
+    fallback = cond.partition
+    assert fallback == ProvenancePartition((PatternVertex("c0", VertexType.ARTIFACT, "report"),))
+    for value, expected in ((1, MatchValue.NAMES), (2, MatchValue.NAMES), (8, MatchValue.FULL)):
+        memo = {}  # one decision's
+        assert eval_atomic(cond, tiny_graph, {"size": value}, memo) is expected
+        assert cond.partition is fallback
+        assert memo == ({} if expected is MatchValue.FULL else {id(fallback): MatchValue.FULL})
+    missing = QueryCondition(VertexType.ARTIFACT, "memo", "size", Predicate.LEQ)
+    memo = {}
+    assert eval_atomic(missing, tiny_graph, {"size": 8}, memo) is MatchValue.TYPES
+    assert memo.keys() == {id(missing.partition), id(missing.partition.coarser[0])}
+    # the derived partition is not part of the condition's value
+    assert cond == QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)
+    assert "partition" not in repr(cond)
+
+
+# -- compiled constraints against eval_predicate ----------------------------------
+
+_AWARE = timezone.utc
+_KIND_SAMPLES = {
+    "int": (4, 5, 6),
+    "str": ("abc", "bc", "c"),
+    "naive timestamp": (datetime(2020, 1, 1), datetime(2020, 1, 2), datetime(2020, 1, 3)),
+    "aware timestamp": (
+        datetime(2020, 1, 1, tzinfo=_AWARE), datetime(2020, 1, 2, tzinfo=_AWARE), datetime(2020, 1, 3, tzinfo=_AWARE)
+    ),
+}
+
+
+def test_compiled_constraint_agrees_with_eval_predicate_on_every_kind():
+    """Every predicate, operand kind and value kind; a type mismatch or a missing item fails."""
+    g = ProvenanceGraph()
+    vids = [g.add_vertex(VertexType.ARTIFACT, "v", {"x": value}) for vs in _KIND_SAMPLES.values() for value in vs]
+    vids.append(g.add_vertex(VertexType.ARTIFACT, "v"))  # no item at all
+    checked = set()
+    for pred in Predicate:
+        for operand_kind, (_, operand, _) in _KIND_SAMPLES.items():
+            pv = PatternVertex("v", VertexType.ARTIFACT, None, (AttrConstraint("x", pred, operand),))
+            for vid in vids:
+                attrs = g.attributes_of(vid)
+                try:
+                    expected = "x" in attrs and eval_predicate(pred, attrs["x"], operand)
+                except TypeMismatchError:
+                    expected = False
+                assert matching._attrs_hold(pv, vid, g) is expected, (pred, operand, attrs)
+                checked.add((pred, operand_kind, expected))
+    assert len(checked) == 7 * 4 * 2 - 3  # `~` holds for strings alone
+
+
+# -- the step budget ------------------------------------------------------------
+
+def test_the_coarser_partitions_own_plan_sets_the_step_budget_below_full(monkeypatch):
+    """Below FULL the coarser partition is searched in its own plan, which may take more steps.
+
+    The pattern's plan starts at its constrained process; its coarser has no
+    constraint and starts at the artifact, the first vertex, so it tries each
+    artifact generated by the wrong process before the one `run` used.
+    """
+    g = ProvenanceGraph()
+    run, other = g.add_vertex(VertexType.PROCESS, "run", {"k": 2}), g.add_vertex(VertexType.PROCESS, "other")
+    for i in range(4):
+        g.add_edge(g.add_vertex(VertexType.ARTIFACT, f"x{i}"), other, EdgeLabel.WAS_GENERATED_BY)
+    made = g.add_vertex(VertexType.ARTIFACT, "made")
+    g.add_edge(made, run, EdgeLabel.WAS_GENERATED_BY)
+    g.add_edge(run, made, EdgeLabel.USED)
+    part = ProvenancePartition(
+        (
+            PatternVertex("a", VertexType.ARTIFACT),
+            PatternVertex("p", VertexType.PROCESS, None, (AttrConstraint("k", Predicate.EQ, 1),)),
+        ),
+        (PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY), PatternEdge("p", "a", EdgeLabel.USED)),
+    )
+    assert part.plan[0].vertex.ref == "p" and part.coarser[0].plan[0].vertex.ref == "a"
+    monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 5)
+    assert match_partition(part, g) is MatchValue.NAMES
+    # a search in the pattern's own plan took 1 step here; the coarser's takes 5
+    monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 4)
+    with pytest.raises(SearchLimitError, match="after 4 steps"):
+        match_partition(part, g)
 
 
 # -- the step budget ------------------------------------------------------------

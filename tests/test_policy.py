@@ -132,9 +132,9 @@ def test_compiled_trees_sharing_leaves_and_one_memo_match_the_oracle(tiny_graph,
     assert len(set(leaf_values)) == 3
     matched = []
 
-    def counting(cond, graph, query_attrs=None):
+    def counting(cond, graph, query_attrs=None, memo=None):
         matched.append(cond)
-        return eval_atomic(cond, graph, query_attrs)
+        return eval_atomic(cond, graph, query_attrs, memo)
 
     # leaves are matched through the module's global, looked up at call time
     monkeypatch.setattr(policy, "eval_atomic", counting)
@@ -153,7 +153,9 @@ def test_compiled_trees_sharing_leaves_and_one_memo_match_the_oracle(tiny_graph,
         assert eval_access_tree(tree, tiny_graph, memo=memo) == oracle_fold_tree(shape, leaf_values)
         assert eval_access_tree(tree, tiny_graph) == oracle_fold_tree(shape, leaf_values)
     assert sorted(map(id, matched[: len(conditions)])) == sorted(map(id, conditions))
-    assert len(memo) == len(conditions)
+    # the memo also holds the coarser partition of each leaf that fell below FULL
+    coarser = [c.partition.coarser[0] for c, v in zip(conditions, leaf_values) if v < MatchValue.FULL]
+    assert memo.keys() == set(map(id, conditions + coarser)) and len(memo) == len(conditions) + 3
 
 
 def test_compiled_program_is_post_order_and_kept_out_of_equality(tiny_graph):
@@ -535,9 +537,9 @@ def test_each_leaf_object_is_evaluated_once_per_call(tiny_graph, monkeypatch):
     calls = []
     match_partition = policy.match_partition
 
-    def counting_match_partition(partition, graph):
+    def counting_match_partition(partition, graph, memo=None):
         calls.append(partition)
-        return match_partition(partition, graph)
+        return match_partition(partition, graph, memo)
 
     monkeypatch.setattr(policy, "match_partition", counting_match_partition)
     leaf = TreeLeaf(condition_from_dict(_partition_doc()))
