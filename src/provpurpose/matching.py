@@ -10,9 +10,9 @@ Match results form a chain, best to worst:
 * ``NONE``: not even the typed shape is present.
 
 A partition is searched once, for FULL. Its lower levels are the value of its
-:attr:`~ProvenancePartition.coarser` partition, the same pattern with its
-constraints or names dropped, which equal partitions share; a leaf memo holds
-that value for a whole decision, so partitions of one skeleton search it once.
+:attr:`~ProvenancePartition.coarser` partition, constraints or names dropped.
+Equal patterns, decoded or derived, are one object from one table, and a leaf
+memo keeps each object's value for a decision, so each is searched once in it.
 
 Conjunction is ``min`` and disjunction is ``max`` on that chain; only ``FULL``
 ever grants purposes downstream.
@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cache, cached_property
 from operator import contains, eq, ge, gt, le, lt, ne
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Union
 
@@ -154,7 +154,7 @@ class AttrConstraint:
     item: str
     pred: Predicate
     operand: AttrValue
-    kind: str | None = field(init=False, compare=False, repr=False)
+    kind: str | None = field(init=False, repr=False)  # compared, so 1 and True (which never holds) differ
     test: Callable[[Any, Any], bool] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -254,9 +254,9 @@ class ProvenancePartition:
 
         With the attribute constraints dropped it stands for NAMES; a
         partition without constraints drops its names instead, and that
-        stands for TYPES. One with neither has no coarser (None). Equal
-        coarser partitions are one object, held here as long as this
-        partition lives, so a leaf memo may key its value by identity.
+        stands for TYPES. One with neither has no coarser (None). It is the
+        one object of its value (see :func:`_intern`), held here as long as
+        this partition lives, so a leaf memo may key its value by identity.
         """
         if any(v.constraints for v in self.vertices):
             vertices, level = tuple(PatternVertex(v.ref, v.vtype, v.name) for v in self.vertices), _NAMES
@@ -264,11 +264,23 @@ class ProvenancePartition:
             vertices, level = tuple(PatternVertex(v.ref, v.vtype) for v in self.vertices), _TYPES
         else:
             return None
-        return _COARSER.setdefault((vertices, self.edges), ProvenancePartition(vertices, self.edges)), level
+        return _intern(ProvenancePartition(vertices, self.edges)), level
 
 
-#: The one object of each distinct coarser partition, held only while a finer partition holds it.
-_COARSER: weakref.WeakValueDictionary[tuple[Any, ...], ProvenancePartition] = weakref.WeakValueDictionary()
+#: The one object of each distinct pattern, keyed by its type and compared fields; it holds none alive.
+_INTERNED: weakref.WeakValueDictionary[tuple[Any, ...], Any] = weakref.WeakValueDictionary()
+
+
+@cache
+def _compared_fields(kind: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(kind) if f.compare)
+
+
+def _intern(pattern: Any) -> Any:
+    """The one live object equal to `pattern`: decoded leaves and derived partitions all come from here."""
+    kind = type(pattern)
+    return _INTERNED.setdefault((kind, *map(pattern.__getattribute__, _compared_fields(kind))), pattern)
+
 
 #: Match values found within one decision, keyed by the identity of the condition or partition.
 LeafMemo = dict[int, MatchValue]
@@ -617,20 +629,20 @@ class QueryCondition:
 
 @dataclass(frozen=True)
 class TargetCondition:
-    """A target string, parsed once at construction."""
+    """A target string, parsed once at construction into the one object of its partition."""
 
     text: str
     partition: ProvenancePartition = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "partition", parse_target(self.text))
+        object.__setattr__(self, "partition", _intern(parse_target(self.text)))
 
 
 AtomicCondition = Union[NullCondition, VertexCondition, AttrCondition, QueryCondition, TargetCondition]
 
 
 def _single(vtype: VertexType, name: str, constraints: tuple[AttrConstraint, ...] = ()) -> ProvenancePartition:
-    return ProvenancePartition((PatternVertex("c0", vtype, name, constraints),))
+    return _intern(ProvenancePartition((PatternVertex("c0", vtype, name, constraints),)))
 
 
 def eval_atomic(
@@ -642,8 +654,8 @@ def eval_atomic(
     """Evaluate one atomic condition against a graph (and request attributes).
 
     `memo` is handed to :func:`match_partition`. A query condition builds
-    its constrained partition per call, since it depends on the request; its
-    lower levels come from the condition's own :attr:`QueryCondition.partition`.
+    its constrained partition per call, since it depends on the request, and
+    does not intern it; its lower levels come from its own :attr:`~QueryCondition.partition`.
     A query condition whose named attribute is absent from the request
     evaluates to NONE rather than raising.
     """
@@ -654,8 +666,8 @@ def eval_atomic(
     if isinstance(cond, QueryCondition):
         if not query_attrs or cond.query_attr not in query_attrs:
             return MatchValue.NONE
-        constraint = AttrConstraint(cond.query_attr, cond.pred, query_attrs[cond.query_attr])
-        if _find_embedding(_single(cond.vtype, cond.name, (constraint,)), graph):
+        c = AttrConstraint(cond.query_attr, cond.pred, query_attrs[cond.query_attr])
+        if _find_embedding(ProvenancePartition((PatternVertex("c0", cond.vtype, cond.name, (c,)),)), graph):
             return _FULL
         return _lower(cond.partition, _NAMES, graph, memo)
     raise TypeError(f"not an atomic condition: {cond!r}")

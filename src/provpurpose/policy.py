@@ -29,10 +29,9 @@ record tagged "assignment" satisfies a policy scoped to "assignments").
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from typing import AbstractSet, Any, Callable, Mapping, Union
 
 from . import _docs
@@ -54,6 +53,7 @@ from .matching import (
     QueryCondition,
     TargetCondition,
     VertexCondition,
+    _intern,
     eval_atomic,
     match_and,
     match_or,
@@ -343,27 +343,14 @@ def _partition_from_dict(doc: Any) -> ProvenancePartition:
     return ProvenancePartition(tuple(vertices), tuple(edges))
 
 
-#: The one decoded object of each distinct leaf condition, held only while a policy holds it.
-_INTERNED: weakref.WeakValueDictionary[tuple[Any, ...], LeafCondition] = weakref.WeakValueDictionary()
-
-
-@cache
-def _compared_fields(kind: type) -> tuple[str, ...]:
-    """The names of the fields a condition type's equality compares, in order."""
-    return tuple(f.name for f in fields(kind) if f.compare)
-
-
 def condition_from_dict(doc: Mapping[str, Any]) -> LeafCondition:
     """Decode one leaf condition; equal conditions decode to one shared object.
 
     Sharing is what lets a decision evaluate each distinct leaf once (see
-    :func:`eval_access_tree`). The table is keyed by the condition's type and
-    fields, not by the condition itself, so it keeps no condition alive.
+    :func:`eval_access_tree`). The object is `matching`'s one of its value,
+    so a decoded partition is also every finer one's coarser partition.
     """
-    cond = _decode_condition(doc)
-    kind = type(cond)
-    key = (kind, *map(cond.__getattribute__, _compared_fields(kind)))
-    return _INTERNED.setdefault(key, cond)
+    return _intern(_decode_condition(doc))
 
 
 def _decode_condition(doc: Mapping[str, Any]) -> LeafCondition:

@@ -25,11 +25,13 @@ from provpurpose import (
     QueryCondition,
     SearchLimitError,
     TargetCondition,
+    TreeLeaf,
     TypeMismatchError,
     VertexCondition,
     VertexType,
     WILDCARD_TOKEN,
     condition_from_dict,
+    eval_access_tree,
     eval_atomic,
     eval_predicate,
     graph_from_dict,
@@ -558,6 +560,38 @@ def test_coarser_drops_constraints_then_names_and_equal_coarsers_are_one_object(
         assert first.coarser[0] is second.coarser[0] and first.coarser is first.coarser
     named_twice = ProvenancePartition((named,))
     assert named_twice.coarser[0].coarser is None
+    # a decoded leaf is the coarser partition of its value, whichever comes first
+    def decoded(name, *attrs):
+        return condition_from_dict({"partition": {
+            "vertices": [
+                {"ref": "a", "type": "artifact", "name": name, "attrs": list(attrs)},
+                {"ref": "p", "type": "process", "name": "ingest"},
+            ],
+            "edges": [["a", "p", "wasGeneratedBy"]],
+        }})
+
+    leaf_first = decoded("leaf first")
+    assert decoded("leaf first", ["size", ">", 10]).coarser[0] is leaf_first
+    coarser_first = decoded("coarser first", ["size", ">", 10]).coarser[0]
+    assert decoded("coarser first") is coarser_first
+    # and so are the partitions conditions derive, built in Python too
+    t, n = VertexType.ARTIFACT, "report"
+    assert (
+        VertexCondition(t, n).partition
+        is AttrCondition(t, n, "size", Predicate.GT, 10).partition.coarser[0]
+        is QueryCondition(t, n, "size", Predicate.GT).partition
+    )
+    target = TargetCondition('/artifact[name="report"]')
+    assert TargetCondition('/artifact[name="report"][size > 10]').partition.coarser[0] is target.partition
+    assert TargetCondition(' /artifact[ name = "report" ]').partition is target.partition
+
+
+def test_an_operand_that_never_holds_is_not_equal_to_one_that_can(tiny_graph):
+    """``True == 1``, but only a test against 1 can hold, so the two are different patterns."""
+    assert AttrConstraint("size", Predicate.EQ, True) != AttrConstraint("size", Predicate.EQ, 1)
+    one, true = (AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.GEQ, v) for v in (1, True))
+    assert one.partition is not true.partition
+    assert [eval_atomic(c, tiny_graph) for c in (one, true)] == [MatchValue.FULL, MatchValue.NAMES]
 
 
 def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkeypatch):
@@ -580,11 +614,20 @@ def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkey
         generated(AttrConstraint("fmt", Predicate.EQ, "doc")),
         generated(AttrConstraint("size", Predicate.LT, 4), AttrConstraint("fmt", Predicate.EQ, "pdf")),
     ]
+    # the skeleton's unconstrained partition as a decoded leaf, met last through the same memo
+    leaf = condition_from_dict({"partition": {
+        "vertices": [
+            {"ref": "a", "type": "artifact", "name": "report"},
+            {"ref": "p", "type": "process", "name": "ingest"},
+        ],
+        "edges": [["a", "p", "wasGeneratedBy"]],
+    }})
     memo = {}
     assert [match_partition(p, tiny_graph, memo) for p in parts] == [MatchValue.NAMES] * 3
+    assert eval_access_tree(TreeLeaf(leaf), tiny_graph, memo=memo) is MatchValue.FULL
     coarser = parts[0].coarser[0]
-    assert all(p.coarser[0] is coarser for p in parts)
-    assert searched == [parts[0], coarser, parts[1], parts[2]]  # 3 + 1 searches, not 3 x 2
+    assert all(p.coarser[0] is coarser for p in parts) and leaf is coarser
+    assert searched == [parts[0], coarser, parts[1], parts[2]]  # 3 + 1 searches, not 3 x 2 or 3 + 2
     assert memo == {id(coarser): MatchValue.FULL}
     # without a memo each call searches the coarser partition again
     assert match_partition(parts[1], tiny_graph) is MatchValue.NAMES

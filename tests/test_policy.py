@@ -531,6 +531,13 @@ def test_interning_keeps_no_condition_alive():
     ref = weakref.ref(condition_from_dict({"vertex": ["agent", "held by nothing else"]}))
     gc.collect()
     assert ref() is None
+    # nor a partition derived from one: a leaf's coarser partition, a vertex condition's partition
+    leaf = condition_from_dict(_partition_doc(ref="held by nothing else"))
+    cond = condition_from_dict({"vertex": ["agent", "also held by nothing else"]})
+    refs = [weakref.ref(obj) for obj in (leaf, leaf.coarser[0], cond, cond.partition)]
+    del leaf, cond
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
 
 
 def test_each_leaf_object_is_evaluated_once_per_call(tiny_graph, monkeypatch):
