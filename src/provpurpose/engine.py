@@ -16,9 +16,11 @@ A decision runs in four stages:
    the trace derives the per-policy decisions from the shape outcomes when
    first read. Each distinct leaf condition object is evaluated once per
    decision, however many policies and parties share it, and so is each
-   coarser partition that gives a partition its lower levels. The
-   requester's role order is walked once per decision for every policy's
-   subject guard.
+   coarser partition that gives a partition its lower levels. From the
+   second constrained partition of a coarser partition on, the coarser's
+   embeddings are enumerated once per decision, and each constrained
+   partition is graded against them instead of searched. The requester's
+   role order is walked once per decision for every policy's subject guard.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several

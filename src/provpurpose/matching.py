@@ -13,6 +13,10 @@ A partition is searched once, for FULL. Its lower levels are the value of its
 :attr:`~ProvenancePartition.coarser` partition, constraints or names dropped.
 Equal patterns, decoded or derived, are one object from one table, and a leaf
 memo keeps each object's value for a decision, so each is searched once in it.
+Constrained partitions that share a coarser partition share its embeddings
+too: from the second of them in a decision on, the coarser's embeddings are
+enumerated once into the memo, and each partition is graded against them by
+its constraints instead of searched.
 
 Conjunction is ``min`` and disjunction is ``max`` on that chain; only ``FULL``
 ever grants purposes downstream.
@@ -21,7 +25,8 @@ An embedding here is an injective mapping of pattern vertices to graph
 vertices that preserves every pattern edge, matching edge labels exactly
 (wildcard pattern edges only require some edge in the right direction).
 A partition search that takes more than :data:`MAX_SEARCH_STEPS` steps
-raises :class:`SearchLimitError` instead of returning a value.
+raises :class:`SearchLimitError` instead of returning a value; an enumeration
+that does is dropped, and each partition is searched on its own.
 
 Path patterns are a linear sublanguage: a comma-separated list of steps where
 ``\\v*`` is a wildcard absorbing any run of intermediate vertices and every
@@ -266,6 +271,16 @@ class ProvenancePartition:
             return None
         return _intern(ProvenancePartition(vertices, self.edges)), level
 
+    @cached_property
+    def graded(self) -> tuple[tuple[int, PatternVertex], ...]:
+        """Each constrained vertex, with its place in the :attr:`coarser` partition's plan.
+
+        An embedding of the coarser partition holds one graph vertex per
+        place; it embeds this partition when those vertices hold the constraints.
+        """
+        at = {placement.vertex.ref: i for i, placement in enumerate(self.coarser[0].plan)}
+        return tuple((at[v.ref], v) for v in self.vertices if v.constraints)
+
 
 #: The one object of each distinct pattern, keyed by its type and compared fields; it holds none alive.
 _INTERNED: weakref.WeakValueDictionary[tuple[Any, ...], Any] = weakref.WeakValueDictionary()
@@ -282,8 +297,12 @@ def _intern(pattern: Any) -> Any:
     return _INTERNED.setdefault((kind, *map(pattern.__getattribute__, _compared_fields(kind))), pattern)
 
 
-#: Match values found within one decision, keyed by the identity of the condition or partition.
-LeafMemo = dict[int, MatchValue]
+#: What one decision has found. A condition's or a partition's match value
+#: is keyed by its identity. The embeddings of the coarser partition of
+#: constrained partitions are keyed by its negated identity: a mark once one
+#: of them was searched on its own, then every embedding, or a mark that they
+#: take too many steps.
+LeafMemo = dict[int, Any]
 
 
 #: Candidates one partition search may draw for pattern vertices after the
@@ -292,13 +311,27 @@ MAX_SEARCH_STEPS = 100_000
 
 # Looking up an enum member costs a call on Python 3.11; matching reads these per call.
 _FULL, _NAMES, _TYPES, _NONE = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES, MatchValue.NONE
+_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES
 
 
 def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
-    """Whether the vertex's attributes satisfy every constraint; a missing or incomparable value fails."""
-    attrs = graph.attributes_of(vid)
+    """Whether the vertex's attributes satisfy every constraint; a missing or incomparable value fails.
+
+    The payloads are read in place, as :meth:`ProvenanceGraph.attributes_of`
+    would merge them: an Attribute vertex has its own, any other vertex those
+    one ``hasAttributes`` hop away, and the last of them to hold an item wins.
+    """
+    vertices = graph.vertices
+    vertex = vertices[vid]
+    own, out = vertex.vtype is _ATTRIBUTE, graph.out_edges(vid)
     for c in pv.constraints:
-        value = attrs.get(c.item)
+        if own:
+            value = vertex.attrs.get(c.item)
+        else:
+            value = None
+            for e in out:
+                if e.label is _HAS_ATTRIBUTES:
+                    value = vertices[e.dst].attrs.get(c.item, value)
         if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
             return False
     return True
@@ -336,13 +369,15 @@ def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Plac
     return iter(found)
 
 
-def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph) -> bool:
+def _search(partition: ProvenancePartition, graph: ProvenanceGraph, found: list[tuple[str, ...]] | None) -> bool:
     """Whether some injective, edge-preserving placement of the whole pattern exists.
 
     One backtracking loop over a stack of candidate iterators, one per plan
     entry up to the one being placed; `placed` maps pattern refs to graph
-    vertices in plan order. Each candidate drawn for a vertex after the first
-    is a step; past :data:`MAX_SEARCH_STEPS` steps the search raises
+    vertices in plan order. Given a `found` list, the search appends every
+    placement to it, as its graph vertices in plan order, and goes on to the
+    end. Each candidate drawn for a vertex after the first is a step; past
+    :data:`MAX_SEARCH_STEPS` steps the search raises
     :class:`SearchLimitError`, since a guessed value would change decisions.
     """
     plan = partition.plan
@@ -367,10 +402,41 @@ def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph) -> b
             if placed:
                 placed.popitem()
             continue
-        if len(placed) == len(plan):
+        if len(placed) < len(plan):
+            pending.append(_candidates(graph, placed, plan[len(placed)]))
+            continue
+        if found is None:
             return True
-        pending.append(_candidates(graph, placed, plan[len(placed)]))
+        found.append(tuple(placed.values()))
+        placed.popitem()  # the last vertex draws its next candidate
     return False
+
+
+def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph) -> bool:
+    """Whether the partition has an embedding: the search stops at the first."""
+    return _search(partition, graph, None)
+
+
+def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> list[tuple[str, ...]] | None:
+    """Every embedding, as its graph vertices in plan order; None when they take too many steps."""
+    found: list[tuple[str, ...]] = []
+    try:
+        _search(partition, graph, found)
+    except SearchLimitError:
+        return None
+    return found
+
+
+def _grade(partition: ProvenancePartition, embedding: tuple[str, ...], graph: ProvenanceGraph) -> bool:
+    """Whether an embedding of the coarser partition also holds the partition's constraints."""
+    for at, pv in partition.graded:
+        if not _attrs_hold(pv, embedding[at], graph):
+            return False
+    return True
+
+
+# The states of a coarser partition's embeddings in a memo, besides the embeddings themselves.
+_ONE_SEARCHED, _TOO_MANY = "one finer partition searched", "too many steps"
 
 
 def match_partition(
@@ -378,28 +444,62 @@ def match_partition(
 ) -> MatchValue:
     """Best level at which the partition embeds into the graph.
 
-    The partition is searched once, for FULL. If that fails, its value is its
-    :attr:`~ProvenancePartition.coarser`'s, with FULL standing for the
-    coarser's level: taken from `memo` when the decision has already matched
-    that coarser partition, else matched and stored there. A call without a
-    memo gets a fresh one.
+    A constrained partition's :attr:`~ProvenancePartition.coarser`
+    partition C drops its constraints and keeps every name. The first
+    constrained partition of C in a memo is searched on its own and leaves
+    a mark for C. The second enumerates C's embeddings once into the memo,
+    with C's value, and from then on each constrained partition of C is
+    FULL when some embedding of C also holds its constraints. C has the same
+    vertices, names, edges and injectivity, so that is the value of a
+    search. If the enumeration takes more than :data:`MAX_SEARCH_STEPS`
+    steps, the memo says so and each partition of C is searched on its own.
+    Any other partition is searched once, for FULL: a coarser partition
+    that drops names would lose the name index, and could have an embedding
+    for every vertex of a type where the search looks a name up once.
+    Without an embedding, a partition's value is C's, FULL standing for C's
+    level: taken from `memo` when the decision has already matched C, else
+    matched and stored there. A call without a memo gets a fresh one.
     """
-    if _find_embedding(partition, graph):
-        return _FULL
     coarser = partition.coarser
-    return _NONE if coarser is None else _lower(*coarser, graph, memo)
+    if coarser is None:
+        return _FULL if _find_embedding(partition, graph) else _NONE
+    if memo is None:
+        memo = {}
+    below, level = coarser
+    shared = None
+    if level is _NAMES:
+        key = -id(below)
+        shared = memo.get(key)
+        if shared is None:
+            memo[key] = _ONE_SEARCHED
+        elif shared is _ONE_SEARCHED:
+            embeddings = _all_embeddings(below, graph)
+            shared = memo[key] = _TOO_MANY if embeddings is None else embeddings
+            if embeddings:
+                memo[id(below)] = _FULL
+    if type(shared) is list:
+        for embedding in shared:
+            if _grade(partition, embedding, graph):
+                return _FULL
+    elif _find_embedding(partition, graph):
+        return _FULL
+    return _lower(below, level, graph, memo)
 
 
 def _lower(
-    coarser: ProvenancePartition, level: MatchValue, graph: ProvenanceGraph, memo: LeafMemo | None
+    coarser: ProvenancePartition, level: MatchValue, graph: ProvenanceGraph, memo: LeafMemo
 ) -> MatchValue:
-    """The value of a pattern whose own search failed, from its coarser partition."""
-    if memo is None:
-        memo = {}
-    value = memo.get(id(coarser))
-    if value is None:
-        value = memo[id(coarser)] = match_partition(coarser, graph, memo)
+    """The value of a pattern with no embedding, from its coarser partition."""
+    value = _value(coarser, graph, memo)
     return level if value is _FULL else value
+
+
+def _value(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> MatchValue:
+    """The partition's value in `memo`, matched and stored there if it is not yet."""
+    value = memo.get(id(partition))
+    if value is None:
+        value = memo[id(partition)] = match_partition(partition, graph, memo)
+    return value
 
 
 # -- path patterns ------------------------------------------------------------
@@ -653,7 +753,9 @@ def eval_atomic(
 ) -> MatchValue:
     """Evaluate one atomic condition against a graph (and request attributes).
 
-    `memo` is handed to :func:`match_partition`. A query condition builds
+    A vertex, attribute or target condition's value is its partition's,
+    read from `memo` under the partition's identity, or matched and stored
+    there; a call without a memo gets a fresh one. A query condition builds
     its constrained partition per call, since it depends on the request, and
     does not intern it; its lower levels come from its own :attr:`~QueryCondition.partition`.
     A query condition whose named attribute is absent from the request
@@ -661,8 +763,10 @@ def eval_atomic(
     """
     if isinstance(cond, NullCondition):
         return MatchValue.FULL
+    if memo is None:
+        memo = {}
     if isinstance(cond, (VertexCondition, AttrCondition, TargetCondition)):
-        return match_partition(cond.partition, graph, memo)
+        return _value(cond.partition, graph, memo)
     if isinstance(cond, QueryCondition):
         if not query_attrs or cond.query_attr not in query_attrs:
             return MatchValue.NONE

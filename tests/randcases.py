@@ -214,6 +214,63 @@ def same_skeleton(rng: random.Random, partition: ProvenancePartition) -> Provena
     return ProvenancePartition(tuple(vertices), partition.edges)
 
 
+def skeleton_family(rng: random.Random, graph: ProvenanceGraph) -> list[ProvenancePartition]:
+    """2-8 partitions of one skeleton of 1-4 vertices, most of them sharing a coarser partition.
+
+    The skeleton is most often grown along edges of the graph, which are kept
+    or made wildcards; now and then a vertex takes another's type, so two
+    pattern vertices of one type need injectivity, and some skeletons carry a
+    self-loop. Most partitions keep the skeleton's names and draw
+    constraints anew for one or more of its vertices; the rest draw names
+    anew and have no constraints.
+    """
+    k = rng.randint(1, 4)
+    main = [v.id for v in graph.main_vertices()]
+    walk = [rng.choice(main)]
+    tree: list[tuple[int, int, EdgeLabel]] = []  # (src index, dst index, graph label)
+    while len(walk) < k:
+        at = rng.randrange(len(walk))
+        out = [(e.dst, e.label, True) for e in graph.out_edges(walk[at]) if e.label is not EdgeLabel.HAS_ATTRIBUTES]
+        options = [o for o in out + [(e.src, e.label, False) for e in graph.in_edges(walk[at])] if o[0] not in walk]
+        if not options:
+            break
+        other, label, forward = rng.choice(options)
+        walk.append(other)
+        tree.append((at, len(walk) - 1, label) if forward else (len(walk) - 1, at, label))
+    k = len(walk)
+    types = [graph.vertex(vid).vtype for vid in walk]
+    names = [graph.vertex(vid).name if rng.random() < 0.8 else rng.choice(_NAMES + (None,)) for vid in walk]
+    if k > 1 and rng.random() < 0.15:
+        types[1] = types[0]
+    edges = [PatternEdge(f"r{src}", f"r{dst}", None if rng.random() < 0.5 else label) for src, dst, label in tree]
+    if rng.random() < 0.2:
+        loop = f"r{rng.randrange(k)}"
+        edges.append(PatternEdge(loop, loop, rng.choice((None,) + _PLAIN_LABELS)))
+    def constraint(vid: str) -> AttrConstraint:
+        held = sorted(graph.attributes_of(vid).items())
+        if held and rng.random() < 0.5:  # one the walk's vertex holds, though another may stand for it
+            item, value = rng.choice(held)
+            return AttrConstraint(item, rng.choice((Predicate.EQ, Predicate.GEQ, Predicate.LEQ)), value)
+        return _random_constraint(rng)
+
+    family = []
+    for _ in range(rng.randint(2, 8)):
+        if rng.random() < 0.8:
+            constrained = rng.sample(range(k), rng.randint(1, k))
+            vertices = [
+                PatternVertex(
+                    f"r{i}", t, n, tuple(constraint(walk[i]) for _ in range(rng.choice((1, 1, 2)) * (i in constrained)))
+                )
+                for i, (t, n) in enumerate(zip(types, names))
+            ]
+        else:
+            vertices = [
+                PatternVertex(f"r{i}", t, rng.choice((n, n, None) + _NAMES)) for i, (t, n) in enumerate(zip(types, names))
+            ]
+        family.append(ProvenancePartition(tuple(vertices), tuple(edges)))
+    return family
+
+
 def random_path_pattern(rng: random.Random) -> PathPattern:
     """1-5 steps whose inner steps may be wildcards; half match by name only."""
     k = rng.randint(1, 5)

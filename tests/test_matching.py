@@ -25,7 +25,9 @@ from provpurpose import (
     QueryCondition,
     SearchLimitError,
     TargetCondition,
+    TreeBranch,
     TreeLeaf,
+    TreeOp,
     TypeMismatchError,
     VertexCondition,
     VertexType,
@@ -57,6 +59,7 @@ from randcases import (
     random_path_pattern,
     random_provenance_graph,
     same_skeleton,
+    skeleton_family,
 )
 
 
@@ -177,6 +180,52 @@ def test_partition_reads_the_last_payload_holding_an_item(sizes):
     assert match_partition(ProvenancePartition((bundle,)), g) is expected
 
 
+def test_constraints_read_the_payloads_in_place_as_attributes_of_merges_them():
+    """Two bundles of one artifact hold `n` and `s`: the later one wins, for every predicate and vertex."""
+    g = ProvenanceGraph()
+    art = g.add_vertex(VertexType.ARTIFACT, "report")
+    payloads = ({"n": 1, "s": "ab", "t": datetime(2020, 1, 1)}, {"n": 5, "s": "b"})
+    for i, payload in enumerate(payloads):
+        g.add_vertex(VertexType.ATTRIBUTE, f"bundle {i}", payload, vid=f"b{i}")
+        g.add_edge(art, f"b{i}", EdgeLabel.HAS_ATTRIBUTES)
+    proc = g.add_vertex(VertexType.PROCESS, "ingest")
+    g.add_edge(art, proc, EdgeLabel.WAS_GENERATED_BY)  # an out-edge to no payload
+
+    def merged_holds(constraints, vid):
+        attrs = g.attributes_of(vid)
+        for c in constraints:
+            try:
+                if c.item not in attrs or not eval_predicate(c.pred, attrs[c.item], c.operand):
+                    return False
+            except TypeMismatchError:
+                return False
+        return True
+
+    operands = (0, 1, 3, 5, 6, "a", "b", "ab", datetime(2020, 1, 1), datetime(2021, 1, 1), True)
+    constraints = [
+        AttrConstraint(item, pred, operand)
+        for item in ("n", "s", "t", "missing") for pred in Predicate for operand in operands
+    ]
+    rng = random.Random(41)
+    for vid in (art, "b0", "b1", proc):
+        vtype = g.vertex(vid).vtype
+        for c in constraints:
+            assert matching._attrs_hold(PatternVertex("v", vtype, None, (c,)), vid, g) is merged_holds((c,), vid)
+        for _ in range(200):
+            pair = tuple(rng.sample(constraints, 2))
+            assert matching._attrs_hold(PatternVertex("v", vtype, None, pair), vid, g) is merged_holds(pair, vid)
+    # the artifact reads n and s from the later bundle, t from the earlier one
+    assert matching._attrs_hold(
+        PatternVertex("v", VertexType.ARTIFACT, None, (
+            AttrConstraint("n", Predicate.EQ, 5),
+            AttrConstraint("s", Predicate.EQ, "b"),
+            AttrConstraint("t", Predicate.EQ, datetime(2020, 1, 1)),
+        )),
+        art,
+        g,
+    )
+
+
 def test_partition_type_mismatch_counts_as_unsatisfied(tiny_graph):
     # comparing the string attribute with an int cannot hold at the full stratum
     p = ProvenancePartition(
@@ -187,7 +236,7 @@ def test_partition_type_mismatch_counts_as_unsatisfied(tiny_graph):
 
 def test_embedding_is_injective():
     g = ProvenanceGraph()
-    a = g.add_vertex(VertexType.ARTIFACT, "x")
+    a = g.add_vertex(VertexType.ARTIFACT, "x", {"k": 1})
     p = g.add_vertex(VertexType.PROCESS, "gen")
     g.add_edge(a, p, EdgeLabel.WAS_GENERATED_BY)
     two_artifacts = ProvenancePartition(
@@ -203,6 +252,15 @@ def test_embedding_is_injective():
     )
     # only one artifact exists, so the two pattern artifacts cannot both embed
     assert match_partition(two_artifacts, g) is MatchValue.NONE
+    # nor do they when partitions of that skeleton are graded against its embeddings
+    u, v, w = two_artifacts.vertices
+    constrained = [
+        ProvenancePartition((PatternVertex("u", u.vtype, None, (AttrConstraint("k", Predicate.GEQ, j),)), v, w), two_artifacts.edges)
+        for j in range(3)
+    ]
+    memo = {}
+    assert [match_partition(p, g, memo) for p in constrained] == [MatchValue.NONE] * 3
+    assert memo[-id(constrained[0].coarser[0])] == []  # enumerated, and found none
 
 
 def test_match_agrees_with_exhaustive_oracle_sample():
@@ -428,13 +486,19 @@ def test_partition_search_through_one_memo_agrees_with_previous_matcher():
             got = match_partition(pattern, g, memo)
             assert got is reference_match_partition(pattern, g), pattern
             strata.add(got)
-        # the memo holds only coarser partitions, one or two levels down, each with its own value
+        # the memo holds only coarser partitions, one or two levels down, each with its own value,
+        # and under its negated identity a mark or the embeddings of each, found when it has some
         below = {}
         for p in patterns:
             while p.coarser is not None:
                 p = p.coarser[0]
                 below[id(p)] = p
-        assert all(value is reference_match_partition(below[key], g) for key, value in memo.items())
+        for key, value in memo.items():
+            found = reference_match_partition(below[abs(key)], g)
+            if key > 0:
+                assert value is found
+            elif value is not matching._ONE_SEARCHED:
+                assert bool(value) is (found is MatchValue.FULL)
         first = [p.coarser[0] for p in patterns if p.coarser is not None]
         shared += len(first) - len(set(map(id, first)))
     assert shared > 100 and strata == set(MatchValue)
@@ -594,10 +658,17 @@ def test_an_operand_that_never_holds_is_not_equal_to_one_that_can(tiny_graph):
     assert [eval_atomic(c, tiny_graph) for c in (one, true)] == [MatchValue.FULL, MatchValue.NAMES]
 
 
-def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkeypatch):
-    searched = []
-    find = matching._find_embedding
+def _counting(monkeypatch):
+    """Record each partition search and each enumeration of a coarser partition's embeddings."""
+    searched, enumerated = [], []
+    find, enumerate_all = matching._find_embedding, matching._all_embeddings
     monkeypatch.setattr(matching, "_find_embedding", lambda p, g: searched.append(p) or find(p, g))
+    monkeypatch.setattr(matching, "_all_embeddings", lambda p, g: enumerated.append(p) or enumerate_all(p, g))
+    return searched, enumerated
+
+
+def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkeypatch):
+    searched, enumerated = _counting(monkeypatch)
 
     def generated(*constraints):
         return ProvenancePartition(
@@ -627,11 +698,79 @@ def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkey
     assert eval_access_tree(TreeLeaf(leaf), tiny_graph, memo=memo) is MatchValue.FULL
     coarser = parts[0].coarser[0]
     assert all(p.coarser[0] is coarser for p in parts) and leaf is coarser
-    assert searched == [parts[0], coarser, parts[1], parts[2]]  # 3 + 1 searches, not 3 x 2 or 3 + 2
-    assert memo == {id(coarser): MatchValue.FULL}
+    # the first partition and the coarser are searched; the second enumerates the coarser's
+    # embeddings, against which it and the third are graded
+    assert searched == [parts[0], coarser] and enumerated == [coarser]
+    report, ingest = tiny_graph.ids_of(VertexType.ARTIFACT, "report")[0], tiny_graph.ids_of(VertexType.PROCESS)[0]
+    assert memo == {id(coarser): MatchValue.FULL, -id(coarser): [(report, ingest)]}
     # without a memo each call searches the coarser partition again
     assert match_partition(parts[1], tiny_graph) is MatchValue.NAMES
-    assert searched[4:] == [parts[1], coarser]
+    assert searched[2:] == [parts[1], coarser] and enumerated == [coarser]
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_partitions_of_one_skeleton_take_at_most_3_searches_and_1_enumeration(n, tiny_graph, monkeypatch):
+    searched, enumerated = _counting(monkeypatch)
+    rng = random.Random(n)
+    parts = [
+        ProvenancePartition(
+            (
+                PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint("size", rng.choice(list(Predicate)[:6]), i),)),
+                PatternVertex("p", VertexType.PROCESS, "ingest"),
+            ),
+            (PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY),),
+        )
+        for i in range(n)
+    ]
+    memo = {}
+    got = [match_partition(p, tiny_graph, memo) for p in parts]
+    assert len(searched) <= 3 and enumerated == [parts[0].coarser[0]]
+    assert got == [reference_match_partition(p, tiny_graph) for p in parts]
+    assert {MatchValue.FULL, MatchValue.NAMES} <= set(got) or n == 2
+
+
+def test_a_condition_on_anothers_coarser_partition_reads_it_from_the_memo(tiny_graph, monkeypatch):
+    searched, _ = _counting(monkeypatch)
+    attr = AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.GT, 10)  # the report has size 4
+    vertex = VertexCondition(VertexType.ARTIFACT, "report")
+    tree = TreeBranch(TreeOp.AND, (TreeLeaf(attr), TreeLeaf(vertex)))
+    assert eval_access_tree(tree, tiny_graph) is MatchValue.NAMES
+    # the vertex condition's partition is the attribute condition's coarser: searched once, not twice
+    assert attr.partition.coarser[0] is vertex.partition
+    assert searched == [attr.partition, vertex.partition]
+
+
+def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the_oracles(monkeypatch):
+    """Partitions of one skeleton, in shuffled order, share a memo as the leaves of a decision do.
+
+    Each gets the value it gets alone, with a fresh memo, and those of the
+    reference matcher and of the exhaustive oracle, which checks self-loops
+    and so is given the pattern without them.
+    """
+    _, enumerated = _counting(monkeypatch)
+    graded = []
+    grade = matching._grade
+    monkeypatch.setattr(matching, "_grade", lambda p, e, g: graded.append((p, grade(p, e, g))) or graded[-1][1])
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(300):
+        g = random_provenance_graph(rng, 6)
+        family = skeleton_family(rng, g)
+        rng.shuffle(family)
+        memo = {}
+        for p in family:
+            got = match_partition(p, g, memo)
+            assert got is match_partition(p, g) is reference_match_partition(p, g), p
+            loopless = ProvenancePartition(p.vertices, tuple(e for e in p.edges if e.src != e.dst))
+            assert int(got) == oracle_match_partition(loopless, g), p
+            seen.add((got, len(p.vertices), len(p.edges) > len(loopless.edges)))
+    assert {value for value, _, _ in seen} == set(MatchValue)
+    assert {k for _, k, _ in seen} == {1, 2, 3, 4} and any(loop for _, _, loop in seen)
+    assert len(enumerated) > 200
+    # embeddings that held and failed the constraints of several vertices, and of two vertices of one type
+    several = [held for p, held in graded if sum(bool(v.constraints) for v in p.vertices) > 1]
+    one_type = [held for p, held in graded if len({v.vtype for v in p.vertices}) < len(p.vertices)]
+    assert len(several) > 50 and len(one_type) > 50 and all(map(any, (several, one_type))) and not all(several)
 
 
 def test_query_condition_falls_back_through_the_partition_it_holds(tiny_graph):
@@ -718,6 +857,87 @@ def test_the_coarser_partitions_own_plan_sets_the_step_budget_below_full(monkeyp
 
 
 # -- the step budget ------------------------------------------------------------
+
+def test_an_enumeration_over_the_step_budget_leaves_each_partition_to_its_own_search(monkeypatch):
+    """`run` used ten artifacts, one of which it generated: the coarser's enumeration takes 10 steps.
+
+    A partition asking for ``k >= j`` takes 10 - j steps alone, and the one
+    that no artifact satisfies takes 10 in its coarser's search.
+    """
+    g = ProvenanceGraph()
+    run = g.add_vertex(VertexType.PROCESS, "run")
+    used = [g.add_vertex(VertexType.ARTIFACT, f"x{i}", {"k": i}) for i in range(10)]
+    for vid in used:
+        g.add_edge(run, vid, EdgeLabel.USED)
+    g.add_edge(used[-1], run, EdgeLabel.WAS_GENERATED_BY)
+
+    def at_least(j):
+        return ProvenancePartition(
+            (
+                PatternVertex("p", VertexType.PROCESS, "run"),
+                PatternVertex("a", VertexType.ARTIFACT, None, (AttrConstraint("k", Predicate.GEQ, j),)),
+            ),
+            (PatternEdge("p", "a", EdgeLabel.USED), PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY)),
+        )
+
+    def outcome(p, memo=None):
+        try:
+            return match_partition(p, g, memo)
+        except SearchLimitError:
+            return "gives up"
+
+    parts = [at_least(j) for j in range(11)]
+    coarser = parts[0].coarser[0]
+    monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 5)
+    alone = {id(p): outcome(p) for p in parts}  # a fresh memo: each partition searched on its own
+    assert list(alone.values()) == ["gives up"] * 5 + [MatchValue.FULL] * 5 + ["gives up"]
+    _, enumerated = _counting(monkeypatch)
+    rng = random.Random(43)
+    for _ in range(5):
+        rng.shuffle(parts)
+        memo = {}
+        assert [outcome(p, memo) for p in parts] == [alone[id(p)] for p in parts]
+        assert memo[-id(coarser)] is matching._TOO_MANY
+    assert enumerated == [coarser] * 5
+
+
+def test_an_enumeration_in_the_coarsers_plan_can_decide_where_a_partitions_own_search_gives_up(monkeypatch):
+    """A partition graded against its coarser's embeddings runs no search of its own.
+
+    `later`'s own plan starts at its constrained ``C`` and tries each of the
+    four processes that used it: 4 steps. The coarser's plan starts at
+    ``A``, whose one generating process used no ``C``: 1 step. So at a
+    budget of 3, `later` alone gives up, but after `first` it is graded.
+    """
+    g = ProvenanceGraph()
+    target = g.add_vertex(VertexType.ARTIFACT, "C", {"k": 1})
+    for i in range(4):
+        g.add_edge(g.add_vertex(VertexType.PROCESS, f"u{i}"), target, EdgeLabel.USED)
+    made, maker = g.add_vertex(VertexType.ARTIFACT, "A"), g.add_vertex(VertexType.PROCESS, "q")
+    g.add_edge(made, maker, EdgeLabel.WAS_GENERATED_BY)
+    g.add_edge(maker, g.add_vertex(VertexType.ARTIFACT, "D"), EdgeLabel.USED)
+
+    def constrained(at):
+        return ProvenancePartition(
+            tuple(
+                PatternVertex(ref, vtype, name, (AttrConstraint("k", Predicate.EQ, 1),) if ref == at else ())
+                for ref, vtype, name in (
+                    ("a", VertexType.ARTIFACT, "A"), ("b", VertexType.PROCESS, None), ("c", VertexType.ARTIFACT, "C")
+                )
+            ),
+            (PatternEdge("a", "b", EdgeLabel.WAS_GENERATED_BY), PatternEdge("b", "c", EdgeLabel.USED)),
+        )
+
+    first, later = constrained("a"), constrained("c")
+    assert first.coarser[0] is later.coarser[0]
+    assert later.plan[0].vertex.ref == "c" and later.coarser[0].plan[0].vertex.ref == "a"
+    monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 3)
+    with pytest.raises(SearchLimitError, match="after 3 steps"):
+        match_partition(later, g)  # alone, searched in its own plan
+    memo = {}
+    assert match_partition(first, g, memo) is MatchValue.TYPES
+    assert match_partition(later, g, memo) is MatchValue.TYPES is reference_match_partition(later, g)
+
 
 def test_one_vertex_pattern_is_never_refused_by_the_step_budget(monkeypatch):
     monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 0)
