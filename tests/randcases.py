@@ -256,17 +256,14 @@ def skeleton_family(rng: random.Random, graph: ProvenanceGraph) -> list[Provenan
     family = []
     for _ in range(rng.randint(2, 8)):
         if rng.random() < 0.8:
-            constrained = rng.sample(range(k), rng.randint(1, k))
+            constrained = set(rng.sample(range(k), rng.randint(1, k)))
+            counts = [rng.choice((1, 1, 2)) if i in constrained else 0 for i in range(k)]
             vertices = [
-                PatternVertex(
-                    f"r{i}", t, n, tuple(constraint(walk[i]) for _ in range(rng.choice((1, 1, 2)) * (i in constrained)))
-                )
-                for i, (t, n) in enumerate(zip(types, names))
+                PatternVertex(f"r{i}", types[i], names[i], tuple(constraint(walk[i]) for _ in range(counts[i])))
+                for i in range(k)
             ]
         else:
-            vertices = [
-                PatternVertex(f"r{i}", t, rng.choice((n, n, None) + _NAMES)) for i, (t, n) in enumerate(zip(types, names))
-            ]
+            vertices = [PatternVertex(f"r{i}", types[i], rng.choice((names[i], names[i], None) + _NAMES)) for i in range(k)]
         family.append(ProvenancePartition(tuple(vertices), tuple(edges)))
     return family
 

@@ -255,7 +255,9 @@ def test_embedding_is_injective():
     # nor do they when partitions of that skeleton are graded against its embeddings
     u, v, w = two_artifacts.vertices
     constrained = [
-        ProvenancePartition((PatternVertex("u", u.vtype, None, (AttrConstraint("k", Predicate.GEQ, j),)), v, w), two_artifacts.edges)
+        ProvenancePartition(
+            (PatternVertex("u", u.vtype, None, (AttrConstraint("k", Predicate.GEQ, j),)), v, w), two_artifacts.edges
+        )
         for j in range(3)
     ]
     memo = {}
@@ -712,10 +714,11 @@ def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkey
 def test_partitions_of_one_skeleton_take_at_most_3_searches_and_1_enumeration(n, tiny_graph, monkeypatch):
     searched, enumerated = _counting(monkeypatch)
     rng = random.Random(n)
+    orders = [p for p in Predicate if p is not Predicate.CONTAINS]
     parts = [
         ProvenancePartition(
             (
-                PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint("size", rng.choice(list(Predicate)[:6]), i),)),
+                PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint("size", rng.choice(orders), i),)),
                 PatternVertex("p", VertexType.PROCESS, "ingest"),
             ),
             (PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY),),
