@@ -563,43 +563,48 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
     """FULL when some directed walk realizes every step in order, else NONE.
 
     The walk is searched depth-first on an explicit stack, so a lineage of
-    any depth decides. A state is (vertex, step, entry label, entry refined
-    label), which is all that a step reads of the edge it came in by; a state
-    seen once, from any start, cannot lead anywhere new a second time.
+    any depth decides. A state is a vertex and a step: a concrete step that
+    holds there, or a wildcard that absorbs the vertex and goes on to its
+    successors. A step reads nothing else of the walk, so a state seen once,
+    from any start, cannot lead anywhere new a second time.
 
     A step holds at a vertex named NAME, or else at one entered by an edge
     whose label or refined label is LABEL; labels compare as text, since an
-    :class:`EdgeLabel` is a ``str``. The entry label is None only at the
-    walk's first vertex, which may use any of its outgoing edges instead.
+    :class:`EdgeLabel` is a ``str``. So a step is checked as the walk
+    arrives, along its edge: a wildcard there may also absorb nothing, and
+    the next step is checked at the same vertex and edge. The walk's first
+    vertex, entered by no edge, may use any of its outgoing edges instead.
     """
     steps = pattern.steps
     last = len(steps) - 1
     vertices, out_edges = graph.vertices, graph.out_edges
-    seen: set[tuple[str, int, EdgeLabel | None, str | None]] = set()
+    first = steps[0]
+    seen: set[tuple[str, int]] = set()
     for start in vertices:
-        stack: list[tuple[str, int, EdgeLabel | None, str | None]] = [(start, 0, None, None)]
+        if vertices[start].name != first.vertex_name and not any(
+            first.edge_or_process in (e.label, e.refined) for e in out_edges(start)
+        ):
+            continue
+        if not last:
+            return MatchValue.FULL
+        stack = [(start, 0)]
         while stack:
             state = stack.pop()
             if state in seen:
                 continue
             seen.add(state)
-            vid, i, label, refined = state
-            step = steps[i]
-            if step is None:
-                stack.extend((e.dst, i, e.label, e.refined) for e in out_edges(vid))
-                stack.append((vid, i + 1, label, refined))
-                continue
-            if vertices[vid].name != step.vertex_name:
-                token = step.edge_or_process
-                if label is None:
-                    holds = any(token in (e.label, e.refined) for e in out_edges(vid))
-                else:
-                    holds = token in (label, refined)
-                if not holds:
-                    continue
-            if i == last:
-                return MatchValue.FULL
-            stack.extend((e.dst, i + 1, e.label, e.refined) for e in out_edges(vid))
+            vid, i = state
+            if steps[i] is not None:
+                i += 1
+            for e in out_edges(vid):
+                dst, j = e.dst, i
+                while (step := steps[j]) is None:
+                    stack.append((dst, j))
+                    j += 1
+                if vertices[dst].name == step.vertex_name or step.edge_or_process in (e.label, e.refined):
+                    if j == last:
+                        return MatchValue.FULL
+                    stack.append((dst, j))
     return MatchValue.NONE
 
 

@@ -362,6 +362,17 @@ def test_path_wildcard_can_absorb_nothing(submission_graph):
     assert match_path(p, submission_graph) is MatchValue.FULL
 
 
+@pytest.mark.parametrize("text", ["used|a, used|z", f"used|a, {WILDCARD_TOKEN}, used|z"])
+def test_a_step_reads_the_edge_the_walk_arrived_by_whichever_came_first(text):
+    """Two starts named ``a`` enter ``b``: the first by a ``wasGeneratedBy`` edge, which fails the step, then by ``used``."""
+    g = ProvenanceGraph()
+    first, second, b = (g.add_vertex(VertexType.PROCESS, name) for name in ("a", "a", "b"))
+    g.add_edge(first, b, EdgeLabel.WAS_GENERATED_BY)
+    g.add_edge(second, b, EdgeLabel.USED)
+    assert match_path(parse_path_pattern(text), g) is MatchValue.FULL
+    assert match_path(parse_path_pattern(text.replace("used|z", "wasTriggeredBy|z")), g) is MatchValue.NONE
+
+
 def test_path_match_agrees_with_walk_oracle():
     rng = random.Random(17)
     # "Used" differs from a label's text only in case, so it must never match a used edge
