@@ -58,7 +58,7 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 # decide calls no split_result, as party plans check purposes; the name stays bound for decidebench's tracer.
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, MissingHierarchyLineError, ProvPurposeError, StageError
-from .external import PartyResult, merge_parties
+from .external import PartyResult, merge_parties, party_result_to_dict
 from .policy import LeafMemo, Policy, PolicyDecision, Request, RoleOrder, check_purposes, evaluate_policy
 from .provenance import ProvenanceGraph
 from .purposes import PurposeGraph, PurposeSet
@@ -287,10 +287,8 @@ def outcome_to_dict(outcome: DecisionOutcome) -> dict[str, Any]:
         ),
         "parties": [
             {
-                "party": trace.party,
+                **party_result_to_dict(trace.result),
                 "internal": trace.internal_expr,
-                "ap": sorted(trace.result.ap),
-                "pp": sorted(trace.result.pp),
                 "policies": [
                     {
                         "id": pid,

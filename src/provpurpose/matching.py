@@ -16,7 +16,8 @@ memo keeps each object's value for a decision, so each is searched once in it.
 Constrained partitions that share a coarser partition share its embeddings
 too: from the second of them in a decision on, the coarser's embeddings are
 enumerated once into the memo, and each partition is graded against them by
-its constraints instead of searched.
+its constraints instead of searched. So is a query condition's partition,
+built per request: the memo keys only its coarser, which the condition holds.
 
 Conjunction is ``min`` and disjunction is ``max`` on that chain; only ``FULL``
 ever grants purposes downstream.
@@ -294,14 +295,19 @@ def _compared_fields(kind: type) -> tuple[str, ...]:
 def _intern(pattern: Any) -> Any:
     """The one live object equal to `pattern`: decoded leaves and derived partitions all come from here."""
     kind = type(pattern)
-    return _INTERNED.setdefault((kind, *map(pattern.__getattribute__, _compared_fields(kind))), pattern)
+    try:
+        return _INTERNED.setdefault((kind, *map(pattern.__getattribute__, _compared_fields(kind))), pattern)
+    except TypeError:  # an unhashable operand, which no constraint holds, such as a caller's request value
+        return pattern
 
 
 #: What one decision has found. A condition's or a partition's match value
 #: is keyed by its identity. The embeddings of the coarser partition of
 #: constrained partitions are keyed by its negated identity: a mark once one
 #: of them was searched on its own, then every embedding, or a mark that they
-#: take too many steps.
+#: take too many steps. Every key is an object that a policy tree or a
+#: condition holds, so no other object takes its identity in a decision: a
+#: partition built for one call, as a query condition's, is never a key.
 LeafMemo = dict[int, Any]
 
 
@@ -458,7 +464,8 @@ def match_partition(
     for every vertex of a type where the search looks a name up once.
     Without an embedding, a partition's value is C's, FULL standing for C's
     level: taken from `memo` when the decision has already matched C, else
-    matched and stored there. A call without a memo gets a fresh one.
+    matched and stored there. A call without a memo gets a fresh one. The
+    memo keys C, never the partition given (see :data:`LeafMemo`).
     """
     coarser = partition.coarser
     if coarser is None:
@@ -483,14 +490,7 @@ def match_partition(
                 return _FULL
     elif _find_embedding(partition, graph):
         return _FULL
-    return _lower(below, level, graph, memo)
-
-
-def _lower(
-    coarser: ProvenancePartition, level: MatchValue, graph: ProvenanceGraph, memo: LeafMemo
-) -> MatchValue:
-    """The value of a pattern with no embedding, from its coarser partition."""
-    value = _value(coarser, graph, memo)
+    value = _value(below, graph, memo)
     return level if value is _FULL else value
 
 
@@ -666,6 +666,8 @@ def parse_target(text: str) -> ProvenancePartition:
             inner = s[pos + 1 : end].strip()
             nm = _NAME_RE.match(inner)
             if nm:
+                if name is not None:
+                    raise PatternSyntaxError("segment names its vertex twice", pos)
                 name = nm.group(1)
             else:
                 cm = _CONSTRAINT_RE.match(inner)
@@ -728,7 +730,7 @@ class QueryCondition:
 
     @cached_property
     def partition(self) -> ProvenancePartition:
-        """The vertex without the request's constraint: the coarser partition of every query."""
+        """The vertex without the request's constraint: every request's coarser partition, held for the memo."""
         return _single(self.vtype, self.name)
 
 
@@ -760,9 +762,9 @@ def eval_atomic(
 
     A vertex, attribute or target condition's value is its partition's,
     read from `memo` under the partition's identity, or matched and stored
-    there; a call without a memo gets a fresh one. A query condition builds
-    its constrained partition per call, since it depends on the request, and
-    does not intern it; its lower levels come from its own :attr:`~QueryCondition.partition`.
+    there; a call without a memo gets a fresh one. A query condition adds
+    the request's constraint to its :attr:`~QueryCondition.partition`, per
+    call, and matches that through `memo` as any constrained partition is.
     A query condition whose named attribute is absent from the request
     evaluates to NONE rather than raising.
     """
@@ -775,8 +777,7 @@ def eval_atomic(
     if isinstance(cond, QueryCondition):
         if not query_attrs or cond.query_attr not in query_attrs:
             return MatchValue.NONE
+        cond.partition  # the coarser partition the memo keys, held by the condition from here on
         c = AttrConstraint(cond.query_attr, cond.pred, query_attrs[cond.query_attr])
-        if _find_embedding(ProvenancePartition((PatternVertex("c0", cond.vtype, cond.name, (c,)),)), graph):
-            return _FULL
-        return _lower(cond.partition, _NAMES, graph, memo)
+        return match_partition(_single(cond.vtype, cond.name, (c,)), graph, memo)
     raise TypeError(f"not an atomic condition: {cond!r}")

@@ -70,11 +70,13 @@ ALLOWED_EDGES: frozenset[tuple[VertexType, VertexType, EdgeLabel]] = frozenset(
 )
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ProvVertex:
     """One graph vertex. Ids are the identity; names may repeat.
 
     In a graph, main vertices share one read-only empty `attrs` mapping.
+    Frozen, since the graph's :meth:`~ProvenanceGraph.ids_of` index reads
+    types and names once.
     """
 
     id: str
@@ -98,9 +100,20 @@ class ProvEdge:
 
 
 # A frozen dataclass's __init__ sets each field through object.__setattr__.
-# add_edge, run once per edge, fills the same slots through their descriptors
-# in about half the time; the edge is as equal, hashable and frozen as any other.
+# _add_vertex and add_edge, run once per vertex and edge, fill the same slots
+# through their descriptors in about half the time; the object is as equal
+# and frozen as any other.
 _set_src, _set_dst, _set_label, _set_refined = (getattr(ProvEdge, f.name).__set__ for f in fields(ProvEdge))
+_set_id, _set_vtype, _set_name, _set_attrs = (getattr(ProvVertex, f.name).__set__ for f in fields(ProvVertex))
+
+
+def _vertex(vid: str, vtype: VertexType, name: str, attrs: Mapping[str, AttrValue]) -> ProvVertex:
+    vertex = object.__new__(ProvVertex)
+    _set_id(vertex, vid)
+    _set_vtype(vertex, vtype)
+    _set_name(vertex, name)
+    _set_attrs(vertex, attrs)
+    return vertex
 
 
 @dataclass
@@ -152,14 +165,14 @@ class ProvenanceGraph:
             raise InputFormatError(f"duplicate vertex id {vid!r}")
         self._index = None
         if vtype is _ATTRIBUTE:
-            vertices[vid] = ProvVertex(vid, vtype, name, {} if payload is None else payload)
+            vertices[vid] = _vertex(vid, vtype, name, {} if payload is None else payload)
             return vid
-        vertices[vid] = ProvVertex(vid, vtype, name, _NO_ATTRS)
+        vertices[vid] = _vertex(vid, vtype, name, _NO_ATTRS)
         if payload:
             att_id = f"{vid}:att"
             if att_id in vertices:
                 raise InputFormatError(f"duplicate vertex id {att_id!r}")
-            vertices[att_id] = ProvVertex(att_id, _ATTRIBUTE, f"{name} attributes", payload)
+            vertices[att_id] = _vertex(att_id, _ATTRIBUTE, f"{name} attributes", payload)
             self.add_edge(vid, att_id, _HAS_ATTRIBUTES)
         return vid
 

@@ -422,6 +422,7 @@ def test_parse_target_errors():
         ("/artifact[t = 2020-13-45]", "bad timestamp '2020-13-45' (at position 9)"),
         ("/artifact[k = ?]", "bad value '?' (at position 9)"),
         ("/agent/artifactx", "expected '/' before 'x' (at position 15)"),
+        ('/artifact[name="a"][name="b"]', "segment names its vertex twice (at position 19)"),
     ):
         with pytest.raises(PatternSyntaxError, match=f"^{re.escape(message)}$"):
             parse_target(bad)
@@ -448,6 +449,7 @@ def test_query_condition_uses_request_attrs(tiny_graph):
     cond = QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)
     assert eval_atomic(cond, tiny_graph, {"size": 10}) is MatchValue.FULL
     assert eval_atomic(cond, tiny_graph, {"size": 1}) is MatchValue.NAMES
+    assert eval_atomic(cond, tiny_graph, {"size": [10]}) is MatchValue.NAMES  # no value of its kind
     assert eval_atomic(cond, tiny_graph, {}) is MatchValue.NONE
     assert eval_atomic(cond, tiny_graph, None) is MatchValue.NONE
 
@@ -789,20 +791,54 @@ def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the
 
 def test_query_condition_falls_back_through_the_partition_it_holds(tiny_graph):
     cond = QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)  # report has size 4
-    fallback = cond.partition
-    assert fallback == ProvenancePartition((PatternVertex("c0", VertexType.ARTIFACT, "report"),))
+    fallback = None
     for value, expected in ((1, MatchValue.NAMES), (2, MatchValue.NAMES), (8, MatchValue.FULL)):
         memo = {}  # one decision's
         assert eval_atomic(cond, tiny_graph, {"size": value}, memo) is expected
+        # the memo keys only the coarser partition, which the condition holds from its first evaluation on
+        fallback = fallback or vars(cond)["partition"]
         assert cond.partition is fallback
-        assert memo == ({} if expected is MatchValue.FULL else {id(fallback): MatchValue.FULL})
+        lower = {} if expected is MatchValue.FULL else {id(fallback): MatchValue.FULL}
+        assert memo == {-id(fallback): matching._ONE_SEARCHED, **lower}
+    assert fallback == ProvenancePartition((PatternVertex("c0", VertexType.ARTIFACT, "report"),))
     missing = QueryCondition(VertexType.ARTIFACT, "memo", "size", Predicate.LEQ)
     memo = {}
     assert eval_atomic(missing, tiny_graph, {"size": 8}, memo) is MatchValue.TYPES
-    assert memo.keys() == {id(missing.partition), id(missing.partition.coarser[0])}
+    assert memo.keys() == {-id(missing.partition), id(missing.partition), id(missing.partition.coarser[0])}
     # the derived partition is not part of the condition's value
     assert cond == QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)
     assert "partition" not in repr(cond)
+
+
+@pytest.mark.parametrize(
+    "query_first, bound, floor, second",
+    [  # the report has size 4, and the first condition evaluated holds
+        (True, 8, 2, MatchValue.FULL),
+        (True, 8, 10, MatchValue.NAMES),
+        (False, 8, 2, MatchValue.FULL),
+        (False, 1, 2, MatchValue.NAMES),
+    ],
+)
+def test_a_query_and_an_attribute_condition_on_one_vertex_share_its_embeddings(
+    query_first, bound, floor, second, tiny_graph, monkeypatch
+):
+    """Both are constrained partitions of one vertex: the first is searched, the second graded.
+
+    The first holds, so neither falls back to a search of the vertex alone.
+    """
+    searched, enumerated = _counting(monkeypatch)
+    t, n = VertexType.ARTIFACT, "report"
+    query = QueryCondition(t, n, "size", Predicate.LEQ)  # size <= bound
+    attr = AttrCondition(t, n, "size", Predicate.GT, floor)
+    memo = {}  # one decision's
+    values = {}
+    for cond in (query, attr) if query_first else (attr, query):
+        values[cond] = eval_atomic(cond, tiny_graph, {"size": bound}, memo)
+    assert len(searched) == 1 and enumerated == [attr.partition.coarser[0]] == [query.partition]
+    request = ProvenancePartition((PatternVertex("c0", t, n, (AttrConstraint("size", Predicate.LEQ, bound),)),))
+    assert int(values[query]) == oracle_match_partition(request, tiny_graph)
+    assert int(values[attr]) == oracle_match_partition(attr.partition, tiny_graph)
+    assert values[attr if query_first else query] is second
 
 
 # -- compiled constraints against eval_predicate ----------------------------------

@@ -126,6 +126,21 @@ def test_add_edge_builds_the_frozen_edge_the_constructor_builds():
         edge.dst = a
 
 
+def test_add_vertex_builds_the_frozen_vertex_the_constructor_builds():
+    """A vertex renamed in place would leave the ids_of index naming it by its old name."""
+    g = ProvenanceGraph()
+    g.add_vertex(VertexType.ARTIFACT, "x", {"k": 1}, vid="x")
+    g.add_vertex(VertexType.ATTRIBUTE, "bundle", {"k": 2}, vid="b")
+    assert g.vertex("x") == ProvVertex("x", VertexType.ARTIFACT, "x", {})
+    assert g.vertex("x:att") == ProvVertex("x:att", VertexType.ATTRIBUTE, "x attributes", {"k": 1})
+    assert repr(g.vertex("b")) == repr(ProvVertex("b", VertexType.ATTRIBUTE, "bundle", {"k": 2}))
+    for vertex in g.vertices.values():
+        for f in dataclasses.fields(ProvVertex):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vertex, f.name, "y")
+    assert list(g.ids_of(VertexType.ARTIFACT, "x")) == ["x"] and not g.ids_of(VertexType.ARTIFACT, "y")
+
+
 def test_main_vertices_excludes_attribute_bundles(tiny_graph):
     kinds = {v.vtype for v in tiny_graph.main_vertices()}
     assert VertexType.ATTRIBUTE not in kinds
