@@ -20,7 +20,7 @@ A decision runs in four stages:
    second constrained partition of a coarser partition on, the coarser's
    embeddings are enumerated once per decision, and each constrained
    partition is graded against them instead of searched. The requester's
-   role order is walked once per decision for every policy's subject guard.
+   role order is walked once per decision; subject guards read only the walk.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several
@@ -59,7 +59,7 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties, party_result_to_dict
-from .policy import LeafMemo, Policy, PolicyDecision, Request, RoleOrder, check_purposes, evaluate_policy
+from .policy import LeafMemo, Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
 from .provenance import ProvenanceGraph
 from .purposes import PurposeGraph, PurposeSet
 
@@ -150,8 +150,11 @@ class PartyConfig:
             ids = [p.id for p in self.policies]
             if len(set(ids)) != len(ids):
                 raise ConfigurationError(f"party {self.party!r} has duplicate policy ids")
+            known = pg.purposes
             for pol in self.policies:
-                check_purposes(pol, pg)
+                if not (pol.ap <= known and pol.pp <= known):
+                    unknown = min((pol.ap | pol.pp) - known)
+                    raise ConfigurationError(f"policy {pol.id!r} uses purpose {unknown!r} not in the purpose graph")
             bits = pg.bits
             masks = tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies)
             plan = self._plans[pg] = _PartyPlan(masks, {})
@@ -233,7 +236,6 @@ def decide(
                     record.provenance,
                     request,
                     data_category=record.category,
-                    role_order=role_order,
                     memo=memo,
                     reach=reach,
                 )

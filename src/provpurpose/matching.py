@@ -293,12 +293,9 @@ def _compared_fields(kind: type) -> tuple[str, ...]:
 
 
 def _intern(pattern: Any) -> Any:
-    """The one live object equal to `pattern`: decoded leaves and derived partitions all come from here."""
+    """The one live object equal to `pattern`: hashable, and held by a policy or a condition, as every one here is."""
     kind = type(pattern)
-    try:
-        return _INTERNED.setdefault((kind, *map(pattern.__getattribute__, _compared_fields(kind))), pattern)
-    except TypeError:  # an unhashable operand, which no constraint holds, such as a caller's request value
-        return pattern
+    return _INTERNED.setdefault((kind, *map(pattern.__getattribute__, _compared_fields(kind))), pattern)
 
 
 #: What one decision has found. A condition's or a partition's match value
@@ -307,7 +304,7 @@ def _intern(pattern: Any) -> Any:
 #: of them was searched on its own, then every embedding, or a mark that they
 #: take too many steps. Every key is an object that a policy tree or a
 #: condition holds, so no other object takes its identity in a decision: a
-#: partition built for one call, as a query condition's, is never a key.
+#: query condition's per-request partition is never a key, nor interned.
 LeafMemo = dict[int, Any]
 
 
@@ -610,7 +607,7 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
 
 # -- targets ------------------------------------------------------------------
 
-_SEGMENT_TYPE_RE = re.compile(r"(agent|artifact|process)")
+_SEGMENT_TYPE_RE = re.compile(r"(agent|artifact|process)", re.IGNORECASE | re.ASCII)  # ASCII: no "ſ" for "s"
 _NAME_RE = re.compile(r'name\s*=\s*"([^"]*)"\Z')
 _PREDICATES = sorted((p.value for p in Predicate), key=len, reverse=True)
 _CONSTRAINT_RE = re.compile(r"(\w+)\s*(" + "|".join(map(re.escape, _PREDICATES)) + r")\s*(.+)\Z")
@@ -763,10 +760,10 @@ def eval_atomic(
     A vertex, attribute or target condition's value is its partition's,
     read from `memo` under the partition's identity, or matched and stored
     there; a call without a memo gets a fresh one. A query condition adds
-    the request's constraint to its :attr:`~QueryCondition.partition`, per
-    call, and matches that through `memo` as any constrained partition is.
-    A query condition whose named attribute is absent from the request
-    evaluates to NONE rather than raising.
+    the request's constraint to its :attr:`~QueryCondition.partition` in a
+    plain partition per call, neither interned nor a memo key, and matches
+    that through `memo` as any constrained partition is. A query condition
+    whose named attribute is absent from the request evaluates to NONE.
     """
     if isinstance(cond, NullCondition):
         return MatchValue.FULL
@@ -779,5 +776,5 @@ def eval_atomic(
             return MatchValue.NONE
         cond.partition  # the coarser partition the memo keys, held by the condition from here on
         c = AttrConstraint(cond.query_attr, cond.pred, query_attrs[cond.query_attr])
-        return match_partition(_single(cond.vtype, cond.name, (c,)), graph, memo)
+        return match_partition(ProvenancePartition((PatternVertex("c0", cond.vtype, cond.name, (c,)),)), graph, memo)
     raise TypeError(f"not an atomic condition: {cond!r}")

@@ -23,7 +23,7 @@ of seven module constants keyed by tree value and guard result.
 Subject guards compare the requester's role with the policy's subjects under
 an optional role order (junior -> seniors, reflexive and transitive); without
 one, only equal role names match. Category guards treat a data category as
-covered by a policy category when it equals it or occurs inside it (so a
+covered by a policy category when it is not empty and occurs inside it (so a
 record tagged "assignment" satisfies a policy scoped to "assignments").
 """
 
@@ -37,7 +37,7 @@ from typing import AbstractSet, Any, Callable, Mapping, Union
 from . import _docs
 from ._dagutil import reachable_from
 from .algebra import MAX_NESTING, _post_order
-from .errors import ConfigurationError, InputFormatError
+from .errors import InputFormatError
 from .matching import (
     AtomicCondition,
     AttrCondition,
@@ -68,7 +68,7 @@ from .provenance import (
     attr_value_from_json,
     vertex_type_from_json,
 )
-from .purposes import PurposeGraph, PurposeSet
+from .purposes import PurposeSet
 
 LeafCondition = Union[ProvenancePartition, PathPattern, AtomicCondition]
 
@@ -241,7 +241,7 @@ def role_leq(junior: str, senior: str, order: RoleOrder | None = None) -> bool:
 
 
 def category_covered(data_category: str, policy_category: str) -> bool:
-    return data_category == policy_category or data_category in policy_category
+    return bool(data_category) and data_category in policy_category
 
 
 def guards_pass(
@@ -271,39 +271,29 @@ def guards_pass(
     return True
 
 
-def check_purposes(policy: Policy, purpose_graph: PurposeGraph) -> None:
-    """Raise on the smallest of the policy's purposes that `purpose_graph` lacks."""
-    known = purpose_graph.purposes
-    if not (policy.ap <= known and policy.pp <= known):
-        unknown = min((policy.ap | policy.pp) - known)
-        raise ConfigurationError(f"policy {policy.id!r} uses purpose {unknown!r} not in the purpose graph")
-
-
 def evaluate_policy(
     policy: Policy,
     graph: ProvenanceGraph,
     request: Request,
     data_category: str | None = None,
     role_order: RoleOrder | None = None,
-    purpose_graph: PurposeGraph | None = None,
+    *,
     memo: LeafMemo | None = None,
     reach: AbstractSet[str] | None = None,
 ) -> PolicyDecision:
     """Decide whether a policy applies and which purposes it releases.
 
-    With a purpose graph supplied, the policy's purposes must all be members
-    of it. Purposes are released only on a FULL tree match with passing
-    guards; otherwise both sets come back empty and the trace fields say why.
+    Purposes are released only on a FULL tree match with passing guards;
+    otherwise both sets come back empty and the trace fields say why. A
+    party's plan, not this, checks the policy's purposes.
     No decision is built here: an applicable policy returns its own
     :attr:`Policy.applied`, made once per policy, and every other outcome is
     one of seven shared decisions, one per (tree value, guards passed).
     `memo` is handed to :func:`eval_access_tree`; policies decided against
     the same graph and request may share one. `reach` is handed to
     :func:`guards_pass`; policies decided for the same request and role
-    order may share it.
+    order may share it, and then `role_order` is not read.
     """
-    if purpose_graph is not None:
-        check_purposes(policy, purpose_graph)
     guards_ok = guards_pass(policy, request, data_category, role_order, reach)
     tree_value = eval_access_tree(policy.tree, graph, request.query_attrs, memo)
     if guards_ok and tree_value is _FULL:

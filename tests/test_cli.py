@@ -63,6 +63,16 @@ def test_evaluate_empty_decision_still_succeeds(capsys, tmp_path):
     assert json.loads(out)["decided"] == []
 
 
+def test_evaluate_empty_category_is_covered_by_no_policy_category(capsys, tmp_path):
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps({"subject": "student", "category": "", "attached_purposes": ["education"]}))
+    argv = _case_study_eval_args()
+    argv[argv.index("--request") + 1] = str(request)
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["decided"] == []
+
+
 def test_evaluate_naive_against_aware_timestamp_is_unsatisfied(capsys, tmp_path):
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({

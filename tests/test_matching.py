@@ -412,11 +412,18 @@ def test_parse_target_value_kinds():
     assert values == ["x", 3, datetime(2009, 3, 1)]
 
 
+def test_target_segment_types_are_case_insensitive():
+    assert parse_target('/Artifact[name="r"]/PROCESS') == parse_target('/artifact[name="r"]/process')
+    assert TargetCondition('/aGeNt').partition is TargetCondition("/agent").partition
+
+
 def test_parse_target_errors():
     for bad, message in (
         ("", "empty target"),
         ("agent", "target must start with '/' (at position 0)"),
         ("/robot", "expected agent, artifact, or process (at position 1)"),
+        # Unicode case folding would take a long s for "s"
+        ("/proce\u017f\u017f", "expected agent, artifact, or process (at position 1)"),
         ('/agent[name="x"', "unclosed '[' (at position 6)"),
         ("/agent[~~]", "bad constraint '~~' (at position 6)"),
         ("/artifact[t = 2020-13-45]", "bad timestamp '2020-13-45' (at position 9)"),
@@ -445,6 +452,11 @@ def test_atomic_conditions(tiny_graph):
     )
 
 
+def test_eval_atomic_rejects_what_is_not_an_atomic_condition(tiny_graph):
+    with pytest.raises(TypeError, match="^not an atomic condition: "):
+        eval_atomic(object(), tiny_graph)
+
+
 def test_query_condition_uses_request_attrs(tiny_graph):
     cond = QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)
     assert eval_atomic(cond, tiny_graph, {"size": 10}) is MatchValue.FULL
@@ -452,6 +464,9 @@ def test_query_condition_uses_request_attrs(tiny_graph):
     assert eval_atomic(cond, tiny_graph, {"size": [10]}) is MatchValue.NAMES  # no value of its kind
     assert eval_atomic(cond, tiny_graph, {}) is MatchValue.NONE
     assert eval_atomic(cond, tiny_graph, None) is MatchValue.NONE
+    # a condition's own partition is interned, so its operand must be hashable
+    with pytest.raises(TypeError):
+        AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ, [10]).partition
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,6 +19,7 @@ from provpurpose import (
     InputFormatError,
     MatchValue,
     NullCondition,
+    PartyConfig,
     PathPattern,
     Policy,
     Predicate,
@@ -255,6 +256,7 @@ def test_category_substring_subsumption():
     assert category_covered("assignment", "assignments")
     assert category_covered("assignments", "assignments")
     assert not category_covered("assignments", "assignment")
+    assert not category_covered("", "assignments")  # "" occurs in every string, yet names no category
 
 
 def test_guards_pass_matrix():
@@ -270,6 +272,7 @@ def test_guards_pass_matrix():
     assert not guards_pass(policy, Request("professor"), "assignment", order)
     assert not guards_pass(policy, Request("student"), "exams", order)
     assert not guards_pass(policy, Request("student"), None, order)
+    assert not guards_pass(policy, Request("student"), "", order)
 
 
 def test_guardless_policy_always_passes_guards(tiny_graph):
@@ -302,19 +305,12 @@ def test_evaluate_policy_failed_guard_blocks(tiny_graph):
     assert d.tree_value is MatchValue.FULL  # the tree itself still matched
 
 
-def test_evaluate_policy_checks_purpose_membership(tiny_graph):
-    pg = PurposeGraph(["a"], [])
-    policy = Policy("p", 1, _leaf("alice"), ap=frozenset({"ghost"}))
-    with pytest.raises(ConfigurationError):
-        evaluate_policy(policy, tiny_graph, Request("anyone"), purpose_graph=pg)
-
-
-def test_unknown_policy_purpose_error_names_the_smallest(tiny_graph):
+def test_unknown_policy_purpose_error_names_the_smallest():
     pg = PurposeGraph(["a"], [])
     ghosts = frozenset({"ghost3", "ghost2", "ghost1"})
     policy = Policy("p", 1, _leaf("alice"), ap=ghosts | {"a"})
-    with pytest.raises(ConfigurationError, match="'ghost1'"):
-        evaluate_policy(policy, tiny_graph, Request("anyone"), purpose_graph=pg)
+    with pytest.raises(ConfigurationError, match="^policy 'p' uses purpose 'ghost1' not in the purpose graph$"):
+        PartyConfig("owner", (policy,)).masks(pg)
 
 
 @pytest.mark.parametrize("guards_ok", [False, True])
@@ -423,6 +419,15 @@ def test_policy_from_dict_errors():
     message = f"access tree node {two_ops!r} must have exactly one operator"
     with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
         policy_from_dict({"provenance_partitions": {"a": {"null": None}}, "access_tree": two_ops})
+
+
+@pytest.mark.parametrize("doc", [{}, {"null": None, "vertex": ["agent", "alice"]}])
+def test_a_condition_needs_exactly_one_kind_key(doc):
+    message = f"condition {doc!r} must have exactly one kind key"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        condition_from_dict(doc)
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        policy_from_dict({"provenance_partitions": {"a": doc}, "access_tree": "a"})
 
 
 def test_condition_documents_cover_all_kinds(tiny_graph):
