@@ -293,7 +293,7 @@ def _compared_fields(kind: type) -> tuple[str, ...]:
 
 
 def _intern(pattern: Any) -> Any:
-    """The one live object equal to `pattern`: hashable, and held by a policy or a condition, as every one here is."""
+    """The one live object equal to `pattern`, a hashable pattern that a policy or a condition holds."""
     kind = type(pattern)
     return _INTERNED.setdefault((kind, *map(pattern.__getattribute__, _compared_fields(kind))), pattern)
 

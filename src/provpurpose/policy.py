@@ -277,7 +277,6 @@ def evaluate_policy(
     request: Request,
     data_category: str | None = None,
     role_order: RoleOrder | None = None,
-    *,
     memo: LeafMemo | None = None,
     reach: AbstractSet[str] | None = None,
 ) -> PolicyDecision:
