@@ -179,13 +179,22 @@ class PatternVertex:
     constraints: tuple[AttrConstraint, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternEdge:
-    """An edge constraint between pattern refs; label None means wildcard."""
+    """An edge constraint between pattern refs; label None means wildcard.
+
+    `text` is the label's text, derived once, which the search compares with
+    the label texts a graph stores; None for a wildcard. Slotted, so the
+    derived field costs no memory over an edge with an instance dict.
+    """
 
     src: str
     dst: str
     label: EdgeLabel | None = None
+    text: str | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "text", None if self.label is None else self.label.value)
 
 
 class _Placement(NamedTuple):
@@ -314,7 +323,7 @@ MAX_SEARCH_STEPS = 100_000
 
 # Looking up an enum member costs a call on Python 3.11; matching reads these per call.
 _FULL, _NAMES, _TYPES, _NONE = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES, MatchValue.NONE
-_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES
+_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES.value
 
 
 def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
@@ -323,26 +332,29 @@ def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
     The payloads are read in place, as :meth:`ProvenanceGraph.attributes_of`
     would merge them: an Attribute vertex has its own, any other vertex those
     one ``hasAttributes`` hop away, and the last of them to hold an item wins.
+    Like every reader here, it reads the graph's stored edge tuples, (src,
+    dst, label text[, refined]), in place.
     """
     vertices = graph.vertices
     vertex = vertices[vid]
-    own, out = vertex.vtype is _ATTRIBUTE, graph.out_edges(vid)
+    own, out = vertex.vtype is _ATTRIBUTE, graph._out.get(vid, ())
     for c in pv.constraints:
         if own:
             value = vertex.attrs.get(c.item)
         else:
             value = None
             for e in out:
-                if e.label is _HAS_ATTRIBUTES:
-                    value = vertices[e.dst].attrs.get(c.item, value)
+                if e[2] == _HAS_ATTRIBUTES:
+                    value = vertices[e[1]].attrs.get(c.item, value)
         if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
             return False
     return True
 
 
-def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: EdgeLabel | None) -> bool:
-    for e in graph.out_edges(src):
-        if e.dst == dst and (label is None or e.label is label):
+def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: str | None) -> bool:
+    """Whether an edge with the label text, or any edge if it is None, leads from src to dst."""
+    for e in graph._out.get(src, ()):
+        if e[1] == dst and (label is None or e[2] == label):
             return True
     return False
 
@@ -360,12 +372,12 @@ def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Plac
         found = graph.ids_of(pv.vtype, name)
     else:
         forward = anchor.dst == pv.ref
-        label, vertices, vtype = anchor.label, graph.vertices, pv.vtype
+        label, vertices, vtype = anchor.text, graph.vertices, pv.vtype
         found = []
-        for e in graph.out_edges(placed[anchor.src]) if forward else graph.in_edges(placed[anchor.dst]):
-            vid = e.dst if forward else e.src
+        for e in graph._out.get(placed[anchor.src], ()) if forward else graph._in.get(placed[anchor.dst], ()):
+            vid = e[1] if forward else e[0]
             gv = vertices[vid]
-            if (label is None or e.label is label) and gv.vtype is vtype and (name is None or gv.name == name):
+            if (label is None or e[2] == label) and gv.vtype is vtype and (name is None or gv.name == name):
                 found.append(vid)
     if pv.constraints:
         return (vid for vid in found if _attrs_hold(pv, vid, graph))
@@ -397,7 +409,7 @@ def _search(partition: ProvenancePartition, graph: ProvenanceGraph, found: list[
                 if vid in placed.values():
                     continue
             placed[pv.ref] = vid
-            if not checks or all(_has_edge(graph, placed[e.src], placed[e.dst], e.label) for e in checks):
+            if not checks or all(_has_edge(graph, placed[e.src], placed[e.dst], e.text) for e in checks):
                 break
             del placed[pv.ref]
         else:
@@ -566,20 +578,20 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
     from any start, cannot lead anywhere new a second time.
 
     A step holds at a vertex named NAME, or else at one entered by an edge
-    whose label or refined label is LABEL; labels compare as text, since an
-    :class:`EdgeLabel` is a ``str``. So a step is checked as the walk
+    whose label or refined label is LABEL; labels compare as text, the last
+    items of a stored edge tuple. So a step is checked as the walk
     arrives, along its edge: a wildcard there may also absorb nothing, and
     the next step is checked at the same vertex and edge. The walk's first
     vertex, entered by no edge, may use any of its outgoing edges instead.
     """
     steps = pattern.steps
     last = len(steps) - 1
-    vertices, out_edges = graph.vertices, graph.out_edges
+    vertices, out = graph.vertices, graph._out
     first = steps[0]
     seen: set[tuple[str, int]] = set()
     for start in vertices:
         if vertices[start].name != first.vertex_name and not any(
-            first.edge_or_process in (e.label, e.refined) for e in out_edges(start)
+            first.edge_or_process in e[2:] for e in out.get(start, ())
         ):
             continue
         if not last:
@@ -593,12 +605,12 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
             vid, i = state
             if steps[i] is not None:
                 i += 1
-            for e in out_edges(vid):
-                dst, j = e.dst, i
+            for e in out.get(vid, ()):
+                dst, j = e[1], i
                 while (step := steps[j]) is None:
                     stack.append((dst, j))
                     j += 1
-                if vertices[dst].name == step.vertex_name or step.edge_or_process in (e.label, e.refined):
+                if vertices[dst].name == step.vertex_name or step.edge_or_process in e[2:]:
                     if j == last:
                         return MatchValue.FULL
                     stack.append((dst, j))

@@ -48,8 +48,14 @@ class EdgeLabel(str, Enum):
     HAS_ATTRIBUTES = "hasAttributes"
 
 
+#: The text of each edge label, keyed by its text and, since a member hashes
+#: and compares as its text, by its member; stored edges hold these texts.
+#: _LABELS maps the text back to the member.
+_LABEL_TEXT: dict[str, str] = {label.value: label.value for label in EdgeLabel}
+_LABELS = {label.value: label for label in EdgeLabel}
+
 # Looking up an enum member costs a call on Python 3.11; graphs read these per vertex.
-_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES
+_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES.value
 
 # The payload every agent/artifact/process vertex shares: empty and read-only,
 # since a main vertex's attributes live on its Attribute vertex.
@@ -91,6 +97,8 @@ class ProvEdge:
 
     used by path matching for relationship names outside the closed label set
     (e.g. a domain-specific "wasSubmittedBy" riding on a ``used`` edge).
+    A graph does not keep these: its accessors build them from the tuples it
+    stores, so two calls return equal, separate edges.
     """
 
     src: str
@@ -99,11 +107,15 @@ class ProvEdge:
     refined: str | None = None
 
 
+def _edge(src: str, dst: str, label: str, refined: str | None = None) -> ProvEdge:
+    """The edge a stored tuple stands for."""
+    return ProvEdge(src, dst, _LABELS[label], refined)
+
+
 # A frozen dataclass's __init__ sets each field through object.__setattr__.
-# _add_vertex and add_edge, run once per vertex and edge, fill the same slots
-# through their descriptors in about half the time; the object is as equal
-# and frozen as any other.
-_set_src, _set_dst, _set_label, _set_refined = (getattr(ProvEdge, f.name).__set__ for f in fields(ProvEdge))
+# _add_vertex, run once per vertex, fills the same slots through their
+# descriptors in about half the time; the object is as equal and frozen as
+# any other.
 _set_id, _set_vtype, _set_name, _set_attrs = (getattr(ProvVertex, f.name).__set__ for f in fields(ProvVertex))
 
 
@@ -122,14 +134,29 @@ class ValidityReport:
     violations: list[str] = field(default_factory=list)
 
 
+# A stored edge: (src, dst, label text), or (src, dst, label text, refined)
+# when it has a refined label.
+_EdgeTuple = tuple[str, ...]
+
+
 class ProvenanceGraph:
-    """Mutable container for vertices and edges, validated on demand."""
+    """Mutable container for vertices and edges, validated on demand.
+
+    Each edge is stored as one exact tuple of strings, ``(src, dst,
+    label)`` or ``(src, dst, label, refined)``, where `label` is the plain
+    text of its :class:`EdgeLabel`. The tuple sits in the list of all edges,
+    in its source's out-list and in its destination's in-list. The cyclic
+    garbage collector stops tracking such a tuple at its first collection,
+    whereas it would track a :class:`ProvEdge` for as long as it lived.
+    :attr:`edges`, :meth:`out_edges` and :meth:`in_edges` build fresh lists
+    of :class:`ProvEdge` from the tuples; matching reads the tuples in place.
+    """
 
     def __init__(self) -> None:
         self._vertices: dict[str, ProvVertex] = {}
-        self._edges: list[ProvEdge] = []
-        self._out: dict[str, list[ProvEdge]] = {}
-        self._in: dict[str, list[ProvEdge]] = {}
+        self._edges: list[_EdgeTuple] = []
+        self._out: dict[str, list[_EdgeTuple]] = {}
+        self._in: dict[str, list[_EdgeTuple]] = {}
         self._auto = 0
         # vertex ids by type and by (type, name); built by ids_of on first use
         self._index: dict[Any, list[str]] | None = None
@@ -150,8 +177,11 @@ class ProvenanceGraph:
         stored on a fresh Attribute vertex reached via a ``hasAttributes``
         edge; the main vertex itself gets the shared read-only empty
         payload. The graph keeps a copy of `attrs`, never the caller's
-        mapping. Drops the :meth:`ids_of` index.
+        mapping. `vtype` is a :class:`VertexType` or its value text, stored
+        as the member; anything else raises :class:`InputFormatError`. Drops
+        the :meth:`ids_of` index.
         """
+        vtype = _docs.member(VertexType, vtype, "vertex type")
         return self._add_vertex(vtype, name, dict(attrs) if attrs else None, vid)
 
     def _add_vertex(self, vtype: VertexType, name: str, payload: dict[str, AttrValue] | None, vid: str | None) -> str:
@@ -176,18 +206,22 @@ class ProvenanceGraph:
             self.add_edge(vid, att_id, _HAS_ATTRIBUTES)
         return vid
 
-    def add_edge(self, src: str, dst: str, label: EdgeLabel, refined: str | None = None) -> None:
-        """Add an edge between two existing vertices; the :meth:`ids_of` index stays."""
+    def add_edge(self, src: str, dst: str, label: EdgeLabel | str, refined: str | None = None) -> None:
+        """Add an edge between two existing vertices; the :meth:`ids_of` index stays.
+
+        `label` is an :class:`EdgeLabel` or its value text; anything else
+        raises :class:`InputFormatError`, after the endpoints are checked.
+        """
         vertices = self._vertices
         if src not in vertices:
             raise UnknownVertexError(f"edge endpoint {src!r} is not a vertex")
         if dst not in vertices:
             raise UnknownVertexError(f"edge endpoint {dst!r} is not a vertex")
-        edge = object.__new__(ProvEdge)
-        _set_src(edge, src)
-        _set_dst(edge, dst)
-        _set_label(edge, label)
-        _set_refined(edge, refined)
+        try:
+            text = _LABEL_TEXT[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise InputFormatError(f"unknown edge label {label!r}") from None
+        edge = (src, dst, text) if refined is None else (src, dst, text, refined)
         self._edges.append(edge)
         if (edges := self._out.get(src)) is None:
             self._out[src] = [edge]
@@ -213,7 +247,8 @@ class ProvenanceGraph:
 
     @property
     def edges(self) -> list[ProvEdge]:
-        return self._edges
+        """A fresh list of every edge, in the order they were added."""
+        return [_edge(*edge) for edge in self._edges]
 
     def vertex(self, vid: str) -> ProvVertex:
         try:
@@ -226,10 +261,12 @@ class ProvenanceGraph:
         return self.vertex(vid).vtype
 
     def out_edges(self, vid: str) -> list[ProvEdge]:
-        return self._out.get(vid, [])
+        """A fresh list of the edges leaving a vertex, in the order they were added."""
+        return [_edge(*edge) for edge in self._out.get(vid, ())]
 
     def in_edges(self, vid: str) -> list[ProvEdge]:
-        return self._in.get(vid, [])
+        """A fresh list of the edges entering a vertex, in the order they were added."""
+        return [_edge(*edge) for edge in self._in.get(vid, ())]
 
     def ids_of(self, vtype: VertexType, name: str | None = None) -> Sequence[str]:
         """Ids of the vertices of a type, and of a name if one is given.
@@ -257,9 +294,9 @@ class ProvenanceGraph:
         if vertex.vtype is _ATTRIBUTE:
             return dict(vertex.attrs)
         merged: AttributeSet = {}
-        for edge in self.out_edges(vid):
-            if edge.label is _HAS_ATTRIBUTES:
-                merged.update(self._vertices[edge.dst].attrs)
+        for edge in self._out.get(vid, ()):
+            if edge[2] == _HAS_ATTRIBUTES:
+                merged.update(self._vertices[edge[1]].attrs)
         return merged
 
     def main_vertices(self) -> Iterator[ProvVertex]:
@@ -282,18 +319,19 @@ class ProvenanceGraph:
         violations: list[str] = []
         vertices = self._vertices
         for edge in self._edges:
-            triple = (vertices[edge.src].vtype, vertices[edge.dst].vtype, edge.label)
+            # a label text hashes and compares as its member, so the triple is looked up as it is
+            triple = (vertices[edge[0]].vtype, vertices[edge[1]].vtype, edge[2])
             if triple not in ALLOWED_EDGES:
                 violations.append(
-                    f"edge {edge.src!r} -> {edge.dst!r}: "
-                    f"({triple[0].value}, {triple[1].value}, {triple[2].value}) "
+                    f"edge {edge[0]!r} -> {edge[1]!r}: "
+                    f"({triple[0].value}, {triple[1].value}, {edge[2]}) "
                     "is not an allowed relationship"
                 )
         if topological_order_of(self) is None:
             violations.append("graph contains a cycle")
         for vertex in vertices.values():
             if vertex.vtype is _ATTRIBUTE:
-                incoming = sum(e.label is _HAS_ATTRIBUTES for e in self.in_edges(vertex.id))
+                incoming = sum(e[2] == _HAS_ATTRIBUTES for e in self._in.get(vertex.id, ()))
                 if incoming != 1:
                     violations.append(
                         f"attribute vertex {vertex.id!r} has {incoming} incoming "
@@ -314,10 +352,11 @@ def topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
     order = [vid for vid in graph._vertices if vid not in indegree]
     for vid in order:  # the queue: vertices are appended behind the one being walked
         for edge in out.get(vid, ()):
-            left = indegree[edge.dst] - 1
-            indegree[edge.dst] = left
+            dst = edge[1]
+            left = indegree[dst] - 1
+            indegree[dst] = left
             if not left:
-                order.append(edge.dst)
+                order.append(dst)
     return order if len(order) == len(graph._vertices) else None
 
 
@@ -356,7 +395,6 @@ def attrs_from_json(raw: Any) -> AttributeSet:
 
 # Keyed by lower case and, for graph_from_dict's exact lookup, the two other usual spellings.
 _VERTEX_TYPES = {s: t for t in VertexType for s in (t.value.lower(), t.value, t.value.upper())}
-_LABELS = {label.value: label for label in EdgeLabel}
 
 
 def vertex_type_from_json(value: Any) -> VertexType:
@@ -398,7 +436,7 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
             raise InputFormatError(f"edge entry {entry!r} needs src/dst/label") from exc
         refined = entry.get("refinedLabel")
         refined = refined if refined is None or type(refined) is str else text(refined, '"refinedLabel"')
-        label = (_LABELS.get(label) if type(label) is str else None) or member(EdgeLabel, label, "edge label")
+        label = (_LABEL_TEXT.get(label) if type(label) is str else None) or member(EdgeLabel, label, "edge label")
         src = src if type(src) is str else text(src, 'edge "src"')
         add_edge(src, dst if type(dst) is str else text(dst, 'edge "dst"'), label, refined)
     return graph
@@ -419,10 +457,10 @@ def graph_to_dict(graph: ProvenanceGraph) -> dict[str, Any]:
         for v in graph.vertices.values()
     ]
     edges = []
-    for e in graph.edges:
-        entry: dict[str, Any] = {"src": e.src, "dst": e.dst, "label": e.label.value}
-        if e.refined is not None:
-            entry["refinedLabel"] = e.refined
+    for src, dst, label, *refined in graph._edges:
+        entry: dict[str, Any] = {"src": src, "dst": dst, "label": label}
+        if refined:
+            entry["refinedLabel"] = refined[0]
         edges.append(entry)
     return {"vertices": vertices, "edges": edges}
 

@@ -1107,10 +1107,13 @@ def oracle_decide(
 # read vertex types through tau() and collected the hasAttributes in-edges. Kept
 # verbatim, as methods of a subclass, as the reference for the differential
 # test, with the package's topological order from before the in-degree walk; the
-# accessors and the field readers come from the package, which did not change
-# them. One change to the copy: where it took str() of an id, name, end or
-# refined label, it reads the field with _docs.text, in the order the package's
-# decoder reads it, so that malformed scalars are compared too.
+# field readers and the vertex accessors come from the package, which did not
+# change them. Two changes to the copy: where it took str() of an id, name, end
+# or refined label, it reads the field with _docs.text, in the order the
+# package's decoder reads it, so that malformed scalars are compared too; and it
+# keeps its edges in lists of its own, as ProvEdge objects, which its three edge
+# accessors copy, so the differential test compares the public views of two
+# graphs that share no edge storage.
 
 def reference_topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
     """Topological vertex order, or None if the graph has a cycle."""
@@ -1119,6 +1122,22 @@ def reference_topological_order_of(graph: ProvenanceGraph) -> list[str] | None:
 
 
 class ReferenceProvenanceGraph(ProvenanceGraph):
+    def __init__(self) -> None:
+        super().__init__()
+        self._ref_edges: list[ProvEdge] = []
+        self._ref_out: dict[str, list[ProvEdge]] = {}
+        self._ref_in: dict[str, list[ProvEdge]] = {}
+
+    @property
+    def edges(self) -> list[ProvEdge]:
+        return list(self._ref_edges)
+
+    def out_edges(self, vid: str) -> list[ProvEdge]:
+        return list(self._ref_out.get(vid, []))
+
+    def in_edges(self, vid: str) -> list[ProvEdge]:
+        return list(self._ref_in.get(vid, []))
+
     def add_vertex(
         self,
         vtype: VertexType,
@@ -1159,9 +1178,9 @@ class ReferenceProvenanceGraph(ProvenanceGraph):
                 raise UnknownVertexError(f"edge endpoint {vid!r} is not a vertex")
         edge = ProvEdge(src, dst, label, refined)
         self._index = None
-        self._edges.append(edge)
-        self._out.setdefault(src, []).append(edge)
-        self._in.setdefault(dst, []).append(edge)
+        self._ref_edges.append(edge)
+        self._ref_out.setdefault(src, []).append(edge)
+        self._ref_in.setdefault(dst, []).append(edge)
 
     def _insert(self, vertex: ProvVertex) -> None:
         self._index = None
@@ -1173,7 +1192,7 @@ class ReferenceProvenanceGraph(ProvenanceGraph):
         Violations are data, not exceptions: callers get the full list.
         """
         violations: list[str] = []
-        for edge in self._edges:
+        for edge in self._ref_edges:
             triple = (self.tau(edge.src), self.tau(edge.dst), edge.label)
             if triple not in ALLOWED_EDGES:
                 violations.append(

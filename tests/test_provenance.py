@@ -1,6 +1,7 @@
 """Provenance graph model: construction, validation, serialization."""
 
 import dataclasses
+import gc
 import json
 from datetime import datetime
 
@@ -23,6 +24,15 @@ from provpurpose import (
     graph_to_dict,
     load_graph,
     topological_order_of,
+)
+from provpurpose.matching import (
+    MatchValue,
+    PatternEdge,
+    PatternVertex,
+    ProvenancePartition,
+    match_partition,
+    match_path,
+    parse_path_pattern,
 )
 from provpurpose.provenance import attr_value_from_json, attr_value_to_json
 from oracles import reference_graph_from_dict, reference_topological_order_of
@@ -152,6 +162,96 @@ def test_add_edge_rejects_unknown_endpoint():
     vid = g.add_vertex(VertexType.PROCESS, "p")
     with pytest.raises(UnknownVertexError):
         g.add_edge(vid, "ghost", EdgeLabel.USED)
+
+
+def _used_edge_graph(label) -> ProvenanceGraph:
+    g = ProvenanceGraph()
+    g.add_vertex(VertexType.PROCESS, "anonymise", vid="p")
+    g.add_vertex(VertexType.ARTIFACT, "export", vid="x")
+    g.add_edge("p", "x", label)
+    return g
+
+
+def test_add_edge_reads_a_label_text_as_its_member():
+    """A text label was once stored as it came, so no labelled pattern edge matched it."""
+    by_text, by_member = _used_edge_graph("used"), _used_edge_graph(EdgeLabel.USED)
+    used = ProvenancePartition(
+        (PatternVertex("p", VertexType.PROCESS), PatternVertex("x", VertexType.ARTIFACT)),
+        (PatternEdge("p", "x", EdgeLabel.USED),),
+    )
+    for g in (by_text, by_member):
+        assert match_partition(used, g) is MatchValue.FULL
+        assert match_path(parse_path_pattern("used|anonymise, used|x"), g) is MatchValue.FULL
+        assert g.validate().ok
+        (edge,) = g.edges
+        assert edge == ProvEdge("p", "x", EdgeLabel.USED) and edge.label is EdgeLabel.USED
+    assert graph_to_dict(by_text) == graph_to_dict(by_member)
+
+
+@pytest.mark.parametrize("label", ["bogus", "Used", VertexType.ARTIFACT, None, 7, ["used"]])
+def test_add_edge_rejects_anything_but_a_label_or_its_text(label):
+    g = _used_edge_graph(EdgeLabel.USED)
+    with pytest.raises(InputFormatError, match=r"^unknown edge label "):
+        g.add_edge("p", "x", label)
+    with pytest.raises(UnknownVertexError):  # the endpoints are checked first
+        g.add_edge("p", "ghost", label)
+    assert len(g.edges) == 1 and g.validate().ok
+
+
+def test_add_vertex_reads_a_type_text_as_its_member_and_rejects_anything_else():
+    g = ProvenanceGraph()
+    assert g.tau(g.add_vertex("Artifact", "x", {"k": 1})) is VertexType.ARTIFACT
+    for vtype in ("bogus", "artifact", EdgeLabel.USED, None, ["Agent"]):
+        with pytest.raises(InputFormatError, match=r"^unknown vertex type "):
+            g.add_vertex(vtype, "y", vid="y")
+    assert list(g.vertices) == ["v0", "v0:att"] and g.validate().ok
+
+
+def test_edge_accessors_return_fresh_lists_the_graph_does_not_read(submission_graph):
+    doc = graph_to_dict(submission_graph)
+    g = graph_from_dict(doc)
+    want = [ProvEdge(e["src"], e["dst"], EdgeLabel(e["label"]), e.get("refinedLabel")) for e in doc["edges"]]
+    assert any(e.refined for e in want)
+    edges = g.edges
+    assert edges == want and [hash(e) for e in edges] == [hash(e) for e in want]
+    assert [type(e.label) for e in edges] == [EdgeLabel] * len(want)
+    edges.clear()
+    for vid in g.vertices:
+        g.out_edges(vid).clear()
+        g.in_edges(vid).append(want[0])
+    assert g.edges == want and graph_to_dict(g) == doc and g.validate().ok
+    for vid in g.vertices:
+        assert g.out_edges(vid) == [e for e in want if e.src == vid]
+        assert g.in_edges(vid) == [e for e in want if e.dst == vid]
+    assert g.out_edges("ghost") == [] and g.out_edges("ghost") is not g.out_edges("ghost")
+
+
+def test_a_decoded_graph_leaves_the_collector_no_edge_to_track():
+    """Edges are stored as tuples of strings, which the collector stops tracking; vertices and edge lists stay."""
+    layers, width = 10, 30
+    vertices, edges = [], []
+    for layer in range(layers):
+        for i in range(width):
+            vtype = "Artifact" if layer % 2 == 0 else "Process"
+            attrs = {"attrs": {"rank": i, "at": {"timestamp": "2020-01-01T00:00:00"}}} if i % 3 == 0 else {}
+            vertices.append({"id": f"v{layer}.{i}", "type": vtype, "name": f"n{i}", **attrs})
+            label = "wasGeneratedBy" if vtype == "Process" else "used"  # from the layer before
+            edges += [
+                {"src": f"v{layer - 1}.{j}", "dst": f"v{layer}.{i}", "label": label, "refinedLabel": f"step {j}"}
+                for j in {i, (i + 1) % width}
+                if layer
+            ]
+    doc = {"vertices": vertices, "edges": edges}
+    gc.collect()
+    before = len(gc.get_objects())
+    g = graph_from_dict(doc)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    n_edges = len(g.edges)
+    out_lists = sum(bool(g.out_edges(vid)) for vid in g.vertices)
+    in_lists = sum(bool(g.in_edges(vid)) for vid in g.vertices)
+    assert g.validate().ok and n_edges > len(g.vertices) > layers * width
+    assert grown <= len(g.vertices) + out_lists + in_lists + 20
 
 
 def test_looking_up_an_unknown_vertex_raises():
