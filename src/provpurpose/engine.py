@@ -8,19 +8,26 @@ A decision runs in four stages:
    provenance graph and the request; applicable policies contribute their
    allowed/prohibited purposes, the rest contribute empty sets. A policy's
    outcome depends only on its shape: its access tree, compared by value,
-   and its subject and category guards. Each shape of a party is evaluated
-   once per decision, by its first policy, in order of first appearance; so
-   the first policy that raises is the one that would raise if every policy
-   were evaluated in order. The applicability vector (bit i set when policy
-   i applies) is the OR of the policy masks of the shapes that apply, and
-   the trace derives the per-policy decisions from the shape outcomes when
-   first read. Each distinct leaf condition object is evaluated once per
-   decision, however many policies and parties share it, and so is each
+   and its subject and category guards. A shape's outcome depends only on
+   whether its guards pass and on its tree's value, a fold of its leaf
+   values. Each decision first matches the party's distinct leaf conditions
+   in the order the shapes' trees would match them, so the first leaf that
+   raises is the one that would raise if every policy were evaluated in
+   order. Each distinct leaf condition object is matched once
+   per decision, however many policies and parties share it, and so is each
    coarser partition that gives a partition its lower levels. From the
    second constrained partition of a coarser partition on, the coarser's
    embeddings are enumerated once per decision, and each constrained
    partition is graded against them instead of searched. The requester's
-   role order is walked once per decision; subject guards read only the walk.
+   role order is walked once per decision. The plan maps that walk's reach
+   and the record's category to the guard mask (bit s set when shape s's
+   guards pass), and the leaf values with the guard mask to the shape
+   outcomes and the applicability vector (bit i set when policy i applies):
+   a pair met before runs no guard check and no tree. On a miss each shape
+   is evaluated by its first policy, in order of first appearance, and the
+   applicability vector is the OR of the policy masks of the shapes that
+   apply. The trace derives the per-policy decisions from the shape
+   outcomes when first read.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several
@@ -58,8 +65,10 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 # decide calls no split_result, as party plans check purposes; the name stays bound for decidebench's tracer.
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, MissingHierarchyLineError, ProvPurposeError, StageError
+from . import policy
 from .external import PartyResult, merge_parties, party_result_to_dict
-from .policy import LeafMemo, Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
+from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
+from .policy import _match_leaf, _tree_leaves
 from .provenance import ProvenanceGraph
 from .purposes import PurposeGraph, PurposeSet
 
@@ -73,8 +82,8 @@ class DataRecord:
     attached_purposes: PurposeSet | None = None
 
 
-#: Most applicability vectors one party plan keeps a merge result for; once
-#: that many are kept, later results are computed on every decision.
+#: Most entries each map of one party plan keeps; once a map holds that many,
+#: later values are computed on every decision and not stored.
 _MERGES_KEPT = 128
 
 
@@ -82,13 +91,21 @@ class _PartyPlan(NamedTuple):
     """One party's plan under one purpose graph.
 
     `masks` holds every policy's (allowed, prohibited) masks under the
-    graph's bits, in policy order. `merged` maps an applicability vector,
-    whose bit i is set when policy i applies, to that vector's merge result:
-    the result masks and the decoded :class:`PartyResult`. Neither holds
-    the graph, so the plan never keeps it alive.
+    graph's bits, in policy order. `guards` maps a requester's role reach
+    and a record's category to the guard mask: bit s set when shape s's
+    guards pass. `outcomes` maps a decision's key, the party's packed leaf
+    values shifted above the guard mask, to the shape outcomes and the
+    applicability vector, whose bit i is set when policy i applies.
+    `merged` maps an applicability vector to its merge result: the result
+    masks and the decoded :class:`PartyResult`. None of them holds the
+    graph, so the plan never keeps it alive. Each map stops growing at
+    `_MERGES_KEPT` entries, and a party whose evaluation raises stores
+    nothing in any of them: its leaves are matched before the guard stage.
     """
 
     masks: tuple[tuple[int, int], ...]
+    guards: dict[tuple[frozenset[str], str | None], int]
+    outcomes: dict[int, tuple[tuple[PolicyDecision, ...], int]]
     merged: dict[int, tuple[int, int, PartyResult]]
 
 
@@ -102,12 +119,13 @@ class PartyConfig:
     `_shapes` groups the policies by (tree, subjects, categories), trees
     compared by value: each shape's first policy, in order of first
     appearance, each policy's shape index, and each shape's mask of its
-    policies. Per purpose graph a plan checks that the party has policies,
-    that their ids are distinct and that `pg` holds all their purposes,
-    then keeps their (allowed, prohibited) masks under ``pg.bits``, which
-    `masks(pg)` returns, and the merge result of each applicability vector,
-    up to a fixed number of vectors. Each is derived once, on first use; a
-    fault is not kept and raises on every use.
+    policies. `_leaves` lists the distinct leaf condition objects of those
+    first policies' trees, in the order the trees match them. Per purpose
+    graph a plan checks that the party has policies, that their ids are
+    distinct and that `pg` holds all their purposes, then keeps their
+    (allowed, prohibited) masks under ``pg.bits``, which `masks(pg)`
+    returns, and three bounded maps (see :class:`_PartyPlan`). Each is
+    derived once, on first use; a fault is not kept and raises on every use.
     """
 
     party: str
@@ -139,6 +157,14 @@ class PartyConfig:
         return tuple(self.policies[(m & -m).bit_length() - 1] for m in members), shape_of, tuple(members)
 
     @cached_property
+    def _leaves(self) -> tuple[LeafCondition, ...]:
+        found: dict[int, LeafCondition] = {}  # each leaf object once, in the order the shapes' trees match them
+        for rep in self._shapes[0]:
+            for cond in _tree_leaves(rep.tree):
+                found.setdefault(id(cond), cond)
+        return tuple(found.values())
+
+    @cached_property
     def _plans(self) -> WeakKeyDictionary[PurposeGraph, _PartyPlan]:
         return WeakKeyDictionary()  # a plan lives as long as its graph
 
@@ -157,7 +183,7 @@ class PartyConfig:
                     raise ConfigurationError(f"policy {pol.id!r} uses purpose {unknown!r} not in the purpose graph")
             bits = pg.bits
             masks = tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies)
-            plan = self._plans[pg] = _PartyPlan(masks, {})
+            plan = self._plans[pg] = _PartyPlan(masks, {}, {}, {})
         return plan
 
     def __reduce__(self) -> tuple[Any, ...]:
@@ -226,24 +252,37 @@ def decide(
     results: dict[str, tuple[int, int]] = {}  # each party's result masks under pg.bits
     memo: LeafMemo = {}  # shared by every policy of every party, for this decision only
     reach = reachable_from(request.subject, role_order or {})
+    graph, query_attrs, category = record.provenance, request.query_attrs, record.category
+    guard_key = frozenset(reach), category
     for cfg in parties:
         try:
             plan = cfg._plan(pg)
             reps, _, members = cfg._shapes
-            outcomes = tuple([
-                evaluate_policy(
-                    rep,
-                    record.provenance,
-                    request,
-                    data_category=record.category,
-                    memo=memo,
-                    reach=reach,
-                )
-                for rep in reps
-            ])
+            leaves = 0
+            for cond in cfg._leaves:  # 2 bits per leaf value
+                value = memo.get(id(cond))
+                leaves = leaves << 2 | (_match_leaf(cond, graph, query_attrs, memo) if value is None else value)
+            guard_mask = plan.guards.get(guard_key)
+            if guard_mask is None:
+                guard_mask = sum([
+                    1 << s for s, rep in enumerate(reps) if policy.guards_pass(rep, request, category, reach=reach)
+                ])
+                if len(plan.guards) < _MERGES_KEPT:
+                    plan.guards[guard_key] = guard_mask
+            key = leaves << len(reps) | guard_mask
+            shaped = plan.outcomes.get(key)
+            if shaped is None:
+                outcomes = tuple([
+                    evaluate_policy(rep, graph, request, data_category=category, memo=memo, reach=reach)
+                    for rep in reps
+                ])
+                # disjoint masks: the sum is their OR
+                shaped = outcomes, sum([m for d, m in zip(outcomes, members) if d.applicable])
+                if len(plan.outcomes) < _MERGES_KEPT:
+                    plan.outcomes[key] = shaped
         except ProvPurposeError as exc:
             raise StageError("policy-evaluation", exc) from exc
-        applicable = sum([m for d, m in zip(outcomes, members) if d.applicable])  # disjoint masks: the sum is their OR
+        outcomes, applicable = shaped
         merged = plan.merged.get(applicable)
         if merged is None:
             try:

@@ -332,10 +332,10 @@ def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
     The payloads are read in place, as :meth:`ProvenanceGraph.attributes_of`
     would merge them: an Attribute vertex has its own, any other vertex those
     one ``hasAttributes`` hop away, and the last of them to hold an item wins.
-    Like every reader here, it reads the graph's stored edge tuples, (src,
-    dst, label text[, refined]), in place.
+    Like every reader here, it reads the graph's vertex dict and its stored
+    edge tuples, (src, dst, label text[, refined]), in place.
     """
-    vertices = graph.vertices
+    vertices = graph._vertices
     vertex = vertices[vid]
     own, out = vertex.vtype is _ATTRIBUTE, graph._out.get(vid, ())
     for c in pv.constraints:
@@ -372,7 +372,7 @@ def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Plac
         found = graph.ids_of(pv.vtype, name)
     else:
         forward = anchor.dst == pv.ref
-        label, vertices, vtype = anchor.text, graph.vertices, pv.vtype
+        label, vertices, vtype = anchor.text, graph._vertices, pv.vtype
         found = []
         for e in graph._out.get(placed[anchor.src], ()) if forward else graph._in.get(placed[anchor.dst], ()):
             vid = e[1] if forward else e[0]
@@ -586,7 +586,7 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
     """
     steps = pattern.steps
     last = len(steps) - 1
-    vertices, out = graph.vertices, graph._out
+    vertices, out = graph._vertices, graph._out
     first = steps[0]
     seen: set[tuple[str, int]] = set()
     for start in vertices:

@@ -158,6 +158,13 @@ def eval_access_tree(
     return stack[0]
 
 
+def _tree_leaves(tree: AccessTree) -> tuple[LeafCondition, ...]:
+    """A tree's leaf conditions, in the order :func:`eval_access_tree` matches them."""
+    if isinstance(tree, TreeLeaf):
+        return (tree.condition,)
+    return tuple([step for step in tree.program if type(step) is not tuple])
+
+
 def _match_leaf(
     cond: LeafCondition, graph: ProvenanceGraph, query_attrs: Mapping[str, AttrValue] | None, memo: LeafMemo
 ) -> MatchValue:

@@ -149,7 +149,8 @@ class ProvenanceGraph:
     garbage collector stops tracking such a tuple at its first collection,
     whereas it would track a :class:`ProvEdge` for as long as it lived.
     :attr:`edges`, :meth:`out_edges` and :meth:`in_edges` build fresh lists
-    of :class:`ProvEdge` from the tuples; matching reads the tuples in place.
+    of :class:`ProvEdge` from the tuples, and :attr:`vertices` is a
+    read-only view; matching reads the tuples and the vertex dict in place.
     """
 
     def __init__(self) -> None:
@@ -178,10 +179,12 @@ class ProvenanceGraph:
         edge; the main vertex itself gets the shared read-only empty
         payload. The graph keeps a copy of `attrs`, never the caller's
         mapping. `vtype` is a :class:`VertexType` or its value text, stored
-        as the member; anything else raises :class:`InputFormatError`. Drops
-        the :meth:`ids_of` index.
+        as the member. `name` and `vid` are read as the decoder reads them:
+        a string as it is, a number as its text. Anything else raises
+        :class:`InputFormatError`. Drops the :meth:`ids_of` index.
         """
-        vtype = _docs.member(VertexType, vtype, "vertex type")
+        vtype, text = _docs.member(VertexType, vtype, "vertex type"), _docs.text
+        name, vid = text(name, 'vertex "name"'), vid if vid is None else text(vid, 'vertex "id"')
         return self._add_vertex(vtype, name, dict(attrs) if attrs else None, vid)
 
     def _add_vertex(self, vtype: VertexType, name: str, payload: dict[str, AttrValue] | None, vid: str | None) -> str:
@@ -203,15 +206,23 @@ class ProvenanceGraph:
             if att_id in vertices:
                 raise InputFormatError(f"duplicate vertex id {att_id!r}")
             vertices[att_id] = _vertex(att_id, _ATTRIBUTE, f"{name} attributes", payload)
-            self.add_edge(vid, att_id, _HAS_ATTRIBUTES)
+            self._add_edge(vid, att_id, _HAS_ATTRIBUTES, None)
         return vid
 
     def add_edge(self, src: str, dst: str, label: EdgeLabel | str, refined: str | None = None) -> None:
         """Add an edge between two existing vertices; the :meth:`ids_of` index stays.
 
-        `label` is an :class:`EdgeLabel` or its value text; anything else
-        raises :class:`InputFormatError`, after the endpoints are checked.
+        `src`, `dst` and `refined` are read as the decoder reads them: a
+        string as it is, a number as its text. `label` is an
+        :class:`EdgeLabel` or its value text, checked after the endpoints.
+        Anything else raises :class:`InputFormatError`.
         """
+        text = _docs.text
+        src, dst = text(src, 'edge "src"'), text(dst, 'edge "dst"')
+        self._add_edge(src, dst, label, refined if refined is None else text(refined, '"refinedLabel"'))
+
+    def _add_edge(self, src: str, dst: str, label: EdgeLabel | str, refined: str | None) -> None:
+        """:meth:`add_edge` for ends and a refined label already read as text."""
         vertices = self._vertices
         if src not in vertices:
             raise UnknownVertexError(f"edge endpoint {src!r} is not a vertex")
@@ -242,8 +253,9 @@ class ProvenanceGraph:
     # -- access ------------------------------------------------------------
 
     @property
-    def vertices(self) -> dict[str, ProvVertex]:
-        return self._vertices
+    def vertices(self) -> Mapping[str, ProvVertex]:
+        """A read-only view of the vertices by id, in the order they were added."""
+        return MappingProxyType(self._vertices)
 
     @property
     def edges(self) -> list[ProvEdge]:
@@ -412,13 +424,14 @@ def graph_from_dict(doc: Mapping[str, Any]) -> ProvenanceGraph:
     label, refinedLabel?}, where a null refinedLabel is absent and ids, names,
     ends and refined labels are :func:`_docs.text` scalars. Inline attrs on a
     main vertex become an Attribute vertex, as in :meth:`add_vertex`. One pass
-    adds every vertex and then every edge through :meth:`add_vertex` and
-    :meth:`add_edge`, in document order, so it fails as those calls would;
-    each inline attrs dict, built here, is kept without a copy.
+    adds every vertex and then every edge through the bodies of
+    :meth:`add_vertex` and :meth:`add_edge`, in document order, with each
+    field read here once, so it fails as those calls would; each inline attrs
+    dict, built here, is kept without a copy.
     """
     doc = _docs.obj(doc, "graph document")
     graph = ProvenanceGraph()
-    add_vertex, add_edge, text, member = graph._add_vertex, graph.add_edge, _docs.text, _docs.member
+    add_vertex, add_edge, text, member = graph._add_vertex, graph._add_edge, _docs.text, _docs.member
     for entry in _docs.array(doc.get("vertices", []), '"vertices"'):
         try:
             vid, vtype, name = entry["id"], entry["type"], entry["name"]

@@ -328,7 +328,12 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     # nothing of the graph
     outcome = decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", pg)
     assert outcome.decided == {"mid"}
-    assert list(cfg._plans[pg].merged) == [0b1]
+    plan = cfg._plans[pg]
+    assert list(plan.merged) == [0b1]
+    # the guard map holds the requester's reach and the record's category, the outcome map shared decisions
+    assert plan.guards == {(frozenset({"s"}), None): 0b1}
+    assert plan.outcomes == {MatchValue.FULL << 1 | 0b1: ((cfg.policies[0].applied,), 0b1)}
+    del plan
     graph = weakref.ref(pg)
     del pg
     gc.collect()
@@ -457,7 +462,12 @@ def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, sm
             record, request = DataRecord(tiny_graph), Request(f"s{k}")
             got = outcome_to_dict(decide(record, request, [kept], "F3", small_pg, order))
             assert got == outcome_to_dict(decide(record, request, [PartyConfig("owner", party)], "F3", small_pg, order))
-    assert list(kept._plans[small_pg].merged) == list(range(engine._MERGES_KEPT))
+    plan = kept._plans[small_pg]
+    assert list(plan.merged) == list(range(engine._MERGES_KEPT))
+    # requester s{k}'s guard mask is k, and every policy's null leaf is FULL
+    assert list(plan.guards.values()) == list(range(engine._MERGES_KEPT))
+    leaves = sum(MatchValue.FULL << 2 * i for i in range(n))
+    assert list(plan.outcomes) == [leaves << n | k for k in range(engine._MERGES_KEPT)]
 
 
 def test_many_outcome_vectors_with_one_applicability_vector_store_one_result(tiny_graph, small_pg):
@@ -489,28 +499,22 @@ def test_many_outcome_vectors_with_one_applicability_vector_store_one_result(tin
 
 
 def test_the_first_policy_to_raise_fails_the_decision_and_nothing_is_stored(tiny_graph, small_pg, monkeypatch):
-    """Shapes run in order of first appearance, so the error is the one policy order gives.
+    """Leaves are matched in the shapes' order of first appearance, so the error is the one policy order gives.
 
     p1 (shape A) is fine, p2 (shape B) and p3 (shape C) raise, and p4 has
     shape B again, built anew. Evaluating every policy in order, p2 raises
-    first; so must the shapes.
+    first; so must the party's leaf pass, before any shape is evaluated.
     """
     atomic = policy.eval_atomic
+    matched = []
 
     def raise_by_name(cond, graph, query_attrs=None, memo=None):
+        matched.append(cond)
         if isinstance(cond, VertexCondition):
             raise SearchLimitError(cond.name)
         return atomic(cond, graph, query_attrs, memo)
 
-    evaluated = []
-    evaluate = engine.evaluate_policy
-
-    def recording_evaluate(pol, *args, **kwargs):
-        evaluated.append(pol.id)
-        return evaluate(pol, *args, **kwargs)
-
     monkeypatch.setattr(policy, "eval_atomic", raise_by_name)
-    monkeypatch.setattr(engine, "evaluate_policy", recording_evaluate)
     shape = {name: TreeLeaf(VertexCondition(VertexType.AGENT, name)) for name in "BC"}
     cfg = PartyConfig(
         "owner",
@@ -526,11 +530,126 @@ def test_the_first_policy_to_raise_fails_the_decision_and_nothing_is_stored(tiny
             decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
         assert err.value.stage == "policy-evaluation"
         assert type(err.value.cause) is SearchLimitError and str(err.value.cause) == "B"
-    assert evaluated == ["p1", "p2"] * 2
+    # B raises in each decision, and C is never reached
+    assert [type(c) for c in matched] == [NullCondition, VertexCondition] * 2
+    assert all(c is shape["B"].condition for c in matched[1::2])
     reps, shape_of, members = cfg._shapes
     assert shape_of == (0, 1, 2, 1) and [p.id for p in reps] == ["p1", "p2", "p3"]
     assert members == (0b0001, 0b1010, 0b0100)
-    assert cfg._plans[small_pg].merged == {}
+    plan = cfg._plans[small_pg]
+    assert plan.guards == {} and plan.outcomes == {} and plan.merged == {}
+
+
+def test_a_repeated_guard_mask_and_leaf_values_evaluate_no_shape(tiny_graph, small_pg, monkeypatch):
+    """A decision whose guard mask and leaf values were met before checks no guard and runs no tree.
+
+    A second subject, whose reach differs but whose guards come out the
+    same, checks its guards once and reuses the stored shape outcomes.
+    """
+    calls = {}
+    for module, name in ((engine, "evaluate_policy"), (policy, "guards_pass"), (policy, "eval_access_tree")):
+        def counting(*args, fn=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    tree = TreeBranch(TreeOp.AND, (TreeLeaf(VertexCondition(VertexType.ARTIFACT, "report")), TreeLeaf(NullCondition())))
+    cfg = PartyConfig(
+        "owner",
+        (
+            Policy("staff", 4, tree, ap=frozenset({"mid"}), subjects=frozenset({"staff"})),
+            Policy("grades", 4, tree, ap=frozenset({"leafp"}), categories=frozenset({"grades"})),
+            _null_policy("open", pp={"leafp"}),
+        ),
+    )
+    order = {"alice": frozenset({"staff"}), "bob": frozenset({"staff"})}
+
+    def run(subject):
+        calls.update(evaluate_policy=0, guards_pass=0, eval_access_tree=0)
+        record = DataRecord(tiny_graph, category="assignment")
+        return json.dumps(outcome_to_dict(decide(record, Request(subject), [cfg], "F3", small_pg, order)))
+
+    first = run("alice")
+    # three shapes: the guard stage checks each, and so does each shape's evaluation
+    assert calls == {"evaluate_policy": 3, "guards_pass": 6, "eval_access_tree": 3}
+    assert json.loads(first)["decided"] == ["mid"]
+    assert run("alice") == first
+    assert calls == {"evaluate_policy": 0, "guards_pass": 0, "eval_access_tree": 0}
+    assert run("bob") == first
+    assert calls == {"evaluate_policy": 0, "guards_pass": 3, "eval_access_tree": 0}
+    plan = cfg._plans[small_pg]
+    assert len(plan.guards) == 2 and len(plan.outcomes) == 1 and len(plan.merged) == 1
+
+
+def test_a_warm_plan_sees_an_added_edge_and_a_changed_role_order(small_pg):
+    """Leaf values and the requester's reach are read afresh in every decision, stored entries or not."""
+    doc = {
+        "provenance_partitions": {"c": {"partition": {
+            "vertices": [{"ref": "a", "type": "artifact", "name": "report"},
+                         {"ref": "p", "type": "process", "name": "ingest"}],
+            "edges": [["a", "p", "wasGeneratedBy"]],
+        }}},
+        "subject": ["staff"],
+        "AP": ["mid"],
+    }
+    cfg = PartyConfig("owner", (policy_from_dict(doc, "pa"),))
+    graph = ProvenanceGraph()
+    report, ingest = graph.add_vertex(VertexType.ARTIFACT, "report"), graph.add_vertex(VertexType.PROCESS, "ingest")
+    order = {"alice": frozenset({"staff"})}
+
+    def run():
+        outcome = decide(DataRecord(graph), Request("alice"), [cfg], "F3", small_pg, order)
+        (_, d), = outcome.parties[0].decisions
+        return outcome.decided, d.tree_value, d.guards_ok
+
+    assert run() == (frozenset(), MatchValue.NONE, True)
+    graph.add_edge(report, ingest, EdgeLabel.WAS_GENERATED_BY)
+    assert run() == ({"mid"}, MatchValue.FULL, True)
+    order["alice"] = frozenset()
+    assert run() == (frozenset(), MatchValue.FULL, False)
+    order["alice"] = frozenset({"staff"})
+    assert run() == ({"mid"}, MatchValue.FULL, True)
+    assert len(cfg._plans[small_pg].outcomes) == 3
+
+
+def test_a_warm_plan_decides_as_fresh_configs_and_the_oracle_do():
+    """Outcomes read from a plan's stored guard masks and shape outcomes equal fresh plans' and the oracle's.
+
+    One set of configs decides each case's own request and requests drawn
+    from a few records and subjects, every request twice, in shuffled order.
+    """
+    counts = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        case = (random_prohibiting_case if rng.random() < 1 / 3 else random_decision_case)(rng)
+        if rng.random() < 0.5:
+            case = with_shared_shapes(rng, case)
+        pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
+        external = case.external if isinstance(case.external, str) else _text(case.external)
+
+        def configs():
+            return [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties]
+
+        requests = [(DataRecord(case.graph, case.category, case.attached), Request(case.subject))]
+        requests = 2 * (requests + repeated_requests(rng, case, 8))
+        rng.shuffle(requests)
+        warm = configs()
+        for record, request in requests:
+            outcome = decide(record, request, warm, external, pg, case.role_order)
+            got = json.dumps(outcome_to_dict(outcome))
+            assert got == json.dumps(outcome_to_dict(decide(record, request, configs(), external, pg, case.role_order)))
+            asked = case._replace(graph=record.provenance, category=record.category, subject=request.subject)
+            decided, results = oracle_decide(**asked._asdict())
+            assert outcome.decided == decided
+            assert [(t.result.ap, t.result.pp) for t in outcome.parties] == results
+        counts.append((sum(len(cfg._plans[pg].outcomes) for cfg in warm), len(requests) * len(warm)))
+
+    check()
+    stored, decided = map(sum, zip(*counts))
+    assert 0 < stored < decided / 2  # most shape outcomes came from the stored ones
 
 
 def test_a_tree_nested_to_the_bound_is_grouped_by_value(tiny_graph, small_pg):

@@ -207,6 +207,66 @@ def test_add_vertex_reads_a_type_text_as_its_member_and_rejects_anything_else():
     assert list(g.vertices) == ["v0", "v0:att"] and g.validate().ok
 
 
+def test_add_vertex_reads_an_id_or_a_name_given_as_a_number_as_its_text():
+    """A number was once kept as it came, so a dump and load round trip gave a different graph."""
+    g = ProvenanceGraph()
+    assert g.add_vertex(VertexType.PROCESS, "p", vid=5) == "5"
+    assert g.add_vertex(VertexType.ARTIFACT, 7, vid=2.5) == "2.5"
+    assert [(v.id, v.name) for v in g.vertices.values()] == [("5", "p"), ("2.5", "7")]
+    doc = graph_to_dict(g)
+    assert graph_to_dict(graph_from_dict(doc)) == doc
+
+
+@pytest.mark.parametrize("value", [True, None, ["p"], {"p": 1}, b"p"])
+def test_add_vertex_rejects_an_id_or_a_name_that_is_not_a_string_or_a_number(value):
+    g = ProvenanceGraph()
+    with pytest.raises(InputFormatError, match=r'^vertex "name" must be a string or a number'):
+        g.add_vertex(VertexType.PROCESS, value, vid="p")
+    if value is not None:  # no id asks for a fresh one
+        with pytest.raises(InputFormatError, match=r'^vertex "id" must be a string or a number'):
+            g.add_vertex(VertexType.PROCESS, "p", vid=value)
+    assert len(g.vertices) == 0
+
+
+def test_add_edge_reads_ends_and_a_refined_label_given_as_numbers_as_their_text():
+    g = ProvenanceGraph()
+    g.add_vertex(VertexType.PROCESS, "p", vid="5")
+    g.add_vertex(VertexType.ARTIFACT, "x", vid="7")
+    g.add_edge(5, 7, "used", refined=3)
+    assert g.edges == [ProvEdge("5", "7", EdgeLabel.USED, "3")]
+    doc = graph_to_dict(g)
+    assert graph_to_dict(graph_from_dict(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "src, dst, refined, field",
+    [
+        (None, "x", None, 'edge "src"'),
+        ("p", True, None, 'edge "dst"'),
+        ("p", "x", ["r"], '"refinedLabel"'),
+        ("p", "x", False, '"refinedLabel"'),
+    ],
+)
+def test_add_edge_rejects_ends_or_a_refined_label_that_are_not_strings_or_numbers(src, dst, refined, field):
+    g = _used_edge_graph(EdgeLabel.USED)
+    with pytest.raises(InputFormatError, match=rf"^{field} must be a string or a number"):
+        g.add_edge(src, dst, EdgeLabel.USED, refined)
+    assert len(g.edges) == 1 and g.validate().ok
+
+
+def test_the_vertices_view_is_read_only(tiny_graph):
+    """The graph once handed out its own dict: a deleted vertex made `validate` raise `KeyError`."""
+    doc = graph_to_dict(tiny_graph)
+    [report] = tiny_graph.ids_of(VertexType.ARTIFACT, "report")
+    with pytest.raises(TypeError):
+        del tiny_graph.vertices[report]
+    with pytest.raises(TypeError):
+        tiny_graph.vertices["ghost"] = tiny_graph.vertex(report)
+    assert list(tiny_graph.vertices) == [v["id"] for v in doc["vertices"]]
+    assert tiny_graph.validate().ok and graph_to_dict(tiny_graph) == doc
+    assert graph_to_dict(graph_from_dict(doc)) == doc
+
+
 def test_edge_accessors_return_fresh_lists_the_graph_does_not_read(submission_graph):
     doc = graph_to_dict(submission_graph)
     g = graph_from_dict(doc)
