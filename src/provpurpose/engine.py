@@ -19,15 +19,18 @@ A decision runs in four stages:
    second constrained partition of a coarser partition on, the coarser's
    embeddings are enumerated once per decision, and each constrained
    partition is graded against them instead of searched. The requester's
-   role order is walked once per decision. The plan maps that walk's reach
-   and the record's category to the guard mask (bit s set when shape s's
-   guards pass), and the leaf values with the guard mask to the shape
-   outcomes and the applicability vector (bit i set when policy i applies):
-   a pair met before runs no guard check and no tree. On a miss each shape
-   is evaluated by its first policy, in order of first appearance, and the
+   role order is walked once per decision. A subject guard reads only the
+   roles of that walk's reach that some guard of the party names, and a
+   category guard only the record's category; so the plan maps those
+   roles, the category and the packed leaf values to the shape outcomes
+   and the applicability vector (bit i set when policy i applies). A key
+   met before, by this requester or by another who holds the same named
+   roles, runs no guard check and no tree. On a miss each shape is
+   evaluated by its first policy, in order of first appearance, and the
    applicability vector is the OR of the policy masks of the shapes that
-   apply. The trace derives the per-policy decisions from the shape
-   outcomes when first read.
+   apply. A record category that is neither a string nor None fails this
+   stage before any party is evaluated. The trace derives the per-policy
+   decisions from the shape outcomes when first read.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several
@@ -64,8 +67,7 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 
 # decide calls no split_result, as party plans check purposes; the name stays bound for decidebench's tracer.
 from .algebra import split_result  # noqa: F401
-from .errors import ConfigurationError, MissingHierarchyLineError, ProvPurposeError, StageError
-from . import policy
+from .errors import ConfigurationError, InputFormatError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties, party_result_to_dict
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder, evaluate_policy
 from .policy import _match_leaf, _tree_leaves
@@ -91,21 +93,19 @@ class _PartyPlan(NamedTuple):
     """One party's plan under one purpose graph.
 
     `masks` holds every policy's (allowed, prohibited) masks under the
-    graph's bits, in policy order. `guards` maps a requester's role reach
-    and a record's category to the guard mask: bit s set when shape s's
-    guards pass. `outcomes` maps a decision's key, the party's packed leaf
-    values shifted above the guard mask, to the shape outcomes and the
-    applicability vector, whose bit i is set when policy i applies.
-    `merged` maps an applicability vector to its merge result: the result
-    masks and the decoded :class:`PartyResult`. None of them holds the
-    graph, so the plan never keeps it alive. Each map stops growing at
-    `_MERGES_KEPT` entries, and a party whose evaluation raises stores
-    nothing in any of them: its leaves are matched before the guard stage.
+    graph's bits, in policy order. `outcomes` maps a decision's key, the
+    roles of the requester's reach that the party's guards name, the
+    record's category and the party's leaf values packed 2 bits each, to the
+    shape outcomes and the applicability vector, whose bit i is set when
+    policy i applies. `merged` maps an applicability vector to its merge
+    result: the result masks and the decoded :class:`PartyResult`. Neither
+    map holds the graph, so the plan never keeps it alive. Each stops
+    growing at `_MERGES_KEPT` entries, and a party whose evaluation raises
+    stores nothing in either.
     """
 
     masks: tuple[tuple[int, int], ...]
-    guards: dict[tuple[frozenset[str], str | None], int]
-    outcomes: dict[int, tuple[tuple[PolicyDecision, ...], int]]
+    outcomes: dict[tuple[frozenset[str], str | None, int], tuple[tuple[PolicyDecision, ...], int]]
     merged: dict[int, tuple[int, int, PartyResult]]
 
 
@@ -120,12 +120,13 @@ class PartyConfig:
     compared by value: each shape's first policy, in order of first
     appearance, each policy's shape index, and each shape's mask of its
     policies. `_leaves` lists the distinct leaf condition objects of those
-    first policies' trees, in the order the trees match them. Per purpose
-    graph a plan checks that the party has policies, that their ids are
-    distinct and that `pg` holds all their purposes, then keeps their
-    (allowed, prohibited) masks under ``pg.bits``, which `masks(pg)`
-    returns, and three bounded maps (see :class:`_PartyPlan`). Each is
-    derived once, on first use; a fault is not kept and raises on every use.
+    first policies' trees, in the order the trees match them, and
+    `_subjects` the subjects their guards name. Per purpose graph a plan
+    checks that the party has policies, that their ids are distinct and
+    that `pg` holds all their purposes, then keeps their (allowed,
+    prohibited) masks under ``pg.bits``, which `masks(pg)` returns, and two
+    bounded maps (see :class:`_PartyPlan`). Each is derived once, on first
+    use; a fault is not kept and raises on every use.
     """
 
     party: str
@@ -165,6 +166,10 @@ class PartyConfig:
         return tuple(found.values())
 
     @cached_property
+    def _subjects(self) -> frozenset[str]:
+        return frozenset().union(*[rep.subjects for rep in self._shapes[0] if rep.subjects is not None])
+
+    @cached_property
     def _plans(self) -> WeakKeyDictionary[PurposeGraph, _PartyPlan]:
         return WeakKeyDictionary()  # a plan lives as long as its graph
 
@@ -183,7 +188,7 @@ class PartyConfig:
                     raise ConfigurationError(f"policy {pol.id!r} uses purpose {unknown!r} not in the purpose graph")
             bits = pg.bits
             masks = tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies)
-            plan = self._plans[pg] = _PartyPlan(masks, {}, {}, {})
+            plan = self._plans[pg] = _PartyPlan(masks, {}, {})
         return plan
 
     def __reduce__(self) -> tuple[Any, ...]:
@@ -253,25 +258,19 @@ def decide(
     memo: LeafMemo = {}  # shared by every policy of every party, for this decision only
     reach = reachable_from(request.subject, role_order or {})
     graph, query_attrs, category = record.provenance, request.query_attrs, record.category
-    guard_key = frozenset(reach), category
+    if category is not None and not isinstance(category, str):
+        raise StageError("policy-evaluation", InputFormatError(f"record category must be a string or None, got {category!r}"))
     for cfg in parties:
         try:
             plan = cfg._plan(pg)
-            reps, _, members = cfg._shapes
             leaves = 0
             for cond in cfg._leaves:  # 2 bits per leaf value
                 value = memo.get(id(cond))
                 leaves = leaves << 2 | (_match_leaf(cond, graph, query_attrs, memo) if value is None else value)
-            guard_mask = plan.guards.get(guard_key)
-            if guard_mask is None:
-                guard_mask = sum([
-                    1 << s for s, rep in enumerate(reps) if policy.guards_pass(rep, request, category, reach=reach)
-                ])
-                if len(plan.guards) < _MERGES_KEPT:
-                    plan.guards[guard_key] = guard_mask
-            key = leaves << len(reps) | guard_mask
+            key = cfg._subjects & reach, category, leaves  # all the party's guards and trees read
             shaped = plan.outcomes.get(key)
             if shaped is None:
+                reps, _, members = cfg._shapes
                 outcomes = tuple([
                     evaluate_policy(rep, graph, request, data_category=category, memo=memo, reach=reach)
                     for rep in reps

@@ -17,6 +17,7 @@ from provpurpose import (
     FidaSyntaxError,
     FunctionCall,
     HierarchicalPurposeSet,
+    InputFormatError,
     MatchValue,
     MissingHierarchyLineError,
     NullCondition,
@@ -330,9 +331,8 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     assert outcome.decided == {"mid"}
     plan = cfg._plans[pg]
     assert list(plan.merged) == [0b1]
-    # the guard map holds the requester's reach and the record's category, the outcome map shared decisions
-    assert plan.guards == {(frozenset({"s"}), None): 0b1}
-    assert plan.outcomes == {MatchValue.FULL << 1 | 0b1: ((cfg.policies[0].applied,), 0b1)}
+    # the outcome map's key holds role names, the record's category and leaf values, its value shared decisions
+    assert plan.outcomes == {(frozenset(), None, MatchValue.FULL): ((cfg.policies[0].applied,), 0b1)}
     del plan
     graph = weakref.ref(pg)
     del pg
@@ -424,16 +424,20 @@ def _rendered_or_error(run):
 
 
 def test_a_long_lived_party_config_decides_as_fresh_ones_do():
-    """Stored merge results answer a stream of requests as fresh plans would.
+    """Stored shape outcomes and merge results answer a stream of requests as fresh plans and the oracle would.
 
-    Each case's parties decide requests drawn from a few records and
-    subjects, so applicability vectors recur; every decision's rendering,
-    or the error it raised, must equal that of new `PartyConfig`s.
+    Each case's parties, half of them with policies sharing shapes, decide
+    requests drawn from a few records and subjects, and then the same
+    requests again in shuffled order, so keys and applicability vectors
+    recur; every decision's rendering, or the error it raised, must equal
+    that of new `PartyConfig`s, and a decision's sets the oracle's.
     """
-    decided = stored = 0
+    decided = stored = stored_outcomes = 0
     for seed in range(150):
         rng = random.Random(seed)
         case = (random_prohibiting_case if seed % 3 == 0 else random_decision_case)(rng)
+        if seed % 2:
+            case = with_shared_shapes(rng, case)
         pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
         external = case.external if isinstance(case.external, str) else _text(case.external)
 
@@ -441,13 +445,21 @@ def test_a_long_lived_party_config_decides_as_fresh_ones_do():
             return [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties]
 
         kept = configs()
-        for record, request in repeated_requests(rng, case, 12):
+        requests = repeated_requests(rng, case, 12)
+        for record, request in requests + rng.sample(requests, len(requests)):
             got = _rendered_or_error(lambda: decide(record, request, kept, external, pg, case.role_order))
             assert got == _rendered_or_error(lambda: decide(record, request, configs(), external, pg, case.role_order))
             if isinstance(got, str):
                 decided += len(kept)
+                asked = case._replace(graph=record.provenance, category=record.category, subject=request.subject)
+                sets, results = oracle_decide(**asked._asdict())
+                rendered = json.loads(got)
+                assert rendered["decided"] == sorted(sets)
+                assert [(t["ap"], t["pp"]) for t in rendered["parties"]] == [(sorted(a), sorted(p)) for a, p in results]
         stored += sum(len(cfg._plans[pg].merged) for cfg in kept if pg in cfg._plans)
-    assert 0 < stored < decided / 3  # most party results came from the stored ones
+        stored_outcomes += sum(len(cfg._plans[pg].outcomes) for cfg in kept if pg in cfg._plans)
+    # most shape outcomes and party results came from the stored ones
+    assert 0 < stored < decided / 3 and 0 < stored_outcomes < decided / 2
 
 
 def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, small_pg):
@@ -464,10 +476,10 @@ def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, sm
             assert got == outcome_to_dict(decide(record, request, [PartyConfig("owner", party)], "F3", small_pg, order))
     plan = kept._plans[small_pg]
     assert list(plan.merged) == list(range(engine._MERGES_KEPT))
-    # requester s{k}'s guard mask is k, and every policy's null leaf is FULL
-    assert list(plan.guards.values()) == list(range(engine._MERGES_KEPT))
+    # requester s{k} reaches the roles of k's bits, and every policy's null leaf is FULL
+    reached = [frozenset(f"r{i}" for i in range(n) if k >> i & 1) for k in range(engine._MERGES_KEPT)]
     leaves = sum(MatchValue.FULL << 2 * i for i in range(n))
-    assert list(plan.outcomes) == [leaves << n | k for k in range(engine._MERGES_KEPT)]
+    assert list(plan.outcomes) == [(roles, None, leaves) for roles in reached]
 
 
 def test_many_outcome_vectors_with_one_applicability_vector_store_one_result(tiny_graph, small_pg):
@@ -537,14 +549,15 @@ def test_the_first_policy_to_raise_fails_the_decision_and_nothing_is_stored(tiny
     assert shape_of == (0, 1, 2, 1) and [p.id for p in reps] == ["p1", "p2", "p3"]
     assert members == (0b0001, 0b1010, 0b0100)
     plan = cfg._plans[small_pg]
-    assert plan.guards == {} and plan.outcomes == {} and plan.merged == {}
+    assert plan.outcomes == {} and plan.merged == {}
 
 
-def test_a_repeated_guard_mask_and_leaf_values_evaluate_no_shape(tiny_graph, small_pg, monkeypatch):
-    """A decision whose guard mask and leaf values were met before checks no guard and runs no tree.
+def test_a_repeated_key_evaluates_no_shape_and_users_of_one_role_share_it(tiny_graph, small_pg, monkeypatch):
+    """A decision whose key was met before checks no guard and runs no tree.
 
-    A second subject, whose reach differs but whose guards come out the
-    same, checks its guards once and reuses the stored shape outcomes.
+    The key holds only the roles the party's guards name, so users who hold
+    the same named roles share one stored entry, whatever else they reach;
+    another category is another key.
     """
     calls = {}
     for module, name in ((engine, "evaluate_policy"), (policy, "guards_pass"), (policy, "eval_access_tree")):
@@ -562,23 +575,41 @@ def test_a_repeated_guard_mask_and_leaf_values_evaluate_no_shape(tiny_graph, sma
             _null_policy("open", pp={"leafp"}),
         ),
     )
-    order = {"alice": frozenset({"staff"}), "bob": frozenset({"staff"})}
+    order = {
+        "alice": frozenset({"staff"}), "bob": frozenset({"staff"}), "carol": frozenset({"guest"}), "dave": frozenset({"intern"}),
+    }
 
-    def run(subject):
+    def run(subject, category="assignment"):
         calls.update(evaluate_policy=0, guards_pass=0, eval_access_tree=0)
-        record = DataRecord(tiny_graph, category="assignment")
-        return json.dumps(outcome_to_dict(decide(record, Request(subject), [cfg], "F3", small_pg, order)))
+        record = DataRecord(tiny_graph, category=category)
+        got = decide(record, Request(subject), [cfg], "F3", small_pg, order)
+        return sorted(got.decided), dict(calls)
 
-    first = run("alice")
-    # three shapes: the guard stage checks each, and so does each shape's evaluation
-    assert calls == {"evaluate_policy": 3, "guards_pass": 6, "eval_access_tree": 3}
-    assert json.loads(first)["decided"] == ["mid"]
-    assert run("alice") == first
-    assert calls == {"evaluate_policy": 0, "guards_pass": 0, "eval_access_tree": 0}
-    assert run("bob") == first
-    assert calls == {"evaluate_policy": 0, "guards_pass": 3, "eval_access_tree": 0}
+    # three shapes, each evaluated once
+    each = {"evaluate_policy": 3, "guards_pass": 3, "eval_access_tree": 3}
+    nothing = {"evaluate_policy": 0, "guards_pass": 0, "eval_access_tree": 0}
+    assert run("alice") == (["mid"], each)
+    assert run("alice") == run("bob") == (["mid"], nothing)
+    assert run("carol") == ([], each)
+    assert run("dave") == ([], nothing)
+    assert run("alice", "essays") == (["mid"], each)
     plan = cfg._plans[small_pg]
-    assert len(plan.guards) == 2 and len(plan.outcomes) == 1 and len(plan.merged) == 1
+    leaves = 0b11_11_11  # the report leaf, the tree's null leaf and the open policy's, each FULL
+    staff, none = frozenset({"staff"}), frozenset()
+    assert list(plan.outcomes) == [(staff, "assignment", leaves), (none, "assignment", leaves), (staff, "essays", leaves)]
+    assert len(plan.merged) == 2
+
+
+@pytest.mark.parametrize("category", [5, ["grades"], b"grades"])
+def test_a_record_category_that_is_not_text_fails_policy_evaluation(tiny_graph, small_pg, category):
+    """Only a string or None is a category: anything else is refused before any party is evaluated."""
+    cfg = PartyConfig("owner", (_null_policy("open", ap={"mid"}),))
+    with pytest.raises(StageError) as err:
+        decide(DataRecord(tiny_graph, category=category), Request("s"), [cfg], "F3", small_pg)
+    assert err.value.stage == "policy-evaluation"
+    assert type(err.value.cause) is InputFormatError
+    assert str(err.value.cause) == f"record category must be a string or None, got {category!r}"
+    assert small_pg not in cfg._plans
 
 
 def test_a_warm_plan_sees_an_added_edge_and_a_changed_role_order(small_pg):
@@ -610,46 +641,6 @@ def test_a_warm_plan_sees_an_added_edge_and_a_changed_role_order(small_pg):
     order["alice"] = frozenset({"staff"})
     assert run() == ({"mid"}, MatchValue.FULL, True)
     assert len(cfg._plans[small_pg].outcomes) == 3
-
-
-def test_a_warm_plan_decides_as_fresh_configs_and_the_oracle_do():
-    """Outcomes read from a plan's stored guard masks and shape outcomes equal fresh plans' and the oracle's.
-
-    One set of configs decides each case's own request and requests drawn
-    from a few records and subjects, every request twice, in shuffled order.
-    """
-    counts = []
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def check(seed):
-        rng = random.Random(seed)
-        case = (random_prohibiting_case if rng.random() < 1 / 3 else random_decision_case)(rng)
-        if rng.random() < 0.5:
-            case = with_shared_shapes(rng, case)
-        pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
-        external = case.external if isinstance(case.external, str) else _text(case.external)
-
-        def configs():
-            return [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties]
-
-        requests = [(DataRecord(case.graph, case.category, case.attached), Request(case.subject))]
-        requests = 2 * (requests + repeated_requests(rng, case, 8))
-        rng.shuffle(requests)
-        warm = configs()
-        for record, request in requests:
-            outcome = decide(record, request, warm, external, pg, case.role_order)
-            got = json.dumps(outcome_to_dict(outcome))
-            assert got == json.dumps(outcome_to_dict(decide(record, request, configs(), external, pg, case.role_order)))
-            asked = case._replace(graph=record.provenance, category=record.category, subject=request.subject)
-            decided, results = oracle_decide(**asked._asdict())
-            assert outcome.decided == decided
-            assert [(t.result.ap, t.result.pp) for t in outcome.parties] == results
-        counts.append((sum(len(cfg._plans[pg].outcomes) for cfg in warm), len(requests) * len(warm)))
-
-    check()
-    stored, decided = map(sum, zip(*counts))
-    assert 0 < stored < decided / 2  # most shape outcomes came from the stored ones
 
 
 def test_a_tree_nested_to_the_bound_is_grouped_by_value(tiny_graph, small_pg):
