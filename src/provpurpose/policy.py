@@ -228,6 +228,16 @@ class PolicyDecision:
     tree_value: MatchValue
     guards_ok: bool
 
+    @cached_property
+    def _row(self) -> tuple[bool, bool, str, tuple[str, ...], tuple[str, ...]]:
+        """What a trace rendering reads: applicable, guards_ok, the tree value's label, sorted AP, sorted PP.
+
+        Derived on first read and kept. Decisions are shared, one per policy
+        and seven declined ones, so a rendering sorts each set once, not once
+        per policy and read.
+        """
+        return self.applicable, self.guards_ok, self.tree_value.label, tuple(sorted(self.ap)), tuple(sorted(self.pp))
+
 
 #: The decision of every policy that does not apply, one per (tree value, guards passed).
 #: (FULL, True) is absent: that policy applies and returns its own `Policy.applied`.

@@ -169,7 +169,7 @@ def test_evaluate_empty_internal_expr_exits_2(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: internal-merge: empty expression (at position 0)\n")
 
 
-def test_evaluate_over_the_search_budget_exits_2(capsys, tmp_path):
+def _evaluate_a_search_over_budget(capsys, tmp_path, **guard):
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps(complete_dag_doc(32)))
     policy = tmp_path / "policy.json"
@@ -177,6 +177,7 @@ def test_evaluate_over_the_search_budget_exits_2(capsys, tmp_path):
         "party": "p", "id": "cycle",
         "provenance_partitions": {"c": {"partition": cycle_partition_doc(8)}},
         "AP": ["education"],
+        **guard,
     }))
     request = tmp_path / "request.json"
     request.write_text(json.dumps({"subject": "student"}))
@@ -187,6 +188,18 @@ def test_evaluate_over_the_search_budget_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: policy-evaluation: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    return err
+
+
+def test_evaluate_over_the_search_budget_exits_2(capsys, tmp_path):
+    _evaluate_a_search_over_budget(capsys, tmp_path)
+
+
+def test_evaluate_over_the_search_budget_under_failed_guards_exits_2(capsys, tmp_path):
+    """`decide` leaves the search of a policy whose guards fail to the trace read, which fails as `decide` did."""
+    assert _evaluate_a_search_over_budget(capsys, tmp_path, subject=["staff"]) == _evaluate_a_search_over_budget(
+        capsys, tmp_path
+    )
 
 
 def test_evaluate_malformed_file_exits_2(capsys, tmp_path):
