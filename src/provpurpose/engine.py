@@ -10,32 +10,30 @@ A decision runs in four stages:
    outcome depends only on its shape: its access tree, compared by value,
    and its subject and category guards. A shape's outcome depends only on
    whether its guards pass and on its tree's value, a fold of its leaf
-   values, and only a shape whose guards pass can apply. The requester's
-   role order is walked once per decision. A subject guard reads only the
-   roles of that walk's reach that some guard of the party names, and a
-   category guard only the record's category; so the plan maps those roles
-   and the category to the party's guard mask, bit s set when shape s's
-   guards pass. Each decision then matches only the distinct leaf
-   conditions of the passing shapes, in the order their trees would match
-   them, so the first of those leaves that raises is the one that would
-   raise if those shapes were evaluated in order. Each distinct leaf
-   condition object is matched once per decision, however many policies
-   and parties share it, and so is each coarser partition that gives a
-   partition its lower levels. From the second constrained partition of a
-   coarser partition on, the coarser's embeddings are enumerated once per
-   decision, and each constrained partition is graded against them instead
-   of searched. The plan maps the guard mask and the packed leaf values to
-   the shape outcomes and the applicability vector (bit i set when policy i
-   applies). A key met before, by this requester or by another who holds
-   the same named roles, runs no guard check and no tree. On a miss each
-   passing shape is evaluated by its first policy, in order of first
-   appearance, and the applicability vector is the OR of the policy masks
-   of the shapes that apply. A record category that is neither a string
-   nor None fails this stage before any party is evaluated. A guard-failed
-   shape's tree value is not needed by the decision, only by its trace, so
-   the trace reads it when `outcomes` is first read (see
-   :class:`PartyTrace`): a leaf of such a shape that raises fails that
-   read, not `decide`. The trace derives the per-policy decisions from the
+   values, and only a shape whose guards pass can apply. Each decision
+   first matches the party's distinct leaf conditions in the order the
+   shapes' trees would match them, so the first leaf that raises is the
+   one that would raise if every policy were evaluated in order. Each
+   distinct leaf condition object is matched once per decision, however
+   many policies and parties share it, and so is each coarser partition
+   that gives a partition its lower levels. From the second constrained
+   partition of a coarser partition on, the coarser's embeddings are
+   enumerated once per decision, and each constrained partition is graded
+   against them instead of searched. The requester's role order is walked
+   once per decision. A subject guard reads only the roles of that walk's
+   reach that some guard of the party names, and a category guard only the
+   record's category; so the plan maps those roles and the category to the
+   party's guard mask, bit s set when shape s's guards pass, and maps the
+   guard mask and the packed leaf values to the shape outcomes and the
+   applicability vector (bit i set when policy i applies). A key met
+   before, by this requester or by another whose named roles give the same
+   guard mask, runs no guard check and no tree. On a miss each shape whose
+   guards pass is evaluated by its first policy, in order of first
+   appearance; a shape whose guards fail cannot apply, so only its tree is
+   folded from the matched leaves, for the trace. The applicability vector
+   is the OR of the policy masks of the shapes that apply. A record
+   category that is neither a string nor None fails this stage before any
+   party is evaluated. The trace derives the per-policy decisions from the
    shape outcomes when first read.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
@@ -63,7 +61,7 @@ failed.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Any, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
@@ -75,8 +73,9 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, InputFormatError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties, party_result_to_dict
+from . import policy
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder
-from .policy import _DECLINED, _match_leaf, _tree_leaves, eval_access_tree, evaluate_policy, guards_pass
+from .policy import _DECLINED, _match_leaf, _tree_leaves, evaluate_policy
 from .provenance import ProvenanceGraph
 from .purposes import PurposeGraph, PurposeSet
 
@@ -101,22 +100,20 @@ class _PartyPlan(NamedTuple):
     `masks` holds every policy's (allowed, prohibited) masks under the
     graph's bits, in policy order. `guards` maps the roles of the
     requester's reach that the party's guards name, with the record's
-    category, to the guard mask (bit s set when shape s's guards pass), the
-    distinct leaf conditions of the passing shapes' trees in the order the
-    trees match them, and whether some shape's guards fail. `outcomes` maps
-    a guard mask and the values of its leaves, packed 2 bits each, to the
-    shape outcomes, None for each shape whose guards fail, and the
-    applicability vector, whose bit i is set when policy i applies.
-    `merged` maps an applicability vector to its merge result: the result
-    masks and the decoded :class:`PartyResult`. No map holds the graph, so
-    the plan never keeps it alive. Each stops growing at `_MERGES_KEPT`
-    entries. Guards raise nothing, so a guard mask is stored before any
-    leaf is matched; a party whose leaves raise stores nothing more.
+    category, to the guard mask, bit s set when shape s's guards pass.
+    `outcomes` maps a guard mask and the party's leaf values, packed 2 bits
+    each, to the shape outcomes and the applicability vector, whose bit i
+    is set when policy i applies. `merged` maps an applicability vector to
+    its merge result: the result masks and the decoded
+    :class:`PartyResult`. No map holds the graph, so the plan never keeps
+    it alive. Each stops growing at `_MERGES_KEPT` entries. Guards raise
+    nothing, so a guard mask is stored before any leaf is matched; a party
+    whose leaves raise stores nothing more.
     """
 
     masks: tuple[tuple[int, int], ...]
-    guards: dict[tuple[frozenset[str], str | None], tuple[int, tuple[LeafCondition, ...], bool]]
-    outcomes: dict[tuple[int, int], tuple[tuple[PolicyDecision | None, ...], int]]
+    guards: dict[tuple[frozenset[str], str | None], int]
+    outcomes: dict[tuple[int, int], tuple[tuple[PolicyDecision, ...], int]]
     merged: dict[int, tuple[int, int, PartyResult]]
 
 
@@ -130,13 +127,15 @@ class PartyConfig:
     `_shapes` groups the policies by (tree, subjects, categories), trees
     compared by value: each shape's first policy, in order of first
     appearance, each policy's shape index, and each shape's mask of its
-    policies. `_subjects` holds the subjects their guards name, and
-    `_guarded` derives a request's guard mask. Per purpose graph a plan
-    checks that the party has policies, that their ids are distinct and
-    that `pg` holds all their purposes, then keeps their (allowed,
-    prohibited) masks under ``pg.bits``, which `masks(pg)` returns, and three
-    bounded maps (see :class:`_PartyPlan`). Each is derived once, on first
-    use; a fault is not kept and raises on every use.
+    policies. `_leaves` lists the distinct leaf condition objects of those
+    first policies' trees, in the order the trees match them, `_subjects`
+    the subjects their guards name, and `_guarded` derives a request's
+    guard mask. Per purpose graph a plan checks that the party has
+    policies, that their ids are distinct and that `pg` holds all their
+    purposes, then keeps their (allowed, prohibited) masks under
+    ``pg.bits``, which `masks(pg)` returns, and three bounded maps (see
+    :class:`_PartyPlan`). Each is derived once, on first use; a fault is
+    not kept and raises on every use.
     """
 
     party: str
@@ -168,20 +167,21 @@ class PartyConfig:
         return tuple(self.policies[(m & -m).bit_length() - 1] for m in members), shape_of, tuple(members)
 
     @cached_property
+    def _leaves(self) -> tuple[LeafCondition, ...]:
+        found: dict[int, LeafCondition] = {}  # each leaf object once, in the order the shapes' trees match them
+        for rep in self._shapes[0]:
+            for cond in _tree_leaves(rep.tree):
+                found.setdefault(id(cond), cond)
+        return tuple(found.values())
+
+    @cached_property
     def _subjects(self) -> frozenset[str]:
         return frozenset().union(*[rep.subjects for rep in self._shapes[0] if rep.subjects is not None])
 
-    def _guarded(
-        self, request: Request, category: str | None, reach: AbstractSet[str]
-    ) -> tuple[int, tuple[LeafCondition, ...], bool]:
-        """The guard mask, the passing shapes' distinct leaves in match order, and whether a shape fails."""
-        reps, mask, found = self._shapes[0], 0, {}  # each leaf object once
-        for s, rep in enumerate(reps):
-            if guards_pass(rep, request, category, reach=reach):
-                mask |= 1 << s
-                for cond in _tree_leaves(rep.tree):
-                    found.setdefault(id(cond), cond)
-        return mask, tuple(found.values()), mask != (1 << len(reps)) - 1
+    def _guarded(self, request: Request, category: str | None, reach: AbstractSet[str]) -> int:
+        """A request's guard mask: bit s set when shape s's guards pass."""
+        passes = policy.guards_pass  # the module's, so a check rebound there runs
+        return sum([1 << s for s, rep in enumerate(self._shapes[0]) if passes(rep, request, category, reach=reach)])
 
     @cached_property
     def _plans(self) -> WeakKeyDictionary[PurposeGraph, _PartyPlan]:
@@ -213,71 +213,21 @@ class PartyConfig:
         return self._plan(pg).masks
 
 
-#: What a trace needs to read its guard-failed shapes' tree values: the graph,
-#: its `_version` at the decision, the query attributes and the decision's memo.
-_Deferred = tuple[ProvenanceGraph, int, Any, LeafMemo]
-
-
 @dataclass(frozen=True)
 class PartyTrace:
     """One party's share of a decision.
 
     `outcomes` holds the decision of each of `config`'s shapes, in shape
-    order. `decide` matches only the leaves of shapes whose guards pass, and
-    hands the trace a None for each other shape with `deferred`, what it
-    needs to read that shape's tree value. The first read of `outcomes`,
-    which `decisions`, equality, `repr` and pickling make, evaluates those
-    trees against the graph and query attributes of the decision, through
-    the decision's memo, and then drops them: each such shape's outcome is
-    its shared declined decision for (tree value, guards failed). A leaf
-    that raises there raises :class:`StageError` ``("policy-evaluation")``,
-    as it would have in `decide`, on every read until one succeeds; a graph
-    written through `add_vertex` or `add_edge` since the decision is refused
-    with a :class:`ConfigurationError` in such a `StageError`. `decisions`,
-    built from `outcomes` on first read, pairs each policy id with the
-    policy's :attr:`Policy.applied` where its shape applies, else with its
-    shape's shared declined decision.
+    order. `decisions`, built from them on first read and touching no graph,
+    pairs each policy id with the policy's :attr:`Policy.applied` where its
+    shape applies, else with its shape's shared declined decision.
     """
 
     party: str
     internal_expr: str
     result: PartyResult
     config: PartyConfig = field(repr=False)
-    outcomes: tuple[PolicyDecision, ...] = field(init=False)
-    shaped: InitVar[tuple[PolicyDecision | None, ...]]
-    deferred: InitVar[_Deferred | None] = None
-
-    def __post_init__(self, shaped: tuple[PolicyDecision | None, ...], deferred: _Deferred | None) -> None:
-        if deferred is None:
-            object.__setattr__(self, "outcomes", shaped)
-        else:
-            object.__setattr__(self, "_pending", (shaped, deferred))
-
-    def __getattr__(self, name: str) -> Any:
-        # reached only for an attribute not set: `outcomes`, while its guard-failed shapes are pending
-        pending = vars(self).get("_pending")
-        if name != "outcomes" or pending is None:
-            raise AttributeError(name)
-        shaped, (graph, version, query_attrs, memo) = pending
-        try:
-            if graph._version != version:
-                raise ConfigurationError(
-                    f"party {self.party!r}: the provenance graph changed after the decision, "
-                    "so its guard-failed tree values cannot be read"
-                )
-            outcomes = tuple([
-                _DECLINED[eval_access_tree(rep.tree, graph, query_attrs, memo), False] if d is None else d
-                for d, rep in zip(shaped, self.config._shapes[0])
-            ])
-        except ProvPurposeError as exc:
-            raise StageError("policy-evaluation", exc) from exc
-        object.__setattr__(self, "outcomes", outcomes)
-        del vars(self)["_pending"]  # the graph and the memo go with it
-        return outcomes
-
-    def __getstate__(self) -> dict[str, Any]:
-        self.outcomes  # the memo is keyed by id(), so pending values are read before pickling
-        return vars(self)
+    outcomes: tuple[PolicyDecision, ...]
 
     @cached_property
     def decisions(self) -> tuple[tuple[str, PolicyDecision], ...]:
@@ -319,7 +269,7 @@ def decide(
         raise ConfigurationError(f"party names must be distinct, got {names}")
     traces: list[PartyTrace] = []
     results: dict[str, tuple[int, int]] = {}  # each party's result masks under pg.bits
-    memo: LeafMemo = {}  # shared by every policy of every party; traces with pending values keep it for their read
+    memo: LeafMemo = {}  # shared by every policy of every party, for this decision only
     reach = reachable_from(request.subject, role_order or {})
     graph, query_attrs, category = record.provenance, request.query_attrs, record.category
     if category is not None and not isinstance(category, str):
@@ -328,27 +278,28 @@ def decide(
         try:
             plan = cfg._plan(pg)
             asked = cfg._subjects & reach, category  # all the party's guards read
-            guarded = plan.guards.get(asked)
-            if guarded is None:
-                guarded = cfg._guarded(request, category, reach)
+            mask = plan.guards.get(asked)
+            if mask is None:
+                mask = cfg._guarded(request, category, reach)
                 if len(plan.guards) < _MERGES_KEPT:
-                    plan.guards[asked] = guarded
-            mask, conds, deferring = guarded
+                    plan.guards[asked] = mask
             leaves = 0
-            for cond in conds:  # 2 bits per leaf value
+            for cond in cfg._leaves:  # 2 bits per leaf value
                 value = memo.get(id(cond))
                 leaves = leaves << 2 | (_match_leaf(cond, graph, query_attrs, memo) if value is None else value)
-            key = mask, leaves  # all the passing shapes' trees read
+            key = mask, leaves  # all the party's guards and trees read
             shaped = plan.outcomes.get(key)
             if shaped is None:
                 reps, _, members = cfg._shapes
+                tree_value = policy.eval_access_tree  # the module's, as evaluate_policy reads it
                 outcomes = tuple([
                     evaluate_policy(rep, graph, request, data_category=category, memo=memo, reach=reach)
-                    if mask >> s & 1 else None
+                    if mask >> s & 1
+                    else _DECLINED[tree_value(rep.tree, graph, query_attrs, memo), False]
                     for s, rep in enumerate(reps)
                 ])
                 # disjoint masks: the sum is their OR
-                shaped = outcomes, sum([m for d, m in zip(outcomes, members) if d is not None and d.applicable])
+                shaped = outcomes, sum([m for d, m in zip(outcomes, members) if d.applicable])
                 if len(plan.outcomes) < _MERGES_KEPT:
                     plan.outcomes[key] = shaped
         except ProvPurposeError as exc:
@@ -368,8 +319,7 @@ def decide(
                 plan.merged[applicable] = merged
         ap, pp, result = merged
         results[cfg.party] = ap, pp
-        deferred = (graph, graph._version, query_attrs, memo) if deferring else None
-        traces.append(PartyTrace(cfg.party, cfg.merge_text, result, cfg, outcomes, deferred))
+        traces.append(PartyTrace(cfg.party, cfg.merge_text, result, cfg, outcomes))
     try:
         decided = merge_parties(results, external_expr, pg)
     except ProvPurposeError as exc:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Any, Callable, Mapping, Union
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Union
 
 from . import _docs
 from ._dagutil import reachable_from
@@ -108,6 +108,17 @@ class TreeBranch:
         """
         return tuple(_post_order(self, _tree_step))
 
+    @cached_property
+    def leaf_fold(self) -> tuple[Callable[[Iterable[MatchValue]], MatchValue], tuple[int, ...]] | None:
+        """For a branch over leaves only: its fold, min for AND and max for OR, and its leaves' memo keys.
+
+        None for a branch with a branch among its children. Derived on first
+        evaluation, like :attr:`program`.
+        """
+        if not all(isinstance(c, TreeLeaf) for c in self.children):
+            return None
+        return (min if self.op is TreeOp.AND else max), tuple([id(c.condition) for c in self.children])
+
 
 AccessTree = Union[TreeLeaf, TreeBranch]
 #: A step of a compiled tree: a leaf condition to look up, or a fold of the last `arity` values.
@@ -145,6 +156,13 @@ def eval_access_tree(
         cond = tree.condition
         value = memo.get(id(cond))
         return _match_leaf(cond, graph, query_attrs, memo) if value is None else value
+    flat = tree.leaf_fold
+    if flat is not None:
+        fold, keys = flat
+        try:
+            return fold(map(memo.__getitem__, keys))
+        except KeyError:
+            pass  # a leaf not matched yet: the program matches them in order
     stack: list[MatchValue] = []
     for step in tree.program:
         if type(step) is tuple:

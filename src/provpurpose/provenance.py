@@ -151,10 +151,6 @@ class ProvenanceGraph:
     :attr:`edges`, :meth:`out_edges` and :meth:`in_edges` build fresh lists
     of :class:`ProvEdge` from the tuples, and :attr:`vertices` is a
     read-only view; matching reads the tuples and the vertex dict in place.
-    `_version` counts the calls of :meth:`add_vertex` and :meth:`add_edge`,
-    so a reader can tell that the graph changed since it last looked; the
-    decoder's one pass calls their bodies and counts nothing, and a write
-    into a vertex's `attrs` payload in place is not counted.
     """
 
     def __init__(self) -> None:
@@ -163,7 +159,6 @@ class ProvenanceGraph:
         self._out: dict[str, list[_EdgeTuple]] = {}
         self._in: dict[str, list[_EdgeTuple]] = {}
         self._auto = 0
-        self._version = 0
         # vertex ids by type and by (type, name); built by ids_of on first use
         self._index: dict[Any, list[str]] | None = None
 
@@ -188,7 +183,6 @@ class ProvenanceGraph:
         a string as it is, a number as its text. Anything else raises
         :class:`InputFormatError`. Drops the :meth:`ids_of` index.
         """
-        self._version += 1  # counted before any check: a call that raises may have added a vertex
         vtype, text = _docs.member(VertexType, vtype, "vertex type"), _docs.text
         name, vid = text(name, 'vertex "name"'), vid if vid is None else text(vid, 'vertex "id"')
         return self._add_vertex(vtype, name, dict(attrs) if attrs else None, vid)
@@ -223,7 +217,6 @@ class ProvenanceGraph:
         :class:`EdgeLabel` or its value text, checked after the endpoints.
         Anything else raises :class:`InputFormatError`.
         """
-        self._version += 1
         text = _docs.text
         src, dst = text(src, 'edge "src"'), text(dst, 'edge "dst"')
         self._add_edge(src, dst, label, refined if refined is None else text(refined, '"refinedLabel"'))

@@ -196,7 +196,7 @@ def test_evaluate_over_the_search_budget_exits_2(capsys, tmp_path):
 
 
 def test_evaluate_over_the_search_budget_under_failed_guards_exits_2(capsys, tmp_path):
-    """`decide` leaves the search of a policy whose guards fail to the trace read, which fails as `decide` did."""
+    """The trace shows a guard-failed policy's tree value, so its search runs, and fails `evaluate` the same way."""
     assert _evaluate_a_search_over_budget(capsys, tmp_path, subject=["staff"]) == _evaluate_a_search_over_budget(
         capsys, tmp_path
     )

@@ -37,7 +37,6 @@ from provpurpose import (
     TreeLeaf,
     TreeOp,
     UnboundNameError,
-    UnknownVertexError,
     VertexCondition,
     VertexType,
     decide,
@@ -47,7 +46,6 @@ from provpurpose import (
     eval_fida,
     eval_fida_plain,
     evaluate_policy,
-    graph_from_dict,
     load_policy,
     load_request,
     load_role_order,
@@ -333,7 +331,7 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     assert outcome.decided == {"mid"}
     plan = cfg._plans[pg]
     assert list(plan.merged) == [0b1]
-    # the outcome map's key holds the guard mask and the passing shapes' leaf values, its value shared decisions
+    # the outcome map's key holds the guard mask and the party's leaf values, its value shared decisions
     assert plan.outcomes == {(0b1, MatchValue.FULL): ((cfg.policies[0].applied,), 0b1)}
     del plan
     graph = weakref.ref(pg)
@@ -481,8 +479,8 @@ def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, sm
     # requester s{k} reaches the roles of k's bits, so k is its guard mask, and every policy's null leaf is FULL
     reached = [frozenset(f"r{i}" for i in range(n) if k >> i & 1) for k in range(engine._MERGES_KEPT)]
     assert list(plan.guards) == [(roles, None) for roles in reached]
-    leaves = [sum(MatchValue.FULL << 2 * i for i in range(bin(k).count("1"))) for k in range(engine._MERGES_KEPT)]
-    assert list(plan.outcomes) == list(enumerate(leaves))
+    leaves = sum(MatchValue.FULL << 2 * i for i in range(n))
+    assert list(plan.outcomes) == [(k, leaves) for k in range(engine._MERGES_KEPT)]
 
 
 def test_many_outcome_vectors_with_one_applicability_vector_store_one_result(tiny_graph, small_pg):
@@ -561,14 +559,13 @@ def test_a_repeated_key_evaluates_no_shape_and_users_of_one_role_share_it(tiny_g
     The guard key holds only the roles the party's guards name, so users who
     hold the same named roles share one stored entry, whatever else they
     reach; another category is another guard key. A new guard key checks
-    each shape's guards once, and a new outcome key evaluates the shapes
-    whose guards pass, each checking its guards again: a guard key whose
-    guard mask was met before, with the same leaf values, runs no tree.
+    each shape's guards once. A new outcome key evaluates each shape whose
+    guards pass, checking its guards again, and runs only the tree of each
+    other shape: a guard key whose guard mask was met before, with the same
+    leaf values, runs no tree.
     """
     calls = {}
-    for module, name in (
-        (engine, "evaluate_policy"), (engine, "guards_pass"), (policy, "guards_pass"), (policy, "eval_access_tree"),
-    ):
+    for module, name in ((engine, "evaluate_policy"), (policy, "guards_pass"), (policy, "eval_access_tree")):
         def counting(*args, fn=getattr(module, name), name=name, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
@@ -593,21 +590,21 @@ def test_a_repeated_key_evaluates_no_shape_and_users_of_one_role_share_it(tiny_g
         got = decide(record, Request(subject), [cfg], "F3", small_pg, order)
         return sorted(got.decided), dict(calls)
 
-    # three shapes' guards checked; staff's and open's pass and are evaluated, grades' fails
-    each = {"evaluate_policy": 2, "guards_pass": 3 + 2, "eval_access_tree": 2}
+    # three shapes' guards checked; staff's and open's pass and are evaluated, grades' fails and its tree runs
+    each = {"evaluate_policy": 2, "guards_pass": 3 + 2, "eval_access_tree": 2 + 1}
     nothing = {"evaluate_policy": 0, "guards_pass": 0, "eval_access_tree": 0}
     assert run("alice") == (["mid"], each)
     assert run("alice") == run("bob") == (["mid"], nothing)
     # only open's guards pass
-    assert run("carol") == ([], {"evaluate_policy": 1, "guards_pass": 3 + 1, "eval_access_tree": 1})
+    assert run("carol") == ([], {"evaluate_policy": 1, "guards_pass": 3 + 1, "eval_access_tree": 1 + 2})
     assert run("dave") == ([], nothing)
     # a new guard key with alice's guard mask: the guards are checked, and no shape is evaluated
     assert run("alice", "essays") == (["mid"], {"evaluate_policy": 0, "guards_pass": 3, "eval_access_tree": 0})
     plan = cfg._plans[small_pg]
     staff, none = frozenset({"staff"}), frozenset()
     assert list(plan.guards) == [(staff, "assignment"), (none, "assignment"), (staff, "essays")]
-    # the report leaf, the tree's null leaf and the open policy's, each FULL; under carol's mask, open's alone
-    assert list(plan.outcomes) == [(0b101, 0b11_11_11), (0b100, 0b11)]
+    # the report leaf, the tree's null leaf and the open policy's, each FULL
+    assert list(plan.outcomes) == [(0b101, 0b11_11_11), (0b100, 0b11_11_11)]
     assert len(plan.merged) == 2
 
 
@@ -669,32 +666,20 @@ def test_a_tree_nested_to_the_bound_is_grouped_by_value(tiny_graph, small_pg):
     assert outcome.decided == {"mid"}
 
 
-def test_a_trace_builds_its_policy_decisions_when_first_read(tiny_graph, small_pg, monkeypatch):
+def test_a_trace_builds_its_policy_decisions_when_first_read(tiny_graph, small_pg):
     """`decide` leaves each party's per-policy tuple unbuilt; its first read builds it, once.
 
     grant and deny share a shape, whose outcome is grant's own decision, yet
     deny's entry is deny's; the guarded policy gets its shape's declined one.
-    Its guards fail, so `decide` runs only the shared shape's tree, and the
-    first read of `outcomes` runs the guarded shape's.
     """
-    trees = []
-    for module in (engine, policy):  # the read's calls, and those of `evaluate_policy`
-        def recording(tree, *args, run=module.eval_access_tree):
-            trees.append(tree)
-            return run(tree, *args)
-
-        monkeypatch.setattr(module, "eval_access_tree", recording)
     grant, deny = _null_policy("grant", ap={"mid"}), _null_policy("deny", pp={"leafp"})
     guarded = _subject_guarded("staff", "staff", {"leafp"})
     parties = [PartyConfig("owner", (grant, guarded, deny)), PartyConfig("other", (guarded,))]
     outcome = decide(DataRecord(tiny_graph), Request("s"), parties, "F3", small_pg)
     assert all("decisions" not in vars(trace) for trace in outcome.parties)
-    assert all("outcomes" not in vars(trace) for trace in outcome.parties) and trees == [grant.tree]
     trace = outcome.parties[0]
-    assert trace.config is parties[0] and "outcomes" not in vars(trace) and trees == [grant.tree]
+    assert trace.config is parties[0] and "config" not in repr(trace)
     assert trace.outcomes[0] is grant.applied and not trace.outcomes[1].guards_ok
-    assert trees == [grant.tree, guarded.tree] and "_pending" not in vars(trace)
-    assert "config" not in repr(trace) and "outcomes" not in vars(outcome.parties[1])
     decisions = trace.decisions
     assert trace.decisions is decisions and "decisions" not in vars(outcome.parties[1])
     assert [pid for pid, _ in decisions] == ["grant", "staff", "deny"]
@@ -708,10 +693,7 @@ def test_an_outcome_pickles_with_its_configs_fields_only(tiny_graph, small_pg):
     """A trace holds its `PartyConfig`, whose plans are weakly keyed; pickling sends the fields, not the plans."""
     cfg = PartyConfig("owner", (_null_policy("grant", ap={"mid"}), _subject_guarded("staff", "staff", {"leafp"})))
     outcome = decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
-    assert "outcomes" not in vars(outcome.parties[0])  # the guarded shape's tree value is pending
     back = pickle.loads(pickle.dumps(outcome))
-    # pickling read it first, and sent neither the graph nor the decision's memo
-    assert "outcomes" in vars(outcome.parties[0]) and "_pending" not in vars(back.parties[0])
     assert back == outcome and outcome_to_dict(back) == outcome_to_dict(outcome)
     assert back.parties[0].config == cfg and "_plans" not in vars(back.parties[0].config)
 
@@ -735,86 +717,39 @@ def _staff_only(pid, name, ap):
     return Policy(pid, 4, leaf, ap=frozenset(ap), subjects=frozenset({"staff"}))
 
 
-def test_a_leaf_under_failed_guards_raises_when_the_trace_is_first_read(tiny_graph, small_pg, monkeypatch):
-    """`decide` matches no leaf of a shape whose guards fail, so that leaf's fault moves to the trace read.
+def test_a_leaf_under_failed_guards_fails_the_decision(tiny_graph, small_pg, monkeypatch):
+    """A shape whose guards fail cannot apply, yet its tree value is in the trace: `decide` matches its leaf.
 
-    Every read of `outcomes`, `decisions`, `outcome_to_dict` or a pickle
-    raises the `StageError` that `decide` raised while it matched every
-    leaf: same stage, same cause. A requester whose guards pass still meets
-    it in `decide`. Once the leaf matches, the pending trace reads.
+    So that leaf's fault fails `decide` as any other leaf's does, and
+    nothing is stored; once the leaf matches, the trace holds the tree value.
     """
     matched = _raising_vertex_leaves(monkeypatch)
     staff = _staff_only("staff", "B", {"mid"})
     cfg = PartyConfig("owner", (_null_policy("open", ap={"leafp"}), staff))
-    outcome = decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
-    assert outcome.decided == {"leafp"} and [type(c) for c in matched] == [NullCondition]
-    trace = outcome.parties[0]
-    reads = (lambda: trace.outcomes, lambda: trace.decisions, lambda: outcome_to_dict(outcome), lambda: pickle.dumps(outcome))
-    for read in reads:
+    for subject in ("s", "staff"):
         with pytest.raises(StageError) as err:
-            read()
+            decide(DataRecord(tiny_graph), Request(subject), [cfg], "F3", small_pg)
         assert err.value.stage == "policy-evaluation"
         assert type(err.value.cause) is SearchLimitError and str(err.value.cause) == "B"
-    with pytest.raises(StageError) as err:
-        decide(DataRecord(tiny_graph), Request("staff"), [cfg], "F3", small_pg)
-    assert err.value.stage == "policy-evaluation" and str(err.value.cause) == "B"
+    assert [type(c) for c in matched] == [NullCondition, VertexCondition] * 2
+    assert cfg._plans[small_pg].outcomes == {}
     monkeypatch.undo()
+    outcome = decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
     # tiny_graph has an agent, but none named B
-    assert [d for _, d in trace.decisions] == [cfg.policies[0].applied, policy._DECLINED[MatchValue.TYPES, False]]
+    assert [d for _, d in outcome.parties[0].decisions] == [cfg.policies[0].applied, policy._DECLINED[MatchValue.TYPES, False]]
 
 
-def test_a_guarded_leaf_fault_now_comes_before_a_guard_failed_one(tiny_graph, small_pg, monkeypatch):
-    """Both leaves raise. Matching every leaf in shape order raised A's fault; `decide` now never matches A."""
+def test_leaf_faults_come_in_shape_order_whatever_the_guards(tiny_graph, small_pg, monkeypatch):
+    """Both leaves raise. The first shape's guards fail, and its leaf's fault is the one `decide` raises."""
     matched = _raising_vertex_leaves(monkeypatch)
-    open_b = Policy("open", 1, TreeLeaf(VertexCondition(VertexType.AGENT, "B")), ap=frozenset({"leafp"}))
-    cfg = PartyConfig("owner", (_staff_only("staff", "A", {"mid"}), open_b))
+    staff_a = _staff_only("staff", "A", {"mid"})
+    cfg = PartyConfig("owner", (staff_a, Policy("open", 1, TreeLeaf(VertexCondition(VertexType.AGENT, "B")), ap=frozenset({"leafp"}))))
     with pytest.raises(StageError) as err:
         decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
     assert err.value.stage == "policy-evaluation"
-    assert type(err.value.cause) is SearchLimitError and str(err.value.cause) == "B"
-    assert matched == [open_b.tree.condition]
+    assert type(err.value.cause) is SearchLimitError and str(err.value.cause) == "A"
+    assert matched == [staff_a.tree.condition]
     assert cfg._plans[small_pg].outcomes == {}
-
-
-def test_a_trace_refuses_to_read_pending_values_from_a_graph_written_since(small_pg):
-    """`add_vertex` and `add_edge` count their calls, and a trace with pending tree values checks the count.
-
-    A write between `decide` and the first read of `outcomes` is refused,
-    even one that raised; a trace with nothing pending reads as decided; the
-    next decision reads the written graph. The decoder counts nothing.
-    """
-    graph = graph_from_dict({"vertices": [
-        {"id": "x", "type": "artifact", "name": "x"}, {"id": "p", "type": "process", "name": "p"},
-    ]})
-    assert graph._version == 0
-    open_p = _null_policy("open", ap={"leafp"})
-    parties = [PartyConfig("owner", (open_p, _staff_only("staff", "b", {"mid"}))), PartyConfig("plain", (open_p,))]
-    writes = [
-        lambda: graph.add_vertex(VertexType.AGENT, "b", vid="b"),
-        lambda: graph.add_edge("x", "p", EdgeLabel.WAS_GENERATED_BY),
-        lambda: graph.add_edge("x", "nowhere", EdgeLabel.WAS_GENERATED_BY),
-    ]
-    for version, write in enumerate(writes, 1):
-        outcome = decide(DataRecord(graph), Request("s"), parties, "F3", small_pg)
-        owner, plain = outcome.parties
-        assert "outcomes" not in vars(owner) and "outcomes" in vars(plain)
-        try:
-            write()
-        except UnknownVertexError:
-            pass
-        assert graph._version == version
-        assert plain.decisions == (("open", open_p.applied),)
-        for _ in range(2):
-            with pytest.raises(StageError) as err:
-                owner.outcomes
-            assert err.value.stage == "policy-evaluation" and type(err.value.cause) is ConfigurationError
-            assert str(err.value.cause) == (
-                "party 'owner': the provenance graph changed after the decision, "
-                "so its guard-failed tree values cannot be read"
-            )
-        # the agent b, added by the first write, is found
-        again = decide(DataRecord(graph), Request("s"), parties, "F3", small_pg).parties[0]
-        assert again.outcomes[1] is policy._DECLINED[MatchValue.FULL, False]
 
 
 def test_policies_of_one_shape_get_the_decisions_they_would_get_alone():
@@ -1148,21 +1083,21 @@ def _write(rng, graph):
         graph.add_edge(*rng.sample(ids, 2), EdgeLabel.WAS_DERIVED_FROM)
 
 
-def test_long_lived_configs_read_and_pickle_pending_traces_as_fresh_ones_decide():
-    """Decide on long-lived configs, maybe write to the graph, read every trace, then pickle the outcome.
+def test_long_lived_configs_decide_as_fresh_ones_and_their_traces_outlive_a_graph_write():
+    """Decide on long-lived configs, maybe write to the graph, then read every trace and pickle the outcome.
 
-    A trace whose guard-failed tree values are pending refuses its read
-    after a write; any other trace reads as decided. Every outcome read in
-    full renders as fresh configs decided it, before the write; its decided
-    set and party results are the oracle's; and its pickled copy renders
-    and compares equal. Later requests decide the written graphs.
+    A trace is complete when `decide` returns, so a write after it changes
+    no trace: every outcome renders as fresh configs decided it before the
+    write, its decided set and party results are the oracle's, and its
+    pickled copy renders and compares equal. Later requests decide the
+    written graphs.
     """
-    pending = refused = 0
+    written = 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def check(seed):
-        nonlocal pending, refused
+        nonlocal written
         rng = random.Random(seed)
         case = random_decision_case(rng)
         if rng.random() < 0.5:
@@ -1183,19 +1118,9 @@ def test_long_lived_configs_read_and_pickle_pending_traces_as_fresh_ones_decide(
             except StageError as exc:
                 assert fresh == (exc.stage, type(exc.cause), str(exc.cause))
                 continue
-            deferred = ["outcomes" not in vars(trace) for trace in outcome.parties]
-            pending += any(deferred)
             if rng.random() < 0.3:
                 _write(rng, record.provenance)
-                if any(deferred):
-                    refused += 1
-                    for trace, waits in zip(outcome.parties, deferred):
-                        if waits:
-                            with pytest.raises(StageError, match="graph changed after the decision"):
-                                trace.decisions
-                        else:
-                            assert trace.decisions
-                    continue
+                written += 1
             got = _rendered_or_error(lambda: outcome)
             assert got == fresh
             decided, results = expected
@@ -1205,4 +1130,4 @@ def test_long_lived_configs_read_and_pickle_pending_traces_as_fresh_ones_decide(
             assert back == outcome and _rendered_or_error(lambda: back) == got
 
     check()
-    assert pending and refused
+    assert written
