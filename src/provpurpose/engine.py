@@ -10,31 +10,30 @@ A decision runs in four stages:
    outcome depends only on its shape: its access tree, compared by value,
    and its subject and category guards. A shape's outcome depends only on
    whether its guards pass and on its tree's value, a fold of its leaf
-   values, and only a shape whose guards pass can apply. Each decision
-   first matches the party's distinct leaf conditions in the order the
-   shapes' trees would match them, so the first leaf that raises is the
-   one that would raise if every policy were evaluated in order. Each
-   distinct leaf condition object is matched once per decision, however
-   many policies and parties share it, and so is each coarser partition
-   that gives a partition its lower levels. From the second constrained
-   partition of a coarser partition on, the coarser's embeddings are
-   enumerated once per decision, and each constrained partition is graded
-   against them instead of searched. The requester's role order is walked
-   once per decision. A subject guard reads only the roles of that walk's
-   reach that some guard of the party names, and a category guard only the
-   record's category; so the plan maps those roles and the category to the
-   party's guard mask, bit s set when shape s's guards pass, and maps the
-   guard mask and the packed leaf values to the shape outcomes and the
-   applicability vector (bit i set when policy i applies). A key met
-   before, by this requester or by another whose named roles give the same
-   guard mask, runs no guard check and no tree. On a miss each shape whose
-   guards pass is evaluated by its first policy, in order of first
-   appearance; a shape whose guards fail cannot apply, so only its tree is
-   folded from the matched leaves, for the trace. The applicability vector
-   is the OR of the policy masks of the shapes that apply. A record
-   category that is neither a string nor None fails this stage before any
-   party is evaluated. The trace derives the per-policy decisions from the
-   shape outcomes when first read.
+   values. Each decision first matches the party's distinct leaf conditions
+   in the order the shapes' trees would match them, so the first leaf that
+   raises is the one that would raise if every policy were evaluated in
+   order. Each distinct leaf condition object is matched once
+   per decision, however many policies and parties share it, and so is each
+   coarser partition that gives a partition its lower levels. From the
+   second constrained partition of a coarser partition on, the coarser's
+   embeddings are enumerated once per decision, and each constrained
+   partition is graded against them instead of searched. The requester's
+   role order is walked once per decision. A subject guard reads only the
+   roles of that walk's reach that some guard of the party names, and a
+   category guard only the record's category; so the plan maps those
+   roles and the category to the party's guard mask, bit s set when shape
+   s's guards pass, and maps the guard mask and the packed leaf values to
+   the shape outcomes and the applicability vector (bit i set when policy
+   i applies). A key met before, by this requester or by another whose
+   named roles give the same guard mask, runs no guard check and no tree.
+   On a miss each shape whose guards pass is evaluated by its first
+   policy, in order of first appearance; a shape whose guards fail cannot
+   apply, so only its tree is folded from the matched leaves, for the
+   trace. The applicability vector is the OR of the policy masks of the
+   shapes that apply. A record category that is neither a string nor None
+   fails this stage before any party is evaluated. The trace derives the
+   per-policy decisions from the shape outcomes when first read.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several
