@@ -144,7 +144,9 @@ def eval_access_tree(
     """Evaluate a tree bottom-up; AND is min, OR is max over the chain.
 
     A branch runs its compiled :attr:`TreeBranch.program` on a value stack,
-    so nesting costs no recursion. Each leaf condition object is evaluated
+    so nesting costs no recursion; a branch over leaves alone whose leaves
+    are all in `memo` is folded by one call (:attr:`TreeBranch.leaf_fold`).
+    Each leaf condition object is evaluated
     once per `memo`, in the tree's left-to-right order; a call without one
     gets a fresh memo, which also holds the coarser partitions matched for
     the leaves' lower levels. A memo is only valid for one graph and one set
@@ -158,9 +160,9 @@ def eval_access_tree(
         return _match_leaf(cond, graph, query_attrs, memo) if value is None else value
     flat = tree.leaf_fold
     if flat is not None:
-        fold, keys = flat
+        combine, keys = flat
         try:
-            return fold(map(memo.__getitem__, keys))
+            return combine(map(memo.__getitem__, keys))
         except KeyError:
             pass  # a leaf not matched yet: the program matches them in order
     stack: list[MatchValue] = []
