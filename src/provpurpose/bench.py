@@ -8,7 +8,10 @@ generate (wall-clock readings naturally vary):
   reported per type;
 * merge means: the same randomly drawn operand sets are fed to a
   hierarchical merge (each pair checked against the purpose graph, then
-  f_dotplus) and to a cross-party merge (F3).
+  f_dotplus) and to a cross-party merge (F3). Each repetition times both
+  loops over all the operands, and each mean is taken from the median
+  repetition's loop, so a stall of the host inside one loop of about 1 ms
+  does not decide which merge reads slower.
 
 Absolute numbers depend on the machine; only shapes and orderings are
 meaningful.
@@ -17,6 +20,7 @@ meaningful.
 from __future__ import annotations
 
 import random
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -89,7 +93,8 @@ def _operand_pairs(
 def bench_algebras(
     config: BenchConfig, rng: random.Random | None = None
 ) -> tuple[float, float]:
-    """(internal mean, external mean) seconds per merge over shared operands.
+    """(internal mean, external mean) seconds per merge over shared operands,
+    each from the median of the repetitions' loop times.
 
     The internal timing covers `split_result` on both operands, which checks
     their members against the purpose graph, plus the f_dotplus merge (one
@@ -104,21 +109,21 @@ def bench_algebras(
         (PartyResult("m", ap1, pp1), PartyResult("n", ap2, pp2))
         for ap1, pp1, ap2, pp2 in pairs
     ]
-    internal_total = 0.0
-    external_total = 0.0
+    internal_loops: list[float] = []
+    external_loops: list[float] = []
     for _ in range(config.repetitions):
         start = time.perf_counter()
         for ap1, pp1, ap2, pp2 in pairs:
             si = split_result(pg, ap1, pp1)
             sj = split_result(pg, ap2, pp2)
             apply_internal(InternalFunction.DOTPLUS, si, sj)
-        internal_total += time.perf_counter() - start
+        internal_loops.append(time.perf_counter() - start)
         start = time.perf_counter()
         for sm, sn in party_pairs:
             apply_external(ExternalFunction.F3, sm, sn, pg)
-        external_total += time.perf_counter() - start
-    n = config.repetitions * len(pairs)
-    return internal_total / n, external_total / n
+        external_loops.append(time.perf_counter() - start)
+    n = len(pairs)
+    return statistics.median(internal_loops) / n, statistics.median(external_loops) / n
 
 
 def run_bench(config: BenchConfig) -> BenchReport:

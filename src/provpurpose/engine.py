@@ -50,7 +50,8 @@ A decision runs in four stages:
    expression into one decision set. The expression's program, compiled
    once per text and party names, runs over each party's result masks, and
    only the decided mask is decoded; each party's trace holds its result
-   decoded.
+   decoded. Both decodes go through ``pg.bits``, which decodes each
+   distinct mask once per purpose graph, up to a fixed number of masks.
 4. attached-purpose-intersection: when the record carries attached purposes,
    the decision is narrowed to them.
 
@@ -76,7 +77,7 @@ from . import policy
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder
 from .policy import _DECLINED, _match_leaf, _tree_leaves, evaluate_policy
 from .provenance import ProvenanceGraph
-from .purposes import PurposeGraph, PurposeSet
+from .purposes import _MERGES_KEPT, PurposeGraph, PurposeSet
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,6 @@ class DataRecord:
     provenance: ProvenanceGraph
     category: str | None = None
     attached_purposes: PurposeSet | None = None
-
-
-#: Most entries each map of one party plan keeps; once a map holds that many,
-#: later values are computed on every decision and not stored.
-_MERGES_KEPT = 128
 
 
 class _PartyPlan(NamedTuple):

@@ -151,7 +151,8 @@ def merge_parties(
     else is parsed as an expression whose set names refer to parties. Either
     way the party names must be distinct. `results` holds party results, or,
     as `decide` passes them, each party's ``(ap, pp)`` masks under
-    ``pg.bits`` by party name.
+    ``pg.bits`` by party name; the decided mask is then decoded by
+    ``pg.bits``, once per distinct mask up to its memo's bound.
     """
     if not results:
         raise EmptyPurposeSetError("no party results to merge")

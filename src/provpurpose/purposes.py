@@ -46,6 +46,11 @@ PurposeSet = frozenset[str]
 # Maps a mask's binary digits to the 0/1 bytes that select its members.
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
+#: Most entries a bounded map keeps: each encoding's decode memo here, and
+#: each map of an engine party plan. Once a map holds that many, later values
+#: are computed on every use and not stored.
+_MERGES_KEPT = 128
+
 
 class PurposeBits:
     """One bit per purpose of a graph, so sets of its purposes become int masks.
@@ -56,9 +61,15 @@ class PurposeBits:
     The names run by (rank, name): bits ``layers[r]`` up to ``layers[r + 1]``
     hold rank r, so the lowest and highest set bits of a mask are members
     of its least and greatest rank.
+
+    `decode` keeps the sets it builds by mask, up to `_MERGES_KEPT` masks,
+    so each distinct mask is decoded once per encoding, and so once per
+    purpose graph, which holds its encoding. Later masks are decoded on
+    every call, and a mask that raises is never kept.
     """
 
     def __init__(self, graph: PurposeGraph) -> None:
+        self._decoded: dict[int, PurposeSet] = {}
         self._ranks = ranks = graph._rank
         self.names = tuple(sorted(graph.purposes, key=lambda p: (ranks[p], p)))
         by_rank = [ranks[p] for p in self.names]
@@ -68,16 +79,23 @@ class PurposeBits:
     def encode(self, s: Iterable[str]) -> int:
         """The mask of a set of encoded names; raise on the smallest name the encoding lacks."""
         names, ranks, layers = self.names, self._ranks, self.layers
+        rest = iter(s)  # what is left of `s` after the first unknown name, even if `s` is one-shot
         try:
-            return sum(1 << bisect_left(names, p, layers[ranks[p]], layers[ranks[p] + 1]) for p in s)
-        except KeyError:
-            raise UnknownPurposeError(f"unknown purpose {min(set(s).difference(ranks))!r}") from None
+            return sum(1 << bisect_left(names, p, layers[ranks[p]], layers[ranks[p] + 1]) for p in rest)
+        except KeyError as missing:
+            unknown = {missing.args[0], *(p for p in rest if p not in ranks)}
+            raise UnknownPurposeError(f"unknown purpose {min(unknown)!r}") from None
 
     def decode(self, mask: int) -> PurposeSet:
         """The names whose bits are set in `mask`; raise on a negative mask or a bit no name holds."""
-        if mask < 0 or mask >> len(self.names):
-            raise UnknownPurposeError(f"mask {mask} is not a set of the {len(self.names)} encoded purposes")
-        return frozenset(compress(self.names, f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)))
+        members = self._decoded.get(mask)
+        if members is None:
+            if mask < 0 or mask >> len(self.names):
+                raise UnknownPurposeError(f"mask {mask} is not a set of the {len(self.names)} encoded purposes")
+            members = frozenset(compress(self.names, f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)))
+            if len(self._decoded) < _MERGES_KEPT:
+                self._decoded[mask] = members
+        return members
 
     def least_rank(self, mask: int) -> int:
         """The least rank in a non-empty mask: its lowest set bit's."""

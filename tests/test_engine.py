@@ -334,10 +334,12 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     # the outcome map's key holds the guard mask and the party's leaf values, its value shared decisions
     assert plan.outcomes == {(0b1, MatchValue.FULL): ((cfg.policies[0].applied,), 0b1)}
     del plan
-    graph = weakref.ref(pg)
+    assert pg.bits._decoded == {0b10: {"mid"}, 0: set()}  # the decode memo: the party result; the decision hit it
+    graph, bits = weakref.ref(pg), weakref.ref(pg.bits)
     del pg
     gc.collect()
     assert graph() is None
+    assert bits() is None  # the encoding and its decode memo went with the graph
     assert len(cfg._plans) == 0  # the plan and its map went with the graph
     assert outcome.parties[0].decisions == (("grant", cfg.policies[0].applied),)
 

@@ -14,6 +14,7 @@ from provpurpose import (
     purpose_graph_from_dict,
     purpose_graph_to_dict,
 )
+from provpurpose.purposes import _MERGES_KEPT
 from oracles import brute_force_ranks
 
 
@@ -178,15 +179,35 @@ def test_an_encoding_rejects_a_name_it_lacks_naming_the_smallest(hierarchy):
     for bits, names in ((pair, {"d", "c", "a"}), (hierarchy.bits, {"zz", "c", "Admin"})):
         with pytest.raises(UnknownPurposeError, match="^unknown purpose 'c'$"):
             bits.encode(names)
+        # a one-shot iterable: the names after the first unknown one are still read
+        with pytest.raises(UnknownPurposeError, match="^unknown purpose 'c'$"):
+            bits.encode(p for p in sorted(names, reverse=True))
+    with pytest.raises(UnknownPurposeError, match="^unknown purpose 'zz'$"):
+        pair.encode(p for p in ["a", "zz"])
+    assert pair.encode(p for p in ["b", "a"]) == 0b11
 
 
 _CHAIN = PurposeGraph(["a", "b", "c"], [("a", "b"), ("b", "c")], 1)
+# 256 masks, more than a decode memo keeps
+_WIDE = PurposeGraph([f"p{i}" for i in range(8)], [])
 
 
 @pytest.mark.parametrize("mask", [-1, -2, 0b1111, 1 << 7])
 def test_decoding_rejects_a_negative_mask_or_a_bit_past_the_names(mask):
-    with pytest.raises(UnknownPurposeError, match=f"^mask {mask} is not a set of the 3 encoded purposes$"):
-        _CHAIN.bits.decode(mask)
+    # the same mask past 8 names: 0b1111 << 5 sets bit 8
+    for graph, mask in ((_CHAIN, mask), (_WIDE, mask if mask < 0 else mask << 5)):
+        bits = PurposeBits(graph)
+        message = f"^mask {mask} is not a set of the {len(bits.names)} encoded purposes$"
+        with pytest.raises(UnknownPurposeError, match=message):
+            bits.decode(mask)  # the memo empty
+        assert bits._decoded == {}
+        for valid in range(1 << len(bits.names)):
+            bits.decode(valid)
+        kept = dict(bits._decoded)
+        assert len(kept) == min(1 << len(bits.names), _MERGES_KEPT)
+        with pytest.raises(UnknownPurposeError, match=message):
+            bits.decode(mask)  # the memo full, or holding every valid mask
+        assert bits._decoded == kept
 
 
 def test_every_mask_within_the_names_decodes_to_its_members():
@@ -194,6 +215,18 @@ def test_every_mask_within_the_names_decodes_to_its_members():
     assert bits.names == ("a", "b", "c")
     for mask in range(1 << 3):
         assert bits.decode(mask) == {p for i, p in enumerate(bits.names) if mask >> i & 1}
+    bits = PurposeBits(_WIDE)
+    first = {}
+    for mask in range(1 << 8):  # a miss each, the memo full from mask 128 on
+        first[mask] = bits.decode(mask)
+        assert first[mask] == {p for i, p in enumerate(bits.names) if mask >> i & 1}
+        assert len(bits._decoded) == min(mask + 1, _MERGES_KEPT)
+    assert list(bits._decoded) == list(range(_MERGES_KEPT))
+    for mask in range(1 << 8):  # hits below the bound, decoded again past it
+        again = bits.decode(mask)
+        assert again == first[mask]
+        assert (again is first[mask]) == (mask < _MERGES_KEPT)
+    assert list(bits._decoded) == list(range(_MERGES_KEPT))
 
 
 def test_cycle_rejected():
