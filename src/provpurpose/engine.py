@@ -15,10 +15,17 @@ A decision runs in four stages:
    raises is the one that would raise if every policy were evaluated in
    order. Each distinct leaf condition object is matched once
    per decision, however many policies and parties share it, and so is each
-   coarser partition that gives a partition its lower levels. From the
-   second constrained partition of a coarser partition on, the coarser's
-   embeddings are enumerated once per decision, and each constrained
-   partition is graded against them instead of searched. The requester's
+   coarser partition that gives a partition its lower levels. A party's
+   constrained partition leaves that share one coarser partition form a
+   group. The first constrained partition of a coarser partition in a
+   decision is searched on its own. At the second, the coarser's embeddings
+   are enumerated once per decision, and from then on the first leaf of a
+   group that the memo lacks grades every partition of its group that the
+   memo lacks against them, in one pass that reads each embedded vertex's
+   attributes once per decision; the group's later leaves are memo hits.
+   Where the enumeration takes too many steps, each partition is searched
+   on its own at its own leaf, so every search and every fault comes where
+   it would without groups. The requester's
    role order is walked once per decision. A subject guard reads only the
    roles of that walk's reach that some guard of the party names, and a
    category guard only the record's category; so the plan maps those
@@ -73,11 +80,12 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, InputFormatError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties, party_result_to_dict
+from .matching import MatchValue, ProvenancePartition, match_group
 from . import policy
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder
 from .policy import _DECLINED, _match_leaf, _tree_leaves, evaluate_policy
 from .provenance import ProvenanceGraph
-from .purposes import _MERGES_KEPT, PurposeGraph, PurposeSet
+from .purposes import _MERGES_KEPT, PurposeGraph, PurposeSet, _named
 
 
 @dataclass(frozen=True)
@@ -123,9 +131,12 @@ class PartyConfig:
     compared by value: each shape's first policy, in order of first
     appearance, each policy's shape index, and each shape's mask of its
     policies. `_leaves` lists the distinct leaf condition objects of those
-    first policies' trees, in the order the trees match them, `_subjects`
-    the subjects their guards name, and `_guarded` derives a request's
-    guard mask. Per purpose graph a plan checks that the party has
+    first policies' trees, in the order the trees match them, and `_groups`
+    each leaf's group: the constrained partitions among the leaves that
+    share its coarser partition, where there are two or more (see
+    :func:`~provpurpose.matching.match_group`). `_subjects` lists the
+    subjects their guards name, and `_guarded` derives a request's guard
+    mask. Per purpose graph a plan checks that the party has
     policies, that their ids are distinct and that `pg` holds all their
     purposes, then keeps their (allowed, prohibited) masks under
     ``pg.bits``, which `masks(pg)` returns, and three bounded maps (see
@@ -170,6 +181,16 @@ class PartyConfig:
         return tuple(found.values())
 
     @cached_property
+    def _groups(self) -> tuple[tuple[ProvenancePartition, ...] | None, ...]:
+        # each leaf's group, in leaf order, or None
+        by_coarser: dict[int, list[ProvenancePartition]] = {}
+        for cond in self._leaves:
+            if isinstance(cond, ProvenancePartition) and cond.coarser is not None and cond.coarser[1] is MatchValue.NAMES:
+                by_coarser.setdefault(id(cond.coarser[0]), []).append(cond)
+        groups = {id(p): tuple(group) for group in by_coarser.values() if len(group) > 1 for p in group}
+        return tuple([groups.get(id(cond)) for cond in self._leaves])
+
+    @cached_property
     def _subjects(self) -> frozenset[str]:
         return frozenset().union(*[rep.subjects for rep in self._shapes[0] if rep.subjects is not None])
 
@@ -193,7 +214,7 @@ class PartyConfig:
             known = pg.purposes
             for pol in self.policies:
                 if not (pol.ap <= known and pol.pp <= known):
-                    unknown = min((pol.ap | pol.pp) - known)
+                    unknown = _named((pol.ap | pol.pp) - known)
                     raise ConfigurationError(f"policy {pol.id!r} uses purpose {unknown!r} not in the purpose graph")
             bits = pg.bits
             masks = tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies)
@@ -279,9 +300,11 @@ def decide(
                 if len(plan.guards) < _MERGES_KEPT:
                     plan.guards[asked] = mask
             leaves = 0
-            for cond in cfg._leaves:  # 2 bits per leaf value
+            for cond, group in zip(cfg._leaves, cfg._groups):  # 2 bits per leaf value
                 value = memo.get(id(cond))
-                leaves = leaves << 2 | (_match_leaf(cond, graph, query_attrs, memo) if value is None else value)
+                if value is None:
+                    value = _match_leaf(cond, graph, query_attrs, memo) if group is None else match_group(cond, group, graph, memo)
+                leaves = leaves << 2 | value
             key = mask, leaves  # all the party's guards and trees read
             shaped = plan.outcomes.get(key)
             if shaped is None:

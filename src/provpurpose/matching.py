@@ -18,6 +18,9 @@ too: from the second of them in a decision on, the coarser's embeddings are
 enumerated once into the memo, and each partition is graded against them by
 its constraints instead of searched. So is a query condition's partition,
 built per request: the memo keys only its coarser, which the condition holds.
+The memo keeps, beside the embeddings, the attribute payload of each
+embedded vertex graded so far, so each is read once per decision, and
+:func:`match_group` grades a whole group of such partitions in one pass.
 
 Conjunction is ``min`` and disjunction is ``max`` on that chain; only ``FULL``
 ever grants purposes downstream.
@@ -282,14 +285,16 @@ class ProvenancePartition:
         return _intern(ProvenancePartition(vertices, self.edges)), level
 
     @cached_property
-    def graded(self) -> tuple[tuple[int, PatternVertex], ...]:
-        """Each constrained vertex, with its place in the :attr:`coarser` partition's plan.
+    def graded(self) -> tuple[tuple[int, tuple[str, str | None], Callable[[Any, Any], bool], AttrValue], ...]:
+        """Each constraint as (place, (item, kind), test, operand), its vertex's place in the :attr:`coarser` plan.
 
         An embedding of the coarser partition holds one graph vertex per
-        place; it embeds this partition when those vertices hold the constraints.
+        place; it embeds this partition when those vertices hold the
+        constraints: a value of the constraint's kind under its item passes
+        its test.
         """
         at = {placement.vertex.ref: i for i, placement in enumerate(self.coarser[0].plan)}
-        return tuple((at[v.ref], v) for v in self.vertices if v.constraints)
+        return tuple((at[v.ref], (c.item, c.kind), c.test, c.operand) for v in self.vertices for c in v.constraints)
 
 
 #: The one object of each distinct pattern, keyed by its type and compared fields; it holds none alive.
@@ -310,10 +315,12 @@ def _intern(pattern: Any) -> Any:
 #: What one decision has found. A condition's or a partition's match value
 #: is keyed by its identity. The embeddings of the coarser partition of
 #: constrained partitions are keyed by its negated identity: a mark once one
-#: of them was searched on its own, then every embedding, or a mark that they
-#: take too many steps. Every key is an object that a policy tree or a
-#: condition holds, so no other object takes its identity in a decision: a
-#: query condition's per-request partition is never a key, nor interned.
+#: of them was searched on its own, then every embedding with the payloads
+#: of the embedded vertices graded so far (:class:`_Embeddings`), or a mark
+#: that they take too many steps. Every key is an object that a policy tree
+#: or a condition holds, so no other object takes its identity in a
+#: decision: a query condition's per-request partition is never a key, nor
+#: interned.
 LeafMemo = dict[int, Any]
 
 
@@ -323,29 +330,17 @@ MAX_SEARCH_STEPS = 100_000
 
 # Looking up an enum member costs a call on Python 3.11; matching reads these per call.
 _FULL, _NAMES, _TYPES, _NONE = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES, MatchValue.NONE
-_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES.value
 
 
 def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
     """Whether the vertex's attributes satisfy every constraint; a missing or incomparable value fails.
 
-    The payloads are read in place, as :meth:`ProvenanceGraph.attributes_of`
-    would merge them: an Attribute vertex has its own, any other vertex those
-    one ``hasAttributes`` hop away, and the last of them to hold an item wins.
-    Like every reader here, it reads the graph's vertex dict and its stored
-    edge tuples, (src, dst, label text[, refined]), in place.
+    The payload is read in place, once, by :meth:`ProvenanceGraph._payload`,
+    which :meth:`~ProvenanceGraph.attributes_of` copies.
     """
-    vertices = graph._vertices
-    vertex = vertices[vid]
-    own, out = vertex.vtype is _ATTRIBUTE, graph._out.get(vid, ())
+    attrs = graph._payload(vid)
     for c in pv.constraints:
-        if own:
-            value = vertex.attrs.get(c.item)
-        else:
-            value = None
-            for e in out:
-                if e[2] == _HAS_ATTRIBUTES:
-                    value = vertices[e[1]].attrs.get(c.item, value)
+        value = attrs.get(c.item)
         if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
             return False
     return True
@@ -432,9 +427,25 @@ def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph) -> b
     return _search(partition, graph, None)
 
 
-def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> list[tuple[str, ...]] | None:
-    """Every embedding, as its graph vertices in plan order; None when they take too many steps."""
-    found: list[tuple[str, ...]] = []
+class _Embeddings(list):
+    """Every embedding of a partition, as its graph vertices in plan order.
+
+    `shown` holds the payload of each embedded vertex graded so far, keyed
+    by its id: each value of a kind (see :func:`_kind`) under its (item,
+    kind). It lives in one decision's memo, so a payload is read once per
+    decision and never across a write to the graph.
+    """
+
+    __slots__ = ("shown",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.shown: dict[str, dict[tuple[str, str], AttrValue]] = {}
+
+
+def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> _Embeddings | None:
+    """Every embedding; None when they take too many steps."""
+    found = _Embeddings()
     try:
         _search(partition, graph, found)
     except SearchLimitError:
@@ -442,16 +453,64 @@ def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> l
     return found
 
 
-def _grade(partition: ProvenancePartition, embedding: tuple[str, ...], graph: ProvenanceGraph) -> bool:
-    """Whether an embedding of the coarser partition also holds the partition's constraints."""
-    for at, pv in partition.graded:
-        if not _attrs_hold(pv, embedding[at], graph):
-            return False
-    return True
+def _grade(partitions: list[ProvenancePartition], found: _Embeddings, graph: ProvenanceGraph) -> list[bool]:
+    """Whether some embedding of the partitions' one coarser partition also holds each one's constraints.
+
+    The embeddings are taken in order while some partition is held by none
+    so far. Each embedded vertex's payload is read once into
+    ``found.shown``, with the kind of each value, when an embedding holding
+    it is first taken; a value of no kind is left out, as no constraint
+    holds on it. Grading raises nothing.
+    """
+    shown, payload = found.shown, graph._payload
+    held = [False] * len(partitions)
+    pending = [(i, p.graded) for i, p in enumerate(partitions)]
+    for embedding in found:
+        row = []
+        for vid in embedding:
+            values = shown.get(vid)
+            if values is None:
+                values = shown[vid] = {
+                    (item, kind): value for item, value in payload(vid).items() if (kind := _kind(value)) is not None
+                }
+            row.append(values)
+        failed = []
+        for entry in pending:
+            for at, key, test, operand in entry[1]:
+                value = row[at].get(key)
+                if value is None or not test(value, operand):
+                    failed.append(entry)
+                    break
+            else:
+                held[entry[0]] = True
+        if not failed:
+            break
+        pending = failed
+    return held
 
 
 # The states of a coarser partition's embeddings in a memo, besides the embeddings themselves.
 _ONE_SEARCHED, _TOO_MANY = "one finer partition searched", "too many steps"
+
+
+def _embeddings(below: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> Any:
+    """The state of `below`'s embeddings in `memo`, one step on: a mark is set, or the embeddings enumerated.
+
+    `below` is a coarser partition at level NAMES. The first call in a
+    memo leaves :data:`_ONE_SEARCHED` and returns None, and the second
+    enumerates the embeddings into the memo, with `below`'s value FULL when
+    there are some; a later call returns what the memo holds.
+    """
+    key = -id(below)
+    state = memo.get(key)
+    if state is None:
+        memo[key] = _ONE_SEARCHED
+    elif state is _ONE_SEARCHED:
+        found = _all_embeddings(below, graph)
+        state = memo[key] = _TOO_MANY if found is None else found
+        if found:
+            memo[id(below)] = _FULL
+    return state
 
 
 def match_partition(
@@ -464,17 +523,18 @@ def match_partition(
     constrained partition of C in a memo is searched on its own and leaves
     a mark for C. The second enumerates C's embeddings once into the memo,
     with C's value, and from then on each constrained partition of C is
-    FULL when some embedding of C also holds its constraints. C has the same
-    vertices, names, edges and injectivity, so that is the value of a
-    search. If the enumeration takes more than :data:`MAX_SEARCH_STEPS`
-    steps, the memo says so and each partition of C is searched on its own.
-    Any other partition is searched once, for FULL: a coarser partition
-    that drops names would lose the name index, and could have an embedding
-    for every vertex of a type where the search looks a name up once.
-    Without an embedding, a partition's value is C's, FULL standing for C's
-    level: taken from `memo` when the decision has already matched C, else
-    matched and stored there. A call without a memo gets a fresh one. The
-    memo keys C, never the partition given (see :data:`LeafMemo`).
+    FULL when some embedding of C also holds its constraints (see
+    :func:`_grade`). C has the same vertices, names, edges and injectivity,
+    so that is the value of a search. If the enumeration takes more than
+    :data:`MAX_SEARCH_STEPS` steps, the memo says so and each partition of
+    C is searched on its own. Any other partition is searched once, for
+    FULL: a coarser partition that drops names would lose the name index,
+    and could have an embedding for every vertex of a type where the search
+    looks a name up once. Without an embedding, a partition's value is C's,
+    FULL standing for C's level: taken from `memo` when the decision has
+    already matched C, else matched and stored there. A call without a memo
+    gets a fresh one. The memo keys C, never the partition given (see
+    :data:`LeafMemo`); :func:`match_group` stores the values of many.
     """
     coarser = partition.coarser
     if coarser is None:
@@ -482,25 +542,44 @@ def match_partition(
     if memo is None:
         memo = {}
     below, level = coarser
-    shared = None
-    if level is _NAMES:
-        key = -id(below)
-        shared = memo.get(key)
-        if shared is None:
-            memo[key] = _ONE_SEARCHED
-        elif shared is _ONE_SEARCHED:
-            embeddings = _all_embeddings(below, graph)
-            shared = memo[key] = _TOO_MANY if embeddings is None else embeddings
-            if embeddings:
-                memo[id(below)] = _FULL
-    if type(shared) is list:
-        for embedding in shared:
-            if _grade(partition, embedding, graph):
-                return _FULL
+    found = _embeddings(below, graph, memo) if level is _NAMES else None
+    if type(found) is _Embeddings:
+        if _grade([partition], found, graph)[0]:
+            return _FULL
     elif _find_embedding(partition, graph):
         return _FULL
     value = _value(below, graph, memo)
     return level if value is _FULL else value
+
+
+def match_group(
+    partition: ProvenancePartition, group: tuple[ProvenancePartition, ...], graph: ProvenanceGraph, memo: LeafMemo
+) -> MatchValue:
+    """The value of `partition`, one of `group`, stored in `memo` under its identity.
+
+    `group` holds constrained partitions that share one coarser partition
+    C at level NAMES. Until `memo` holds C's embeddings, and where they
+    take too many steps, `partition` is matched by :func:`match_partition`
+    alone, so that every search, and every fault, comes where it would
+    without the group. Once they are there, which is from the second
+    constrained partition of C in the memo on, every partition of `group`
+    that `memo` has no value for is graded against them in one
+    :func:`_grade` call, and its value stored: FULL, or C's value, FULL
+    standing for NAMES. Those later partitions are then memo hits.
+    """
+    below, level = partition.coarser
+    found = memo.get(-id(below))
+    if found is _ONE_SEARCHED:
+        found = _embeddings(below, graph, memo)
+    value = memo.get(id(below))
+    if type(found) is not _Embeddings or value is None:
+        value = memo[id(partition)] = match_partition(partition, graph, memo)
+        return value
+    rest = level if value is _FULL else value
+    pending = [p for p in group if id(p) not in memo]
+    for p, held in zip(pending, _grade(pending, found, graph)):
+        memo[id(p)] = _FULL if held else rest
+    return memo[id(partition)]
 
 
 def _value(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> MatchValue:

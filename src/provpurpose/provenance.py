@@ -301,15 +301,31 @@ class ProvenanceGraph:
 
         Attribute vertices return their own payload; other vertices return the
         merged payloads of all Attribute vertices one ``hasAttributes`` hop away.
+        The dict is a fresh copy of :meth:`_payload`'s.
         """
-        vertex = self.vertex(vid)
+        self.vertex(vid)
+        return dict(self._payload(vid))
+
+    def _payload(self, vid: str) -> Mapping[str, AttrValue]:
+        """The attributes a known vertex shows, read in place; the one rule that matching and :meth:`attributes_of` share.
+
+        An Attribute vertex shows its own payload. Any other vertex shows the
+        payloads of its ``hasAttributes`` edges merged in edge order, the
+        last to hold an item winning: the one payload itself when there is
+        one, a new dict when there are several. The mapping may be a stored
+        payload, so a caller must not change it, and must read it again after
+        a write to the graph.
+        """
+        vertices = self._vertices
+        vertex = vertices[vid]
         if vertex.vtype is _ATTRIBUTE:
-            return dict(vertex.attrs)
-        merged: AttributeSet = {}
+            return vertex.attrs
+        shown = _NO_ATTRS
         for edge in self._out.get(vid, ()):
             if edge[2] == _HAS_ATTRIBUTES:
-                merged.update(self._vertices[edge[1]].attrs)
-        return merged
+                attrs = vertices[edge[1]].attrs
+                shown = attrs if shown is _NO_ATTRS else {**shown, **attrs}
+        return shown
 
     def main_vertices(self) -> Iterator[ProvVertex]:
         """Vertices that are not attribute bundles."""

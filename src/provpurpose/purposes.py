@@ -52,6 +52,15 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 _MERGES_KEPT = 128
 
 
+def _named(unknown: Iterable[Any]) -> Any:
+    """The member an unknown-purpose error names: the least name, else the least other value.
+
+    Other values order by their type's name, then their repr, after every
+    name, so a set that mixes types names one member, the same at every site.
+    """
+    return min(unknown, key=lambda p: (0, p) if isinstance(p, str) else (1, type(p).__name__, repr(p)))
+
+
 class PurposeBits:
     """One bit per purpose of a graph, so sets of its purposes become int masks.
 
@@ -77,14 +86,14 @@ class PurposeBits:
         self.high = self.encode(graph.high)
 
     def encode(self, s: Iterable[str]) -> int:
-        """The mask of a set of encoded names; raise on the smallest name the encoding lacks."""
+        """The mask of a set of encoded names; raise on the unknown one that :func:`_named` names."""
         names, ranks, layers = self.names, self._ranks, self.layers
         rest = iter(s)  # what is left of `s` after the first unknown name, even if `s` is one-shot
         try:
             return sum(1 << bisect_left(names, p, layers[ranks[p]], layers[ranks[p] + 1]) for p in rest)
         except KeyError as missing:
             unknown = {missing.args[0], *(p for p in rest if p not in ranks)}
-            raise UnknownPurposeError(f"unknown purpose {min(unknown)!r}") from None
+            raise UnknownPurposeError(f"unknown purpose {_named(unknown)!r}") from None
 
     def decode(self, mask: int) -> PurposeSet:
         """The names whose bits are set in `mask`; raise on a negative mask or a bit no name holds."""
@@ -173,10 +182,10 @@ class PurposeGraph:
         return p
 
     def check_members(self, s: Iterable[str]) -> PurposeSet:
-        """Return the members as a set; raise on the smallest unknown one."""
+        """Return the members as a set; raise on the unknown one that :func:`_named` names."""
         members = frozenset(s)
         if not members <= self._purposes:
-            self._check(min(members - self._purposes))
+            self._check(_named(members - self._purposes))
         return members
 
     def rank_of(self, p: str) -> int:

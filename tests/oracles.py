@@ -989,11 +989,13 @@ def _o_guards(policy, subject, category, role_order):
 
 
 def _o_full(tree, graph, query_attrs=None):
-    """Whether an access tree of null, vertex, attribute and query leaves is a FULL match."""
+    """Whether an access tree of null, vertex, attribute, query and partition leaves is a FULL match."""
     if isinstance(tree, TreeLeaf):
         cond = tree.condition
         if isinstance(cond, NullCondition):
             return True
+        if isinstance(cond, ProvenancePartition):
+            return oracle_match_partition(cond, graph) == 3
         constraints = ()
         if isinstance(cond, AttrCondition):
             constraints = (AttrConstraint(cond.item, cond.pred, cond.operand),)

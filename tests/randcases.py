@@ -359,7 +359,8 @@ def shared_leaves(case: "DecisionCase") -> tuple[bool, bool]:
     )
 
 
-def _random_policy(rng: random.Random, pid: str, pool: Sequence[str], leaves: list) -> Policy:
+def _random_policy(rng: random.Random, pid: str, pool: Sequence[str], leaves: list, tree=None) -> Policy:
+    """A policy of a random type over `tree`, or else over a tree of null or vertex leaves (see `_random_tree`)."""
     ptype = rng.randint(1, 4)
     ap = _subset(rng, pool) if ptype != 2 else frozenset()
     pp = _subset(rng, pool) if ptype != 1 else frozenset()
@@ -370,7 +371,9 @@ def _random_policy(rng: random.Random, pid: str, pool: Sequence[str], leaves: li
             subjects = frozenset(rng.sample(_ROLES, rng.randint(1, 2)))
         if roll > 0.4:
             categories = frozenset(rng.sample(_CATEGORIES, rng.randint(1, 2)))
-    return Policy(pid, ptype, _random_tree(rng, leaves), ap=ap, pp=pp, subjects=subjects, categories=categories)
+    if tree is None:
+        tree = _random_tree(rng, leaves)
+    return Policy(pid, ptype, tree, ap=ap, pp=pp, subjects=subjects, categories=categories)
 
 
 def _random_expr_tree(rng: random.Random, names: Sequence[str], functions: Sequence[str], leaves: int):
@@ -434,6 +437,43 @@ def random_decision_case(rng: random.Random) -> DecisionCase:
         role_order=role_order,
         parties=parties,
         external=external,
+        purposes=purposes,
+        edges=edges,
+        line=rng.randint(0, len(layers)),
+        attached=_subset(rng, purposes, 0.6) if rng.random() < 0.4 else None,
+    )
+
+
+def skeleton_family_case(rng: random.Random) -> DecisionCase:
+    """1-4 parties of 1-8 policies whose leaves are partitions of one `skeleton_family`.
+
+    Each policy's tree is one of the family's partitions, or an AND or OR of
+    two, so most parties hold several constrained partitions of one coarser
+    partition, and parties share partition objects. Self-loops are dropped
+    from the family, as the matcher never checks them and the oracle does.
+    The parties fold by default and merge by a bare F1-F8 name.
+    """
+    layers, edges, purposes = _purpose_layers(rng)
+    graph = random_provenance_graph(rng, 6)
+    family = [
+        ProvenancePartition(p.vertices, tuple(e for e in p.edges if e.src != e.dst)) for p in skeleton_family(rng, graph)
+    ]
+    parties = []
+    for i in range(rng.randint(1, 4)):
+        policies = []
+        for j in range(rng.randint(1, 8)):
+            tree = TreeLeaf(rng.choice(family))
+            if rng.random() < 0.3:
+                tree = TreeBranch(rng.choice(list(TreeOp)), (tree, TreeLeaf(rng.choice(family))))
+            policies.append(_random_policy(rng, f"q{j}", purposes, [], tree))
+        parties.append((f"P{i}", tuple(policies), None))
+    return DecisionCase(
+        graph=graph,
+        category=rng.choice((None,) + _CATEGORIES),
+        subject=rng.choice(_ROLES),
+        role_order=None,
+        parties=parties,
+        external=rng.choice(_EXTERNAL_FUNCTIONS),
         purposes=purposes,
         edges=edges,
         line=rng.randint(0, len(layers)),

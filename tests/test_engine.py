@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from provpurpose import (
     AttrCondition,
+    AttrConstraint,
     ConfigurationError,
     DataRecord,
     EdgeLabel,
@@ -23,9 +24,12 @@ from provpurpose import (
     NullCondition,
     PartyConfig,
     PartyResult,
+    PatternEdge,
+    PatternVertex,
     Policy,
     Predicate,
     ProvenanceGraph,
+    ProvenancePartition,
     PurposeBits,
     PurposeGraph,
     QueryCondition,
@@ -56,6 +60,7 @@ from provpurpose import (
     print_fida,
     split_result,
 )
+from provpurpose import matching
 from provpurpose.algebra import MAX_NESTING
 from conftest import CASE_STUDY
 from oracles import oracle_decide
@@ -64,6 +69,7 @@ from randcases import (
     random_prohibiting_case,
     repeated_requests,
     shared_leaves,
+    skeleton_family_case,
     with_shared_shapes,
 )
 
@@ -282,6 +288,24 @@ def test_stage_labels():
     with pytest.raises(StageError) as err:
         decide(carrying, Request("s"), [ok], "F3", pg)
     assert err.value.stage == "attached-purpose-intersection"
+
+
+@pytest.mark.parametrize(
+    "ap, attached, stage, message",
+    [
+        # a party plan names the least unknown name, then other values by type name and repr
+        ({"a", 2, "q"}, None, "policy-evaluation", "policy 'p1' uses purpose 'a' not in the purpose graph"),
+        ({"mid", 2, 1.5}, None, "policy-evaluation", "policy 'p1' uses purpose 1.5 not in the purpose graph"),
+        # and so does the attached-purpose check
+        ({"mid"}, frozenset({1, "x"}), "attached-purpose-intersection", "unknown purpose 'x'"),
+        ({"mid"}, frozenset({"mid", 1, None}), "attached-purpose-intersection", "unknown purpose None"),
+    ],
+)
+def test_purpose_sets_of_mixed_types_fail_their_stage_naming_one_member(tiny_graph, small_pg, ap, attached, stage, message):
+    cfg = PartyConfig("owner", (_null_policy("p1", ap=ap),))
+    with pytest.raises(StageError) as err:
+        decide(DataRecord(tiny_graph, attached_purposes=attached), Request("s"), [cfg], "F3", small_pg)
+    assert err.value.stage == stage and str(err.value.cause) == message
 
 
 def test_an_unknown_purpose_in_a_later_policy_fails_before_any_policy_is_matched(tiny_graph, small_pg, monkeypatch):
@@ -1074,6 +1098,145 @@ def test_decide_matches_the_oracle():
 
     check()
     assert any(policies for policies, _ in shared) and any(parties for _, parties in shared)
+
+
+def test_skeleton_families_in_parties_decide_as_the_oracle_and_as_each_leaf_alone(monkeypatch):
+    """Parties whose leaves are one skeleton family's partitions, decided twice on one set of configs.
+
+    The warm decision is the oracle's, and it renders as the decision of
+    fresh configs that match each leaf alone, with a fresh memo, does.
+    """
+    largest = []
+
+    def alone(cond, graph, query_attrs, memo):
+        value = memo[id(cond)] = policy._match_leaf(cond, graph, query_attrs, {})
+        return value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        case = skeleton_family_case(rng)
+        pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
+        record = DataRecord(case.graph, category=case.category, attached_purposes=case.attached)
+
+        def decided_by(configs):
+            return decide(record, Request(case.subject), configs, case.external, pg)
+
+        configs = [PartyConfig(name, policies) for name, policies, _ in case.parties]
+        decided_by(configs)
+        warm = decided_by(configs)
+        decided, results = oracle_decide(**case._asdict())
+        assert warm.decided == decided
+        assert [(t.result.ap, t.result.pp) for t in warm.parties] == results
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_match_leaf", alone)
+            m.setattr(engine, "match_group", lambda cond, group, graph, memo: alone(cond, graph, None, memo))
+            fresh = decided_by([PartyConfig(name, policies) for name, policies, _ in case.parties])
+        assert outcome_to_dict(warm) == outcome_to_dict(fresh)
+        largest.append(max(len(group or ()) for cfg in configs for group in cfg._groups))
+
+    check()
+    assert max(largest) >= 4 and sum(n >= 2 for n in largest) > 100
+
+
+def _cycle_with(k):
+    """A wasDerivedFrom 8-cycle of unnamed Artifacts whose first asks for ``k == k``."""
+    return ProvenancePartition(
+        tuple(
+            PatternVertex(f"p{i}", VertexType.ARTIFACT, None, (AttrConstraint("k", Predicate.EQ, k),) if i == 0 else ())
+            for i in range(8)
+        ),
+        tuple(PatternEdge(f"p{i}", f"p{(i + 1) % 8}", EdgeLabel.WAS_DERIVED_FROM) for i in range(8)),
+    )
+
+
+def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_search(monkeypatch):
+    """Artifacts c0-c7, with k = 0-7, derived in a cycle, then a complete 32-vertex DAG whose top has k = 100.
+
+    The coarser 8-cycle's first embedding is found from c0 in a few steps,
+    but enumerating them all walks the DAG past `MAX_SEARCH_STEPS`. So each
+    partition of a group is searched on its own, in leaf order, and the
+    first party decides. In the second, the cycle asking for k = 100 starts
+    at the DAG's top and gives up in its own search: the same searches in
+    the same order, and the same fault at the same leaf, as without groups.
+    """
+    g = ProvenanceGraph()
+    cycle = [g.add_vertex(VertexType.ARTIFACT, f"c{i}", {"k": i}) for i in range(8)]
+    for i in range(8):
+        g.add_edge(cycle[i], cycle[(i + 1) % 8], EdgeLabel.WAS_DERIVED_FROM)
+    dag = [g.add_vertex(VertexType.ARTIFACT, f"a{i}", {"k": 100} if i == 31 else None) for i in range(32)]
+    for j in range(32):
+        for i in range(j):
+            g.add_edge(dag[j], dag[i], EdgeLabel.WAS_DERIVED_FROM)
+    one, five, nine, three, top = map(_cycle_with, (1, 5, 9, 3, 100))
+    coarser = one.coarser[0]
+    pg = PurposeGraph(["root", "mid"], [("root", "mid")], hierarchy_line=0)
+
+    def party(name, parts):
+        return PartyConfig(name, tuple(Policy(f"q{i}", 1, TreeLeaf(p), ap={"mid"}) for i, p in enumerate(parts)))
+
+    first, second = party("first", (one, five, nine)), party("second", (three, top))
+    assert [len(group) for cfg in (first, second) for group in cfg._groups] == [3, 3, 3, 2, 2]
+    runs = []  # each search and enumeration, in order
+    find, enumerate_all = matching._find_embedding, matching._all_embeddings
+    monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: runs.append(("search", p)) or find(p, graph))
+    monkeypatch.setattr(
+        matching, "_all_embeddings", lambda p, graph: runs.append(("enumerate", p)) or enumerate_all(p, graph)
+    )
+    outcome = decide(DataRecord(g), Request("s"), [first], "F3", pg)
+    assert [d["tree_value"] for d in outcome_to_dict(outcome)["parties"][0]["policies"]] == ["full", "full", "names-only"]
+    # the first is searched alone, the second enumerates, then each is searched alone
+    decided_first = [("search", one), ("enumerate", coarser), ("search", five), ("search", nine), ("search", coarser)]
+    assert runs == decided_first
+    del runs[:]
+    with pytest.raises(StageError) as err:
+        decide(DataRecord(g), Request("s"), [first, second], "F3", pg)
+    assert err.value.stage == "policy-evaluation" and type(err.value.cause) is SearchLimitError
+    assert str(err.value.cause) == f"partition search gave up after {matching.MAX_SEARCH_STEPS} steps"
+    assert runs == decided_first + [("search", three), ("search", top)]
+
+
+def test_a_payload_written_between_decisions_is_read_by_the_next():
+    """A payload written in place, then a later bundle added by `add_edge`, each changes the next decision.
+
+    Two long-lived parties hold three partitions of one coarser partition, in
+    two orders, so each decision grades the group of each.
+    """
+    g = ProvenanceGraph()
+    art, run = g.add_vertex(VertexType.ARTIFACT, "row", {"k": 1}), g.add_vertex(VertexType.PROCESS, "run")
+    g.add_edge(art, run, EdgeLabel.WAS_GENERATED_BY)
+
+    def at_least(k):
+        return ProvenancePartition(
+            (
+                PatternVertex("a", VertexType.ARTIFACT, None, (AttrConstraint("k", Predicate.GEQ, k),)),
+                PatternVertex("p", VertexType.PROCESS, "run"),
+            ),
+            (PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY),),
+        )
+
+    parts = [at_least(k) for k in (1, 2, 3)]
+    pg = PurposeGraph(["root", "p1", "p2", "p3"], [("root", "p1"), ("root", "p2"), ("root", "p3")], hierarchy_line=0)
+    parties = [
+        PartyConfig(name, tuple(Policy(f"k{k}", 1, TreeLeaf(parts[k - 1]), ap={f"p{k}"}) for k in order))
+        for name, order in (("up", (1, 2, 3)), ("down", (3, 2, 1)))
+    ]
+
+    def held():
+        outcome = decide(DataRecord(g), Request("s"), parties, "F3", pg)
+        rows = [{d["id"]: d["tree_value"] for d in party["policies"]} for party in outcome_to_dict(outcome)["parties"]]
+        assert rows[0] == rows[1]
+        return [rows[0][f"k{k}"] for k in (1, 2, 3)]
+
+    assert held() == ["full", "names-only", "names-only"]
+    g.vertex(f"{art}:att").attrs["k"] = 2  # written in place
+    assert held() == ["full", "full", "names-only"]
+    bundle = g.add_vertex(VertexType.ATTRIBUTE, "later", {"k": 3})
+    g.add_edge(art, bundle, EdgeLabel.HAS_ATTRIBUTES)  # the later bundle wins
+    assert held() == ["full", "full", "full"]
+    g.vertex(bundle).attrs["k"] = 0
+    assert held() == ["names-only"] * 3
 
 
 def _write(rng, graph):

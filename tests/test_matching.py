@@ -14,11 +14,13 @@ from provpurpose import (
     EdgeLabel,
     MatchValue,
     NullCondition,
+    PartyConfig,
     PathPattern,
     PathStep,
     PatternEdge,
     PatternSyntaxError,
     PatternVertex,
+    Policy,
     Predicate,
     ProvenanceGraph,
     ProvenancePartition,
@@ -710,11 +712,11 @@ def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkey
         )
 
     # the report has size 4 and format pdf, so each fails FULL and is NAMES
-    parts = [
+    parts = (
         generated(AttrConstraint("size", Predicate.GT, 10)),
         generated(AttrConstraint("fmt", Predicate.EQ, "doc")),
         generated(AttrConstraint("size", Predicate.LT, 4), AttrConstraint("fmt", Predicate.EQ, "pdf")),
-    ]
+    )
     # the skeleton's unconstrained partition as a decoded leaf, met last through the same memo
     leaf = condition_from_dict({"partition": {
         "vertices": [
@@ -724,16 +726,23 @@ def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkey
         "edges": [["a", "p", "wasGeneratedBy"]],
     }})
     memo = {}
-    assert [match_partition(p, tiny_graph, memo) for p in parts] == [MatchValue.NAMES] * 3
+    # the first is searched alone, as match_partition searches it
+    assert matching.match_group(parts[0], parts, tiny_graph, memo) is MatchValue.NAMES
+    assert id(parts[1]) not in memo
+    # the second enumerates the coarser's embeddings, against which it and the third are graded in one call
+    assert matching.match_group(parts[1], parts, tiny_graph, memo) is MatchValue.NAMES
     assert eval_access_tree(TreeLeaf(leaf), tiny_graph, memo=memo) is MatchValue.FULL
     coarser = parts[0].coarser[0]
     assert all(p.coarser[0] is coarser for p in parts) and leaf is coarser
-    # the first partition and the coarser are searched; the second enumerates the coarser's
-    # embeddings, against which it and the third are graded
     assert searched == [parts[0], coarser] and enumerated == [coarser]
     report, ingest = tiny_graph.ids_of(VertexType.ARTIFACT, "report")[0], tiny_graph.ids_of(VertexType.PROCESS)[0]
-    assert memo == {id(coarser): MatchValue.FULL, -id(coarser): [(report, ingest)]}
-    # without a memo each call searches the coarser partition again
+    assert memo == {
+        id(coarser): MatchValue.FULL, -id(coarser): [(report, ingest)], **{id(p): MatchValue.NAMES for p in parts}
+    }
+    # each embedded vertex's payload was read once, each value under its item and kind
+    assert memo[-id(coarser)].shown == {report: {("size", "int"): 4, ("fmt", "str"): "pdf"}, ingest: {}}
+    # match_partition grades through the same memo, and without one searches the coarser partition again
+    assert match_partition(parts[2], tiny_graph, memo) is MatchValue.NAMES and len(searched) == 2
     assert match_partition(parts[1], tiny_graph) is MatchValue.NAMES
     assert searched[2:] == [parts[1], coarser] and enumerated == [coarser]
 
@@ -774,34 +783,53 @@ def test_a_condition_on_anothers_coarser_partition_reads_it_from_the_memo(tiny_g
 def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the_oracles(monkeypatch):
     """Partitions of one skeleton, in shuffled order, share a memo as the leaves of a decision do.
 
-    Each gets the value it gets alone, with a fresh memo, and those of the
+    The family's groups are a party's, derived from policies over its
+    partitions, and each partition that has one goes through
+    :func:`match_group`, as `decide` sends it; an equal partition the party
+    drops as a repeated shape goes through :func:`match_partition`. Each
+    gets the value it gets alone, with a fresh memo, and those of the
     reference matcher and of the exhaustive oracle, which checks self-loops
-    and so is given the pattern without them.
+    and so is given the pattern without them. No coarser partition is
+    enumerated twice in one memo.
     """
     _, enumerated = _counting(monkeypatch)
-    graded = []
+    graded, sizes = [], []
     grade = matching._grade
-    monkeypatch.setattr(matching, "_grade", lambda p, e, g: graded.append((p, grade(p, e, g))) or graded[-1][1])
+
+    def recording(partitions, found, g):
+        held = grade(partitions, found, g)
+        graded.extend(zip(partitions, held))
+        sizes.append(len(partitions))
+        return held
+
+    monkeypatch.setattr(matching, "_grade", recording)
     rng = random.Random(37)
     seen = set()
     for _ in range(300):
         g = random_provenance_graph(rng, 6)
         family = skeleton_family(rng, g)
         rng.shuffle(family)
-        memo = {}
+        cfg = PartyConfig("party", tuple(Policy(f"q{i}", 1, TreeLeaf(p)) for i, p in enumerate(family)))
+        groups = {id(p): group for p, group in zip(cfg._leaves, cfg._groups) if group}
+        memo, before = {}, len(enumerated)
         for p in family:
-            got = match_partition(p, g, memo)
+            got = memo.get(id(p))
+            if got is None:
+                got = match_partition(p, g, memo) if id(p) not in groups else matching.match_group(p, groups[id(p)], g, memo)
             assert got is match_partition(p, g) is reference_match_partition(p, g), p
             loopless = ProvenancePartition(p.vertices, tuple(e for e in p.edges if e.src != e.dst))
             assert int(got) == oracle_match_partition(loopless, g), p
             seen.add((got, len(p.vertices), len(p.edges) > len(loopless.edges)))
+        assert len(set(map(id, enumerated[before:]))) == len(enumerated) - before
     assert {value for value, _, _ in seen} == set(MatchValue)
     assert {k for _, k, _ in seen} == {1, 2, 3, 4} and any(loop for _, _, loop in seen)
     assert len(enumerated) > 200
-    # embeddings that held and failed the constraints of several vertices, and of two vertices of one type
+    # partitions held and failed by the constraints of several vertices, and of two vertices of one type
     several = [held for p, held in graded if sum(bool(v.constraints) for v in p.vertices) > 1]
     one_type = [held for p, held in graded if len({v.vtype for v in p.vertices}) < len(p.vertices)]
     assert len(several) > 50 and len(one_type) > 50 and all(map(any, (several, one_type))) and not all(several)
+    # a group's partitions were graded several in one call
+    assert max(sizes) > 2
 
 
 def test_query_condition_falls_back_through_the_partition_it_holds(tiny_graph):

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import random
 from datetime import datetime
 
 import pytest
@@ -36,6 +37,7 @@ from provpurpose.matching import (
 )
 from provpurpose.provenance import attr_value_from_json, attr_value_to_json
 from oracles import reference_graph_from_dict, reference_topological_order_of
+from randcases import random_lineage_dag, random_provenance_graph
 
 
 def test_add_vertex_assigns_ids_and_types():
@@ -105,6 +107,34 @@ def test_a_write_to_a_main_vertex_payload_raises(vtype):
     assert g.attributes_of(vid) == {"size": 1}
     g.vertex(f"{vid}:att").attrs["k"] = 1
     assert g.attributes_of(vid) == {"size": 1, "k": 1}
+
+
+def test_the_payload_reader_shows_what_attributes_of_copies_on_random_graphs():
+    """Every vertex of random graphs, some given more bundles, one of them holding an item another holds.
+
+    A vertex with one bundle shows that bundle's payload itself, read in
+    place; with several, the last to hold an item wins.
+    """
+    rng = random.Random(53)
+    merged = 0
+    for i in range(200):
+        g = random_provenance_graph(rng, 6) if i % 2 else random_lineage_dag(rng, rng.randint(5, 30))
+        for vid in [v.id for v in g.main_vertices()]:
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                bundle = g.add_vertex(VertexType.ATTRIBUTE, "extra", {"k": rng.randint(0, 3), "t": "x"})
+                g.add_edge(vid, bundle, EdgeLabel.HAS_ATTRIBUTES)
+        for vid, vertex in g.vertices.items():
+            shown = g._payload(vid)
+            assert shown == g.attributes_of(vid) and shown is not g.attributes_of(vid)
+            bundles = [e.dst for e in g.out_edges(vid) if e.label is EdgeLabel.HAS_ATTRIBUTES]
+            if vertex.vtype is VertexType.ATTRIBUTE:
+                assert shown is vertex.attrs
+            elif len(bundles) == 1:
+                assert shown is g.vertex(bundles[0]).attrs
+            elif len(bundles) > 1:
+                assert shown["k"] == g.vertex(bundles[-1]).attrs["k"]
+                merged += "k" in g.vertex(bundles[0]).attrs
+    assert merged > 50
 
 
 def test_main_vertices_of_a_decoded_graph_share_one_payload(submission_graph):

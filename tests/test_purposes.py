@@ -1,5 +1,7 @@
 """Purpose DAG: ranks, ancestry windows, hierarchy selection, splits."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +162,14 @@ def test_unknown_members_error_names_the_smallest(hierarchy):
         hierarchy.check_members({"g3", "Admin", "g1", "g2"})
 
 
+def test_unknown_members_of_mixed_types_name_the_least_name_first(hierarchy):
+    """Names come before other values, which order by type name and repr, so mixed sets raise the domain error."""
+    with pytest.raises(UnknownPurposeError, match="^unknown purpose 'x'$"):
+        hierarchy.check_members(frozenset({1, "x", "Admin"}))
+    with pytest.raises(UnknownPurposeError, match="^unknown purpose 10$"):  # "10" comes before "2"
+        hierarchy.check_members({"Admin", 10, 2, (1,)})
+
+
 def test_a_graphs_own_bits_run_by_rank_then_name(hierarchy):
     bits = hierarchy.bits
     assert list(bits.names) == sorted(hierarchy.purposes, key=lambda p: (hierarchy.rank_of(p), p))
@@ -185,6 +195,15 @@ def test_an_encoding_rejects_a_name_it_lacks_naming_the_smallest(hierarchy):
     with pytest.raises(UnknownPurposeError, match="^unknown purpose 'zz'$"):
         pair.encode(p for p in ["a", "zz"])
     assert pair.encode(p for p in ["b", "a"]) == 0b11
+
+
+@pytest.mark.parametrize("names, named", [(["a", 2, "q"], "'q'"), ([2, "a", 1.5], "1.5"), ([None, 3], "None")])
+def test_an_encoding_names_one_unknown_member_of_mixed_types(names, named):
+    """Names before other values, which order by type name and repr, whichever member is met first."""
+    pair = PurposeBits(PurposeGraph(["a", "b"], [("a", "b")]))
+    for order in (names, names[::-1]):
+        with pytest.raises(UnknownPurposeError, match=f"^unknown purpose {re.escape(named)}$"):
+            pair.encode(order)
 
 
 _CHAIN = PurposeGraph(["a", "b", "c"], [("a", "b"), ("b", "c")], 1)
