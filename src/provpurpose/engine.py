@@ -80,7 +80,7 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, InputFormatError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties, party_result_to_dict
-from .matching import MatchValue, ProvenancePartition, match_group
+from .matching import ProvenancePartition, match_group
 from . import policy
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder
 from .policy import _DECLINED, _match_leaf, _tree_leaves, evaluate_policy
@@ -185,9 +185,9 @@ class PartyConfig:
         # each leaf's group, in leaf order, or None
         by_coarser: dict[int, list[ProvenancePartition]] = {}
         for cond in self._leaves:
-            if isinstance(cond, ProvenancePartition) and cond.coarser is not None and cond.coarser[1] is MatchValue.NAMES:
-                by_coarser.setdefault(id(cond.coarser[0]), []).append(cond)
-        groups = {id(p): tuple(group) for group in by_coarser.values() if len(group) > 1 for p in group}
+            if isinstance(cond, ProvenancePartition) and any(v.constraints for v in cond.vertices):
+                by_coarser.setdefault(id(cond.coarser[0]), []).append(cond)  # a coarser at level NAMES
+        groups = {id(p): group for group in map(tuple, by_coarser.values()) if len(group) > 1 for p in group}
         return tuple([groups.get(id(cond)) for cond in self._leaves])
 
     @cached_property
@@ -302,8 +302,10 @@ def decide(
             leaves = 0
             for cond, group in zip(cfg._leaves, cfg._groups):  # 2 bits per leaf value
                 value = memo.get(id(cond))
-                if value is None:
-                    value = _match_leaf(cond, graph, query_attrs, memo) if group is None else match_group(cond, group, graph, memo)
+                if value is None and group is None:
+                    value = _match_leaf(cond, graph, query_attrs, memo)
+                elif value is None:
+                    value = match_group(cond, group, graph, memo)
                 leaves = leaves << 2 | value
             key = mask, leaves  # all the party's guards and trees read
             shaped = plan.outcomes.get(key)

@@ -18,9 +18,9 @@ too: from the second of them in a decision on, the coarser's embeddings are
 enumerated once into the memo, and each partition is graded against them by
 its constraints instead of searched. So is a query condition's partition,
 built per request: the memo keys only its coarser, which the condition holds.
-The memo keeps, beside the embeddings, the attribute payload of each
-embedded vertex graded so far, so each is read once per decision, and
-:func:`match_group` grades a whole group of such partitions in one pass.
+The memo holds each embedding as the attribute payloads of its vertices,
+each read once per decision, and :func:`match_group` grades a whole group
+of such partitions in one loop.
 
 Conjunction is ``min`` and disjunction is ``max`` on that chain; only ``FULL``
 ever grants purposes downstream.
@@ -208,6 +208,12 @@ class _Placement(NamedTuple):
     checks: tuple[PatternEdge, ...]
 
 
+#: An attribute constraint as a partition grades it: (place, (item, kind), test, operand).
+_Check = tuple[int, tuple[str, str | None], Callable[[Any, Any], bool], AttrValue]
+#: An embedding as the payloads of its vertices, in plan order, each keyed by (item, kind).
+_Row = list[dict[tuple[str, str], AttrValue]]
+
+
 @dataclass(frozen=True)
 class ProvenancePartition:
     """A connected pattern over vertices and labeled edges."""
@@ -285,7 +291,7 @@ class ProvenancePartition:
         return _intern(ProvenancePartition(vertices, self.edges)), level
 
     @cached_property
-    def graded(self) -> tuple[tuple[int, tuple[str, str | None], Callable[[Any, Any], bool], AttrValue], ...]:
+    def graded(self) -> tuple[_Check, ...]:
         """Each constraint as (place, (item, kind), test, operand), its vertex's place in the :attr:`coarser` plan.
 
         An embedding of the coarser partition holds one graph vertex per
@@ -315,12 +321,11 @@ def _intern(pattern: Any) -> Any:
 #: What one decision has found. A condition's or a partition's match value
 #: is keyed by its identity. The embeddings of the coarser partition of
 #: constrained partitions are keyed by its negated identity: a mark once one
-#: of them was searched on its own, then every embedding with the payloads
-#: of the embedded vertices graded so far (:class:`_Embeddings`), or a mark
-#: that they take too many steps. Every key is an object that a policy tree
-#: or a condition holds, so no other object takes its identity in a
-#: decision: a query condition's per-request partition is never a key, nor
-#: interned.
+#: of them was searched on its own, then every embedding as the payloads of
+#: its vertices (see :func:`_payloads`), or a mark that they take too many
+#: steps. Every key is an object that a policy tree or a condition holds, so
+#: no other object takes its identity in a decision: a query condition's
+#: per-request partition is never a key, nor interned.
 LeafMemo = dict[int, Any]
 
 
@@ -427,25 +432,9 @@ def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph) -> b
     return _search(partition, graph, None)
 
 
-class _Embeddings(list):
-    """Every embedding of a partition, as its graph vertices in plan order.
-
-    `shown` holds the payload of each embedded vertex graded so far, keyed
-    by its id: each value of a kind (see :func:`_kind`) under its (item,
-    kind). It lives in one decision's memo, so a payload is read once per
-    decision and never across a write to the graph.
-    """
-
-    __slots__ = ("shown",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.shown: dict[str, dict[tuple[str, str], AttrValue]] = {}
-
-
-def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> _Embeddings | None:
-    """Every embedding; None when they take too many steps."""
-    found = _Embeddings()
+def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> list[tuple[str, ...]] | None:
+    """Every embedding, as its graph vertices in plan order; None when they take too many steps."""
+    found: list[tuple[str, ...]] = []
     try:
         _search(partition, graph, found)
     except SearchLimitError:
@@ -453,40 +442,45 @@ def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> _
     return found
 
 
-def _grade(partitions: list[ProvenancePartition], found: _Embeddings, graph: ProvenanceGraph) -> list[bool]:
-    """Whether some embedding of the partitions' one coarser partition also holds each one's constraints.
+def _payloads(embeddings: list[tuple[str, ...]], graph: ProvenanceGraph) -> list[_Row]:
+    """Each embedding as the payloads of its vertices, each vertex's read once.
 
-    The embeddings are taken in order while some partition is held by none
-    so far. Each embedded vertex's payload is read once into
-    ``found.shown``, with the kind of each value, when an embedding holding
-    it is first taken; a value of no kind is left out, as no constraint
-    holds on it. Grading raises nothing.
+    A payload, read in place by :meth:`ProvenanceGraph._payload`, becomes a
+    dict of each value of a kind (see :func:`_kind`) under its (item, kind);
+    a value of no kind is left out, as no constraint holds on it.
     """
-    shown, payload = found.shown, graph._payload
-    held = [False] * len(partitions)
-    pending = [(i, p.graded) for i, p in enumerate(partitions)]
-    for embedding in found:
+    typed: dict[str, dict[tuple[str, str], AttrValue]] = {}
+    rows = []
+    for embedding in embeddings:
         row = []
         for vid in embedding:
-            values = shown.get(vid)
+            values = typed.get(vid)
             if values is None:
-                values = shown[vid] = {
-                    (item, kind): value for item, value in payload(vid).items() if (kind := _kind(value)) is not None
+                values = typed[vid] = {
+                    (item, kind): value
+                    for item, value in graph._payload(vid).items()
+                    if (kind := _kind(value)) is not None
                 }
             row.append(values)
-        failed = []
-        for entry in pending:
-            for at, key, test, operand in entry[1]:
-                value = row[at].get(key)
-                if value is None or not test(value, operand):
-                    failed.append(entry)
-                    break
-            else:
-                held[entry[0]] = True
-        if not failed:
-            break
-        pending = failed
-    return held
+        rows.append(row)
+    return rows
+
+
+def _grade(checks: tuple[_Check, ...], rows: list[_Row]) -> bool:
+    """Whether some embedding of a partition's coarser partition holds its checks.
+
+    `checks` are the partition's :attr:`~ProvenancePartition.graded`, and
+    `rows` the embeddings as :func:`_payloads` gives them. Grading raises
+    nothing.
+    """
+    for row in rows:
+        for at, key, test, operand in checks:
+            value = row[at].get(key)
+            if value is None or not test(value, operand):
+                break
+        else:
+            return True
+    return False
 
 
 # The states of a coarser partition's embeddings in a memo, besides the embeddings themselves.
@@ -498,8 +492,9 @@ def _embeddings(below: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMe
 
     `below` is a coarser partition at level NAMES. The first call in a
     memo leaves :data:`_ONE_SEARCHED` and returns None, and the second
-    enumerates the embeddings into the memo, with `below`'s value FULL when
-    there are some; a later call returns what the memo holds.
+    enumerates the embeddings into the memo, each as its vertices'
+    payloads (:func:`_payloads`), with `below`'s value FULL when there are
+    some; a later call returns what the memo holds.
     """
     key = -id(below)
     state = memo.get(key)
@@ -507,7 +502,7 @@ def _embeddings(below: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMe
         memo[key] = _ONE_SEARCHED
     elif state is _ONE_SEARCHED:
         found = _all_embeddings(below, graph)
-        state = memo[key] = _TOO_MANY if found is None else found
+        state = memo[key] = _TOO_MANY if found is None else _payloads(found, graph)
         if found:
             memo[id(below)] = _FULL
     return state
@@ -543,8 +538,8 @@ def match_partition(
         memo = {}
     below, level = coarser
     found = _embeddings(below, graph, memo) if level is _NAMES else None
-    if type(found) is _Embeddings:
-        if _grade([partition], found, graph)[0]:
+    if type(found) is list:
+        if _grade(partition.graded, found):
             return _FULL
     elif _find_embedding(partition, graph):
         return _FULL
@@ -563,22 +558,23 @@ def match_group(
     alone, so that every search, and every fault, comes where it would
     without the group. Once they are there, which is from the second
     constrained partition of C in the memo on, every partition of `group`
-    that `memo` has no value for is graded against them in one
-    :func:`_grade` call, and its value stored: FULL, or C's value, FULL
-    standing for NAMES. Those later partitions are then memo hits.
+    that `memo` has no value for is graded against them by :func:`_grade`,
+    in one loop that stores its value: FULL, or C's value, FULL standing
+    for NAMES. Those later partitions are then memo hits.
     """
     below, level = partition.coarser
     found = memo.get(-id(below))
     if found is _ONE_SEARCHED:
         found = _embeddings(below, graph, memo)
     value = memo.get(id(below))
-    if type(found) is not _Embeddings or value is None:
+    if type(found) is not list or value is None:
         value = memo[id(partition)] = match_partition(partition, graph, memo)
         return value
     rest = level if value is _FULL else value
-    pending = [p for p in group if id(p) not in memo]
-    for p, held in zip(pending, _grade(pending, found, graph)):
-        memo[id(p)] = _FULL if held else rest
+    for p in group:
+        key = id(p)
+        if key not in memo:
+            memo[key] = _FULL if _grade(p.graded, found) else rest
     return memo[id(partition)]
 
 

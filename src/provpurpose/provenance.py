@@ -307,7 +307,7 @@ class ProvenanceGraph:
         return dict(self._payload(vid))
 
     def _payload(self, vid: str) -> Mapping[str, AttrValue]:
-        """The attributes a known vertex shows, read in place; the one rule that matching and :meth:`attributes_of` share.
+        """The attributes a known vertex shows, read in place: the one rule of matching and :meth:`attributes_of`.
 
         An Attribute vertex shows its own payload. Any other vertex shows the
         payloads of its ``hasAttributes`` edges merged in edge order, the

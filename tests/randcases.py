@@ -456,7 +456,8 @@ def skeleton_family_case(rng: random.Random) -> DecisionCase:
     layers, edges, purposes = _purpose_layers(rng)
     graph = random_provenance_graph(rng, 6)
     family = [
-        ProvenancePartition(p.vertices, tuple(e for e in p.edges if e.src != e.dst)) for p in skeleton_family(rng, graph)
+        ProvenancePartition(p.vertices, tuple(e for e in p.edges if e.src != e.dst))
+        for p in skeleton_family(rng, graph)
     ]
     parties = []
     for i in range(rng.randint(1, 4)):

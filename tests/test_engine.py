@@ -301,7 +301,9 @@ def test_stage_labels():
         ({"mid"}, frozenset({"mid", 1, None}), "attached-purpose-intersection", "unknown purpose None"),
     ],
 )
-def test_purpose_sets_of_mixed_types_fail_their_stage_naming_one_member(tiny_graph, small_pg, ap, attached, stage, message):
+def test_purpose_sets_of_mixed_types_fail_their_stage_naming_one_member(
+    tiny_graph, small_pg, ap, attached, stage, message
+):
     cfg = PartyConfig("owner", (_null_policy("p1", ap=ap),))
     with pytest.raises(StageError) as err:
         decide(DataRecord(tiny_graph, attached_purposes=attached), Request("s"), [cfg], "F3", small_pg)
@@ -1185,7 +1187,8 @@ def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_searc
         matching, "_all_embeddings", lambda p, graph: runs.append(("enumerate", p)) or enumerate_all(p, graph)
     )
     outcome = decide(DataRecord(g), Request("s"), [first], "F3", pg)
-    assert [d["tree_value"] for d in outcome_to_dict(outcome)["parties"][0]["policies"]] == ["full", "full", "names-only"]
+    values = [d["tree_value"] for d in outcome_to_dict(outcome)["parties"][0]["policies"]]
+    assert values == ["full", "full", "names-only"]
     # the first is searched alone, the second enumerates, then each is searched alone
     decided_first = [("search", one), ("enumerate", coarser), ("search", five), ("search", nine), ("search", coarser)]
     assert runs == decided_first

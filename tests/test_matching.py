@@ -690,6 +690,21 @@ def test_an_operand_that_never_holds_is_not_equal_to_one_that_can(tiny_graph):
     assert [eval_atomic(c, tiny_graph) for c in (one, true)] == [MatchValue.FULL, MatchValue.NAMES]
 
 
+def test_a_value_or_operand_of_no_kind_never_holds_when_graded():
+    """`True` has no kind: a constraint on it, or one that reads it, holds nowhere, searched or graded."""
+    g = ProvenanceGraph()
+    g.add_vertex(VertexType.ARTIFACT, "report", {"flag": True, "n": 1})
+    EQ = Predicate.EQ
+    parts = tuple(
+        ProvenancePartition((PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint(item, EQ, v),)),))
+        for item, v in (("n", 1), ("flag", True), ("n", True), ("flag", 1))
+    )
+    memo = {}
+    # the first is searched alone; the second grades the rest against the report's one embedding
+    graded = [memo.get(id(p)) or matching.match_group(p, parts, g, memo) for p in parts]
+    assert graded == [match_partition(p, g) for p in parts] == [MatchValue.FULL] + [MatchValue.NAMES] * 3
+
+
 def _counting(monkeypatch):
     """Record each partition search and each enumeration of a coarser partition's embeddings."""
     searched, enumerated = [], []
@@ -735,12 +750,9 @@ def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkey
     coarser = parts[0].coarser[0]
     assert all(p.coarser[0] is coarser for p in parts) and leaf is coarser
     assert searched == [parts[0], coarser] and enumerated == [coarser]
-    report, ingest = tiny_graph.ids_of(VertexType.ARTIFACT, "report")[0], tiny_graph.ids_of(VertexType.PROCESS)[0]
-    assert memo == {
-        id(coarser): MatchValue.FULL, -id(coarser): [(report, ingest)], **{id(p): MatchValue.NAMES for p in parts}
-    }
-    # each embedded vertex's payload was read once, each value under its item and kind
-    assert memo[-id(coarser)].shown == {report: {("size", "int"): 4, ("fmt", "str"): "pdf"}, ingest: {}}
+    # the one embedding, as the payloads of the report and the ingest process, each value under its item and kind
+    embedding = [{("size", "int"): 4, ("fmt", "str"): "pdf"}, {}]
+    assert memo == {id(coarser): MatchValue.FULL, -id(coarser): [embedding], **{id(p): MatchValue.NAMES for p in parts}}
     # match_partition grades through the same memo, and without one searches the coarser partition again
     assert match_partition(parts[2], tiny_graph, memo) is MatchValue.NAMES and len(searched) == 2
     assert match_partition(parts[1], tiny_graph) is MatchValue.NAMES
@@ -793,29 +805,36 @@ def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the
     enumerated twice in one memo.
     """
     _, enumerated = _counting(monkeypatch)
-    graded, sizes = [], []
+    graded, grading = [], {}  # (partition, held) per grading; each partition by its checks
     grade = matching._grade
 
-    def recording(partitions, found, g):
-        held = grade(partitions, found, g)
-        graded.extend(zip(partitions, held))
-        sizes.append(len(partitions))
+    def recording(checks, rows):
+        held = grade(checks, rows)
+        graded.append((grading[id(checks)], held))
         return held
 
     monkeypatch.setattr(matching, "_grade", recording)
     rng = random.Random(37)
-    seen = set()
+    seen, most = set(), 0
     for _ in range(300):
         g = random_provenance_graph(rng, 6)
         family = skeleton_family(rng, g)
         rng.shuffle(family)
+        grading.clear()
+        grading.update((id(p.graded), p) for p in family if any(v.constraints for v in p.vertices))
         cfg = PartyConfig("party", tuple(Policy(f"q{i}", 1, TreeLeaf(p)) for i, p in enumerate(family)))
         groups = {id(p): group for p, group in zip(cfg._leaves, cfg._groups) if group}
         memo, before = {}, len(enumerated)
         for p in family:
             got = memo.get(id(p))
             if got is None:
-                got = match_partition(p, g, memo) if id(p) not in groups else matching.match_group(p, groups[id(p)], g, memo)
+                if id(p) in groups:
+                    group = groups[id(p)]
+                    valued = sum(id(q) in memo for q in group)
+                    got = matching.match_group(p, group, g, memo)
+                    most = max(most, sum(id(q) in memo for q in group) - valued)
+                else:
+                    got = match_partition(p, g, memo)
             assert got is match_partition(p, g) is reference_match_partition(p, g), p
             loopless = ProvenancePartition(p.vertices, tuple(e for e in p.edges if e.src != e.dst))
             assert int(got) == oracle_match_partition(loopless, g), p
@@ -828,8 +847,8 @@ def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the
     several = [held for p, held in graded if sum(bool(v.constraints) for v in p.vertices) > 1]
     one_type = [held for p, held in graded if len({v.vtype for v in p.vertices}) < len(p.vertices)]
     assert len(several) > 50 and len(one_type) > 50 and all(map(any, (several, one_type))) and not all(several)
-    # a group's partitions were graded several in one call
-    assert max(sizes) > 2
+    # one call valued a group of more than two partitions
+    assert most > 2
 
 
 def test_query_condition_falls_back_through_the_partition_it_holds(tiny_graph):
