@@ -19,10 +19,10 @@ A decision runs in four stages:
    constrained partition leaves that share one coarser partition form a
    group. The first constrained partition of a coarser partition in a
    decision is searched on its own. At the second, the coarser's embeddings
-   are enumerated once per decision, and from then on the first leaf of a
-   group that the memo lacks grades every partition of its group that the
-   memo lacks against them, in one pass that reads each embedded vertex's
-   attributes once per decision; the group's later leaves are memo hits.
+   are enumerated once per decision, each embedded vertex's attributes read
+   once, and from then on the first leaf of a group that the memo lacks
+   grades every partition of its group that the memo lacks against them,
+   in one loop; the group's later leaves are memo hits.
    Where the enumeration takes too many steps, each partition is searched
    on its own at its own leaf, so every search and every fault comes where
    it would without groups. The requester's

@@ -322,8 +322,8 @@ def _intern(pattern: Any) -> Any:
 #: is keyed by its identity. The embeddings of the coarser partition of
 #: constrained partitions are keyed by its negated identity: a mark once one
 #: of them was searched on its own, then every embedding as the payloads of
-#: its vertices (see :func:`_payloads`), or a mark that they take too many
-#: steps. Every key is an object that a policy tree or a condition holds, so
+#: its vertices (see :func:`_all_embeddings`), or a mark that they take too
+#: many steps. Every key is an object that a policy tree or a condition holds, so
 #: no other object takes its identity in a decision: a query condition's
 #: per-request partition is never a key, nor interned.
 LeafMemo = dict[int, Any]
@@ -335,17 +335,31 @@ MAX_SEARCH_STEPS = 100_000
 
 # Looking up an enum member costs a call on Python 3.11; matching reads these per call.
 _FULL, _NAMES, _TYPES, _NONE = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES, MatchValue.NONE
+_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES.value
 
 
 def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
     """Whether the vertex's attributes satisfy every constraint; a missing or incomparable value fails.
 
-    The payload is read in place, once, by :meth:`ProvenanceGraph._payload`,
-    which :meth:`~ProvenanceGraph.attributes_of` copies.
+    The payloads are read in place, as :meth:`ProvenanceGraph._payload`
+    merges them: an Attribute vertex has its own, any other vertex those
+    one ``hasAttributes`` hop away, and the last of them to hold an item wins.
+    Like every reader here, it reads the graph's vertex dict and its stored
+    edge tuples, (src, dst, label text[, refined]), in place. It keeps its
+    own copy of that rule, since a call to the reader per candidate drawn
+    slowed the search.
     """
-    attrs = graph._payload(vid)
+    vertices = graph._vertices
+    vertex = vertices[vid]
+    own, out = vertex.vtype is _ATTRIBUTE, graph._out.get(vid, ())
     for c in pv.constraints:
-        value = attrs.get(c.item)
+        if own:
+            value = vertex.attrs.get(c.item)
+        else:
+            value = None
+            for e in out:
+                if e[2] == _HAS_ATTRIBUTES:
+                    value = vertices[e[1]].attrs.get(c.item, value)
         if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
             return False
     return True
@@ -432,26 +446,22 @@ def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph) -> b
     return _search(partition, graph, None)
 
 
-def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> list[tuple[str, ...]] | None:
-    """Every embedding, as its graph vertices in plan order; None when they take too many steps."""
+def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> list[_Row] | None:
+    """Every embedding, as the payloads of its vertices; None when they take too many steps.
+
+    Each vertex's payload is read once, in place by
+    :meth:`ProvenanceGraph._payload`, into a dict of each value of a kind
+    (see :func:`_kind`) under its (item, kind); a value of no kind is left
+    out, as no constraint holds on it.
+    """
     found: list[tuple[str, ...]] = []
     try:
         _search(partition, graph, found)
     except SearchLimitError:
         return None
-    return found
-
-
-def _payloads(embeddings: list[tuple[str, ...]], graph: ProvenanceGraph) -> list[_Row]:
-    """Each embedding as the payloads of its vertices, each vertex's read once.
-
-    A payload, read in place by :meth:`ProvenanceGraph._payload`, becomes a
-    dict of each value of a kind (see :func:`_kind`) under its (item, kind);
-    a value of no kind is left out, as no constraint holds on it.
-    """
     typed: dict[str, dict[tuple[str, str], AttrValue]] = {}
     rows = []
-    for embedding in embeddings:
+    for embedding in found:
         row = []
         for vid in embedding:
             values = typed.get(vid)
@@ -470,8 +480,8 @@ def _grade(checks: tuple[_Check, ...], rows: list[_Row]) -> bool:
     """Whether some embedding of a partition's coarser partition holds its checks.
 
     `checks` are the partition's :attr:`~ProvenancePartition.graded`, and
-    `rows` the embeddings as :func:`_payloads` gives them. Grading raises
-    nothing.
+    `rows` the embeddings as :func:`_all_embeddings` gives them. Grading
+    raises nothing.
     """
     for row in rows:
         for at, key, test, operand in checks:
@@ -493,8 +503,8 @@ def _embeddings(below: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMe
     `below` is a coarser partition at level NAMES. The first call in a
     memo leaves :data:`_ONE_SEARCHED` and returns None, and the second
     enumerates the embeddings into the memo, each as its vertices'
-    payloads (:func:`_payloads`), with `below`'s value FULL when there are
-    some; a later call returns what the memo holds.
+    payloads, with `below`'s value FULL when there are some; a later call
+    returns what the memo holds.
     """
     key = -id(below)
     state = memo.get(key)
@@ -502,7 +512,7 @@ def _embeddings(below: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMe
         memo[key] = _ONE_SEARCHED
     elif state is _ONE_SEARCHED:
         found = _all_embeddings(below, graph)
-        state = memo[key] = _TOO_MANY if found is None else _payloads(found, graph)
+        state = memo[key] = _TOO_MANY if found is None else found
         if found:
             memo[id(below)] = _FULL
     return state

@@ -307,14 +307,12 @@ class ProvenanceGraph:
         return dict(self._payload(vid))
 
     def _payload(self, vid: str) -> Mapping[str, AttrValue]:
-        """The attributes a known vertex shows, read in place: the one rule of matching and :meth:`attributes_of`.
+        """The attributes a known vertex shows, read in place: the rule that grading and :meth:`attributes_of` share.
 
-        An Attribute vertex shows its own payload. Any other vertex shows the
-        payloads of its ``hasAttributes`` edges merged in edge order, the
-        last to hold an item winning: the one payload itself when there is
-        one, a new dict when there are several. The mapping may be a stored
-        payload, so a caller must not change it, and must read it again after
-        a write to the graph.
+        An Attribute vertex shows its own payload, any other vertex those of
+        its ``hasAttributes`` edges merged, the last to hold an item winning.
+        The mapping may be a stored payload: a caller must not change it,
+        and reads it again after a write to the graph.
         """
         vertices = self._vertices
         vertex = vertices[vid]
