@@ -132,8 +132,9 @@ class PartyConfig:
     appearance, each policy's shape index, and each shape's mask of its
     policies. `_leaves` lists the distinct leaf condition objects of those
     first policies' trees, in the order the trees match them, and `_groups`
-    each leaf's group: the constrained partitions among the leaves that
-    share its coarser partition, where there are two or more (see
+    maps the identity of each leaf in a group to its group: the
+    constrained partitions among the leaves that share one coarser
+    partition, in leaf order, where there are two or more (see
     :func:`~provpurpose.matching.match_group`). `_subjects` lists the
     subjects their guards name, and `_guarded` derives a request's guard
     mask. Per purpose graph a plan checks that the party has
@@ -181,14 +182,12 @@ class PartyConfig:
         return tuple(found.values())
 
     @cached_property
-    def _groups(self) -> tuple[tuple[ProvenancePartition, ...] | None, ...]:
-        # each leaf's group, in leaf order, or None
+    def _groups(self) -> dict[int, tuple[ProvenancePartition, ...]]:
         by_coarser: dict[int, list[ProvenancePartition]] = {}
         for cond in self._leaves:
             if isinstance(cond, ProvenancePartition) and any(v.constraints for v in cond.vertices):
                 by_coarser.setdefault(id(cond.coarser[0]), []).append(cond)  # a coarser at level NAMES
-        groups = {id(p): group for group in map(tuple, by_coarser.values()) if len(group) > 1 for p in group}
-        return tuple([groups.get(id(cond)) for cond in self._leaves])
+        return {id(p): group for group in map(tuple, by_coarser.values()) if len(group) > 1 for p in group}
 
     @cached_property
     def _subjects(self) -> frozenset[str]:
@@ -300,12 +299,14 @@ def decide(
                 if len(plan.guards) < _MERGES_KEPT:
                     plan.guards[asked] = mask
             leaves = 0
-            for cond, group in zip(cfg._leaves, cfg._groups):  # 2 bits per leaf value
+            for cond in cfg._leaves:  # 2 bits per leaf value
                 value = memo.get(id(cond))
-                if value is None and group is None:
-                    value = _match_leaf(cond, graph, query_attrs, memo)
-                elif value is None:
-                    value = match_group(cond, group, graph, memo)
+                if value is None:
+                    group = cfg._groups.get(id(cond))
+                    if group is None:
+                        value = _match_leaf(cond, graph, query_attrs, memo)
+                    else:
+                        value = match_group(cond, group, graph, memo)
                 leaves = leaves << 2 | value
             key = mask, leaves  # all the party's guards and trees read
             shaped = plan.outcomes.get(key)

@@ -1136,7 +1136,7 @@ def test_skeleton_families_in_parties_decide_as_the_oracle_and_as_each_leaf_alon
             m.setattr(engine, "match_group", lambda cond, group, graph, memo: alone(cond, graph, None, memo))
             fresh = decided_by([PartyConfig(name, policies) for name, policies, _ in case.parties])
         assert outcome_to_dict(warm) == outcome_to_dict(fresh)
-        largest.append(max(len(group or ()) for cfg in configs for group in cfg._groups))
+        largest.append(max((len(group) for cfg in configs for group in cfg._groups.values()), default=0))
 
     check()
     assert max(largest) >= 4 and sum(n >= 2 for n in largest) > 100
@@ -1179,7 +1179,7 @@ def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_searc
         return PartyConfig(name, tuple(Policy(f"q{i}", 1, TreeLeaf(p), ap={"mid"}) for i, p in enumerate(parts)))
 
     first, second = party("first", (one, five, nine)), party("second", (three, top))
-    assert [len(group) for cfg in (first, second) for group in cfg._groups] == [3, 3, 3, 2, 2]
+    assert [len(group) for cfg in (first, second) for group in cfg._groups.values()] == [3, 3, 3, 2, 2]
     runs = []  # each search and enumeration, in order
     find, enumerate_all = matching._find_embedding, matching._all_embeddings
     monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: runs.append(("search", p)) or find(p, graph))

@@ -823,7 +823,7 @@ def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the
         grading.clear()
         grading.update((id(p.graded), p) for p in family if any(v.constraints for v in p.vertices))
         cfg = PartyConfig("party", tuple(Policy(f"q{i}", 1, TreeLeaf(p)) for i, p in enumerate(family)))
-        groups = {id(p): group for p, group in zip(cfg._leaves, cfg._groups) if group}
+        groups = cfg._groups
         memo, before = {}, len(enumerated)
         for p in family:
             got = memo.get(id(p))
