@@ -323,9 +323,9 @@ def _intern(pattern: Any) -> Any:
 #: constrained partitions are keyed by its negated identity: a mark once one
 #: of them was searched on its own, then every embedding as the payloads of
 #: its vertices (see :func:`_all_embeddings`), or a mark that they take too
-#: many steps. Every key is an object that a policy tree or a condition holds, so
-#: no other object takes its identity in a decision: a query condition's
-#: per-request partition is never a key, nor interned.
+#: many steps. Every key is an object that a policy tree or a condition
+#: holds, so no other object takes its identity in a decision: a query
+#: condition's per-request partition is never a key, nor interned.
 LeafMemo = dict[int, Any]
 
 
