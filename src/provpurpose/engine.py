@@ -13,34 +13,27 @@ A decision runs in four stages:
    values. Each decision first matches the party's distinct leaf conditions
    in the order the shapes' trees would match them, so the first leaf that
    raises is the one that would raise if every policy were evaluated in
-   order. Each distinct leaf condition object is matched once
-   per decision, however many policies and parties share it, and so is each
-   coarser partition that gives a partition its lower levels. A party's
-   constrained partition leaves that share one coarser partition form a
-   group. The first constrained partition of a coarser partition in a
-   decision is searched on its own. At the second, the coarser's embeddings
-   are enumerated once per decision, each embedded vertex's attributes read
-   once, and from then on the first leaf of a group that the memo lacks
-   grades every partition of its group that the memo lacks against them,
-   in one loop; the group's later leaves are memo hits.
-   Where the enumeration takes too many steps, each partition is searched
-   on its own at its own leaf, so every search and every fault comes where
-   it would without groups. The requester's
-   role order is walked once per decision. A subject guard reads only the
-   roles of that walk's reach that some guard of the party names, and a
-   category guard only the record's category; so the plan maps those
-   roles and the category to the party's guard mask, bit s set when shape
-   s's guards pass, and maps the guard mask and the packed leaf values to
-   the shape outcomes and the applicability vector (bit i set when policy
-   i applies). A key met before, by this requester or by another whose
-   named roles give the same guard mask, runs no guard check and no tree.
-   On a miss each shape whose guards pass is evaluated by its first
-   policy, in order of first appearance; a shape whose guards fail cannot
-   apply, so only its tree is folded from the matched leaves, for the
-   trace. The applicability vector is the OR of the policy masks of the
-   shapes that apply. A record category that is neither a string nor None
-   fails this stage before any party is evaluated. The trace derives the
-   per-policy decisions from the shape outcomes when first read.
+   order. Each distinct leaf condition object is matched once per decision,
+   however many policies and parties share it, and so is each coarser
+   partition that gives a partition its lower levels. A party's constrained
+   partition leaves that share one coarser partition form a group, which
+   :func:`~provpurpose.matching.match_group` grades at its first leaf that
+   the memo lacks; its later leaves are memo hits. The requester's role
+   order is walked once per decision. A subject guard reads only the roles
+   of that walk's reach that some guard of the party names, and a category
+   guard only the record's category; so the plan maps those roles and the
+   category to the party's guard mask, bit s set when shape s's guards pass,
+   and maps the guard mask and the packed leaf values to the shape outcomes
+   and the applicability vector (bit i set when policy i applies). A key met
+   before, by this requester or by another whose named roles give the same
+   guard mask, runs no guard check and no tree. On a miss each shape whose
+   guards pass is evaluated by its first policy, in order of first
+   appearance; a shape whose guards fail cannot apply, so only its tree is
+   folded from the matched leaves, for the trace. The applicability vector
+   is the OR of the policy masks of the shapes that apply. A record category
+   that is neither a string nor None fails this stage before any party is
+   evaluated. The trace derives the per-policy decisions from the shape
+   outcomes when first read.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several
@@ -80,7 +73,7 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, InputFormatError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties, party_result_to_dict
-from .matching import ProvenancePartition, match_group
+from .matching import ProvenancePartition, match_group, partition_groups
 from . import policy
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder
 from .policy import _DECLINED, _match_leaf, _tree_leaves, evaluate_policy
@@ -132,10 +125,8 @@ class PartyConfig:
     appearance, each policy's shape index, and each shape's mask of its
     policies. `_leaves` lists the distinct leaf condition objects of those
     first policies' trees, in the order the trees match them, and `_groups`
-    maps the identity of each leaf in a group to its group: the
-    constrained partitions among the leaves that share one coarser
-    partition, in leaf order, where there are two or more (see
-    :func:`~provpurpose.matching.match_group`). `_subjects` lists the
+    maps the identity of each leaf in a group to its group (see
+    :func:`~provpurpose.matching.partition_groups`). `_subjects` lists the
     subjects their guards name, and `_guarded` derives a request's guard
     mask. Per purpose graph a plan checks that the party has
     policies, that their ids are distinct and that `pg` holds all their
@@ -183,11 +174,7 @@ class PartyConfig:
 
     @cached_property
     def _groups(self) -> dict[int, tuple[ProvenancePartition, ...]]:
-        by_coarser: dict[int, list[ProvenancePartition]] = {}
-        for cond in self._leaves:
-            if isinstance(cond, ProvenancePartition) and any(v.constraints for v in cond.vertices):
-                by_coarser.setdefault(id(cond.coarser[0]), []).append(cond)  # a coarser at level NAMES
-        return {id(p): group for group in map(tuple, by_coarser.values()) if len(group) > 1 for p in group}
+        return partition_groups(self._leaves)
 
     @cached_property
     def _subjects(self) -> frozenset[str]:
@@ -213,7 +200,7 @@ class PartyConfig:
             known = pg.purposes
             for pol in self.policies:
                 if not (pol.ap <= known and pol.pp <= known):
-                    unknown = _named((pol.ap | pol.pp) - known)
+                    unknown = _named(pol.ap | pol.pp, known)
                     raise ConfigurationError(f"policy {pol.id!r} uses purpose {unknown!r} not in the purpose graph")
             bits = pg.bits
             masks = tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies)

@@ -13,14 +13,10 @@ A partition is searched once, for FULL. Its lower levels are the value of its
 :attr:`~ProvenancePartition.coarser` partition, constraints or names dropped.
 Equal patterns, decoded or derived, are one object from one table, and a leaf
 memo keeps each object's value for a decision, so each is searched once in it.
-Constrained partitions that share a coarser partition share its embeddings
-too: from the second of them in a decision on, the coarser's embeddings are
-enumerated once into the memo, and each partition is graded against them by
-its constraints instead of searched. So is a query condition's partition,
-built per request: the memo keys only its coarser, which the condition holds.
-The memo holds each embedding as the attribute payloads of its vertices,
-each read once per decision, and :func:`match_group` grades a whole group
-of such partitions in one loop.
+A party's constrained partitions that share a coarser partition form a group
+(:func:`partition_groups`): :func:`match_group` enumerates the coarser's
+embeddings once per memo, each as the attribute payloads of its vertices, and
+grades the whole group against them in one loop instead of searching.
 
 Conjunction is ``min`` and disjunction is ``max`` on that chain; only ``FULL``
 ever grants purposes downstream.
@@ -53,7 +49,7 @@ from datetime import datetime
 from enum import Enum, IntEnum
 from functools import cache, cached_property
 from operator import contains, eq, ge, gt, le, lt, ne
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from ._dagutil import reachable_from
 from .errors import PatternSyntaxError, SearchLimitError, TypeMismatchError
@@ -319,14 +315,13 @@ def _intern(pattern: Any) -> Any:
 
 
 #: What one decision has found. A condition's or a partition's match value
-#: is keyed by its identity. The embeddings of the coarser partition of
-#: constrained partitions are keyed by its negated identity: a mark once one
-#: of them was searched on its own, then every embedding as the payloads of
-#: its vertices (see :func:`_all_embeddings`), or a mark that they take too
-#: many steps. Every key is an object that a policy tree or a condition
-#: holds, so no other object takes its identity in a decision: a query
-#: condition's per-request partition is never a key, nor interned.
+#: is keyed by its identity, and a group's coarser partition's embeddings
+#: (see :func:`match_group`), or `_TOO_MANY` where they take too many steps,
+#: by its negated identity. Every key is an object that a policy tree or a
+#: condition holds, so no other object takes its identity in a decision: a
+#: query condition's per-request partition is never a key, nor interned.
 LeafMemo = dict[int, Any]
+_TOO_MANY = "too many steps"
 
 
 #: Candidates one partition search may draw for pattern vertices after the
@@ -493,67 +488,23 @@ def _grade(checks: tuple[_Check, ...], rows: list[_Row]) -> bool:
     return False
 
 
-# The states of a coarser partition's embeddings in a memo, besides the embeddings themselves.
-_ONE_SEARCHED, _TOO_MANY = "one finer partition searched", "too many steps"
-
-
-def _embeddings(below: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> Any:
-    """The state of `below`'s embeddings in `memo`, one step on: a mark is set, or the embeddings enumerated.
-
-    `below` is a coarser partition at level NAMES. The first call in a
-    memo leaves :data:`_ONE_SEARCHED` and returns None, and the second
-    enumerates the embeddings into the memo, each as its vertices'
-    payloads, with `below`'s value FULL when there are some; a later call
-    returns what the memo holds.
-    """
-    key = -id(below)
-    state = memo.get(key)
-    if state is None:
-        memo[key] = _ONE_SEARCHED
-    elif state is _ONE_SEARCHED:
-        found = _all_embeddings(below, graph)
-        state = memo[key] = _TOO_MANY if found is None else found
-        if found:
-            memo[id(below)] = _FULL
-    return state
-
-
 def match_partition(
     partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo | None = None
 ) -> MatchValue:
     """Best level at which the partition embeds into the graph.
 
-    A constrained partition's :attr:`~ProvenancePartition.coarser`
-    partition C drops its constraints and keeps every name. The first
-    constrained partition of C in a memo is searched on its own and leaves
-    a mark for C. The second enumerates C's embeddings once into the memo,
-    with C's value, and from then on each constrained partition of C is
-    FULL when some embedding of C also holds its constraints (see
-    :func:`_grade`). C has the same vertices, names, edges and injectivity,
-    so that is the value of a search. If the enumeration takes more than
-    :data:`MAX_SEARCH_STEPS` steps, the memo says so and each partition of
-    C is searched on its own. Any other partition is searched once, for
-    FULL: a coarser partition that drops names would lose the name index,
-    and could have an embedding for every vertex of a type where the search
-    looks a name up once. Without an embedding, a partition's value is C's,
-    FULL standing for C's level: taken from `memo` when the decision has
-    already matched C, else matched and stored there. A call without a memo
-    gets a fresh one. The memo keys C, never the partition given (see
-    :data:`LeafMemo`); :func:`match_group` stores the values of many.
+    It is searched once, for FULL. Without an embedding, its value is its
+    :attr:`~ProvenancePartition.coarser` partition C's, FULL standing for
+    C's level, read from `memo` or matched and stored there; a call without
+    a memo gets a fresh one. The memo keys C, never the partition given.
     """
+    if _find_embedding(partition, graph):
+        return _FULL
     coarser = partition.coarser
     if coarser is None:
-        return _FULL if _find_embedding(partition, graph) else _NONE
-    if memo is None:
-        memo = {}
+        return _NONE
     below, level = coarser
-    found = _embeddings(below, graph, memo) if level is _NAMES else None
-    if type(found) is list:
-        if _grade(partition.graded, found):
-            return _FULL
-    elif _find_embedding(partition, graph):
-        return _FULL
-    value = _value(below, graph, memo)
+    value = _value(below, graph, {} if memo is None else memo)
     return level if value is _FULL else value
 
 
@@ -562,30 +513,48 @@ def match_group(
 ) -> MatchValue:
     """The value of `partition`, one of `group`, stored in `memo` under its identity.
 
-    `group` holds constrained partitions that share one coarser partition
-    C at level NAMES. Until `memo` holds C's embeddings, and where they
-    take too many steps, `partition` is matched by :func:`match_partition`
-    alone, so that every search, and every fault, comes where it would
-    without the group. Once they are there, which is from the second
-    constrained partition of C in the memo on, every partition of `group`
-    that `memo` has no value for is graded against them by :func:`_grade`,
-    in one loop that stores its value: FULL, or C's value, FULL standing
-    for NAMES. Those later partitions are then memo hits.
+    `group` holds constrained partitions that share one coarser partition C
+    at level NAMES (see :func:`partition_groups`). C's embeddings are
+    enumerated into `memo` once, with C's value FULL when there are some,
+    and every partition of `group` without a value yet is graded against
+    them by :func:`_grade`, in one loop: FULL, or C's value, FULL standing
+    for NAMES. C has the same vertices, names, edges and injectivity, so
+    that is what a search gives. Where the enumeration takes more than
+    :data:`MAX_SEARCH_STEPS` steps, each partition is matched alone by
+    :func:`match_partition`, so every search and fault comes where it would
+    without the group.
     """
     below, level = partition.coarser
     found = memo.get(-id(below))
-    if found is _ONE_SEARCHED:
-        found = _embeddings(below, graph, memo)
-    value = memo.get(id(below))
-    if type(found) is not list or value is None:
-        value = memo[id(partition)] = match_partition(partition, graph, memo)
-        return value
+    if found is None:
+        rows = _all_embeddings(below, graph)
+        found = memo[-id(below)] = _TOO_MANY if rows is None else rows
+        if rows:
+            memo[id(below)] = _FULL
+    if found is _TOO_MANY:
+        return _value(partition, graph, memo)
+    value = _value(below, graph, memo)
     rest = level if value is _FULL else value
     for p in group:
         key = id(p)
         if key not in memo:
             memo[key] = _FULL if _grade(p.graded, found) else rest
     return memo[id(partition)]
+
+
+def partition_groups(leaves: Iterable[Any]) -> dict[int, tuple[ProvenancePartition, ...]]:
+    """Each grouped leaf's identity, mapped to its group, for :func:`match_group`.
+
+    A group is the constrained partitions among `leaves` that share one
+    coarser partition, at level NAMES, in leaf order, where there are two
+    or more. A coarser partition that drops names would lose the name
+    index, and could have an embedding for every vertex of a type.
+    """
+    by_coarser: dict[int, list[ProvenancePartition]] = {}
+    for leaf in leaves:
+        if isinstance(leaf, ProvenancePartition) and any(v.constraints for v in leaf.vertices):
+            by_coarser.setdefault(id(leaf.coarser[0]), []).append(leaf)
+    return {id(p): group for group in map(tuple, by_coarser.values()) if len(group) > 1 for p in group}
 
 
 def _value(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> MatchValue:
@@ -858,9 +827,9 @@ def eval_atomic(
     read from `memo` under the partition's identity, or matched and stored
     there; a call without a memo gets a fresh one. A query condition adds
     the request's constraint to its :attr:`~QueryCondition.partition` in a
-    plain partition per call, neither interned nor a memo key, and matches
-    that through `memo` as any constrained partition is. A query condition
-    whose named attribute is absent from the request evaluates to NONE.
+    plain partition per call, neither interned nor a memo key, searched by
+    :func:`match_partition`. A query condition whose named attribute is
+    absent from the request evaluates to NONE.
     """
     if isinstance(cond, NullCondition):
         return MatchValue.FULL

@@ -27,7 +27,7 @@ members at that rank or deeper form the high part of each set.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from functools import cached_property
 from itertools import compress
 from typing import Any
@@ -52,13 +52,20 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 _MERGES_KEPT = 128
 
 
-def _named(unknown: Iterable[Any]) -> Any:
-    """The member an unknown-purpose error names: the least name, else the least other value.
+def _named(members: Iterable[Any], known: Container[Any]) -> Any:
+    """The member not in `known` that an unknown-purpose error names: the least name, else the least other value.
 
     Other values order by their type's name, then their repr, after every
     name, so a set that mixes types names one member, the same at every site.
+    A member that cannot be hashed is in no set of purposes.
     """
-    return min(unknown, key=lambda p: (0, p) if isinstance(p, str) else (1, type(p).__name__, repr(p)))
+    def absent(p: Any) -> bool:
+        try:
+            return p not in known
+        except TypeError:
+            return True
+
+    return min(filter(absent, members), key=lambda p: (0, p) if isinstance(p, str) else (1, type(p).__name__, repr(p)))
 
 
 class PurposeBits:
@@ -88,12 +95,15 @@ class PurposeBits:
     def encode(self, s: Iterable[str]) -> int:
         """The mask of a set of encoded names; raise on the unknown one that :func:`_named` names."""
         names, ranks, layers = self.names, self._ranks, self.layers
-        rest = iter(s)  # what is left of `s` after the first unknown name, even if `s` is one-shot
-        try:
-            return sum(1 << bisect_left(names, p, layers[ranks[p]], layers[ranks[p] + 1]) for p in rest)
-        except KeyError as missing:
-            unknown = {missing.args[0], *(p for p in rest if p not in ranks)}
-            raise UnknownPurposeError(f"unknown purpose {_named(unknown)!r}") from None
+        mask = 0
+        rest = iter(s)  # what is left of `s` after the first unknown member, even if `s` is one-shot
+        for p in rest:
+            try:
+                rank = ranks[p]
+            except (KeyError, TypeError):  # no name here, or not hashable
+                raise UnknownPurposeError(f"unknown purpose {_named([p, *rest], ranks)!r}") from None
+            mask += 1 << bisect_left(names, p, layers[rank], layers[rank + 1])
+        return mask
 
     def decode(self, mask: int) -> PurposeSet:
         """The names whose bits are set in `mask`; raise on a negative mask or a bit no name holds."""
@@ -183,10 +193,14 @@ class PurposeGraph:
 
     def check_members(self, s: Iterable[str]) -> PurposeSet:
         """Return the members as a set; raise on the unknown one that :func:`_named` names."""
-        members = frozenset(s)
-        if not members <= self._purposes:
-            self._check(_named(members - self._purposes))
-        return members
+        s = tuple(s) if iter(s) is s else s  # a one-shot `s` is read once, and then again to name a member
+        try:
+            members = frozenset(s)
+            if members <= self._purposes:
+                return members
+        except TypeError:  # a member that cannot be hashed
+            pass
+        raise UnknownPurposeError(f"unknown purpose {_named(s, self._purposes)!r}")
 
     def rank_of(self, p: str) -> int:
         """Longest-path depth of a purpose; roots have rank 0."""

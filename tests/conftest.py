@@ -8,8 +8,13 @@ from pathlib import Path
 import pytest
 
 from provpurpose import (
+    AttrConstraint,
     EdgeLabel,
+    PatternEdge,
+    PatternVertex,
+    Predicate,
     ProvenanceGraph,
+    ProvenancePartition,
     PurposeGraph,
     VertexType,
     load_graph,
@@ -76,6 +81,36 @@ def complete_dag_doc(n: int) -> dict:
             {"src": f"a{j}", "dst": f"a{i}", "label": "wasDerivedFrom"} for j in range(n) for i in range(j)
         ],
     }
+
+
+def coarser_plan_case() -> tuple[ProvenanceGraph, ProvenancePartition, ProvenancePartition]:
+    """A graph and two partitions of one coarser partition, `first` and `later`, whose plans differ.
+
+    `later`'s own plan starts at its constrained ``C`` and tries each of the
+    four processes that used it: 4 steps. The coarser's plan starts at
+    ``A``, whose one generating process used no ``C``: 1 step. Both are
+    TYPES: some artifact was generated by a process that used an artifact.
+    """
+    g = ProvenanceGraph()
+    target = g.add_vertex(VertexType.ARTIFACT, "C", {"k": 1})
+    for i in range(4):
+        g.add_edge(g.add_vertex(VertexType.PROCESS, f"u{i}"), target, EdgeLabel.USED)
+    made, maker = g.add_vertex(VertexType.ARTIFACT, "A"), g.add_vertex(VertexType.PROCESS, "q")
+    g.add_edge(made, maker, EdgeLabel.WAS_GENERATED_BY)
+    g.add_edge(maker, g.add_vertex(VertexType.ARTIFACT, "D"), EdgeLabel.USED)
+
+    def constrained(at):
+        return ProvenancePartition(
+            tuple(
+                PatternVertex(ref, vtype, name, (AttrConstraint("k", Predicate.EQ, 1),) if ref == at else ())
+                for ref, vtype, name in (
+                    ("a", VertexType.ARTIFACT, "A"), ("b", VertexType.PROCESS, None), ("c", VertexType.ARTIFACT, "C")
+                )
+            ),
+            (PatternEdge("a", "b", EdgeLabel.WAS_GENERATED_BY), PatternEdge("b", "c", EdgeLabel.USED)),
+        )
+
+    return g, constrained("a"), constrained("c")
 
 
 def cycle_partition_doc(k: int) -> dict:

@@ -5,6 +5,8 @@ import json
 import pickle
 import random
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,7 @@ from provpurpose import (
     TreeLeaf,
     TreeOp,
     UnboundNameError,
+    UnknownPurposeError,
     VertexCondition,
     VertexType,
     decide,
@@ -62,7 +65,7 @@ from provpurpose import (
 )
 from provpurpose import matching
 from provpurpose.algebra import MAX_NESTING
-from conftest import CASE_STUDY
+from conftest import CASE_STUDY, coarser_plan_case
 from oracles import oracle_decide
 from randcases import (
     random_decision_case,
@@ -308,6 +311,16 @@ def test_purpose_sets_of_mixed_types_fail_their_stage_naming_one_member(
     with pytest.raises(StageError) as err:
         decide(DataRecord(tiny_graph, attached_purposes=attached), Request("s"), [cfg], "F3", small_pg)
     assert err.value.stage == stage and str(err.value.cause) == message
+
+
+@pytest.mark.parametrize("attached, named", [(["x", ["y"]], "'x'"), (["mid", ["y"]], "['y']")])
+def test_an_unhashable_attached_purpose_fails_its_stage_naming_one_member(tiny_graph, small_pg, attached, named):
+    """A list is no purpose: the check names it, or the least unknown name, with no bare TypeError."""
+    cfg = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),))
+    with pytest.raises(StageError) as err:
+        decide(DataRecord(tiny_graph, None, attached), Request("s"), [cfg], "F3", small_pg)
+    assert err.value.stage == "attached-purpose-intersection" and type(err.value.cause) is UnknownPurposeError
+    assert str(err.value.cause) == f"unknown purpose {named}"
 
 
 def test_an_unknown_purpose_in_a_later_policy_fails_before_any_policy_is_matched(tiny_graph, small_pg, monkeypatch):
@@ -1157,11 +1170,12 @@ def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_searc
     """Artifacts c0-c7, with k = 0-7, derived in a cycle, then a complete 32-vertex DAG whose top has k = 100.
 
     The coarser 8-cycle's first embedding is found from c0 in a few steps,
-    but enumerating them all walks the DAG past `MAX_SEARCH_STEPS`. So each
-    partition of a group is searched on its own, in leaf order, and the
-    first party decides. In the second, the cycle asking for k = 100 starts
-    at the DAG's top and gives up in its own search: the same searches in
-    the same order, and the same fault at the same leaf, as without groups.
+    but enumerating them all walks the DAG past `MAX_SEARCH_STEPS`. So after
+    that one enumeration each partition of a group is searched on its own,
+    in leaf order, and the first party decides. In the second, the cycle
+    asking for k = 100 starts at the DAG's top and gives up in its own
+    search: the same searches in the same order, and the same fault at the
+    same leaf, as without groups.
     """
     g = ProvenanceGraph()
     cycle = [g.add_vertex(VertexType.ARTIFACT, f"c{i}", {"k": i}) for i in range(8)]
@@ -1189,8 +1203,8 @@ def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_searc
     outcome = decide(DataRecord(g), Request("s"), [first], "F3", pg)
     values = [d["tree_value"] for d in outcome_to_dict(outcome)["parties"][0]["policies"]]
     assert values == ["full", "full", "names-only"]
-    # the first is searched alone, the second enumerates, then each is searched alone
-    decided_first = [("search", one), ("enumerate", coarser), ("search", five), ("search", nine), ("search", coarser)]
+    # the first leaf enumerates, then each is searched alone
+    decided_first = [("enumerate", coarser), ("search", one), ("search", five), ("search", nine), ("search", coarser)]
     assert runs == decided_first
     del runs[:]
     with pytest.raises(StageError) as err:
@@ -1198,6 +1212,75 @@ def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_searc
     assert err.value.stage == "policy-evaluation" and type(err.value.cause) is SearchLimitError
     assert str(err.value.cause) == f"partition search gave up after {matching.MAX_SEARCH_STEPS} steps"
     assert runs == decided_first + [("search", three), ("search", top)]
+
+
+def test_a_groups_first_leaf_is_graded_where_its_own_search_gives_up(monkeypatch):
+    """A party of :func:`conftest.coarser_plan_case`'s `later` then `first`, at budgets of 3 and 0.
+
+    At 3, `later`'s own search gives up, but as its group's first leaf it is
+    graded against the coarser's one-step enumeration, and the party decides
+    as at the default budget. At 0 the enumeration gives up too: `later` is
+    searched alone at its own leaf, and faults there as without groups.
+    """
+    g, first, later = coarser_plan_case()
+    pg = PurposeGraph(["root", "mid"], [("root", "mid")], hierarchy_line=0)
+    coarser = later.coarser[0]
+
+    def decided(parties):
+        return outcome_to_dict(decide(DataRecord(g), Request("s"), parties, "F3", pg))
+
+    def party():
+        return PartyConfig("p", tuple(Policy(f"q{i}", 1, TreeLeaf(p), ap={"mid"}) for i, p in enumerate((later, first))))
+
+    reference = decided([party()])
+    assert [d["tree_value"] for d in reference["parties"][0]["policies"]] == ["types-only"] * 2
+    runs = []  # each search and enumeration, in order
+    find, enumerate_all = matching._find_embedding, matching._all_embeddings
+    monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: runs.append(("search", p)) or find(p, graph))
+    monkeypatch.setattr(
+        matching, "_all_embeddings", lambda p, graph: runs.append(("enumerate", p)) or enumerate_all(p, graph)
+    )
+    monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 3)
+    assert decided([party()]) == reference
+    assert runs[0] == ("enumerate", coarser) and ("search", later) not in runs
+    faults = []
+    for grouped in (True, False):
+        del runs[:]
+        with monkeypatch.context() as m:
+            m.setattr(matching, "MAX_SEARCH_STEPS", 0)
+            if not grouped:
+                m.setattr(engine, "match_group", lambda cond, group, graph, memo: policy._match_leaf(cond, graph, None, memo))
+            with pytest.raises(StageError) as err:
+                decided([party()])
+        assert runs == ([("enumerate", coarser)] if grouped else []) + [("search", later)]
+        faults.append((err.value.stage, type(err.value.cause), str(err.value.cause)))
+    assert faults == [("policy-evaluation", SearchLimitError, "partition search gave up after 0 steps")] * 2
+
+
+def test_every_seed_0_rows_f3_decision_takes_2_searches_1_enumeration_and_100_gradings(monkeypatch):
+    """Counts, not timings, pin the grading route on the benchmark's rows_f3 workload.
+
+    Each decision enumerates its groups' one coarser partition and grades
+    100 constrained partitions against it. Neither of its 2 searches is of a
+    constrained partition, so a group's first leaf is not searched alone.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "decidebench"))
+    import workloads
+
+    loaded = workloads.load(workloads.rows_f3(0))
+    runs = []
+    find, enumerate_all, grade = matching._find_embedding, matching._all_embeddings, matching._grade
+    monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: runs.append(("search", p)) or find(p, graph))
+    monkeypatch.setattr(
+        matching, "_all_embeddings", lambda p, graph: runs.append(("enumerate", p)) or enumerate_all(p, graph)
+    )
+    monkeypatch.setattr(matching, "_grade", lambda checks, rows: runs.append(("grade", checks)) or grade(checks, rows))
+    assert len(loaded.records) == 200
+    for record, request in zip(loaded.records, loaded.requests):
+        del runs[:]
+        decide(record, request, loaded.parties, loaded.external, loaded.pg, loaded.role_order)
+        assert Counter(kind for kind, _ in runs) == {"search": 2, "enumerate": 1, "grade": 100}
+        assert not any(v.constraints for kind, p in runs if kind == "search" for v in p.vertices)
 
 
 def test_a_payload_written_between_decisions_is_read_by_the_next():

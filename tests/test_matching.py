@@ -47,7 +47,7 @@ from provpurpose import (
     parse_target,
 )
 from provpurpose import matching
-from conftest import complete_dag_doc, cycle_partition_doc
+from conftest import coarser_plan_case, complete_dag_doc, cycle_partition_doc
 from oracles import (
     oracle_match_partition,
     oracle_match_path,
@@ -254,17 +254,17 @@ def test_embedding_is_injective():
     )
     # only one artifact exists, so the two pattern artifacts cannot both embed
     assert match_partition(two_artifacts, g) is MatchValue.NONE
-    # nor do they when partitions of that skeleton are graded against its embeddings
+    # nor do they when a group of partitions of that skeleton is graded against its embeddings
     u, v, w = two_artifacts.vertices
-    constrained = [
+    group = tuple(
         ProvenancePartition(
             (PatternVertex("u", u.vtype, None, (AttrConstraint("k", Predicate.GEQ, j),)), v, w), two_artifacts.edges
         )
         for j in range(3)
-    ]
+    )
     memo = {}
-    assert [match_partition(p, g, memo) for p in constrained] == [MatchValue.NONE] * 3
-    assert memo[-id(constrained[0].coarser[0])] == []  # enumerated, and found none
+    assert [matching.match_group(p, group, g, memo) for p in group] == [MatchValue.NONE] * 3
+    assert memo[-id(group[0].coarser[0])] == []  # enumerated, and found none
 
 
 def test_match_agrees_with_exhaustive_oracle_sample():
@@ -518,19 +518,14 @@ def test_partition_search_through_one_memo_agrees_with_previous_matcher():
             got = match_partition(pattern, g, memo)
             assert got is reference_match_partition(pattern, g), pattern
             strata.add(got)
-        # the memo holds only coarser partitions, one or two levels down, each with its own value,
-        # and under its negated identity a mark or the embeddings of each, found when it has some
+        # the memo holds only coarser partitions, one or two levels down, each with its own value
         below = {}
         for p in patterns:
             while p.coarser is not None:
                 p = p.coarser[0]
                 below[id(p)] = p
         for key, value in memo.items():
-            found = reference_match_partition(below[abs(key)], g)
-            if key > 0:
-                assert value is found
-            elif value is not matching._ONE_SEARCHED:
-                assert bool(value) is (found is MatchValue.FULL)
+            assert value is reference_match_partition(below[key], g)
         first = [p.coarser[0] for p in patterns if p.coarser is not None]
         shared += len(first) - len(set(map(id, first)))
     assert shared > 100 and strata == set(MatchValue)
@@ -700,8 +695,8 @@ def test_a_value_or_operand_of_no_kind_never_holds_when_graded():
         for item, v in (("n", 1), ("flag", True), ("n", True), ("flag", 1))
     )
     memo = {}
-    # the first is searched alone; the second grades the rest against the report's one embedding
-    graded = [memo.get(id(p)) or matching.match_group(p, parts, g, memo) for p in parts]
+    # the first grades them all against the report's one embedding; the rest are memo hits
+    graded = [matching.match_group(p, parts, g, memo) for p in parts]
     assert graded == [match_partition(p, g) for p in parts] == [MatchValue.FULL] + [MatchValue.NAMES] * 3
 
 
@@ -714,7 +709,7 @@ def _counting(monkeypatch):
     return searched, enumerated
 
 
-def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkeypatch):
+def test_a_group_of_one_skeleton_enumerates_its_coarser_once(tiny_graph, monkeypatch):
     searched, enumerated = _counting(monkeypatch)
 
     def generated(*constraints):
@@ -741,30 +736,29 @@ def test_partitions_of_one_skeleton_search_their_coarser_once(tiny_graph, monkey
         "edges": [["a", "p", "wasGeneratedBy"]],
     }})
     memo = {}
-    # the first is searched alone, as match_partition searches it
-    assert matching.match_group(parts[0], parts, tiny_graph, memo) is MatchValue.NAMES
-    assert id(parts[1]) not in memo
-    # the second enumerates the coarser's embeddings, against which it and the third are graded in one call
+    # the first enumerates the coarser's embeddings, against which all three are graded in one call
     assert matching.match_group(parts[1], parts, tiny_graph, memo) is MatchValue.NAMES
+    assert all(memo[id(p)] is MatchValue.NAMES for p in parts)
+    assert matching.match_group(parts[0], parts, tiny_graph, memo) is MatchValue.NAMES
     assert eval_access_tree(TreeLeaf(leaf), tiny_graph, memo=memo) is MatchValue.FULL
     coarser = parts[0].coarser[0]
     assert all(p.coarser[0] is coarser for p in parts) and leaf is coarser
-    assert searched == [parts[0], coarser] and enumerated == [coarser]
+    assert searched == [] and enumerated == [coarser]
     # the one embedding, as the payloads of the report and the ingest process, each value under its item and kind
     embedding = [{("size", "int"): 4, ("fmt", "str"): "pdf"}, {}]
     assert memo == {id(coarser): MatchValue.FULL, -id(coarser): [embedding], **{id(p): MatchValue.NAMES for p in parts}}
-    # match_partition grades through the same memo, and without one searches the coarser partition again
-    assert match_partition(parts[2], tiny_graph, memo) is MatchValue.NAMES and len(searched) == 2
+    # match_partition searches the partition, and reads the coarser's value from the memo or else searches it
+    assert match_partition(parts[2], tiny_graph, memo) is MatchValue.NAMES
     assert match_partition(parts[1], tiny_graph) is MatchValue.NAMES
-    assert searched[2:] == [parts[1], coarser] and enumerated == [coarser]
+    assert searched == [parts[2], parts[1], coarser] and enumerated == [coarser]
 
 
 @pytest.mark.parametrize("n", [2, 5, 50])
-def test_partitions_of_one_skeleton_take_at_most_3_searches_and_1_enumeration(n, tiny_graph, monkeypatch):
+def test_a_group_of_one_skeleton_takes_1_enumeration_and_no_search(n, tiny_graph, monkeypatch):
     searched, enumerated = _counting(monkeypatch)
     rng = random.Random(n)
     orders = [p for p in Predicate if p is not Predicate.CONTAINS]
-    parts = [
+    parts = tuple(
         ProvenancePartition(
             (
                 PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint("size", rng.choice(orders), i),)),
@@ -773,10 +767,10 @@ def test_partitions_of_one_skeleton_take_at_most_3_searches_and_1_enumeration(n,
             (PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY),),
         )
         for i in range(n)
-    ]
+    )
     memo = {}
-    got = [match_partition(p, tiny_graph, memo) for p in parts]
-    assert len(searched) <= 3 and enumerated == [parts[0].coarser[0]]
+    got = [matching.match_group(p, parts, tiny_graph, memo) for p in parts]
+    assert searched == [] and enumerated == [parts[0].coarser[0]]
     assert got == [reference_match_partition(p, tiny_graph) for p in parts]
     assert {MatchValue.FULL, MatchValue.NAMES} <= set(got) or n == 2
 
@@ -860,13 +854,12 @@ def test_query_condition_falls_back_through_the_partition_it_holds(tiny_graph):
         # the memo keys only the coarser partition, which the condition holds from its first evaluation on
         fallback = fallback or vars(cond)["partition"]
         assert cond.partition is fallback
-        lower = {} if expected is MatchValue.FULL else {id(fallback): MatchValue.FULL}
-        assert memo == {-id(fallback): matching._ONE_SEARCHED, **lower}
+        assert memo == ({} if expected is MatchValue.FULL else {id(fallback): MatchValue.FULL})
     assert fallback == ProvenancePartition((PatternVertex("c0", VertexType.ARTIFACT, "report"),))
     missing = QueryCondition(VertexType.ARTIFACT, "memo", "size", Predicate.LEQ)
     memo = {}
     assert eval_atomic(missing, tiny_graph, {"size": 8}, memo) is MatchValue.TYPES
-    assert memo.keys() == {-id(missing.partition), id(missing.partition), id(missing.partition.coarser[0])}
+    assert memo == {id(missing.partition): MatchValue.TYPES, id(missing.partition.coarser[0]): MatchValue.FULL}
     # the derived partition is not part of the condition's value
     assert cond == QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)
     assert "partition" not in repr(cond)
@@ -881,14 +874,10 @@ def test_query_condition_falls_back_through_the_partition_it_holds(tiny_graph):
         (False, 1, 2, MatchValue.NAMES),
     ],
 )
-def test_a_query_and_an_attribute_condition_on_one_vertex_share_its_embeddings(
-    query_first, bound, floor, second, tiny_graph, monkeypatch
+def test_a_query_and_an_attribute_condition_on_one_vertex_match_through_one_memo(
+    query_first, bound, floor, second, tiny_graph
 ):
-    """Both are constrained partitions of one vertex: the first is searched, the second graded.
-
-    The first holds, so neither falls back to a search of the vertex alone.
-    """
-    searched, enumerated = _counting(monkeypatch)
+    """Both are constrained partitions of one vertex, and each takes the value the oracle gives it."""
     t, n = VertexType.ARTIFACT, "report"
     query = QueryCondition(t, n, "size", Predicate.LEQ)  # size <= bound
     attr = AttrCondition(t, n, "size", Predicate.GT, floor)
@@ -896,7 +885,6 @@ def test_a_query_and_an_attribute_condition_on_one_vertex_share_its_embeddings(
     values = {}
     for cond in (query, attr) if query_first else (attr, query):
         values[cond] = eval_atomic(cond, tiny_graph, {"size": bound}, memo)
-    assert len(searched) == 1 and enumerated == [attr.partition.coarser[0]] == [query.partition]
     request = ProvenancePartition((PatternVertex("c0", t, n, (AttrConstraint("size", Predicate.LEQ, bound),)),))
     assert int(values[query]) == oracle_match_partition(request, tiny_graph)
     assert int(values[attr]) == oracle_match_partition(attr.partition, tiny_graph)
@@ -992,63 +980,44 @@ def test_an_enumeration_over_the_step_budget_leaves_each_partition_to_its_own_se
             (PatternEdge("p", "a", EdgeLabel.USED), PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY)),
         )
 
-    def outcome(p, memo=None):
+    def outcome(match, *args):
         try:
-            return match_partition(p, g, memo)
+            return match(*args)
         except SearchLimitError:
             return "gives up"
 
     parts = [at_least(j) for j in range(11)]
     coarser = parts[0].coarser[0]
     monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 5)
-    alone = {id(p): outcome(p) for p in parts}  # a fresh memo: each partition searched on its own
+    alone = {id(p): outcome(match_partition, p, g) for p in parts}  # each partition searched on its own
     assert list(alone.values()) == ["gives up"] * 5 + [MatchValue.FULL] * 5 + ["gives up"]
-    _, enumerated = _counting(monkeypatch)
+    searched, enumerated = _counting(monkeypatch)
     rng = random.Random(43)
     for _ in range(5):
         rng.shuffle(parts)
-        memo = {}
-        assert [outcome(p, memo) for p in parts] == [alone[id(p)] for p in parts]
+        group, memo = tuple(parts), {}
+        assert [outcome(matching.match_group, p, group, g, memo) for p in parts] == [alone[id(p)] for p in parts]
         assert memo[-id(coarser)] is matching._TOO_MANY
-    assert enumerated == [coarser] * 5
+    assert enumerated == [coarser] * 5 and len(searched) > len(parts) * 5
 
 
 def test_an_enumeration_in_the_coarsers_plan_can_decide_where_a_partitions_own_search_gives_up(monkeypatch):
     """A partition graded against its coarser's embeddings runs no search of its own.
 
-    `later`'s own plan starts at its constrained ``C`` and tries each of the
-    four processes that used it: 4 steps. The coarser's plan starts at
-    ``A``, whose one generating process used no ``C``: 1 step. So at a
-    budget of 3, `later` alone gives up, but after `first` it is graded.
+    In :func:`conftest.coarser_plan_case`, `later`'s own plan takes 4 steps
+    and its coarser's 1. So at a budget of 3, `later` alone gives up, but in
+    a group it is graded, whichever of the group comes first.
     """
-    g = ProvenanceGraph()
-    target = g.add_vertex(VertexType.ARTIFACT, "C", {"k": 1})
-    for i in range(4):
-        g.add_edge(g.add_vertex(VertexType.PROCESS, f"u{i}"), target, EdgeLabel.USED)
-    made, maker = g.add_vertex(VertexType.ARTIFACT, "A"), g.add_vertex(VertexType.PROCESS, "q")
-    g.add_edge(made, maker, EdgeLabel.WAS_GENERATED_BY)
-    g.add_edge(maker, g.add_vertex(VertexType.ARTIFACT, "D"), EdgeLabel.USED)
-
-    def constrained(at):
-        return ProvenancePartition(
-            tuple(
-                PatternVertex(ref, vtype, name, (AttrConstraint("k", Predicate.EQ, 1),) if ref == at else ())
-                for ref, vtype, name in (
-                    ("a", VertexType.ARTIFACT, "A"), ("b", VertexType.PROCESS, None), ("c", VertexType.ARTIFACT, "C")
-                )
-            ),
-            (PatternEdge("a", "b", EdgeLabel.WAS_GENERATED_BY), PatternEdge("b", "c", EdgeLabel.USED)),
-        )
-
-    first, later = constrained("a"), constrained("c")
+    g, first, later = coarser_plan_case()
     assert first.coarser[0] is later.coarser[0]
     assert later.plan[0].vertex.ref == "c" and later.coarser[0].plan[0].vertex.ref == "a"
     monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 3)
     with pytest.raises(SearchLimitError, match="after 3 steps"):
         match_partition(later, g)  # alone, searched in its own plan
-    memo = {}
-    assert match_partition(first, g, memo) is MatchValue.TYPES
-    assert match_partition(later, g, memo) is MatchValue.TYPES is reference_match_partition(later, g)
+    for group in ((first, later), (later, first)):
+        memo = {}
+        assert [matching.match_group(p, group, g, memo) for p in group] == [MatchValue.TYPES] * 2
+    assert reference_match_partition(later, g) is MatchValue.TYPES
 
 
 def test_one_vertex_pattern_is_never_refused_by_the_step_budget(monkeypatch):

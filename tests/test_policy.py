@@ -154,13 +154,11 @@ def test_compiled_trees_sharing_leaves_and_one_memo_match_the_oracle(tiny_graph,
         assert eval_access_tree(tree, tiny_graph, memo=memo) == oracle_fold_tree(shape, leaf_values)
         assert eval_access_tree(tree, tiny_graph) == oracle_fold_tree(shape, leaf_values)
     assert sorted(map(id, matched[: len(conditions)])) == sorted(map(id, conditions))
-    # the memo also holds each leaf's partition and the coarser partition of each leaf that fell
-    # below FULL, and under its negated identity the embeddings of the attribute conditions' coarser
+    # the memo also holds each leaf's partition and the coarser partition of each leaf that fell below FULL
     partitions = [c.partition for c in conditions[:-1]]
     coarser = [c.partition.coarser[0] for c, v in zip(conditions, leaf_values) if v < MatchValue.FULL]
-    embeddings = -id(conditions[2].partition.coarser[0])
-    assert memo.keys() == set(map(id, conditions + partitions + coarser)) | {embeddings}
-    assert len(memo) == len(conditions) + len(partitions) + 3 + 1
+    assert memo.keys() == set(map(id, conditions + partitions + coarser))
+    assert len(memo) == len(conditions) + len(partitions) + 3
 
 
 def test_compiled_program_is_post_order_and_kept_out_of_equality(tiny_graph):

@@ -206,6 +206,27 @@ def test_an_encoding_names_one_unknown_member_of_mixed_types(names, named):
             pair.encode(order)
 
 
+# A list or a set is no purpose: it is named as other values are, after every name, one-shot or not.
+_UNHASHABLE = [([["x"]], "['x']"), (["a", {"b"}, ["c"]], "['c']"), (["a", ["c"], "zz"], "'zz'"), ([["c"], "b"], "['c']")]
+
+
+@pytest.mark.parametrize("members, named", _UNHASHABLE)
+def test_an_encoding_names_an_unhashable_member_as_an_unknown_purpose(members, named):
+    bits = PurposeBits(PurposeGraph(["a", "b"], [("a", "b")]))
+    for given_members in (members, iter(members)):
+        with pytest.raises(UnknownPurposeError, match=f"^unknown purpose {re.escape(named)}$"):
+            bits.encode(given_members)
+
+
+@pytest.mark.parametrize("members, named", _UNHASHABLE)
+def test_a_member_check_names_an_unhashable_member_as_an_unknown_purpose(members, named):
+    pg = PurposeGraph(["a", "b"], [("a", "b")])
+    for given_members in (members, iter(members)):
+        with pytest.raises(UnknownPurposeError, match=f"^unknown purpose {re.escape(named)}$"):
+            pg.check_members(given_members)
+    assert pg.check_members(iter(["b", "a"])) == {"a", "b"}
+
+
 _CHAIN = PurposeGraph(["a", "b", "c"], [("a", "b"), ("b", "c")], 1)
 # 256 masks, more than a decode memo keeps
 _WIDE = PurposeGraph([f"p{i}" for i in range(8)], [])
