@@ -102,7 +102,7 @@ class PurposeBits:
                 rank = ranks[p]
             except (KeyError, TypeError):  # no name here, or not hashable
                 raise UnknownPurposeError(f"unknown purpose {_named([p, *rest], ranks)!r}") from None
-            mask += 1 << bisect_left(names, p, layers[rank], layers[rank + 1])
+            mask |= 1 << bisect_left(names, p, layers[rank], layers[rank + 1])
         return mask
 
     def decode(self, mask: int) -> PurposeSet:
@@ -193,7 +193,7 @@ class PurposeGraph:
 
     def check_members(self, s: Iterable[str]) -> PurposeSet:
         """Return the members as a set; raise on the unknown one that :func:`_named` names."""
-        s = tuple(s) if iter(s) is s else s  # a one-shot `s` is read once, and then again to name a member
+        s = tuple(s) if iter(s) is s else s  # a one-shot `s` is copied, so an unknown member can still be named
         try:
             members = frozenset(s)
             if members <= self._purposes:

@@ -175,7 +175,7 @@ def test_a_graphs_own_bits_run_by_rank_then_name(hierarchy):
     assert list(bits.names) == sorted(hierarchy.purposes, key=lambda p: (hierarchy.rank_of(p), p))
     assert bits.layers[0] == 0 and bits.layers[-1] == len(bits.names)
     for i, p in enumerate(bits.names):
-        assert bits.encode([p]) == 1 << i
+        assert bits.encode([p]) == bits.encode([p, p]) == 1 << i
         assert bits.least_rank(1 << i) == bits.greatest_rank(1 << i) == hierarchy.rank_of(p)
     members = {"Audit", "Admin", "Study", "Education"}
     mask = bits.encode(members)
