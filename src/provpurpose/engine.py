@@ -52,8 +52,14 @@ A decision runs in four stages:
    only the decided mask is decoded; each party's trace holds its result
    decoded. Both decodes go through ``pg.bits``, which decodes each
    distinct mask once per purpose graph, up to a fixed number of masks.
+   The compiled program owns one map per purpose graph, weakly keyed, from
+   the tuple of the parties' result masks in slot order to the decided
+   set: a tuple met before is answered from the map, with no run and no
+   decode. The map stops growing at a fixed number of tuples, and a run
+   that raises is never stored.
 4. attached-purpose-intersection: when the record carries attached purposes,
-   the decision is narrowed to them.
+   they are read once, into a frozenset that the outcome keeps, and the
+   decision is narrowed to them.
 
 Any domain error is re-raised as a :class:`StageError` naming the stage that
 failed.
@@ -332,17 +338,18 @@ def decide(
         decided = merge_parties(results, external_expr, pg)
     except ProvPurposeError as exc:
         raise StageError("external-merge", exc) from exc
-    if record.attached_purposes is not None:
+    attached = record.attached_purposes
+    if attached is not None:
         try:
-            pg.check_members(record.attached_purposes)
-            decided = decided & record.attached_purposes
+            attached = pg.check_members(attached)  # read once, even if one-shot
         except ProvPurposeError as exc:
             raise StageError("attached-purpose-intersection", exc) from exc
+        decided = decided & attached
     return DecisionOutcome(
         decided=frozenset(decided),
         parties=tuple(traces),
         external_expr=external_expr.strip(),
-        attached_purposes=record.attached_purposes,
+        attached_purposes=attached,
     )
 
 

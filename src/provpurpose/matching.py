@@ -500,11 +500,16 @@ def match_partition(
     """
     if _find_embedding(partition, graph):
         return _FULL
+    return _below(partition, graph, {} if memo is None else memo)
+
+
+def _below(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> MatchValue:
+    """A partition's value where it has no embedding: its coarser's, through `memo`, FULL standing for its level."""
     coarser = partition.coarser
     if coarser is None:
         return _NONE
     below, level = coarser
-    value = _value(below, graph, {} if memo is None else memo)
+    value = _value(below, graph, memo)
     return level if value is _FULL else value
 
 
@@ -515,25 +520,26 @@ def match_group(
 
     `group` holds constrained partitions that share one coarser partition C
     at level NAMES (see :func:`partition_groups`). C's embeddings are
-    enumerated into `memo` once, with C's value FULL when there are some,
-    and every partition of `group` without a value yet is graded against
-    them by :func:`_grade`, in one loop: FULL, or C's value, FULL standing
-    for NAMES. C has the same vertices, names, edges and injectivity, so
-    that is what a search gives. Where the enumeration takes more than
-    :data:`MAX_SEARCH_STEPS` steps, each partition is matched alone by
-    :func:`match_partition`, so every search and fault comes where it would
-    without the group.
+    enumerated into `memo` once, with C's value: FULL when there are some,
+    else its value below FULL, which an empty enumeration shows without a
+    second search of C. Every partition of `group` without a value yet is
+    graded against them by :func:`_grade`, in one loop: FULL, or C's value,
+    FULL standing for NAMES. C has the same vertices, names, edges and
+    injectivity, so that is what a search gives. Where the enumeration
+    takes more than :data:`MAX_SEARCH_STEPS` steps, each partition is
+    matched alone by :func:`match_partition`, so every search and fault
+    comes where it would without the group.
     """
     below, level = partition.coarser
     found = memo.get(-id(below))
     if found is None:
         rows = _all_embeddings(below, graph)
+        if rows is not None:
+            memo[id(below)] = _FULL if rows else _below(below, graph, memo)
         found = memo[-id(below)] = _TOO_MANY if rows is None else rows
-        if rows:
-            memo[id(below)] = _FULL
     if found is _TOO_MANY:
         return _value(partition, graph, memo)
-    value = _value(below, graph, memo)
+    value = memo[id(below)]
     rest = level if value is _FULL else value
     for p in group:
         key = id(p)

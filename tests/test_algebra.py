@@ -838,7 +838,7 @@ def test_every_compiled_program_has_one_step_per_node(expr):
     included; a function the compiler does not know is one fault step."""
     nodes = fold(expr, lambda _: 1, lambda _, args: 1 + sum(args), lambda _, l, r: 1 + l + r)
     assert len(compile_fida(expr, _NAMES).code) == nodes
-    assert len(_party_program(print_fida(expr), tuple(_NAMES)).code) == nodes
+    assert len(_party_program(print_fida(expr), tuple(_NAMES))[0].code) == nodes
 
 
 # -- the mask program on masks wider than a machine word ------------------------------

@@ -6,6 +6,7 @@ import pickle
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -63,11 +64,14 @@ from provpurpose import (
     print_fida,
     split_result,
 )
-from provpurpose import matching
+from provpurpose import external as external_module, matching
 from provpurpose.algebra import MAX_NESTING
+from provpurpose.external import _party_program
 from conftest import CASE_STUDY, coarser_plan_case
 from oracles import oracle_decide
 from randcases import (
+    _RANKED_EXTERNAL_FUNCTIONS,
+    _random_expr_tree,
     random_decision_case,
     random_prohibiting_case,
     repeated_requests,
@@ -266,6 +270,21 @@ def test_attached_purposes_narrow_decision(tiny_graph, small_pg):
     assert outcome.attached_purposes == {"leafp"}
 
 
+@pytest.mark.parametrize("given", [frozenset, set, list, tuple, lambda names: (n for n in names)])
+def test_attached_purposes_of_any_iterable_decide_alike(given):
+    """A list, tuple or one-shot iterator is read once into a frozenset, which the outcome keeps."""
+    record, request, parties, pg, role_order = _case_study()
+    named = sorted(record.attached_purposes | set(sorted(pg.purposes)[:2]))  # three known purposes
+
+    def rendered(purposes):
+        outcome = decide(replace(record, attached_purposes=purposes), request, parties, "F3", pg, role_order)
+        assert type(outcome.attached_purposes) is frozenset and outcome.attached_purposes == set(named)
+        return outcome.decided, json.dumps(outcome_to_dict(outcome))
+
+    got = rendered(given(named))
+    assert len(named) == 3 and got == rendered(frozenset(named)) and got[0] == {"education"}
+
+
 def test_stage_labels():
     pg = PurposeGraph(["only"], [], hierarchy_line=0)
     record = DataRecord(ProvenanceGraph())
@@ -374,12 +393,18 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     assert plan.outcomes == {(0b1, MatchValue.FULL): ((cfg.policies[0].applied,), 0b1)}
     del plan
     assert pg.bits._decoded == {0b10: {"mid"}, 0: set()}  # the decode memo: the party result; the decision hit it
+    # the cross-party program keeps the decided set by the parties' result masks, in a map of this graph's own
+    by_graph = _party_program("F3", ("owner",))[1]
+    assert by_graph[pg] == {((0b10, 0),): {"mid"}}
+    gc.collect()
+    kept = len(by_graph)
     graph, bits = weakref.ref(pg), weakref.ref(pg.bits)
     del pg
     gc.collect()
     assert graph() is None
     assert bits() is None  # the encoding and its decode memo went with the graph
     assert len(cfg._plans) == 0  # the plan and its map went with the graph
+    assert len(by_graph) == kept - 1  # and so did the cross-party map
     assert outcome.parties[0].decisions == (("grant", cfg.policies[0].applied),)
 
 
@@ -1382,3 +1407,78 @@ def test_long_lived_configs_decide_as_fresh_ones_and_their_traces_outlive_a_grap
 
     check()
     assert written
+
+
+def test_warm_cross_party_merges_decide_as_the_oracle_and_as_fresh_configs():
+    """Ranked (F5-F8) and infix cross-party expressions, answered from warm maps.
+
+    Half the cases' expressions are drawn from F5-F8 and the infix
+    operators, which rank or subtract one party's sets against another's, so
+    masks answered in the wrong slots would differ. One set of configs decides a stream of requests twice, so the parties'
+    result masks repeat and the second pass reads the program's map: it runs
+    the program only where the first pass raised in the external merge.
+    Every rendering, or error, must equal that of fresh configs under a
+    fresh purpose graph, which owns an empty map, and every decided set and
+    party result the oracle's.
+    """
+    expressions = []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        case = (random_prohibiting_case if rng.random() < 0.5 else random_decision_case)(rng)
+        if rng.random() < 0.5:
+            names = [name for name, _, _ in case.parties]
+            case = case._replace(external=_random_expr_tree(rng, names, _RANKED_EXTERNAL_FUNCTIONS, rng.randint(2, 5)))
+        external = case.external if isinstance(case.external, str) else _text(case.external)
+        expressions.append(not isinstance(case.external, str))
+        pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
+
+        def configs():
+            return [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties]
+
+        kept, requests = configs(), repeated_requests(rng, case, 8)
+        runs, run = [], external_module.eval_fida
+        passes = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(external_module, "eval_fida", lambda *args: runs.append(args) or run(*args))
+            for _ in range(2):
+                del runs[:]
+                got = [_rendered_or_error(lambda: decide(r, q, kept, external, pg, case.role_order)) for r, q in requests]
+                passes.append((got, len(runs)))
+        (first, _), (second, ran) = passes
+        assert second == first and ran == sum(1 for got in first if got[0] == "external-merge")
+        fresh_pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
+        for (record, request), warm in zip(requests, second):
+            assert warm == _rendered_or_error(lambda: decide(record, request, configs(), external, fresh_pg, case.role_order))
+            if isinstance(warm, str):
+                asked = case._replace(graph=record.provenance, category=record.category, subject=request.subject)
+                decided, results = oracle_decide(**asked._asdict())
+                rendered = json.loads(warm)
+                assert rendered["decided"] == sorted(decided)
+                assert [(t["ap"], t["pp"]) for t in rendered["parties"]] == [(sorted(a), sorted(p)) for a, p in results]
+
+    check()
+    assert any(expressions) and not all(expressions)
+
+
+def test_seed_0_party_algebra_runs_its_cross_party_program_12_times_then_none(monkeypatch):
+    """Counts, not timings, pin the cross-party map on the benchmark's party_algebra workload.
+
+    Its 120 records meet 12 tuples of party result masks, so the first pass
+    runs the compiled program 12 times and a second pass runs it not at all.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "decidebench"))
+    import workloads
+
+    loaded = workloads.load(workloads.party_algebra(0))
+    runs = []
+    run = external_module.eval_fida
+    monkeypatch.setattr(external_module, "eval_fida", lambda *args: runs.append(args) or run(*args))
+    assert len(loaded.records) == 120
+    for expected in (12, 0):
+        del runs[:]
+        for record, request in zip(loaded.records, loaded.requests):
+            decide(record, request, loaded.parties, loaded.external, loaded.pg, loaded.role_order)
+        assert len(runs) == expected

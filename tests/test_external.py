@@ -1,6 +1,8 @@
 """Cross-party merge functions and the party-level expression mode."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,9 @@ from provpurpose import (
     party_result_from_dict,
     party_result_to_dict,
 )
+from provpurpose import external
+from provpurpose.external import _party_program
+from provpurpose.purposes import _MERGES_KEPT
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES
 from oracles import _o_external_expr, _o_left_fold, brute_force_ranks, o_minus, oracle_external
 
@@ -331,6 +336,85 @@ def test_the_compiled_merge_over_masks_and_over_sets_matches_the_oracle(data):
     masks = {name: (bits.encode(ap), bits.encode(pp)) for name, (ap, pp) in env.items()}
     assert merge_parties(masks, text, _WIDE) == want
     assert merge_parties([PartyResult(name, *pair) for name, pair in env.items()], text, _WIDE) == want
+
+
+# -- the decided sets kept per program and purpose graph ----------------------------
+
+def _counted_runs(monkeypatch):
+    """Record each run of a compiled cross-party program over masks."""
+    runs = []
+    run = external.eval_fida
+    monkeypatch.setattr(external, "eval_fida", lambda program, env, pg=None: runs.append(env) or run(program, env, pg))
+    return runs
+
+
+def _flat(n):
+    """A purpose graph of `n` unrelated purposes, so mask k holds the purposes of k's bits."""
+    return PurposeGraph([f"p{i}" for i in range(n)], [], hierarchy_line=0)
+
+
+def test_masks_met_before_run_no_step_and_the_map_stops_at_its_bound(monkeypatch):
+    """Past the bound, later masks are run on every call and not stored, with the same sets."""
+    n = _MERGES_KEPT.bit_length()  # 2**n mask tuples, more than the bound
+    pg, runs = _flat(n), _counted_runs(monkeypatch)
+    tuples = [{"a": (k, 0), "b": (0, 0)} for k in range(2**n)]
+    want = [pg.bits.decode(k) for k in range(2**n)]
+    for _ in range(2):
+        assert [merge_parties(masks, "F1", pg) for masks in tuples] == want
+    decided = _party_program("F1", ("a", "b"))[1][pg]
+    assert list(decided) == [((k, 0), (0, 0)) for k in range(_MERGES_KEPT)]
+    assert all(decided[((k, 0), (0, 0))] is want[k] for k in range(_MERGES_KEPT))
+    # the first pass ran every tuple; the second only those past the bound
+    assert runs == [tuple(masks.values()) for masks in tuples + tuples[_MERGES_KEPT:]]
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_a_run_that_raises_is_not_stored_and_raises_alike_in_an_empty_or_full_map(monkeypatch, full):
+    n = _MERGES_KEPT.bit_length()
+    pg = _flat(n)
+    if full:
+        for k in range(_MERGES_KEPT):
+            merge_parties({"a": (k, 0), "b": (0, 0)}, "F1", pg)
+    decided = _party_program("F1", ("a", "b"))[1].get(pg, {})
+    assert len(decided) == (_MERGES_KEPT if full else 0)
+    runs = _counted_runs(monkeypatch)
+    past = {"a": (1 << n, 0), "b": (0, 0)}  # a bit no purpose holds
+    for _ in range(2):
+        with pytest.raises(UnknownPurposeError, match=f"^mask {1 << n} is not a set of the {n} encoded purposes$"):
+            merge_parties(past, "F1", pg)
+        with pytest.raises(UnboundNameError, match="^no party named 'ghost'$"):
+            merge_parties({"a": (1, 0), "b": (0, 0)}, "F1(a, ghost)", pg)
+    assert len(runs) == 4 and tuple(past.values()) not in _party_program("F1", ("a", "b"))[1][pg]
+    assert len(_party_program("F1(a, ghost)", ("a", "b"))[1][pg]) == 0
+
+
+def test_masks_are_kept_in_slot_order():
+    """Parties that swap their masks meet another tuple, so a merge that subtracts one from the other differs."""
+    pg = _flat(2)
+    for text, m, n, want in (
+        ("a - b", (0b01, 0), (0b10, 0), ({"p0"}, {"p1"})),
+        ("F2(a, b)", (0b11, 0b01), (0b10, 0), ({"p1"}, {"p0", "p1"})),
+    ):
+        for _ in range(2):  # the second round reads the map
+            assert (merge_parties({"a": m, "b": n}, text, pg), merge_parties({"a": n, "b": m}, text, pg)) == want, text
+
+
+def test_two_purpose_graphs_keep_separate_maps_under_one_program(monkeypatch):
+    """Equal graphs are two owners: each keeps its own sets, and a map goes with its graph."""
+    first, second = _flat(3), _flat(3)
+    runs = _counted_runs(monkeypatch)
+    masks = {"a": (0b011, 0b001), "b": (0b110, 0)}
+    assert merge_parties(masks, "a + b", first) == merge_parties(masks, "a + b", second) == {"p1", "p2"}
+    assert merge_parties(masks, "a + b", first) == {"p1", "p2"}
+    assert len(runs) == 2  # one per graph; the third call is the first graph's hit
+    by_graph = _party_program("a + b", ("a", "b"))[1]
+    assert by_graph[first] is not by_graph[second]
+    assert by_graph[first] == by_graph[second] == {((0b011, 0b001), (0b110, 0)): {"p1", "p2"}}
+    gc.collect()
+    kept, gone = len(by_graph), weakref.ref(first)
+    del first
+    gc.collect()
+    assert gone() is None and len(by_graph) == kept - 1 and second in by_graph
 
 
 # -- documents ----------------------------------------------------------------------

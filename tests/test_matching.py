@@ -236,7 +236,7 @@ def test_partition_type_mismatch_counts_as_unsatisfied(tiny_graph):
     assert match_partition(p, tiny_graph) is MatchValue.NAMES
 
 
-def test_embedding_is_injective():
+def test_embedding_is_injective(monkeypatch):
     g = ProvenanceGraph()
     a = g.add_vertex(VertexType.ARTIFACT, "x", {"k": 1})
     p = g.add_vertex(VertexType.PROCESS, "gen")
@@ -262,9 +262,18 @@ def test_embedding_is_injective():
         )
         for j in range(3)
     )
+    searches = []
+    search = matching._search
+    monkeypatch.setattr(
+        matching, "_search", lambda p, graph, found: searches.append((p, found is not None)) or search(p, graph, found)
+    )
     memo = {}
     assert [matching.match_group(p, group, g, memo) for p in group] == [MatchValue.NONE] * 3
-    assert memo[-id(group[0].coarser[0])] == []  # enumerated, and found none
+    coarser = group[0].coarser[0]
+    assert memo[-id(coarser)] == []  # enumerated, and found none
+    # so the coarser partition's value comes from that enumeration, with no second search of it
+    assert memo[id(coarser)] is MatchValue.NONE and searches == [(coarser, True)]
+    assert [int(memo[id(p)]) for p in group] == [oracle_match_partition(p, g) for p in group]
 
 
 def test_match_agrees_with_exhaustive_oracle_sample():
