@@ -1414,12 +1414,13 @@ def test_warm_cross_party_merges_decide_as_the_oracle_and_as_fresh_configs():
 
     Half the cases' expressions are drawn from F5-F8 and the infix
     operators, which rank or subtract one party's sets against another's, so
-    masks answered in the wrong slots would differ. One set of configs decides a stream of requests twice, so the parties'
-    result masks repeat and the second pass reads the program's map: it runs
-    the program only where the first pass raised in the external merge.
-    Every rendering, or error, must equal that of fresh configs under a
-    fresh purpose graph, which owns an empty map, and every decided set and
-    party result the oracle's.
+    masks answered in the wrong slots would differ. One set of configs
+    decides a stream of requests twice, so the parties' result masks repeat
+    and the second pass reads the program's map: it runs the program only
+    where the first pass raised in the external merge. Every rendering, or
+    error, must equal that of fresh configs under a fresh purpose graph,
+    which owns an empty map, and every decided set and party result the
+    oracle's.
     """
     expressions = []
 
@@ -1439,16 +1440,13 @@ def test_warm_cross_party_merges_decide_as_the_oracle_and_as_fresh_configs():
             return [PartyConfig(name, policies, None if expr is None else _text(expr)) for name, policies, expr in case.parties]
 
         kept, requests = configs(), repeated_requests(rng, case, 8)
+        first = [_rendered_or_error(lambda: decide(r, q, kept, external, pg, case.role_order)) for r, q in requests]
         runs, run = [], external_module.eval_fida
-        passes = []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(external_module, "eval_fida", lambda *args: runs.append(args) or run(*args))
-            for _ in range(2):
-                del runs[:]
-                got = [_rendered_or_error(lambda: decide(r, q, kept, external, pg, case.role_order)) for r, q in requests]
-                passes.append((got, len(runs)))
-        (first, _), (second, ran) = passes
-        assert second == first and ran == sum(1 for got in first if got[0] == "external-merge")
+            second = [_rendered_or_error(lambda: decide(r, q, kept, external, pg, case.role_order)) for r, q in requests]
+        assert second == first
+        assert len(runs) == sum(1 for got in first if isinstance(got, tuple) and got[0] == "external-merge")
         fresh_pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
         for (record, request), warm in zip(requests, second):
             assert warm == _rendered_or_error(lambda: decide(record, request, configs(), external, fresh_pg, case.role_order))
