@@ -44,19 +44,16 @@ A decision runs in four stages:
    plan, the result depends only on the applicability vector, so the plan
    maps that vector to the result masks and their decoded
    :class:`PartyResult`: a vector met before is answered from the map,
-   with no per-policy step, no run and no decode. The map stops growing at
-   a fixed number of vectors, and a run that raises is never stored.
+   with no per-policy step, no run and no decode. Each map the plan keeps
+   is a :class:`~provpurpose.purposes._BoundedMap`.
 3. external-merge: the per-party results are combined by the cross-party
    expression into one decision set. The expression's program, compiled
    once per text and party names, runs over each party's result masks, and
    only the decided mask is decoded; each party's trace holds its result
-   decoded. Both decodes go through ``pg.bits``, which decodes each
-   distinct mask once per purpose graph, up to a fixed number of masks.
-   The compiled program owns one map per purpose graph, weakly keyed, from
-   the tuple of the parties' result masks in slot order to the decided
-   set: a tuple met before is answered from the map, with no run and no
-   decode. The map stops growing at a fixed number of tuples, and a run
-   that raises is never stored.
+   decoded. The compiled program owns one bounded map per purpose graph,
+   weakly keyed, from the tuple of the parties' result masks in slot order
+   to the decided set: a tuple met before is answered from the map, with
+   no run and no decode.
 4. attached-purpose-intersection: when the record carries attached purposes,
    they are read once, into a frozenset that the outcome keeps, and the
    decision is narrowed to them.
@@ -84,7 +81,7 @@ from . import policy
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder
 from .policy import _DECLINED, _match_leaf, _tree_leaves, evaluate_policy
 from .provenance import ProvenanceGraph
-from .purposes import _MERGES_KEPT, PurposeGraph, PurposeSet, _named
+from .purposes import PurposeGraph, PurposeSet, _BoundedMap, _named
 
 
 @dataclass(frozen=True)
@@ -107,16 +104,17 @@ class _PartyPlan(NamedTuple):
     each, to the shape outcomes and the applicability vector, whose bit i
     is set when policy i applies. `merged` maps an applicability vector to
     its merge result: the result masks and the decoded
-    :class:`PartyResult`. No map holds the graph, so the plan never keeps
-    it alive. Each stops growing at `_MERGES_KEPT` entries. Guards raise
-    nothing, so a guard mask is stored before any leaf is matched; a party
-    whose leaves raise stores nothing more.
+    :class:`PartyResult`. Each map is a
+    :class:`~provpurpose.purposes._BoundedMap`, and none holds the graph,
+    so the plan never keeps it alive. Guards raise nothing, so a guard mask
+    is stored before any leaf is matched; a party whose leaves raise stores
+    nothing more.
     """
 
     masks: tuple[tuple[int, int], ...]
-    guards: dict[tuple[frozenset[str], str | None], int]
-    outcomes: dict[tuple[int, int], tuple[tuple[PolicyDecision, ...], int]]
-    merged: dict[int, tuple[int, int, PartyResult]]
+    guards: _BoundedMap[tuple[frozenset[str], str | None], int]
+    outcomes: _BoundedMap[tuple[int, int], tuple[tuple[PolicyDecision, ...], int]]
+    merged: _BoundedMap[int, tuple[int, int, PartyResult]]
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ class PartyConfig:
                     raise ConfigurationError(f"policy {pol.id!r} uses purpose {unknown!r} not in the purpose graph")
             bits = pg.bits
             masks = tuple((bits.encode(pol.ap), bits.encode(pol.pp)) for pol in self.policies)
-            plan = self._plans[pg] = _PartyPlan(masks, {}, {}, {})
+            plan = self._plans[pg] = _PartyPlan(masks, _BoundedMap(), _BoundedMap(), _BoundedMap())
         return plan
 
     def __reduce__(self) -> tuple[Any, ...]:
@@ -288,9 +286,7 @@ def decide(
             asked = cfg._subjects & reach, category  # all the party's guards read
             mask = plan.guards.get(asked)
             if mask is None:
-                mask = cfg._guarded(request, category, reach)
-                if len(plan.guards) < _MERGES_KEPT:
-                    plan.guards[asked] = mask
+                mask = plan.guards.keep(asked, cfg._guarded(request, category, reach))
             leaves = 0
             for cond in cfg._leaves:  # 2 bits per leaf value
                 value = memo.get(id(cond))
@@ -313,9 +309,7 @@ def decide(
                     for s, rep in enumerate(reps)
                 ])
                 # disjoint masks: the sum is their OR
-                shaped = outcomes, sum([m for d, m in zip(outcomes, members) if d.applicable])
-                if len(plan.outcomes) < _MERGES_KEPT:
-                    plan.outcomes[key] = shaped
+                shaped = plan.outcomes.keep(key, (outcomes, sum([m for d, m in zip(outcomes, members) if d.applicable])))
         except ProvPurposeError as exc:
             raise StageError("policy-evaluation", exc) from exc
         outcomes, applicable = shaped
@@ -328,9 +322,7 @@ def decide(
                 ap, pp = eval_fida(cfg.merge_program, applied, pg)
             except ProvPurposeError as exc:
                 raise StageError("internal-merge", exc) from exc
-            merged = ap, pp, PartyResult(cfg.party, pg.bits.decode(ap), pg.bits.decode(pp))
-            if len(plan.merged) < _MERGES_KEPT:
-                plan.merged[applicable] = merged
+            merged = plan.merged.keep(applicable, (ap, pp, PartyResult(cfg.party, pg.bits.decode(ap), pg.bits.decode(pp))))
         ap, pp, result = merged
         results[cfg.party] = ap, pp
         traces.append(PartyTrace(cfg.party, cfg.merge_text, result, cfg, outcomes))

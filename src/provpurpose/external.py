@@ -39,13 +39,13 @@ compiler over this module's steps, one step per node, into a program that
 runs over the parties' sets, or over their ``(ap, pp)`` masks under a
 purpose graph's own encoding, the form `decide` hands over. A bare function
 name over n parties is n - 1 binary steps. Over masks, the compiled program
-owns one map per purpose graph, weakly keyed as a party plan is, from the
-parties' masks in slot order to the decided set: masks met before run no
-step and no decode. A map stops growing at ``_MERGES_KEPT`` entries, and a
-run that raises is never stored. `apply_external` runs the same
-F1-F8 step over two parties' sets. A precedence selection checks sets
-against the graph, so an unknown purpose raises, and ranks them as masks
-under its encoding, by their lowest or highest set bit.
+owns one :class:`~provpurpose.purposes._BoundedMap` per purpose graph,
+weakly keyed as a party plan is, from the parties' masks in slot order to
+the decided set: masks met before run no step and no decode.
+`apply_external` runs the same F1-F8 step over two parties' sets. A
+precedence selection checks sets against the graph, so an unknown purpose
+raises, and ranks them as masks under its encoding, by their lowest or
+highest set bit.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .algebra import eval_fida, left_fold_expr, op_subtraction, parse_fida
 # F5-F8 rank in the compiled steps; this name stays bound for decidebench's tracer.
 from .algebra import precedence_total  # noqa: F401
 from .errors import ConfigurationError, EmptyPurposeSetError
-from .purposes import _MERGES_KEPT, PurposeGraph, PurposeSet
+from .purposes import PurposeGraph, PurposeSet, _BoundedMap
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,11 @@ def apply_external(
 @lru_cache(maxsize=64)
 def _party_program(
     text: str, names: tuple[str, ...]
-) -> tuple[MergeProgram, WeakKeyDictionary[PurposeGraph, dict[tuple[tuple[int, int], ...], PurposeSet]]]:
+) -> tuple[MergeProgram, WeakKeyDictionary[PurposeGraph, _BoundedMap[tuple[tuple[int, int], ...], PurposeSet]]]:
     """The program of a stripped text over the named parties, one slot each, and its decided sets.
 
     It is compiled as :func:`~provpurpose.algebra.compile_fida` compiles, over the F1-F8 and party infix steps.
-    Its decided sets are a map per purpose graph, weakly keyed, from the parties' masks in slot order to the
+    Its decided sets are a bounded map per purpose graph, weakly keyed, from the parties' masks in slot order to the
     set decided under that graph, which `merge_parties` fills. A faulty text is not kept.
     """
     expr = left_fold_expr(text, names) if text in _PARTY_STEPS else parse_fida(text)
@@ -162,9 +162,9 @@ def merge_parties(
     way the party names must be distinct. `results` holds party results, or,
     as `decide` passes them, each party's ``(ap, pp)`` masks under
     ``pg.bits`` by party name; the decided mask is then decoded by
-    ``pg.bits``. The decided set is kept by the masks' tuple, up to
-    ``_MERGES_KEPT`` tuples per program and graph, so masks met before are
-    answered with no run and no decode.
+    ``pg.bits``. The decided set is kept by the masks' tuple in the
+    program's bounded map for `pg`, so masks met before are answered with
+    no run and no decode.
     """
     if not results:
         raise EmptyPurposeSetError("no party results to merge")
@@ -174,14 +174,12 @@ def merge_parties(
         program, by_graph = _party_program(expr_text.strip(), tuple(results))
         decided = by_graph.get(pg)
         if decided is None:
-            decided = by_graph[pg] = {}
+            decided = by_graph[pg] = _BoundedMap()
         masks = tuple(results.values())
         members = decided.get(masks)
         if members is None:
             ap, pp = eval_fida(program, masks, pg)
-            members = pg.bits.decode(_minus(ap, pp))
-            if len(decided) < _MERGES_KEPT:
-                decided[masks] = members
+            members = decided.keep(masks, pg.bits.decode(_minus(ap, pp)))
         return members
     names = tuple(r.party for r in results)
     if len(set(names)) != len(names):

@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Container, Iterable, Mapping
 from functools import cached_property
 from itertools import compress
-from typing import Any
+from typing import Any, TypeVar
 
 from . import _docs
 from ._dagutil import reachable_from, topological_order
@@ -46,10 +46,27 @@ PurposeSet = frozenset[str]
 # Maps a mask's binary digits to the 0/1 bytes that select its members.
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
-#: Most entries a bounded map keeps: each encoding's decode memo here, and
-#: each map of an engine party plan. Once a map holds that many, later values
-#: are computed on every use and not stored.
-_MERGES_KEPT = 128
+K = TypeVar("K")
+V = TypeVar("V")
+
+
+class _BoundedMap(dict[K, V]):
+    """A map kept across decisions, which stores the first `bound` keys it meets and no more.
+
+    A site reads it with ``get``, and on a miss computes the value and hands
+    it to `keep`. Past the bound the value is still returned but not stored,
+    so a later key is computed on every use. A computation that raises
+    reaches no `keep`, so it stores nothing and raises again on the next use.
+    """
+
+    __slots__ = ()
+    bound = 128
+
+    def keep(self, key: K, value: V) -> V:
+        """Store `value` under `key` while the map holds fewer than `bound` entries; return `value`."""
+        if len(self) < self.bound:
+            self[key] = value
+        return value
 
 
 def _named(members: Iterable[Any], known: Container[Any]) -> Any:
@@ -77,15 +94,9 @@ class PurposeBits:
     The names run by (rank, name): bits ``layers[r]`` up to ``layers[r + 1]``
     hold rank r, so the lowest and highest set bits of a mask are members
     of its least and greatest rank.
-
-    `decode` keeps the sets it builds by mask, up to `_MERGES_KEPT` masks,
-    so each distinct mask is decoded once per encoding, and so once per
-    purpose graph, which holds its encoding. Later masks are decoded on
-    every call, and a mask that raises is never kept.
     """
 
     def __init__(self, graph: PurposeGraph) -> None:
-        self._decoded: dict[int, PurposeSet] = {}
         self._ranks = ranks = graph._rank
         self.names = tuple(sorted(graph.purposes, key=lambda p: (ranks[p], p)))
         by_rank = [ranks[p] for p in self.names]
@@ -107,14 +118,9 @@ class PurposeBits:
 
     def decode(self, mask: int) -> PurposeSet:
         """The names whose bits are set in `mask`; raise on a negative mask or a bit no name holds."""
-        members = self._decoded.get(mask)
-        if members is None:
-            if mask < 0 or mask >> len(self.names):
-                raise UnknownPurposeError(f"mask {mask} is not a set of the {len(self.names)} encoded purposes")
-            members = frozenset(compress(self.names, f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)))
-            if len(self._decoded) < _MERGES_KEPT:
-                self._decoded[mask] = members
-        return members
+        if mask < 0 or mask >> len(self.names):
+            raise UnknownPurposeError(f"mask {mask} is not a set of the {len(self.names)} encoded purposes")
+        return frozenset(compress(self.names, f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)))
 
     def least_rank(self, mask: int) -> int:
         """The least rank in a non-empty mask: its lowest set bit's."""

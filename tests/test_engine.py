@@ -67,6 +67,7 @@ from provpurpose import (
 from provpurpose import external as external_module, matching
 from provpurpose.algebra import MAX_NESTING
 from provpurpose.external import _party_program
+from provpurpose.purposes import _BoundedMap
 from conftest import CASE_STUDY, coarser_plan_case
 from oracles import oracle_decide
 from randcases import (
@@ -88,11 +89,13 @@ def _null_policy(pid, ap=(), pp=(), ptype=None):
     return Policy(pid, ptype, TreeLeaf(NullCondition()), ap=ap, pp=pp)
 
 
+# small_pg's purposes and edges, for the oracle
+_SMALL = ["root", "mid", "leafp"], [("root", "mid"), ("mid", "leafp")]
+
+
 @pytest.fixture()
 def small_pg():
-    return PurposeGraph(
-        ["root", "mid", "leafp"], [("root", "mid"), ("mid", "leafp")], hierarchy_line=1
-    )
+    return PurposeGraph(*_SMALL, hierarchy_line=1)
 
 
 def test_default_internal_expr_shapes():
@@ -392,7 +395,6 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     # the outcome map's key holds the guard mask and the party's leaf values, its value shared decisions
     assert plan.outcomes == {(0b1, MatchValue.FULL): ((cfg.policies[0].applied,), 0b1)}
     del plan
-    assert pg.bits._decoded == {0b10: {"mid"}, 0: set()}  # the decode memo: the party result; the decision hit it
     # the cross-party program keeps the decided set by the parties' result masks, in a map of this graph's own
     by_graph = _party_program("F3", ("owner",))[1]
     assert by_graph[pg] == {((0b10, 0),): {"mid"}}
@@ -402,7 +404,7 @@ def test_a_party_plan_does_not_keep_its_purpose_graph_alive(tiny_graph):
     del pg
     gc.collect()
     assert graph() is None
-    assert bits() is None  # the encoding and its decode memo went with the graph
+    assert bits() is None  # the encoding went with the graph
     assert len(cfg._plans) == 0  # the plan and its map went with the graph
     assert len(by_graph) == kept - 1  # and so did the cross-party map
     assert outcome.parties[0].decisions == (("grant", cfg.policies[0].applied),)
@@ -530,7 +532,7 @@ def test_a_long_lived_party_config_decides_as_fresh_ones_do():
 
 def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, small_pg):
     """Past the bound, results are computed on every decision and not stored."""
-    n = engine._MERGES_KEPT.bit_length()  # 2**n vectors, more than the bound
+    n = _BoundedMap.bound.bit_length()  # 2**n vectors, more than the bound
     party = tuple(_subject_guarded(f"g{i}", f"r{i}", {"mid"} if i % 2 else {"leafp"}) for i in range(n))
     # requester s{k} reaches role r{i} for every bit i of k
     order = {f"s{k}": frozenset(f"r{i}" for i in range(n) if k >> i & 1) for k in range(2**n)}
@@ -541,12 +543,85 @@ def test_a_full_plan_stores_no_more_results_and_decides_as_before(tiny_graph, sm
             got = outcome_to_dict(decide(record, request, [kept], "F3", small_pg, order))
             assert got == outcome_to_dict(decide(record, request, [PartyConfig("owner", party)], "F3", small_pg, order))
     plan = kept._plans[small_pg]
-    assert list(plan.merged) == list(range(engine._MERGES_KEPT))
+    assert list(plan.merged) == list(range(_BoundedMap.bound))
     # requester s{k} reaches the roles of k's bits, so k is its guard mask, and every policy's null leaf is FULL
-    reached = [frozenset(f"r{i}" for i in range(n) if k >> i & 1) for k in range(engine._MERGES_KEPT)]
+    reached = [frozenset(f"r{i}" for i in range(n) if k >> i & 1) for k in range(_BoundedMap.bound)]
     assert list(plan.guards) == [(roles, None) for roles in reached]
     leaves = sum(MatchValue.FULL << 2 * i for i in range(n))
-    assert list(plan.outcomes) == [(k, leaves) for k in range(engine._MERGES_KEPT)]
+    assert list(plan.outcomes) == [(k, leaves) for k in range(_BoundedMap.bound)]
+
+
+def test_every_map_kept_across_decisions_is_one_bounded_store(tiny_graph, small_pg):
+    """A party plan's maps and a cross-party program's are each a store, and an encoding keeps none of its own.
+
+    So no map skips the bound. A store keeps the first `bound` keys it is
+    given; a later value is returned but not stored.
+    """
+    cfg = PartyConfig("owner", (_null_policy("grant", ap={"mid"}),))
+    decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", small_pg)
+    plan = cfg._plans[small_pg]
+    assert [type(field) for field in plan] == [tuple, _BoundedMap, _BoundedMap, _BoundedMap]  # masks, then the maps
+    assert {type(decided) for decided in _party_program("F3", ("owner",))[1].values()} == {_BoundedMap}
+    bits = small_pg.bits
+    assert [name for name, value in vars(bits).items() if isinstance(value, dict)] == ["_ranks"]
+    assert bits._ranks is small_pg._rank  # the graph's table, read only
+    store, bound = _BoundedMap(), _BoundedMap.bound
+    assert bound == 128 and not hasattr(store, "__dict__")
+    assert [store.keep(k, f"v{k}") for k in range(bound + 2)] == [f"v{k}" for k in range(bound + 2)]
+    assert store == {k: f"v{k}" for k in range(bound)}
+
+
+def test_a_cross_party_program_evicted_from_its_cache_decides_as_fresh_configs_and_the_oracle(tiny_graph, small_pg):
+    """`_party_program` keeps 64 programs, so 65 distinct texts evict the first, which is compiled again."""
+    parties = [
+        ("a", (_null_policy("ga", ap={"mid", "leafp"}, pp={"root"}),), None),
+        ("b", (_null_policy("gb", ap={"mid"}, pp={"leafp"}),), None),
+    ]
+    kept = [PartyConfig(name, policies) for name, policies, _ in parties]
+    refs = ("ref", "a"), ("ref", "b")
+    calls = [("call", f"F{i}", args) for i in range(1, 9) for args in (refs, refs[::-1])]
+    # 16 calls, each text wrapped in 0-4 pairs of parentheses: 65 distinct texts
+    cases = [("(" * (k // 16) + _text(calls[k % 16]) + ")" * (k // 16), calls[k % 16]) for k in range(65)]
+    record, request = DataRecord(tiny_graph), Request("s")
+
+    def check(text, tree):
+        warm = decide(record, request, kept, text, small_pg)
+        fresh = decide(record, request, [PartyConfig(name, policies) for name, policies, _ in parties], text, small_pg)
+        assert outcome_to_dict(warm) == outcome_to_dict(fresh)
+        decided, results = oracle_decide(tiny_graph, None, "s", None, parties, tree, *_SMALL, 1)
+        assert warm.decided == decided and [(t.result.ap, t.result.pp) for t in warm.parties] == results
+
+    for case in cases:
+        check(*case)
+    misses = _party_program.cache_info().misses
+    check(*cases[0])
+    assert _party_program.cache_info().misses == misses + 1  # the first text was evicted, and compiled again
+
+
+def test_policy_order_and_party_order_can_change_a_decision(tiny_graph, small_pg):
+    """The default f_dotplus fold and a bare cross-party function both fold left, and neither is free of order.
+
+    f_dotplus subtracts at each step what every policy so far prohibits, so
+    `both`'s leafp is dropped by `deny` unless `grant`, which prohibits
+    nothing, came first. Parties x and y, merged first by F3, subtract the
+    leafp they both prohibit; merged after z, they meet a decision that
+    prohibits nothing.
+    """
+    both, deny, grant = (
+        _null_policy("both", ap={"leafp"}, pp={"leafp"}), _null_policy("deny", pp={"leafp"}), _null_policy("grant", ap={"mid"})
+    )
+    x, y, z = (("x", (both,)), ("y", (_null_policy("y", ap={"leafp"}, pp={"leafp"}),)), ("z", (_null_policy("z", ap={"leafp"}),)))
+    orders = [
+        ([("owner", (both, deny, grant))], {"mid"}),
+        ([("owner", (grant, both, deny))], {"mid", "leafp"}),
+        ([x, y, z], set()),
+        ([z, x, y], {"leafp"}),
+    ]
+    for named, want in orders:
+        outcome = decide(DataRecord(tiny_graph), Request("s"), [PartyConfig(*party) for party in named], "F3", small_pg)
+        decided, results = oracle_decide(tiny_graph, None, "s", None, [(*party, None) for party in named], "F3", *_SMALL, 1)
+        assert outcome.decided == decided == want
+        assert [(t.result.ap, t.result.pp) for t in outcome.parties] == results
 
 
 def test_many_outcome_vectors_with_one_applicability_vector_store_one_result(tiny_graph, small_pg):
@@ -557,7 +632,7 @@ def test_many_outcome_vectors_with_one_applicability_vector_store_one_result(tin
     than the bound, one merge result stored, and every rendering as fresh
     configs give it.
     """
-    n = engine._MERGES_KEPT.bit_length()  # 2**n outcome vectors, more than the bound
+    n = _BoundedMap.bound.bit_length()  # 2**n outcome vectors, more than the bound
     absent = TreeLeaf(VertexCondition(VertexType.AGENT, "nobody"))
     party = tuple(
         Policy(f"g{i}{twin}", 4, absent, ap=frozenset({ap}), subjects=frozenset({f"r{i}"}))

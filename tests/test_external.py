@@ -26,7 +26,7 @@ from provpurpose import (
 )
 from provpurpose import external
 from provpurpose.external import _party_program
-from provpurpose.purposes import _MERGES_KEPT
+from provpurpose.purposes import _BoundedMap
 from conftest import ALGEBRA_EDGES, ALGEBRA_PURPOSES
 from oracles import _o_external_expr, _o_left_fold, brute_force_ranks, o_minus, oracle_external
 
@@ -355,28 +355,30 @@ def _flat(n):
 
 def test_masks_met_before_run_no_step_and_the_map_stops_at_its_bound(monkeypatch):
     """Past the bound, later masks are run on every call and not stored, with the same sets."""
-    n = _MERGES_KEPT.bit_length()  # 2**n mask tuples, more than the bound
+    bound = _BoundedMap.bound
+    n = bound.bit_length()  # 2**n mask tuples, more than the bound
     pg, runs = _flat(n), _counted_runs(monkeypatch)
     tuples = [{"a": (k, 0), "b": (0, 0)} for k in range(2**n)]
-    want = [pg.bits.decode(k) for k in range(2**n)]
-    for _ in range(2):
-        assert [merge_parties(masks, "F1", pg) for masks in tuples] == want
+    first, second = ([merge_parties(masks, "F1", pg) for masks in tuples] for _ in range(2))
+    assert first == second == [pg.bits.decode(k) for k in range(2**n)]
     decided = _party_program("F1", ("a", "b"))[1][pg]
-    assert list(decided) == [((k, 0), (0, 0)) for k in range(_MERGES_KEPT)]
-    assert all(decided[((k, 0), (0, 0))] is want[k] for k in range(_MERGES_KEPT))
+    assert list(decided) == [((k, 0), (0, 0)) for k in range(bound)]
+    # below the bound the second pass returns the very sets the first stored; past it, sets decoded anew
+    assert all(decided[((k, 0), (0, 0))] is first[k] is second[k] for k in range(bound))
+    assert not any(second[k] is first[k] for k in range(bound, 2**n))
     # the first pass ran every tuple; the second only those past the bound
-    assert runs == [tuple(masks.values()) for masks in tuples + tuples[_MERGES_KEPT:]]
+    assert runs == [tuple(masks.values()) for masks in tuples + tuples[bound:]]
 
 
 @pytest.mark.parametrize("full", [False, True])
 def test_a_run_that_raises_is_not_stored_and_raises_alike_in_an_empty_or_full_map(monkeypatch, full):
-    n = _MERGES_KEPT.bit_length()
+    n = _BoundedMap.bound.bit_length()
     pg = _flat(n)
     if full:
-        for k in range(_MERGES_KEPT):
+        for k in range(_BoundedMap.bound):
             merge_parties({"a": (k, 0), "b": (0, 0)}, "F1", pg)
     decided = _party_program("F1", ("a", "b"))[1].get(pg, {})
-    assert len(decided) == (_MERGES_KEPT if full else 0)
+    assert len(decided) == (_BoundedMap.bound if full else 0)
     runs = _counted_runs(monkeypatch)
     past = {"a": (1 << n, 0), "b": (0, 0)}  # a bit no purpose holds
     for _ in range(2):

@@ -16,7 +16,6 @@ from provpurpose import (
     purpose_graph_from_dict,
     purpose_graph_to_dict,
 )
-from provpurpose.purposes import _MERGES_KEPT
 from oracles import brute_force_ranks
 
 
@@ -228,7 +227,6 @@ def test_a_member_check_names_an_unhashable_member_as_an_unknown_purpose(members
 
 
 _CHAIN = PurposeGraph(["a", "b", "c"], [("a", "b"), ("b", "c")], 1)
-# 256 masks, more than a decode memo keeps
 _WIDE = PurposeGraph([f"p{i}" for i in range(8)], [])
 
 
@@ -239,15 +237,11 @@ def test_decoding_rejects_a_negative_mask_or_a_bit_past_the_names(mask):
         bits = PurposeBits(graph)
         message = f"^mask {mask} is not a set of the {len(bits.names)} encoded purposes$"
         with pytest.raises(UnknownPurposeError, match=message):
-            bits.decode(mask)  # the memo empty
-        assert bits._decoded == {}
+            bits.decode(mask)  # before any valid mask is decoded
         for valid in range(1 << len(bits.names)):
             bits.decode(valid)
-        kept = dict(bits._decoded)
-        assert len(kept) == min(1 << len(bits.names), _MERGES_KEPT)
         with pytest.raises(UnknownPurposeError, match=message):
-            bits.decode(mask)  # the memo full, or holding every valid mask
-        assert bits._decoded == kept
+            bits.decode(mask)  # and after every one is
 
 
 def test_every_mask_within_the_names_decodes_to_its_members():
@@ -256,17 +250,8 @@ def test_every_mask_within_the_names_decodes_to_its_members():
     for mask in range(1 << 3):
         assert bits.decode(mask) == {p for i, p in enumerate(bits.names) if mask >> i & 1}
     bits = PurposeBits(_WIDE)
-    first = {}
-    for mask in range(1 << 8):  # a miss each, the memo full from mask 128 on
-        first[mask] = bits.decode(mask)
-        assert first[mask] == {p for i, p in enumerate(bits.names) if mask >> i & 1}
-        assert len(bits._decoded) == min(mask + 1, _MERGES_KEPT)
-    assert list(bits._decoded) == list(range(_MERGES_KEPT))
-    for mask in range(1 << 8):  # hits below the bound, decoded again past it
-        again = bits.decode(mask)
-        assert again == first[mask]
-        assert (again is first[mask]) == (mask < _MERGES_KEPT)
-    assert list(bits._decoded) == list(range(_MERGES_KEPT))
+    for mask in range(1 << 8):
+        assert bits.decode(mask) == {p for i, p in enumerate(bits.names) if mask >> i & 1}
 
 
 def test_cycle_rejected():
