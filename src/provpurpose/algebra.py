@@ -97,7 +97,7 @@ from .errors import (
     MissingHierarchyLineError,
     UnboundNameError,
 )
-from .purposes import PurposeBits, PurposeGraph, PurposeSet
+from .purposes import PurposeBits, PurposeGraph, PurposeSet, _refuse_string
 
 # -- basic operators ----------------------------------------------------------
 
@@ -225,9 +225,10 @@ class HierarchicalPurposeSet:
 
     The one value expressions evaluate over: a plain purpose set is the pair
     that prohibits nothing. Both sides are kept as frozensets, whatever
-    iterables they are given as. `graph`, never part of equality, is the
-    purpose graph that merges cut at and precedence selections rank by;
-    every operator rejects operands tagged with different graphs.
+    iterables they are given as; a string is refused. `graph`, never part
+    of equality, is the purpose graph that merges cut at and precedence
+    selections rank by; every operator rejects operands tagged with
+    different graphs.
     """
 
     ap: PurposeSet = frozenset()
@@ -235,8 +236,8 @@ class HierarchicalPurposeSet:
     graph: PurposeGraph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ap", frozenset(self.ap))
-        object.__setattr__(self, "pp", frozenset(self.pp))
+        object.__setattr__(self, "ap", frozenset(_refuse_string(self.ap, "allowed purposes")))
+        object.__setattr__(self, "pp", frozenset(_refuse_string(self.pp, "prohibited purposes")))
 
 
 def split_result(pg: PurposeGraph, ap: Iterable[str], pp: Iterable[str]) -> HierarchicalPurposeSet:

@@ -63,20 +63,20 @@ from .algebra import eval_fida, left_fold_expr, op_subtraction, parse_fida
 # F5-F8 rank in the compiled steps; this name stays bound for decidebench's tracer.
 from .algebra import precedence_total  # noqa: F401
 from .errors import ConfigurationError, EmptyPurposeSetError
-from .purposes import PurposeGraph, PurposeSet, _BoundedMap
+from .purposes import PurposeGraph, PurposeSet, _BoundedMap, _refuse_string
 
 
 @dataclass(frozen=True)
 class PartyResult:
-    """One party's allowed and prohibited purposes after policy evaluation, kept as frozensets."""
+    """One party's allowed and prohibited purposes after policy evaluation, kept as frozensets; a string is refused."""
 
     party: str
     ap: PurposeSet = frozenset()
     pp: PurposeSet = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ap", frozenset(self.ap))
-        object.__setattr__(self, "pp", frozenset(self.pp))
+        object.__setattr__(self, "ap", frozenset(_refuse_string(self.ap, "allowed purposes")))
+        object.__setattr__(self, "pp", frozenset(_refuse_string(self.pp, "prohibited purposes")))
 
     def intended(self) -> PurposeSet:
         """The view a party contributes on its own: allowed minus prohibited."""

@@ -17,6 +17,8 @@ A party's constrained partitions that share a coarser partition form a group
 (:func:`partition_groups`): :func:`match_group` enumerates the coarser's
 embeddings once per memo, each as the attribute payloads of its vertices, and
 grades the whole group against them in one loop instead of searching.
+Attribute payloads are read only through :meth:`ProvenanceGraph._payload`,
+so how a graph stores them is known to :mod:`provenance` alone.
 
 Conjunction is ``min`` and disjunction is ``max`` on that chain; only ``FULL``
 ever grants purposes downstream.
@@ -51,6 +53,7 @@ from functools import cache, cached_property
 from operator import contains, eq, ge, gt, le, lt, ne
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
+from . import _docs
 from ._dagutil import reachable_from
 from .errors import PatternSyntaxError, SearchLimitError, TypeMismatchError
 from .provenance import AttrValue, EdgeLabel, ProvenanceGraph, VertexType, vertex_type_from_json
@@ -170,21 +173,31 @@ class AttrConstraint:
 
 @dataclass(frozen=True)
 class PatternVertex:
-    """A vertex constraint: type always, name and attributes optionally."""
+    """A vertex constraint: type always, name and attributes optionally.
+
+    `vtype` is a :class:`VertexType` or its value text, stored as the
+    member, as :meth:`ProvenanceGraph.add_vertex` reads it.
+    """
 
     ref: str
     vtype: VertexType
     name: str | None = None
     constraints: tuple[AttrConstraint, ...] = ()
 
+    def __post_init__(self) -> None:
+        if type(self.vtype) is not VertexType:
+            object.__setattr__(self, "vtype", _docs.member(VertexType, self.vtype, "vertex type"))
+
 
 @dataclass(frozen=True, slots=True)
 class PatternEdge:
     """An edge constraint between pattern refs; label None means wildcard.
 
-    `text` is the label's text, derived once, which the search compares with
-    the label texts a graph stores; None for a wildcard. Slotted, so the
-    derived field costs no memory over an edge with an instance dict.
+    Any other `label` is an :class:`EdgeLabel` or its value text, stored as
+    the member, as :meth:`ProvenanceGraph.add_edge` reads it. `text` is the
+    label's text, derived once, which the search compares with the label
+    texts a graph stores; None for a wildcard. Slotted, so the derived field
+    costs no memory over an edge with an instance dict.
     """
 
     src: str
@@ -193,7 +206,11 @@ class PatternEdge:
     text: str | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "text", None if self.label is None else self.label.value)
+        label = self.label
+        if label is not None and type(label) is not EdgeLabel:
+            label = _docs.member(EdgeLabel, label, "edge label")
+            object.__setattr__(self, "label", label)
+        object.__setattr__(self, "text", None if label is None else label.value)
 
 
 class _Placement(NamedTuple):
@@ -330,34 +347,24 @@ MAX_SEARCH_STEPS = 100_000
 
 # Looking up an enum member costs a call on Python 3.11; matching reads these per call.
 _FULL, _NAMES, _TYPES, _NONE = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES, MatchValue.NONE
-_ATTRIBUTE, _HAS_ATTRIBUTES = VertexType.ATTRIBUTE, EdgeLabel.HAS_ATTRIBUTES.value
 
 
-def _attrs_hold(pv: PatternVertex, vid: str, graph: ProvenanceGraph) -> bool:
-    """Whether the vertex's attributes satisfy every constraint; a missing or incomparable value fails.
+def _holding(pv: PatternVertex, found: Iterable[str], graph: ProvenanceGraph) -> Iterator[str]:
+    """The vertices of `found` whose payloads hold every constraint of `pv`; a missing or incomparable value fails.
 
-    The payloads are read in place, as :meth:`ProvenanceGraph._payload`
-    merges them: an Attribute vertex has its own, any other vertex those
-    one ``hasAttributes`` hop away, and the last of them to hold an item wins.
-    Like every reader here, it reads the graph's vertex dict and its stored
-    edge tuples, (src, dst, label text[, refined]), in place. It keeps its
-    own copy of that rule, since a call to the reader per candidate drawn
-    slowed the search.
+    Payloads are read in place by :meth:`ProvenanceGraph._payload`, bound
+    once. A generator costs one call per candidate, the reader's, where a
+    check function per candidate that called the reader would cost two.
     """
-    vertices = graph._vertices
-    vertex = vertices[vid]
-    own, out = vertex.vtype is _ATTRIBUTE, graph._out.get(vid, ())
-    for c in pv.constraints:
-        if own:
-            value = vertex.attrs.get(c.item)
+    payload, constraints = graph._payload, pv.constraints
+    for vid in found:
+        attrs = payload(vid)
+        for c in constraints:
+            value = attrs.get(c.item)
+            if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
+                break
         else:
-            value = None
-            for e in out:
-                if e[2] == _HAS_ATTRIBUTES:
-                    value = vertices[e[1]].attrs.get(c.item, value)
-        if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
-            return False
-    return True
+            yield vid
 
 
 def _has_edge(graph: ProvenanceGraph, src: str, dst: str, label: str | None) -> bool:
@@ -373,7 +380,8 @@ def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Plac
 
     The first vertex's come from the graph's type/name index. A later
     vertex's are the ends of its placed anchor's edges, as the anchor
-    demands, of its type and name. Constraints are checked last, lazily.
+    demands, of its type and name. Constraints are checked last, lazily,
+    by :func:`_holding`.
     """
     pv, anchor, _ = placement
     name = pv.name
@@ -388,9 +396,7 @@ def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Plac
             gv = vertices[vid]
             if (label is None or e[2] == label) and gv.vtype is vtype and (name is None or gv.name == name):
                 found.append(vid)
-    if pv.constraints:
-        return (vid for vid in found if _attrs_hold(pv, vid, graph))
-    return iter(found)
+    return _holding(pv, found, graph) if pv.constraints else iter(found)
 
 
 def _search(partition: ProvenancePartition, graph: ProvenanceGraph, found: list[tuple[str, ...]] | None) -> bool:
@@ -523,14 +529,14 @@ def match_group(
     enumerated into `memo` once, with C's value: FULL when there are some,
     else its value below FULL, which an empty enumeration shows without a
     second search of C. Every partition of `group` without a value yet is
-    graded against them by :func:`_grade`, in one loop: FULL, or C's value,
-    FULL standing for NAMES. C has the same vertices, names, edges and
-    injectivity, so that is what a search gives. Where the enumeration
-    takes more than :data:`MAX_SEARCH_STEPS` steps, each partition is
-    matched alone by :func:`match_partition`, so every search and fault
-    comes where it would without the group.
+    graded against them by :func:`_grade`, in one loop: FULL, or the value
+    :func:`_below` reads, C's with FULL standing for NAMES. C has the same
+    vertices, names, edges and injectivity, so that is what a search gives.
+    Where the enumeration takes more than :data:`MAX_SEARCH_STEPS` steps,
+    each partition is matched alone by :func:`match_partition`, so every
+    search and fault comes where it would without the group.
     """
-    below, level = partition.coarser
+    below = partition.coarser[0]
     found = memo.get(-id(below))
     if found is None:
         rows = _all_embeddings(below, graph)
@@ -539,8 +545,7 @@ def match_group(
         found = memo[-id(below)] = _TOO_MANY if rows is None else rows
     if found is _TOO_MANY:
         return _value(partition, graph, memo)
-    value = memo[id(below)]
-    rest = level if value is _FULL else value
+    rest = _below(partition, graph, memo)
     for p in group:
         key = id(p)
         if key not in memo:

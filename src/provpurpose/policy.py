@@ -15,10 +15,11 @@ request exactly when its guards pass and the tree evaluates to a FULL match;
 the lower strata are diagnostic only and never release purposes.
 
 Each access tree is compiled once, on its first evaluation, into a flat
-post-order program that one loop runs; each leaf is matched at most once
-per decision. Decisions are shared, not built per evaluation: an applicable
-policy returns its own decision, made once, and every other outcome is one
-of seven module constants keyed by tree value and guard result.
+post-order program that :func:`algebra._run` runs, as it runs every compiled
+program; each leaf is matched at most once per decision. Decisions are
+shared, not built per evaluation: an applicable policy returns its own
+decision, made once, and every other outcome is one of seven module
+constants keyed by tree value and guard result.
 
 Subject guards compare the requester's role with the policy's subjects under
 an optional role order (junior -> seniors, reflexive and transitive); without
@@ -36,7 +37,7 @@ from typing import AbstractSet, Any, Callable, Iterable, Mapping, Union
 
 from . import _docs
 from ._dagutil import reachable_from
-from .algebra import MAX_NESTING, _post_order
+from .algebra import MAX_NESTING, _post_order, _run
 from .errors import InputFormatError
 from .matching import (
     AtomicCondition,
@@ -68,7 +69,7 @@ from .provenance import (
     attr_value_from_json,
     vertex_type_from_json,
 )
-from .purposes import PurposeSet
+from .purposes import PurposeSet, _refuse_string
 
 LeafCondition = Union[ProvenancePartition, PathPattern, AtomicCondition]
 
@@ -143,14 +144,15 @@ def eval_access_tree(
 ) -> MatchValue:
     """Evaluate a tree bottom-up; AND is min, OR is max over the chain.
 
-    A branch runs its compiled :attr:`TreeBranch.program` on a value stack,
-    so nesting costs no recursion; a branch over leaves alone whose leaves
-    are all in `memo` is folded by one call (:attr:`TreeBranch.leaf_fold`).
-    Each leaf condition object is evaluated
-    once per `memo`, in the tree's left-to-right order; a call without one
-    gets a fresh memo, which also holds the coarser partitions matched for
-    the leaves' lower levels. A memo is only valid for one graph and one set
-    of query attributes, so it must not outlive the decision it was made for.
+    A branch over leaves alone whose leaves are all in `memo` is folded by
+    one call (:attr:`TreeBranch.leaf_fold`); any other runs its compiled
+    :attr:`TreeBranch.program` in :func:`algebra._run`, with no recursion,
+    reading each leaf from `memo` or matching it. Each leaf condition
+    object is evaluated once per `memo`, in the tree's left-to-right order;
+    a call without one gets a fresh memo, which also holds the coarser
+    partitions matched for the leaves' lower levels. A memo is only valid
+    for one graph and one set of query attributes, so it must not outlive
+    the decision it was made for.
     """
     if memo is None:
         memo = {}
@@ -165,17 +167,12 @@ def eval_access_tree(
             return combine(map(memo.__getitem__, keys))
         except KeyError:
             pass  # a leaf not matched yet: the program matches them in order
-    stack: list[MatchValue] = []
-    for step in tree.program:
-        if type(step) is tuple:
-            arity, fold = step
-            values = stack[-arity:]
-            del stack[-arity:]
-            stack.append(fold(*values))
-        else:
-            value = memo.get(id(step))
-            stack.append(_match_leaf(step, graph, query_attrs, memo) if value is None else value)
-    return stack[0]
+
+    def load(cond: LeafCondition) -> MatchValue:
+        value = memo.get(id(cond))
+        return _match_leaf(cond, graph, query_attrs, memo) if value is None else value
+
+    return _run(tree.program, load)
 
 
 def _tree_leaves(tree: AccessTree) -> tuple[LeafCondition, ...]:
@@ -216,6 +213,8 @@ class Policy:
     categories: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
+        _refuse_string(self.ap, "AP")
+        _refuse_string(self.pp, "PP")
         if self.ptype not in (1, 2, 3, 4):
             raise InputFormatError(f"policy {self.id!r}: type must be 1-4, got {self.ptype}")
         if self.ptype == 1 and self.pp:

@@ -307,7 +307,7 @@ class ProvenanceGraph:
         return dict(self._payload(vid))
 
     def _payload(self, vid: str) -> Mapping[str, AttrValue]:
-        """The attributes a known vertex shows, read in place: the rule that grading and :meth:`attributes_of` share.
+        """The attributes a known vertex shows, read in place: the reader the search, grading and :meth:`attributes_of` share.
 
         An Attribute vertex shows its own payload, any other vertex those of
         its ``hasAttributes`` edges merged, the last to hold an item winning.

@@ -69,6 +69,13 @@ class _BoundedMap(dict[K, V]):
         return value
 
 
+def _refuse_string(s: Any, what: str) -> Any:
+    """`s` as given, unless it is a string: a set of purposes is never read as the characters of one name."""
+    if isinstance(s, str):
+        raise InputFormatError(f"{what} must be a collection of purpose names, not the string {s!r}")
+    return s
+
+
 def _named(members: Iterable[Any], known: Container[Any]) -> Any:
     """The member not in `known` that an unknown-purpose error names: the least name, else the least other value.
 
@@ -132,7 +139,13 @@ class PurposeBits:
 
 
 class PurposeGraph:
-    """An immutable purpose DAG with precomputed ranks."""
+    """An immutable purpose DAG with precomputed ranks.
+
+    Its fields are read as :func:`purpose_graph_from_dict` reads them: each
+    purpose and edge end as :func:`_docs.text` reads a scalar, each edge as
+    an array of two ends, and the line as an integer. Anything else raises
+    :class:`InputFormatError`.
+    """
 
     def __init__(
         self,
@@ -140,14 +153,16 @@ class PurposeGraph:
         edges: Iterable[tuple[str, str]],
         hierarchy_line: int | None = None,
     ) -> None:
-        self._purposes = frozenset(str(p) for p in purposes)
+        text, entry = _docs.text, _docs.entry
+        self._purposes = frozenset(text(p, "purpose") for p in purposes)
         if not self._purposes:
             raise InputFormatError("purpose graph needs at least one purpose")
         self._children: dict[str, list[str]] = {p: [] for p in self._purposes}
         self._parents: dict[str, list[str]] = {p: [] for p in self._purposes}
         seen: set[tuple[str, str]] = set()
-        for parent, child in edges:
-            parent, child = str(parent), str(child)
+        for edge in edges:
+            parent, child = entry(edge, 2, "purpose edge")
+            parent, child = text(parent, "purpose edge end"), text(child, "purpose edge end")
             for end in (parent, child):
                 if end not in self._purposes:
                     raise UnknownPurposeError(f"edge endpoint {end!r} is not a listed purpose")
@@ -163,7 +178,7 @@ class PurposeGraph:
         for p in order:
             parents = self._parents[p]
             self._rank[p] = 0 if not parents else 1 + max(self._rank[q] for q in parents)
-        if hierarchy_line is not None and hierarchy_line < 0:
+        if hierarchy_line is not None and _docs.integer(hierarchy_line, '"hierarchy_line"') < 0:
             raise InputFormatError("hierarchy_line must be non-negative")
         self._line = hierarchy_line
         line = -1 if hierarchy_line is None else hierarchy_line
@@ -198,7 +213,8 @@ class PurposeGraph:
         return p
 
     def check_members(self, s: Iterable[str]) -> PurposeSet:
-        """Return the members as a set; raise on the unknown one that :func:`_named` names."""
+        """Return the members as a set; raise on a string, and on the unknown one that :func:`_named` names."""
+        s = _refuse_string(s, "a purpose set")
         s = tuple(s) if iter(s) is s else s  # a one-shot `s` is copied, so an unknown member can still be named
         try:
             members = frozenset(s)
@@ -327,15 +343,13 @@ def purpose_graph_from_dict(doc: Mapping[str, Any]) -> PurposeGraph:
     """Build from the document form:
 
     {"purposes": [...], "edges": [[parent, child], ...], "hierarchy_line": int?}
+
+    The purposes must be an array of strings and the edges an array; each
+    edge and the line are read by the :class:`PurposeGraph` constructor.
     """
     doc = _docs.obj(doc, "purpose graph document")
     purposes = _docs.names(doc.get("purposes"), '"purposes"')
-    raw_edges = _docs.array(doc.get("edges", []), '"edges"')
-    edges = [[_docs.text(end, "purpose edge end") for end in _docs.entry(e, 2, "purpose edge")] for e in raw_edges]
-    line = doc.get("hierarchy_line")
-    if line is not None:
-        line = _docs.integer(line, '"hierarchy_line"')
-    return PurposeGraph(purposes, edges, line)
+    return PurposeGraph(purposes, _docs.array(doc.get("edges", []), '"edges"'), doc.get("hierarchy_line"))
 
 
 def purpose_graph_to_dict(pg: PurposeGraph) -> dict[str, Any]:

@@ -288,6 +288,39 @@ def test_attached_purposes_of_any_iterable_decide_alike(given):
     assert len(named) == 3 and got == rendered(frozenset(named)) and got[0] == {"education"}
 
 
+_AB = PurposeGraph(["ab", "a", "b"], [], hierarchy_line=0)  # "ab" is one purpose, not the set {a, b}
+
+
+def test_attached_purposes_given_as_a_string_fail_the_attached_stage():
+    cfg = PartyConfig("owner", (_null_policy("p1", ap={"ab", "a"}),))
+
+    def decide_ab(attached):
+        return decide(DataRecord(ProvenanceGraph(), None, attached), Request("s"), [cfg], "F3", _AB)
+
+    assert decide_ab(["ab"]).decided == {"ab"}
+    with pytest.raises(StageError) as err:
+        decide_ab("ab")
+    assert err.value.stage == "attached-purpose-intersection"
+    assert str(err.value.cause) == "a purpose set must be a collection of purpose names, not the string 'ab'"
+
+
+@pytest.mark.parametrize("side", ["ap", "pp"])
+def test_a_policy_refuses_a_string_as_its_purposes(side):
+    message = f"^{side.upper()} must be a collection of purpose names, not the string 'ab'$"
+    with pytest.raises(InputFormatError, match=message):
+        Policy("p1", 3, TreeLeaf(NullCondition()), **{side: "ab"})
+
+
+@pytest.mark.parametrize("make", [PartyResult, HierarchicalPurposeSet])
+def test_a_party_result_and_a_hierarchical_set_refuse_a_string_as_their_purposes(make):
+    args = ("m",) if make is PartyResult else ()
+    for side, named in (("ap", "allowed"), ("pp", "prohibited")):
+        message = f"^{named} purposes must be a collection of purpose names, not the string 'ab'$"
+        with pytest.raises(InputFormatError, match=message):
+            make(*args, **{side: "ab"})
+    assert make(*args, ap=["ab"], pp=iter(["a"])) == make(*args, ap=frozenset({"ab"}), pp=frozenset({"a"}))
+
+
 def test_stage_labels():
     pg = PurposeGraph(["only"], [], hierarchy_line=0)
     record = DataRecord(ProvenanceGraph())

@@ -12,6 +12,7 @@ from provpurpose import (
     AttrCondition,
     AttrConstraint,
     EdgeLabel,
+    InputFormatError,
     MatchValue,
     NullCondition,
     PartyConfig,
@@ -182,6 +183,11 @@ def test_partition_reads_the_last_payload_holding_an_item(sizes):
     assert match_partition(ProvenancePartition((bundle,)), g) is expected
 
 
+def _holds(pv, vid, g):
+    """Whether the search's constraint filter keeps the vertex."""
+    return list(matching._holding(pv, [vid], g)) == [vid]
+
+
 def test_constraints_read_the_payloads_in_place_as_attributes_of_merges_them():
     """Two bundles of one artifact hold `n` and `s`: the later one wins, for every predicate and vertex."""
     g = ProvenanceGraph()
@@ -212,12 +218,12 @@ def test_constraints_read_the_payloads_in_place_as_attributes_of_merges_them():
     for vid in (art, "b0", "b1", proc):
         vtype = g.vertex(vid).vtype
         for c in constraints:
-            assert matching._attrs_hold(PatternVertex("v", vtype, None, (c,)), vid, g) is merged_holds((c,), vid)
+            assert _holds(PatternVertex("v", vtype, None, (c,)), vid, g) is merged_holds((c,), vid)
         for _ in range(200):
             pair = tuple(rng.sample(constraints, 2))
-            assert matching._attrs_hold(PatternVertex("v", vtype, None, pair), vid, g) is merged_holds(pair, vid)
+            assert _holds(PatternVertex("v", vtype, None, pair), vid, g) is merged_holds(pair, vid)
     # the artifact reads n and s from the later bundle, t from the earlier one
-    assert matching._attrs_hold(
+    assert _holds(
         PatternVertex("v", VertexType.ARTIFACT, None, (
             AttrConstraint("n", Predicate.EQ, 5),
             AttrConstraint("s", Predicate.EQ, "b"),
@@ -928,8 +934,11 @@ def test_compiled_constraint_agrees_with_eval_predicate_on_every_kind():
                     expected = "x" in attrs and eval_predicate(pred, attrs["x"], operand)
                 except TypeMismatchError:
                     expected = False
-                assert matching._attrs_hold(pv, vid, g) is expected, (pred, operand, attrs)
+                assert _holds(pv, vid, g) is expected, (pred, operand, attrs)
                 checked.add((pred, operand_kind, expected))
+            # over many candidates at once, the filter keeps the holding ones in order
+            kept = [vid for vid in vids if _holds(pv, vid, g)]
+            assert list(matching._holding(pv, iter(vids), g)) == kept
     assert len(checked) == 7 * 4 * 2 - 3  # `~` holds for strings alone
 
 
@@ -1065,3 +1074,50 @@ def test_a_cycle_pattern_over_a_complete_dag_raises_instead_of_running_on():
     cycle = condition_from_dict({"partition": cycle_partition_doc(8)})
     with pytest.raises(SearchLimitError):
         match_partition(cycle, graph)
+
+
+# -- pattern fields given as text --------------------------------------------------
+
+def test_pattern_types_and_labels_given_as_text_are_stored_as_members():
+    vertex, edge = PatternVertex("a", "Artifact"), PatternEdge("a", "p", "wasGeneratedBy")
+    assert vertex.vtype is VertexType.ARTIFACT and vertex == PatternVertex("a", VertexType.ARTIFACT)
+    assert (edge.label, edge.text) == (EdgeLabel.WAS_GENERATED_BY, "wasGeneratedBy")
+    assert PatternEdge("a", "p").text is None
+    with pytest.raises(InputFormatError, match="^unknown vertex type 'artifact'$"):
+        PatternVertex("a", "artifact")
+    with pytest.raises(InputFormatError, match="^unknown edge label 'generated'$"):
+        PatternEdge("a", "p", "generated")
+
+
+@pytest.mark.parametrize("text_first", [False, True])
+@pytest.mark.parametrize("n, expected", [(1, MatchValue.NAMES), (9, MatchValue.FULL)])
+def test_a_text_typed_pattern_and_its_decoded_equal_read_alike_in_either_build_order(text_first, n, expected):
+    """Equal patterns are one interned object, so a text-typed one must not become the table's object."""
+    process = f"Insert {n} {text_first}"  # a name of this case alone, so no earlier test's pattern is interned
+    g = ProvenanceGraph()
+    art = g.add_vertex(VertexType.ARTIFACT, "report", {"n": n})
+    g.add_edge(art, g.add_vertex(VertexType.PROCESS, process), EdgeLabel.WAS_GENERATED_BY)
+
+    def decoded():
+        return condition_from_dict({"partition": {
+            "vertices": [
+                {"ref": "a", "type": "artifact", "attrs": [["n", ">", 5]]},
+                {"ref": "p", "type": "process", "name": process},
+            ],
+            "edges": [["a", "p", "wasGeneratedBy"]],
+        }})
+
+    def text_typed():
+        partition = ProvenancePartition(
+            (
+                PatternVertex("a", "Artifact", None, (AttrConstraint("n", Predicate.GT, 5),)),
+                PatternVertex("p", "Process", process),
+            ),
+            (PatternEdge("a", "p", EdgeLabel.WAS_GENERATED_BY),),
+        )
+        partition.coarser  # builds and interns the coarser partition
+        return partition
+
+    first, second = (text_typed, decoded) if text_first else (decoded, text_typed)
+    patterns = first(), second()
+    assert [match_partition(p, g) for p in patterns] == [expected, expected]

@@ -271,6 +271,57 @@ def test_a_purpose_graph_needs_a_purpose_and_a_line_of_at_least_0(purposes, line
         PurposeGraph(purposes, [], hierarchy_line=line)
 
 
+@pytest.mark.parametrize(
+    "purposes, edges, line, message",
+    [
+        ([None, "a", True], [(None, "a")], None, "purpose must be a string or a number, got None"),
+        (["a", True], [], None, "purpose must be a string or a number, got True"),
+        (["a", "b"], [(None, "a")], None, "purpose edge end must be a string or a number, got None"),
+        (["a", "b", "c"], [("a", "b", "c")], None, r"purpose edge must be an array of 2 items, got \('a', 'b', 'c'\)"),
+        (["a", "b"], ["ab"], None, "purpose edge must be an array"),
+        (["a"], [], True, '"hierarchy_line" must be an integer'),
+        (["a"], [], 1.5, '"hierarchy_line" must be an integer'),
+        (["a"], [], "1", '"hierarchy_line" must be an integer'),
+    ],
+)
+def test_a_purpose_graph_reads_its_fields_as_its_loader_does(purposes, edges, line, message):
+    """No field is coerced by str(): null and true are no purposes, and true is no line."""
+    with pytest.raises(InputFormatError, match=f"^{message}$"):
+        PurposeGraph(purposes, edges, hierarchy_line=line)
+
+
+def test_a_purpose_graph_reads_numbers_as_their_text_as_its_loader_does():
+    pg = PurposeGraph([1, "a"], [(1, "a")], hierarchy_line=0)
+    assert pg.purposes == {"1", "a"} and pg.children("1") == {"a"}
+    assert purpose_graph_to_dict(pg) == purpose_graph_to_dict(purpose_graph_from_dict(
+        {"purposes": ["1", "a"], "edges": [[1, "a"]], "hierarchy_line": 0}
+    ))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"purposes": ["a"], "edges": [["a"]]}, r"purpose edge must be an array of 2 items, got \['a'\]"),
+        ({"purposes": ["a"], "edges": ["a"]}, "purpose edge must be an array"),
+        ({"purposes": ["a"], "edges": {"a": "b"}}, '"edges" must be an array'),
+        ({"purposes": ["a"], "hierarchy_line": "1"}, '"hierarchy_line" must be an integer'),
+        ({"purposes": "ab"}, '"purposes" must be an array'),
+        ({"purposes": ["a", 1]}, '"purposes" must be an array of strings'),
+    ],
+)
+def test_the_purpose_graph_loader_keeps_its_messages(doc, message):
+    with pytest.raises(InputFormatError, match=f"^{message}$"):
+        purpose_graph_from_dict(doc)
+
+
+@pytest.mark.parametrize("read", ["check_members", "split_static", "max_hierarchy"])
+def test_a_purpose_set_given_as_a_string_is_refused_not_read_as_characters(read):
+    pg = PurposeGraph(["ab", "a", "b"], [], hierarchy_line=0)
+    message = "^a purpose set must be a collection of purpose names, not the string 'ab'$"
+    with pytest.raises(InputFormatError, match=message):
+        getattr(pg, read)("ab")
+
+
 def test_membership_is_by_name_and_a_repeated_edge_is_kept_once():
     pg = PurposeGraph(["a", "b"], [("a", "b"), ("a", "b")])
     assert "a" in pg and "z" not in pg
