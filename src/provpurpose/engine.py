@@ -16,9 +16,12 @@ A decision runs in four stages:
    order. Each distinct leaf condition object is matched once per decision,
    however many policies and parties share it, and so is each coarser
    partition that gives a partition its lower levels. A party's constrained
-   partition leaves that share one coarser partition form a group, which
-   :func:`~provpurpose.matching.match_group` grades at its first leaf that
-   the memo lacks; its later leaves are memo hits. The requester's role
+   partition leaves that share one coarser partition form a group, compiled
+   once per party into a bit-parallel grader and matched as one step of
+   the leaf pass, at its first leaf's place, by
+   :func:`~provpurpose.matching.match_group`. Where the coarser's
+   embeddings take too many steps, the party's leaves are matched in leaf
+   order, the group's alone, and packed the same way. The requester's role
    order is walked once per decision. A subject guard reads only the roles
    of that walk's reach that some guard of the party names, and a category
    guard only the record's category; so the plan maps those roles and the
@@ -26,7 +29,8 @@ A decision runs in four stages:
    and maps the guard mask and the packed leaf values to the shape outcomes
    and the applicability vector (bit i set when policy i applies). A key met
    before, by this requester or by another whose named roles give the same
-   guard mask, runs no guard check and no tree. On a miss each shape whose
+   guard mask, runs no guard check and no tree. On a miss the groups' leaf
+   values are stored in the leaf memo, then each shape whose
    guards pass is evaluated by its first policy, in order of first
    appearance; a shape whose guards fail cannot apply, so only its tree is
    folded from the matched leaves, for the trace. The applicability vector
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Any, NamedTuple, Sequence
+from typing import AbstractSet, Any, Mapping, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from ._dagutil import reachable_from
@@ -76,7 +80,7 @@ from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_
 from .algebra import split_result  # noqa: F401
 from .errors import ConfigurationError, InputFormatError, MissingHierarchyLineError, ProvPurposeError, StageError
 from .external import PartyResult, merge_parties, party_result_to_dict
-from .matching import ProvenancePartition, match_group, partition_groups
+from .matching import _Grader, match_group, partition_groups
 from . import policy
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder
 from .policy import _DECLINED, _match_leaf, _tree_leaves, evaluate_policy
@@ -101,7 +105,8 @@ class _PartyPlan(NamedTuple):
     requester's reach that the party's guards name, with the record's
     category, to the guard mask, bit s set when shape s's guards pass.
     `outcomes` maps a guard mask and the party's leaf values, packed 2 bits
-    each, to the shape outcomes and the applicability vector, whose bit i
+    each and a group's as :func:`~provpurpose.matching.match_group` packs
+    them, to the shape outcomes and the applicability vector, whose bit i
     is set when policy i applies. `merged` maps an applicability vector to
     its merge result: the result masks and the decoded
     :class:`PartyResult`. Each map is a
@@ -129,8 +134,11 @@ class PartyConfig:
     appearance, each policy's shape index, and each shape's mask of its
     policies. `_leaves` lists the distinct leaf condition objects of those
     first policies' trees, in the order the trees match them, and `_groups`
-    maps the identity of each leaf in a group to its group (see
-    :func:`~provpurpose.matching.partition_groups`). `_subjects` lists the
+    maps the identity of each leaf in a group to its group, compiled into a
+    grader (see :func:`~provpurpose.matching.partition_groups`). `_steps` is
+    the leaf pass: each leaf in no group, and each group at its first leaf's
+    place; `_settled` each group step with the shift of its bits in the
+    packed leaf values. `_subjects` lists the
     subjects their guards name, and `_guarded` derives a request's guard
     mask. Per purpose graph a plan checks that the party has
     policies, that their ids are distinct and that `pg` holds all their
@@ -177,8 +185,26 @@ class PartyConfig:
         return tuple(found.values())
 
     @cached_property
-    def _groups(self) -> dict[int, tuple[ProvenancePartition, ...]]:
+    def _groups(self) -> dict[int, _Grader]:
         return partition_groups(self._leaves)
+
+    @cached_property
+    def _steps(self) -> tuple[LeafCondition | _Grader, ...]:
+        groups, steps = self._groups, {}
+        for cond in self._leaves:
+            step = groups.get(id(cond), cond)
+            steps.setdefault(id(step), step)
+        return tuple(steps.values())
+
+    @cached_property
+    def _settled(self) -> tuple[tuple[_Grader, int], ...]:
+        shift, found = 0, []
+        for step in reversed(self._steps):
+            grouped = type(step) is _Grader
+            if grouped:
+                found.append((step, shift))
+            shift += step.width if grouped else 2
+        return tuple(found)
 
     @cached_property
     def _subjects(self) -> frozenset[str]:
@@ -288,18 +314,23 @@ def decide(
             if mask is None:
                 mask = plan.guards.keep(asked, cfg._guarded(request, category, reach))
             leaves = 0
-            for cond in cfg._leaves:  # 2 bits per leaf value
-                value = memo.get(id(cond))
-                if value is None:
-                    group = cfg._groups.get(id(cond))
-                    if group is None:
-                        value = _match_leaf(cond, graph, query_attrs, memo)
-                    else:
-                        value = match_group(cond, group, graph, memo)
-                leaves = leaves << 2 | value
+            for step in cfg._steps:  # 2 bits per leaf, a group's as match_group packs them
+                if type(step) is _Grader:
+                    packed = match_group(step, graph, memo)
+                    if packed is None:  # its coarser's embeddings take too many steps
+                        leaves = _matched_alone(cfg, graph, query_attrs, memo)
+                        break
+                    leaves = leaves << step.width | packed
+                else:
+                    value = memo.get(id(step))
+                    if value is None:
+                        value = _match_leaf(step, graph, query_attrs, memo)
+                    leaves = leaves << 2 | value
             key = mask, leaves  # all the party's guards and trees read
             shaped = plan.outcomes.get(key)
             if shaped is None:
+                for group, shift in cfg._settled:  # the trees read each leaf's value from the memo
+                    group.settle(leaves >> shift, memo)
                 reps, _, members = cfg._shapes
                 tree_value = policy.eval_access_tree  # the module's, as evaluate_policy reads it
                 outcomes = tuple([
@@ -343,6 +374,29 @@ def decide(
         external_expr=external_expr.strip(),
         attached_purposes=attached,
     )
+
+
+def _matched_alone(
+    cfg: PartyConfig, graph: ProvenanceGraph, query_attrs: Mapping[str, Any] | None, memo: LeafMemo
+) -> int:
+    """The party's packed leaf values where a group's coarser embeddings take too many steps.
+
+    Every leaf the memo lacks is matched in leaf order, a leaf of a group
+    that does not grade alone, so every search and fault comes where it
+    would without groups; the values pack as the steps pack them.
+    """
+    groups, leaves = cfg._groups, 0
+    for cond in cfg._leaves:
+        if id(cond) not in memo:
+            group = groups.get(id(cond))
+            packed = None if group is None else match_group(group, graph, memo)
+            if packed is None:
+                _match_leaf(cond, graph, query_attrs, memo)
+            else:
+                group.settle(packed, memo)
+    for step in cfg._steps:
+        leaves = leaves << step.width | step.pack(memo) if type(step) is _Grader else leaves << 2 | memo[id(step)]
+    return leaves
 
 
 def outcome_to_dict(outcome: DecisionOutcome) -> dict[str, Any]:

@@ -168,7 +168,7 @@ def merge_parties(
     """
     if not results:
         raise EmptyPurposeSetError("no party results to merge")
-    if isinstance(results, Mapping):
+    if type(results) is dict or isinstance(results, Mapping):  # decide's dict skips the ABC check
         if pg is None:
             raise ConfigurationError("party result masks need the purpose graph that encodes them")
         program, by_graph = _party_program(expr_text.strip(), tuple(results))

@@ -14,9 +14,10 @@ A partition is searched once, for FULL. Its lower levels are the value of its
 Equal patterns, decoded or derived, are one object from one table, and a leaf
 memo keeps each object's value for a decision, so each is searched once in it.
 A party's constrained partitions that share a coarser partition form a group
-(:func:`partition_groups`): :func:`match_group` enumerates the coarser's
-embeddings once per memo, each as the attribute payloads of its vertices, and
-grades the whole group against them in one loop instead of searching.
+(:func:`partition_groups`), compiled once into a bit-parallel grader:
+:func:`match_group` enumerates the coarser's embeddings once per memo, each as
+the attribute payloads of its vertices, and grades the whole group against
+them in one pass instead of searching, one bit per partition.
 Attribute payloads are read only through :meth:`ProvenanceGraph._payload`,
 so how a graph stores them is known to :mod:`provenance` alone.
 
@@ -46,11 +47,12 @@ from __future__ import annotations
 
 import re
 import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from enum import Enum, IntEnum
 from functools import cache, cached_property
-from operator import contains, eq, ge, gt, le, lt, ne
+from operator import contains, eq, ge, gt, itemgetter, le, lt, ne
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from . import _docs
@@ -221,8 +223,6 @@ class _Placement(NamedTuple):
     checks: tuple[PatternEdge, ...]
 
 
-#: An attribute constraint as a partition grades it: (place, (item, kind), test, operand).
-_Check = tuple[int, tuple[str, str | None], Callable[[Any, Any], bool], AttrValue]
 #: An embedding as the payloads of its vertices, in plan order, each keyed by (item, kind).
 _Row = list[dict[tuple[str, str], AttrValue]]
 
@@ -303,18 +303,6 @@ class ProvenancePartition:
             return None
         return _intern(ProvenancePartition(vertices, self.edges)), level
 
-    @cached_property
-    def graded(self) -> tuple[_Check, ...]:
-        """Each constraint as (place, (item, kind), test, operand), its vertex's place in the :attr:`coarser` plan.
-
-        An embedding of the coarser partition holds one graph vertex per
-        place; it embeds this partition when those vertices hold the
-        constraints: a value of the constraint's kind under its item passes
-        its test.
-        """
-        at = {placement.vertex.ref: i for i, placement in enumerate(self.coarser[0].plan)}
-        return tuple((at[v.ref], (c.item, c.kind), c.test, c.operand) for v in self.vertices for c in v.constraints)
-
 
 #: The one object of each distinct pattern, keyed by its type and compared fields; it holds none alive.
 _INTERNED: weakref.WeakValueDictionary[tuple[Any, ...], Any] = weakref.WeakValueDictionary()
@@ -333,10 +321,11 @@ def _intern(pattern: Any) -> Any:
 
 #: What one decision has found. A condition's or a partition's match value
 #: is keyed by its identity, and a group's coarser partition's embeddings
-#: (see :func:`match_group`), or `_TOO_MANY` where they take too many steps,
-#: by its negated identity. Every key is an object that a policy tree or a
-#: condition holds, so no other object takes its identity in a decision: a
-#: query condition's per-request partition is never a key, nor interned.
+#: with the groups graded against them (see :func:`match_group`), or
+#: `_TOO_MANY` where they take too many steps, by its negated identity.
+#: Every key is an object that a policy tree or a condition holds, so no
+#: other object takes its identity in a decision: a query condition's
+#: per-request partition is never a key, nor interned.
 LeafMemo = dict[int, Any]
 _TOO_MANY = "too many steps"
 
@@ -347,6 +336,7 @@ MAX_SEARCH_STEPS = 100_000
 
 # Looking up an enum member costs a call on Python 3.11; matching reads these per call.
 _FULL, _NAMES, _TYPES, _NONE = MatchValue.FULL, MatchValue.NAMES, MatchValue.TYPES, MatchValue.NONE
+_VALUES = tuple(MatchValue)  # each value at its number, as 2 packed bits read it
 
 
 def _holding(pv: PatternVertex, found: Iterable[str], graph: ProvenanceGraph) -> Iterator[str]:
@@ -477,21 +467,112 @@ def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> l
     return rows
 
 
-def _grade(checks: tuple[_Check, ...], rows: list[_Row]) -> bool:
-    """Whether some embedding of a partition's coarser partition holds its checks.
+#: For each ordered test, how its family finds the members holding on a value
+#: v among operands sorted ascending: the bisection of v, and whether they lie
+#: at and above that index (a suffix) or below it (a prefix).
+_ORDERED: dict[Callable[[Any, Any], bool], tuple[Callable[..., int], bool]] = {
+    lt: (bisect_right, True),  # v < operand
+    le: (bisect_left, True),  # v <= operand
+    gt: (bisect_left, False),  # v > operand
+    ge: (bisect_right, False),  # v >= operand
+}
 
-    `checks` are the partition's :attr:`~ProvenancePartition.graded`, and
-    `rows` the embeddings as :func:`_all_embeddings` gives them. Grading
-    raises nothing.
+
+class _Grader:
+    """A group of constrained partitions sharing the coarser partition `below`, compiled to grade them in one pass.
+
+    Bit i of a mask stands for member i. Their constraints form families,
+    one per (place, (item, kind), test, j): the place of the constrained
+    vertex in `below`'s plan, which an embedding's row follows, and j
+    counting that key's repeats in one partition. `free` is the members
+    with no check in a family. An ordered test's family keeps its operands
+    sorted, with the prefix or suffix ORs of their bits, so one bisection
+    of a value gives the members it holds; ``=``, ``!=`` and ``~`` try each
+    operand. A member with a check of no kind holds nowhere, so `every`
+    leaves it out. Grading raises nothing. A group's values pack into
+    `width` bits: member i's held bit at i + 2 (`bits` maps each member's
+    identity to it), above the 2-bit value of the rest, which share one
+    coarser and so one lower value.
     """
-    for row in rows:
-        for at, key, test, operand in checks:
-            value = row[at].get(key)
-            if value is None or not test(value, operand):
+
+    __slots__ = ("members", "below", "width", "bits", "every", "families")
+
+    def __init__(self, members: tuple[ProvenancePartition, ...]) -> None:
+        self.members, self.below, self.width = members, members[0].coarser[0], len(members) + 2
+        self.bits = {id(p): i + 2 for i, p in enumerate(members)}
+        every, place = (1 << len(members)) - 1, {pv.ref: at for at, (pv, _, _) in enumerate(self.below.plan)}
+        checks: dict[tuple[Any, ...], list[tuple[AttrValue, int]]] = {}
+        for i, p in enumerate(members):
+            seen: dict[tuple[Any, ...], int] = {}
+            for v in p.vertices:
+                for c in v.constraints:
+                    if c.kind is None:
+                        every &= ~(1 << i)
+                        continue
+                    key = place[v.ref], (c.item, c.kind), c.test
+                    j = seen[key] = seen.get(key, -1) + 1
+                    checks.setdefault((*key, j), []).append((c.operand, 1 << i))
+        families = []
+        for (at, key, test, _), entries in checks.items():
+            free = every & ~sum([bit for _, bit in entries])
+            ordered = _ORDERED.get(test)
+            if ordered is None:
+                families.append((at, key, free, test, tuple(entries), None))
+                continue
+            find, suffix = ordered
+            entries.sort(key=itemgetter(0))
+            masks = [0]
+            for _, bit in reversed(entries) if suffix else entries:
+                masks.append(masks[-1] | bit)
+            families.append((at, key, free, find, [op for op, _ in entries], tuple(masks[::-1] if suffix else masks)))
+        self.every, self.families = every, tuple(families)
+
+    def held(self, rows: list[_Row]) -> int:
+        """The mask of the members that some embedding in `rows` holds."""
+        every, families, found = self.every, self.families, 0
+        for row in rows:
+            ok = every
+            for at, key, free, find, operands, masks in families:
+                value = row[at].get(key)
+                if value is not None:
+                    if masks is None:  # find is the test, tried on each (operand, bit)
+                        for operand, bit in operands:
+                            if find(value, operand):
+                                free |= bit
+                    else:
+                        free |= masks[find(operands, value)]
+                ok &= free
+                if not ok:
+                    break
+            found |= ok
+            if found == every:
                 break
-        else:
-            return True
-    return False
+        return found
+
+    def pack(self, memo: LeafMemo) -> int:
+        """The members' values in `memo`, packed as :func:`match_group` packs them."""
+        values = [memo[id(p)] for p in self.members]
+        return sum([1 << i for i, v in enumerate(values, 2) if v is _FULL]) | min(_NAMES, *values)
+
+    def settle(self, packed: int, memo: LeafMemo) -> None:
+        """Store each member's value, unpacked from `packed`, in `memo`."""
+        rest = _VALUES[packed & 3]
+        for key, bit in self.bits.items():
+            memo[key] = _FULL if packed >> bit & 1 else rest
+
+
+def _graded(partition: ProvenancePartition, memo: LeafMemo) -> MatchValue | None:
+    """The partition's value where a group holding it was graded in `memo`'s decision, else None."""
+    coarser = partition.coarser
+    found = None if coarser is None else memo.get(-id(coarser[0]))
+    if found is None or found is _TOO_MANY:
+        return None
+    key = id(partition)
+    for group, packed in found[1]:
+        bit = group.bits.get(key)
+        if bit is not None:
+            return _FULL if packed >> bit & 1 else _VALUES[packed & 3]
+    return None
 
 
 def match_partition(
@@ -499,14 +580,22 @@ def match_partition(
 ) -> MatchValue:
     """Best level at which the partition embeds into the graph.
 
-    It is searched once, for FULL. Without an embedding, its value is its
+    Where a group holding it was graded in `memo`'s decision (see
+    :func:`match_group`), that value is read and nothing is searched. Else
+    it is searched once, for FULL. Without an embedding, its value is its
     :attr:`~ProvenancePartition.coarser` partition C's, FULL standing for
     C's level, read from `memo` or matched and stored there; a call without
     a memo gets a fresh one. The memo keys C, never the partition given.
     """
+    if memo is None:
+        memo = {}
+    else:
+        value = _graded(partition, memo)
+        if value is not None:
+            return value
     if _find_embedding(partition, graph):
         return _FULL
-    return _below(partition, graph, {} if memo is None else memo)
+    return _below(partition, graph, memo)
 
 
 def _below(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> MatchValue:
@@ -519,42 +608,40 @@ def _below(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMem
     return level if value is _FULL else value
 
 
-def match_group(
-    partition: ProvenancePartition, group: tuple[ProvenancePartition, ...], graph: ProvenanceGraph, memo: LeafMemo
-) -> MatchValue:
-    """The value of `partition`, one of `group`, stored in `memo` under its identity.
+def match_group(group: _Grader, graph: ProvenanceGraph, memo: LeafMemo) -> int | None:
+    """The values of `group`'s partitions, packed (see :class:`_Grader`); None where they must be matched alone.
 
-    `group` holds constrained partitions that share one coarser partition C
-    at level NAMES (see :func:`partition_groups`). C's embeddings are
-    enumerated into `memo` once, with C's value: FULL when there are some,
-    else its value below FULL, which an empty enumeration shows without a
-    second search of C. Every partition of `group` without a value yet is
-    graded against them by :func:`_grade`, in one loop: FULL, or the value
-    :func:`_below` reads, C's with FULL standing for NAMES. C has the same
-    vertices, names, edges and injectivity, so that is what a search gives.
+    The group's partitions share one coarser partition C at level NAMES (see
+    :func:`partition_groups`). C's embeddings are enumerated into `memo`
+    once, with C's value: FULL when there are some, else its value below
+    FULL, which an empty enumeration shows without a second search of C.
+    The whole group is graded against them in one pass: a partition some
+    embedding holds is FULL, and the rest take the value :func:`_below`
+    reads, C's with FULL standing for NAMES. C has the same vertices, names,
+    edges and injectivity, so that is what a search gives. The grading is
+    kept with the embeddings, where :func:`match_partition` reads it, but
+    the partitions' own memo entries are left to :meth:`_Grader.settle`.
     Where the enumeration takes more than :data:`MAX_SEARCH_STEPS` steps,
-    each partition is matched alone by :func:`match_partition`, so every
-    search and fault comes where it would without the group.
+    each partition is to be matched alone by :func:`match_partition`, so
+    every search and fault comes where it would without the group.
     """
-    below = partition.coarser[0]
+    below = group.below
     found = memo.get(-id(below))
     if found is None:
         rows = _all_embeddings(below, graph)
         if rows is not None:
             memo[id(below)] = _FULL if rows else _below(below, graph, memo)
-        found = memo[-id(below)] = _TOO_MANY if rows is None else rows
+        found = memo[-id(below)] = _TOO_MANY if rows is None else (rows, [])
     if found is _TOO_MANY:
-        return _value(partition, graph, memo)
-    rest = _below(partition, graph, memo)
-    for p in group:
-        key = id(p)
-        if key not in memo:
-            memo[key] = _FULL if _grade(p.graded, found) else rest
-    return memo[id(partition)]
+        return None
+    rows, graded = found
+    packed = group.held(rows) << 2 | _below(group.members[0], graph, memo)
+    graded.append((group, packed))
+    return packed
 
 
-def partition_groups(leaves: Iterable[Any]) -> dict[int, tuple[ProvenancePartition, ...]]:
-    """Each grouped leaf's identity, mapped to its group, for :func:`match_group`.
+def partition_groups(leaves: Iterable[Any]) -> dict[int, _Grader]:
+    """Each grouped leaf's identity, mapped to its group compiled for :func:`match_group`.
 
     A group is the constrained partitions among `leaves` that share one
     coarser partition, at level NAMES, in leaf order, where there are two
@@ -565,7 +652,8 @@ def partition_groups(leaves: Iterable[Any]) -> dict[int, tuple[ProvenancePartiti
     for leaf in leaves:
         if isinstance(leaf, ProvenancePartition) and any(v.constraints for v in leaf.vertices):
             by_coarser.setdefault(id(leaf.coarser[0]), []).append(leaf)
-    return {id(p): group for group in map(tuple, by_coarser.values()) if len(group) > 1 for p in group}
+    graders = [_Grader(tuple(members)) for members in by_coarser.values() if len(members) > 1]
+    return {id(p): group for group in graders for p in group.members}
 
 
 def _value(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> MatchValue:

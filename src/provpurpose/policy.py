@@ -215,6 +215,8 @@ class Policy:
     def __post_init__(self) -> None:
         _refuse_string(self.ap, "AP")
         _refuse_string(self.pp, "PP")
+        _refuse_string(self.subjects, "subjects", "role names")
+        _refuse_string(self.categories, "categories", "category names")
         if self.ptype not in (1, 2, 3, 4):
             raise InputFormatError(f"policy {self.id!r}: type must be 1-4, got {self.ptype}")
         if self.ptype == 1 and self.pp:

@@ -69,10 +69,10 @@ class _BoundedMap(dict[K, V]):
         return value
 
 
-def _refuse_string(s: Any, what: str) -> Any:
-    """`s` as given, unless it is a string: a set of purposes is never read as the characters of one name."""
+def _refuse_string(s: Any, what: str, names: str = "purpose names") -> Any:
+    """`s` as given, unless it is a string: a set of names is never read as the characters of one name."""
     if isinstance(s, str):
-        raise InputFormatError(f"{what} must be a collection of purpose names, not the string {s!r}")
+        raise InputFormatError(f"{what} must be a collection of {names}, not the string {s!r}")
     return s
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from typing import NamedTuple, Sequence
 
 from provpurpose import (
@@ -266,6 +267,62 @@ def skeleton_family(rng: random.Random, graph: ProvenanceGraph) -> list[Provenan
             vertices = [PatternVertex(f"r{i}", types[i], rng.choice((names[i], names[i], None) + _NAMES)) for i in range(k)]
         family.append(ProvenancePartition(tuple(vertices), tuple(edges)))
     return family
+
+
+#: Attribute values and operands of every kind, with values of none: `True`
+#: is not 1, a float has no kind, and the last two timestamps are one instant.
+GRADED_VALUES = (
+    0, 1, 2,
+    "", "a", "ab", "b",
+    datetime(2020, 1, 1), datetime(2020, 1, 2),
+    datetime(2020, 1, 1, tzinfo=timezone.utc), datetime(2020, 1, 2, tzinfo=timezone.utc),
+    datetime(2020, 1, 2, 1, tzinfo=timezone(timedelta(hours=1))),
+    True, 1.5,
+)
+
+
+def graded_group(rng: random.Random) -> tuple[ProvenanceGraph, tuple[ProvenancePartition, ...]]:
+    """A graph with several embeddings of one skeleton, and 2-12 constrained partitions of it.
+
+    The skeleton is an artifact "x", then a process "run" that generated it,
+    then a second artifact "x" of that process, so a skeleton of two
+    artifacts needs injectivity. The graph holds 1-4 such artifacts and 1-2
+    such processes, whose payloads draw items "k" and "s" from
+    `GRADED_VALUES`. Each partition draws 0-3 constraints per vertex, on
+    either item, under any predicate, with any operand, at least one in
+    all; a third of them repeat an item on one vertex. The partitions share
+    one coarser partition, so they form one group.
+    """
+    g = ProvenanceGraph()
+
+    def payload():
+        return {item: rng.choice(GRADED_VALUES) for item in ("k", "s") if rng.random() < 0.7} or None
+
+    runs = [g.add_vertex(VertexType.PROCESS, "run", payload()) for _ in range(rng.randint(1, 2))]
+    for _ in range(rng.randint(1, 4)):
+        art = g.add_vertex(VertexType.ARTIFACT, "x", payload())
+        for run in runs:
+            if rng.random() < 0.8:
+                g.add_edge(art, run, EdgeLabel.WAS_GENERATED_BY)
+    skeleton = (("a", VertexType.ARTIFACT), ("p", VertexType.PROCESS), ("b", VertexType.ARTIFACT))[: rng.randint(1, 3)]
+    edges = tuple(PatternEdge(ref, "p", EdgeLabel.WAS_GENERATED_BY) for ref, _ in skeleton if ref != "p")
+    if len(skeleton) == 1:
+        edges = ()
+
+    def constraint(item: str) -> AttrConstraint:
+        return AttrConstraint(item, rng.choice(list(Predicate)), rng.choice(GRADED_VALUES))
+
+    group = []
+    for _ in range(rng.randint(2, 12)):
+        drawn = [[constraint(rng.choice("ks")) for _ in range(rng.choice((0, 0, 1, 1, 2, 3)))] for _ in skeleton]
+        if not any(drawn):
+            drawn[rng.randrange(len(skeleton))].append(constraint("k"))
+        if rng.random() < 0.3:
+            at = next(cs for cs in drawn if cs)
+            at.append(constraint(at[0].item))
+        vertices = tuple(PatternVertex(ref, vtype, "x" if ref != "p" else "run", tuple(cs)) for (ref, vtype), cs in zip(skeleton, drawn))
+        group.append(ProvenancePartition(vertices, edges))
+    return g, tuple(group)
 
 
 def random_path_pattern(rng: random.Random) -> PathPattern:

@@ -311,6 +311,15 @@ def test_a_policy_refuses_a_string_as_its_purposes(side):
         Policy("p1", 3, TreeLeaf(NullCondition()), **{side: "ab"})
 
 
+@pytest.mark.parametrize("field, names", [("subjects", "role"), ("categories", "category")])
+def test_a_policy_refuses_a_string_as_its_guard(field, names):
+    """A guard given as one string would be read as its letters, or fail a decision with a bare error."""
+    message = f"^{field} must be a collection of {names} names, not the string 'ab'$"
+    with pytest.raises(InputFormatError, match=message):
+        Policy("p1", 4, TreeLeaf(NullCondition()), **{field: "ab"})
+    assert Policy("p1", 4, TreeLeaf(NullCondition()), **{field: frozenset({"ab"})})
+
+
 @pytest.mark.parametrize("make", [PartyResult, HierarchicalPurposeSet])
 def test_a_party_result_and_a_hierarchical_set_refuse_a_string_as_their_purposes(make):
     args = ("m",) if make is PartyResult else ()
@@ -1252,7 +1261,10 @@ def test_skeleton_families_in_parties_decide_as_the_oracle_and_as_each_leaf_alon
     """Parties whose leaves are one skeleton family's partitions, decided twice on one set of configs.
 
     The warm decision is the oracle's, and it renders as the decision of
-    fresh configs that match each leaf alone, with a fresh memo, does.
+    fresh configs that match each leaf alone, with a fresh memo, does. Their
+    leaf values are packed by the fallback for too many steps, so each
+    party's outcome keys are the warm configs' keys: equal leaf values give
+    one key, graded or matched alone.
     """
     largest = []
 
@@ -1279,10 +1291,12 @@ def test_skeleton_families_in_parties_decide_as_the_oracle_and_as_each_leaf_alon
         assert [(t.result.ap, t.result.pp) for t in warm.parties] == results
         with monkeypatch.context() as m:
             m.setattr(engine, "_match_leaf", alone)
-            m.setattr(engine, "match_group", lambda cond, group, graph, memo: alone(cond, graph, None, memo))
-            fresh = decided_by([PartyConfig(name, policies) for name, policies, _ in case.parties])
+            m.setattr(engine, "match_group", lambda group, graph, memo: None)
+            alone_configs = [PartyConfig(name, policies) for name, policies, _ in case.parties]
+            fresh = decided_by(alone_configs)
         assert outcome_to_dict(warm) == outcome_to_dict(fresh)
-        largest.append(max((len(group) for cfg in configs for group in cfg._groups.values()), default=0))
+        assert [set(cfg._plan(pg).outcomes) for cfg in alone_configs] == [set(cfg._plan(pg).outcomes) for cfg in configs]
+        largest.append(max((len(group.members) for cfg in configs for group in cfg._groups.values()), default=0))
 
     check()
     assert max(largest) >= 4 and sum(n >= 2 for n in largest) > 100
@@ -1326,7 +1340,7 @@ def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_searc
         return PartyConfig(name, tuple(Policy(f"q{i}", 1, TreeLeaf(p), ap={"mid"}) for i, p in enumerate(parts)))
 
     first, second = party("first", (one, five, nine)), party("second", (three, top))
-    assert [len(group) for cfg in (first, second) for group in cfg._groups.values()] == [3, 3, 3, 2, 2]
+    assert [len(group.members) for cfg in (first, second) for group in cfg._groups.values()] == [3, 3, 3, 2, 2]
     runs = []  # each search and enumeration, in order
     find, enumerate_all = matching._find_embedding, matching._all_embeddings
     monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: runs.append(("search", p)) or find(p, graph))
@@ -1382,7 +1396,7 @@ def test_a_groups_first_leaf_is_graded_where_its_own_search_gives_up(monkeypatch
         with monkeypatch.context() as m:
             m.setattr(matching, "MAX_SEARCH_STEPS", 0)
             if not grouped:
-                m.setattr(engine, "match_group", lambda cond, group, graph, memo: policy._match_leaf(cond, graph, None, memo))
+                m.setattr(engine, "match_group", lambda group, graph, memo: None)
             with pytest.raises(StageError) as err:
                 decided([party()])
         assert runs == ([("enumerate", coarser)] if grouped else []) + [("search", later)]
@@ -1390,30 +1404,95 @@ def test_a_groups_first_leaf_is_graded_where_its_own_search_gives_up(monkeypatch
     assert faults == [("policy-evaluation", SearchLimitError, "partition search gave up after 0 steps")] * 2
 
 
-def test_every_seed_0_rows_f3_decision_takes_2_searches_1_enumeration_and_100_gradings(monkeypatch):
+def test_every_seed_0_rows_f3_decision_takes_2_searches_1_enumeration_and_1_grading_per_group(monkeypatch):
     """Counts, not timings, pin the grading route on the benchmark's rows_f3 workload.
 
     Each decision enumerates its groups' one coarser partition and grades
-    100 constrained partitions against it. Neither of its 2 searches is of a
-    constrained partition, so a group's first leaf is not searched alone.
+    each party's group of 25 constrained partitions against it in one pass,
+    4 in all. Neither of its 2 searches is of a constrained partition, so no
+    leaf of a group is searched alone.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "decidebench"))
     import workloads
 
     loaded = workloads.load(workloads.rows_f3(0))
     runs = []
-    find, enumerate_all, grade = matching._find_embedding, matching._all_embeddings, matching._grade
+    find, enumerate_all, held = matching._find_embedding, matching._all_embeddings, matching._Grader.held
     monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: runs.append(("search", p)) or find(p, graph))
     monkeypatch.setattr(
         matching, "_all_embeddings", lambda p, graph: runs.append(("enumerate", p)) or enumerate_all(p, graph)
     )
-    monkeypatch.setattr(matching, "_grade", lambda checks, rows: runs.append(("grade", checks)) or grade(checks, rows))
+    monkeypatch.setattr(matching._Grader, "held", lambda group, rows: runs.append(("grade", group)) or held(group, rows))
     assert len(loaded.records) == 200
     for record, request in zip(loaded.records, loaded.requests):
         del runs[:]
         decide(record, request, loaded.parties, loaded.external, loaded.pg, loaded.role_order)
-        assert Counter(kind for kind, _ in runs) == {"search": 2, "enumerate": 1, "grade": 100}
+        assert Counter(kind for kind, _ in runs) == {"search": 2, "enumerate": 1, "grade": 4}
+        assert sorted(len(group.members) for kind, group in runs if kind == "grade") == [25] * 4
         assert not any(v.constraints for kind, p in runs if kind == "search" for v in p.vertices)
+
+
+@pytest.mark.parametrize("floors, held", [((1, 2, 3), 0b111), ((1, 9, 3), 0b101), ((7, 8, 9), 0)])
+def test_a_group_graded_and_a_group_matched_alone_pack_one_key(floors, held, tiny_graph, monkeypatch):
+    """The report has size 4, so the partitions asking for ``size > floor`` hold where the floor is under 4.
+
+    The party's leaves are the first partition, a vertex condition, then the
+    other two, so its steps are the group, then the vertex. Where every
+    partition is matched alone, as after an enumeration of too many steps,
+    the values pack into the key that grading gives: a held bit per
+    partition, then NAMES for the rest, even where every partition holds.
+    """
+    parts = [AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.GT, f).partition for f in floors]
+    vertex = VertexCondition(VertexType.PROCESS, "ingest")
+    trees = [TreeLeaf(parts[0]), TreeLeaf(vertex), TreeBranch(TreeOp.OR, (TreeLeaf(parts[1]), TreeLeaf(parts[2])))]
+    pg = PurposeGraph(["root", "a"], [("root", "a")], hierarchy_line=0)
+
+    def keys():
+        cfg = PartyConfig("p", tuple(Policy(f"q{i}", 1, tree, ap={"a"}) for i, tree in enumerate(trees)))
+        decide(DataRecord(tiny_graph), Request("s"), [cfg], "F3", pg)
+        assert [type(step) for step in cfg._steps] == [matching._Grader, VertexCondition]
+        return list(cfg._plan(pg).outcomes)
+
+    graded = keys()
+    with monkeypatch.context() as m:
+        m.setattr(engine, "match_group", lambda group, graph, memo: None)
+        assert keys() == graded
+    assert graded == [(0b111, (held << 2 | MatchValue.NAMES) << 2 | MatchValue.FULL)]  # every guard passes
+
+
+def test_a_partition_a_group_graded_is_read_not_searched_by_a_party_that_holds_it_alone(tiny_graph, monkeypatch):
+    """Party `grouped` holds three attribute partitions of the report, one group; party `lone` holds two of them.
+
+    `lone` holds one as a partition leaf and one through an attribute
+    condition, and has no group of its own. From the second decision on,
+    `grouped`'s outcome key is met before, so its graded values never reach
+    the memo; `lone` still reads them from the grading and searches none.
+    Every decision is the oracle's.
+    """
+    report = VertexType.ARTIFACT, "report"  # size 4, format pdf
+    conds = [
+        AttrCondition(*report, "size", Predicate.GT, 2),
+        AttrCondition(*report, "size", Predicate.LT, 4),
+        AttrCondition(*report, "fmt", Predicate.EQ, "pdf"),
+    ]
+    parts = [c.partition for c in conds]
+    purposes, edges = ["root", "a", "b"], [("root", "a"), ("root", "b")]
+    pg = PurposeGraph(purposes, edges, hierarchy_line=0)
+    grouped = tuple(Policy(f"g{i}", 1, TreeLeaf(p), ap={"a"}) for i, p in enumerate(parts))
+    lone = (Policy("l0", 1, TreeLeaf(parts[1]), ap={"b"}), Policy("l1", 1, TreeLeaf(conds[2]), ap={"a", "b"}))
+    configs = [PartyConfig("grouped", grouped), PartyConfig("lone", lone)]
+    assert len(configs[0]._groups) == 3 and configs[1]._groups == {}
+    searched = []
+    find = matching._find_embedding
+    monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: searched.append(p) or find(p, graph))
+    decided, results = oracle_decide(
+        tiny_graph, None, "s", None, [(cfg.party, cfg.policies, None) for cfg in configs], "F3", purposes, edges, 0
+    )
+    for _ in range(3):
+        outcome = decide(DataRecord(tiny_graph), Request("s"), configs, "F3", pg)
+        assert outcome.decided == decided and [(t.result.ap, t.result.pp) for t in outcome.parties] == results
+        assert [d["tree_value"] for d in outcome_to_dict(outcome)["parties"][1]["policies"]] == ["names-only", "full"]
+    assert searched == []
 
 
 def test_a_payload_written_between_decisions_is_read_by_the_next():

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +187,27 @@ def test_party_masks_need_the_purpose_graph_that_encodes_them():
         merge_parties({}, "F3")
     with pytest.raises(ConfigurationError, match="^party result masks need the purpose graph that encodes them$"):
         merge_parties({"a": (1, 0), "b": (1, 0)}, "F3")
+
+
+def _masks_and_results(pg):
+    results = [_pr("m", ap={"root", "low1"}, pp={"low2"}), _pr("n", ap={"high1", "low2"})]
+    return {r.party: (pg.bits.encode(r.ap), pg.bits.encode(r.pp)) for r in results}, results
+
+
+@pytest.mark.parametrize("text", ["F3", "F5(m + n, n)", "F5(m, n) upmax n"])
+def test_party_masks_in_any_mapping_merge_as_in_a_dict(text, algebra_dag):
+    masks, results = _masks_and_results(algebra_dag)
+    expected = merge_parties(masks, text, algebra_dag)
+    assert expected == merge_parties(results, text, algebra_dag)
+    assert merge_parties(MappingProxyType(masks), text, algebra_dag) == expected
+
+
+@pytest.mark.parametrize("text", ["F3", "F5(m + n, n)", "F5(m, n) upmax n"])
+def test_party_results_in_any_sequence_merge_as_in_a_list(text, algebra_dag):
+    masks, results = _masks_and_results(algebra_dag)
+    expected = merge_parties(results, text, algebra_dag)
+    assert expected == merge_parties(masks, text, algebra_dag)
+    assert merge_parties(tuple(results), text, algebra_dag) == expected
 
 
 def test_expression_mode_binds_party_names():

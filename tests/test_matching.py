@@ -56,6 +56,7 @@ from oracles import (
     reference_match_path,
 )
 from randcases import (
+    graded_group,
     random_dag_partition,
     random_lineage_dag,
     random_partition,
@@ -274,12 +275,23 @@ def test_embedding_is_injective(monkeypatch):
         matching, "_search", lambda p, graph, found: searches.append((p, found is not None)) or search(p, graph, found)
     )
     memo = {}
-    assert [matching.match_group(p, group, g, memo) for p in group] == [MatchValue.NONE] * 3
+    assert _graded_values(group, g, memo) == [MatchValue.NONE] * 3
     coarser = group[0].coarser[0]
-    assert memo[-id(coarser)] == []  # enumerated, and found none
+    assert memo[-id(coarser)][0] == []  # enumerated, and found none
     # so the coarser partition's value comes from that enumeration, with no second search of it
     assert memo[id(coarser)] is MatchValue.NONE and searches == [(coarser, True)]
-    assert [int(memo[id(p)]) for p in group] == [oracle_match_partition(p, g) for p in group]
+    assert [int(v) for v in _graded_values(group, g, memo)] == [oracle_match_partition(p, g) for p in group]
+
+
+def _graded_values(group, g, memo):
+    """Each partition's value in `group`, a tuple compiled here, graded once through `memo`.
+
+    The values are read back by :func:`match_partition` through the memo, as
+    a decision reads a graded partition: without a search, unless the
+    coarser's enumeration took too many steps.
+    """
+    matching.match_group(matching._Grader(tuple(group)), g, memo)
+    return [match_partition(p, g, memo) for p in group]
 
 
 def test_match_agrees_with_exhaustive_oracle_sample():
@@ -710,8 +722,8 @@ def test_a_value_or_operand_of_no_kind_never_holds_when_graded():
         for item, v in (("n", 1), ("flag", True), ("n", True), ("flag", 1))
     )
     memo = {}
-    # the first grades them all against the report's one embedding; the rest are memo hits
-    graded = [matching.match_group(p, parts, g, memo) for p in parts]
+    # one pass grades them all against the report's one embedding
+    graded = _graded_values(parts, g, memo)
     assert graded == [match_partition(p, g) for p in parts] == [MatchValue.FULL] + [MatchValue.NAMES] * 3
 
 
@@ -751,19 +763,24 @@ def test_a_group_of_one_skeleton_enumerates_its_coarser_once(tiny_graph, monkeyp
         "edges": [["a", "p", "wasGeneratedBy"]],
     }})
     memo = {}
-    # the first enumerates the coarser's embeddings, against which all three are graded in one call
-    assert matching.match_group(parts[1], parts, tiny_graph, memo) is MatchValue.NAMES
-    assert all(memo[id(p)] is MatchValue.NAMES for p in parts)
-    assert matching.match_group(parts[0], parts, tiny_graph, memo) is MatchValue.NAMES
+    # one call enumerates the coarser's embeddings and grades all three against them: none held, the rest NAMES
+    group = matching._Grader(parts)
+    packed = matching.match_group(group, tiny_graph, memo)
+    assert packed == MatchValue.NAMES and group.width == 5
+    # each is read from that grading through the memo, with no search; a second call enumerates nothing
+    assert [match_partition(p, tiny_graph, memo) for p in parts] == [MatchValue.NAMES] * 3
+    assert matching.match_group(group, tiny_graph, memo) == packed
+    group.settle(packed, memo)
     assert eval_access_tree(TreeLeaf(leaf), tiny_graph, memo=memo) is MatchValue.FULL
     coarser = parts[0].coarser[0]
     assert all(p.coarser[0] is coarser for p in parts) and leaf is coarser
     assert searched == [] and enumerated == [coarser]
     # the one embedding, as the payloads of the report and the ingest process, each value under its item and kind
     embedding = [{("size", "int"): 4, ("fmt", "str"): "pdf"}, {}]
-    assert memo == {id(coarser): MatchValue.FULL, -id(coarser): [embedding], **{id(p): MatchValue.NAMES for p in parts}}
-    # match_partition searches the partition, and reads the coarser's value from the memo or else searches it
-    assert match_partition(parts[2], tiny_graph, memo) is MatchValue.NAMES
+    graded = [(group, packed)] * 2
+    assert memo == {id(coarser): MatchValue.FULL, -id(coarser): ([embedding], graded), **{id(p): MatchValue.NAMES for p in parts}}
+    # without that memo, match_partition searches the partition, and reads the coarser's value or else searches it
+    assert match_partition(parts[2], tiny_graph, {id(coarser): MatchValue.FULL}) is MatchValue.NAMES
     assert match_partition(parts[1], tiny_graph) is MatchValue.NAMES
     assert searched == [parts[2], parts[1], coarser] and enumerated == [coarser]
 
@@ -784,10 +801,47 @@ def test_a_group_of_one_skeleton_takes_1_enumeration_and_no_search(n, tiny_graph
         for i in range(n)
     )
     memo = {}
-    got = [matching.match_group(p, parts, tiny_graph, memo) for p in parts]
+    got = _graded_values(parts, tiny_graph, memo)
     assert searched == [] and enumerated == [parts[0].coarser[0]]
     assert got == [reference_match_partition(p, tiny_graph) for p in parts]
     assert {MatchValue.FULL, MatchValue.NAMES} <= set(got) or n == 2
+
+
+def test_the_grader_gives_every_partition_of_a_group_the_value_search_gives():
+    """Groups of :func:`randcases.graded_group`: every predicate, value and operand kind, repeats and several embeddings.
+
+    One grading pass values each partition as its own search, with a fresh
+    memo, and the exhaustive oracle do.
+    """
+    seen = {"predicates": set(), "operands": set(), "values": set(), "embeddings": set(), "held": set()}
+    repeated = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        g, group = graded_group(random.Random(seed))
+        memo = {}
+        packed = matching.match_group(matching._Grader(group), g, memo)
+        got = [match_partition(p, g, memo) for p in group]
+        assert got == [match_partition(p, g) for p in group] == [MatchValue(oracle_match_partition(p, g)) for p in group]
+        assert packed >> 2 == sum(1 << i for i, v in enumerate(got) if v is MatchValue.FULL)
+        constraints = [c for p in group for v in p.vertices for c in v.constraints]
+        seen["predicates"].update(c.pred for c in constraints)
+        seen["operands"].update(matching._kind(c.operand) or type(c.operand).__name__ for c in constraints)
+        seen["values"].update(
+            matching._kind(value) or type(value).__name__ for vid in g.vertices for value in g.attributes_of(vid).values()
+        )
+        seen["embeddings"].add(min(len(memo[-id(group[0].coarser[0])][0]), 3))
+        seen["held"].update(got)
+        repeated.extend(
+            any(len({c.item for c in v.constraints}) < len(v.constraints) for v in p.vertices) for p in group
+        )
+
+    check()
+    kinds = {"int", "str", "naive timestamp", "aware timestamp", "bool", "float"}
+    assert seen["predicates"] == set(Predicate) and seen["operands"] == kinds and seen["values"] == kinds
+    assert seen["embeddings"] == {0, 1, 2, 3} and {MatchValue.FULL, MatchValue.NAMES} <= seen["held"]
+    assert any(repeated)
 
 
 def test_a_condition_on_anothers_coarser_partition_reads_it_from_the_memo(tiny_graph, monkeypatch):
@@ -806,31 +860,29 @@ def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the
 
     The family's groups are a party's, derived from policies over its
     partitions, and each partition that has one goes through
-    :func:`match_group`, as `decide` sends it; an equal partition the party
-    drops as a repeated shape goes through :func:`match_partition`. Each
-    gets the value it gets alone, with a fresh memo, and those of the
-    reference matcher and of the exhaustive oracle, which checks self-loops
-    and so is given the pattern without them. No coarser partition is
-    enumerated twice in one memo.
+    :func:`match_group`, as `decide` sends it, its group's values then
+    stored in the memo; an equal partition the party drops as a repeated
+    shape goes through :func:`match_partition`. Each gets the value it gets
+    alone, with a fresh memo, and those of the reference matcher and of the
+    exhaustive oracle, which checks self-loops and so is given the pattern
+    without them. No coarser partition is enumerated twice in one memo.
     """
     _, enumerated = _counting(monkeypatch)
-    graded, grading = [], {}  # (partition, held) per grading; each partition by its checks
-    grade = matching._grade
+    graded = []  # (partition, held) per member of each grading
+    held_by = matching._Grader.held
 
-    def recording(checks, rows):
-        held = grade(checks, rows)
-        graded.append((grading[id(checks)], held))
+    def recording(group, rows):
+        held = held_by(group, rows)
+        graded.extend((p, bool(held >> i & 1)) for i, p in enumerate(group.members))
         return held
 
-    monkeypatch.setattr(matching, "_grade", recording)
+    monkeypatch.setattr(matching._Grader, "held", recording)
     rng = random.Random(37)
     seen, most = set(), 0
     for _ in range(300):
         g = random_provenance_graph(rng, 6)
         family = skeleton_family(rng, g)
         rng.shuffle(family)
-        grading.clear()
-        grading.update((id(p.graded), p) for p in family if any(v.constraints for v in p.vertices))
         cfg = PartyConfig("party", tuple(Policy(f"q{i}", 1, TreeLeaf(p)) for i, p in enumerate(family)))
         groups = cfg._groups
         memo, before = {}, len(enumerated)
@@ -839,9 +891,12 @@ def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the
             if got is None:
                 if id(p) in groups:
                     group = groups[id(p)]
-                    valued = sum(id(q) in memo for q in group)
-                    got = matching.match_group(p, group, g, memo)
-                    most = max(most, sum(id(q) in memo for q in group) - valued)
+                    valued = sum(id(q) in memo for q in group.members)
+                    packed = matching.match_group(group, g, memo)
+                    if packed is not None:
+                        group.settle(packed, memo)
+                    got = matching._value(p, g, memo)
+                    most = max(most, sum(id(q) in memo for q in group.members) - valued)
                 else:
                     got = match_partition(p, g, memo)
             assert got is match_partition(p, g) is reference_match_partition(p, g), p
@@ -1013,8 +1068,9 @@ def test_an_enumeration_over_the_step_budget_leaves_each_partition_to_its_own_se
     rng = random.Random(43)
     for _ in range(5):
         rng.shuffle(parts)
-        group, memo = tuple(parts), {}
-        assert [outcome(matching.match_group, p, group, g, memo) for p in parts] == [alone[id(p)] for p in parts]
+        group, memo = matching._Grader(tuple(parts)), {}
+        assert matching.match_group(group, g, memo) is None
+        assert [outcome(matching._value, p, g, memo) for p in parts] == [alone[id(p)] for p in parts]
         assert memo[-id(coarser)] is matching._TOO_MANY
     assert enumerated == [coarser] * 5 and len(searched) > len(parts) * 5
 
@@ -1034,7 +1090,7 @@ def test_an_enumeration_in_the_coarsers_plan_can_decide_where_a_partitions_own_s
         match_partition(later, g)  # alone, searched in its own plan
     for group in ((first, later), (later, first)):
         memo = {}
-        assert [matching.match_group(p, group, g, memo) for p in group] == [MatchValue.TYPES] * 2
+        assert _graded_values(group, g, memo) == [MatchValue.TYPES] * 2
     assert reference_match_partition(later, g) is MatchValue.TYPES
 
 
