@@ -11,23 +11,25 @@ A decision runs in four stages:
    and its subject and category guards. A shape's outcome depends only on
    whether its guards pass and on its tree's value, a fold of its leaf
    values. Each decision first matches the party's distinct leaf conditions
-   in the order the shapes' trees would match them, so the first leaf that
-   raises is the one that would raise if every policy were evaluated in
-   order. Each distinct leaf condition object is matched once per decision,
-   however many policies and parties share it, and so is each coarser
-   partition that gives a partition its lower levels. A party's constrained
-   partition leaves that share one coarser partition form a group, compiled
-   once per party into a bit-parallel grader and matched as one step of
-   the leaf pass, at its first leaf's place, by
-   :func:`~provpurpose.matching.match_group`. Where the coarser's
-   embeddings take too many steps, the party's leaves are matched in leaf
-   order, the group's alone, and packed the same way. The requester's role
-   order is walked once per decision. A subject guard reads only the roles
-   of that walk's reach that some guard of the party names, and a category
-   guard only the record's category; so the plan maps those roles and the
-   category to the party's guard mask, bit s set when shape s's guards pass,
-   and maps the guard mask and the packed leaf values to the shape outcomes
-   and the applicability vector (bit i set when policy i applies). A key met
+   in the order the shapes' trees would match them. Each distinct leaf
+   condition object is matched once per decision, however many policies and
+   parties share it, and so is each coarser partition that gives a
+   partition its lower levels. A party's constrained partition leaves that
+   share one coarser partition form a group, compiled once per party into a
+   bit-parallel grader and matched as one step of the leaf pass, at its
+   first leaf's place, by :func:`~provpurpose.matching.match_group`, which
+   always answers: where the coarser's embeddings take too many steps, it
+   matches the group's leaves alone at that step, in leaf order, and packs
+   them the same way. A leaf can only fault by giving up its search, with
+   one message, and every leaf of a party is matched, so a party raises
+   the error it would raise if every policy were evaluated in order. The
+   requester's role order is walked once per decision. A subject guard
+   reads only the roles of that walk's reach that some guard of the party
+   names, and a category guard only the record's category; so the plan
+   maps those roles and the category to the party's guard mask, bit s set
+   when shape s's guards pass, and maps the guard mask and the packed leaf
+   values to the shape outcomes and the applicability vector (bit i set
+   when policy i applies). A key met
    before, by this requester or by another whose named roles give the same
    guard mask, runs no guard check and no tree. On a miss the groups' leaf
    values are stored in the leaf memo, then each shape whose
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Any, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Any, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from ._dagutil import reachable_from
@@ -106,10 +108,10 @@ class _PartyPlan(NamedTuple):
     category, to the guard mask, bit s set when shape s's guards pass.
     `outcomes` maps a guard mask and the party's leaf values, packed 2 bits
     each and a group's as :func:`~provpurpose.matching.match_group` packs
-    them, to the shape outcomes and the applicability vector, whose bit i
-    is set when policy i applies. `merged` maps an applicability vector to
-    its merge result: the result masks and the decoded
-    :class:`PartyResult`. Each map is a
+    them, whether graded or matched alone, to the shape outcomes and the
+    applicability vector, whose bit i is set when policy i applies.
+    `merged` maps an applicability vector to its merge result: the result
+    masks and the decoded :class:`PartyResult`. Each map is a
     :class:`~provpurpose.purposes._BoundedMap`, and none holds the graph,
     so the plan never keeps it alive. Guards raise nothing, so a guard mask
     is stored before any leaf is matched; a party whose leaves raise stores
@@ -316,11 +318,7 @@ def decide(
             leaves = 0
             for step in cfg._steps:  # 2 bits per leaf, a group's as match_group packs them
                 if type(step) is _Grader:
-                    packed = match_group(step, graph, memo)
-                    if packed is None:  # its coarser's embeddings take too many steps
-                        leaves = _matched_alone(cfg, graph, query_attrs, memo)
-                        break
-                    leaves = leaves << step.width | packed
+                    leaves = leaves << step.width | match_group(step, graph, memo)
                 else:
                     value = memo.get(id(step))
                     if value is None:
@@ -374,29 +372,6 @@ def decide(
         external_expr=external_expr.strip(),
         attached_purposes=attached,
     )
-
-
-def _matched_alone(
-    cfg: PartyConfig, graph: ProvenanceGraph, query_attrs: Mapping[str, Any] | None, memo: LeafMemo
-) -> int:
-    """The party's packed leaf values where a group's coarser embeddings take too many steps.
-
-    Every leaf the memo lacks is matched in leaf order, a leaf of a group
-    that does not grade alone, so every search and fault comes where it
-    would without groups; the values pack as the steps pack them.
-    """
-    groups, leaves = cfg._groups, 0
-    for cond in cfg._leaves:
-        if id(cond) not in memo:
-            group = groups.get(id(cond))
-            packed = None if group is None else match_group(group, graph, memo)
-            if packed is None:
-                _match_leaf(cond, graph, query_attrs, memo)
-            else:
-                group.settle(packed, memo)
-    for step in cfg._steps:
-        leaves = leaves << step.width | step.pack(memo) if type(step) is _Grader else leaves << 2 | memo[id(step)]
-    return leaves
 
 
 def outcome_to_dict(outcome: DecisionOutcome) -> dict[str, Any]:

@@ -29,7 +29,8 @@ vertices that preserves every pattern edge, matching edge labels exactly
 (wildcard pattern edges only require some edge in the right direction).
 A partition search that takes more than :data:`MAX_SEARCH_STEPS` steps
 raises :class:`SearchLimitError` instead of returning a value; an enumeration
-that does is dropped, and each partition is searched on its own.
+that does is dropped, and each partition of the group is searched on its
+own, at the group's place.
 
 Path patterns are a linear sublanguage: a comma-separated list of steps where
 ``\\v*`` is a wildcard absorbing any run of intermediate vertices and every
@@ -321,8 +322,8 @@ def _intern(pattern: Any) -> Any:
 
 #: What one decision has found. A condition's or a partition's match value
 #: is keyed by its identity, and a group's coarser partition's embeddings
-#: with the groups graded against them (see :func:`match_group`), or
-#: `_TOO_MANY` where they take too many steps, by its negated identity.
+#: (see :func:`match_group`), or `_TOO_MANY` where they take too many
+#: steps, by its negated identity.
 #: Every key is an object that a policy tree or a condition holds, so no
 #: other object takes its identity in a decision: a query condition's
 #: per-request partition is never a key, nor interned.
@@ -490,16 +491,14 @@ class _Grader:
     of a value gives the members it holds; ``=``, ``!=`` and ``~`` try each
     operand. A member with a check of no kind holds nowhere, so `every`
     leaves it out. Grading raises nothing. A group's values pack into
-    `width` bits: member i's held bit at i + 2 (`bits` maps each member's
-    identity to it), above the 2-bit value of the rest, which share one
-    coarser and so one lower value.
+    `width` bits: member i's held bit at i + 2, above the 2-bit value of
+    the rest, which share one coarser and so one lower value.
     """
 
-    __slots__ = ("members", "below", "width", "bits", "every", "families")
+    __slots__ = ("members", "below", "width", "every", "families")
 
     def __init__(self, members: tuple[ProvenancePartition, ...]) -> None:
         self.members, self.below, self.width = members, members[0].coarser[0], len(members) + 2
-        self.bits = {id(p): i + 2 for i, p in enumerate(members)}
         every, place = (1 << len(members)) - 1, {pv.ref: at for at, (pv, _, _) in enumerate(self.below.plan)}
         checks: dict[tuple[Any, ...], list[tuple[AttrValue, int]]] = {}
         for i, p in enumerate(members):
@@ -550,29 +549,15 @@ class _Grader:
         return found
 
     def pack(self, memo: LeafMemo) -> int:
-        """The members' values in `memo`, packed as :func:`match_group` packs them."""
+        """The values of members matched alone into `memo`, packed as a grading packs them."""
         values = [memo[id(p)] for p in self.members]
         return sum([1 << i for i, v in enumerate(values, 2) if v is _FULL]) | min(_NAMES, *values)
 
     def settle(self, packed: int, memo: LeafMemo) -> None:
         """Store each member's value, unpacked from `packed`, in `memo`."""
         rest = _VALUES[packed & 3]
-        for key, bit in self.bits.items():
-            memo[key] = _FULL if packed >> bit & 1 else rest
-
-
-def _graded(partition: ProvenancePartition, memo: LeafMemo) -> MatchValue | None:
-    """The partition's value where a group holding it was graded in `memo`'s decision, else None."""
-    coarser = partition.coarser
-    found = None if coarser is None else memo.get(-id(coarser[0]))
-    if found is None or found is _TOO_MANY:
-        return None
-    key = id(partition)
-    for group, packed in found[1]:
-        bit = group.bits.get(key)
-        if bit is not None:
-            return _FULL if packed >> bit & 1 else _VALUES[packed & 3]
-    return None
+        for i, p in enumerate(self.members, 2):
+            memo[id(p)] = _FULL if packed >> i & 1 else rest
 
 
 def match_partition(
@@ -580,22 +565,15 @@ def match_partition(
 ) -> MatchValue:
     """Best level at which the partition embeds into the graph.
 
-    Where a group holding it was graded in `memo`'s decision (see
-    :func:`match_group`), that value is read and nothing is searched. Else
-    it is searched once, for FULL. Without an embedding, its value is its
-    :attr:`~ProvenancePartition.coarser` partition C's, FULL standing for
-    C's level, read from `memo` or matched and stored there; a call without
-    a memo gets a fresh one. The memo keys C, never the partition given.
+    The partition is only searched, once, for FULL: no grading is read.
+    Without an embedding, its value is its :attr:`~ProvenancePartition.coarser`
+    partition C's, FULL standing for C's level, read from `memo` or matched
+    and stored there; a call without a memo gets a fresh one. The memo keys
+    C, never the partition given.
     """
-    if memo is None:
-        memo = {}
-    else:
-        value = _graded(partition, memo)
-        if value is not None:
-            return value
     if _find_embedding(partition, graph):
         return _FULL
-    return _below(partition, graph, memo)
+    return _below(partition, graph, {} if memo is None else memo)
 
 
 def _below(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> MatchValue:
@@ -608,8 +586,8 @@ def _below(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMem
     return level if value is _FULL else value
 
 
-def match_group(group: _Grader, graph: ProvenanceGraph, memo: LeafMemo) -> int | None:
-    """The values of `group`'s partitions, packed (see :class:`_Grader`); None where they must be matched alone.
+def match_group(group: _Grader, graph: ProvenanceGraph, memo: LeafMemo) -> int:
+    """The values of `group`'s partitions, packed (see :class:`_Grader`).
 
     The group's partitions share one coarser partition C at level NAMES (see
     :func:`partition_groups`). C's embeddings are enumerated into `memo`
@@ -618,26 +596,25 @@ def match_group(group: _Grader, graph: ProvenanceGraph, memo: LeafMemo) -> int |
     The whole group is graded against them in one pass: a partition some
     embedding holds is FULL, and the rest take the value :func:`_below`
     reads, C's with FULL standing for NAMES. C has the same vertices, names,
-    edges and injectivity, so that is what a search gives. The grading is
-    kept with the embeddings, where :func:`match_partition` reads it, but
-    the partitions' own memo entries are left to :meth:`_Grader.settle`.
-    Where the enumeration takes more than :data:`MAX_SEARCH_STEPS` steps,
-    each partition is to be matched alone by :func:`match_partition`, so
-    every search and fault comes where it would without the group.
+    edges and injectivity, so that is what a search gives. The partitions'
+    own memo entries are left to :meth:`_Grader.settle`. Where the
+    enumeration takes more than :data:`MAX_SEARCH_STEPS` steps, each
+    partition the memo lacks is matched alone into it, in member order, and
+    packed from it: the same values, and where a search gives up the same
+    :class:`SearchLimitError`, as without the group.
     """
     below = group.below
-    found = memo.get(-id(below))
-    if found is None:
+    rows = memo.get(-id(below))
+    if rows is None:
         rows = _all_embeddings(below, graph)
         if rows is not None:
             memo[id(below)] = _FULL if rows else _below(below, graph, memo)
-        found = memo[-id(below)] = _TOO_MANY if rows is None else (rows, [])
-    if found is _TOO_MANY:
-        return None
-    rows, graded = found
-    packed = group.held(rows) << 2 | _below(group.members[0], graph, memo)
-    graded.append((group, packed))
-    return packed
+        rows = memo[-id(below)] = _TOO_MANY if rows is None else rows
+    if rows is _TOO_MANY:
+        for p in group.members:
+            _value(p, graph, memo)
+        return group.pack(memo)
+    return group.held(rows) << 2 | _below(group.members[0], graph, memo)
 
 
 def partition_groups(leaves: Iterable[Any]) -> dict[int, _Grader]:

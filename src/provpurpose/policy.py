@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Any, Callable, Iterable, Mapping, Union
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Union, get_args
 
 from . import _docs
 from ._dagutil import reachable_from
@@ -72,6 +72,7 @@ from .provenance import (
 from .purposes import PurposeSet, _refuse_string
 
 LeafCondition = Union[ProvenancePartition, PathPattern, AtomicCondition]
+_LEAF_KINDS = get_args(LeafCondition)  # a tuple of classes, which isinstance checks faster than the Union
 
 
 class TreeOp(str, Enum):
@@ -83,18 +84,26 @@ class TreeOp(str, Enum):
 class TreeLeaf:
     condition: LeafCondition
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.condition, _LEAF_KINDS):
+            raise InputFormatError(f"access tree leaf {self.condition!r} is not a leaf condition")
+
 
 @dataclass(frozen=True)
 class TreeBranch:
-    """An operator over subtrees; branches nest at most `MAX_NESTING` levels deep."""
+    """An operator, a :class:`TreeOp` or its text, over subtrees; branches nest at most `MAX_NESTING` levels deep."""
 
     op: TreeOp
     children: tuple["AccessTree", ...]
     depth: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if type(self.op) is not TreeOp:
+            object.__setattr__(self, "op", _docs.member(TreeOp, self.op, "tree operator"))
         if not self.children:
             raise InputFormatError("access tree branch needs at least one child")
+        if not all(isinstance(c, (TreeLeaf, TreeBranch)) for c in self.children):
+            raise InputFormatError(f"access tree branch children {self.children!r} are not all access trees")
         depth = 1 + max((c.depth for c in self.children if isinstance(c, TreeBranch)), default=0)
         if depth > MAX_NESTING:
             raise InputFormatError(f"access tree nests deeper than {MAX_NESTING} levels")
@@ -217,6 +226,8 @@ class Policy:
         _refuse_string(self.pp, "PP")
         _refuse_string(self.subjects, "subjects", "role names")
         _refuse_string(self.categories, "categories", "category names")
+        if not isinstance(self.tree, (TreeLeaf, TreeBranch)):
+            raise InputFormatError(f"policy {self.id!r}: tree {self.tree!r} is not an access tree")
         if self.ptype not in (1, 2, 3, 4):
             raise InputFormatError(f"policy {self.id!r}: type must be 1-4, got {self.ptype}")
         if self.ptype == 1 and self.pp:

@@ -501,21 +501,28 @@ def random_decision_case(rng: random.Random) -> DecisionCase:
     )
 
 
-def skeleton_family_case(rng: random.Random) -> DecisionCase:
+def skeleton_family_case(
+    rng: random.Random, drawn: tuple[ProvenanceGraph, Sequence[ProvenancePartition]] | None = None
+) -> DecisionCase:
     """1-4 parties of 1-8 policies whose leaves are partitions of one `skeleton_family`.
 
     Each policy's tree is one of the family's partitions, or an AND or OR of
     two, so most parties hold several constrained partitions of one coarser
     partition, and parties share partition objects. Self-loops are dropped
     from the family, as the matcher never checks them and the oracle does.
-    The parties fold by default and merge by a bare F1-F8 name.
+    The parties fold by default and merge by a bare F1-F8 name. `drawn`, a
+    graph and a family without self-loops, stands in for a random graph and
+    its skeleton family.
     """
     layers, edges, purposes = _purpose_layers(rng)
-    graph = random_provenance_graph(rng, 6)
-    family = [
-        ProvenancePartition(p.vertices, tuple(e for e in p.edges if e.src != e.dst))
-        for p in skeleton_family(rng, graph)
-    ]
+    if drawn is None:
+        graph = random_provenance_graph(rng, 6)
+        family = [
+            ProvenancePartition(p.vertices, tuple(e for e in p.edges if e.src != e.dst))
+            for p in skeleton_family(rng, graph)
+        ]
+    else:
+        graph, family = drawn
     parties = []
     for i in range(rng.randint(1, 4)):
         policies = []

@@ -1261,10 +1261,12 @@ def test_skeleton_families_in_parties_decide_as_the_oracle_and_as_each_leaf_alon
     """Parties whose leaves are one skeleton family's partitions, decided twice on one set of configs.
 
     The warm decision is the oracle's, and it renders as the decision of
-    fresh configs that match each leaf alone, with a fresh memo, does. Their
-    leaf values are packed by the fallback for too many steps, so each
-    party's outcome keys are the warm configs' keys: equal leaf values give
-    one key, graded or matched alone.
+    fresh configs whose every enumeration takes too many steps does: each
+    leaf outside a group is matched alone, with a fresh memo, and each leaf
+    of a group is searched alone at its group's step. Those values are
+    packed as a grading packs them, so each party's outcome keys are the
+    warm configs' keys: equal leaf values give one key, graded or matched
+    alone.
     """
     largest = []
 
@@ -1291,7 +1293,7 @@ def test_skeleton_families_in_parties_decide_as_the_oracle_and_as_each_leaf_alon
         assert [(t.result.ap, t.result.pp) for t in warm.parties] == results
         with monkeypatch.context() as m:
             m.setattr(engine, "_match_leaf", alone)
-            m.setattr(engine, "match_group", lambda group, graph, memo: None)
+            m.setattr(matching, "_all_embeddings", lambda p, graph: None)
             alone_configs = [PartyConfig(name, policies) for name, policies, _ in case.parties]
             fresh = decided_by(alone_configs)
         assert outcome_to_dict(warm) == outcome_to_dict(fresh)
@@ -1300,6 +1302,56 @@ def test_skeleton_families_in_parties_decide_as_the_oracle_and_as_each_leaf_alon
 
     check()
     assert max(largest) >= 4 and sum(n >= 2 for n in largest) > 100
+
+
+def test_groups_change_no_decision_and_no_fault_at_a_small_step_budget(monkeypatch):
+    """Skeleton family cases at budgets of 0-5 steps, each decided by fresh configs with groups and without.
+
+    Where the grouped configs raise, the ungrouped ones raise the same
+    :class:`StageError`; where both decide, they render alike. Where only
+    the grouped configs decide, as where a leaf's own search gives up but
+    its group's enumeration does not, they decide as at the default budget.
+    Random skeleton families of so small a graph almost never give that
+    last case, so a fifth of the cases draw on
+    :func:`conftest.coarser_plan_case`'s graph and partitions, whose plans
+    differ.
+    """
+    seen = set()
+    skewed = coarser_plan_case()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+    def check(seed, budget):
+        rng = random.Random(seed)
+        case = skeleton_family_case(rng, (skewed[0], skewed[1:]) if rng.random() < 0.2 else None)
+        pg = PurposeGraph(case.purposes, case.edges, hierarchy_line=case.line)
+        record = DataRecord(case.graph, category=case.category, attached_purposes=case.attached)
+
+        def decided(grouped=True):
+            configs = [PartyConfig(name, policies) for name, policies, _ in case.parties]
+            with monkeypatch.context() as m:
+                if not grouped:
+                    m.setattr(engine, "partition_groups", lambda leaves: {})
+                try:
+                    return outcome_to_dict(decide(record, Request(case.subject), configs, case.external, pg))
+                except StageError as err:
+                    return err.stage, type(err.cause), str(err.cause)
+
+        with monkeypatch.context() as m:
+            m.setattr(matching, "MAX_SEARCH_STEPS", budget)
+            grouped, ungrouped = decided(), decided(grouped=False)
+        if type(grouped) is tuple:
+            assert ungrouped == grouped
+            seen.add("both raise")
+        elif type(ungrouped) is tuple:
+            assert grouped == decided()
+            seen.add("only grouped decides")
+        else:
+            assert grouped == ungrouped
+            seen.add("both decide")
+
+    check()
+    assert seen == {"both raise", "only grouped decides", "both decide"}
 
 
 def _cycle_with(k):
@@ -1318,11 +1370,12 @@ def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_searc
 
     The coarser 8-cycle's first embedding is found from c0 in a few steps,
     but enumerating them all walks the DAG past `MAX_SEARCH_STEPS`. So after
-    that one enumeration each partition of a group is searched on its own,
-    in leaf order, and the first party decides. In the second, the cycle
-    asking for k = 100 starts at the DAG's top and gives up in its own
-    search: the same searches in the same order, and the same fault at the
-    same leaf, as without groups.
+    that one enumeration :func:`match_group` searches each partition of a
+    group on its own, at the group's step, in leaf order, and the first
+    party decides. The second party's group meets that enumeration in the
+    memo and runs none; its cycle asking for k = 100 starts at the DAG's top
+    and gives up in its own search: the same searches in the same order,
+    and the same fault at the same leaf, as without groups.
     """
     g = ProvenanceGraph()
     cycle = [g.add_vertex(VertexType.ARTIFACT, f"c{i}", {"k": i}) for i in range(8)]
@@ -1367,7 +1420,7 @@ def test_a_groups_first_leaf_is_graded_where_its_own_search_gives_up(monkeypatch
     At 3, `later`'s own search gives up, but as its group's first leaf it is
     graded against the coarser's one-step enumeration, and the party decides
     as at the default budget. At 0 the enumeration gives up too: `later` is
-    searched alone at its own leaf, and faults there as without groups.
+    searched alone at its group's step, and faults there as without groups.
     """
     g, first, later = coarser_plan_case()
     pg = PurposeGraph(["root", "mid"], [("root", "mid")], hierarchy_line=0)
@@ -1396,7 +1449,7 @@ def test_a_groups_first_leaf_is_graded_where_its_own_search_gives_up(monkeypatch
         with monkeypatch.context() as m:
             m.setattr(matching, "MAX_SEARCH_STEPS", 0)
             if not grouped:
-                m.setattr(engine, "match_group", lambda group, graph, memo: None)
+                m.setattr(matching, "_all_embeddings", lambda p, graph: None)
             with pytest.raises(StageError) as err:
                 decided([party()])
         assert runs == ([("enumerate", coarser)] if grouped else []) + [("search", later)]
@@ -1438,7 +1491,7 @@ def test_a_group_graded_and_a_group_matched_alone_pack_one_key(floors, held, tin
 
     The party's leaves are the first partition, a vertex condition, then the
     other two, so its steps are the group, then the vertex. Where every
-    partition is matched alone, as after an enumeration of too many steps,
+    partition is matched alone, after an enumeration of too many steps,
     the values pack into the key that grading gives: a held bit per
     partition, then NAMES for the rest, even where every partition holds.
     """
@@ -1455,19 +1508,21 @@ def test_a_group_graded_and_a_group_matched_alone_pack_one_key(floors, held, tin
 
     graded = keys()
     with monkeypatch.context() as m:
-        m.setattr(engine, "match_group", lambda group, graph, memo: None)
+        m.setattr(matching, "_all_embeddings", lambda p, graph: None)
         assert keys() == graded
     assert graded == [(0b111, (held << 2 | MatchValue.NAMES) << 2 | MatchValue.FULL)]  # every guard passes
 
 
-def test_a_partition_a_group_graded_is_read_not_searched_by_a_party_that_holds_it_alone(tiny_graph, monkeypatch):
+def test_a_party_holding_a_grouped_partition_alone_searches_it_once_the_groups_key_is_met(tiny_graph, monkeypatch):
     """Party `grouped` holds three attribute partitions of the report, one group; party `lone` holds two of them.
 
     `lone` holds one as a partition leaf and one through an attribute
-    condition, and has no group of its own. From the second decision on,
-    `grouped`'s outcome key is met before, so its graded values never reach
-    the memo; `lone` still reads them from the grading and searches none.
-    Every decision is the oracle's.
+    condition, and has no group of its own. In the first decision
+    `grouped`'s outcome key is new, so its graded values are settled into
+    the memo, and `lone` reads them and searches none. From the second on,
+    that key is met before and nothing is settled; :func:`match_partition`
+    only searches, so `lone` searches both, once per decision. Every
+    decision is the oracle's.
     """
     report = VertexType.ARTIFACT, "report"  # size 4, format pdf
     conds = [
@@ -1488,11 +1543,14 @@ def test_a_partition_a_group_graded_is_read_not_searched_by_a_party_that_holds_i
     decided, results = oracle_decide(
         tiny_graph, None, "s", None, [(cfg.party, cfg.policies, None) for cfg in configs], "F3", purposes, edges, 0
     )
+    per_decision = []
     for _ in range(3):
+        del searched[:]
         outcome = decide(DataRecord(tiny_graph), Request("s"), configs, "F3", pg)
         assert outcome.decided == decided and [(t.result.ap, t.result.pp) for t in outcome.parties] == results
         assert [d["tree_value"] for d in outcome_to_dict(outcome)["parties"][1]["policies"]] == ["names-only", "full"]
-    assert searched == []
+        per_decision.append(list(searched))
+    assert per_decision == [[], [parts[1], parts[2]], [parts[1], parts[2]]]
 
 
 def test_a_payload_written_between_decisions_is_read_by_the_next():

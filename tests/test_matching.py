@@ -277,7 +277,7 @@ def test_embedding_is_injective(monkeypatch):
     memo = {}
     assert _graded_values(group, g, memo) == [MatchValue.NONE] * 3
     coarser = group[0].coarser[0]
-    assert memo[-id(coarser)][0] == []  # enumerated, and found none
+    assert memo[-id(coarser)] == []  # enumerated, and found none
     # so the coarser partition's value comes from that enumeration, with no second search of it
     assert memo[id(coarser)] is MatchValue.NONE and searches == [(coarser, True)]
     assert [int(v) for v in _graded_values(group, g, memo)] == [oracle_match_partition(p, g) for p in group]
@@ -286,12 +286,13 @@ def test_embedding_is_injective(monkeypatch):
 def _graded_values(group, g, memo):
     """Each partition's value in `group`, a tuple compiled here, graded once through `memo`.
 
-    The values are read back by :func:`match_partition` through the memo, as
-    a decision reads a graded partition: without a search, unless the
+    The packed values are settled into the memo and read back from it, as a
+    decision's trees read a graded partition: without a search, unless the
     coarser's enumeration took too many steps.
     """
-    matching.match_group(matching._Grader(tuple(group)), g, memo)
-    return [match_partition(p, g, memo) for p in group]
+    grader = matching._Grader(tuple(group))
+    grader.settle(matching.match_group(grader, g, memo), memo)
+    return [memo[id(p)] for p in group]
 
 
 def test_match_agrees_with_exhaustive_oracle_sample():
@@ -767,18 +768,17 @@ def test_a_group_of_one_skeleton_enumerates_its_coarser_once(tiny_graph, monkeyp
     group = matching._Grader(parts)
     packed = matching.match_group(group, tiny_graph, memo)
     assert packed == MatchValue.NAMES and group.width == 5
-    # each is read from that grading through the memo, with no search; a second call enumerates nothing
-    assert [match_partition(p, tiny_graph, memo) for p in parts] == [MatchValue.NAMES] * 3
-    assert matching.match_group(group, tiny_graph, memo) == packed
+    # each is settled from that grading into the memo, with no search; a second call enumerates nothing
     group.settle(packed, memo)
+    assert [memo[id(p)] for p in parts] == [MatchValue.NAMES] * 3
+    assert matching.match_group(group, tiny_graph, memo) == packed
     assert eval_access_tree(TreeLeaf(leaf), tiny_graph, memo=memo) is MatchValue.FULL
     coarser = parts[0].coarser[0]
     assert all(p.coarser[0] is coarser for p in parts) and leaf is coarser
     assert searched == [] and enumerated == [coarser]
     # the one embedding, as the payloads of the report and the ingest process, each value under its item and kind
     embedding = [{("size", "int"): 4, ("fmt", "str"): "pdf"}, {}]
-    graded = [(group, packed)] * 2
-    assert memo == {id(coarser): MatchValue.FULL, -id(coarser): ([embedding], graded), **{id(p): MatchValue.NAMES for p in parts}}
+    assert memo == {id(coarser): MatchValue.FULL, -id(coarser): [embedding], **{id(p): MatchValue.NAMES for p in parts}}
     # without that memo, match_partition searches the partition, and reads the coarser's value or else searches it
     assert match_partition(parts[2], tiny_graph, {id(coarser): MatchValue.FULL}) is MatchValue.NAMES
     assert match_partition(parts[1], tiny_graph) is MatchValue.NAMES
@@ -821,8 +821,10 @@ def test_the_grader_gives_every_partition_of_a_group_the_value_search_gives():
     def check(seed):
         g, group = graded_group(random.Random(seed))
         memo = {}
-        packed = matching.match_group(matching._Grader(group), g, memo)
-        got = [match_partition(p, g, memo) for p in group]
+        grader = matching._Grader(group)
+        packed = matching.match_group(grader, g, memo)
+        grader.settle(packed, memo)
+        got = [memo[id(p)] for p in group]
         assert got == [match_partition(p, g) for p in group] == [MatchValue(oracle_match_partition(p, g)) for p in group]
         assert packed >> 2 == sum(1 << i for i, v in enumerate(got) if v is MatchValue.FULL)
         constraints = [c for p in group for v in p.vertices for c in v.constraints]
@@ -831,7 +833,7 @@ def test_the_grader_gives_every_partition_of_a_group_the_value_search_gives():
         seen["values"].update(
             matching._kind(value) or type(value).__name__ for vid in g.vertices for value in g.attributes_of(vid).values()
         )
-        seen["embeddings"].add(min(len(memo[-id(group[0].coarser[0])][0]), 3))
+        seen["embeddings"].add(min(len(memo[-id(group[0].coarser[0])]), 3))
         seen["held"].update(got)
         repeated.extend(
             any(len({c.item for c in v.constraints}) < len(v.constraints) for v in p.vertices) for p in group
@@ -892,9 +894,7 @@ def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the
                 if id(p) in groups:
                     group = groups[id(p)]
                     valued = sum(id(q) in memo for q in group.members)
-                    packed = matching.match_group(group, g, memo)
-                    if packed is not None:
-                        group.settle(packed, memo)
+                    group.settle(matching.match_group(group, g, memo), memo)
                     got = matching._value(p, g, memo)
                     most = max(most, sum(id(q) in memo for q in group.members) - valued)
                 else:
@@ -1035,7 +1035,10 @@ def test_an_enumeration_over_the_step_budget_leaves_each_partition_to_its_own_se
     """`run` used ten artifacts, one of which it generated: the coarser's enumeration takes 10 steps.
 
     A partition asking for ``k >= j`` takes 10 - j steps alone, and the one
-    that no artifact satisfies takes 10 in its coarser's search.
+    that no artifact satisfies takes 10 in its coarser's search. At a budget
+    of 5, :func:`match_group` searches each member alone, in member order,
+    and raises at the first whose own search gives up, having run exactly
+    the searches that member order asks for up to it.
     """
     g = ProvenanceGraph()
     run = g.add_vertex(VertexType.PROCESS, "run")
@@ -1060,19 +1063,26 @@ def test_an_enumeration_over_the_step_budget_leaves_each_partition_to_its_own_se
             return "gives up"
 
     parts = [at_least(j) for j in range(11)]
-    coarser = parts[0].coarser[0]
+    coarser, none_held = parts[0].coarser[0], parts[10]
     monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 5)
     alone = {id(p): outcome(match_partition, p, g) for p in parts}  # each partition searched on its own
     assert list(alone.values()) == ["gives up"] * 5 + [MatchValue.FULL] * 5 + ["gives up"]
     searched, enumerated = _counting(monkeypatch)
     rng = random.Random(43)
-    for _ in range(5):
+    faulted = set()
+    for _ in range(20):
         rng.shuffle(parts)
         group, memo = matching._Grader(tuple(parts)), {}
-        assert matching.match_group(group, g, memo) is None
-        assert [outcome(matching._value, p, g, memo) for p in parts] == [alone[id(p)] for p in parts]
-        assert memo[-id(coarser)] is matching._TOO_MANY
-    assert enumerated == [coarser] * 5 and len(searched) > len(parts) * 5
+        del searched[:], enumerated[:]
+        first = next(i for i, p in enumerate(parts) if alone[id(p)] == "gives up")
+        with pytest.raises(SearchLimitError, match="after 5 steps"):
+            matching.match_group(group, g, memo)
+        assert memo[-id(coarser)] is matching._TOO_MANY and enumerated == [coarser]
+        # each member before it searched once, FULL; the one that no artifact satisfies gives up in its coarser's search
+        assert [memo[id(p)] for p in parts[:first]] == [alone[id(p)] for p in parts[:first]]
+        assert searched == parts[: first + 1] + ([coarser] if parts[first] is none_held else [])
+        faulted.add((first > 0, parts[first] is none_held))
+    assert faulted == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_an_enumeration_in_the_coarsers_plan_can_decide_where_a_partitions_own_search_gives_up(monkeypatch):

@@ -82,6 +82,40 @@ def test_empty_branch_rejected():
         TreeBranch(TreeOp.AND, ())
 
 
+def test_a_branch_built_with_operator_text_holds_the_operator_as_the_loader_does(tiny_graph):
+    """``"AND"`` is read as :attr:`TreeOp.AND`, folded by its leaves and by a compiled program alike."""
+    flat = TreeBranch("AND", (_leaf("alice"), _leaf("bob")))
+    assert flat.op is TreeOp.AND and flat == TreeBranch(TreeOp.AND, flat.children)
+    nested = TreeBranch("OR", (flat, TreeLeaf(NullCondition())))
+    assert nested.op is TreeOp.OR
+    assert eval_access_tree(flat, tiny_graph) is MatchValue.TYPES
+    assert eval_access_tree(TreeBranch("AND", (flat, _leaf("alice"))), tiny_graph) is MatchValue.TYPES
+    assert eval_access_tree(nested, tiny_graph) is MatchValue.FULL
+
+
+def test_an_unknown_branch_operator_is_an_input_error():
+    with pytest.raises(InputFormatError, match="unknown tree operator 'FOO'"):
+        TreeBranch("FOO", (_leaf("alice"), _leaf("bob")))
+
+
+@pytest.mark.parametrize("condition", ["abc", None, TreeLeaf(NullCondition())])
+def test_a_leaf_that_holds_no_leaf_condition_is_an_input_error(condition):
+    with pytest.raises(InputFormatError, match="is not a leaf condition"):
+        TreeLeaf(condition)
+
+
+@pytest.mark.parametrize("child", [NullCondition(), "alice", None])
+def test_a_branch_child_that_is_no_access_tree_is_an_input_error(child):
+    with pytest.raises(InputFormatError, match="are not all access trees"):
+        TreeBranch(TreeOp.OR, (_leaf("alice"), child))
+
+
+@pytest.mark.parametrize("tree", [NullCondition(), "alice", None])
+def test_a_policy_whose_tree_is_no_access_tree_is_an_input_error(tree):
+    with pytest.raises(InputFormatError, match="is not an access tree"):
+        Policy("p", 1, tree, ap=frozenset({"a"}))
+
+
 def test_tree_matches_naive_fold_on_random_trees(tiny_graph):
     leaf_conditions = [
         VertexCondition(VertexType.AGENT, "alice"),   # full
