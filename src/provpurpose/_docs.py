@@ -1,17 +1,22 @@
 """Readers for input documents and the field shapes they share.
 
 Every loader reads its file with :func:`load`, which parses the JSON with
-:func:`load_json` and decodes it, and its fields with the readers below, so
-each rule lives in one place. A reader raises :class:`InputFormatError` naming
-the field, and :func:`load` puts the file's path in front of that and of any
-other error decoding raises. No reader coerces a value of the wrong shape, not
-even a scalar: :func:`text` refuses null, true/false, arrays and objects.
+:func:`load_json` and decodes it. A loader reads only the document's shape:
+its objects, arrays, keys, defaults and JSON attribute values. It hands each
+field as it is to the constructor of the object it builds, and the
+constructor reads the field with the readers below. So each rule lives in one
+place, and an object built in Python is read as its document would be. A
+reader raises :class:`InputFormatError` naming the field, and :func:`load`
+puts the file's path in front of that and of any other error decoding raises.
+No reader coerces a value of the wrong shape, not even a scalar: :func:`text`
+refuses null, true/false, arrays and objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from enum import Enum
 from functools import cache, partial
 from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
@@ -77,6 +82,15 @@ def array(value: Any, what: str) -> Sequence[Any]:
     return value
 
 
+def items(value: Any, kind: type | tuple[type, ...], what: str, noun: str) -> tuple[Any, ...]:
+    """An array of `kind` objects, as a tuple; a tuple is kept as it is, not copied."""
+    found = value if type(value) is tuple else tuple(array(value, what))
+    for item in found:  # a loop: most arrays are short, and all() costs a generator per call
+        if not isinstance(item, kind):
+            raise InputFormatError(f"{what} {found!r} are not all {noun}")
+    return found
+
+
 def entry(value: Any, size: int, what: str) -> Sequence[Any]:
     """An array of exactly `size` items, such as an edge [parent, child]."""
     if len(array(value, what)) != size:
@@ -94,10 +108,18 @@ def text(value: Any, what: str) -> str:
 
 
 def names(value: Any, what: str) -> frozenset[str]:
-    """An array of strings, as a set; a string is not read as its characters."""
-    if not all(isinstance(n, str) for n in array(value, what)):
-        raise InputFormatError(f"{what} must be an array of strings")
-    return frozenset(value)
+    """An array of strings, or a list, tuple, set, frozenset or one-shot iterator of them, as a set.
+
+    A string is not read as its characters, nor a mapping as its keys.
+    """
+    value = tuple(value) if isinstance(value, Iterator) else value  # one-shot: read once
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        raise InputFormatError(f"{what} must be an array")
+    try:
+        "".join(value)  # refuses any member that is not a string, at C speed: a decoded set may hold thousands
+    except TypeError:
+        raise InputFormatError(f"{what} must be an array of strings") from None
+    return frozenset(value)  # a frozenset is returned as it is
 
 
 def integer(value: Any, what: str) -> int:
@@ -108,7 +130,7 @@ def integer(value: Any, what: str) -> int:
 
 
 def member(enum: type[E], value: Any, what: str) -> E:
-    """The member of `enum` whose value is the text of `value`."""
+    """The member of `enum` whose value is the text of `value`, or `value` if it is that member."""
     found = _by_value(enum).get(value) if isinstance(value, str) else None
     if found is None:
         raise InputFormatError(f"unknown {what} {value!r}")
@@ -120,9 +142,8 @@ def _by_value(enum: type[E]) -> dict[str, E]:
     return {m.value: m for m in enum}
 
 
-def party(doc: Mapping[str, Any], default: str) -> str:
-    """The "party" field: a non-empty string, `default` when absent."""
-    name = doc.get("party", default)
+def party(name: Any) -> str:
+    """A party name: a non-empty string."""
     if not isinstance(name, str) or not name:
         raise InputFormatError("party name must be a non-empty string")
     return name

@@ -89,6 +89,7 @@ from functools import partial, reduce
 from operator import and_, attrgetter, or_, xor
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
+from . import _docs
 from .errors import (
     ConfigurationError,
     EmptyPurposeSetError,
@@ -97,7 +98,7 @@ from .errors import (
     MissingHierarchyLineError,
     UnboundNameError,
 )
-from .purposes import PurposeBits, PurposeGraph, PurposeSet, _refuse_string
+from .purposes import PurposeBits, PurposeGraph, PurposeSet
 
 # -- basic operators ----------------------------------------------------------
 
@@ -224,8 +225,8 @@ class HierarchicalPurposeSet:
     """Allowed and prohibited purposes, merged by rules that differ at a line.
 
     The one value expressions evaluate over: a plain purpose set is the pair
-    that prohibits nothing. Both sides are kept as frozensets, whatever
-    iterables they are given as; a string is refused. `graph`, never part
+    that prohibits nothing. Each side is read as :func:`_docs.names` reads
+    a set of names, as a party result's sides are. `graph`, never part
     of equality, is the purpose graph that merges cut at and precedence
     selections rank by; every operator rejects operands tagged with
     different graphs.
@@ -236,8 +237,8 @@ class HierarchicalPurposeSet:
     graph: PurposeGraph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ap", frozenset(_refuse_string(self.ap, "allowed purposes")))
-        object.__setattr__(self, "pp", frozenset(_refuse_string(self.pp, "prohibited purposes")))
+        object.__setattr__(self, "ap", _docs.names(self.ap, '"ap"'))
+        object.__setattr__(self, "pp", _docs.names(self.pp, '"pp"'))
 
 
 def split_result(pg: PurposeGraph, ap: Iterable[str], pp: Iterable[str]) -> HierarchicalPurposeSet:

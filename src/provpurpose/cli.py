@@ -52,21 +52,15 @@ def _party_from_file(path: str, internal_override: str | None) -> PartyConfig:
 
     def decode(doc: Any) -> PartyConfig:
         doc = _docs.obj(doc, "policy file")
-        party = _docs.party(doc, stem)
+        party = doc.get("party", stem)
         if "policies" in doc:
-            policies = tuple(
-                policy_from_dict(p, default_id=f"{party}_{i}")
-                for i, p in enumerate(_docs.array(doc["policies"], '"policies"'))
-            )
+            docs = _docs.array(doc["policies"], '"policies"')
+            policies = tuple(policy_from_dict(p, default_id=f"{party}_{i}") for i, p in enumerate(docs))
             internal = doc.get("internal_expr")
         else:
             policies = (policy_from_dict(doc, default_id=stem),)
             internal = None
-        if internal_override is not None:
-            internal = internal_override
-        if internal is not None and not isinstance(internal, str):
-            raise InputFormatError("internal_expr must be a string")
-        return PartyConfig(party=party, policies=policies, internal_expr=internal)
+        return PartyConfig(party, policies, internal if internal_override is None else internal_override)
 
     return _docs.load(path, decode)
 

@@ -72,9 +72,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Any, NamedTuple, Sequence
+from typing import AbstractSet, Any, Iterable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
+from . import _docs
 from ._dagutil import reachable_from
 from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_expr, parse_fida, print_fida
 
@@ -147,12 +148,21 @@ class PartyConfig:
     purposes, then keeps their (allowed, prohibited) masks under
     ``pg.bits``, which `masks(pg)` returns, and three bounded maps (see
     :class:`_PartyPlan`). Each is derived once, on first use; a fault is
-    not kept and raises on every use.
+    not kept and raises on every use. The fields are read as a policy
+    file's: `party` as :func:`_docs.party` reads a name, `policies` as an
+    array of :class:`Policy`, stored as a tuple, and `internal_expr` as a
+    string or None.
     """
 
     party: str
     policies: tuple[Policy, ...]
     internal_expr: str | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "party", _docs.party(self.party))
+        object.__setattr__(self, "policies", _docs.items(self.policies, Policy, '"policies"', "policies"))
+        if self.internal_expr is not None and not isinstance(self.internal_expr, str):
+            raise InputFormatError("internal_expr must be a string")
 
     @cached_property
     def merge_expr(self) -> FidaExpr:
@@ -290,15 +300,25 @@ def default_internal_expr(policy_ids: Sequence[str]) -> FidaExpr:
 def decide(
     record: DataRecord,
     request: Request,
-    parties: Sequence[PartyConfig],
+    parties: Iterable[PartyConfig],
     external_expr: str,
     pg: PurposeGraph,
     role_order: RoleOrder | None = None,
 ) -> DecisionOutcome:
-    """Run the full pipeline and return the decision with per-party traces."""
+    """Run the full pipeline and return the decision with per-party traces.
+
+    `parties` is read once, so it may be a one-shot iterable; each member
+    must be a :class:`PartyConfig`, and `external_expr` a string.
+    """
+    if type(parties) is not tuple:  # a tuple is read as it is, with no copy and no ABC check
+        parties = tuple(parties) if isinstance(parties, Iterable) else (parties,)
     if not parties:
         raise ConfigurationError("at least one party is required")
-    names = [cfg.party for cfg in parties]
+    names = [cfg.party for cfg in parties if isinstance(cfg, PartyConfig)]
+    if len(names) != len(parties):
+        raise ConfigurationError(f"parties must be PartyConfig objects, got {parties!r}")
+    if not isinstance(external_expr, str):
+        raise ConfigurationError(f"the cross-party expression must be a string, got {external_expr!r}")
     if len(set(names)) != len(names):
         raise ConfigurationError(f"party names must be distinct, got {names}")
     traces: list[PartyTrace] = []

@@ -63,20 +63,23 @@ from .algebra import eval_fida, left_fold_expr, op_subtraction, parse_fida
 # F5-F8 rank in the compiled steps; this name stays bound for decidebench's tracer.
 from .algebra import precedence_total  # noqa: F401
 from .errors import ConfigurationError, EmptyPurposeSetError
-from .purposes import PurposeGraph, PurposeSet, _BoundedMap, _refuse_string
+from .purposes import PurposeGraph, PurposeSet, _BoundedMap
 
 
 @dataclass(frozen=True)
 class PartyResult:
-    """One party's allowed and prohibited purposes after policy evaluation, kept as frozensets; a string is refused."""
+    """One party's allowed and prohibited purposes after policy evaluation.
+
+    Each side is read as :func:`_docs.names` reads a set of names.
+    """
 
     party: str
     ap: PurposeSet = frozenset()
     pp: PurposeSet = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ap", frozenset(_refuse_string(self.ap, "allowed purposes")))
-        object.__setattr__(self, "pp", frozenset(_refuse_string(self.pp, "prohibited purposes")))
+        object.__setattr__(self, "ap", _docs.names(self.ap, '"ap"'))
+        object.__setattr__(self, "pp", _docs.names(self.pp, '"pp"'))
 
     def intended(self) -> PurposeSet:
         """The view a party contributes on its own: allowed minus prohibited."""
@@ -190,11 +193,7 @@ def merge_parties(
 
 def party_result_from_dict(doc: Mapping[str, Any], default_party: str = "party") -> PartyResult:
     doc = _docs.obj(doc, "party result")
-    return PartyResult(
-        _docs.party(doc, default_party),
-        _docs.names(doc.get("ap", []), '"ap"'),
-        _docs.names(doc.get("pp", []), '"pp"'),
-    )
+    return PartyResult(_docs.party(doc.get("party", default_party)), doc.get("ap", []), doc.get("pp", []))
 
 
 def party_result_to_dict(result: PartyResult) -> dict[str, Any]:

@@ -58,7 +58,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from . import _docs
 from ._dagutil import reachable_from
-from .errors import PatternSyntaxError, SearchLimitError, TypeMismatchError
+from .errors import InputFormatError, PatternSyntaxError, SearchLimitError, TypeMismatchError
 from .provenance import AttrValue, EdgeLabel, ProvenanceGraph, VertexType, vertex_type_from_json
 
 
@@ -158,8 +158,10 @@ def eval_predicate(pred: Predicate, left: AttrValue, right: AttrValue) -> bool:
 class AttrConstraint:
     """An attribute test, ``item pred operand``, with `kind` and `test` derived once for the search.
 
-    `kind` is the kind of value the operand compares with, or None when none
-    can satisfy the test (an operand of no kind, or ``~`` on a non-string).
+    `pred` is a :class:`Predicate` or its text, stored as the member, and
+    `item` is read as :func:`_docs.text` reads a scalar. `kind` is the kind
+    of value the operand compares with, or None when none can satisfy the
+    test (an operand of no kind, or ``~`` on a non-string).
     """
 
     item: str
@@ -169,17 +171,21 @@ class AttrConstraint:
     test: Callable[[Any, Any], bool] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        kind = _kind(self.operand)
-        object.__setattr__(self, "kind", None if self.pred == Predicate.CONTAINS and kind != "str" else kind)
-        object.__setattr__(self, "test", _COMPARE[self.pred])
+        pred, kind = _docs.member(Predicate, self.pred, "predicate"), _kind(self.operand)
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "item", _docs.text(self.item, "attribute constraint item"))
+        object.__setattr__(self, "kind", None if pred is Predicate.CONTAINS and kind != "str" else kind)
+        object.__setattr__(self, "test", _COMPARE[pred])
 
 
 @dataclass(frozen=True)
 class PatternVertex:
     """A vertex constraint: type always, name and attributes optionally.
 
-    `vtype` is a :class:`VertexType` or its value text, stored as the
-    member, as :meth:`ProvenanceGraph.add_vertex` reads it.
+    `vtype` is read by :func:`vertex_type_from_json`, as
+    :meth:`ProvenanceGraph.add_vertex` reads it, and stored as the member;
+    `ref` and `name` as :func:`_docs.text` reads a scalar; `constraints` as
+    an array of :class:`AttrConstraint`, stored as a tuple.
     """
 
     ref: str
@@ -188,8 +194,12 @@ class PatternVertex:
     constraints: tuple[AttrConstraint, ...] = ()
 
     def __post_init__(self) -> None:
-        if type(self.vtype) is not VertexType:
-            object.__setattr__(self, "vtype", _docs.member(VertexType, self.vtype, "vertex type"))
+        object.__setattr__(self, "ref", _docs.text(self.ref, 'partition vertex "ref"'))
+        object.__setattr__(self, "vtype", vertex_type_from_json(self.vtype))
+        name = None if self.name is None else _docs.text(self.name, 'partition vertex "name"')
+        object.__setattr__(self, "name", name)
+        constraints = _docs.items(self.constraints, AttrConstraint, '"attrs"', "attribute constraints")
+        object.__setattr__(self, "constraints", constraints)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +207,8 @@ class PatternEdge:
     """An edge constraint between pattern refs; label None means wildcard.
 
     Any other `label` is an :class:`EdgeLabel` or its value text, stored as
-    the member, as :meth:`ProvenanceGraph.add_edge` reads it. `text` is the
+    the member, as :meth:`ProvenanceGraph.add_edge` reads it. The ends are
+    read as :func:`_docs.text` reads a scalar. `text` is the
     label's text, derived once, which the search compares with the label
     texts a graph stores; None for a wildcard. Slotted, so the derived field
     costs no memory over an edge with an instance dict.
@@ -209,10 +220,10 @@ class PatternEdge:
     text: str | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        label = self.label
-        if label is not None and type(label) is not EdgeLabel:
-            label = _docs.member(EdgeLabel, label, "edge label")
-            object.__setattr__(self, "label", label)
+        label = None if self.label is None else _docs.member(EdgeLabel, self.label, "edge label")
+        object.__setattr__(self, "src", _docs.text(self.src, "partition edge end"))
+        object.__setattr__(self, "dst", _docs.text(self.dst, "partition edge end"))
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "text", None if label is None else label.value)
 
 
@@ -230,12 +241,15 @@ _Row = list[dict[tuple[str, str], AttrValue]]
 
 @dataclass(frozen=True)
 class ProvenancePartition:
-    """A connected pattern over vertices and labeled edges."""
+    """A connected pattern over vertices and labeled edges, each an array stored as a tuple."""
 
     vertices: tuple[PatternVertex, ...]
     edges: tuple[PatternEdge, ...] = ()
 
     def __post_init__(self) -> None:
+        vertices = _docs.items(self.vertices, PatternVertex, "partition vertices", "pattern vertices")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", _docs.items(self.edges, PatternEdge, "partition edges", "pattern edges"))
         if not self.vertices:
             raise PatternSyntaxError("partition needs at least one vertex")
         refs = [v.ref for v in self.vertices]
@@ -648,19 +662,33 @@ WILDCARD_TOKEN = "\\v*"
 
 @dataclass(frozen=True)
 class PathStep:
-    """One concrete step: LABEL|NAME."""
+    """One concrete step: LABEL|NAME, each a text that a path pattern can spell.
+
+    Each is read as :func:`_docs.text` reads a scalar, and must be non-empty,
+    free of ``|`` and ``,``, and without surrounding space; anything else
+    raises :class:`InputFormatError`.
+    """
 
     edge_or_process: str
     vertex_name: str
 
+    def __post_init__(self) -> None:
+        for key, what in (("edge_or_process", "path step label"), ("vertex_name", "path step name")):
+            value = _docs.text(getattr(self, key), what)
+            if not value or value != value.strip() or "|" in value or "," in value:
+                raise InputFormatError(f"{what} {value!r} is not a text a path pattern can spell")
+            object.__setattr__(self, key, value)
+
 
 @dataclass(frozen=True)
 class PathPattern:
-    """A step sequence; None entries are wildcards. Ends must be concrete."""
+    """A step sequence, an array stored as a tuple; None entries are wildcards. Ends must be concrete."""
 
     steps: tuple[PathStep | None, ...]
 
     def __post_init__(self) -> None:
+        steps = _docs.items(self.steps, (PathStep, type(None)), "path pattern steps", "path steps or None")
+        object.__setattr__(self, "steps", steps)
         if not self.steps:
             raise PatternSyntaxError("path pattern needs at least one step")
         if self.steps[0] is None or self.steps[-1] is None:
@@ -675,7 +703,11 @@ class PathPattern:
 
 
 def parse_path_pattern(text: str) -> PathPattern:
-    """Parse ``LABEL|NAME`` steps separated by commas; ``\\v*`` is a wildcard."""
+    """Parse ``LABEL|NAME`` steps separated by commas; ``\\v*`` is a wildcard.
+
+    `text` is read as :func:`_docs.text` reads a scalar.
+    """
+    text = _docs.text(text, "path pattern")
     if not text.strip():
         raise PatternSyntaxError("empty path pattern")
     steps: list[PathStep | None] = []
@@ -687,13 +719,11 @@ def parse_path_pattern(text: str) -> PathPattern:
         if token == WILDCARD_TOKEN:
             steps.append(None)
         else:
-            if "|" not in token:
-                raise PatternSyntaxError(f"step {token!r} is not LABEL|NAME", pos)
-            label, _, name = token.partition("|")
-            label, name = label.strip(), name.strip()
-            if not label or not name or "|" in name:
-                raise PatternSyntaxError(f"step {token!r} is not LABEL|NAME", pos)
-            steps.append(PathStep(label, name))
+            label, bar, name = token.partition("|")
+            try:  # the step checks its label and name
+                steps.append(PathStep(label.strip(), name.strip() if bar else ""))
+            except InputFormatError:
+                raise PatternSyntaxError(f"step {token!r} is not LABEL|NAME", pos) from None
         pos += len(chunk) + 1
     return PathPattern(tuple(steps))
 
@@ -833,10 +863,14 @@ class NullCondition:
 
 @dataclass(frozen=True)
 class VertexCondition:
-    """Requires a vertex of the given type and name to exist."""
+    """Requires a vertex of the given type and name to exist; the fields are read as a pattern vertex's."""
 
     vtype: VertexType
     name: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vtype", vertex_type_from_json(self.vtype))
+        object.__setattr__(self, "name", _docs.text(self.name, "vertex condition name"))
 
     @cached_property
     def partition(self) -> ProvenancePartition:
@@ -845,13 +879,19 @@ class VertexCondition:
 
 @dataclass(frozen=True)
 class AttrCondition:
-    """Requires a (type, name) vertex whose attribute satisfies a predicate."""
+    """Requires a (type, name) vertex whose attribute satisfies a predicate; the fields are read as a pattern's."""
 
     vtype: VertexType
     name: str
     item: str
     pred: Predicate
     operand: AttrValue
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pred", _docs.member(Predicate, self.pred, "predicate"))
+        object.__setattr__(self, "item", _docs.text(self.item, "attribute constraint item"))
+        object.__setattr__(self, "name", _docs.text(self.name, "attr condition name"))
+        object.__setattr__(self, "vtype", vertex_type_from_json(self.vtype))
 
     @cached_property
     def partition(self) -> ProvenancePartition:
@@ -860,12 +900,18 @@ class AttrCondition:
 
 @dataclass(frozen=True)
 class QueryCondition:
-    """Compares a vertex attribute against the same-named request attribute."""
+    """Compares a vertex attribute against the same-named request attribute; the fields are read as a pattern's."""
 
     vtype: VertexType
     name: str
     query_attr: str
     pred: Predicate
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pred", _docs.member(Predicate, self.pred, "predicate"))
+        object.__setattr__(self, "name", _docs.text(self.name, "query condition name"))
+        object.__setattr__(self, "vtype", vertex_type_from_json(self.vtype))
+        object.__setattr__(self, "query_attr", _docs.text(self.query_attr, "query attribute"))
 
     @cached_property
     def partition(self) -> ProvenancePartition:
@@ -875,12 +921,16 @@ class QueryCondition:
 
 @dataclass(frozen=True)
 class TargetCondition:
-    """A target string, parsed once at construction into the one object of its partition."""
+    """A target string, parsed once at construction into the one object of its partition.
+
+    `text` is read as :func:`_docs.text` reads a scalar.
+    """
 
     text: str
     partition: ProvenancePartition = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "text", _docs.text(self.text, "target"))
         object.__setattr__(self, "partition", _intern(parse_target(self.text)))
 
 

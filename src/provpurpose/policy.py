@@ -26,6 +26,13 @@ an optional role order (junior -> seniors, reflexive and transitive); without
 one, only equal role names match. Category guards treat a data category as
 covered by a policy category when it is not empty and occurs inside it (so a
 record tagged "assignment" satisfies a policy scoped to "assignments").
+
+Each object here and in :mod:`matching` is the one reader of its own fields,
+through the :mod:`_docs` readers. The loaders at the end of this module walk
+only a document's shape (objects, arrays, keys, defaults, JSON attribute
+values and the ``"*"`` edge wildcard) and hand each field, as it is, to the
+constructor; so a policy built in Python is read, and refused, as its
+document is.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ from .matching import (
     PathPattern,
     PatternEdge,
     PatternVertex,
-    Predicate,
     ProvenancePartition,
     QueryCondition,
     TargetCondition,
@@ -62,14 +68,8 @@ from .matching import (
     match_path,
     parse_path_pattern,
 )
-from .provenance import (
-    AttrValue,
-    EdgeLabel,
-    ProvenanceGraph,
-    attr_value_from_json,
-    vertex_type_from_json,
-)
-from .purposes import PurposeSet, _refuse_string
+from .provenance import AttrValue, ProvenanceGraph, attr_value_from_json
+from .purposes import PurposeSet
 
 LeafCondition = Union[ProvenancePartition, PathPattern, AtomicCondition]
 _LEAF_KINDS = get_args(LeafCondition)  # a tuple of classes, which isinstance checks faster than the Union
@@ -91,19 +91,21 @@ class TreeLeaf:
 
 @dataclass(frozen=True)
 class TreeBranch:
-    """An operator, a :class:`TreeOp` or its text, over subtrees; branches nest at most `MAX_NESTING` levels deep."""
+    """An operator, a :class:`TreeOp` or its text, over an array of subtrees stored as a tuple.
+
+    Branches nest at most `MAX_NESTING` levels deep.
+    """
 
     op: TreeOp
     children: tuple["AccessTree", ...]
     depth: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if type(self.op) is not TreeOp:
-            object.__setattr__(self, "op", _docs.member(TreeOp, self.op, "tree operator"))
-        if not self.children:
+        object.__setattr__(self, "op", op := _docs.member(TreeOp, self.op, "tree operator"))
+        children = _docs.items(self.children, (TreeLeaf, TreeBranch), f"{op.value} children", "access trees")
+        object.__setattr__(self, "children", children)
+        if not children:
             raise InputFormatError("access tree branch needs at least one child")
-        if not all(isinstance(c, (TreeLeaf, TreeBranch)) for c in self.children):
-            raise InputFormatError(f"access tree branch children {self.children!r} are not all access trees")
         depth = 1 + max((c.depth for c in self.children if isinstance(c, TreeBranch)), default=0)
         if depth > MAX_NESTING:
             raise InputFormatError(f"access tree nests deeper than {MAX_NESTING} levels")
@@ -213,6 +215,15 @@ def _match_leaf(
 
 @dataclass(frozen=True)
 class Policy:
+    """A policy, its fields read as :func:`policy_from_dict` reads them.
+
+    The guards, then AP and PP, are read as :func:`_docs.names` reads an
+    array of names, a guard of None being absent; then `id` as
+    :func:`_docs.text` reads a scalar and `ptype` as an integer. Anything
+    else raises :class:`InputFormatError`, as does a type whose rule the
+    other fields break.
+    """
+
     id: str
     ptype: int
     tree: AccessTree
@@ -222,10 +233,13 @@ class Policy:
     categories: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
-        _refuse_string(self.ap, "AP")
-        _refuse_string(self.pp, "PP")
-        _refuse_string(self.subjects, "subjects", "role names")
-        _refuse_string(self.categories, "categories", "category names")
+        subjects, categories = self.subjects, self.categories
+        object.__setattr__(self, "subjects", None if subjects is None else _docs.names(subjects, '"subject"'))
+        object.__setattr__(self, "categories", None if categories is None else _docs.names(categories, '"category"'))
+        object.__setattr__(self, "ap", _docs.names(self.ap, '"AP"'))
+        object.__setattr__(self, "pp", _docs.names(self.pp, '"PP"'))
+        object.__setattr__(self, "id", _docs.text(self.id, 'policy "id"'))
+        object.__setattr__(self, "ptype", _docs.integer(self.ptype, '"type"'))
         if not isinstance(self.tree, (TreeLeaf, TreeBranch)):
             raise InputFormatError(f"policy {self.id!r}: tree {self.tree!r} is not an access tree")
         if self.ptype not in (1, 2, 3, 4):
@@ -247,9 +261,16 @@ class Policy:
 
 @dataclass(frozen=True)
 class Request:
+    """A request; `subject`, and `category` unless it is None, are read as :func:`_docs.text` reads a scalar."""
+
     subject: str
     category: str | None = None
     query_attrs: Mapping[str, AttrValue] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "subject", _docs.text(self.subject, 'request "subject"'))
+        category = None if self.category is None else _docs.text(self.category, 'request "category"')
+        object.__setattr__(self, "category", category)
 
 
 @dataclass(frozen=True)
@@ -353,8 +374,7 @@ def evaluate_policy(
 
 def _constraint(doc: Any) -> AttrConstraint:
     item, op, value = _docs.entry(doc, 3, "attribute constraint")
-    pred = _docs.member(Predicate, op, "predicate")
-    return AttrConstraint(_docs.text(item, "attribute constraint item"), pred, attr_value_from_json(value))
+    return AttrConstraint(item, op, attr_value_from_json(value))
 
 
 def _partition_from_dict(doc: Any) -> ProvenancePartition:
@@ -365,19 +385,14 @@ def _partition_from_dict(doc: Any) -> ProvenancePartition:
             ref, vtype, name = entry["ref"], entry["type"], entry.get("name")
         except (KeyError, TypeError) as exc:
             raise InputFormatError(f"partition vertex {entry!r} needs ref/type") from exc
-        vertices.append(
-            PatternVertex(
-                ref=_docs.text(ref, 'partition vertex "ref"'),
-                vtype=vertex_type_from_json(vtype),
-                name=None if name is None else _docs.text(name, 'partition vertex "name"'),
-                constraints=tuple(map(_constraint, _docs.array(entry.get("attrs", []), '"attrs"'))),
-            )
-        )
+        constraints = tuple(map(_constraint, _docs.array(entry.get("attrs", []), '"attrs"')))
+        vertices.append(PatternVertex(ref, vtype, name, constraints))
     edges = []
     for entry in _docs.array(doc.get("edges", []), "partition edges"):
-        *ends, label = _docs.entry(entry, 3, "partition edge")
-        edge_label = None if label == "*" else _docs.member(EdgeLabel, label, "edge label")
-        edges.append(PatternEdge(*[_docs.text(end, "partition edge end") for end in ends], edge_label))
+        src, dst, label = _docs.entry(entry, 3, "partition edge")
+        if label is None:  # a document's wildcard is "*": null, a pattern edge's wildcard, labels nothing
+            raise InputFormatError("unknown edge label None")
+        edges.append(PatternEdge(src, dst, None if label == "*" else label))
     return ProvenancePartition(tuple(vertices), tuple(edges))
 
 
@@ -396,24 +411,20 @@ def _decode_condition(doc: Mapping[str, Any]) -> LeafCondition:
         raise InputFormatError(f"condition {doc!r} must have exactly one kind key")
     kind, value = next(iter(doc.items()))
     if kind == "path":
-        return parse_path_pattern(_docs.text(value, "path pattern"))
+        return parse_path_pattern(value)
     if kind == "target":
-        return TargetCondition(_docs.text(value, "target"))
+        return TargetCondition(value)
     if kind == "partition":
         return _partition_from_dict(value)
     if kind == "null":
         return NullCondition()
     if kind == "vertex":
-        vtype, name = _docs.entry(value, 2, "vertex condition")
-        return VertexCondition(vertex_type_from_json(vtype), _docs.text(name, "vertex condition name"))
+        return VertexCondition(*_docs.entry(value, 2, "vertex condition"))
     if kind == "attr":
-        vtype, name, *constraint = _docs.entry(value, 5, "attr condition")
-        c, name = _constraint(constraint), _docs.text(name, "attr condition name")
-        return AttrCondition(vertex_type_from_json(vtype), name, c.item, c.pred, c.operand)
+        vtype, name, item, op, operand = _docs.entry(value, 5, "attr condition")
+        return AttrCondition(vtype, name, item, op, attr_value_from_json(operand))
     if kind == "query":
-        vtype, name, attr, op = _docs.entry(value, 4, "query condition")
-        pred, name = _docs.member(Predicate, op, "predicate"), _docs.text(name, "query condition name")
-        return QueryCondition(vertex_type_from_json(vtype), name, _docs.text(attr, "query attribute"), pred)
+        return QueryCondition(*_docs.entry(value, 4, "query condition"))
     raise InputFormatError(f"unknown condition kind {kind!r}")
 
 
@@ -431,20 +442,15 @@ def _tree_from_dict(doc: Any, leaves: Mapping[str, LeafCondition], depth: int = 
         raise InputFormatError(f"access tree nests deeper than {MAX_NESTING} levels")
     if len(_docs.obj(doc, "access tree node")) != 1:
         raise InputFormatError(f"access tree node {doc!r} must have exactly one operator")
-    op_name, children = next(iter(doc.items()))
-    op = _docs.member(TreeOp, op_name, "tree operator")
-    children = _docs.array(children, f"{op.value} children")
-    return TreeBranch(op, tuple(_tree_from_dict(c, leaves, depth + 1) for c in children))
+    op, children = next(iter(doc.items()))
+    children = _docs.array(children, f"{op} children")
+    return TreeBranch(op, tuple([_tree_from_dict(c, leaves, depth + 1) for c in children]))
 
 
-def _infer_type(subjects: Any, categories: Any, ap: PurposeSet, pp: PurposeSet) -> int:
+def _infer_type(subjects: Any, categories: Any, ap: Any, pp: Any) -> int:
     if subjects is not None or categories is not None:
         return 4
-    if ap and pp:
-        return 3
-    if pp:
-        return 2
-    return 1
+    return 3 if ap and pp else 2 if pp else 1
 
 
 def policy_from_dict(doc: Mapping[str, Any], default_id: str = "policy") -> Policy:
@@ -452,7 +458,9 @@ def policy_from_dict(doc: Mapping[str, Any], default_id: str = "policy") -> Poli
 
     Expected fields: subject, category, provenance_partitions, access_tree,
     AP, PP, plus optional id (a string or number; null is absent) and type.
-    Without an access_tree, the policy's one partition is its tree.
+    Without an access_tree, the policy's one partition is its tree. The
+    fields are read by :class:`Policy`; a null guard is absent, and a null
+    id or type is `default_id` or the type inferred from the fields.
     """
     doc = _docs.obj(doc, "policy document")
     raw_partitions = _docs.obj(doc.get("provenance_partitions", {}), '"provenance_partitions"')
@@ -464,18 +472,11 @@ def policy_from_dict(doc: Mapping[str, Any], default_id: str = "policy") -> Poli
         tree: AccessTree = TreeLeaf(next(iter(leaves.values())))
     else:
         tree = _tree_from_dict(tree_doc, leaves)
-    subjects, categories = (
-        None if doc.get(key) is None else _docs.names(doc[key], f'"{key}"')
-        for key in ("subject", "category")
-    )
-    ap = _docs.names(doc.get("AP", []), '"AP"')
-    pp = _docs.names(doc.get("PP", []), '"PP"')
+    subjects, categories, ap, pp = doc.get("subject"), doc.get("category"), doc.get("AP", []), doc.get("PP", [])
     ptype, pid = doc.get("type"), doc.get("id")
-    if ptype is None:
-        ptype = _infer_type(subjects, categories, ap, pp)
     return Policy(
-        id=default_id if pid is None else _docs.text(pid, 'policy "id"'),
-        ptype=_docs.integer(ptype, '"type"'),
+        id=default_id if pid is None else pid,
+        ptype=_infer_type(subjects, categories, ap, pp) if ptype is None else ptype,
         tree=tree,
         ap=ap,
         pp=pp,
@@ -493,14 +494,10 @@ def request_from_dict(doc: Mapping[str, Any]) -> tuple[Request, PurposeSet | Non
     """
     if "subject" not in _docs.obj(doc, "request document"):
         raise InputFormatError('request document needs a "subject"')
-    category = doc.get("category")
     raw_attrs = doc.get("query_attrs")
     raw_attrs = _docs.obj({} if raw_attrs is None else raw_attrs, '"query_attrs"')
-    request = Request(
-        subject=_docs.text(doc["subject"], 'request "subject"'),
-        category=None if category is None else _docs.text(category, 'request "category"'),
-        query_attrs={str(k): attr_value_from_json(v) for k, v in raw_attrs.items()},
-    )
+    query_attrs = {str(k): attr_value_from_json(v) for k, v in raw_attrs.items()}
+    request = Request(doc["subject"], doc.get("category"), query_attrs)
     attached = doc.get("attached_purposes")
     return request, None if attached is None else _docs.names(attached, '"attached_purposes"')
 

@@ -178,12 +178,13 @@ class ProvenanceGraph:
         stored on a fresh Attribute vertex reached via a ``hasAttributes``
         edge; the main vertex itself gets the shared read-only empty
         payload. The graph keeps a copy of `attrs`, never the caller's
-        mapping. `vtype` is a :class:`VertexType` or its value text, stored
-        as the member. `name` and `vid` are read as the decoder reads them:
-        a string as it is, a number as its text. Anything else raises
-        :class:`InputFormatError`. Drops the :meth:`ids_of` index.
+        mapping. Its fields are read as the decoder reads them: `vtype` as
+        :func:`vertex_type_from_json` reads a type, a member or its text in
+        any case, and `name` and `vid` as :func:`_docs.text` reads a scalar.
+        Anything else raises :class:`InputFormatError`. Drops the
+        :meth:`ids_of` index.
         """
-        vtype, text = _docs.member(VertexType, vtype, "vertex type"), _docs.text
+        vtype, text = vertex_type_from_json(vtype), _docs.text
         name, vid = text(name, 'vertex "name"'), vid if vid is None else text(vid, 'vertex "id"')
         return self._add_vertex(vtype, name, dict(attrs) if attrs else None, vid)
 
@@ -424,8 +425,11 @@ _VERTEX_TYPES = {s: t for t in VertexType for s in (t.value.lower(), t.value, t.
 
 
 def vertex_type_from_json(value: Any) -> VertexType:
-    """Vertex type names are case-insensitive, in graphs and patterns alike."""
-    found = _VERTEX_TYPES.get(value.lower()) if isinstance(value, str) else None
+    """A :class:`VertexType`, or its value text in any case.
+
+    Vertex type names are case-insensitive, in graphs and patterns alike.
+    """
+    found = (_VERTEX_TYPES.get(value) or _VERTEX_TYPES.get(value.lower())) if isinstance(value, str) else None
     if found is None:
         raise InputFormatError(f"unknown vertex type {value!r}")
     return found

@@ -69,13 +69,6 @@ class _BoundedMap(dict[K, V]):
         return value
 
 
-def _refuse_string(s: Any, what: str, names: str = "purpose names") -> Any:
-    """`s` as given, unless it is a string: a set of names is never read as the characters of one name."""
-    if isinstance(s, str):
-        raise InputFormatError(f"{what} must be a collection of {names}, not the string {s!r}")
-    return s
-
-
 def _named(members: Iterable[Any], known: Container[Any]) -> Any:
     """The member not in `known` that an unknown-purpose error names: the least name, else the least other value.
 
@@ -213,8 +206,12 @@ class PurposeGraph:
         return p
 
     def check_members(self, s: Iterable[str]) -> PurposeSet:
-        """Return the members as a set; raise on a string, and on the unknown one that :func:`_named` names."""
-        s = _refuse_string(s, "a purpose set")
+        """Return the members as a set; raise on a string, and on the unknown one that :func:`_named` names.
+
+        A string is not read as the characters of names.
+        """
+        if isinstance(s, str):
+            raise InputFormatError(f"a purpose set must be a collection of purpose names, not the string {s!r}")
         s = tuple(s) if iter(s) is s else s  # a one-shot `s` is copied, so an unknown member can still be named
         try:
             members = frozenset(s)

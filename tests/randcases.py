@@ -146,14 +146,14 @@ def _sample_pattern_vertex(rng: random.Random, ref: str, vertex) -> PatternVerte
 
 
 def random_dag_partition(rng: random.Random, graph: ProvenanceGraph) -> ProvenancePartition:
-    """A 1-5 vertex pattern, most often grown along real edges of the graph.
+    """A pattern of 1-5 vertices, and no more than the graph's main vertices, most often grown along real edges.
 
     Edges are kept, reversed or relabelled, half of them are wildcards, and
     extra edges, parallel ones and the odd self-loop included, join random
     pairs.
     """
-    k = rng.randint(1, 5)
     main = [v.id for v in graph.main_vertices()]
+    k = rng.randint(1, min(5, len(main)))  # a walk never holds more distinct vertices than the graph
     walk = [rng.choice(main)]
     tree: list[tuple[int, int, EdgeLabel | None]] = []  # (src index, dst index, graph label)
     while len(walk) < k:

@@ -135,6 +135,24 @@ def test_malformed_document_is_an_input_error(case):
         assert str(err.value).startswith(f"{what} must be a string or a number")
 
 
+def test_a_branch_decodes_its_children_before_it_reads_its_operator():
+    """The children array is the document's shape, which a loader reads; the branch reads its own operator."""
+    doc = {"provenance_partitions": {"c": {"null": {}}}, "access_tree": {"XOR": "c"}}
+    with pytest.raises(InputFormatError, match="^XOR children must be an array$"):
+        policy_from_dict(doc)
+    with pytest.raises(InputFormatError, match="^unknown tree operator 'XOR'$"):
+        policy_from_dict({**doc, "access_tree": {"XOR": ["c"]}})
+
+
+def test_a_null_edge_label_is_no_wildcard():
+    """A partition document's wildcard is "*"; null, which a pattern edge built in Python reads as one, labels nothing."""
+    doc = _policy_with({"partition": {"vertices": [_ref("u"), _ref("v")], "edges": [["u", "v", None]]}})
+    with pytest.raises(InputFormatError, match="^unknown edge label None$"):
+        policy_from_dict(doc)
+    wildcard = policy_from_dict(_policy_with({"partition": {"vertices": [_ref("u"), _ref("v")], "edges": [["u", "v", "*"]]}}))
+    assert wildcard.tree.condition.edges[0].label is None
+
+
 def test_null_in_an_optional_field_is_absent_and_a_number_keeps_its_text():
     pol = policy_from_dict({**_partition_vertex({**_ref(1), "name": None}), "id": None}, default_id="p0")
     assert pol.id == "p0"

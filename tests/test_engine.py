@@ -306,15 +306,16 @@ def test_attached_purposes_given_as_a_string_fail_the_attached_stage():
 
 @pytest.mark.parametrize("side", ["ap", "pp"])
 def test_a_policy_refuses_a_string_as_its_purposes(side):
-    message = f"^{side.upper()} must be a collection of purpose names, not the string 'ab'$"
+    """A policy reads its purposes as its loader reads them: a string is no array of names."""
+    message = f'^"{side.upper()}" must be an array$'
     with pytest.raises(InputFormatError, match=message):
         Policy("p1", 3, TreeLeaf(NullCondition()), **{side: "ab"})
 
 
-@pytest.mark.parametrize("field, names", [("subjects", "role"), ("categories", "category")])
+@pytest.mark.parametrize("field, names", [("subjects", "subject"), ("categories", "category")])
 def test_a_policy_refuses_a_string_as_its_guard(field, names):
     """A guard given as one string would be read as its letters, or fail a decision with a bare error."""
-    message = f"^{field} must be a collection of {names} names, not the string 'ab'$"
+    message = f'^"{names}" must be an array$'
     with pytest.raises(InputFormatError, match=message):
         Policy("p1", 4, TreeLeaf(NullCondition()), **{field: "ab"})
     assert Policy("p1", 4, TreeLeaf(NullCondition()), **{field: frozenset({"ab"})})
@@ -323,11 +324,36 @@ def test_a_policy_refuses_a_string_as_its_guard(field, names):
 @pytest.mark.parametrize("make", [PartyResult, HierarchicalPurposeSet])
 def test_a_party_result_and_a_hierarchical_set_refuse_a_string_as_their_purposes(make):
     args = ("m",) if make is PartyResult else ()
-    for side, named in (("ap", "allowed"), ("pp", "prohibited")):
-        message = f"^{named} purposes must be a collection of purpose names, not the string 'ab'$"
-        with pytest.raises(InputFormatError, match=message):
+    for side in ("ap", "pp"):
+        with pytest.raises(InputFormatError, match=f'^"{side}" must be an array$'):
             make(*args, **{side: "ab"})
     assert make(*args, ap=["ab"], pp=iter(["a"])) == make(*args, ap=frozenset({"ab"}), pp=frozenset({"a"}))
+
+
+def test_decide_reads_a_one_shot_iterable_of_parties_once(tiny_graph, small_pg):
+    """The name check and the decision read one tuple of the parties, so a generator still runs every party."""
+    parties = [PartyConfig("a", (_null_policy("p1", ap={"mid"}),)), PartyConfig("b", (_null_policy("p2", ap={"mid"}),))]
+    once = decide(DataRecord(tiny_graph), Request("s"), (cfg for cfg in parties), "F3", small_pg)
+    assert [trace.party for trace in once.parties] == ["a", "b"] and once.decided == {"mid"}
+    assert outcome_to_dict(once) == outcome_to_dict(decide(DataRecord(tiny_graph), Request("s"), parties, "F3", small_pg))
+
+
+@pytest.mark.parametrize("parties", [[5], ["owner"], [None], 5])
+def test_decide_refuses_a_party_that_is_not_a_config(tiny_graph, small_pg, parties):
+    """As an empty list is refused: a configuration error, before any stage runs, not a bare AttributeError."""
+    cfg = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),))
+    given = [cfg, *parties] if isinstance(parties, list) else parties
+    with pytest.raises(ConfigurationError, match="^parties must be PartyConfig objects, got "):
+        decide(DataRecord(tiny_graph), Request("s"), given, "F3", small_pg)
+    assert not cfg._plans  # no party was evaluated
+
+
+@pytest.mark.parametrize("expr", [5, None, ["F3"], b"F3"])
+def test_decide_refuses_a_cross_party_expression_that_is_not_a_string(tiny_graph, small_pg, expr):
+    cfg = PartyConfig("owner", (_null_policy("p1", ap={"mid"}),))
+    with pytest.raises(ConfigurationError, match="^the cross-party expression must be a string, got "):
+        decide(DataRecord(tiny_graph), Request("s"), [cfg], expr, small_pg)
+    assert not cfg._plans  # refused before any stage runs
 
 
 def test_stage_labels():
@@ -360,9 +386,9 @@ def test_stage_labels():
 @pytest.mark.parametrize(
     "ap, attached, stage, message",
     [
-        # a party plan names the least unknown name, then other values by type name and repr
-        ({"a", 2, "q"}, None, "policy-evaluation", "policy 'p1' uses purpose 'a' not in the purpose graph"),
-        ({"mid", 2, 1.5}, None, "policy-evaluation", "policy 'p1' uses purpose 1.5 not in the purpose graph"),
+        # a policy refuses a purpose that is no name when it is built, as its loader does
+        ({"a", 2, "q"}, None, None, '"AP" must be an array of strings'),
+        ({"mid", 2, 1.5}, None, None, '"AP" must be an array of strings'),
         # and so does the attached-purpose check
         ({"mid"}, frozenset({1, "x"}), "attached-purpose-intersection", "unknown purpose 'x'"),
         ({"mid"}, frozenset({"mid", 1, None}), "attached-purpose-intersection", "unknown purpose None"),
@@ -371,6 +397,10 @@ def test_stage_labels():
 def test_purpose_sets_of_mixed_types_fail_their_stage_naming_one_member(
     tiny_graph, small_pg, ap, attached, stage, message
 ):
+    if stage is None:
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            _null_policy("p1", ap=ap)
+        return
     cfg = PartyConfig("owner", (_null_policy("p1", ap=ap),))
     with pytest.raises(StageError) as err:
         decide(DataRecord(tiny_graph, attached_purposes=attached), Request("s"), [cfg], "F3", small_pg)

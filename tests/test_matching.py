@@ -526,6 +526,19 @@ def test_partition_search_agrees_with_previous_matcher():
 
 
 
+@pytest.mark.parametrize("size", [1, 2])
+def test_random_dag_partition_returns_on_a_graph_smaller_than_its_largest_pattern(size):
+    """A pattern is drawn no larger than the graph's main vertices, so its walk ends; it once ran on forever."""
+    g = ProvenanceGraph()
+    report = g.add_vertex(VertexType.ARTIFACT, "report", {"k": 1})
+    if size == 2:
+        g.add_edge(report, g.add_vertex(VertexType.PROCESS, "Insert"), EdgeLabel.WAS_GENERATED_BY)
+    for seed in range(50):
+        pattern = random_dag_partition(random.Random(seed), g)
+        assert 1 <= len(pattern.vertices) <= size
+        assert match_partition(pattern, g) is reference_match_partition(pattern, g)
+
+
 def test_partition_search_through_one_memo_agrees_with_previous_matcher():
     """Each graph's patterns, in shuffled order, share one memo, as the leaves of a decision do.
 
@@ -1149,8 +1162,9 @@ def test_pattern_types_and_labels_given_as_text_are_stored_as_members():
     assert vertex.vtype is VertexType.ARTIFACT and vertex == PatternVertex("a", VertexType.ARTIFACT)
     assert (edge.label, edge.text) == (EdgeLabel.WAS_GENERATED_BY, "wasGeneratedBy")
     assert PatternEdge("a", "p").text is None
-    with pytest.raises(InputFormatError, match="^unknown vertex type 'artifact'$"):
-        PatternVertex("a", "artifact")
+    assert PatternVertex("a", "artifact") == vertex  # type texts are case-insensitive, as in every document
+    with pytest.raises(InputFormatError, match="^unknown vertex type 'artefact'$"):
+        PatternVertex("a", "artefact")
     with pytest.raises(InputFormatError, match="^unknown edge label 'generated'$"):
         PatternEdge("a", "p", "generated")
 

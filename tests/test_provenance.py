@@ -231,10 +231,11 @@ def test_add_edge_rejects_anything_but_a_label_or_its_text(label):
 def test_add_vertex_reads_a_type_text_as_its_member_and_rejects_anything_else():
     g = ProvenanceGraph()
     assert g.tau(g.add_vertex("Artifact", "x", {"k": 1})) is VertexType.ARTIFACT
-    for vtype in ("bogus", "artifact", EdgeLabel.USED, None, ["Agent"]):
+    for vtype in ("bogus", EdgeLabel.USED, None, ["Agent"]):
         with pytest.raises(InputFormatError, match=r"^unknown vertex type "):
             g.add_vertex(vtype, "y", vid="y")
-    assert list(g.vertices) == ["v0", "v0:att"] and g.validate().ok
+    assert g.tau(g.add_vertex("artifact", "y", vid="y")) is VertexType.ARTIFACT  # as a document's "type" reads
+    assert list(g.vertices) == ["v0", "v0:att", "y"] and g.validate().ok
 
 
 def test_add_vertex_reads_an_id_or_a_name_given_as_a_number_as_its_text():
