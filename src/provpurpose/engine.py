@@ -135,15 +135,14 @@ class PartyConfig:
     `_shapes` groups the policies by (tree, subjects, categories), trees
     compared by value: each shape's first policy, in order of first
     appearance, each policy's shape index, and each shape's mask of its
-    policies. `_leaves` lists the distinct leaf condition objects of those
-    first policies' trees, in the order the trees match them, and `_groups`
-    maps the identity of each leaf in a group to its group, compiled into a
-    grader (see :func:`~provpurpose.matching.partition_groups`). `_steps` is
-    the leaf pass: each leaf in no group, and each group at its first leaf's
-    place; `_settled` each group step with the shift of its bits in the
-    packed leaf values. `_subjects` lists the
-    subjects their guards name, and `_guarded` derives a request's guard
-    mask. Per purpose graph a plan checks that the party has
+    policies. `_steps` is the leaf pass that
+    :func:`~provpurpose.matching.partition_groups` forms over the distinct
+    leaf condition objects of those first policies' trees, in the order the
+    trees match them: each leaf in no group, and each group, compiled into
+    a grader, at its first leaf's place. `_settled` holds each group step
+    with the shift of its bits in the packed leaf values. `_subjects` lists
+    the subjects their guards name, and `_guarded` derives a request's
+    guard mask. Per purpose graph a plan checks that the party has
     policies, that their ids are distinct and that `pg` holds all their
     purposes, then keeps their (allowed, prohibited) masks under
     ``pg.bits``, which `masks(pg)` returns, and three bounded maps (see
@@ -189,24 +188,9 @@ class PartyConfig:
         return tuple(self.policies[(m & -m).bit_length() - 1] for m in members), shape_of, tuple(members)
 
     @cached_property
-    def _leaves(self) -> tuple[LeafCondition, ...]:
-        found: dict[int, LeafCondition] = {}  # each leaf object once, in the order the shapes' trees match them
-        for rep in self._shapes[0]:
-            for cond in _tree_leaves(rep.tree):
-                found.setdefault(id(cond), cond)
-        return tuple(found.values())
-
-    @cached_property
-    def _groups(self) -> dict[int, _Grader]:
-        return partition_groups(self._leaves)
-
-    @cached_property
     def _steps(self) -> tuple[LeafCondition | _Grader, ...]:
-        groups, steps = self._groups, {}
-        for cond in self._leaves:
-            step = groups.get(id(cond), cond)
-            steps.setdefault(id(step), step)
-        return tuple(steps.values())
+        # each leaf object once, in the order the shapes' trees match them
+        return partition_groups({id(cond): cond for rep in self._shapes[0] for cond in _tree_leaves(rep.tree)}.values())
 
     @cached_property
     def _settled(self) -> tuple[tuple[_Grader, int], ...]:
@@ -340,10 +324,7 @@ def decide(
                 if type(step) is _Grader:
                     leaves = leaves << step.width | match_group(step, graph, memo)
                 else:
-                    value = memo.get(id(step))
-                    if value is None:
-                        value = _match_leaf(step, graph, query_attrs, memo)
-                    leaves = leaves << 2 | value
+                    leaves = leaves << 2 | _match_leaf(step, graph, query_attrs, memo)
             key = mask, leaves  # all the party's guards and trees read
             shaped = plan.outcomes.get(key)
             if shaped is None:

@@ -70,7 +70,8 @@ from .purposes import PurposeGraph, PurposeSet, _BoundedMap
 class PartyResult:
     """One party's allowed and prohibited purposes after policy evaluation.
 
-    Each side is read as :func:`_docs.names` reads a set of names.
+    `party` is read as :func:`_docs.party` reads a name, and each side as
+    :func:`_docs.names` reads a set of names.
     """
 
     party: str
@@ -78,6 +79,7 @@ class PartyResult:
     pp: PurposeSet = frozenset()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "party", _docs.party(self.party))
         object.__setattr__(self, "ap", _docs.names(self.ap, '"ap"'))
         object.__setattr__(self, "pp", _docs.names(self.pp, '"pp"'))
 
@@ -193,7 +195,7 @@ def merge_parties(
 
 def party_result_from_dict(doc: Mapping[str, Any], default_party: str = "party") -> PartyResult:
     doc = _docs.obj(doc, "party result")
-    return PartyResult(_docs.party(doc.get("party", default_party)), doc.get("ap", []), doc.get("pp", []))
+    return PartyResult(doc.get("party", default_party), doc.get("ap", []), doc.get("pp", []))
 
 
 def party_result_to_dict(result: PartyResult) -> dict[str, Any]:

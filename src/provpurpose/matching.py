@@ -59,7 +59,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 from . import _docs
 from ._dagutil import reachable_from
 from .errors import InputFormatError, PatternSyntaxError, SearchLimitError, TypeMismatchError
-from .provenance import AttrValue, EdgeLabel, ProvenanceGraph, VertexType, vertex_type_from_json
+from .provenance import AttrValue, EdgeLabel, ProvenanceGraph, VertexType, _attr_value, vertex_type_from_json
 
 
 class MatchValue(IntEnum):
@@ -158,20 +158,22 @@ def eval_predicate(pred: Predicate, left: AttrValue, right: AttrValue) -> bool:
 class AttrConstraint:
     """An attribute test, ``item pred operand``, with `kind` and `test` derived once for the search.
 
-    `pred` is a :class:`Predicate` or its text, stored as the member, and
-    `item` is read as :func:`_docs.text` reads a scalar. `kind` is the kind
-    of value the operand compares with, or None when none can satisfy the
-    test (an operand of no kind, or ``~`` on a non-string).
+    `pred` is a :class:`Predicate` or its text, stored as the member,
+    `item` is read as :func:`_docs.text` reads a scalar, and `operand` as a
+    decoded attribute value: a str, an int that is not a bool, or a
+    datetime. `kind` is the kind of value the operand compares with, or
+    None when none can satisfy the test (``~`` on a non-string).
     """
 
     item: str
     pred: Predicate
     operand: AttrValue
-    kind: str | None = field(init=False, repr=False)  # compared, so 1 and True (which never holds) differ
+    kind: str | None = field(init=False, compare=False, repr=False)
     test: Callable[[Any, Any], bool] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        pred, kind = _docs.member(Predicate, self.pred, "predicate"), _kind(self.operand)
+        kind = _kind(_attr_value(self.operand))  # read first, as the loader decodes it first
+        pred = _docs.member(Predicate, self.pred, "predicate")
         object.__setattr__(self, "pred", pred)
         object.__setattr__(self, "item", _docs.text(self.item, "attribute constraint item"))
         object.__setattr__(self, "kind", None if pred is Predicate.CONTAINS and kind != "str" else kind)
@@ -233,10 +235,6 @@ class _Placement(NamedTuple):
     vertex: PatternVertex
     anchor: PatternEdge | None  # draws the candidates; None for the first vertex
     checks: tuple[PatternEdge, ...]
-
-
-#: An embedding as the payloads of its vertices, in plan order, each keyed by (item, kind).
-_Row = list[dict[tuple[str, str], AttrValue]]
 
 
 @dataclass(frozen=True)
@@ -452,34 +450,18 @@ def _find_embedding(partition: ProvenancePartition, graph: ProvenanceGraph) -> b
     return _search(partition, graph, None)
 
 
-def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> list[_Row] | None:
-    """Every embedding, as the payloads of its vertices; None when they take too many steps.
+def _all_embeddings(partition: ProvenancePartition, graph: ProvenanceGraph) -> list[list[Mapping[str, AttrValue]]] | None:
+    """Every embedding, as the payloads of its vertices in plan order; None when they take too many steps.
 
-    Each vertex's payload is read once, in place by
-    :meth:`ProvenanceGraph._payload`, into a dict of each value of a kind
-    (see :func:`_kind`) under its (item, kind); a value of no kind is left
-    out, as no constraint holds on it.
+    Each vertex's payload is read once, in place by :meth:`ProvenanceGraph._payload`.
     """
     found: list[tuple[str, ...]] = []
     try:
         _search(partition, graph, found)
     except SearchLimitError:
         return None
-    typed: dict[str, dict[tuple[str, str], AttrValue]] = {}
-    rows = []
-    for embedding in found:
-        row = []
-        for vid in embedding:
-            values = typed.get(vid)
-            if values is None:
-                values = typed[vid] = {
-                    (item, kind): value
-                    for item, value in graph._payload(vid).items()
-                    if (kind := _kind(value)) is not None
-                }
-            row.append(values)
-        rows.append(row)
-    return rows
+    payloads = {vid: graph._payload(vid) for vid in set().union(*found)}
+    return [[payloads[vid] for vid in embedding] for embedding in found]
 
 
 #: For each ordered test, how its family finds the members holding on a value
@@ -497,9 +479,11 @@ class _Grader:
     """A group of constrained partitions sharing the coarser partition `below`, compiled to grade them in one pass.
 
     Bit i of a mask stands for member i. Their constraints form families,
-    one per (place, (item, kind), test, j): the place of the constrained
+    one per (place, item, kind, test, j): the place of the constrained
     vertex in `below`'s plan, which an embedding's row follows, and j
-    counting that key's repeats in one partition. `free` is the members
+    counting that key's repeats in one partition. A family reads an item's
+    value only where it is of the family's kind, as :func:`_holding`
+    checks it in the search. `free` is the members
     with no check in a family. An ordered test's family keeps its operands
     sorted, with the prefix or suffix ORs of their bits, so one bisection
     of a value gives the members it holds; ``=``, ``!=`` and ``~`` try each
@@ -522,32 +506,32 @@ class _Grader:
                     if c.kind is None:
                         every &= ~(1 << i)
                         continue
-                    key = place[v.ref], (c.item, c.kind), c.test
+                    key = place[v.ref], c.item, c.kind, c.test
                     j = seen[key] = seen.get(key, -1) + 1
                     checks.setdefault((*key, j), []).append((c.operand, 1 << i))
         families = []
-        for (at, key, test, _), entries in checks.items():
+        for (at, item, kind, test, _), entries in checks.items():
             free = every & ~sum([bit for _, bit in entries])
             ordered = _ORDERED.get(test)
             if ordered is None:
-                families.append((at, key, free, test, tuple(entries), None))
+                families.append((at, item, kind, free, test, tuple(entries), None))
                 continue
             find, suffix = ordered
             entries.sort(key=itemgetter(0))
             masks = [0]
             for _, bit in reversed(entries) if suffix else entries:
                 masks.append(masks[-1] | bit)
-            families.append((at, key, free, find, [op for op, _ in entries], tuple(masks[::-1] if suffix else masks)))
+            families.append((at, item, kind, free, find, [op for op, _ in entries], tuple(masks[::-1] if suffix else masks)))
         self.every, self.families = every, tuple(families)
 
-    def held(self, rows: list[_Row]) -> int:
-        """The mask of the members that some embedding in `rows` holds."""
+    def held(self, rows: list[list[Mapping[str, AttrValue]]]) -> int:
+        """The mask of the members that some embedding in `rows`, as :func:`_all_embeddings` gives them, holds."""
         every, families, found = self.every, self.families, 0
         for row in rows:
             ok = every
-            for at, key, free, find, operands, masks in families:
-                value = row[at].get(key)
-                if value is not None:
+            for at, item, kind, free, find, operands, masks in families:
+                value = row[at].get(item)
+                if _kind(value) == kind:
                     if masks is None:  # find is the test, tried on each (operand, bit)
                         for operand, bit in operands:
                             if find(value, operand):
@@ -631,20 +615,25 @@ def match_group(group: _Grader, graph: ProvenanceGraph, memo: LeafMemo) -> int:
     return group.held(rows) << 2 | _below(group.members[0], graph, memo)
 
 
-def partition_groups(leaves: Iterable[Any]) -> dict[int, _Grader]:
-    """Each grouped leaf's identity, mapped to its group compiled for :func:`match_group`.
+def partition_groups(leaves: Iterable[Any]) -> tuple[Any, ...]:
+    """The leaf pass over distinct `leaves`: each leaf in no group, and each group, compiled for :func:`match_group`.
 
     A group is the constrained partitions among `leaves` that share one
     coarser partition, at level NAMES, in leaf order, where there are two
-    or more. A coarser partition that drops names would lose the name
-    index, and could have an embedding for every vertex of a type.
+    or more; it takes its first member's place in the pass. A coarser
+    partition that drops names would lose the name index, and could have
+    an embedding for every vertex of a type.
     """
-    by_coarser: dict[int, list[ProvenancePartition]] = {}
+    leaves, by_coarser = tuple(leaves), {}
     for leaf in leaves:
         if isinstance(leaf, ProvenancePartition) and any(v.constraints for v in leaf.vertices):
             by_coarser.setdefault(id(leaf.coarser[0]), []).append(leaf)
     graders = [_Grader(tuple(members)) for members in by_coarser.values() if len(members) > 1]
-    return {id(p): group for group in graders for p in group.members}
+    group_of, steps = {id(p): group for group in graders for p in group.members}, {}
+    for leaf in leaves:
+        step = group_of.get(id(leaf), leaf)
+        steps.setdefault(id(step), step)  # a group once, at its first member's place
+    return tuple(steps.values())
 
 
 def _value(partition: ProvenancePartition, graph: ProvenanceGraph, memo: LeafMemo) -> MatchValue:
@@ -888,6 +877,7 @@ class AttrCondition:
     operand: AttrValue
 
     def __post_init__(self) -> None:
+        _attr_value(self.operand)  # as its constraint reads it, first, as the loader decodes it first
         object.__setattr__(self, "pred", _docs.member(Predicate, self.pred, "predicate"))
         object.__setattr__(self, "item", _docs.text(self.item, "attribute constraint item"))
         object.__setattr__(self, "name", _docs.text(self.name, "attr condition name"))

@@ -68,7 +68,7 @@ from .matching import (
     match_path,
     parse_path_pattern,
 )
-from .provenance import AttrValue, ProvenanceGraph, attr_value_from_json
+from .provenance import AttrValue, ProvenanceGraph, _attr_value, attr_value_from_json
 from .purposes import PurposeSet
 
 LeafCondition = Union[ProvenancePartition, PathPattern, AtomicCondition]
@@ -158,7 +158,7 @@ def eval_access_tree(
     A branch over leaves alone whose leaves are all in `memo` is folded by
     one call (:attr:`TreeBranch.leaf_fold`); any other runs its compiled
     :attr:`TreeBranch.program` in :func:`algebra._run`, with no recursion,
-    reading each leaf from `memo` or matching it. Each leaf condition
+    reading each leaf through :func:`_match_leaf`. Each leaf condition
     object is evaluated once per `memo`, in the tree's left-to-right order;
     a call without one gets a fresh memo, which also holds the coarser
     partitions matched for the leaves' lower levels. A memo is only valid
@@ -168,9 +168,7 @@ def eval_access_tree(
     if memo is None:
         memo = {}
     if isinstance(tree, TreeLeaf):
-        cond = tree.condition
-        value = memo.get(id(cond))
-        return _match_leaf(cond, graph, query_attrs, memo) if value is None else value
+        return _match_leaf(tree.condition, graph, query_attrs, memo)
     flat = tree.leaf_fold
     if flat is not None:
         combine, keys = flat
@@ -178,12 +176,7 @@ def eval_access_tree(
             return combine(map(memo.__getitem__, keys))
         except KeyError:
             pass  # a leaf not matched yet: the program matches them in order
-
-    def load(cond: LeafCondition) -> MatchValue:
-        value = memo.get(id(cond))
-        return _match_leaf(cond, graph, query_attrs, memo) if value is None else value
-
-    return _run(tree.program, load)
+    return _run(tree.program, lambda cond: _match_leaf(cond, graph, query_attrs, memo))
 
 
 def _tree_leaves(tree: AccessTree) -> tuple[LeafCondition, ...]:
@@ -196,11 +189,15 @@ def _tree_leaves(tree: AccessTree) -> tuple[LeafCondition, ...]:
 def _match_leaf(
     cond: LeafCondition, graph: ProvenanceGraph, query_attrs: Mapping[str, AttrValue] | None, memo: LeafMemo
 ) -> MatchValue:
-    """Match one leaf and record its value in `memo`.
+    """One leaf's value in `memo`, matched and recorded there if it is not yet.
 
-    The matchers are this module's globals, looked up on every call, so a
-    rebound matcher takes effect at once.
+    The one reader of a leaf's memo entry. The matchers are this module's
+    globals, looked up on every call, so a rebound matcher takes effect at
+    once.
     """
+    value = memo.get(id(cond))
+    if value is not None:
+        return value
     if isinstance(cond, ProvenancePartition):
         value = match_partition(cond, graph, memo)
     elif isinstance(cond, PathPattern):
@@ -261,7 +258,13 @@ class Policy:
 
 @dataclass(frozen=True)
 class Request:
-    """A request; `subject`, and `category` unless it is None, are read as :func:`_docs.text` reads a scalar."""
+    """A request; `subject`, and `category` unless it is None, are read as :func:`_docs.text` reads a scalar.
+
+    `query_attrs` is a mapping, stored as a fresh dict: each name is read as
+    :func:`_docs.text` reads a query condition's attribute, and each value
+    as a decoded attribute value (a str, an int that is not a bool, or a
+    datetime).
+    """
 
     subject: str
     category: str | None = None
@@ -271,6 +274,8 @@ class Request:
         object.__setattr__(self, "subject", _docs.text(self.subject, 'request "subject"'))
         category = None if self.category is None else _docs.text(self.category, 'request "category"')
         object.__setattr__(self, "category", category)
+        attrs = _docs.obj(self.query_attrs, '"query_attrs"').items()
+        object.__setattr__(self, "query_attrs", {_docs.text(k, "query attribute"): _attr_value(v) for k, v in attrs})
 
 
 @dataclass(frozen=True)
@@ -496,8 +501,7 @@ def request_from_dict(doc: Mapping[str, Any]) -> tuple[Request, PurposeSet | Non
         raise InputFormatError('request document needs a "subject"')
     raw_attrs = doc.get("query_attrs")
     raw_attrs = _docs.obj({} if raw_attrs is None else raw_attrs, '"query_attrs"')
-    query_attrs = {str(k): attr_value_from_json(v) for k, v in raw_attrs.items()}
-    request = Request(doc["subject"], doc.get("category"), query_attrs)
+    request = Request(doc["subject"], doc.get("category"), {k: attr_value_from_json(v) for k, v in raw_attrs.items()})
     attached = doc.get("attached_purposes")
     return request, None if attached is None else _docs.names(attached, '"attached_purposes"')
 

@@ -414,6 +414,19 @@ def attr_value_from_json(value: Any) -> AttrValue:
     raise InputFormatError(f"unsupported attribute value {value!r}")
 
 
+def _attr_value(value: Any) -> AttrValue:
+    """A decoded attribute value: a str, an int that is not a bool, or a datetime.
+
+    Anything else is refused in :func:`attr_value_from_json`'s words; an
+    object, which JSON spells a timestamp or a location with, is no decoded value.
+    """
+    if isinstance(value, (str, int, datetime)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, dict):
+        raise InputFormatError(f"unsupported attribute value {value!r}")
+    return attr_value_from_json(value)  # refuses it
+
+
 def attrs_from_json(raw: Any) -> AttributeSet:
     if raw is None:
         return {}

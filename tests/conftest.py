@@ -20,6 +20,7 @@ from provpurpose import (
     load_graph,
     load_purpose_graph,
 )
+from provpurpose.matching import _Grader
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CASE_STUDY = FIXTURES / "case_study"
@@ -111,6 +112,11 @@ def coarser_plan_case() -> tuple[ProvenanceGraph, ProvenancePartition, Provenanc
         )
 
     return g, constrained("a"), constrained("c")
+
+
+def party_groups(cfg) -> dict:
+    """Each grouped leaf's identity in a party's leaf pass, mapped to the grader of its group."""
+    return {id(p): step for step in cfg._steps if type(step) is _Grader for p in step.members}
 
 
 def cycle_partition_doc(k: int) -> dict:

@@ -269,8 +269,9 @@ def skeleton_family(rng: random.Random, graph: ProvenanceGraph) -> list[Provenan
     return family
 
 
-#: Attribute values and operands of every kind, with values of none: `True`
-#: is not 1, a float has no kind, and the last two timestamps are one instant.
+#: Attribute values of every kind, with values of none: `True` is not 1, a
+#: float has no kind, and the last two timestamps are one instant. The
+#: operands are the values of a kind, the only ones a constraint takes.
 GRADED_VALUES = (
     0, 1, 2,
     "", "a", "ab", "b",
@@ -279,6 +280,7 @@ GRADED_VALUES = (
     datetime(2020, 1, 2, 1, tzinfo=timezone(timedelta(hours=1))),
     True, 1.5,
 )
+GRADED_OPERANDS = GRADED_VALUES[:-2]
 
 
 def graded_group(rng: random.Random) -> tuple[ProvenanceGraph, tuple[ProvenancePartition, ...]]:
@@ -289,7 +291,7 @@ def graded_group(rng: random.Random) -> tuple[ProvenanceGraph, tuple[ProvenanceP
     artifacts needs injectivity. The graph holds 1-4 such artifacts and 1-2
     such processes, whose payloads draw items "k" and "s" from
     `GRADED_VALUES`. Each partition draws 0-3 constraints per vertex, on
-    either item, under any predicate, with any operand, at least one in
+    either item, under any predicate, with any of `GRADED_OPERANDS`, at least one in
     all; a third of them repeat an item on one vertex. The partitions share
     one coarser partition, so they form one group.
     """
@@ -310,7 +312,7 @@ def graded_group(rng: random.Random) -> tuple[ProvenanceGraph, tuple[ProvenanceP
         edges = ()
 
     def constraint(item: str) -> AttrConstraint:
-        return AttrConstraint(item, rng.choice(list(Predicate)), rng.choice(GRADED_VALUES))
+        return AttrConstraint(item, rng.choice(list(Predicate)), rng.choice(GRADED_OPERANDS))
 
     group = []
     for _ in range(rng.randint(2, 12)):

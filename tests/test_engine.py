@@ -68,7 +68,7 @@ from provpurpose import external as external_module, matching
 from provpurpose.algebra import MAX_NESTING
 from provpurpose.external import _party_program
 from provpurpose.purposes import _BoundedMap
-from conftest import CASE_STUDY, coarser_plan_case
+from conftest import CASE_STUDY, coarser_plan_case, party_groups
 from oracles import oracle_decide
 from randcases import (
     _RANKED_EXTERNAL_FUNCTIONS,
@@ -1328,7 +1328,7 @@ def test_skeleton_families_in_parties_decide_as_the_oracle_and_as_each_leaf_alon
             fresh = decided_by(alone_configs)
         assert outcome_to_dict(warm) == outcome_to_dict(fresh)
         assert [set(cfg._plan(pg).outcomes) for cfg in alone_configs] == [set(cfg._plan(pg).outcomes) for cfg in configs]
-        largest.append(max((len(group.members) for cfg in configs for group in cfg._groups.values()), default=0))
+        largest.append(max((len(group.members) for cfg in configs for group in party_groups(cfg).values()), default=0))
 
     check()
     assert max(largest) >= 4 and sum(n >= 2 for n in largest) > 100
@@ -1361,7 +1361,7 @@ def test_groups_change_no_decision_and_no_fault_at_a_small_step_budget(monkeypat
             configs = [PartyConfig(name, policies) for name, policies, _ in case.parties]
             with monkeypatch.context() as m:
                 if not grouped:
-                    m.setattr(engine, "partition_groups", lambda leaves: {})
+                    m.setattr(engine, "partition_groups", tuple)
                 try:
                     return outcome_to_dict(decide(record, Request(case.subject), configs, case.external, pg))
                 except StageError as err:
@@ -1423,7 +1423,7 @@ def test_a_group_whose_enumeration_takes_too_many_steps_faults_in_the_same_searc
         return PartyConfig(name, tuple(Policy(f"q{i}", 1, TreeLeaf(p), ap={"mid"}) for i, p in enumerate(parts)))
 
     first, second = party("first", (one, five, nine)), party("second", (three, top))
-    assert [len(group.members) for cfg in (first, second) for group in cfg._groups.values()] == [3, 3, 3, 2, 2]
+    assert [len(group.members) for cfg in (first, second) for group in party_groups(cfg).values()] == [3, 3, 3, 2, 2]
     runs = []  # each search and enumeration, in order
     find, enumerate_all = matching._find_embedding, matching._all_embeddings
     monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: runs.append(("search", p)) or find(p, graph))
@@ -1515,6 +1515,44 @@ def test_every_seed_0_rows_f3_decision_takes_2_searches_1_enumeration_and_1_grad
         assert not any(v.constraints for kind, p in runs if kind == "search" for v in p.vertices)
 
 
+#: What one pass over every seed-0 record of each benchmark workload does, first and warm alike.
+PASS_WORK = {
+    "rows_f3": {"search": 400, "enumerate": 200, "grade": 800, "eval_atomic": 200},
+    "deep_lineage": {"search": 1152, "match_path": 208, "eval_atomic": 520},
+    "party_algebra": {"search": 120, "eval_atomic": 240},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PASS_WORK))
+def test_a_seed_0_pass_over_a_workload_does_the_pinned_matching_work(workload, monkeypatch):
+    """Counts, not timings, pin each workload's leaf layer: searches, enumerations, gradings, path walks, atomic evaluations.
+
+    A warm pass, whose plans answer every key met before, does the first
+    pass's work, since each decision matches its leaves before it reads a
+    key. Guard checks are not counted: a plan keeps each guard mask it
+    derives, so a warm pass runs fewer of them, or none.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "decidebench"))
+    import workloads
+
+    loaded = workloads.load(workloads.WORKLOADS[workload](0))
+    runs = Counter()
+    find, enumerate_all, held = matching._find_embedding, matching._all_embeddings, matching._Grader.held
+    path, atomic = policy.match_path, policy.eval_atomic
+    monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: runs.update(["search"]) or find(p, graph))
+    monkeypatch.setattr(matching, "_all_embeddings", lambda p, graph: runs.update(["enumerate"]) or enumerate_all(p, graph))
+    monkeypatch.setattr(matching._Grader, "held", lambda group, rows: runs.update(["grade"]) or held(group, rows))
+    monkeypatch.setattr(policy, "match_path", lambda *args: runs.update(["match_path"]) or path(*args))
+    monkeypatch.setattr(policy, "eval_atomic", lambda *args: runs.update(["eval_atomic"]) or atomic(*args))
+    passes = []
+    for _ in range(2):
+        runs.clear()
+        for record, request in zip(loaded.records, loaded.requests):
+            decide(record, request, loaded.parties, loaded.external, loaded.pg, loaded.role_order)
+        passes.append(dict(runs))
+    assert passes == [PASS_WORK[workload]] * 2
+
+
 @pytest.mark.parametrize("floors, held", [((1, 2, 3), 0b111), ((1, 9, 3), 0b101), ((7, 8, 9), 0)])
 def test_a_group_graded_and_a_group_matched_alone_pack_one_key(floors, held, tiny_graph, monkeypatch):
     """The report has size 4, so the partitions asking for ``size > floor`` hold where the floor is under 4.
@@ -1566,7 +1604,7 @@ def test_a_party_holding_a_grouped_partition_alone_searches_it_once_the_groups_k
     grouped = tuple(Policy(f"g{i}", 1, TreeLeaf(p), ap={"a"}) for i, p in enumerate(parts))
     lone = (Policy("l0", 1, TreeLeaf(parts[1]), ap={"b"}), Policy("l1", 1, TreeLeaf(conds[2]), ap={"a", "b"}))
     configs = [PartyConfig("grouped", grouped), PartyConfig("lone", lone)]
-    assert len(configs[0]._groups) == 3 and configs[1]._groups == {}
+    assert len(party_groups(configs[0])) == 3 and party_groups(configs[1]) == {}
     searched = []
     find = matching._find_embedding
     monkeypatch.setattr(matching, "_find_embedding", lambda p, graph: searched.append(p) or find(p, graph))

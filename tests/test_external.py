@@ -160,7 +160,7 @@ def test_bare_name_folds_left_to_right():
     c = _pr("c", ap={"y"}, pp=set())
     step1 = apply_external(ExternalFunction.F3, a, b)
     folded = apply_external(
-        ExternalFunction.F3, PartyResult("", step1, frozenset()), c
+        ExternalFunction.F3, PartyResult("F3(a, b)", step1, frozenset()), c
     )
     assert merge_parties([a, b, c], "F3") == folded
     assert merge_parties([a, b, c], "F3(F3(a, b), c)") == folded
@@ -255,7 +255,7 @@ def test_nested_function_calls(algebra_dag):
     c = _pr("c", ap={"high1"}, pp=set())
     inner = apply_external(ExternalFunction.F1, a, b)
     outer = apply_external(
-        ExternalFunction.F3, PartyResult("", inner, frozenset()), c
+        ExternalFunction.F3, PartyResult("F1(a, b)", inner, frozenset()), c
     )
     assert merge_parties([a, b, c], "F3(F1(a, b), c)") == outer
 

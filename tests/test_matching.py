@@ -3,6 +3,7 @@
 import random
 import re
 from datetime import datetime, timezone
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +49,7 @@ from provpurpose import (
     parse_target,
 )
 from provpurpose import matching
-from conftest import coarser_plan_case, complete_dag_doc, cycle_partition_doc
+from conftest import coarser_plan_case, complete_dag_doc, cycle_partition_doc, party_groups
 from oracles import (
     oracle_match_partition,
     oracle_match_path,
@@ -210,7 +211,8 @@ def test_constraints_read_the_payloads_in_place_as_attributes_of_merges_them():
                 return False
         return True
 
-    operands = (0, 1, 3, 5, 6, "a", "b", "ab", datetime(2020, 1, 1), datetime(2021, 1, 1), True)
+    # `~` over an int or a timestamp is the test of no kind, which holds nowhere
+    operands = (0, 1, 3, 5, 6, "a", "b", "ab", datetime(2020, 1, 1), datetime(2021, 1, 1))
     constraints = [
         AttrConstraint(item, pred, operand)
         for item in ("n", "s", "t", "missing") for pred in Predicate for operand in operands
@@ -491,12 +493,14 @@ def test_query_condition_uses_request_attrs(tiny_graph):
     cond = QueryCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ)
     assert eval_atomic(cond, tiny_graph, {"size": 10}) is MatchValue.FULL
     assert eval_atomic(cond, tiny_graph, {"size": 1}) is MatchValue.NAMES
-    assert eval_atomic(cond, tiny_graph, {"size": [10]}) is MatchValue.NAMES  # no value of its kind
+    assert eval_atomic(cond, tiny_graph, {"size": "10"}) is MatchValue.NAMES  # no value of its kind
     assert eval_atomic(cond, tiny_graph, {}) is MatchValue.NONE
     assert eval_atomic(cond, tiny_graph, None) is MatchValue.NONE
-    # a condition's own partition is interned, so its operand must be hashable
-    with pytest.raises(TypeError):
-        AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ, [10]).partition
+    # a request attribute and an operand are decoded values: a list is neither, refused as the loader refuses it
+    with pytest.raises(InputFormatError, match=r"^unsupported attribute value \[10\]$"):
+        eval_atomic(cond, tiny_graph, {"size": [10]})
+    with pytest.raises(InputFormatError, match=r"^unsupported attribute value \[10\]$"):
+        AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.LEQ, [10])
 
 
 @settings(max_examples=100, deadline=None)
@@ -719,21 +723,30 @@ def test_coarser_drops_constraints_then_names_and_equal_coarsers_are_one_object(
 
 
 def test_an_operand_that_never_holds_is_not_equal_to_one_that_can(tiny_graph):
-    """``True == 1``, but only a test against 1 can hold, so the two are different patterns."""
-    assert AttrConstraint("size", Predicate.EQ, True) != AttrConstraint("size", Predicate.EQ, 1)
-    one, true = (AttrCondition(VertexType.ARTIFACT, "report", "size", Predicate.GEQ, v) for v in (1, True))
-    assert one.partition is not true.partition
-    assert [eval_atomic(c, tiny_graph) for c in (one, true)] == [MatchValue.FULL, MatchValue.NAMES]
+    """``~`` over an int never holds, and is a different pattern from a test against the int that can.
+
+    An operand of no kind, such as `True` or `1.5`, is refused at
+    construction, in the words the loader refuses its document form in.
+    """
+    assert AttrConstraint("size", Predicate.CONTAINS, 1).kind is None and AttrConstraint("size", Predicate.GEQ, 1).kind
+    one, never = (AttrCondition(VertexType.ARTIFACT, "report", "size", p, 1) for p in (Predicate.GEQ, Predicate.CONTAINS))
+    assert one.partition is not never.partition
+    assert [eval_atomic(c, tiny_graph) for c in (one, never)] == [MatchValue.FULL, MatchValue.NAMES]
+    for operand, words in ((True, "boolean attribute values are not supported"), (1.5, "unsupported attribute value 1.5")):
+        for make in (partial(AttrConstraint, "size", Predicate.GEQ), partial(AttrCondition, "artifact", "report", "size", ">=")):
+            with pytest.raises(InputFormatError) as err:
+                make(operand)
+            assert str(err.value) == words
 
 
 def test_a_value_or_operand_of_no_kind_never_holds_when_graded():
-    """`True` has no kind: a constraint on it, or one that reads it, holds nowhere, searched or graded."""
+    """A stored `True` has no kind, nor has ``~`` over an int: a constraint that reads either holds nowhere, searched or graded."""
     g = ProvenanceGraph()
     g.add_vertex(VertexType.ARTIFACT, "report", {"flag": True, "n": 1})
-    EQ = Predicate.EQ
+    EQ, CONTAINS = Predicate.EQ, Predicate.CONTAINS
     parts = tuple(
-        ProvenancePartition((PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint(item, EQ, v),)),))
-        for item, v in (("n", 1), ("flag", True), ("n", True), ("flag", 1))
+        ProvenancePartition((PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint(item, p, v),)),))
+        for item, p, v in (("n", EQ, 1), ("flag", CONTAINS, 1), ("n", CONTAINS, 1), ("flag", EQ, 1))
     )
     memo = {}
     # one pass grades them all against the report's one embedding
@@ -789,8 +802,8 @@ def test_a_group_of_one_skeleton_enumerates_its_coarser_once(tiny_graph, monkeyp
     coarser = parts[0].coarser[0]
     assert all(p.coarser[0] is coarser for p in parts) and leaf is coarser
     assert searched == [] and enumerated == [coarser]
-    # the one embedding, as the payloads of the report and the ingest process, each value under its item and kind
-    embedding = [{("size", "int"): 4, ("fmt", "str"): "pdf"}, {}]
+    # the one embedding, as the payloads of the report and the ingest process that the graph shows
+    embedding = [{"size": 4, "fmt": "pdf"}, {}]
     assert memo == {id(coarser): MatchValue.FULL, -id(coarser): [embedding], **{id(p): MatchValue.NAMES for p in parts}}
     # without that memo, match_partition searches the partition, and reads the coarser's value or else searches it
     assert match_partition(parts[2], tiny_graph, {id(coarser): MatchValue.FULL}) is MatchValue.NAMES
@@ -842,7 +855,7 @@ def test_the_grader_gives_every_partition_of_a_group_the_value_search_gives():
         assert packed >> 2 == sum(1 << i for i, v in enumerate(got) if v is MatchValue.FULL)
         constraints = [c for p in group for v in p.vertices for c in v.constraints]
         seen["predicates"].update(c.pred for c in constraints)
-        seen["operands"].update(matching._kind(c.operand) or type(c.operand).__name__ for c in constraints)
+        seen["operands"].update(matching._kind(c.operand) if c.kind else "of no kind" for c in constraints)
         seen["values"].update(
             matching._kind(value) or type(value).__name__ for vid in g.vertices for value in g.attributes_of(vid).values()
         )
@@ -854,7 +867,8 @@ def test_the_grader_gives_every_partition_of_a_group_the_value_search_gives():
 
     check()
     kinds = {"int", "str", "naive timestamp", "aware timestamp", "bool", "float"}
-    assert seen["predicates"] == set(Predicate) and seen["operands"] == kinds and seen["values"] == kinds
+    operands = {"int", "str", "naive timestamp", "aware timestamp", "of no kind"}  # `~` over a non-string
+    assert seen["predicates"] == set(Predicate) and seen["operands"] == operands and seen["values"] == kinds
     assert seen["embeddings"] == {0, 1, 2, 3} and {MatchValue.FULL, MatchValue.NAMES} <= seen["held"]
     assert any(repeated)
 
@@ -899,7 +913,7 @@ def test_families_of_one_skeleton_through_one_memo_agree_with_each_alone_and_the
         family = skeleton_family(rng, g)
         rng.shuffle(family)
         cfg = PartyConfig("party", tuple(Policy(f"q{i}", 1, TreeLeaf(p)) for i, p in enumerate(family)))
-        groups = cfg._groups
+        groups = party_groups(cfg)
         memo, before = {}, len(enumerated)
         for p in family:
             got = memo.get(id(p))
@@ -1146,6 +1160,44 @@ def test_a_search_over_the_step_budget_raises(monkeypatch):
     monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", 4)
     with pytest.raises(SearchLimitError, match="after 4 steps"):
         match_partition(part, g)
+
+
+@pytest.mark.parametrize("order, steps", [(("a", "b"), 3), (("b", "a"), 5)])
+def test_near_the_step_budget_the_graphs_listing_order_decides_which_input_gives_up(order, steps, monkeypatch):
+    """Process "run" used artifacts a and b, and a was derived from b: one embedding of the pattern.
+
+    The pattern's plan places the process, then x, then y, whose candidates
+    are run's used artifacts in the order the graph lists its edges. Listed
+    a first, x = a and y = b hold in 3 steps; listed b first, x = b fails
+    its check with y = a, and the search takes 5. So at a budget of 3 or 4
+    only the second listing gives up. A value never differs: both are FULL
+    within their budgets.
+    """
+    g = ProvenanceGraph()
+    run = g.add_vertex(VertexType.PROCESS, "run")
+    made = {name: g.add_vertex(VertexType.ARTIFACT, name) for name in ("a", "b")}
+    g.add_edge(made["a"], made["b"], EdgeLabel.WAS_DERIVED_FROM)
+    for name in order:
+        g.add_edge(run, made[name], EdgeLabel.USED)
+    part = ProvenancePartition(
+        (
+            PatternVertex("p", VertexType.PROCESS, "run"),
+            PatternVertex("x", VertexType.ARTIFACT),
+            PatternVertex("y", VertexType.ARTIFACT),
+        ),
+        (
+            PatternEdge("p", "x", EdgeLabel.USED),
+            PatternEdge("p", "y", EdgeLabel.USED),
+            PatternEdge("x", "y", EdgeLabel.WAS_DERIVED_FROM),
+        ),
+    )
+    for budget in range(1, 6):
+        monkeypatch.setattr(matching, "MAX_SEARCH_STEPS", budget)
+        if budget < steps:
+            with pytest.raises(SearchLimitError, match=f"after {budget} steps"):
+                match_partition(part, g)
+        else:
+            assert match_partition(part, g) is MatchValue.FULL
 
 
 def test_a_cycle_pattern_over_a_complete_dag_raises_instead_of_running_on():

@@ -27,7 +27,7 @@ LOADERS = {
 }
 
 # The field readers a constructor calls; `_docs.names` is one as well.
-READERS = {"text", "member", "integer"}
+READERS = {"text", "member", "integer", "party"}
 # Name sets that no constructor owns, which a loader reads itself.
 UNOWNED_NAMES = {'"attached_purposes"'}
 

@@ -17,7 +17,9 @@ also be the loader's, word for word.
 """
 
 import json
+import math
 import tempfile
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -99,7 +101,9 @@ def _python_inputs(field, value):
 
     vertex = PatternVertex(
         at("PatternVertex.ref", "a"), at("PatternVertex.vtype", "Artifact"), at("PatternVertex.name", "report"),
-        at("PatternVertex.constraints", (AttrConstraint(at("AttrConstraint.item", "n"), at("AttrConstraint.pred", ">"), 5),)),
+        at("PatternVertex.constraints", (
+            AttrConstraint(at("AttrConstraint.item", "n"), at("AttrConstraint.pred", ">"), at("AttrConstraint.operand", 5)),
+        )),
     )
     edge = PatternEdge(at("PatternEdge.src", "a"), at("PatternEdge.dst", "p"), at("PatternEdge.label", "wasGeneratedBy"))
     step = PathStep(at("PathStep.label", "x"), at("PathStep.name", "report"))
@@ -115,7 +119,7 @@ def _python_inputs(field, value):
         )), ap={"b"}),
         Policy("ac", 1, TreeLeaf(AttrCondition(
             at("AttrCondition.vtype", "artifact"), at("AttrCondition.name", "report"),
-            at("AttrCondition.item", "n"), at("AttrCondition.pred", ">="), 7,
+            at("AttrCondition.item", "n"), at("AttrCondition.pred", ">="), at("AttrCondition.operand", 7),
         )), ap={"a"}),
         Policy("qc", 1, TreeLeaf(QueryCondition(
             at("QueryCondition.vtype", "artifact"), at("QueryCondition.name", "report"),
@@ -131,7 +135,8 @@ def _python_inputs(field, value):
     party = PartyConfig(
         at("PartyConfig.party", "owner"), at("PartyConfig.policies", policies), at("PartyConfig.internal_expr", None)
     )
-    return [party], Request(at("Request.subject", "clerk"), at("Request.category", "records"), {"n": 5})
+    request = Request(at("Request.subject", "clerk"), at("Request.category", "records"), at("Request.query_attrs", {"n": 5}))
+    return [party], request
 
 
 def _policy_docs(field, value):
@@ -145,7 +150,9 @@ def _policy_docs(field, value):
     vertex = {
         "ref": at("PatternVertex.ref", "a"), "type": at("PatternVertex.vtype", "Artifact"),
         "name": at("PatternVertex.name", "report"),
-        "attrs": at("PatternVertex.constraints", [[at("AttrConstraint.item", "n"), at("AttrConstraint.pred", ">"), 5]]),
+        "attrs": at("PatternVertex.constraints", [
+            [at("AttrConstraint.item", "n"), at("AttrConstraint.pred", ">"), at("AttrConstraint.operand", 5)],
+        ]),
     }
     edge = [at("PatternEdge.src", "a"), at("PatternEdge.dst", "p"), at("PatternEdge.label", "wasGeneratedBy")]
     steps = at("PathPattern.steps", [f"{at('PathStep.label', 'x')}|{at('PathStep.name', 'report')}", "wasGeneratedBy|Insert"])
@@ -165,7 +172,7 @@ def _policy_docs(field, value):
         doc("vc", {"vertex": [at("VertexCondition.vtype", "agent"), at("VertexCondition.name", "alice")]}, ["b"]),
         doc("ac", {"attr": [
             at("AttrCondition.vtype", "artifact"), at("AttrCondition.name", "report"),
-            at("AttrCondition.item", "n"), at("AttrCondition.pred", ">="), 7,
+            at("AttrCondition.item", "n"), at("AttrCondition.pred", ">="), at("AttrCondition.operand", 7),
         ]}, ["a"]),
         doc("qc", {"query": [
             at("QueryCondition.vtype", "artifact"), at("QueryCondition.name", "report"),
@@ -201,7 +208,10 @@ def _loaded_inputs(field, value):
                 raise
     else:
         config = PartyConfig("owner", tuple(map(policy_from_dict, _policy_docs(field, value))))
-    request = {"subject": value if field == "Request.subject" else "clerk", "query_attrs": {"n": 5}}
+    request = {
+        "subject": value if field == "Request.subject" else "clerk",
+        "query_attrs": value if field == "Request.query_attrs" else {"n": 5},
+    }
     request["category"] = value if field == "Request.category" else "records"
     return [config], request_from_dict(request)[0]
 
@@ -236,6 +246,12 @@ GOODS = {
 }
 GOODS["VertexCondition.vtype"] = GOODS["AttrCondition.vtype"] = GOODS["QueryCondition.vtype"] = GOODS["PatternVertex.vtype"]
 GOODS["AttrCondition.pred"] = GOODS["QueryCondition.pred"] = GOODS["AttrConstraint.pred"]
+GOODS["AttrConstraint.operand"] = GOODS["AttrCondition.operand"] = [
+    (7, 7), ("x", "x"), (datetime(2020, 1, 1), {"timestamp": "2020-01-01"}),
+]
+GOODS["Request.query_attrs"] = [
+    ({"n": 7}, {"n": 7}), ({"n": datetime(2020, 1, 1)}, {"n": {"timestamp": "2020-01-01"}}), ({7: 1}, {"7": 1}),
+]
 for _field in ("Policy.ap", "Policy.pp", "Policy.subjects", "Policy.categories"):
     GOODS[_field] = GOODS["names"]
 
@@ -245,16 +261,16 @@ FIELDS = [
     "ProvenancePartition.vertices", "ProvenancePartition.edges",
     "PatternVertex.ref", "PatternVertex.vtype", "PatternVertex.name", "PatternVertex.constraints",
     "PatternEdge.src", "PatternEdge.dst", "PatternEdge.label",
-    "AttrConstraint.item", "AttrConstraint.pred",
+    "AttrConstraint.item", "AttrConstraint.pred", "AttrConstraint.operand",
     "VertexCondition.vtype", "VertexCondition.name",
-    "AttrCondition.vtype", "AttrCondition.name", "AttrCondition.item", "AttrCondition.pred",
+    "AttrCondition.vtype", "AttrCondition.name", "AttrCondition.item", "AttrCondition.pred", "AttrCondition.operand",
     "QueryCondition.vtype", "QueryCondition.name", "QueryCondition.query_attr", "QueryCondition.pred",
     "TargetCondition.text", "PathPattern.steps", "PathStep.label", "PathStep.name",
-    "Request.subject", "Request.category",
+    "Request.subject", "Request.category", "Request.query_attrs",
     "PartyConfig.party", "PartyConfig.policies", "PartyConfig.internal_expr",
 ]
 #: Fields whose document null is a default, not the null the constructor reads.
-NULL_DEFAULTS = {"Policy.id", "Policy.ptype"}
+NULL_DEFAULTS = {"Policy.id", "Policy.ptype", "Request.query_attrs"}
 #: Fields whose document spells the value in a text of its own, so a refusal's words may differ.
 SPELLED = {"PathPattern.steps", "PathStep.label", "PathStep.name", "PatternEdge.label"}
 
@@ -309,6 +325,8 @@ def _own_form(field, made):
         return False
     if field == "TreeBranch.op":
         return isinstance(made, str)  # an operator is a document key
+    if field.startswith("PartyConfig.") and isinstance(made, float) and not math.isfinite(made):
+        return False  # written to a policy file, and JSON holds no NaN or infinity
     return made is None or type(made) in (str, int, float, bool, dict)
 
 
@@ -370,3 +388,23 @@ def test_a_vertex_field_of_any_kind_is_added_as_a_graph_document_reads_it(field,
         return
     assert form is not NO_FORM, "a value no document holds was read"
     assert graph_to_dict(g) == graph_to_dict(graph_from_dict(doc))
+
+
+@pytest.mark.parametrize("name", ["", 5, None, ["m"]])
+def test_a_party_result_reads_its_party_name_as_a_party_result_document_does(name):
+    with pytest.raises(InputFormatError) as refused:
+        PartyResult(name)
+    with pytest.raises(InputFormatError) as twin:
+        party_result_from_dict({"party": name})
+    assert str(refused.value) == str(twin.value) == "party name must be a non-empty string"
+
+
+def test_query_attrs_that_are_not_a_mapping_are_refused_in_the_loaders_words():
+    with pytest.raises(InputFormatError) as refused:
+        Request("s", None, [5])
+    with pytest.raises(InputFormatError) as twin:
+        request_from_dict({"subject": "s", "query_attrs": [5]})
+    assert str(refused.value) == str(twin.value) == '"query_attrs" must be an object'
+    attrs = {"n": 5}
+    request = Request("s", None, attrs)
+    assert request.query_attrs == attrs and request.query_attrs is not attrs
