@@ -144,7 +144,7 @@ from .synth import (
     partition_by_mix,
     random_purpose_graph,
 )
-from .bench import BenchReport, bench_algebras, bench_policy_generation, run_bench
+from .bench import bench_algebras, bench_policy_generation, run_bench
 
 __version__ = "0.1.0"
 

@@ -167,8 +167,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n_policies=args.n_policies,
         repetitions=args.reps,
     )
-    report = run_bench(config)
-    _emit(report.to_dict(), args.out)
+    _emit(run_bench(config), args.out)
     return 0
 
 

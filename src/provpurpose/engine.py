@@ -37,9 +37,10 @@ A decision runs in four stages:
    appearance; a shape whose guards fail cannot apply, so only its tree is
    folded from the matched leaves, for the trace. The applicability vector
    is the OR of the policy masks of the shapes that apply. A record category
-   that is neither a string nor None fails this stage before any party is
-   evaluated. The trace derives the per-policy decisions from the shape
-   outcomes when first read.
+   that is neither a string nor None, and a list of seniors that the role
+   walk meets and the role order loader would refuse, fail this stage
+   before any party is evaluated. The trace derives the per-policy
+   decisions from the shape outcomes when first read.
 2. internal-merge: each party's per-policy sets are merged by the party's
    expression, each merge cutting at the purpose graph's hierarchy line.
    Without an explicit expression a single policy stands as is and several
@@ -76,7 +77,6 @@ from typing import AbstractSet, Any, Iterable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from . import _docs
-from ._dagutil import reachable_from
 from .algebra import FidaExpr, MergeProgram, compile_fida, eval_fida, left_fold_expr, parse_fida, print_fida
 
 # decide calls no split_result, as party plans check purposes; the name stays bound for decidebench's tracer.
@@ -86,7 +86,7 @@ from .external import PartyResult, merge_parties, party_result_to_dict
 from .matching import _Grader, match_group, partition_groups
 from . import policy
 from .policy import LeafCondition, LeafMemo, Policy, PolicyDecision, Request, RoleOrder
-from .policy import _DECLINED, _match_leaf, _tree_leaves, evaluate_policy
+from .policy import _DECLINED, _match_leaf, _reach, _tree_leaves, evaluate_policy
 from .provenance import ProvenanceGraph
 from .purposes import PurposeGraph, PurposeSet, _BoundedMap, _named
 
@@ -308,10 +308,13 @@ def decide(
     traces: list[PartyTrace] = []
     results: dict[str, tuple[int, int]] = {}  # each party's result masks under pg.bits
     memo: LeafMemo = {}  # shared by every policy of every party, for this decision only
-    reach = reachable_from(request.subject, role_order or {})
     graph, query_attrs, category = record.provenance, request.query_attrs, record.category
-    if category is not None and not isinstance(category, str):
-        raise StageError("policy-evaluation", InputFormatError(f"record category must be a string or None, got {category!r}"))
+    try:
+        reach = _reach(request.subject, role_order)
+        if category is not None and not isinstance(category, str):
+            raise InputFormatError(f"record category must be a string or None, got {category!r}")
+    except InputFormatError as exc:
+        raise StageError("policy-evaluation", exc) from exc
     for cfg in parties:
         try:
             plan = cfg._plan(pg)

@@ -43,7 +43,6 @@ from functools import cached_property
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, Union, get_args
 
 from . import _docs
-from ._dagutil import reachable_from
 from .algebra import MAX_NESTING, _post_order, _run
 from .errors import InputFormatError
 from .matching import (
@@ -310,9 +309,31 @@ _DECLINED: dict[tuple[MatchValue, bool], PolicyDecision] = {
 RoleOrder = Mapping[str, frozenset[str]]
 
 
+def _reach(role: str, order: RoleOrder | None) -> set[str]:
+    """Every role that covers `role` under `order`, `role` itself included.
+
+    The order is read as :func:`role_order_from_dict` reads its document,
+    in its words, but only the entries the walk reaches: each list of
+    seniors as :func:`_docs.names` reads names, so a string is refused,
+    not read as its characters.
+    """
+    seen = {role}
+    if order is None:
+        return seen
+    order = _docs.obj(order, "role order document")
+    stack = [role]
+    while stack:
+        junior = stack.pop()
+        if junior in order:
+            for senior in _docs.names(order[junior], f"senior roles of {junior!r}") - seen:
+                seen.add(senior)
+                stack.append(senior)
+    return seen
+
+
 def role_leq(junior: str, senior: str, order: RoleOrder | None = None) -> bool:
     """True when `junior` is covered by `senior` under the role order."""
-    return senior in reachable_from(junior, order or {})
+    return senior in _reach(junior, order)
 
 
 def category_covered(data_category: str, policy_category: str) -> bool:
@@ -335,7 +356,7 @@ def guards_pass(
     """
     if policy.subjects is not None:
         if reach is None:
-            reach = reachable_from(request.subject, role_order or {})
+            reach = _reach(request.subject, role_order)
         if policy.subjects.isdisjoint(reach):
             return False
     if policy.categories is not None:

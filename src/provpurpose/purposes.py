@@ -134,10 +134,10 @@ class PurposeBits:
 class PurposeGraph:
     """An immutable purpose DAG with precomputed ranks.
 
-    Its fields are read as :func:`purpose_graph_from_dict` reads them: each
-    purpose and edge end as :func:`_docs.text` reads a scalar, each edge as
-    an array of two ends, and the line as an integer. Anything else raises
-    :class:`InputFormatError`.
+    Its fields are read as :func:`purpose_graph_from_dict` reads them: the
+    purposes as :func:`_docs.names` reads a list of names, each edge end as
+    :func:`_docs.text` reads a scalar, each edge as an array of two ends, and
+    the line as an integer. Anything else raises :class:`InputFormatError`.
     """
 
     def __init__(
@@ -147,7 +147,7 @@ class PurposeGraph:
         hierarchy_line: int | None = None,
     ) -> None:
         text, entry = _docs.text, _docs.entry
-        self._purposes = frozenset(text(p, "purpose") for p in purposes)
+        self._purposes = _docs.names(purposes, '"purposes"')
         if not self._purposes:
             raise InputFormatError("purpose graph needs at least one purpose")
         self._children: dict[str, list[str]] = {p: [] for p in self._purposes}
@@ -341,12 +341,11 @@ def purpose_graph_from_dict(doc: Mapping[str, Any]) -> PurposeGraph:
 
     {"purposes": [...], "edges": [[parent, child], ...], "hierarchy_line": int?}
 
-    The purposes must be an array of strings and the edges an array; each
-    edge and the line are read by the :class:`PurposeGraph` constructor.
+    The edges must be an array; the purposes, each edge and the line are
+    read by the :class:`PurposeGraph` constructor.
     """
     doc = _docs.obj(doc, "purpose graph document")
-    purposes = _docs.names(doc.get("purposes"), '"purposes"')
-    return PurposeGraph(purposes, _docs.array(doc.get("edges", []), '"edges"'), doc.get("hierarchy_line"))
+    return PurposeGraph(doc.get("purposes"), _docs.array(doc.get("edges", []), '"edges"'), doc.get("hierarchy_line"))
 
 
 def purpose_graph_to_dict(pg: PurposeGraph) -> dict[str, Any]:

@@ -5,7 +5,7 @@ Everything here is deterministic under the configured seed: one
 provenance graphs, and the generated policies. Rows follow a fixed relational
 shape of 3 uniform integer columns and 6 fixed-length string columns.
 
-Generated policies cover all four types with an exact mix: fractional quotas
+Generated policies cover all four types in an even mix: fractional quotas
 are settled by largest remainder so the counts always sum to the requested
 total. Type 4 policies always carry subjects or categories, and their
 partitions carry extra attribute constraints, so generating one does strictly
@@ -45,6 +45,8 @@ STRING_LENGTH = 12
 
 _SUBJECT_POOL = ("analyst", "clerk", "auditor", "researcher", "operator")
 _CATEGORY_POOL = ("records", "orders", "contacts", "invoices", "readings")
+#: The share of each policy type, 1 to 4, in a corpus and in the timing harness.
+_TYPE_MIX = (0.25, 0.25, 0.25, 0.25)
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,12 @@ class BenchConfig:
     n_rows: int = 100
     n_policies: int = 400
     repetitions: int = 10
-    type_mix: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be at least 1")
         if self.n_purposes < 2 or self.n_rows < 1 or self.n_policies < 1:
             raise ConfigurationError("dataset sizes must be positive")
-        if len(self.type_mix) != 4 or any(m < 0 for m in self.type_mix):
-            raise ConfigurationError("type mix needs four non-negative shares")
-        if abs(sum(self.type_mix) - 1.0) > 1e-9:
-            raise ConfigurationError("type mix shares must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,7 @@ def gen_synthetic(config: BenchConfig) -> SyntheticDataset:
     pool = sorted(pg.purposes)
     rows = tuple(random_row(rng) for _ in range(config.n_rows))
     graphs = tuple(row_provenance(row, i, rng) for i, row in enumerate(rows))
-    counts = partition_by_mix(config.n_policies, config.type_mix)
+    counts = partition_by_mix(config.n_policies, _TYPE_MIX)
     policies: list[Policy] = []
     for ptype, count in zip((1, 2, 3, 4), counts):
         for _ in range(count):

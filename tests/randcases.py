@@ -297,12 +297,17 @@ def graded_group(rng: random.Random) -> tuple[ProvenanceGraph, tuple[ProvenanceP
     """
     g = ProvenanceGraph()
 
-    def payload():
-        return {item: rng.choice(GRADED_VALUES) for item in ("k", "s") if rng.random() < 0.7} or None
+    def add(vtype: VertexType, name: str) -> str:
+        """A vertex whose payload draws from `GRADED_VALUES`, written in place, as `add_vertex` refuses `True` and 1.5."""
+        payload = {item: rng.choice(GRADED_VALUES) for item in ("k", "s") if rng.random() < 0.7}
+        vid = g.add_vertex(vtype, name, dict.fromkeys(payload, 0))
+        if payload:
+            g.vertices[f"{vid}:att"].attrs.update(payload)
+        return vid
 
-    runs = [g.add_vertex(VertexType.PROCESS, "run", payload()) for _ in range(rng.randint(1, 2))]
+    runs = [add(VertexType.PROCESS, "run") for _ in range(rng.randint(1, 2))]
     for _ in range(rng.randint(1, 4)):
-        art = g.add_vertex(VertexType.ARTIFACT, "x", payload())
+        art = add(VertexType.ARTIFACT, "x")
         for run in runs:
             if rng.random() < 0.8:
                 g.add_edge(art, run, EdgeLabel.WAS_GENERATED_BY)

@@ -422,9 +422,8 @@ def test_criterion_8_symmetry(algebra_dag):
 
 def test_criterion_9_benchmark_shape():
     start = time.perf_counter()
-    report = run_bench(BenchConfig())
+    doc = run_bench(BenchConfig())
     elapsed = time.perf_counter() - start
-    doc = report.to_dict()
     gen = doc["generation_mean_seconds"]
     alg = doc["algebra_mean_seconds"]
     problems = []

@@ -11,6 +11,7 @@ from provpurpose import (
     STRING_COLUMNS,
     STRING_LENGTH,
     VertexType,
+    bench,
     bench_algebras,
     bench_policy_generation,
     gen_synthetic,
@@ -27,10 +28,6 @@ def test_config_validation():
         BenchConfig(repetitions=0)
     with pytest.raises(ConfigurationError):
         BenchConfig(n_purposes=1)
-    with pytest.raises(ConfigurationError):
-        BenchConfig(type_mix=(0.5, 0.5, 0.0, 0.1))
-    with pytest.raises(ConfigurationError):
-        BenchConfig(type_mix=(0.5, 0.5, -0.5, 0.5))
 
 
 def test_partition_by_mix_sums_exactly():
@@ -104,18 +101,28 @@ def test_same_seed_same_dataset():
 
 
 def test_generation_and_algebra_benches_return_means():
-    means = bench_policy_generation(TINY)
+    rng = random.Random(TINY.seed)
+    pg = random_purpose_graph(rng, TINY.n_purposes)
+    means = bench_policy_generation(TINY, rng, sorted(pg.purposes))
     assert set(means) == {1, 2, 3, 4}
     assert all(v >= 0.0 for v in means.values())
-    internal, external = bench_algebras(TINY)
+    internal, external = bench_algebras(TINY, rng, pg)
     assert internal >= 0.0 and external >= 0.0
 
 
 def test_run_bench_report_shape():
-    report = run_bench(TINY)
-    doc = report.to_dict()
+    doc = run_bench(TINY)
     assert doc["seed"] == 7
     assert doc["type_counts"] == [3, 3, 3, 3]
     assert set(doc["generation_mean_seconds"]) == {"type1", "type2", "type3", "type4"}
     assert set(doc["algebra_mean_seconds"]) == {"internal", "external"}
     assert doc["total_seconds"] > 0
+
+
+def test_run_bench_draws_one_purpose_graph(monkeypatch):
+    """Both measurements run over the one purpose graph the run draws."""
+    drawn = []
+    draw = bench.random_purpose_graph
+    monkeypatch.setattr(bench, "random_purpose_graph", lambda rng, n: drawn.append(n) or draw(rng, n))
+    run_bench(TINY)
+    assert drawn == [TINY.n_purposes]

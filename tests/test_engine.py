@@ -62,6 +62,7 @@ from provpurpose import (
     policy,
     policy_from_dict,
     print_fida,
+    role_order_from_dict,
     split_result,
 )
 from provpurpose import external as external_module, matching
@@ -542,8 +543,8 @@ def _subject_guarded(pid, subject, ap):
 def test_a_decision_walks_the_role_order_once_for_all_its_policies(tiny_graph, small_pg, monkeypatch):
     walks = []
     for module in (engine, policy):
-        walk = module.reachable_from
-        monkeypatch.setattr(module, "reachable_from", lambda start, order, walk=walk: walks.append(start) or walk(start, order))
+        walk = module._reach
+        monkeypatch.setattr(module, "_reach", lambda start, order, walk=walk: walks.append(start) or walk(start, order))
     order = {"student": frozenset({"students"})}
     parties = [
         PartyConfig("a", (_subject_guarded("g0", "staff", {"mid"}), _subject_guarded("g1", "students", {"leafp"}))),
@@ -831,6 +832,25 @@ def test_a_record_category_that_is_not_text_fails_policy_evaluation(tiny_graph, 
     assert type(err.value.cause) is InputFormatError
     assert str(err.value.cause) == f"record category must be a string or None, got {category!r}"
     assert small_pg not in cfg._plans
+
+
+@pytest.mark.parametrize("seniors", ["admin", ["a", 1], None, {"a": 1}])
+def test_a_list_of_seniors_the_walk_meets_is_read_as_the_role_order_loader_reads_it(tiny_graph, small_pg, seniors):
+    """The string "admin" is refused, not walked as the roles "a", "d", "m", "i" and "n": that would release
+    "mid" to a clerk through a policy whose subject is "a". An entry the walk never meets is not read.
+    """
+    cfg = PartyConfig("owner", (Policy("p", 4, TreeLeaf(NullCondition()), ap={"mid"}, subjects={"a"}),))
+    record, clerk = DataRecord(tiny_graph), Request("clerk")
+    with pytest.raises(InputFormatError) as loaded:
+        role_order_from_dict({"clerk": seniors})
+    with pytest.raises(StageError) as err:
+        decide(record, clerk, [cfg], "F3", small_pg, role_order={"clerk": seniors})
+    assert err.value.stage == "policy-evaluation"
+    assert type(err.value.cause) is InputFormatError and str(err.value.cause) == str(loaded.value)
+    assert small_pg not in cfg._plans
+    unmet = decide(record, clerk, [cfg], "F3", small_pg, role_order={"clerk": ["staff"], "guest": seniors})
+    assert unmet.decided == frozenset()
+    assert decide(record, clerk, [cfg], "F3", small_pg, role_order={"clerk": ["a"]}).decided == {"mid"}
 
 
 def test_a_warm_plan_sees_an_added_edge_and_a_changed_role_order(small_pg):

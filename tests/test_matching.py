@@ -740,9 +740,13 @@ def test_an_operand_that_never_holds_is_not_equal_to_one_that_can(tiny_graph):
 
 
 def test_a_value_or_operand_of_no_kind_never_holds_when_graded():
-    """A stored `True` has no kind, nor has ``~`` over an int: a constraint that reads either holds nowhere, searched or graded."""
+    """A stored `True` has no kind, nor has ``~`` over an int: a constraint that reads either holds nowhere, searched or graded.
+
+    `add_vertex` refuses `True`, so it is written in place on the Attribute vertex.
+    """
     g = ProvenanceGraph()
-    g.add_vertex(VertexType.ARTIFACT, "report", {"flag": True, "n": 1})
+    report = g.add_vertex(VertexType.ARTIFACT, "report", {"flag": 0, "n": 1})
+    g.vertices[f"{report}:att"].attrs["flag"] = True
     EQ, CONTAINS = Predicate.EQ, Predicate.CONTAINS
     parts = tuple(
         ProvenancePartition((PatternVertex("a", VertexType.ARTIFACT, "report", (AttrConstraint(item, p, v),)),))

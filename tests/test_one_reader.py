@@ -23,6 +23,7 @@ LOADERS = {
         "request_from_dict",
     ),
     "external.py": ("party_result_from_dict",),
+    "purposes.py": ("purpose_graph_from_dict",),
     "cli.py": ("_party_from_file",),
 }
 

@@ -284,6 +284,23 @@ def test_role_leq_reflexive_and_transitive():
     assert not role_leq("student", "students", None)
 
 
+def test_role_leq_and_guards_pass_read_a_role_order_as_its_loader_does():
+    """A string of seniors is refused in the loader's words, not read as its characters."""
+    pol = Policy("p", 4, TreeLeaf(NullCondition()), subjects=frozenset({"a"}))
+    for order, message in (
+        ({"clerk": "admin"}, "senior roles of 'clerk' must be an array"),
+        ({"clerk": ["admin", 1]}, "senior roles of 'clerk' must be an array of strings"),
+        (["clerk"], "role order document must be an object"),
+    ):
+        for read in (lambda: role_leq("clerk", "a", order), lambda: guards_pass(pol, Request("clerk"), None, order)):
+            with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+                read()
+        with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+            role_order_from_dict(order)
+    # only the entries the walk meets are read
+    assert role_leq("clerk", "admin", {"clerk": ["admin"], "guest": "root"})
+
+
 def test_category_substring_subsumption():
     assert category_covered("assignment", "assignments")
     assert category_covered("assignments", "assignments")

@@ -259,6 +259,26 @@ def test_add_vertex_rejects_an_id_or_a_name_that_is_not_a_string_or_a_number(val
     assert len(g.vertices) == 0
 
 
+@pytest.mark.parametrize("value, message", [
+    (True, "boolean attribute values are not supported"),
+    (1.5, "unsupported attribute value 1.5"),
+    ([1], r"unsupported attribute value \[1\]"),
+    ({"timestamp": "2020-01-01"}, r"unsupported attribute value \{'timestamp': '2020-01-01'\}"),
+])
+def test_add_vertex_refuses_a_payload_value_of_no_kind_as_the_loader_does(value, message):
+    """A payload value is a decoded one: a str, an int that is not a bool, or a datetime; nothing is stored."""
+    g = ProvenanceGraph()
+    with pytest.raises(InputFormatError, match=f"^{message}$"):
+        g.add_vertex(VertexType.ARTIFACT, "r", {"n": 1, "x": value}, vid="r")
+    if type(value) is not dict:  # a document spells a timestamp as this object
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            graph_from_dict({"vertices": [{"id": "r", "type": "Artifact", "name": "r", "attrs": {"x": value}}]})
+    assert len(g.vertices) == 0
+    stamp = datetime(2020, 1, 1)
+    g.add_vertex(VertexType.ARTIFACT, "r", {"n": 1, "s": "a", "t": stamp}, vid="r")
+    assert g.attributes_of("r") == {"n": 1, "s": "a", "t": stamp}
+
+
 def test_add_edge_reads_ends_and_a_refined_label_given_as_numbers_as_their_text():
     g = ProvenanceGraph()
     g.add_vertex(VertexType.PROCESS, "p", vid="5")

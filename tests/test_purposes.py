@@ -274,8 +274,8 @@ def test_a_purpose_graph_needs_a_purpose_and_a_line_of_at_least_0(purposes, line
 @pytest.mark.parametrize(
     "purposes, edges, line, message",
     [
-        ([None, "a", True], [(None, "a")], None, "purpose must be a string or a number, got None"),
-        (["a", True], [], None, "purpose must be a string or a number, got True"),
+        ([None, "a", True], [(None, "a")], None, '"purposes" must be an array of strings'),
+        (["a", True], [], None, '"purposes" must be an array of strings'),
         (["a", "b"], [(None, "a")], None, "purpose edge end must be a string or a number, got None"),
         (["a", "b", "c"], [("a", "b", "c")], None, r"purpose edge must be an array of 2 items, got \('a', 'b', 'c'\)"),
         (["a", "b"], ["ab"], None, "purpose edge must be an array"),
@@ -285,17 +285,23 @@ def test_a_purpose_graph_needs_a_purpose_and_a_line_of_at_least_0(purposes, line
     ],
 )
 def test_a_purpose_graph_reads_its_fields_as_its_loader_does(purposes, edges, line, message):
-    """No field is coerced by str(): null and true are no purposes, and true is no line."""
+    """No field is coerced by str(): null and true are no purposes or edge ends, and true is no line."""
     with pytest.raises(InputFormatError, match=f"^{message}$"):
         PurposeGraph(purposes, edges, hierarchy_line=line)
 
 
 def test_a_purpose_graph_reads_numbers_as_their_text_as_its_loader_does():
-    pg = PurposeGraph([1, "a"], [(1, "a")], hierarchy_line=0)
+    """An edge end is a scalar, so 1 reads as "1"; a purpose is a name, so 1 is refused as the loader refuses it."""
+    pg = PurposeGraph(["1", "a"], [(1, "a")], hierarchy_line=0)
     assert pg.purposes == {"1", "a"} and pg.children("1") == {"a"}
     assert purpose_graph_to_dict(pg) == purpose_graph_to_dict(purpose_graph_from_dict(
         {"purposes": ["1", "a"], "edges": [[1, "a"]], "hierarchy_line": 0}
     ))
+    message = '^"purposes" must be an array of strings$'
+    with pytest.raises(InputFormatError, match=message):
+        PurposeGraph([1, "a"], [], hierarchy_line=0)
+    with pytest.raises(InputFormatError, match=message):
+        purpose_graph_from_dict({"purposes": [1, "a"]})
 
 
 @pytest.mark.parametrize(
