@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from enum import Enum
 from functools import cache, partial
 from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
@@ -107,14 +107,20 @@ def text(value: Any, what: str) -> str:
     raise InputFormatError(f"{what} must be a string or a number, got {value!r}")
 
 
-def names(value: Any, what: str) -> frozenset[str]:
-    """An array of strings, or a list, tuple, set, frozenset or one-shot iterator of them, as a set.
+def collection(value: Any, what: str) -> Collection[Any]:
+    """An array: a list, tuple, set or frozenset, or a one-shot iterator, read once into a tuple.
 
-    A string is not read as its characters, nor a mapping as its keys.
+    A string or bytes is not read as its characters, nor a mapping as its keys.
     """
-    value = tuple(value) if isinstance(value, Iterator) else value  # one-shot: read once
+    value = tuple(value) if isinstance(value, Iterator) else value
     if not isinstance(value, (list, tuple, set, frozenset)):
         raise InputFormatError(f"{what} must be an array")
+    return value
+
+
+def names(value: Any, what: str) -> frozenset[str]:
+    """An array of strings, read as :func:`collection` reads an array, as a set."""
+    value = collection(value, what)
     try:
         "".join(value)  # refuses any member that is not a string, at C speed: a decoded set may hold thousands
     except TypeError:

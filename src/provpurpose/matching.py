@@ -134,6 +134,19 @@ def _kind(value: AttrValue) -> str | None:
     return None
 
 
+def _kind_of(value: AttrValue) -> str | None:
+    """:func:`_kind`, answered from the exact type of an int, a str or None: the one kind read of search and grading.
+
+    Anything else, a bool, a datetime or a subclass, is left to :func:`_kind`.
+    """
+    exact = type(value)
+    if exact is int:
+        return "int"
+    if exact is str:
+        return "str"
+    return None if value is None else _kind(value)
+
+
 def eval_predicate(pred: Predicate, left: AttrValue, right: AttrValue) -> bool:
     """Apply a binary predicate to two attribute values.
 
@@ -364,7 +377,7 @@ def _holding(pv: PatternVertex, found: Iterable[str], graph: ProvenanceGraph) ->
         attrs = payload(vid)
         for c in constraints:
             value = attrs.get(c.item)
-            if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
+            if c.kind is None or _kind_of(value) != c.kind or not c.test(value, c.operand):
                 break
         else:
             yield vid
@@ -399,7 +412,7 @@ def _candidates(graph: ProvenanceGraph, placed: dict[str, str], placement: _Plac
             gv = vertices[vid]
             if (label is None or e[2] == label) and gv.vtype is vtype and (name is None or gv.name == name):
                 found.append(vid)
-    return _holding(pv, found, graph) if pv.constraints else iter(found)
+    return _holding(pv, found, graph) if pv.constraints and found else iter(found)
 
 
 def _search(partition: ProvenancePartition, graph: ProvenanceGraph, found: list[tuple[str, ...]] | None) -> bool:
@@ -531,7 +544,7 @@ class _Grader:
             ok = every
             for at, item, kind, free, find, operands, masks in families:
                 value = row[at].get(item)
-                if _kind(value) == kind:
+                if _kind_of(value) == kind:
                     if masks is None:  # find is the test, tried on each (operand, bit)
                         for operand, bit in operands:
                             if find(value, operand):
@@ -728,21 +741,25 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
 
     A step holds at a vertex named NAME, or else at one entered by an edge
     whose label or refined label is LABEL; labels compare as text, the last
-    items of a stored edge tuple. So a step is checked as the walk
-    arrives, along its edge: a wildcard there may also absorb nothing, and
-    the next step is checked at the same vertex and edge. The walk's first
-    vertex, entered by no edge, may use any of its outgoing edges instead.
+    items of a stored edge tuple, read in place: ``e[-1]`` is the refined
+    label, or the label again on an edge without one. So a step is checked
+    as the walk arrives, along its edge: a wildcard there may also absorb
+    nothing, and the next step is checked at the same vertex and edge. The
+    walk's first vertex, entered by no edge, may use any of its outgoing
+    edges instead.
     """
     steps = pattern.steps
     last = len(steps) - 1
     vertices, out = graph._vertices, graph._out
-    first = steps[0]
+    name, label = steps[0].vertex_name, steps[0].edge_or_process
     seen: set[tuple[str, int]] = set()
-    for start in vertices:
-        if vertices[start].name != first.vertex_name and not any(
-            first.edge_or_process in e[2:] for e in out.get(start, ())
-        ):
-            continue
+    for start, vertex in vertices.items():
+        if vertex.name != name:
+            for e in out.get(start, ()):
+                if e[2] == label or e[-1] == label:
+                    break
+            else:
+                continue
         if not last:
             return MatchValue.FULL
         stack = [(start, 0)]
@@ -759,7 +776,8 @@ def match_path(pattern: PathPattern, graph: ProvenanceGraph) -> MatchValue:
                 while (step := steps[j]) is None:
                     stack.append((dst, j))
                     j += 1
-                if vertices[dst].name == step.vertex_name or step.edge_or_process in e[2:]:
+                text = step.edge_or_process
+                if vertices[dst].name == step.vertex_name or e[2] == text or e[-1] == text:
                     if j == last:
                         return MatchValue.FULL
                     stack.append((dst, j))

@@ -180,14 +180,14 @@ class ProvenanceGraph:
         payload. The graph keeps a copy of `attrs`, never the caller's
         mapping. Its fields are read as the decoder reads them: `vtype` as
         :func:`vertex_type_from_json` reads a type, a member or its text in
-        any case, `name` and `vid` as :func:`_docs.text` reads a scalar, and
-        each value of `attrs` as :func:`_attr_value` reads a decoded value.
-        Anything else raises :class:`InputFormatError`. Drops the
-        :meth:`ids_of` index.
+        any case, `name`, `vid` and each key of `attrs` as :func:`_docs.text`
+        reads a scalar, and each value of `attrs` as :func:`_attr_value` reads
+        a decoded value. Anything else raises :class:`InputFormatError`.
+        Drops the :meth:`ids_of` index.
         """
         vtype, text = vertex_type_from_json(vtype), _docs.text
         name, vid = text(name, 'vertex "name"'), vid if vid is None else text(vid, 'vertex "id"')
-        payload = {k: _attr_value(v) for k, v in dict(attrs).items()} if attrs else None
+        payload = {text(k, "attribute item"): _attr_value(v) for k, v in dict(attrs).items()} if attrs else None
         return self._add_vertex(vtype, name, payload, vid)
 
     def _add_vertex(self, vtype: VertexType, name: str, payload: dict[str, AttrValue] | None, vid: str | None) -> str:

@@ -135,9 +135,10 @@ class PurposeGraph:
     """An immutable purpose DAG with precomputed ranks.
 
     Its fields are read as :func:`purpose_graph_from_dict` reads them: the
-    purposes as :func:`_docs.names` reads a list of names, each edge end as
-    :func:`_docs.text` reads a scalar, each edge as an array of two ends, and
-    the line as an integer. Anything else raises :class:`InputFormatError`.
+    purposes as :func:`_docs.names` reads a list of names, the edges as
+    :func:`_docs.collection` reads an array, each edge as an array of two
+    ends, each end as :func:`_docs.text` reads a scalar, and the line as an
+    integer. Anything else raises :class:`InputFormatError`.
     """
 
     def __init__(
@@ -153,7 +154,7 @@ class PurposeGraph:
         self._children: dict[str, list[str]] = {p: [] for p in self._purposes}
         self._parents: dict[str, list[str]] = {p: [] for p in self._purposes}
         seen: set[tuple[str, str]] = set()
-        for edge in edges:
+        for edge in _docs.collection(edges, '"edges"'):
             parent, child = entry(edge, 2, "purpose edge")
             parent, child = text(parent, "purpose edge end"), text(child, "purpose edge end")
             for end in (parent, child):
@@ -341,11 +342,10 @@ def purpose_graph_from_dict(doc: Mapping[str, Any]) -> PurposeGraph:
 
     {"purposes": [...], "edges": [[parent, child], ...], "hierarchy_line": int?}
 
-    The edges must be an array; the purposes, each edge and the line are
-    read by the :class:`PurposeGraph` constructor.
+    The purposes, the edges and the line are read by the :class:`PurposeGraph` constructor.
     """
     doc = _docs.obj(doc, "purpose graph document")
-    return PurposeGraph(doc.get("purposes"), _docs.array(doc.get("edges", []), '"edges"'), doc.get("hierarchy_line"))
+    return PurposeGraph(doc.get("purposes"), doc.get("edges", []), doc.get("hierarchy_line"))
 
 
 def purpose_graph_to_dict(pg: PurposeGraph) -> dict[str, Any]:

@@ -1535,17 +1535,18 @@ def test_every_seed_0_rows_f3_decision_takes_2_searches_1_enumeration_and_1_grad
         assert not any(v.constraints for kind, p in runs if kind == "search" for v in p.vertices)
 
 
-#: What one pass over every seed-0 record of each benchmark workload does, first and warm alike.
+#: What one pass over every seed-0 record of each benchmark workload does, first and warm alike;
+#: `payload` counts the payloads read, and a count of 0 is left out.
 PASS_WORK = {
-    "rows_f3": {"search": 400, "enumerate": 200, "grade": 800, "eval_atomic": 200},
-    "deep_lineage": {"search": 1152, "match_path": 208, "eval_atomic": 520},
+    "rows_f3": {"search": 400, "enumerate": 200, "grade": 800, "eval_atomic": 200, "payload": 400},
+    "deep_lineage": {"search": 1152, "match_path": 208, "eval_atomic": 520, "payload": 14186},
     "party_algebra": {"search": 120, "eval_atomic": 240},
 }
 
 
 @pytest.mark.parametrize("workload", sorted(PASS_WORK))
 def test_a_seed_0_pass_over_a_workload_does_the_pinned_matching_work(workload, monkeypatch):
-    """Counts, not timings, pin each workload's leaf layer: searches, enumerations, gradings, path walks, atomic evaluations.
+    """Counts, not timings, pin each workload's leaf layer: searches, enumerations, gradings, path walks, atomic evaluations, payload reads.
 
     A warm pass, whose plans answer every key met before, does the first
     pass's work, since each decision matches its leaves before it reads a
@@ -1564,6 +1565,8 @@ def test_a_seed_0_pass_over_a_workload_does_the_pinned_matching_work(workload, m
     monkeypatch.setattr(matching._Grader, "held", lambda group, rows: runs.update(["grade"]) or held(group, rows))
     monkeypatch.setattr(policy, "match_path", lambda *args: runs.update(["match_path"]) or path(*args))
     monkeypatch.setattr(policy, "eval_atomic", lambda *args: runs.update(["eval_atomic"]) or atomic(*args))
+    payload = ProvenanceGraph._payload
+    monkeypatch.setattr(ProvenanceGraph, "_payload", lambda graph, vid: runs.update(["payload"]) or payload(graph, vid))
     passes = []
     for _ in range(2):
         runs.clear()

@@ -394,6 +394,21 @@ def test_path_wildcard_can_absorb_nothing(submission_graph):
     assert match_path(p, submission_graph) is MatchValue.FULL
 
 
+@pytest.mark.parametrize("refined, expected", [(("sentTo", "handedTo"), MatchValue.FULL), ((None, None), MatchValue.NONE)])
+def test_a_path_starts_and_steps_by_refined_labels_alone(refined, expected):
+    """`s` starts the walk only by the refined label of its second out-edge, and `t` holds the next step only by that of its entry edge.
+
+    No vertex has a step's name and no edge a step's plain label; the twin
+    without refined labels has no walk.
+    """
+    g = ProvenanceGraph()
+    s, x, t = (g.add_vertex(VertexType.PROCESS, name, vid=name) for name in ("s", "x", "t"))
+    g.add_edge(s, x, EdgeLabel.WAS_TRIGGERED_BY)
+    g.add_edge(s, x, EdgeLabel.WAS_TRIGGERED_BY, refined[0])
+    g.add_edge(s, t, EdgeLabel.WAS_TRIGGERED_BY, refined[1])
+    assert match_path(parse_path_pattern("sentTo|nobody, handedTo|nobody"), g) is expected
+
+
 @pytest.mark.parametrize("text", ["used|a, used|z", f"used|a, {WILDCARD_TOKEN}, used|z"])
 def test_a_step_reads_the_edge_the_walk_arrived_by_whichever_came_first(text):
     """Two starts named ``a`` enter ``b``: the first by a ``wasGeneratedBy`` edge, which fails the step, then by ``used``."""
@@ -1003,6 +1018,22 @@ _KIND_SAMPLES = {
         datetime(2020, 1, 1, tzinfo=_AWARE), datetime(2020, 1, 2, tzinfo=_AWARE), datetime(2020, 1, 3, tzinfo=_AWARE)
     ),
 }
+
+
+class _Count(int):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [5, True, "x", None, 1.5, [1], datetime(2020, 1, 1), datetime(2020, 1, 1, tzinfo=_AWARE), _Count(5), _Text("x")],
+)
+def test_the_kind_read_of_search_and_grading_is_the_kind_of_every_value(value):
+    assert matching._kind_of(value) == matching._kind(value)
 
 
 def test_compiled_constraint_agrees_with_eval_predicate_on_every_kind():

@@ -32,6 +32,7 @@ from provpurpose import (
     EdgeLabel,
     HierarchicalPurposeSet,
     InputFormatError,
+    MatchValue,
     NullCondition,
     PartyConfig,
     PartyResult,
@@ -52,14 +53,18 @@ from provpurpose import (
     TreeBranch,
     TreeLeaf,
     TreeOp,
+    UnknownPurposeError,
     VertexCondition,
     VertexType,
     decide,
     graph_from_dict,
     graph_to_dict,
+    match_partition,
     outcome_to_dict,
     party_result_from_dict,
     policy_from_dict,
+    purpose_graph_from_dict,
+    purpose_graph_to_dict,
     request_from_dict,
 )
 from provpurpose.cli import _party_from_file
@@ -254,6 +259,7 @@ GOODS["Request.query_attrs"] = [
 ]
 for _field in ("Policy.ap", "Policy.pp", "Policy.subjects", "Policy.categories"):
     GOODS[_field] = GOODS["names"]
+GOODS["PurposeGraph.edges"] = [(("a", "b"), ["a", "b"]), (["a", "b"], ["a", "b"]), (("b", "a"), ["b", "a"])]
 
 FIELDS = [
     "Policy.id", "Policy.ptype", "Policy.ap", "Policy.pp", "Policy.subjects", "Policy.categories",
@@ -388,6 +394,47 @@ def test_a_vertex_field_of_any_kind_is_added_as_a_graph_document_reads_it(field,
         return
     assert form is not NO_FORM, "a value no document holds was read"
     assert graph_to_dict(g) == graph_to_dict(graph_from_dict(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_purpose_edges_of_any_kind_are_read_as_a_purpose_graph_document_reads_them(data):
+    values, form = data.draw(_values("PurposeGraph.edges"))
+    doc = {"purposes": ["a", "b"], "edges": form}
+    try:
+        built = PurposeGraph(["a", "b"], values())
+    except (InputFormatError, UnknownPurposeError) as refused:
+        if _own_form("PurposeGraph.edges", values()):
+            with pytest.raises(type(refused)) as twin:
+                purpose_graph_from_dict(doc)
+            assert str(twin.value) == str(refused)
+        return
+    assert form is not NO_FORM, "a value no document holds was read"
+    assert purpose_graph_to_dict(built) == purpose_graph_to_dict(purpose_graph_from_dict(doc))
+
+
+@pytest.mark.parametrize("edges", [{("a", "b"): 1}, None, "ab", b"ab", 5])
+def test_purpose_edges_that_are_no_array_are_refused_in_the_loaders_words(edges):
+    """A mapping is not read as its keys, nor None iterated into a bare TypeError."""
+    with pytest.raises(InputFormatError, match='^"edges" must be an array$'):
+        PurposeGraph(["a", "b"], edges)
+
+
+@pytest.mark.parametrize("key, item", [(5, "5"), (1.5, "1.5"), ("n", "n")])
+def test_a_payload_key_is_read_as_a_graph_document_reads_its_text(key, item):
+    """A number given as a key is its text, so a constraint on that text holds on the graph and its document twin alike."""
+    g = ProvenanceGraph()
+    g.add_vertex("artifact", "r", {key: "x"}, vid="r")
+    twin = graph_from_dict({"vertices": [{"id": "r", "type": "Artifact", "name": "r", "attrs": {item: "x"}}]})
+    assert graph_to_dict(g) == graph_to_dict(twin)
+    partition = ProvenancePartition((PatternVertex("a", "Artifact", "r", (AttrConstraint(key, "=", "x"),)),))
+    assert match_partition(partition, g) is match_partition(partition, twin) is MatchValue.FULL
+
+
+@pytest.mark.parametrize("key", [None, True, (1,)])
+def test_a_payload_key_that_is_no_scalar_is_refused(key):
+    with pytest.raises(InputFormatError, match="^attribute item must be a string or a number, got "):
+        ProvenanceGraph().add_vertex("artifact", "r", {key: "x"})
 
 
 @pytest.mark.parametrize("name", ["", 5, None, ["m"]])
