@@ -108,7 +108,7 @@ def text(value: Any, what: str) -> str:
 
 
 def collection(value: Any, what: str) -> Collection[Any]:
-    """An array: a list, tuple, set or frozenset, or a one-shot iterator, read once into a tuple.
+    """An array: a list, tuple, set or frozenset, returned as it is, or a one-shot iterator, read once into a tuple.
 
     A string or bytes is not read as its characters, nor a mapping as its keys.
     """

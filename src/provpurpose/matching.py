@@ -123,7 +123,12 @@ _COMPARE: dict[Predicate, Callable[[Any, Any], bool]] = {
 
 
 def _kind(value: AttrValue) -> str | None:
-    if isinstance(value, bool):
+    exact = type(value)  # an exact int or str, the common values, answer from their type
+    if exact is int:
+        return "int"
+    if exact is str:
+        return "str"
+    if value is None or isinstance(value, bool):
         return None
     if isinstance(value, int):
         return "int"
@@ -132,19 +137,6 @@ def _kind(value: AttrValue) -> str | None:
     if isinstance(value, datetime):
         return "naive timestamp" if value.utcoffset() is None else "aware timestamp"
     return None
-
-
-def _kind_of(value: AttrValue) -> str | None:
-    """:func:`_kind`, answered from the exact type of an int, a str or None: the one kind read of search and grading.
-
-    Anything else, a bool, a datetime or a subclass, is left to :func:`_kind`.
-    """
-    exact = type(value)
-    if exact is int:
-        return "int"
-    if exact is str:
-        return "str"
-    return None if value is None else _kind(value)
 
 
 def eval_predicate(pred: Predicate, left: AttrValue, right: AttrValue) -> bool:
@@ -377,7 +369,7 @@ def _holding(pv: PatternVertex, found: Iterable[str], graph: ProvenanceGraph) ->
         attrs = payload(vid)
         for c in constraints:
             value = attrs.get(c.item)
-            if c.kind is None or _kind_of(value) != c.kind or not c.test(value, c.operand):
+            if c.kind is None or _kind(value) != c.kind or not c.test(value, c.operand):
                 break
         else:
             yield vid
@@ -544,7 +536,7 @@ class _Grader:
             ok = every
             for at, item, kind, free, find, operands, masks in families:
                 value = row[at].get(item)
-                if _kind_of(value) == kind:
+                if _kind(value) == kind:
                     if masks is None:  # find is the test, tried on each (operand, bit)
                         for operand, bit in operands:
                             if find(value, operand):

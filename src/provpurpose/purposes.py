@@ -27,7 +27,7 @@ members at that rank or deeper form the high part of each set.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Collection, Container, Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import compress
 from typing import Any, TypeVar
@@ -136,15 +136,16 @@ class PurposeGraph:
 
     Its fields are read as :func:`purpose_graph_from_dict` reads them: the
     purposes as :func:`_docs.names` reads a list of names, the edges as
-    :func:`_docs.collection` reads an array, each edge as an array of two
-    ends, each end as :func:`_docs.text` reads a scalar, and the line as an
-    integer. Anything else raises :class:`InputFormatError`.
+    :func:`_docs.collection` reads an array (a list, tuple, set, frozenset or
+    one-shot iterator), each edge as an array of two ends, each end as
+    :func:`_docs.text` reads a scalar, and the line as an integer. Anything
+    else raises :class:`InputFormatError`.
     """
 
     def __init__(
         self,
         purposes: Iterable[str],
-        edges: Iterable[tuple[str, str]],
+        edges: Collection[tuple[str, str]] | Iterator[tuple[str, str]],
         hierarchy_line: int | None = None,
     ) -> None:
         text, entry = _docs.text, _docs.entry

@@ -1029,11 +1029,16 @@ class _Text(str):
 
 
 @pytest.mark.parametrize(
-    "value",
-    [5, True, "x", None, 1.5, [1], datetime(2020, 1, 1), datetime(2020, 1, 1, tzinfo=_AWARE), _Count(5), _Text("x")],
+    "value, kind",
+    [
+        (5, "int"), (True, None), ("x", "str"), (None, None), (1.5, None), ([1], None),
+        (datetime(2020, 1, 1), "naive timestamp"), (datetime(2020, 1, 1, tzinfo=_AWARE), "aware timestamp"),
+        (_Count(5), "int"), (_Text("x"), "str"),
+    ],
 )
-def test_the_kind_read_of_search_and_grading_is_the_kind_of_every_value(value):
-    assert matching._kind_of(value) == matching._kind(value)
+def test_a_value_is_read_as_its_kind_whatever_its_exact_type(value, kind):
+    """The kind that search, grading and `eval_predicate` compare: a bool is of no kind, a subclass of its base's."""
+    assert matching._kind(value) == kind
 
 
 def test_compiled_constraint_agrees_with_eval_predicate_on_every_kind():
